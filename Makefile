@@ -4,7 +4,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test test-smoke unit docs-check slow slow-smoke gauntlet gauntlet-smoke bench bench-smoke bench-fanout profile
+.PHONY: test test-smoke unit docs-check slow slow-smoke gauntlet gauntlet-smoke benchmark bench bench-smoke bench-fanout profile
 
 # The default invocation: the fast deterministic suite + executable docs.
 test: unit docs-check
@@ -16,12 +16,9 @@ test: unit docs-check
 # counts (the whole thing finishes in well under three minutes).  The pool
 # module already runs as part of `unit`; the second pass pins the `pipe`
 # transport fallback, which the default-slab suite would otherwise never
-# exercise end to end.  The REPRO_COLUMNAR=0 pass pins the numpy-free /
-# columnar-disabled row path, which the default run (columnar on) would
-# otherwise never exercise end to end.
+# exercise end to end.
 test-smoke: unit docs-check
 	REPRO_POOL_TRANSPORT=pipe python -m pytest tests/test_pool.py tests/test_shard_ingest.py -q
-	REPRO_COLUMNAR=0 python -m pytest tests/test_columnar.py tests/test_batch_ingest.py tests/test_shard_ingest.py tests/test_rebalance.py tests/test_turnstile.py -q
 	python -m pytest tests/test_serving.py -q
 	REPRO_STAT_TRIALS=60 python -m pytest -m slow -q
 
@@ -52,6 +49,11 @@ gauntlet:
 gauntlet-smoke:
 	REPRO_GAUNTLET_SCALE=0.25 python -m pytest -m gauntlet -q
 
+# The repository benchmark (bench/README.md): three workloads through the
+# public API, end-to-end metrics printed and written to BENCH_suite.json.
+benchmark:
+	python3 bench/run.py
+
 # Ingestion-seam acceptance benchmarks (each emits BENCH_*.json in CWD).
 bench:
 	python benchmarks/bench_batch_ingest.py
@@ -65,9 +67,8 @@ bench:
 bench-fanout:
 	python benchmarks/bench_fanout.py
 
-# Profile-first workflow for the columnar hot path: GC-paused wall times
-# plus cProfile hotspot tables for the batched and sharded ingestion modes
-# (REPRO_COLUMNAR=0 profiles the row-path baseline for comparison).
+# Profile-first workflow for the ingestion hot path: GC-paused wall times
+# plus cProfile hotspot tables for the batched and sharded ingestion modes.
 profile:
 	python tools/profile_hotpath.py
 

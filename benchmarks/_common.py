@@ -1,13 +1,12 @@
 """Shared configuration and helpers for the benchmark suite.
 
 Every benchmark reproduces one figure or table of the paper's Section 6 at a
-scale a pure-Python implementation can handle (see DESIGN.md for the
-substitutions).  Two entry points per module:
+scale a pure-Python implementation can handle (each module's docstring names
+its data and scale substitutions).  Two entry points per module:
 
 * ``test_*`` functions — collected by ``pytest benchmarks/ --benchmark-only``;
   they run a representative configuration under ``pytest-benchmark``.
-* ``main()`` — prints the full table/series for the figure (reduced scale),
-  which is what EXPERIMENTS.md records.
+* ``main()`` — prints the full table/series for the figure (reduced scale).
 """
 
 from __future__ import annotations

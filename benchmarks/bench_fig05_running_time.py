@@ -8,8 +8,8 @@ RSJoin supports the cyclic dumbbell query.
 
 Reproduction: synthetic Epinions-like graph / TPC-DS-like / LDBC-like data at
 reduced scale, k scaled down proportionally, and a scaled-down timeout for
-the baselines.  The expected *shape* (RSJoin fastest everywhere, SJoin_opt
-between, dumbbell only on RSJoin) is what EXPERIMENTS.md records.
+the baselines.  The expected *shape*: RSJoin fastest everywhere, SJoin_opt
+between, dumbbell only on RSJoin.
 """
 
 from __future__ import annotations

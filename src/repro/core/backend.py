@@ -42,12 +42,7 @@ import pickle
 import random
 from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
 
-from ..relational.stream import (
-    ColumnarChunk,
-    as_relation_rows,
-    columnar_enabled,
-    validated_items,
-)
+from ..relational.stream import as_relation_rows, validated_items
 
 #: Bits of entropy drawn from a master RNG per derived replica seed.  48 bits
 #: keeps seeds comfortably collision-free at any realistic replica count
@@ -109,13 +104,12 @@ class SamplerBackend(Protocol):
 class BackendCapabilities:
     """What :func:`probe_backend` found on one backend (immutable record)."""
 
-    __slots__ = ("insert", "insert_batch", "ingest_batch", "ingest_columnar", "sample", "statistics", "index", "spawn", "snapshot")
+    __slots__ = ("insert", "insert_batch", "ingest_batch", "sample", "statistics", "index", "spawn", "snapshot")
 
     def __init__(self, backend) -> None:
         self.insert = callable(getattr(backend, "insert", None))
         self.insert_batch = callable(getattr(backend, "insert_batch", None))
         self.ingest_batch = callable(getattr(backend, "ingest_batch", None))
-        self.ingest_columnar = callable(getattr(backend, "ingest_columnar", None))
         self.sample = hasattr(backend, "sample")
         self.statistics = callable(getattr(backend, "statistics", None))
         self.index = getattr(backend, "index", None) is not None
@@ -143,18 +137,9 @@ def chunk_apply(backend) -> Tuple[Callable[[Sequence], object], str]:
     1. ``ingest_batch`` (``mode='ingest_batch'``) — the backend is itself an
        ingestor (a :class:`~repro.ingest.shard.ShardedIngestor`, a nested
        fan-out, ...) and owns its own routing;
-    2. ``ingest_columnar`` (``mode='ingest_columnar'``) — the sampler's
-       columnar bulk path, fed one :class:`~repro.relational.stream
-       .ColumnarChunk` per chunk (row chunks are pivoted here, once per
-       chunk).  Probed only while the columnar gate is on
-       (:func:`~repro.relational.stream.columnar_enabled`): with
-       ``REPRO_COLUMNAR=0`` or without numpy the probe falls through to the
-       row paths below, so numpy-free operation keeps working — and keeps
-       producing bit-identical samples, which the columnar paths guarantee
-       by construction;
-    3. ``insert_batch`` (``mode='insert_batch'``) — the sampler's bulk fast
+    2. ``insert_batch`` (``mode='insert_batch'``) — the sampler's bulk fast
        path;
-    4. per-tuple ``insert`` loop (``mode='insert'``) — the universal
+    3. per-tuple ``insert`` loop (``mode='insert'``) — the universal
        fallback: the chunk is normalised once and driven tuple by tuple.
        When the backend exposes its query (``original_query`` or
        ``query``), the whole chunk is validated against it *before* the
@@ -169,15 +154,6 @@ def chunk_apply(backend) -> Tuple[Callable[[Sequence], object], str]:
     ingest_batch = getattr(backend, "ingest_batch", None)
     if callable(ingest_batch):
         return ingest_batch, "ingest_batch"
-    ingest_columnar = getattr(backend, "ingest_columnar", None)
-    if callable(ingest_columnar) and columnar_enabled():
-
-        def columnar(items: Sequence) -> object:
-            if isinstance(items, ColumnarChunk):
-                return ingest_columnar(items)
-            return ingest_columnar(ColumnarChunk.from_items(items))
-
-        return columnar, "ingest_columnar"
     insert_batch = getattr(backend, "insert_batch", None)
     if callable(insert_batch):
         return insert_batch, "insert_batch"

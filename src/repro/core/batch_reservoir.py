@@ -11,14 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
-from itertools import accumulate
 from typing import Callable, Generic, List, Optional, TypeVar
 
-from ..relational.stream import columnar_enabled
 from .reservoir import _uniform, geometric_skip
 from .skippable import Batch, is_real
-from .vectorized import VECTOR_MIN_ROWS
 
 T = TypeVar("T")
 
@@ -125,9 +121,6 @@ class BatchedPredicateReservoir(Generic[T]):
             # Validate before touching any bookkeeping: a bad size mid-loop
             # must not leave the locally accumulated skip state unflushed.
             raise ValueError("batch size must be non-negative")
-        if columnar_enabled() and len(sizes) >= VECTOR_MIN_ROWS:
-            self._process_deferred_prefix(sizes, make_batch, args)
-            return
         k = self.k
         sample = self._sample
         pending = self._pending_skip
@@ -153,63 +146,6 @@ class BatchedPredicateReservoir(Generic[T]):
             pending = self._pending_skip
             total = self.items_total
             w_ready = not math.isinf(self._w)
-        self._pending_skip = pending
-        self.items_total = total
-        self.batches_processed += skipped
-
-    def _process_deferred_prefix(self, sizes, make_batch, args) -> None:
-        """Prefix-sum form of :meth:`process_deferred_many`'s skip loop.
-
-        In steady state almost every deferred batch is skipped wholesale, so
-        the per-batch comparison loop collapses to a prefix-sum search: the
-        cumulative size list is built once (one C-speed ``accumulate`` pass)
-        and each skip stop is found with one ``bisect`` instead of one
-        comparison per batch — a whole run of skipped batches, zero-sized
-        ones included, costs ``O(log n)``.  Whenever the pending skip lands
-        *inside* a batch, that batch is materialised through the exact
-        :meth:`process_batch` the scalar loop calls — the RNG sees identical
-        batches in identical order, so samples are bit-identical.  Python
-        integers carry the sums, so astronomical delta sizes (products of
-        approximate counters can exceed any machine word) take the same
-        wholesale-skip arithmetic as small ones.
-        """
-        cum = list(accumulate(sizes))
-        n = len(cum)
-        k = self.k
-        index = 0
-        skipped = 0
-        pending = self._pending_skip
-        total = self.items_total
-        w_ready = not math.isinf(self._w)
-        while index < n:
-            if w_ready and len(self._sample) >= k:
-                base = cum[index - 1] if index else 0
-                # The largest stop with Σ sizes[index:stop] <= pending
-                # (bisect_right counts the zero-sized batches at the
-                # boundary into the run, exactly as the scalar loop would).
-                stop = bisect_right(cum, base + pending)
-                if stop > index:
-                    covered = cum[stop - 1] - base
-                    skipped += stop - index
-                    total += covered
-                    pending -= covered
-                    index = stop
-                    continue
-            if sizes[index] == 0:
-                skipped += 1
-                index += 1
-                continue
-            # The skip stops inside this batch (or the reservoir is still
-            # filling): flush the locals, fold the real batch, re-load.
-            self._pending_skip = pending
-            self.items_total = total
-            self.batches_processed += skipped
-            skipped = 0
-            self.process_batch(make_batch(args[index]))
-            pending = self._pending_skip
-            total = self.items_total
-            w_ready = not math.isinf(self._w)
-            index += 1
         self._pending_skip = pending
         self.items_total = total
         self.batches_processed += skipped

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence
 from ..index.dynamic_index import DynamicJoinIndex
 from ..index.foreign_key import ForeignKeyCombiner
 from ..relational.query import JoinQuery
-from ..relational.stream import ColumnarChunk, StreamTuple, validated_items
+from ..relational.stream import StreamTuple, validated_items
 from .batch_reservoir import BatchedPredicateReservoir
 
 
@@ -152,42 +152,6 @@ class ReservoirJoin:
         inserted = 0
         reservoir = self.reservoir
         for relation, rows in groups.items():
-            new_rows = self.index.insert_rows(relation, rows)
-            self.duplicates_ignored += len(rows) - len(new_rows)
-            inserted += len(new_rows)
-            tree = self.index.trees[relation]
-            reservoir.process_deferred_many(
-                tree.delta_batch_sizes(new_rows), tree.delta_batch, new_rows
-            )
-        return inserted
-
-    def ingest_columnar(self, chunk) -> int:
-        """The columnar twin of :meth:`insert_batch`: absorb one chunk pivot.
-
-        Accepts a :class:`~repro.relational.stream.ColumnarChunk` (or
-        anything :meth:`ColumnarChunk.from_items` accepts) with the same
-        contract as :meth:`insert_batch` — whole-chunk validation before any
-        mutation, the count of new tuples returned — and produces
-        *bit-identical* samples: the chunk's first-appearance relation order
-        is exactly the grouping order :meth:`insert_batch`'s ``setdefault``
-        pass would build, so the index sees the same bulk inserts and the
-        reservoir consumes the same RNG draws in the same order.  What
-        changes is what's underneath: the per-relation row lists are already
-        pivoted (no per-tuple grouping pass), and the bulk index/reservoir
-        machinery can use the chunk's cached columns.  The foreign-key
-        rewrite is inherently per-tuple, so that configuration delegates to
-        the row path internally — same results, no columnar gain.
-        """
-        if not isinstance(chunk, ColumnarChunk):
-            chunk = ColumnarChunk.from_items(chunk)
-        chunk.validate(self.original_query)
-        if self._combiner is not None:
-            return self.insert_batch(chunk.to_pairs())
-        self.tuples_processed += len(chunk)
-        inserted = 0
-        reservoir = self.reservoir
-        for relation in chunk.relations:
-            rows = chunk.rows[relation]
             new_rows = self.index.insert_rows(relation, rows)
             self.duplicates_ignored += len(rows) - len(new_rows)
             inserted += len(new_rows)

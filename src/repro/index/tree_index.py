@@ -26,13 +26,11 @@ import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.skippable import FunctionBatch
-from ..core.vectorized import MAX_EXP, VECTOR_MIN_ROWS, ZERO_EXP, int_column, int_columns
 from ..relational.database import Database
 from ..relational.jointree import RootedJoinTree
 from ..relational.query import JoinQuery
 from ..relational.schema import tuple_getter
-from ..relational.stream import numpy_or_none
-from .buckets import Bucket, BucketFamily
+from .buckets import BucketFamily
 from .counters import next_pow2
 from .grouping import GroupView, grouping_attrs
 
@@ -224,7 +222,7 @@ class TreeIndex:
 
         Deletions are far rarer than inserts in every supported workload
         (tombstone retractions, window expiries), so the bulk entry point
-        exists for API symmetry rather than as a vectorized hot path.
+        exists for API symmetry rather than as a bulk-optimised hot path.
         """
         for row in rows:
             self.delete_row(relation, row)
@@ -260,8 +258,6 @@ class TreeIndex:
             return
         schema = self.query.relation(relation)
         key_attrs = self.tree.key_of(relation)
-        if self._insert_rows_columnar(relation, rows, schema, key_attrs):
-            return
         project_key = tuple_getter(schema.positions_of(key_attrs)) if key_attrs else None
         child_info = [
             (self._families[child].get, tuple_getter(schema.positions_of(self.tree.key_of(child))))
@@ -296,172 +292,6 @@ class TreeIndex:
         ]
         if changes:
             self._bulk_propagate(relation, changes)
-
-    def _child_weight_exponents(
-        self, relation: str, rows: Sequence[Tuple], schema, columns=None
-    ):
-        """Per-row child-weight products as ``int64`` exponent sums, or ``None``.
-
-        The weight of a row is the product of its child families' ``approx``
-        counters — all powers of two — so the product is tracked as a sum of
-        exponents (:data:`~repro.core.vectorized.ZERO_EXP` dominating the sum
-        whenever any factor is zero; a final ``>= 0`` test recovers the
-        zero-weight rows).  Per child, the key column is factorized: one
-        family lookup per *distinct* key value, broadcast back through the
-        inverse indices — same lookups, same results as the scalar loop,
-        minus the per-row dictionary traffic.  ``None`` when any child key
-        is multi-attribute or non-machine-int (the scalar path handles
-        those), when an exponent is implausibly large for the sentinel
-        arithmetic, or when a child column is mostly distinct — without
-        key repetition the factorization saves nothing over the scalar
-        lookups, so such batches stay on the scalar path (a constant-factor
-        decision only: both paths compute identical weights).
-        ``columns`` optionally supplies a shared column extractor (see
-        :func:`~repro.core.vectorized.int_columns`) so callers that already
-        pulled other columns of the same rows reuse one matrix conversion.
-        """
-        np = numpy_or_none()
-        if columns is None:
-            columns = int_columns(rows)
-        exponents = None
-        probe = rows[: 4 * VECTOR_MIN_ROWS]
-        for child in self.tree.children_of(relation):
-            positions = schema.positions_of(self.tree.key_of(child))
-            if len(positions) != 1:
-                return None
-            position = positions[0]
-            if 2 * len({row[position] for row in probe}) > len(probe):
-                # A cheap prefix probe before any array is built: a
-                # mostly-distinct prefix means a mostly-distinct column,
-                # and factorization without repetition is pure overhead.
-                return None
-            column = columns(position)
-            if column is None:
-                return None
-            uniques, inverse = np.unique(column, return_inverse=True)
-            if 2 * len(uniques) > len(rows):
-                return None
-            lookup = self._families[child].get
-            unique_exponents: List[int] = []
-            append = unique_exponents.append
-            for value in uniques.tolist():
-                family = lookup((value,))
-                approx = family.approx if family is not None else 0
-                if approx:
-                    exponent = approx.bit_length() - 1
-                    if exponent >= MAX_EXP:  # pragma: no cover - astronomic counts
-                        return None
-                    append(exponent)
-                else:
-                    append(ZERO_EXP)
-            child_exponents = np.asarray(unique_exponents, dtype=np.int64)[inverse]
-            exponents = (
-                child_exponents if exponents is None else exponents + child_exponents
-            )
-        if exponents is None:
-            exponents = np.zeros(len(rows), dtype=np.int64)
-        return exponents
-
-    def _insert_rows_columnar(
-        self, relation: str, rows: Sequence[Tuple], schema, key_attrs
-    ) -> bool:
-        """The vectorized body of :meth:`insert_rows`; ``False`` = not applicable.
-
-        "Not applicable" covers both shape (multi-attribute or
-        non-machine-int keys) and *profitability*: grouping pays for its
-        array bookkeeping only when rows share family keys, so chunks whose
-        key column is mostly distinct bail to the scalar loop before any
-        exponent work (same final state either way — the gate is purely a
-        constant-factor choice).
-
-        Bit-identical to the scalar loop by construction, because every
-        ordering the downstream state can observe is reproduced exactly:
-
-        * per family, rows are appended in stream order (the stable argsort
-          groups rows by key without reordering within a key), so bucket
-          item lists — and therefore retrieval positions — match;
-        * families are created (and ``changes`` emitted) in first-appearance
-          order of their keys among the weight-positive rows, so
-          :meth:`_bulk_propagate` processes parents in the scalar order;
-        * key objects come from projecting the group's first row, which is
-          exactly the object the scalar dict insert would have retained.
-        """
-        np = numpy_or_none()
-        if np is None or len(rows) < VECTOR_MIN_ROWS:
-            return False
-        key_positions = schema.positions_of(key_attrs) if key_attrs else ()
-        if len(key_positions) > 1:
-            return False
-        columns = int_columns(rows)
-        key_column = None
-        if key_positions:
-            position = key_positions[0]
-            probe = rows[: 4 * VECTOR_MIN_ROWS]
-            if 2 * len({row[position] for row in probe}) > len(probe):
-                # Mostly-distinct keys: nearly every group would hold one
-                # row, so the per-group array bookkeeping costs more than
-                # the scalar loop it replaces.  The probe is a pure-Python
-                # set over a short prefix — cheaper than building even one
-                # column — and the scalar path computes the same state
-                # either way (constant-factor decision only).
-                return False
-            key_column = columns(position)
-            if key_column is None:
-                return False
-            if 2 * len(np.unique(key_column)) > len(rows):
-                return False  # the prefix looked repetitive; the chunk is not
-        exponents = self._child_weight_exponents(relation, rows, schema, columns)
-        if exponents is None:
-            return False
-        valid = np.nonzero(exponents >= 0)[0]
-        if not len(valid):
-            return True  # every row has weight zero: nothing to insert
-        families = self._families[relation]
-        changes: List[Tuple[Tuple, int, int]] = []
-        if key_column is None:
-            family = families.get(())
-            if family is None:
-                family = BucketFamily()
-                families[()] = family
-            old_approx = family.approx
-            family.add_many(
-                [rows[i] for i in valid.tolist()], exponents[valid].tolist()
-            )
-            if family.approx != old_approx:
-                changes.append(((), old_approx, family.approx))
-        else:
-            valid_keys = key_column[valid]
-            uniques, first_seen, inverse = np.unique(
-                valid_keys, return_index=True, return_inverse=True
-            )
-            counts = np.bincount(inverse)
-            starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
-            by_key = np.argsort(inverse, kind="stable")
-            project_key = tuple_getter(key_positions)
-            # One conversion pass each; the per-group work below is then
-            # plain C-speed list slicing (per-group numpy fancy indexing is
-            # exactly the overhead that would eat the grouping win).
-            valid_list = valid.tolist()
-            sorted_rows = [rows[valid_list[i]] for i in by_key.tolist()]
-            sorted_exponents = exponents[valid][by_key].tolist()
-            starts_list = starts.tolist()
-            counts_list = counts.tolist()
-            for unique in np.argsort(first_seen, kind="stable").tolist():
-                start = starts_list[unique]
-                stop = start + counts_list[unique]
-                group_rows = sorted_rows[start:stop]
-                key = project_key(group_rows[0])
-                family = families.get(key)
-                if family is None:
-                    family = BucketFamily()
-                    families[key] = family
-                old_approx = family.approx
-                family.add_many(group_rows, sorted_exponents[start:stop])
-                if family.approx != old_approx:
-                    changes.append((key, old_approx, family.approx))
-        if changes:
-            self._bulk_propagate(relation, changes)
-        return True
 
     def _insert_rows_grouped(self, relation: str, rows: Sequence[Tuple], view: GroupView) -> None:
         """Bulk insert under the grouping optimisation.
@@ -638,17 +468,6 @@ class TreeIndex:
         without ever being constructed.
         """
         schema = self.query.relation(self.root)
-        np = numpy_or_none()
-        if np is not None and len(rows) >= VECTOR_MIN_ROWS:
-            exponents = self._child_weight_exponents(self.root, rows, schema)
-            if exponents is not None:
-                # Exponent sums are exact (weights are powers of two), so the
-                # reconstruction below returns the same Python ints the
-                # scalar product loop would — arbitrary magnitude included.
-                return [
-                    0 if exponent < 0 else 1 << exponent
-                    for exponent in exponents.tolist()
-                ]
         child_info = [
             (self._families[child].get, tuple_getter(schema.positions_of(self.tree.key_of(child))))
             for child in self.tree.children_of(self.root)

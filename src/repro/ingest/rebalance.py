@@ -64,13 +64,7 @@ from typing import Deque, Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.backend import derive_seed
 from ..relational.query import JoinQuery
 from ..relational.schema import tuple_getter
-from ..relational.stream import (
-    ColumnarChunk,
-    StreamTuple,
-    as_relation_rows,
-    chunk_stream,
-    numpy_or_none,
-)
+from ..relational.stream import StreamTuple, as_relation_rows, chunk_stream
 from .batch import DEFAULT_CHUNK_SIZE
 from .checkpoint import CODEC
 from .shard import DEFAULT_NUM_SHARDS, ShardedIngestor, route_rows
@@ -211,48 +205,36 @@ def simulate_partition(
     every shard.  O(sample size), paid only when the monitor has already
     flagged skew.
     """
-    return _simulate(query, deliveries, partition_attr, num_shards)
+    return _simulate(query, as_relation_rows(deliveries), partition_attr, num_shards)
 
 
 def _simulate(
     query: JoinQuery,
-    items,
+    pairs: Sequence[Tuple[str, tuple]],
     partition_attr: str,
     num_shards: int,
 ) -> RebalancePlan:
-    """:func:`simulate_partition` over a chunk (or anything chunkable).
+    """:func:`simulate_partition` over already-normalised pairs.
 
     Routes through the same :func:`~repro.ingest.shard.route_rows` rule the
-    live router uses — vectorized hashing included, and by construction
-    incapable of predicting a shard the router would not pick.  Passing an
-    already-built :class:`ColumnarChunk` lets the planner score many
-    candidate attributes against one pivot (and one per-attribute column
-    cache).
+    live router uses, so it is by construction incapable of predicting a
+    shard the router would not pick.
     """
-    chunk = items if isinstance(items, ColumnarChunk) else ColumnarChunk.from_items(items)
-    getters: Dict[str, object] = {}
-    positions: Dict[str, int] = {}
-    for schema in query.relations:
-        if partition_attr in schema.attr_set:
-            attr_positions = schema.positions_of((partition_attr,))
-            getters[schema.name] = tuple_getter(attr_positions)
-            positions[schema.name] = attr_positions[0]
-    assignments = route_rows(chunk, getters, num_shards, positions)
-    np = numpy_or_none()
-    if np is not None and isinstance(assignments, np.ndarray):
-        broadcast = int((assignments < 0).sum())
-        owned = np.bincount(assignments[assignments >= 0], minlength=num_shards)
-        loads = [int(load) + broadcast for load in owned.tolist()]
-    else:
-        loads = [0] * num_shards
-        broadcast = 0
-        for assignment in assignments:
-            if assignment < 0:
-                broadcast += 1
-            else:
-                loads[assignment] += 1
-        loads = [load + broadcast for load in loads]
-    return RebalancePlan(partition_attr, num_shards, tuple(loads))
+    getters = {
+        schema.name: tuple_getter(schema.positions_of((partition_attr,)))
+        for schema in query.relations
+        if partition_attr in schema.attr_set
+    }
+    loads = [0] * num_shards
+    broadcast = 0
+    for assignment in route_rows(pairs, getters, num_shards):
+        if assignment < 0:
+            broadcast += 1
+        else:
+            loads[assignment] += 1
+    return RebalancePlan(
+        partition_attr, num_shards, tuple(load + broadcast for load in loads)
+    )
 
 
 def plan_partition(
@@ -272,9 +254,9 @@ def plan_partition(
     candidates = tuple(candidate_attrs) if candidate_attrs else query.output_attrs()
     if not candidates:
         raise ValueError("no candidate partition attributes")
-    chunk = ColumnarChunk.from_items(deliveries)  # pivot once, simulate many
+    pairs = as_relation_rows(deliveries)  # normalise once, simulate many
     plans = [
-        _simulate(query, chunk, attr, shards)
+        _simulate(query, pairs, attr, shards)
         for attr in sorted(candidates)
         for shards in shard_counts
     ]

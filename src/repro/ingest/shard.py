@@ -53,17 +53,15 @@ import itertools
 import random
 import time
 from bisect import bisect_right
-from functools import lru_cache
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.backend import derive_seed, restore_backend, snapshot_backend
 from ..core.reservoir_join import ReservoirJoin
-from ..core.vectorized import VECTOR_MIN_ROWS
 from ..relational.join import count_results
 from ..relational.query import JoinQuery
 from ..relational.schema import tuple_getter
-from ..relational.stream import ColumnarChunk, StreamDelete, StreamTuple, numpy_or_none
+from ..relational.stream import StreamDelete, StreamTuple, validate_pairs
 from .batch import DEFAULT_CHUNK_SIZE, BatchIngestor
 from .checkpoint import CODEC, CheckpointMismatchError
 from .engine import EngineLane, IngestionEngine
@@ -109,114 +107,31 @@ def stable_shard_hash(value: Sequence) -> int:
     return int.from_bytes(hasher.digest(), "big")
 
 
-@lru_cache(maxsize=1 << 16)
-def _hash_single(value) -> int:
-    """Memoized ``stable_shard_hash((value,))`` for single-attribute keys.
-
-    Join-key domains are small relative to stream length, so the same values
-    recur chunk after chunk; caching the digest per distinct value turns the
-    steady-state cost of :func:`stable_shard_hash_column` into pure array
-    work.  Safe despite ``1 == 1.0 == True`` cache collisions: the digest is
-    equality-consistent by design, so colliding keys map to identical
-    digests anyway.
-    """
-    return stable_shard_hash((value,))
-
-
-def stable_shard_hash_column(column):
-    """Vectorized batch form of :func:`stable_shard_hash` over an int column.
-
-    ``column`` is an ``int64`` array of single-attribute projection values
-    (one per row); the result is a ``uint64`` array with ``out[i] ==
-    stable_shard_hash((int(column[i]),))`` — the digest itself is not
-    re-implemented in array ops (it cannot drift from the scalar) but
-    *factorized*: :func:`numpy.unique` collapses the column to its distinct
-    values, one scalar digest runs per distinct value (memoized across
-    chunks by :func:`_hash_single`), and the inverse indices broadcast the
-    results back.  Join-value columns repeat heavily (that is what makes
-    them join keys), so this turns a blake2b per row into a cache hit per
-    distinct value plus O(n log n) array work.
-    """
-    np = numpy_or_none()
-    uniques, inverse = np.unique(column, return_inverse=True)
-    hashes = np.fromiter(
-        (_hash_single(value) for value in uniques.tolist()),
-        dtype=np.uint64,
-        count=len(uniques),
-    )
-    return hashes[inverse]
-
-
 def route_rows(
-    items,
+    pairs: Iterable[Tuple[str, Tuple]],
     getters: Dict[str, Callable],
     num_shards: int,
-    positions: Optional[Dict[str, int]] = None,
-) -> Sequence[int]:
+) -> List[int]:
     """Shard assignments for a chunk: per stream position, the owning shard
     index, or ``-1`` for a broadcast tuple.
 
-    This is *the* routing rule — :meth:`ShardedIngestor.shard_of`, the chunk
-    splitter behind :meth:`ShardedIngestor.partition` (serial and pool wire
-    paths alike) and the rebalancer's plan simulation all resolve shards
-    through this one helper, so the vectorized and scalar routers cannot
-    drift.
+    This is *the* routing rule — the chunk splitter behind
+    :meth:`ShardedIngestor.partition` (serial and pool wire paths alike) and
+    the rebalancer's plan simulation both resolve shards through this one
+    helper, and :meth:`ShardedIngestor.shard_of` applies the same
+    :func:`stable_shard_hash` to a single row, so they cannot drift.
 
-    ``items`` is a :class:`~repro.relational.stream.ColumnarChunk` (or
-    anything :meth:`ColumnarChunk.from_items` accepts); ``getters`` maps the
-    relations carrying the partition attribute to their projection getters —
-    relations absent from it broadcast.  ``positions`` optionally maps those
-    relations to the attribute's column position, enabling the vectorized
-    hash for machine-int columns; every other column falls back to the
-    scalar hash loop with identical results.  Returns an ``int64`` array
-    when the columnar gate is on, else a plain list — indexed by stream
-    position either way.
+    ``pairs`` are ``(relation, row_tuple)`` items; ``getters`` maps the
+    relations carrying the partition attribute to their projection getters
+    — relations absent from it broadcast.
     """
-    chunk = items if isinstance(items, ColumnarChunk) else ColumnarChunk.from_items(items)
-    np = numpy_or_none()
-    per_relation: List[Optional[Sequence[int]]] = []
-    for relation in chunk.relations:
-        rows = chunk.rows[relation]
+    assignments: List[int] = []
+    for relation, row in pairs:
         getter = getters.get(relation)
-        if getter is None:
-            per_relation.append(None)  # broadcast
-            continue
-        column = None
-        if np is not None and positions is not None:
-            position = positions.get(relation)
-            if position is not None and len(rows) >= VECTOR_MIN_ROWS:
-                column = chunk.column(relation, position)
-        if column is not None:
-            per_relation.append(
-                (stable_shard_hash_column(column) % np.uint64(num_shards)).astype(
-                    np.int64
-                )
-            )
-        else:
-            per_relation.append(
-                [stable_shard_hash(getter(row)) % num_shards for row in rows]
-            )
-    if np is not None:
-        out = np.empty(len(chunk), dtype=np.int64)
-        order = np.asarray(chunk.order, dtype=np.int64)
-        for index, assignments in enumerate(per_relation):
-            slots = np.nonzero(order == index)[0]
-            if assignments is None:
-                out[slots] = -1
-            else:
-                out[slots] = np.asarray(assignments, dtype=np.int64)
-        return out
-    cursors = [0] * len(chunk.relations)
-    out_list: List[int] = []
-    for index in chunk.order:
-        assignments = per_relation[index]
-        if assignments is None:
-            out_list.append(-1)
-        else:
-            cursor = cursors[index]
-            cursors[index] = cursor + 1
-            out_list.append(assignments[cursor])
-    return out_list
+        assignments.append(
+            -1 if getter is None else stable_shard_hash(getter(row)) % num_shards
+        )
+    return assignments
 
 
 def partition_attribute(query: JoinQuery) -> str:
@@ -345,20 +260,16 @@ class ShardedIngestor:
             ],
         )
         # Projection getters for the relations that carry the partition
-        # attribute; every other relation is broadcast.  The positions map
-        # carries the same information in the form the vectorized router
-        # needs (a single attribute always projects one column).
-        self._value_getters: Dict[str, Callable] = {}
-        self._value_positions: Dict[str, int] = {}
-        for schema in query.relations:
-            if self.partition_attr in schema.attr_set:
-                positions = schema.positions_of((self.partition_attr,))
-                self._value_getters[schema.name] = tuple_getter(positions)
-                self._value_positions[schema.name] = positions[0]
+        # attribute; every other relation is broadcast.
+        self._value_getters: Dict[str, Callable] = {
+            schema.name: tuple_getter(schema.positions_of((self.partition_attr,)))
+            for schema in query.relations
+            if self.partition_attr in schema.attr_set
+        }
         # Stream-order shard assignments of the most recently *delivered*
         # chunk (see take_last_assignments) — lets the rebalancing planner
         # reuse routing work instead of re-hashing the window.
-        self._last_assignments: Optional[Sequence[int]] = None
+        self._last_assignments: Optional[List[int]] = None
         self.tuples_ingested = 0
         self.batches_ingested = 0
         self.broadcast_deliveries = 0
@@ -434,14 +345,8 @@ class ShardedIngestor:
                     f"relation {relation!r} is not part of query {self.query.name!r}"
                 )
             return None
-        row = tuple(row)
-        chunk = ColumnarChunk((relation,), {relation: [row]}, [0])
-        assignment = int(
-            route_rows(
-                chunk, self._value_getters, self.num_shards, self._value_positions
-            )[0]
-        )
-        return None if assignment < 0 else assignment
+        value = self._value_getters[relation](tuple(row))
+        return stable_shard_hash(value) % self.num_shards
 
     def partition(self, items: Iterable) -> List[List[Tuple[str, Tuple]]]:
         """Split a batch into per-shard ``(relation, row)`` sub-batches.
@@ -468,45 +373,9 @@ class ShardedIngestor:
     def _split(
         self, items: Iterable, count: bool
     ) -> List[List[Tuple[str, Tuple]]]:
-        if not isinstance(items, ColumnarChunk):
-            items = list(items)
-            if any(isinstance(item, StreamDelete) for item in items):
-                return self._split_turnstile(items, count)
-        chunk = (
-            items if isinstance(items, ColumnarChunk) else ColumnarChunk.from_items(items)
-        )
-        chunk.validate(self.query)
-        assignments = route_rows(
-            chunk, self._value_getters, self.num_shards, self._value_positions
-        )
-        if count:
-            deliveries = self.relation_deliveries
-            for relation in chunk.relations:
-                deliveries[relation] += len(chunk.rows[relation])
-            self._last_assignments = assignments
-        pairs = chunk.to_pairs()
-        num_shards = self.num_shards
-        np = numpy_or_none()
-        if np is not None and isinstance(assignments, np.ndarray):
-            broadcast = assignments < 0
-            return [
-                [pairs[i] for i in np.nonzero((assignments == shard) | broadcast)[0].tolist()]
-                for shard in range(num_shards)
-            ]
-        parts: List[List[Tuple[str, Tuple]]] = [[] for _ in range(num_shards)]
-        for pair, assignment in zip(pairs, assignments):
-            if assignment < 0:
-                for part in parts:
-                    part.append(pair)
-            else:
-                parts[assignment].append(pair)
-        return parts
+        """Route a chunk in stream order, inserts and retractions alike.
 
-    def _split_turnstile(
-        self, items: List, count: bool
-    ) -> List[List[Tuple[str, Tuple]]]:
-        """Route a mixed insert/retraction chunk in stream order.
-
+        The whole chunk is validated before any routing state advances.
         Retractions follow *exactly* the routing rule of their inserts: a
         :class:`~repro.relational.stream.StreamDelete` of a partitioned
         relation goes to the one shard that owns (or will own) the row, and
@@ -514,55 +383,42 @@ class ShardedIngestor:
         of the row receives its delete.  Combined with in-order delivery
         within each shard part, each shard's local state stays equal to the
         global turnstile state restricted to that shard, which is what the
-        :meth:`merged_sample` partition argument needs.  The items are kept
-        as-is (``StreamDelete`` objects pass through) so the per-shard
-        sampler's ``ingest_batch`` sees retractions as retractions.
-
-        This scalar path only runs for chunks that actually contain a
-        retraction; insert-only chunks keep the columnar fast path of
-        :meth:`_split` untouched.
+        :meth:`merged_sample` partition argument needs.  Retractions pass
+        through as ``StreamDelete`` objects, so the per-shard sampler's
+        ``ingest_batch`` sees them as retractions.
         """
-        arities = {schema.name: schema.arity for schema in self.query.relations}
-        normalized: List[Tuple[bool, str, Tuple, object]] = []
+        pairs: List[Tuple[str, Tuple]] = []
+        payloads: List[object] = []
+        has_deletes = False
         for item in items:
-            if isinstance(item, StreamDelete):
-                normalized.append((True, item.relation, item.row, item))
-            elif isinstance(item, StreamTuple):
-                normalized.append((False, item.relation, item.row, None))
+            if isinstance(item, StreamTuple):
+                pair = (item.relation, item.row)
+                payloads.append(pair)
+            elif isinstance(item, StreamDelete):
+                pair = (item.relation, item.row)
+                payloads.append(item)
+                has_deletes = True
             else:
                 relation, row = item
-                normalized.append((False, relation, tuple(row), None))
-        # Whole-chunk validation before any routing state advances, matching
-        # ColumnarChunk.validate / validated_items semantics.
-        for _, relation, row, _ in normalized:
-            arity = arities.get(relation)
-            if arity is None:
-                raise KeyError(
-                    f"relation {relation!r} is not part of query {self.query.name!r}"
-                )
-            if len(row) != arity:
-                raise ValueError(
-                    f"row arity {len(row)} does not match relation "
-                    f"{relation!r} arity {arity}"
-                )
-        num_shards = self.num_shards
-        getters = self._value_getters
-        parts: List[List[Tuple[str, Tuple]]] = [[] for _ in range(num_shards)]
-        for is_delete, relation, row, original in normalized:
-            getter = getters.get(relation)
-            payload = original if is_delete else (relation, row)
-            if getter is None:
-                for part in parts:
-                    part.append(payload)
-            else:
-                parts[stable_shard_hash(getter(row)) % num_shards].append(payload)
+                pair = (relation, tuple(row))
+                payloads.append(pair)
+            pairs.append(pair)
+        validate_pairs(pairs, self.query)
+        assignments = route_rows(pairs, self._value_getters, self.num_shards)
         if count:
             deliveries = self.relation_deliveries
-            for _, relation, _, _ in normalized:
+            for relation, _ in pairs:
                 deliveries[relation] += 1
             # Mixed chunks carry retractions the rebalancing planner has no
             # move semantics for; never hand it their assignments.
-            self._last_assignments = None
+            self._last_assignments = None if has_deletes else assignments
+        parts: List[List[Tuple[str, Tuple]]] = [[] for _ in range(self.num_shards)]
+        for payload, assignment in zip(payloads, assignments):
+            if assignment < 0:
+                for part in parts:
+                    part.append(payload)
+            else:
+                parts[assignment].append(payload)
         return parts
 
     def take_last_assignments(self) -> Optional[List[int]]:
@@ -577,11 +433,7 @@ class ShardedIngestor:
         instead of re-hashing its whole window.
         """
         assignments, self._last_assignments = self._last_assignments, None
-        if assignments is None:
-            return None
-        if hasattr(assignments, "tolist"):
-            return [int(a) for a in assignments.tolist()]
-        return [int(a) for a in assignments]
+        return assignments
 
     # ------------------------------------------------------------------ #
     # The worker-pool runtime

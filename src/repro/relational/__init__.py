@@ -1,11 +1,8 @@
 """Relational substrate: schemas, relations, queries, streams and joins.
 
-Stream deliveries travel either as ``(relation, row)`` pair lists or as
-:class:`ColumnarChunk` pivots of the same data (per-relation row lists plus
-the interleaving order).  The two forms are losslessly interconvertible;
-the columnar form additionally exposes lazily-built int64 column arrays
-that the ingestion hot paths use for vectorized shard routing and index
-maintenance when numpy is available (``columnar_enabled``).
+Stream deliveries travel as chunks of :class:`StreamTuple` items or plain
+``(relation, row)`` pairs; :func:`~repro.relational.stream.validated_items`
+normalises and validates a chunk before any sampler state changes.
 """
 
 from .schema import KeyConstraint, RelationSchema, canonical_attrs
@@ -13,10 +10,8 @@ from .relation import ProjectionView, Relation, RelationIndex
 from .query import JoinQuery
 from .database import Database
 from .stream import (
-    ColumnarChunk,
     StreamTuple,
     checkpoints,
-    columnar_enabled,
     concatenate,
     interleave,
     prefix,
@@ -46,10 +41,8 @@ __all__ = [
     "RelationIndex",
     "JoinQuery",
     "Database",
-    "ColumnarChunk",
     "StreamTuple",
     "checkpoints",
-    "columnar_enabled",
     "concatenate",
     "interleave",
     "prefix",

@@ -99,3 +99,55 @@ class TestStatistics:
         assert not sampler.is_full
         sampler.process_batch(ListBatch([1, 2, 3]))
         assert sampler.is_full
+
+
+class TestProcessDeferredMany:
+    @staticmethod
+    def payload_batches():
+        payload = iter(range(10 ** 9))
+        return lambda size: ListBatch([next(payload) for _ in range(size)])
+
+    @pytest.mark.parametrize("count", [5, 200])
+    def test_matches_per_batch_deferred(self, count):
+        rng = random.Random(9)
+        sizes = [rng.choice([0, 1, 2, 5, 40]) for _ in range(count)]
+        many = BatchedPredicateReservoir(7, rng=random.Random(11))
+        many.process_deferred_many(sizes, self.payload_batches(), sizes)
+        single = BatchedPredicateReservoir(7, rng=random.Random(11))
+        make_batch = self.payload_batches()
+        for size in sizes:
+            single.process_deferred(size, make_batch, size)
+        assert many.sample == single.sample
+        assert many.snapshot_state() == single.snapshot_state()
+
+    @pytest.mark.parametrize("count", [3, 32])
+    def test_astronomic_sizes_skip_wholesale(self, count):
+        reservoir = BatchedPredicateReservoir(2, rng=random.Random(3))
+        while math.isinf(reservoir._w):  # fill the sample so skips apply
+            reservoir.process_batch(ListBatch([1, 2]))
+
+        def must_not_build(arg):  # pragma: no cover - the point is it never runs
+            raise AssertionError("wholesale-skipped batches must never be built")
+
+        # Delta sizes are products of approximate counters, so they can
+        # exceed any machine word; Python ints carry them through the same
+        # wholesale-skip arithmetic as small sizes.
+        sizes = [2 ** 80] * count
+        total_before = reservoir.items_total
+        batches_before = reservoir.batches_processed
+        reservoir._pending_skip = sum(sizes) + 5
+        reservoir.process_deferred_many(sizes, must_not_build, sizes)
+        assert reservoir.items_total == total_before + sum(sizes)
+        assert reservoir.batches_processed == batches_before + len(sizes)
+        assert reservoir._pending_skip == 5
+
+    @pytest.mark.parametrize("count", [3, 32])
+    def test_negative_size_raises_before_mutation(self, count):
+        reservoir = BatchedPredicateReservoir(2, rng=random.Random(3))
+        sizes = [1] * count + [-1]
+        with pytest.raises(ValueError):
+            reservoir.process_deferred_many(
+                sizes, lambda size: ListBatch(range(size)), sizes
+            )
+        assert reservoir.items_total == 0
+        assert reservoir.batches_processed == 0

@@ -20,7 +20,6 @@ from repro import (
 from repro.baselines.naive import NaiveRecomputeSampler
 from repro.baselines.sjoin import SJoin
 from repro.core.backend import SamplerBackend, probe_backend
-from repro.relational.stream import columnar_enabled
 from repro.stats.uniformity import result_key
 
 from tests.conftest import ground_truth_keys
@@ -156,8 +155,7 @@ class TestDelivery:
         stats = fan.statistics()
         assert stats["num_backends"] == 4
         assert stats["backends"]["sharded"]["mode"] == "ingest_batch"
-        expected_mode = "ingest_columnar" if columnar_enabled() else "insert_batch"
-        assert stats["backends"]["acyclic"]["mode"] == expected_mode
+        assert stats["backends"]["acyclic"]["mode"] == "insert_batch"
         assert stats["backends"]["acyclic"]["tuples_delivered"] == len(stream)
         assert stats["tuples_ingested"] == len(stream)
         assert stats["critical_path_seconds"] >= 0.0

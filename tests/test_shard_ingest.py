@@ -19,16 +19,30 @@ from repro import (
     JoinQuery,
     ReservoirJoin,
     ShardedIngestor,
+    StreamDelete,
     StreamTuple,
+    TurnstileReservoirJoin,
+    surviving_rows,
 )
 from repro.ingest.shard import (
     exact_result_count,
     partition_attribute,
+    route_rows,
     stable_shard_hash,
 )
+from repro.relational.schema import tuple_getter
 from repro.stats.uniformity import result_key
 
 from tests.conftest import ground_truth_keys, make_edges, make_graph_stream
+
+
+def partition_getters(query, attr="x2"):
+    """Projection getters of the relations carrying ``attr`` (the router's map)."""
+    return {
+        schema.name: tuple_getter(schema.positions_of((attr,)))
+        for schema in query.relations
+        if attr in schema.attrs
+    }
 
 
 def line3_stream(query, n, seed, domain=10):
@@ -82,6 +96,25 @@ class TestRouting:
             assert ingestor.shard_of("R1", (x2 + 7, x2)) == ingestor.shard_of(
                 "R2", (x2, x2 + 3)
             )
+
+    def test_broadcast_relations_route_to_minus_one(self, line3_query):
+        pairs = [("R3", (1, 2))] * 5 + [("R1", (1, 2))]
+        assignments = route_rows(pairs, partition_getters(line3_query), 4)
+        assert assignments[:5] == [-1] * 5
+        assert 0 <= assignments[5] < 4
+
+    @pytest.mark.parametrize("n", [3, 48])
+    def test_shard_of_agrees_with_route_rows(self, line3_query, n):
+        ingestor = ShardedIngestor(
+            line3_query, k=5, num_shards=4, chunk_size=16, rng=random.Random(0)
+        )
+        stream = line3_stream(line3_query, n, seed=3, domain=40)
+        pairs = [(item.relation, item.row) for item in stream]
+        assignments = route_rows(pairs, partition_getters(line3_query), 4)
+        assert len(assignments) == n
+        for item, assignment in zip(stream, assignments):
+            expected = None if assignment < 0 else assignment
+            assert ingestor.shard_of(item.relation, item.row) == expected
 
     def test_stable_hash_is_process_independent(self):
         assert stable_shard_hash((1,)) == stable_shard_hash((1,))
@@ -189,6 +222,104 @@ class TestIngestion:
         assert ingestor.ingest_batch([]) == 0
         assert ingestor.batches_ingested == 0
         assert ingestor.merged_sample() == []
+
+
+class TestTakeLastAssignments:
+    def test_delivery_records_stream_order_assignments(self, line3_query):
+        ingestor = ShardedIngestor(
+            line3_query, k=10, num_shards=4, chunk_size=64, rng=random.Random(1)
+        )
+        chunk = line3_stream(line3_query, 48, seed=4, domain=40)
+        ingestor.ingest_batch(chunk)
+        recorded = ingestor.take_last_assignments()
+        assert recorded is not None and len(recorded) == len(chunk)
+        for item, assignment in zip(chunk, recorded):
+            expected = ingestor.shard_of(item.relation, item.row)
+            assert assignment == (-1 if expected is None else expected)
+
+    def test_cleared_on_read_and_not_set_by_partition(self, line3_query):
+        ingestor = ShardedIngestor(
+            line3_query, k=10, num_shards=4, chunk_size=64, rng=random.Random(1)
+        )
+        chunk = line3_stream(line3_query, 24, seed=5, domain=40)
+        ingestor.ingest_batch(chunk)
+        assert ingestor.take_last_assignments() is not None
+        assert ingestor.take_last_assignments() is None  # consumed
+        ingestor.partition(chunk)  # inspection, not delivery
+        assert ingestor.take_last_assignments() is None
+
+
+class TestMixedChunkRouting:
+    """One stream-order loop routes inserts and retractions alike."""
+
+    # R1/R2 carry the partition attribute x2; R3 is broadcast.  The first
+    # item is an early tombstone for an R1 row inserted later in the chunk.
+    CHUNK = [
+        StreamDelete("R1", (9, 9)),
+        StreamTuple("R1", (1, 2)),
+        ("R2", [2, 3]),
+        StreamTuple("R3", (3, 4)),
+        StreamTuple("R1", (5, 7)),
+        StreamTuple("R2", (7, 1)),
+        StreamTuple("R3", (1, 8)),
+        StreamDelete("R1", (1, 2)),
+        StreamDelete("R3", (3, 4)),
+        StreamTuple("R2", (2, 6)),
+        StreamTuple("R1", (9, 9)),
+        StreamDelete("R2", (7, 1)),
+    ]
+
+    def make(self, query):
+        return ShardedIngestor(
+            query, 6, num_shards=3, chunk_size=64,
+            factory=lambda shard, rng: TurnstileReservoirJoin(query, 6, rng=rng),
+            rng=random.Random(5),
+        )
+
+    def test_deletes_follow_their_inserts(self, line3_query):
+        ingestor = self.make(line3_query)
+        parts = ingestor.partition(self.CHUNK)
+        for item in self.CHUNK:
+            if not isinstance(item, StreamDelete):
+                continue
+            insert = (item.relation, item.row)
+            with_delete = [s for s, part in enumerate(parts) if item in part]
+            with_insert = [s for s, part in enumerate(parts) if insert in part]
+            assert with_delete == with_insert
+            expected = 3 if item.relation == "R3" else 1
+            assert len(with_delete) == expected
+
+        def payload(item):
+            if isinstance(item, StreamDelete):
+                return item
+            if isinstance(item, StreamTuple):
+                return (item.relation, item.row)
+            return (item[0], tuple(item[1]))
+
+        payloads = [payload(item) for item in self.CHUNK]
+        for part in parts:  # stream order survives within every part
+            order = [payloads.index(payload) for payload in part]
+            assert order == sorted(order)
+        assert ingestor.relation_deliveries == {"R1": 0, "R2": 0, "R3": 0}
+        assert ingestor.take_last_assignments() is None
+
+    def test_ingest_matches_surviving_rows_per_shard(self, line3_query):
+        ingestor = self.make(line3_query)
+        parts = ingestor.partition(self.CHUNK)
+        ingestor.ingest_batch(self.CHUNK)
+        assert ingestor.take_last_assignments() is None  # never for mixed chunks
+        assert ingestor.relation_deliveries == {"R1": 5, "R2": 4, "R3": 3}
+        for sampler, part in zip(ingestor.samplers, parts):
+            live = surviving_rows(part)
+            for relation in line3_query.relation_names:
+                rows = set(sampler.index.database[relation].rows)
+                assert rows == live.get(relation, set())
+        live = surviving_rows(self.CHUNK)
+        for relation in ("R1", "R2"):
+            union = set()
+            for sampler in ingestor.samplers:
+                union |= set(sampler.index.database[relation].rows)
+            assert union == live[relation]
 
 
 # ---------------------------------------------------------------------- #

@@ -201,3 +201,48 @@ class TestFullQuerySampling:
         expected = 4000 / len(universe)
         for key in universe:
             assert abs(counts[key] - expected) < 6 * (expected ** 0.5) + 10
+
+
+def family_state(family):
+    # Bucket contents as sets: bulk insertion propagates a counter change
+    # once per chunk instead of once per doubling, so the order in which
+    # entities were moved between buckets differs.
+    return (
+        family.cnt,
+        family.approx,
+        {exponent: sorted(bucket) for exponent, bucket in family._buckets.items() if len(bucket)},
+    )
+
+
+class TestBulkInsert:
+    """``insert_rows`` ends in the state per-row ``insert_row`` reaches."""
+
+    def replay(self, query, by_relation, chunk):
+        database = Database(query)
+        index = TreeIndex(JoinTree(query).rooted_at(query.relation_names[0]), database)
+        for relation, rows in by_relation.items():
+            for start in range(0, len(rows), chunk):
+                for row in rows[start:start + chunk]:
+                    database.insert(relation, row)
+                if chunk == 1:
+                    index.insert_row(relation, rows[start])
+                else:
+                    index.insert_rows(relation, rows[start:start + chunk])
+        state = {
+            node: {key: family_state(family) for key, family in families.items()}
+            for node, families in index._families.items()
+        }
+        sizes = index.delta_batch_sizes(by_relation[index.root])
+        assert sizes == [index.delta_batch_size(row) for row in by_relation[index.root]]
+        return state, sizes
+
+    @pytest.mark.parametrize("chunk", [15, 128])
+    def test_bulk_matches_per_row(self, line3_query, chunk):
+        rng = random.Random(7)
+        by_relation = {}
+        for name in line3_query.relation_names:
+            rows = {(rng.randrange(25), rng.randrange(25)) for _ in range(300)}
+            by_relation[name] = sorted(rows, key=lambda row: rng.random())
+        assert self.replay(line3_query, by_relation, chunk) == self.replay(
+            line3_query, by_relation, 1
+        )

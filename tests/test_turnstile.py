@@ -36,7 +36,7 @@ from repro.relational.database import Database
 from repro.relational.join import count_results, join_results
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
-from repro.relational.stream import ColumnarChunk, as_relation_rows
+from repro.relational.stream import as_relation_rows, validated_items
 from repro.stats.uniformity import result_key
 
 
@@ -218,7 +218,7 @@ def test_insert_only_paths_reject_stream_deletes():
     with pytest.raises(TypeError, match="TurnstileReservoirJoin"):
         as_relation_rows([delete])
     with pytest.raises(TypeError):
-        ColumnarChunk.from_items([StreamTuple("R", (0, 0)), delete])
+        validated_items([StreamTuple("R", (0, 0)), delete], TWO)
     sampler = ReservoirJoin(TWO, k=4, rng=random.Random(0))
     with pytest.raises(TypeError):
         sampler.insert_batch([delete])

@@ -31,24 +31,11 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: benchmark script -> (emitted report, keys that must be present and
-#: non-null) pairs; a script may emit several reports.
+#: non-null).
 BENCHMARKS = {
     "benchmarks/bench_batch_ingest.py": (
-        (
-            "BENCH_batch_ingest.json",
-            ("benchmark", "n_tuples", "modes", "best_speedup"),
-        ),
-        (
-            "BENCH_columnar.json",
-            (
-                "benchmark",
-                "n_tuples",
-                "modes",
-                "best_speedup",
-                "columnar_available",
-                "bit_identical",
-            ),
-        ),
+        "BENCH_batch_ingest.json",
+        ("benchmark", "n_tuples", "modes", "best_speedup"),
     ),
     "benchmarks/bench_shard_ingest.py": (
         "BENCH_shard_ingest.json",
@@ -96,12 +83,6 @@ BENCHMARKS = {
 #: and its overhead over the serial sharded total.  Values are still never
 #: thresholded here — ratios stay informational.
 MODE_FIELDS = {
-    "BENCH_columnar.json": {
-        "row_batched": ("seconds", "tuples_per_second", "chunk_size"),
-        "columnar_batched": ("seconds", "tuples_per_second", "speedup"),
-        "row_sharded": ("seconds", "tuples_per_second"),
-        "columnar_sharded": ("seconds", "tuples_per_second", "speedup"),
-    },
     "BENCH_shard_ingest.json": {
         "sharded_critical_path": ("partition_seconds", "shard_seconds"),
         "sharded_parallel_wall": (
@@ -147,7 +128,7 @@ MODE_FIELDS = {
 }
 
 
-def run_one(script: str, report_specs, scale: float) -> None:
+def run_one(script: str, report: str, required_keys, scale: float) -> None:
     env = dict(os.environ)
     env["REPRO_BENCH_SCALE"] = str(scale)
     env["REPRO_BENCH_REPEATS"] = "1"
@@ -161,8 +142,7 @@ def run_one(script: str, report_specs, scale: float) -> None:
         sys.stderr.write(completed.stdout)
         sys.stderr.write(completed.stderr)
         raise SystemExit(f"[bench-smoke] FAILED: {script} exited {completed.returncode}")
-    for report, required_keys in report_specs:
-        check_report(script, report, required_keys)
+    check_report(script, report, required_keys)
 
 
 def check_report(script: str, report: str, required_keys) -> None:
@@ -205,10 +185,8 @@ def main() -> None:
         help="REPRO_BENCH_SCALE passed to every benchmark (default 0.02)",
     )
     args = parser.parse_args()
-    for script, specs in BENCHMARKS.items():
-        # Most scripts declare one (report, keys) pair; some declare several.
-        report_specs = (specs,) if isinstance(specs[0], str) else specs
-        run_one(script, report_specs, args.scale)
+    for script, (report, required_keys) in BENCHMARKS.items():
+        run_one(script, report, required_keys, args.scale)
     print(f"[bench-smoke] all {len(BENCHMARKS)} seam benchmarks executed and "
           "emitted valid JSON (ratios at this scale are informational only)")
 

@@ -16,12 +16,8 @@ For each shape it reports a wall-clock figure (GC paused, best of
 to this repository's own frames so library noise never buries the hot loop.
 
 Knobs: ``--n`` stream length, ``--chunk-size``, ``--shards``, ``--top``,
-``--repeats``; ``REPRO_PROFILE_N`` overrides ``--n`` for Makefile use.
-``REPRO_COLUMNAR=0`` profiles the pure-Python row path, so the columnar and
-row hot paths can be compared under identical streams:
-
-    make profile
-    REPRO_COLUMNAR=0 make profile
+``--repeats``; ``REPRO_PROFILE_N`` overrides ``--n`` for Makefile use
+(``make profile``).
 
 Usage:  PYTHONPATH=src python tools/profile_hotpath.py [--n 50000]
 """
@@ -46,7 +42,7 @@ from repro.core.reservoir_join import ReservoirJoin  # noqa: E402
 from repro.ingest.batch import BatchIngestor  # noqa: E402
 from repro.ingest.shard import ShardedIngestor  # noqa: E402
 from repro.relational.query import JoinQuery  # noqa: E402
-from repro.relational.stream import StreamTuple, columnar_enabled  # noqa: E402
+from repro.relational.stream import StreamTuple  # noqa: E402
 
 SEED = 2024
 DOMAIN = 4_000
@@ -129,8 +125,7 @@ def main() -> None:
     stream = make_stream(args.n)
     print(
         f"ingestion hot-path profile — chain-3, N={args.n}, "
-        f"chunk_size={args.chunk_size}, k={SAMPLE_SIZE}, "
-        f"columnar={'on' if columnar_enabled() else 'off'}"
+        f"chunk_size={args.chunk_size}, k={SAMPLE_SIZE}"
     )
     print()
     profile_shape(
