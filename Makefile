@@ -10,15 +10,11 @@ export PYTHONPATH
 test: unit docs-check
 
 # The CI smoke profile in one shot: tier-1 suite, executable docs, the
-# worker-pool IPC contract on both transports, the serving-layer slice
-# (gating: snapshot isolation is a correctness seam, not a perf knob), and
-# the statistical suites at the scaled-down REPRO_STAT_TRIALS=60 trial
-# counts (the whole thing finishes in well under three minutes).  The pool
-# module already runs as part of `unit`; the second pass pins the `pipe`
-# transport fallback, which the default-slab suite would otherwise never
-# exercise end to end.
+# serving-layer slice (gating: snapshot isolation is a correctness seam, not
+# a perf knob), and the statistical suites at the scaled-down
+# REPRO_STAT_TRIALS=60 trial counts (the whole thing finishes in well under
+# three minutes).
 test-smoke: unit docs-check
-	REPRO_POOL_TRANSPORT=pipe python -m pytest tests/test_pool.py tests/test_shard_ingest.py -q
 	python -m pytest tests/test_serving.py -q
 	REPRO_STAT_TRIALS=60 python -m pytest -m slow -q
 

@@ -1,13 +1,7 @@
 """Persistent shard worker pool: long-lived processes, cheap chunk handoff.
 
-The original ``ShardedIngestor.ingest_parallel`` materialised the whole
-stream, spawned a fresh ``multiprocessing.Pool`` per call, and pickled each
-shard's *entire* sub-stream to a one-shot worker — the measured wall clock
-was ~2.7× the serial sharded total on a single-CPU box, and worse, the call
-discarded the live shard samplers afterwards (no further ingestion, no
-checkpointing).  This module replaces that with the runtime the sharded
-executor literature (Photon-style long-lived workers, morsel-driven
-parallelism) actually describes:
+The runtime follows the sharded executor literature (Photon-style
+long-lived workers, morsel-driven parallelism):
 
 * **Long-lived workers.**  :class:`ShardWorkerPool` spawns one process per
   shard, *once*.  Each worker rebuilds a live shard replica from the same
@@ -16,16 +10,11 @@ parallelism) actually describes:
   exactly the parent-side state — including the replica's RNG, bit for bit.
 * **Cheap chunk handoff.**  The parent routes each chunk with the same hash
   router as serial ingestion and ships each shard *the exact sub-chunk
-  sequence the serial path would have fed it*, over a persistent duplex
-  pipe per worker.  With the default ``slab`` transport the pickled
-  sub-chunk bytes travel through a reusable ``multiprocessing
-  .shared_memory`` block per worker (grown geometrically, never reallocated
-  per chunk) and only a tiny ``(seq, nbytes)`` header crosses the pipe; the
-  ``pipe`` transport sends the sub-chunk inline for platforms without
-  shared memory.  On the wire a sub-chunk is the list of ``(relation,
-  row)`` pairs every ingest seam normalises to (``as_relation_rows``) —
-  logically identical to the StreamTuples the serial lane sees, but far
-  cheaper to pickle.  Workers apply each sub-chunk through the same
+  sequence the serial path would have fed it*, pickled inline over a
+  persistent duplex pipe per worker.  On the wire a sub-chunk is the list
+  of ``(relation, row)`` pairs every ingest seam normalises to
+  (``as_relation_rows``) — logically identical to the StreamTuples the
+  serial lane sees, but far cheaper to pickle.  Workers apply each sub-chunk through the same
   ``BatchIngestor.ingest_batch`` call the serial per-shard lane uses, so a
   pool-fed replica is **bit-identical** to its serial counterpart — not
   merely set-equal.
@@ -34,8 +23,7 @@ parallelism) actually describes:
   flight per worker — honest backpressure); :meth:`drain` is the chunk
   boundary.  Acks carry per-chunk worker busy seconds, so the parent can
   report measured per-worker busy time and a per-chunk critical path
-  (slowest worker per chunk) instead of the ``None`` placeholders the
-  one-shot pool left behind.
+  (slowest worker per chunk).
 * **Sticky poison.**  The first worker failure (an exception shipped back,
   or the process dying outright) poisons the pool in the
   :class:`~repro.ingest.pipeline.AsyncIngestor` style: every subsequent
@@ -45,30 +33,22 @@ parallelism) actually describes:
 * **Live-state round trips.**  At any drain point the parent can pull each
   worker's reservoir + exact local count (for ``merged_sample`` against
   live workers) or a full snapshot record + engine accounting (for
-  ``CheckpointCodec`` checkpoints taken *through* the pool) — the
-  capability the one-shot path structurally lacked.
+  ``CheckpointCodec`` checkpoints taken *through* the pool).
 
 The pool is deliberately sampler-agnostic: anything whose snapshot record
 restores into a live sampler (native ``snapshot_state`` capability or the
 generic pickle fallback) can live in a worker — which is how cyclic
-replicas and custom factories ride the parallel path now.
+replicas and custom factories ride the parallel path.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
-import pickle
 import time
 import traceback
 import weakref
 from multiprocessing import connection
 from typing import Dict, List, Optional, Sequence, Tuple
-
-try:  # py3.8+; guarded so the pipe transport keeps working without it
-    from multiprocessing import shared_memory as _shared_memory
-except ImportError:  # pragma: no cover - all supported platforms have it
-    _shared_memory = None
 
 from ..core.backend import (
     restore_backend,
@@ -79,16 +59,9 @@ from ..core.backend import (
 from ..relational.join import count_results
 from ..relational.stream import StreamDelete, StreamTuple, as_relation_rows
 
-#: Environment knob selecting the chunk transport: ``slab`` (shared-memory
-#: chunk slabs, the default) or ``pipe`` (inline pickles over the pipe).
-TRANSPORT_ENV = "REPRO_POOL_TRANSPORT"
-
 #: Maximum sub-chunks in flight per worker before ``submit`` blocks on acks
 #: — the same bounded-buffer backpressure idea as the async transport.
 DEFAULT_MAX_PENDING = 8
-
-#: Initial shared-memory slab size per worker; grown geometrically.
-_INITIAL_SLAB_BYTES = 1 << 18
 
 
 class WorkerCrashError(RuntimeError):
@@ -126,7 +99,6 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
     """
     from .batch import BatchIngestor  # deferred: avoid import cycles at fork
 
-    slab = None
     sampler = None
     ingestor = None
     poisoned: Optional[str] = None
@@ -153,25 +125,8 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
             if poisoned is not None:
                 conn.send(("error", poisoned))
                 continue
-            if tag == "slab":
-                if slab is not None:
-                    slab.close()
-                # The parent owns the slab's lifetime (create + unlink).
-                # Attaching re-registers the name with the fork-shared
-                # resource tracker, but its cache is a set, so the parent's
-                # single unlink-time unregister still balances the books.
-                slab = _shared_memory.SharedMemory(name=message[1])
-            elif tag == "chunk":
-                seq = message[1]
-                if message[2] is None:  # pipe transport: part rides inline
-                    part = message[3]
-                else:  # slab transport: (seq, nbytes, None)
-                    nbytes = message[2]
-                    data = bytes(slab.buf[:nbytes])
-                    # Ack receipt *before* ingesting: the parent may now
-                    # rewrite the slab while this worker chews on the chunk.
-                    conn.send(("got", seq))
-                    part = pickle.loads(data)
+            if tag == "chunk":
+                _, seq, part = message
                 # CPU time, not wall: on a box with fewer cores than
                 # workers, wall-in-worker counts time spent preempted and
                 # the busy sum comes out several times the true work (and
@@ -212,8 +167,6 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
                 conn.send(("error", poisoned))
             except (OSError, BrokenPipeError):
                 break
-    if slab is not None:
-        slab.close()
     try:
         conn.close()
     except OSError:  # pragma: no cover - already gone
@@ -227,26 +180,18 @@ class _WorkerHandle:
         "shard",
         "process",
         "conn",
-        "slab",
-        "retired_slabs",
-        "awaiting_got",
         "pending_acks",
         "delivered_tuples",
         "chunks_shipped",
-        "bytes_shipped",
     )
 
     def __init__(self, shard: int, process, conn) -> None:
         self.shard = shard
         self.process = process
         self.conn = conn
-        self.slab = None
-        self.retired_slabs: List = []
-        self.awaiting_got: Optional[int] = None
         self.pending_acks: List[int] = []
         self.delivered_tuples = 0
         self.chunks_shipped = 0
-        self.bytes_shipped = 0
 
 
 def _terminate_processes(processes) -> None:
@@ -262,8 +207,8 @@ def _terminate_processes(processes) -> None:
 
 
 class ShardWorkerPool:
-    """One long-lived worker process per shard, fed sub-chunks over
-    reusable IPC buffers.
+    """One long-lived worker process per shard, fed sub-chunks over a
+    persistent pipe.
 
     Parameters
     ----------
@@ -273,33 +218,11 @@ class ShardWorkerPool:
         Workers rebuild their replica from the record, so a pool started
         mid-stream (or from a restored checkpoint) continues exactly where
         the parent-side replicas stood.
-    transport:
-        ``"slab"`` (shared-memory chunk slabs, default), ``"pipe"``
-        (inline pickles), or ``None`` to read :data:`TRANSPORT_ENV`.
-    max_pending:
-        Sub-chunks in flight per worker before :meth:`submit` blocks.
     """
 
-    def __init__(
-        self,
-        worker_inits: Sequence[Dict[str, object]],
-        transport: Optional[str] = None,
-        max_pending: int = DEFAULT_MAX_PENDING,
-    ) -> None:
+    def __init__(self, worker_inits: Sequence[Dict[str, object]]) -> None:
         if not worker_inits:
             raise ValueError("a worker pool needs at least one shard")
-        if max_pending <= 0:
-            raise ValueError("max_pending must be positive")
-        if transport is None:
-            transport = os.environ.get(TRANSPORT_ENV, "slab")
-        if transport not in ("slab", "pipe"):
-            raise ValueError(
-                f"unknown pool transport {transport!r}; choose 'slab' or 'pipe'"
-            )
-        if transport == "slab" and _shared_memory is None:  # pragma: no cover
-            transport = "pipe"
-        self.transport = transport
-        self.max_pending = max_pending
         self._failure: Optional[WorkerCrashError] = None
         self._closed = False
         self._seq = 0
@@ -308,19 +231,6 @@ class ShardWorkerPool:
         #: accounting deltas since the owner last folded them
         self._busy_delta: List[float] = [0.0] * len(worker_inits)
         self._critical_delta = 0.0
-        if self.transport == "slab":
-            # Start the resource tracker *before* forking: workers then
-            # inherit and share it, so their attach-time registrations land
-            # in the same (set-based, deduplicating) cache the parent's
-            # unlink-time unregister balances.  Forked without it, every
-            # worker lazily spawns a private tracker that later races the
-            # parent's unlink and warns about already-gone segments.
-            try:
-                from multiprocessing import resource_tracker
-
-                resource_tracker.ensure_running()
-            except Exception:  # pragma: no cover - tracker internals moved
-                pass
         self.workers: List[_WorkerHandle] = []
         for shard, init in enumerate(worker_inits):
             parent_conn, child_conn = multiprocessing.Pipe()
@@ -366,22 +276,8 @@ class ShardWorkerPool:
     # ------------------------------------------------------------------ #
     # Receive path
     # ------------------------------------------------------------------ #
-    def _flush_retired_slabs(self, handle: _WorkerHandle) -> None:
-        # Any message from the worker proves it processed everything sent
-        # before that message — including the ``slab`` switch — so retired
-        # slabs are detached on the worker side and safe to unlink.
-        for slab in handle.retired_slabs:
-            slab.close()
-            slab.unlink()
-        handle.retired_slabs.clear()
-
     def _dispatch(self, handle: _WorkerHandle, message: Tuple) -> None:
         tag = message[0]
-        self._flush_retired_slabs(handle)
-        if tag == "got":
-            if handle.awaiting_got == message[1]:
-                handle.awaiting_got = None
-            return
         if tag == "ok":
             seq, busy = message[1], message[2]
             if handle.pending_acks and handle.pending_acks[0] == seq:
@@ -464,23 +360,6 @@ class ShardWorkerPool:
                 )
             )
 
-    def _ensure_slab(self, handle: _WorkerHandle, need: int) -> None:
-        if handle.slab is not None and handle.slab.size >= need:
-            return
-        size = max(
-            _INITIAL_SLAB_BYTES,
-            need,
-            (handle.slab.size * 2) if handle.slab is not None else 0,
-        )
-        slab = _shared_memory.SharedMemory(create=True, size=size)
-        if handle.slab is not None:
-            # The worker may still be attached to (though done reading —
-            # `awaiting_got is None`) the old slab; unlink it only after
-            # the worker's next message proves the switch was processed.
-            handle.retired_slabs.append(handle.slab)
-        handle.slab = slab
-        self._send(handle, ("slab", slab.name))
-
     def _send_chunk(self, handle: _WorkerHandle, seq: int, part: List) -> None:
         # Normalise to the ``(relation, row)`` pairs every ingest seam
         # accepts (see ``chunk_apply``): the logical items are identical —
@@ -503,23 +382,11 @@ class ShardWorkerPool:
                 ]
             else:
                 part = as_relation_rows(part)
-        if self.transport == "slab":
-            # The slab is reusable only once the worker confirmed it read
-            # the previous payload out (the "got" ack, sent pre-ingest).
-            while handle.awaiting_got is not None:
-                self._receive(handle, block=True)
-            payload = pickle.dumps(part, protocol=pickle.HIGHEST_PROTOCOL)
-            self._ensure_slab(handle, len(payload))
-            handle.slab.buf[: len(payload)] = payload
-            self._send(handle, ("chunk", seq, len(payload)))
-            handle.awaiting_got = seq
-            handle.bytes_shipped += len(payload)
-        else:
-            self._send(handle, ("chunk", seq, None, part))
+        self._send(handle, ("chunk", seq, part))
         handle.pending_acks.append(seq)
         handle.chunks_shipped += 1
         handle.delivered_tuples += len(part)
-        while len(handle.pending_acks) > self.max_pending:
+        while len(handle.pending_acks) > DEFAULT_MAX_PENDING:
             self._receive(handle, block=True)
 
     def submit(self, parts: Sequence[List], route_seconds: float = 0.0) -> int:
@@ -542,8 +409,8 @@ class ShardWorkerPool:
         shards = {shard for shard, part in enumerate(parts) if part}
         entry = {"remaining": shards, "max_busy": 0.0, "route": route_seconds}
         self._inflight[seq] = entry
-        # No defensive copy: both transports serialise the part before
-        # returning, so the caller may reuse its buffers immediately after.
+        # No defensive copy: the pipe pickles the part before ``send``
+        # returns, so the caller may reuse its buffers immediately after.
         for shard in sorted(shards):
             self._send_chunk(self.workers[shard], seq, parts[shard])
         self._settle(seq, entry)  # all-empty chunks settle immediately
@@ -557,7 +424,7 @@ class ShardWorkerPool:
         pool's chunk boundary.  Re-raises a sticky failure."""
         self._raise_pending()
         for handle in self.workers:
-            while handle.pending_acks or handle.awaiting_got is not None:
+            while handle.pending_acks:
                 self._receive(handle, block=True)
 
     def _request(self, handle: _WorkerHandle, message: Tuple, expect: str):
@@ -574,7 +441,6 @@ class ShardWorkerPool:
                     )
                 )
             if reply[0] == expect:
-                self._flush_retired_slabs(handle)
                 return reply[1]
             self._dispatch(handle, reply)
 
@@ -623,11 +489,8 @@ class ShardWorkerPool:
     def statistics(self) -> Dict[str, object]:
         return {
             "workers": len(self.workers),
-            "transport": self.transport,
-            "max_pending": self.max_pending,
             "chunks_shipped": [h.chunks_shipped for h in self.workers],
             "tuples_shipped": [h.delivered_tuples for h in self.workers],
-            "bytes_shipped": [h.bytes_shipped for h in self.workers],
             "poisoned": self.poisoned,
         }
 
@@ -648,7 +511,7 @@ class ShardWorkerPool:
         if self._failure is None:
             try:
                 for handle in self.workers:
-                    while handle.pending_acks or handle.awaiting_got is not None:
+                    while handle.pending_acks:
                         self._receive(handle, block=True)
             except WorkerCrashError:
                 pass
@@ -666,14 +529,6 @@ class ShardWorkerPool:
                 handle.conn.close()
             except OSError:  # pragma: no cover
                 pass
-            for slab in handle.retired_slabs:
-                slab.close()
-                slab.unlink()
-            handle.retired_slabs.clear()
-            if handle.slab is not None:
-                handle.slab.close()
-                handle.slab.unlink()
-                handle.slab = None
         self._finalizer.detach()
 
     def __enter__(self) -> "ShardWorkerPool":
@@ -684,14 +539,10 @@ class ShardWorkerPool:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "poisoned" if self.poisoned else ("closed" if self._closed else "live")
-        return (
-            f"ShardWorkerPool(workers={len(self.workers)}, "
-            f"transport={self.transport!r}, {state})"
-        )
+        return f"ShardWorkerPool(workers={len(self.workers)}, {state})"
 
 
 __all__ = [
-    "TRANSPORT_ENV",
     "DEFAULT_MAX_PENDING",
     "WorkerCrashError",
     "ShardWorkerPool",

@@ -201,7 +201,8 @@ class ShardedIngestor:
         Optional ``factory(shard_index, rng) -> sampler`` building one
         replica per shard; defaults to a plain :class:`ReservoirJoin` of
         size ``k``.  Replicas must expose ``index`` (for exact counts) and
-        ``sample``; :meth:`ingest_parallel` supports only the default.
+        ``sample``; :meth:`ingest_parallel` additionally needs them to be
+        snapshot-capable or picklable.
     rng:
         Seedable randomness source; derives one independent RNG per shard
         and drives the merge subsampling.
@@ -290,8 +291,7 @@ class ShardedIngestor:
         # per-shard reads go through the pool's chunk-boundary round trips.
         self._pool: Optional[ShardWorkerPool] = None
         # Measured wall clock spent inside ingest_parallel calls (submit
-        # through drain) and one-time pool spawn cost — the honest figures
-        # the one-shot Pool could only report as None.
+        # through drain) and one-time pool spawn cost.
         self.parallel_wall_seconds = 0.0
         self.pool_startup_seconds = 0.0
 
@@ -448,9 +448,7 @@ class ShardedIngestor:
         """The live worker pool, or ``None`` outside pool mode."""
         return self._pool if self.pool_active else None
 
-    def start_pool(
-        self, processes: Optional[int] = None, transport: Optional[str] = None
-    ) -> ShardWorkerPool:
+    def start_pool(self) -> ShardWorkerPool:
         """Move the live shard replicas into a persistent worker pool.
 
         Each worker process rebuilds its replica from a
@@ -463,16 +461,11 @@ class ShardedIngestor:
         factories included: the built replica's *state* crosses the process
         boundary, never the factory callable.
 
-        ``processes`` is validated (non-positive counts raise
-        ``ValueError``) but otherwise advisory: shards are stateful, so the
-        pool always runs exactly one worker per shard — there is no smaller
-        unit a process could own.  Idempotent while a pool is live.
+        Shards are stateful, so the pool always runs exactly one worker per
+        shard — there is no smaller unit a process could own.  Sub-chunks
+        travel pickled over one pipe per worker.  Idempotent while a pool is
+        live.
         """
-        if processes is not None and processes <= 0:
-            raise ValueError(
-                f"processes must be positive, got {processes} (pass None "
-                "for the one-worker-per-shard default)"
-            )
         if self.pool_active:
             return self._pool
         start = time.perf_counter()
@@ -484,8 +477,7 @@ class ShardedIngestor:
                     "chunk_size": self.chunk_size,
                 }
                 for sampler, ingestor in zip(self.samplers, self.ingestors)
-            ],
-            transport=transport,
+            ]
         )
         self.pool_startup_seconds += time.perf_counter() - start
         return self._pool
@@ -617,9 +609,7 @@ class ShardedIngestor:
         """
         return self._engine.add_boundary_hook(hook)
 
-    def ingest_parallel(
-        self, stream: Iterable[StreamTuple], processes: Optional[int] = None
-    ) -> "ShardedIngestor":
+    def ingest_parallel(self, stream: Iterable[StreamTuple]) -> "ShardedIngestor":
         """Ingest ``stream`` through the persistent worker pool.
 
         Starts the pool on first use (:meth:`start_pool` — workers inherit
@@ -633,22 +623,16 @@ class ShardedIngestor:
         bit-identical to :meth:`ingest` under equal seeds.  The stream is
         consumed incrementally (chunk by chunk), never materialised whole.
 
-        ``processes`` must be positive when given (the pool itself is
-        always one worker per shard); an empty stream returns immediately
-        without spawning anything.  Measured wall clock accumulates in
-        ``parallel_wall_seconds``.
+        The pool runs one worker per shard.  An empty stream returns
+        immediately without spawning anything.  Measured wall clock
+        accumulates in ``parallel_wall_seconds``.
         """
-        if processes is not None and processes <= 0:
-            raise ValueError(
-                f"processes must be positive, got {processes} (pass None "
-                "for the one-worker-per-shard default)"
-            )
         iterator = iter(stream)
         try:
             first = next(iterator)
         except StopIteration:
             return self  # empty stream: no pool spawn, no counters touched
-        self.start_pool(processes=processes)
+        self.start_pool()
         start = time.perf_counter()
         self._engine.ingest(
             itertools.chain([first], iterator), sink=self.ingest_batch

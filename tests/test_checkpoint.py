@@ -281,7 +281,7 @@ class TestLivePoolCheckpoint:
         pooled = ShardedIngestor(
             chain3(), k=4, num_shards=2, chunk_size=20, rng=random.Random(17)
         )
-        pooled.ingest_parallel(stream[:80], processes=2)
+        pooled.ingest_parallel(stream[:80])
         path = str(tmp_path / "live-pool.ckpt")
         pooled.save(path)  # replica state captured inside the workers
         assert pooled.pool_active  # checkpointing does not stop the pool
@@ -313,7 +313,7 @@ class TestLivePoolCheckpoint:
         first.save(path)
 
         resumed = ShardedIngestor.restore(path)
-        resumed.ingest_parallel(stream[80:], processes=2)  # pool over restored state
+        resumed.ingest_parallel(stream[80:])  # pool over restored state
         assert resumed.shard_samples() == [
             list(s.sample) for s in uninterrupted.samplers
         ]
@@ -321,7 +321,7 @@ class TestLivePoolCheckpoint:
 
     def test_stored_rows_requires_closing_the_pool_first(self, tmp_path):
         ingestor = ShardedIngestor(chain3(), k=4, num_shards=2, rng=random.Random(17))
-        ingestor.ingest_parallel(chain3_stream(80, seed=18), processes=2)
+        ingestor.ingest_parallel(chain3_stream(80, seed=18))
         with pytest.raises(RuntimeError, match="close_pool"):
             ingestor.stored_rows()
         ingestor.close_pool()

@@ -2,17 +2,20 @@
 
 Exercises the pool directly — below ``ShardedIngestor`` — so the IPC
 contract is pinned on its own terms: worker replicas bit-identical to
-locally-fed twins on both transports, reuse across submission waves,
-snapshot round trips through live workers, sticky poison on worker death
-and worker-side exceptions, backpressure/validation errors, and the
-accounting hand-off (busy/critical-path deltas).  The ``ShardedIngestor``
-integration (live-pool ``ingest_batch``, measured statistics, checkpoint
-adoption) lives in tests/test_shard_ingest.py and tests/test_checkpoint.py.
+locally-fed twins, reuse across submission waves, sub-chunks larger than
+the kernel pipe buffer, snapshot round trips through live workers, sticky
+poison on worker death and worker-side exceptions, backpressure/validation
+errors, and the accounting hand-off (busy/critical-path deltas).  The
+``ShardedIngestor`` integration (live-pool ``ingest_batch``, measured
+statistics, checkpoint adoption) lives in tests/test_shard_ingest.py and
+tests/test_checkpoint.py.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
+import signal
 
 import pytest
 
@@ -26,7 +29,7 @@ from repro import (
     WorkerCrashError,
 )
 from repro.core.backend import restore_backend, snapshot_backend
-from repro.ingest.pool import TRANSPORT_ENV
+from repro.relational.stream import as_relation_rows
 
 
 def chain3() -> JoinQuery:
@@ -83,23 +86,8 @@ def feed_locally(ingestors, parts):
 # --------------------------------------------------------------------- #
 class TestLifecycle:
     def test_constructor_validation(self):
-        _, _, inits = make_replicas(1)
         with pytest.raises(ValueError, match="at least one shard"):
             ShardWorkerPool([])
-        with pytest.raises(ValueError, match="max_pending"):
-            ShardWorkerPool(inits, max_pending=0)
-        with pytest.raises(ValueError, match="unknown pool transport"):
-            ShardWorkerPool(inits, transport="carrier-pigeon")
-
-    def test_transport_env_knob(self, monkeypatch):
-        _, _, inits = make_replicas(1)
-        monkeypatch.setenv(TRANSPORT_ENV, "pipe")
-        with ShardWorkerPool(inits) as pool:
-            assert pool.transport == "pipe"
-        # An explicit argument beats the environment.
-        monkeypatch.setenv(TRANSPORT_ENV, "slab")
-        with ShardWorkerPool(inits, transport="pipe") as pool:
-            assert pool.transport == "pipe"
 
     def test_context_manager_and_idempotent_close(self):
         _, _, inits = make_replicas(2)
@@ -123,11 +111,10 @@ class TestLifecycle:
 # Bit identity: pool workers vs locally-fed twin replicas
 # --------------------------------------------------------------------- #
 class TestBitIdentity:
-    @pytest.mark.parametrize("transport", ["slab", "pipe"])
-    def test_workers_match_local_replicas(self, transport):
+    def test_workers_match_local_replicas(self):
         samplers, ingestors, inits = make_replicas(2)
         stream = chain3_stream(120, seed=11)
-        with ShardWorkerPool(inits, transport=transport) as pool:
+        with ShardWorkerPool(inits) as pool:
             for parts in routed_chunks(stream, 2, 16):
                 pool.submit(parts)
                 feed_locally(ingestors, parts)
@@ -237,7 +224,7 @@ class TestCrash:
         ingestor = ShardedIngestor(
             chain3(), k=4, num_shards=2, chunk_size=16, rng=random.Random(9)
         )
-        ingestor.ingest_parallel(stream[:60], processes=2)
+        ingestor.ingest_parallel(stream[:60])
         ingestor.pool.workers[0].process.terminate()
         ingestor.pool.workers[0].process.join()
         with pytest.raises(WorkerCrashError):
@@ -274,46 +261,58 @@ class TestAccounting:
     def test_statistics_shape(self):
         _, _, inits = make_replicas(2)
         stream = chain3_stream(64, seed=17)
-        with ShardWorkerPool(inits, max_pending=3) as pool:
+        with ShardWorkerPool(inits) as pool:
             for parts in routed_chunks(stream, 2, 16):
                 pool.submit(parts)
             pool.drain()
             stats = pool.statistics()
         assert stats["workers"] == 2
-        assert stats["transport"] in ("slab", "pipe")
-        assert stats["max_pending"] == 3
         assert sum(stats["tuples_shipped"]) == len(stream)
-        assert all(b > 0 for b in stats["bytes_shipped"]) or stats[
-            "transport"
-        ] == "pipe"
         assert stats["poisoned"] is False
 
-    def test_slab_grows_for_oversized_chunks(self):
-        # One chunk whose pickle outgrows the initial slab forces a resize
-        # mid-run; identity with a locally-fed twin proves the old payload
-        # was never clobbered.  Fat values (2048-bit ints) keep the pickle
-        # large while the join stays empty and cheap.
+    def test_sub_chunks_larger_than_the_pipe_buffer(self):
+        # A 600-row chunk of 2048-bit ints pickles far beyond the kernel
+        # pipe buffer, so back-to-back big sends block in the parent while
+        # the worker is still ingesting the previous one.  Identity with a
+        # locally-fed twin proves no payload was lost or reordered on the
+        # way; fat values keep the pickle large while their join stays
+        # empty and cheap.
         samplers, ingestors, inits = make_replicas(1, chunk_size=4096)
         rng = random.Random(18)
-        big = [
-            StreamTuple(
-                ("R1", "R2", "R3")[i % 3],
-                (rng.getrandbits(2048), rng.getrandbits(2048)),
-            )
-            for i in range(600)
-        ]
-        with ShardWorkerPool(inits, transport="slab") as pool:
-            assert pool.workers[0].slab is None  # no slab until traffic
-            small = chain3_stream(8, seed=19)
-            pool.submit([small])  # allocates the initial-size slab
-            feed_locally(ingestors, [small])
-            first_size = pool.workers[0].slab.size
-            pool.submit([big])  # outgrows it: new slab, old one retired
-            feed_locally(ingestors, [big])
-            pool.submit([small])  # reuse after the growth
-            feed_locally(ingestors, [small])
-            states = pool.shard_states()
-            assert pool.workers[0].slab.size > first_size
-            assert pool.workers[0].retired_slabs == []  # unlinked en route
+
+        def fat_chunk():
+            return [
+                StreamTuple(
+                    ("R1", "R2", "R3")[i % 3],
+                    (rng.getrandbits(2048), rng.getrandbits(2048)),
+                )
+                for i in range(600)
+            ]
+
+        bigs = [fat_chunk() for _ in range(3)]
+        wire = pickle.dumps(as_relation_rows(bigs[0]), pickle.HIGHEST_PROTOCOL)
+        assert len(wire) > 1 << 18  # beyond Linux's 208 KiB socket default
+        smalls = [chain3_stream(30, seed=19 + i) for i in range(4)]
+        sequence = [smalls[0], bigs[0], bigs[1], smalls[1], bigs[2], smalls[2], smalls[3]]
+        with ShardWorkerPool(inits) as pool:
+
+            def on_alarm(signum, frame):
+                for handle in pool.workers:  # lets close() finish too
+                    handle.process.terminate()
+                raise TimeoutError("pool hung on an oversized sub-chunk")
+
+            previous = signal.signal(signal.SIGALRM, on_alarm)
+            signal.alarm(60)
+            try:
+                for part in sequence:
+                    pool.submit([part])
+                    feed_locally(ingestors, [part])
+                states = pool.shard_states()
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, previous)
+            assert not pool.poisoned
+        assert len(states) == 1
+        assert samplers[0].sample  # the small chunks do join
         assert states[0][0] == list(samplers[0].sample)
         assert states[0][4] == ingestors[0].tuples_ingested

@@ -300,7 +300,7 @@ class TestValidation:
         sharded = ShardedIngestor(
             line3_query, k=5, num_shards=2, rng=random.Random(0)
         )
-        sharded.ingest_parallel(uniform_stream(50, seed=14), processes=2)
+        sharded.ingest_parallel(uniform_stream(50, seed=14))
         with pytest.raises(RuntimeError):
             sharded.stored_rows()
 

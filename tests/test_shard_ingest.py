@@ -422,7 +422,7 @@ class TestParallel:
         parallel = ShardedIngestor(
             line3_query, k=50, num_shards=3, chunk_size=16, rng=random.Random(7)
         )
-        parallel.ingest_parallel(stream, processes=2)
+        parallel.ingest_parallel(stream)
         # Same derived seeds, same partitions: identical exact counts, the
         # same ingestion counters, and the same global result set behind
         # the merged samples.
@@ -436,24 +436,12 @@ class TestParallel:
         ).ingest(stream)
         full_parallel = ShardedIngestor(
             line3_query, k=k_all, num_shards=3, rng=random.Random(8)
-        ).ingest_parallel(stream, processes=2)
+        ).ingest_parallel(stream)
         assert (
             {result_key(r) for r in full_parallel.merged_sample()}
             == {result_key(r) for r in full_serial.merged_sample()}
             == truth
         )
-
-    def test_nonpositive_process_count_rejected(self, line3_query):
-        # Regression: processes=0 used to fall through `processes or ...`
-        # to the default worker count instead of being rejected.
-        stream = line3_stream(line3_query, 20, seed=43)
-        ingestor = ShardedIngestor(line3_query, k=5, num_shards=2, rng=random.Random(9))
-        for bad in (0, -1, -8):
-            with pytest.raises(ValueError, match="processes must be positive"):
-                ingestor.ingest_parallel(stream, processes=bad)
-            with pytest.raises(ValueError, match="processes must be positive"):
-                ingestor.start_pool(processes=bad)
-        assert not ingestor.pool_active  # nothing was spawned on the way
 
     def test_empty_stream_short_circuits_without_a_pool(self, line3_query):
         # Regression: the old path spawned a full worker pool even when the
@@ -475,7 +463,7 @@ class TestParallel:
         parallel = ShardedIngestor(
             line3_query, k=10, num_shards=2, chunk_size=16, rng=random.Random(9)
         )
-        parallel.ingest_parallel(stream[:40], processes=2)
+        parallel.ingest_parallel(stream[:40])
         serial.ingest(stream[:40])
         assert parallel.pool_active
         parallel.ingest_batch(stream[40:60])
@@ -494,7 +482,7 @@ class TestParallel:
         ingestor = ShardedIngestor(
             line3_query, k=5, num_shards=2, chunk_size=16, rng=random.Random(10)
         )
-        ingestor.ingest_parallel(stream, processes=2)
+        ingestor.ingest_parallel(stream)
         stats = ingestor.statistics()
         assert stats["parallel"] is True
         assert stats["parallel_wall_seconds"] > 0.0

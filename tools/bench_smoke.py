@@ -89,7 +89,6 @@ MODE_FIELDS = {
             "seconds",
             "pool_startup_seconds",
             "worker_busy_seconds",
-            "transport",
             "overhead_over_serial_total",
         ),
     },
