@@ -9,7 +9,10 @@ ingested once append-only (``ReservoirJoin``, the reference throughput),
 once with 30% of the inserts later retracted
 (``TurnstileReservoirJoin``), once through a count-based sliding window
 (``WindowedSampler``), and once hash-sharded with the retractions routed
-to their owning shards.
+to their owning shards.  The cost of one retraction, ``per_delete_us`` (the
+turnstile wall minus the insert-only wall, over the deletes applied), is
+reported at the base stream size and at ten times it: a flat figure means a
+delete's cost does not grow with the stream.
 
 Before any timing, the turnstile run's stored relation state is asserted
 equal to the ``surviving_rows`` reference replay — a retraction path that
@@ -55,6 +58,8 @@ TOMBSTONE_FRACTION = 0.1
 #: Repeats per mode; the *minimum* is reported (least-noise estimator).
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
 SEED = 2024
+#: Stream sizes ``per_delete_us`` is reported at.
+PER_DELETE_SIZES = (N_INSERTS, 10 * N_INSERTS)
 
 
 def two_table_query() -> JoinQuery:
@@ -111,6 +116,35 @@ def final_statistics(make_sampler, stream) -> Dict[str, int]:
     return sampler.statistics()
 
 
+def run_insert_only(query: JoinQuery, inserts) -> None:
+    sampler = ReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
+    BatchIngestor(sampler, chunk_size=CHUNK_SIZE).ingest(inserts)
+
+
+def run_turnstile(query: JoinQuery, stream) -> None:
+    sampler = TurnstileReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
+    BatchIngestor(sampler, chunk_size=CHUNK_SIZE).ingest(stream)
+
+
+def per_delete(query: JoinQuery, n: int) -> Dict[str, float]:
+    """Wall seconds of the insert-only and turnstile passes over an
+    ``n``-insert stream, and the microseconds each applied delete adds."""
+    inserts, stream = make_streams(n)
+    insert_only = min(timed(lambda: run_insert_only(query, inserts)) for _ in range(REPEATS))
+    turnstile = min(timed(lambda: run_turnstile(query, stream)) for _ in range(REPEATS))
+    deletes_applied = final_statistics(
+        lambda: TurnstileReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1)),
+        stream,
+    )["deletes_applied"]
+    return {
+        "n_inserts": n,
+        "deletes_applied": deletes_applied,
+        "insert_only_seconds": insert_only,
+        "turnstile_seconds": turnstile,
+        "per_delete_us": round((turnstile - insert_only) / deletes_applied * 1e6, 2),
+    }
+
+
 def main() -> None:
     query = two_table_query()
     inserts, stream = make_streams()
@@ -118,14 +152,6 @@ def main() -> None:
 
     # Correctness gate before any timing.
     assert_surviving_state(query, stream)
-
-    def run_insert_only():
-        sampler = ReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
-        BatchIngestor(sampler, chunk_size=CHUNK_SIZE).ingest(inserts)
-
-    def run_turnstile():
-        sampler = TurnstileReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
-        BatchIngestor(sampler, chunk_size=CHUNK_SIZE).ingest(stream)
 
     window = max(2 * CHUNK_SIZE, len(stream) // 4)
 
@@ -145,8 +171,9 @@ def main() -> None:
         )
         ingestor.ingest_batch(stream)
 
-    insert_only = min(timed(run_insert_only) for _ in range(REPEATS))
-    turnstile = min(timed(run_turnstile) for _ in range(REPEATS))
+    per_delete_rows = [per_delete(query, n) for n in PER_DELETE_SIZES]
+    insert_only = per_delete_rows[0]["insert_only_seconds"]
+    turnstile = per_delete_rows[0]["turnstile_seconds"]
     windowed = min(timed(run_windowed) for _ in range(REPEATS))
     sharded = min(timed(run_sharded) for _ in range(REPEATS))
 
@@ -212,6 +239,7 @@ def main() -> None:
         "repeats": REPEATS,
         "surviving_check": True,  # asserted above, before any timing
         "modes": modes,
+        "per_delete_us": per_delete_rows,
         "methodology": (
             "min of repeats, GC paused; retraction tax reported "
             "informationally, never gated (bench-box convention)"
@@ -232,6 +260,9 @@ def main() -> None:
             extra = f"  ({row['expirations']} expirations, window={row['window']})"
         print(f"  {row['mode']:>20}: {row['seconds']:7.3f}s  "
               f"{row['tuples_per_second']:>9,} items/s{extra}")
+    for row in per_delete_rows:
+        print(f"  per delete at {row['n_inserts']:>7,} inserts: "
+              f"{row['per_delete_us']:9.2f} us  ({row['deletes_applied']} deletes)")
     print("surviving-state check: held (asserted before timing)")
     print("wrote BENCH_turnstile.json")
 

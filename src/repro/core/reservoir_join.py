@@ -111,6 +111,7 @@ class ReservoirJoin:
         if not self.index.insert(relation, row):
             self.duplicates_ignored += 1
             return
+        self._rows_inserted(relation, (row,))
         batch = self.index.delta_batch(relation, row)
         self.reservoir.process_batch(batch)
 
@@ -136,7 +137,10 @@ class ReservoirJoin:
         rows of the wrong arity raise ``ValueError`` — in both cases before
         any state is modified, so a failed call leaves the sampler untouched.
         """
-        pairs = validated_items(items, self.original_query)
+        return self._insert_pairs(validated_items(items, self.original_query))
+
+    def _insert_pairs(self, pairs: List) -> int:
+        """:meth:`insert_batch` over already validated ``(relation, row)`` pairs."""
         self.tuples_processed += len(pairs)
         if self._combiner is not None:
             rewritten: List = []
@@ -153,6 +157,7 @@ class ReservoirJoin:
         reservoir = self.reservoir
         for relation, rows in groups.items():
             new_rows = self.index.insert_rows(relation, rows)
+            self._rows_inserted(relation, new_rows)
             self.duplicates_ignored += len(rows) - len(new_rows)
             inserted += len(new_rows)
             tree = self.index.trees[relation]
@@ -160,6 +165,13 @@ class ReservoirJoin:
                 tree.delta_batch_sizes(new_rows), tree.delta_batch, new_rows
             )
         return inserted
+
+    def _rows_inserted(self, relation: str, rows: Sequence[tuple]) -> None:
+        """Called with each relation group's new rows once they are stored.
+
+        A no-op here; the turnstile sampler tracks its surviving join count
+        through it.
+        """
 
     def process(self, stream: Iterable[StreamTuple]) -> "ReservoirJoin":
         """Process a whole stream of :class:`StreamTuple`; returns ``self``."""

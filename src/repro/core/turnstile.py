@@ -47,10 +47,18 @@ live rows never pend — so the two states are mutually exclusive, and a
 double-delete of a live row applies once and pends once.  The reference
 semantics live in :func:`repro.relational.stream.surviving_rows`.
 
-Cost: a delete-run triggers one exact surviving-join count (``O(N)`` dynamic
-program) plus expected ``O(evicted)`` full-join draws.  With deletions the
-index's approximate counters can also shrink, which voids the insert-only
-amortised ``O(log N)`` update bound under adversarial oscillation across a
+Cost: the exact surviving-join size is counted in full (the ``O(N)``
+:func:`~repro.relational.join.count_results` dynamic program) once, at the
+first applied delete, and after a restore.  From then on every inserted or
+deleted row moves it by the row's
+:func:`~repro.relational.join.count_containing`, the same dynamic program
+rooted at that row, whose cost is the rows that join with it, not ``N``.
+Each delete-run then pays one ``O(k)`` liveness pass over the reservoir — a
+held result died iff its projection onto a relation the run touched is one
+of the run's removed rows — plus expected ``O(evicted)`` full-join draws.
+Insert-only streams never pay for any of this.  With deletions the index's
+approximate counters can also shrink, which voids the insert-only amortised
+``O(log N)`` update bound under adversarial oscillation across a
 power-of-two boundary; correctness is unaffected.
 """
 
@@ -58,11 +66,14 @@ from __future__ import annotations
 
 import heapq
 import random
+from itertools import groupby
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..relational.join import count_results
+from ..relational.join import count_containing, count_results
 from ..relational.query import JoinQuery
-from ..relational.stream import StreamDelete, StreamTuple
+from ..relational.schema import tuple_getter
+from ..relational.stream import StreamDelete, StreamTuple, validate_pairs
 from .reservoir_join import ReservoirJoin
 
 #: Safety valve for the refill rejection loop, mirroring
@@ -70,11 +81,6 @@ from .reservoir_join import ReservoirJoin
 #: ``O(target · log target)`` draws, so hitting this means the index's
 #: density invariant is broken, not that we were unlucky.
 _MAX_REFILL_ATTEMPTS = 200_000
-
-
-def _result_identity(result: dict) -> Tuple:
-    """Hashable identity of a join result (attribute order independent)."""
-    return tuple(sorted(result.items()))
 
 
 class TurnstileReservoirJoin(ReservoirJoin):
@@ -126,6 +132,11 @@ class TurnstileReservoirJoin(ReservoirJoin):
         # free parameter.
         self._config = {"grouping": grouping}
         self._pending: Dict[Tuple[str, tuple], int] = {}
+        #: Exact size of the surviving join.  Seeded by one ``count_results``
+        #: at the first applied delete, then moved by each inserted or deleted
+        #: row's ``count_containing``; ``None`` until the first delete and
+        #: after a restore, so insert-only streams never pay for it.
+        self._population: Optional[int] = None
         self.deletes_applied = 0
         self.annihilations = 0
         self.evictions = 0
@@ -155,9 +166,12 @@ class TurnstileReservoirJoin(ReservoirJoin):
         A retraction of an absent row returns ``False`` and records a
         pending tombstone.  The reservoir is re-uniformised immediately
         (single-item "chunk"), so the per-boundary guarantee holds after
-        every call.
+        every call.  An unknown relation raises ``KeyError`` and a wrong
+        arity ``ValueError``, both before any state changes.
         """
-        return self._apply_delete_pairs([(relation, tuple(row))]) == 1
+        pairs = [(relation, tuple(row))]
+        validate_pairs(pairs, self.original_query)
+        return self._apply_delete_pairs(pairs) == 1
 
     def delete_batch(self, items: Iterable) -> int:
         """Process a run of retractions; returns how many removed live rows.
@@ -165,7 +179,8 @@ class TurnstileReservoirJoin(ReservoirJoin):
         ``items`` are :class:`~repro.relational.stream.StreamDelete`
         instances or plain ``(relation, row)`` pairs.  Dead join results are
         evicted and the reservoir refilled from the surviving population
-        once, at the end of the run.
+        once, at the end of the run.  Every item is validated first, so a
+        failed call leaves the sampler untouched.
         """
         pairs: List[Tuple[str, tuple]] = []
         for item in items:
@@ -179,6 +194,7 @@ class TurnstileReservoirJoin(ReservoirJoin):
             else:
                 relation, row = item
                 pairs.append((relation, tuple(row)))
+        validate_pairs(pairs, self.original_query)
         return self._apply_delete_pairs(pairs)
 
     def ingest_batch(self, items: Sequence) -> int:
@@ -189,20 +205,27 @@ class TurnstileReservoirJoin(ReservoirJoin):
         delete-run ends with one evict-refill-re-anchor pass.  Uniformity
         over the surviving join therefore holds at every run boundary, and
         in particular at the chunk boundary — the same contract
-        ``insert_batch`` honours for insert-only chunks.
+        ``insert_batch`` honours for insert-only chunks.  Like
+        ``insert_batch``, every item is validated before any state changes
+        (``KeyError`` for a relation outside the query, ``ValueError`` for a
+        wrong arity), so a failed call leaves the sampler untouched.
         """
-        absorbed = 0
-        run: List = []
-        run_is_delete = False
+        tagged: List[Tuple[bool, Tuple[str, tuple]]] = []
         for item in items:
-            is_delete = isinstance(item, StreamDelete)
-            if run and is_delete != run_is_delete:
-                absorbed += self._flush_run(run, run_is_delete)
-                run = []
-            run_is_delete = is_delete
-            run.append(item)
-        if run:
-            absorbed += self._flush_run(run, run_is_delete)
+            if isinstance(item, (StreamTuple, StreamDelete)):
+                pair = (item.relation, item.row)
+            else:
+                relation, row = item
+                pair = (relation, tuple(row))
+            tagged.append((isinstance(item, StreamDelete), pair))
+        validate_pairs([pair for _, pair in tagged], self.original_query)
+        absorbed = 0
+        for is_delete, run in groupby(tagged, key=itemgetter(0)):
+            pairs = [pair for _, pair in run]
+            if is_delete:
+                self._apply_delete_pairs(pairs)
+            else:
+                absorbed += self._insert_run(pairs)
         return absorbed
 
     def process(self, stream: Iterable) -> "TurnstileReservoirJoin":
@@ -217,20 +240,9 @@ class TurnstileReservoirJoin(ReservoirJoin):
                 self.insert(relation, row)
         return self
 
-    def _flush_run(self, run: List, is_delete: bool) -> int:
-        if is_delete:
-            self._apply_delete_pairs(
-                [(item.relation, item.row) for item in run]
-            )
-            return 0
-        survivors: List = []
-        for item in run:
-            if isinstance(item, StreamTuple):
-                relation, row = item.relation, item.row
-            else:
-                relation, row = item
-                row = tuple(row)
-            key = (relation, row)
+    def _insert_run(self, pairs: List[Tuple[str, tuple]]) -> int:
+        survivors: List[Tuple[str, tuple]] = []
+        for key in pairs:
             outstanding = self._pending.get(key, 0)
             if outstanding:
                 if outstanding == 1:
@@ -240,75 +252,81 @@ class TurnstileReservoirJoin(ReservoirJoin):
                 self.annihilations += 1
                 self.tuples_processed += 1
                 continue
-            survivors.append((relation, row))
+            survivors.append(key)
         if not survivors:
             return 0
-        return super().insert_batch(survivors)
+        return self._insert_pairs(survivors)
 
     # ------------------------------------------------------------------ #
-    # Eviction and refill
+    # Surviving count, eviction and refill
     # ------------------------------------------------------------------ #
+    def _containing(self, relation: str, row: tuple) -> int:
+        return count_containing(self.index.trees[relation].tree, self.index.database, row)
+
+    def _rows_inserted(self, relation: str, rows: Sequence[tuple]) -> None:
+        if self._population is not None:
+            self._population += sum(self._containing(relation, row) for row in rows)
+
     def _apply_delete_pairs(self, pairs: List[Tuple[str, tuple]]) -> int:
-        applied = 0
-        for relation, row in pairs:
-            if relation not in self.index.database:
-                raise KeyError(
-                    f"relation {relation!r} is not part of query "
-                    f"{self.original_query.name!r}"
-                )
+        """Apply a validated delete run; returns how many live rows it removed."""
+        removed: Dict[str, set] = {}
+        for key in pairs:
+            relation, row = key
             if self.index.delete(relation, row):
-                applied += 1
+                removed.setdefault(relation, set()).add(row)
+                if self._population is not None:
+                    self._population -= self._containing(relation, row)
             else:
-                key = (relation, row)
                 self._pending[key] = self._pending.get(key, 0) + 1
+        applied = sum(len(rows) for rows in removed.values())
         if applied:
             self.deletes_applied += applied
-            self._resample_after_deletes()
+            self._resample_after_deletes(removed)
         return applied
 
-    def _result_alive(self, result: dict) -> bool:
-        database = self.index.database
-        for schema in self.query.relations:
-            row = tuple(result[attr] for attr in schema.attrs)
-            if row not in database[schema.name]:
-                return False
-        return True
-
-    def _resample_after_deletes(self) -> None:
+    def _resample_after_deletes(self, removed: Dict[str, set]) -> None:
         """Evict dead results, refill from the survivors, re-anchor the skip.
 
         Implements steps 1–3 of the module-docstring uniformity argument.
+        ``removed`` holds the rows this run deleted, per relation.  Every
+        held result was alive before the run, so it died iff its projection
+        onto one of those relations is a removed row.
         """
-        population = count_results(self.query, self.index.database)
-        held: set = set()
-        live: List[dict] = []
-        for result in self.reservoir.sample:
-            if self._result_alive(result):
-                live.append(result)
-                held.add(_result_identity(result))
-            else:
-                self.evictions += 1
+        if self._population is None:
+            self._population = count_results(self.query, self.index.database)
+        population = self._population
+        sample = self.reservoir.sample
+        live = sample
+        for relation, rows in removed.items():
+            # A tuple getter reads a result by attribute name the way it
+            # reads a stored row by position.
+            project = tuple_getter(self.query.relation(relation).attrs)
+            live = [result for result in live if project(result) not in rows]
+        self.evictions += len(sample) - len(live)
         target = min(self.k, population)
-        attempts = 0
-        while len(live) < target:
-            attempts += 1
-            if attempts > _MAX_REFILL_ATTEMPTS:
-                raise RuntimeError(
-                    "refill rejection sampling failed; the index density "
-                    "invariant is broken"
-                )
-            draw = self.index.sample(self._rng)
-            if draw is None:
-                raise RuntimeError(
-                    "full-join sampling returned empty while the exact "
-                    f"surviving count is {population}"
-                )
-            identity = _result_identity(draw)
-            if identity in held:
-                continue
-            held.add(identity)
-            live.append(draw)
-            self.refills += 1
+        if len(live) < target:
+            identity = itemgetter(*self.query.output_attrs())
+            held = set(map(identity, live))
+            attempts = 0
+            while len(live) < target:
+                attempts += 1
+                if attempts > _MAX_REFILL_ATTEMPTS:
+                    raise RuntimeError(
+                        "refill rejection sampling failed; the index density "
+                        "invariant is broken"
+                    )
+                draw = self.index.sample(self._rng)
+                if draw is None:
+                    raise RuntimeError(
+                        "full-join sampling returned empty while the exact "
+                        f"surviving count is {population}"
+                    )
+                key = identity(draw)
+                if key in held:
+                    continue
+                held.add(key)
+                live.append(draw)
+                self.refills += 1
         self.reservoir.rebase_population(live, population)
 
     # ------------------------------------------------------------------ #
@@ -334,6 +352,7 @@ class TurnstileReservoirJoin(ReservoirJoin):
 
     def restore_state(self, state: Dict[str, object]) -> None:
         super().restore_state(state)
+        self._population = None
         self._pending = {
             (relation, tuple(row)): count
             for relation, row, count in state.get("pending_tombstones", [])
@@ -532,12 +551,16 @@ class WindowedSampler:
         return removed
 
     def ingest_batch(self, items: Sequence) -> int:
-        """Absorb one mixed chunk, then expire rows that left the window."""
+        """Absorb one mixed chunk, then expire rows that left the window.
+
+        The inner sampler validates the chunk before the window stamps it,
+        so a rejected chunk leaves the window untouched too.
+        """
         items = list(items)
+        absorbed = self._inner.ingest_batch(items)
         for item in items:
             if not isinstance(item, StreamDelete):
                 self._admit(item)
-        absorbed = self._inner.ingest_batch(items)
         self._expire()
         return absorbed
 

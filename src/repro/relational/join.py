@@ -20,8 +20,9 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .database import Database
+from .jointree import JoinTree, RootedJoinTree
 from .query import JoinQuery
-from .schema import canonical_attrs
+from .schema import canonical_attrs, tuple_getter
 
 
 def _relation_order(query: JoinQuery, first: Optional[str] = None) -> List[str]:
@@ -113,9 +114,6 @@ def count_results(query: JoinQuery, database: Database) -> int:
     """
     if not query.is_acyclic():
         return join_size(query, database)
-    from .jointree import JoinTree
-    from .schema import tuple_getter
-
     rooted = JoinTree(query).rooted_at(query.relation_names[0])
     degrees: Dict[str, Dict[Tuple, int]] = {}
     for name in rooted.bottom_up_order():
@@ -148,6 +146,43 @@ def count_results(query: JoinQuery, database: Database) -> int:
                 counts[key] = counts.get(key, 0) + weight
         degrees[name] = counts
     raise AssertionError("unreachable: a rooted join tree always has a root")
+
+
+def count_containing(tree: RootedJoinTree, database: Database, row: Sequence) -> int:
+    """Exact number of join results whose projection onto ``tree.root`` is ``row``.
+
+    The :func:`count_results` dynamic program, rooted at one row of the
+    tree's root relation instead of summed over all of them: each child's
+    matching rows are fetched through the relation's maintained semi-join
+    index and every ``(node, key)`` group is counted once, so the cost is the
+    number of rows reachable from ``row``, not ``N``.  The root relation's
+    other rows are never read, so ``row`` need not be stored — counted right
+    after its delete, this is the number of results the delete killed;
+    right after its insert, the number it created.
+    """
+    query = tree.query
+    memo: Dict[Tuple[str, Tuple], int] = {}
+
+    def below(name: str, row: Tuple) -> int:
+        schema = query.relation(name)
+        weight = 1
+        for child in tree.children_of(name):
+            key_attrs = tree.key_of(child)
+            key = schema.project(row, key_attrs)
+            total = memo.get((child, key))
+            if total is None:
+                matches = database[child].semijoin(key_attrs, key)
+                if tree.children_of(child):
+                    total = sum(below(child, match) for match in matches)
+                else:
+                    total = len(matches)
+                memo[(child, key)] = total
+            weight *= total
+            if not weight:
+                return 0
+        return weight
+
+    return below(tree.root, tuple(row))
 
 
 def delta_results(

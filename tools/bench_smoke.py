@@ -73,6 +73,7 @@ BENCHMARKS = {
             "retraction_fraction",
             "surviving_check",
             "modes",
+            "per_delete_us",
         ),
     ),
 }
