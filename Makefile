@@ -54,7 +54,7 @@ benchmark:
 bench:
 	python benchmarks/bench_batch_ingest.py
 	python benchmarks/bench_shard_ingest.py
-	python benchmarks/bench_rebalance.py
+	python benchmarks/bench_async.py
 	python benchmarks/bench_fanout.py
 	python benchmarks/bench_gauntlet.py
 	python benchmarks/bench_serving.py

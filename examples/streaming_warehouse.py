@@ -23,21 +23,14 @@ synopsis replicas (one per shard, parallelizable across workers) and
 recombines them with ``merged_sample`` — an *exactly* uniform sample of the
 global join, good for the same analytics.
 
-The third section shows what happens when the feed turns *skewed* — a
-best-seller item floods the fact stream — and the partitioning goes hot: a
-:class:`repro.RebalancingIngestor` notices the imbalance from the O(1)
-per-shard load counters and re-partitions on a cooler attribute, replaying
-the stored state, with the merged sample staying exactly uniform
-throughout.
-
-The fourth section fans the *same* click stream out to two consumers with
+The third section fans the *same* click stream out to two consumers with
 one pass (:class:`repro.FanoutIngestor`): a freshness-tuned dashboard
 reservoir and a cyclic-pattern analytics sampler.  The stream is the
 expensive resource — transport, decoding, chunking — so it is paid once;
 each backend's reservoir is bit-identical to what a standalone run under
 its derived seed would have produced.
 
-The fifth section lets the feed *take things back*: a fraction of the
+The fourth section lets the feed *take things back*: a fraction of the
 fact tuples is later retracted — late corrections, erasure requests —
 and the synopsis is maintained through a
 :class:`repro.TurnstileReservoirJoin` instead, staying exactly uniform
@@ -66,10 +59,8 @@ from repro import (
     CyclicReservoirJoin,
     FanoutIngestor,
     JoinQuery,
-    RebalancingIngestor,
     ReservoirJoin,
     ShardedIngestor,
-    SkewMonitor,
     StreamTuple,
     SymmetricHashJoinSampler,
 )
@@ -154,44 +145,6 @@ def main() -> None:
     print(f"  largest sharded estimation error: {worst_sharded:.1%}")
 
     # ------------------------------------------------------------------ #
-    # Skew: a hot item floods the feed, and the shards rebalance
-    # ------------------------------------------------------------------ #
-    chain = JoinQuery.from_spec(
-        "clicks", {"R1": ["session", "item"], "R2": ["item", "day"], "R3": ["day", "price"]}
-    )
-    skew_rng = random.Random(7)
-    burst = []
-    for i in range(6000):
-        relation = ("R1", "R2", "R3")[i % 3]
-        # 70% of click traffic lands on one best-seller item.
-        hot_item = 0 if skew_rng.random() < 0.7 else skew_rng.randrange(1, 64)
-        row = {
-            "R1": (skew_rng.randrange(5000), hot_item),
-            "R2": (hot_item, skew_rng.randrange(64)),
-            "R3": (skew_rng.randrange(64), skew_rng.randrange(5000)),
-        }[relation]
-        burst.append(StreamTuple(relation, row))
-
-    adaptive = RebalancingIngestor(
-        chain, k=500, num_shards=4, chunk_size=CHUNK_SIZE,
-        # The natural partition key before the burst: the item id.  The
-        # monitor exists precisely because no static choice is safe.
-        partition_attr="item",
-        monitor=SkewMonitor(threshold=1.3, min_tuples=1024),
-        rng=random.Random(8),
-    )
-    adaptive.ingest(burst)
-    adaptive_stats = adaptive.statistics()
-    print(f"\nskewed burst ({len(burst)} tuples, hot item on {adaptive.query.name!r}):")
-    for event in adaptive.rebalances:
-        print(f"  rebalanced at tuple {event.at_tuples}: "
-              f"{event.old_attr}/{event.old_shards} -> "
-              f"{event.new_attr}/{event.new_shards} "
-              f"(observed imbalance {event.observed_imbalance:.2f})")
-    print(f"  load imbalance after rebalance:   {adaptive_stats['load_imbalance']:.2f}")
-    print(f"  merged sample size:               {len(adaptive.merged_sample())}")
-
-    # ------------------------------------------------------------------ #
     # Fan-out: one stream pass, several consumers
     # ------------------------------------------------------------------ #
     # The same click feed, two consumers: the dashboard wants a small,
@@ -200,6 +153,9 @@ def main() -> None:
     # closes.  Without fan-out each consumer pays its own pass over the
     # stream; with it, delivery is paid once and each backend stays
     # bit-identical to a standalone run under its derived seed.
+    chain = JoinQuery.from_spec(
+        "clicks", {"R1": ["session", "item"], "R2": ["item", "day"], "R3": ["day", "price"]}
+    )
     cyclic_clicks = JoinQuery.from_spec(
         "click-cycle",
         {"R1": ["session", "item"], "R2": ["item", "day"], "R3": ["day", "session"]},

@@ -71,18 +71,13 @@ Every sampler supports three interchangeable ways of consuming a stream:
   corrections/expirations; the insert-only samplers stay strictly faster on
   append-only streams.
 
-Two orthogonal add-ons compose with the sharded and fan-out modes:
+One add-on composes with every mode above:
 
-* **Skew-aware rebalancing** — ``RebalancingIngestor`` wraps a sharded
-  ingestor with a ``SkewMonitor`` that watches the O(1) per-shard load
-  counters; when one shard runs hot it re-partitions on a cooler attribute
-  (or splits the shard set), replaying the stored relation state into fresh
-  replicas, and the merged sample stays exactly uniform through the switch.
-  Choose it when the value distribution is skewed or unknown in advance.
 * **Async pipelined transport** — ``AsyncIngestor`` overlaps blocking chunk
-  delivery with sampler CPU behind bounded per-shard queues (backpressure
-  included).  Choose it when the stream source itself blocks (network,
-  pagination) and would otherwise serialise with ingestion.
+  delivery with sampler CPU: one worker thread drains a bounded queue into
+  the target (backpressure included).  Choose it when the stream source
+  itself blocks (network, pagination) and would otherwise serialise with
+  ingestion.
 
 Any of these modes can be *served*: ``SampleServer`` (:mod:`repro.serve`)
 wraps a live ingestor and multiplexes concurrent readers against the single
@@ -101,7 +96,7 @@ All modes draw from exactly the same join-result distribution;
 
 See ``README.md`` for the decision table, ``docs/ARCHITECTURE.md`` for the
 uniformity arguments, ``examples/quickstart.py`` for a five-minute tour and
-``examples/streaming_warehouse.py`` for the batched/sharded/rebalancing APIs
+``examples/streaming_warehouse.py`` for the batched/sharded/fan-out APIs
 in context.
 """
 
@@ -133,7 +128,6 @@ from .ingest.engine import IngestionEngine
 from .ingest.fanout import FanoutIngestor
 from .ingest.pipeline import AsyncIngestor
 from .ingest.pool import ShardWorkerPool, WorkerCrashError
-from .ingest.rebalance import RebalancingIngestor, SkewMonitor
 from .ingest.shard import ShardedIngestor
 from .serve import EpochSnapshot, SampleServer, ServerFrontend
 from .index.dynamic_index import DynamicJoinIndex
@@ -169,8 +163,6 @@ __all__ = [
     "ShardWorkerPool",
     "WorkerCrashError",
     "FanoutIngestor",
-    "RebalancingIngestor",
-    "SkewMonitor",
     "AsyncIngestor",
     "CheckpointCodec",
     "CheckpointError",

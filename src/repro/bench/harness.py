@@ -132,15 +132,14 @@ def run_ingestor_critical_path(
 
     ``factory()`` must build an ingestor whose ``statistics()`` report
     ``critical_path_seconds`` — every engine-backed ingestor does:
-    :class:`~repro.ingest.shard.ShardedIngestor` and
-    :class:`~repro.ingest.rebalance.RebalancingIngestor` accumulate, per
-    chunk, the partitioning cost plus the *slowest* shard's sub-chunk time,
-    and :class:`~repro.ingest.fanout.FanoutIngestor` the broadcast cost plus
+    :class:`~repro.ingest.shard.ShardedIngestor` accumulates, per chunk, the
+    partitioning cost plus the *slowest* shard's sub-chunk time, and
+    :class:`~repro.ingest.fanout.FanoutIngestor` the broadcast cost plus
     the slowest backend (lanes share no state, so that sum is the wall
     clock of a one-worker-per-lane deployment).  Unlike
-    :func:`run_sampler_sharded`'s replay methodology this also captures
-    mid-stream repartitioning, whose replay and planning costs land in the
-    same accumulator.
+    :func:`run_sampler_sharded`'s replay methodology, the figure comes from
+    the ingestor's own per-chunk accounting in one pass.  It is a model;
+    a measured multi-worker wall must come from running the workers.
 
     ``elapsed_seconds`` is the single-thread serial wall clock, reported
     unredacted alongside the critical path in the statistics.

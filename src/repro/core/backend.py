@@ -20,7 +20,7 @@ Three layers of service:
   ingestor-style ``ingest_batch``, exact result counting via a dynamic
   index, replica cloning via ``spawn``.
 * **Seed derivation** (:func:`derive_seed`) — the one rule every
-  multi-replica feature (sharding, rebalancing replays, fan-out) uses to
+  multi-replica feature (sharding, fan-out) uses to
   split a master RNG into independent per-replica RNGs, so replica
   randomness is reproducible and never shared.
 * **Durability** (:func:`snapshot_backend`, :func:`restore_backend`) — the

@@ -26,7 +26,7 @@ chunk sizes are distribution-equal, not bit-equal (mirroring the acyclic
 ``insert_batch`` contract).
 
 The adapter deliberately exposes **no** ``query`` and **no** ``index``:
-there is no join to hash-partition or count, so sharded/rebalancing modes
+there is no join to hash-partition or count, so the sharded modes
 cannot host it (the workload gauntlet records those cells as structural
 skips).  Batched, async, fan-out (via ``spawn``) and checkpoint modes all
 apply.

@@ -6,9 +6,9 @@ ground-truth universe or against a reference run:
 
 ``bit-identical``
     The mode promises the same reservoir, bit for bit, as a reference
-    serial run under equal seeds and chunking: async pipelining (FIFO
-    per-lane delivery), fan-out (independently derived per-backend seeds),
-    process-parallel sharding (the persistent worker pool feeds each shard
+    serial run under equal seeds and chunking: async pipelining (one FIFO
+    queue in front of the target), fan-out (independently derived
+    per-backend seeds), process-parallel sharding (the persistent worker pool feeds each shard
     replica the exact serial sub-chunk sequence from a snapshot of the
     serial starting state), and mid-stream checkpoint-resume (exact RNG
     state round trip).  The cell asserts list equality of the final
@@ -16,8 +16,8 @@ ground-truth universe or against a reference run:
 
 ``exact-set+chi-square``
     The mode promises the right *distribution*, not the same bits: the
-    per-tuple baseline, batched chunking, serial sharding (hypergeometric
-    merge) and skew-aware rebalancing.  Two assertions: an over-sized
+    per-tuple baseline, batched chunking and serial sharding
+    (hypergeometric merge).  Two assertions: an over-sized
     reservoir (``k > |universe|``) must reproduce the ground-truth result
     set exactly, and across independently seeded trials the per-result
     inclusion counts must pass a chi-square uniformity test
@@ -51,8 +51,7 @@ sub-check), serving — because deletion-capable samplers implement the same
 backend seam.
 
 Cells a mode cannot structurally host — no join query to hash-partition,
-cyclic plans where only acyclic inner ingestors can be rebuilt, retraction
-streams against insert-only machinery — are reported as ``skip`` with the
+retractions against a cyclic plan — are reported as ``skip`` with the
 reason, never silently dropped.
 
 Statistical power scales with ``GauntletConfig.trials``; below
@@ -75,7 +74,6 @@ from ..core.turnstile import WindowedSampler
 from ..ingest.batch import BatchIngestor
 from ..ingest.fanout import FanoutIngestor
 from ..ingest.pipeline import AsyncIngestor
-from ..ingest.rebalance import RebalancingIngestor, SkewMonitor
 from ..ingest.shard import ShardedIngestor
 from ..relational.stream import StreamDelete
 from ..serve import SampleServer
@@ -94,7 +92,6 @@ MODES = (
     "batched",
     "sharded",
     "sharded-parallel",
-    "rebalancing",
     "async",
     "fanout",
     "checkpoint",
@@ -315,28 +312,6 @@ class ModeMatrix:
             # processes without the state-adoption round trip.
             ingestor.close_pool(sync=False)
 
-    def _make_rebalancing(
-        self, scenario: Scenario, k: int, seed: int
-    ) -> RebalancingIngestor:
-        cfg = self.config
-        # Thresholds low enough that skewed workloads actually replan on
-        # these stream lengths (the stock monitor waits for 4096 tuples).
-        return RebalancingIngestor(
-            scenario.query,
-            k,
-            num_shards=cfg.num_shards,
-            chunk_size=cfg.chunk_size,
-            monitor=SkewMonitor(
-                threshold=1.2, min_tuples=4 * cfg.chunk_size, cooldown_chunks=2
-            ),
-            rng=random.Random(seed),
-        )
-
-    def _run_rebalancing(self, scenario: Scenario, k: int, seed: int) -> List[dict]:
-        ingestor = self._make_rebalancing(scenario, k, seed)
-        ingestor.ingest(scenario.stream)
-        return ingestor.merged_sample(k, rng=random.Random(seed + 101))
-
     # ------------------------------------------------------------------ #
     # Cell checks
     # ------------------------------------------------------------------ #
@@ -474,27 +449,12 @@ class ModeMatrix:
             detail=detail,
         )
 
-    def _cell_rebalancing(self, scenario: Scenario) -> CellResult:
-        cell = self._statistical_cell(
-            scenario, "rebalancing", self._run_rebalancing
-        )
-        ingestor, seconds = measure_seconds(
-            lambda: self._make_rebalancing(
-                scenario, self.config.k, self.config.seed
-            ).ingest(scenario.stream)
-        )
-        statistics = ingestor.statistics()
-        cell.serial_seconds = round(seconds, 4)
-        cell.critical_path_seconds = statistics.get("critical_path_seconds")
-        cell.detail["rebalances"] = len(ingestor.rebalances)
-        return cell
-
     def _cell_async(self, scenario: Scenario) -> CellResult:
         """Async pipelining is bit-identical to the serial run it overlaps."""
         cfg = self.config
-        detail: Dict[str, object] = {}
+        detail: Dict[str, object] = {"workers": 1}
         if scenario.kind == "acyclic" and scenario.query is not None:
-            # The multi-worker path: one lane per shard of a sharded target.
+            # A sharded target: its ingest_batch routes on the worker thread.
             serial = self._make_sharded(scenario, cfg.k, cfg.seed)
             serial.ingest(scenario.stream)
 
@@ -519,7 +479,6 @@ class ModeMatrix:
             ) != serial.merged_sample(cfg.k, rng=random.Random(merge_rng)):
                 raise CellFailure("merged sample differs from serial run")
             detail["target"] = "sharded"
-            detail["workers"] = cfg.num_shards
         else:
             serial_sample = self._run_batched(scenario, cfg.k, cfg.seed)
             sampler = scenario.make_sampler(cfg.k, random.Random(cfg.seed))
@@ -536,7 +495,6 @@ class ModeMatrix:
             if list(sampler.sample) != serial_sample:
                 raise CellFailure("pipelined reservoir differs from serial run")
             detail["target"] = "batched"
-            detail["workers"] = 1
         return CellResult(
             scenario.name, "async", "bit-identical", "pass",
             serial_seconds=round(seconds, 4), detail=detail,
@@ -786,30 +744,6 @@ class ModeMatrix:
                 finished,
             )
 
-        def rebalancing_check() -> None:
-            reference = self._make_rebalancing(scenario, cfg.k, cfg.seed)
-            reference.ingest(scenario.stream)
-            merge_rng = cfg.seed + 101
-            path = os.path.join(tmp_dir, f"{scenario.name}-rebalancing.ckpt")
-
-            def finished(resumed: RebalancingIngestor) -> None:
-                # RebalanceEvents embed wall-clock planning/replay timings, so
-                # the event *lists* never reproduce — the samples and the
-                # number of replans must.
-                if len(resumed.rebalances) != len(reference.rebalances):
-                    raise CellFailure("rebalance count diverged across resume")
-                if resumed.merged_sample(
-                    cfg.k, rng=random.Random(merge_rng)
-                ) != reference.merged_sample(cfg.k, rng=random.Random(merge_rng)):
-                    raise CellFailure("rebalancing checkpoint-resume diverged")
-
-            roundtrip(
-                RebalancingIngestor,
-                lambda: self._make_rebalancing(scenario, cfg.k, cfg.seed),
-                path,
-                finished,
-            )
-
         def async_check() -> None:
             serial = self._run_batched(scenario, cfg.k, cfg.seed)
             path = os.path.join(tmp_dir, f"{scenario.name}-async.ckpt")
@@ -867,8 +801,6 @@ class ModeMatrix:
         check("async", async_check)
         if scenario.query is not None and scenario.kind in ("acyclic", "turnstile"):
             check("sharded", sharded_check)
-        if scenario.kind == "acyclic" and scenario.query is not None:
-            check("rebalancing", rebalancing_check)
         if scenario.kind == "turnstile":
             check("windowed", windowed_check)
         return CellResult(
@@ -883,16 +815,9 @@ class ModeMatrix:
         # Cyclic scenarios ride sharded-parallel now: the pool ships built
         # replica *state* (snapshot records), never the factory callable,
         # so the custom cyclic factory no longer blocks process parallelism.
-        partitioned = ("sharded", "sharded-parallel", "rebalancing")
+        partitioned = ("sharded", "sharded-parallel")
         if mode in partitioned and scenario.query is None:
             return "no join query to hash-partition (predicate stream)"
-        if mode == "rebalancing" and scenario.kind == "cyclic":
-            return "rebalancer rebuilds acyclic inner ingestors only"
-        if mode == "rebalancing" and scenario.kind == "turnstile":
-            return (
-                "rebalance planning replays insert-only shard windows; "
-                "migration has no retraction semantics"
-            )
         if mode == "turnstile":
             if scenario.query is None:
                 return "no join index to retract from (predicate stream)"
@@ -927,7 +852,6 @@ class ModeMatrix:
             "batched": self._cell_batched,
             "sharded": self._cell_sharded,
             "sharded-parallel": self._cell_parallel,
-            "rebalancing": self._cell_rebalancing,
             "async": self._cell_async,
             "fanout": self._cell_fanout,
             "served": self._cell_served,

@@ -25,8 +25,7 @@ scenario                  kind       source
 
 ``kind`` determines which modes structurally apply (see
 :data:`~repro.gauntlet.matrix.MODES`): cyclic queries shard only through a
-custom per-shard factory and cannot rebalance (the rebalancer rebuilds
-acyclic inner ingestors), the predicate scenario has no join query to
+custom per-shard factory, the predicate scenario has no join query to
 hash-partition at all, and turnstile scenarios carry
 :class:`~repro.relational.stream.StreamDelete` retractions that only the
 deletion-capable samplers of :mod:`repro.core.turnstile` can host — their

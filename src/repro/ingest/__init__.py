@@ -31,13 +31,9 @@ three layers instead of four sibling class hierarchies:
      baseline and even sharded samplers simultaneously, each bit-identical
      to a standalone run under its derived seed (see
      :mod:`repro.ingest.fanout`).
-   * :class:`RebalancingIngestor` + :class:`SkewMonitor` stack a
-     chunk-boundary policy on the sharded ingestor: hot partitions are
-     detected from O(1) load counters and the state is replayed under a
-     cooler partitioning (see :mod:`repro.ingest.rebalance`).
-   * :class:`AsyncIngestor` stacks a transport on any of the above:
-     bounded queues + worker threads overlap blocking chunk delivery with
-     sampler CPU (see :mod:`repro.ingest.pipeline`).
+   * :class:`AsyncIngestor` stacks a transport on any of the above: a
+     bounded queue + one worker thread overlap blocking chunk delivery
+     with sampler CPU (see :mod:`repro.ingest.pipeline`).
 
 Anything that can hand chunks of
 :class:`~repro.relational.stream.StreamTuple` to one of these participates
@@ -77,7 +73,6 @@ from .engine import DEFAULT_CHUNK_SIZE, EngineLane, IngestionEngine
 from .fanout import FanoutIngestor
 from .pipeline import AsyncIngestor
 from .pool import ShardWorkerPool, WorkerCrashError
-from .rebalance import RebalancingIngestor, SkewMonitor, plan_partition, simulate_partition
 from .shard import ShardedIngestor, partition_attribute, stable_shard_hash
 
 __all__ = [
@@ -90,8 +85,6 @@ __all__ = [
     "ShardWorkerPool",
     "WorkerCrashError",
     "FanoutIngestor",
-    "RebalancingIngestor",
-    "SkewMonitor",
     "AsyncIngestor",
     "CheckpointCodec",
     "CheckpointError",
@@ -100,7 +93,5 @@ __all__ = [
     "CheckpointMismatchError",
     "PeriodicCheckpointer",
     "partition_attribute",
-    "plan_partition",
-    "simulate_partition",
     "stable_shard_hash",
 ]

@@ -212,7 +212,7 @@ class PeriodicCheckpointer:
     ----------
     ingestor:
         Any ingestor exposing ``add_boundary_hook`` and ``save(path)``
-        (batch / sharded / rebalancing / async).  For an async pipeline the
+        (batch / sharded / fan-out / async).  For an async pipeline the
         boundaries are its drain points.
     path:
         Checkpoint file; each write atomically replaces the previous one.

@@ -12,10 +12,9 @@ policies over it:
   hash-partitioning router;
 * :class:`~repro.ingest.fanout.FanoutIngestor` — one lane per registered
   backend, broadcast routing (every lane sees every chunk);
-* :class:`~repro.ingest.rebalance.RebalancingIngestor` and
-  :class:`~repro.ingest.pipeline.AsyncIngestor` stack *on top* of
-  engine-backed ingestors (a chunk-boundary policy and a transport,
-  respectively) instead of forming parallel class hierarchies.
+* :class:`~repro.ingest.pipeline.AsyncIngestor` stacks a transport *on
+  top* of any engine-backed ingestor (one worker thread calling its
+  ``ingest_batch``) instead of forming a parallel class hierarchy.
 
 Anatomy of one ``ingest_batch`` call
 ------------------------------------
@@ -34,14 +33,14 @@ Anatomy of one ``ingest_batch`` call
    deliveries are excluded from the lane's counters and timing.
 3. **Account** — the engine accumulates the routing cost
    (``route_seconds``), each lane's busy time (``lane_busy_seconds``, a
-   live list that transport drivers may also write into), and the
+   live list the sharded worker pool also folds its timings into), and the
    *critical path*: per chunk, routing cost plus the **slowest** lane.
    Lanes share no mutable state, so that sum is the wall clock of a
    one-worker-per-lane deployment — the honest scale-out figure a
    single-core box can still measure.
 4. **Hooks** — ``after_chunk(items, parts)`` callbacks run at the chunk
    boundary (where the uniformity guarantee holds): counter roll-ups,
-   skew monitoring, cache invalidation.
+   cache invalidation, epoch cuts, timed checkpoints.
 
 Error semantics: an exception raised while routing leaves every lane
 untouched; an exception raised by a lane's ``apply`` aborts the dispatch
@@ -122,8 +121,8 @@ class IngestionEngine:
     route_seconds / critical_path_seconds / lane_busy_seconds:
         The accounting described in the module docstring.
         ``lane_busy_seconds`` is a live, mutable list indexed like
-        ``lanes`` — transport drivers that bypass :meth:`ingest_batch`
-        (the async workers) add their own lane timings into it.
+        ``lanes`` — the sharded worker pool, which bypasses the lanes'
+        ``apply``, folds its per-worker timings into it.
     """
 
     def __init__(
@@ -164,8 +163,8 @@ class IngestionEngine:
 
         The public registration point for everything that must observe the
         stream exactly where the uniformity guarantee holds: the serving
-        layer's epoch cuts, timer-based background checkpointing, skew
-        monitors.  Hooks run in registration order, after the chunk has been
+        layer's epoch cuts, timer-based background checkpointing.  Hooks
+        run in registration order, after the chunk has been
         fully dispatched; a hook that raises aborts the ``ingest_batch``
         call (the chunk itself is already absorbed).  Returns ``hook`` so it
         can be registered inline.
@@ -230,9 +229,8 @@ class IngestionEngine:
         """Cut ``stream`` into chunks and push them all through ``sink``.
 
         ``sink`` defaults to :meth:`ingest_batch`; policies with their own
-        per-chunk guard or bookkeeping (the sharded frozen check, the
-        rebalancing boundary hook) pass their public ``ingest_batch`` so a
-        flat-stream ingest is exactly a loop of it.
+        per-chunk dispatch (the sharded pool path) pass their public
+        ``ingest_batch`` so a flat-stream ingest is exactly a loop of it.
         """
         push = sink if sink is not None else self.ingest_batch
         for chunk in chunk_stream(stream, self.chunk_size):

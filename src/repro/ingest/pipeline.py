@@ -3,52 +3,53 @@
 Synchronous ingestion interleaves two costs that have no business waiting on
 each other: *transport* (the blocking wait for the next chunk — a network
 fetch, a Kafka poll, a paginated scan) and *sampler CPU* (index maintenance
-plus reservoir work).  :class:`AsyncIngestor` splits them across threads: the
-producer thread iterates the (possibly blocking) source and enqueues chunks
-onto bounded buffers, and worker threads pop chunks and drive the samplers —
-so while the producer sleeps on the transport, the workers chew through the
-backlog, and end-to-end wall clock approaches
+plus reservoir work).  :class:`AsyncIngestor` splits them across two
+threads: the producer thread iterates the (possibly blocking) source and
+enqueues chunks onto one bounded buffer, and one worker thread pops chunks
+and drives the target — so while the producer sleeps on the transport, the
+worker chews through the backlog, and end-to-end wall clock approaches
 ``max(transport_seconds, cpu_seconds)`` instead of their sum.
 
 Topology
 --------
-* **Sharded target** (:class:`~repro.ingest.shard.ShardedIngestor`): one
-  bounded queue + one worker per shard.  The producer validates and
-  partitions each chunk (all-or-nothing, exactly like the serial path) and
-  enqueues every non-empty sub-chunk on its shard's queue; each worker owns
-  its shard's :class:`~repro.ingest.batch.BatchIngestor` exclusively.
-  Because each queue is FIFO, every shard replica sees *exactly* the
-  sub-chunk sequence the serial path would have fed it — with equal seeds
-  the final shard reservoirs are bit-identical to serial ingestion, not just
-  distribution-equal.
-* **Any other target** (a plain sampler, a
-  :class:`~repro.ingest.rebalance.RebalancingIngestor`): a single queue +
-  worker driving ``ingest_batch``/``insert_batch`` chunks in arrival order —
-  same stream semantics as synchronous batched ingestion.  (A rebalancing
-  target must be single-worker: a rebalance swaps out every shard at once.)
-  A sharded target whose :class:`~repro.ingest.pool.ShardWorkerPool` is
-  live also takes this path: its ``ingest_batch`` already scatters to the
-  worker processes, so the single thread overlaps blocking transport with
-  pool submission — async-over-pool composition, threads for transport and
-  processes for CPU, without double-driving the per-shard ingestors.
+Every target gets the same single lane: one queue and one worker applying
+chunks in arrival order through the capability probe of
+:func:`repro.core.backend.chunk_apply` — ``ingest_batch`` (a
+:class:`~repro.ingest.batch.BatchIngestor`, a
+:class:`~repro.ingest.shard.ShardedIngestor`, a
+:class:`~repro.ingest.fanout.FanoutIngestor`), else ``insert_batch`` (a
+sampler's bulk path), else the validated per-tuple fallback.  The target
+sees exactly the chunk sequence a synchronous loop would feed it, so with
+equal seeds its state is bit-identical to synchronous ingestion.
+
+A sharded target routes, validates and dispatches each chunk inside its own
+``ingest_batch`` on the worker thread.  Whether it runs in process or
+through a live :class:`~repro.ingest.pool.ShardWorkerPool` is decided per
+chunk, so a pool started after wrapping takes effect at once.  One thread
+per shard was tried and removed: the shard work is pure Python and holds
+the GIL, so over a blocking source (60k tuples, 20 ms per 2048-tuple chunk,
+4 shards) it gave the same samples and no faster wall — medians 2.98 vs
+3.06 s, then 3.03 vs 2.79 s with one thread ahead in 9 of 10 pairs.
+Process-level parallelism is the pool's job.
 
 Backpressure and boundaries
 ---------------------------
-Queues are bounded at ``buffer_chunks``; when the samplers fall behind, the
-producer blocks in :meth:`submit` — bounded memory, honest flow control.
-The chunk-boundary uniformity guarantee is preserved: after :meth:`drain`
-(or :meth:`ingest`'s return) every submitted chunk has been fully absorbed,
-so that point *is* a chunk boundary and sampling/merging is safe.
-:meth:`merged_sample`/:meth:`sample` drain first for exactly that reason.
+The queue is bounded at ``buffer_chunks``; when the target falls behind,
+the producer blocks in :meth:`submit` — bounded memory, honest flow
+control.  The chunk-boundary uniformity guarantee is preserved: after
+:meth:`drain` (or :meth:`ingest`'s return) every submitted chunk has been
+fully absorbed, so that point *is* a chunk boundary and sampling/merging is
+safe.  :meth:`merged_sample`/:meth:`sample` drain first for exactly that
+reason.
 
 A worker failure is not lost, and it is *sticky*: the first exception
 poisons the pipeline — every subsequent :meth:`submit`, :meth:`drain`,
-:meth:`merged_sample` or :meth:`sample` re-raises it, because after a
-worker died mid-stream the shard states have seen different chunk prefixes
-and no sample drawn from them is trustworthy.  A clean ``with`` exit also
-re-raises an undrained failure; only a direct :meth:`close` call (the
-cleanup path, typically after the failure was already caught) shuts the
-workers down without raising.
+:meth:`merged_sample` or :meth:`sample` re-raises it, and the worker
+discards the backlog behind the failed chunk, because the target then holds
+a stream with a hole in it and no sample drawn from it is trustworthy.  A
+clean ``with`` exit also re-raises an undrained failure; only a direct
+:meth:`close` call (the cleanup path, typically after the failure was
+already caught) shuts the worker down without raising.
 """
 
 from __future__ import annotations
@@ -56,22 +57,21 @@ from __future__ import annotations
 import queue
 import threading
 import time
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.backend import chunk_apply, restore_backend, snapshot_backend
 from ..relational.stream import StreamTuple, chunk_stream
 from .batch import DEFAULT_CHUNK_SIZE
 from .checkpoint import CODEC
-from .shard import ShardedIngestor
 
-#: Default bound on each worker queue, in chunks.
+#: Default bound on the worker queue, in chunks.
 DEFAULT_BUFFER_CHUNKS = 8
 
 _STOP = object()  # queue sentinel: worker shutdown
 
 
 class _Worker:
-    """One consumer thread bound to one bounded chunk queue."""
+    """The consumer thread bound to the bounded chunk queue."""
 
     def __init__(self, name: str, apply, buffer_chunks: int) -> None:
         self.queue: "queue.Queue" = queue.Queue(maxsize=buffer_chunks)
@@ -104,22 +104,21 @@ class _Worker:
 
 
 class AsyncIngestor:
-    """Pipelined chunk ingestion behind bounded per-shard queues.
+    """Pipelined chunk ingestion behind one bounded queue and one worker.
 
     Parameters
     ----------
     target:
-        Where chunks land.  A :class:`ShardedIngestor` gets one worker per
-        shard; any other target gets a single worker driving the capability
-        probe of :func:`repro.core.backend.chunk_apply` — ``ingest_batch``
-        (a :class:`~repro.ingest.batch.BatchIngestor`, a
-        :class:`~repro.ingest.rebalance.RebalancingIngestor`, a
+        Where chunks land, applied through the capability probe of
+        :func:`repro.core.backend.chunk_apply` — ``ingest_batch`` (a
+        :class:`~repro.ingest.batch.BatchIngestor`, a
+        :class:`~repro.ingest.shard.ShardedIngestor`, a
         :class:`~repro.ingest.fanout.FanoutIngestor`), else ``insert_batch``
         (a sampler's bulk path), else the per-tuple fallback.
     chunk_size:
         Chunk size used by :meth:`ingest` when handed a flat stream.
     buffer_chunks:
-        Bound of each worker queue, in chunks — the backpressure knob.
+        Bound of the worker queue, in chunks — the backpressure knob.
     """
 
     def __init__(
@@ -138,64 +137,23 @@ class AsyncIngestor:
         self.producer_stall_seconds = 0.0
         self.max_queue_depth = 0
         self._closed = False  # no further submits (closed or failed)
-        self._stopped = False  # worker threads joined
+        self._stopped = False  # worker thread joined
         self._failure: Optional[BaseException] = None  # first worker error, sticky
         self._boundary_hooks: List = []
         self._chunks_at_last_boundary = 0
-        # A sharded target with a live worker pool already owns its own
-        # process-level parallelism and chunk pipelining: drive it through
-        # the single-worker path below (ingest_batch scatters to the pool),
-        # overlapping transport with *pool submission* instead of competing
-        # with the pool for the per-shard ingestors.  Only a pool-less
-        # sharded target gets the thread-per-shard topology.
-        self._sharded = isinstance(target, ShardedIngestor) and not getattr(
-            target, "pool_active", False
-        )
-        if self._sharded:
-            # The chunk-boundary barrier does not exist here (shards run
-            # ahead of each other), so the target cannot measure a critical
-            # path; its per-shard busy accumulators stay real because each
-            # worker owns exactly one shard's slot.
-            target.timing_incomplete = True
-
-            def shard_apply(shard: int, ingestor):
-                busy = target.shard_busy_seconds
-
-                def apply(part) -> None:
-                    start = time.perf_counter()
-                    try:
-                        ingestor.ingest_batch(part)
-                    finally:
-                        busy[shard] += time.perf_counter() - start
-
-                return apply
-
-            self._workers = [
-                _Worker(
-                    f"async-ingest-shard-{shard}",
-                    shard_apply(shard, ingestor),
-                    buffer_chunks,
-                )
-                for shard, ingestor in enumerate(target.ingestors)
-            ]
-        else:
-            # The shared capability probe: ingestor (ingest_batch) before
-            # sampler bulk path (insert_batch) before the per-tuple fallback.
-            apply, _ = chunk_apply(target)
-            self._workers = [_Worker("async-ingest", apply, buffer_chunks)]
-        for worker in self._workers:
-            worker.thread.start()
+        apply, _ = chunk_apply(target)
+        self._worker = _Worker("async-ingest", apply, buffer_chunks)
+        self._worker.thread.start()
 
     # ------------------------------------------------------------------ #
     # Producer side
     # ------------------------------------------------------------------ #
     def submit(self, items: Sequence) -> int:
-        """Enqueue one chunk; blocks when the buffers are full (backpressure).
+        """Enqueue one chunk; blocks when the buffer is full (backpressure).
 
-        For a sharded target the chunk is validated and partitioned here, on
-        the producer thread — a bad chunk raises before anything is enqueued,
-        so shards never diverge.  Returns the number of stream tuples
-        accepted.
+        The target validates the chunk on the worker thread; a bad chunk
+        poisons the pipeline and the next call re-raises the error.
+        Returns the number of stream tuples accepted.
         """
         self._raise_pending()
         if self._closed:
@@ -203,27 +161,16 @@ class AsyncIngestor:
         items = list(items)
         if not items:
             return 0
-        if self._sharded:
-            start = time.perf_counter()
-            parts = self.target._route(items)
-            self.target.partition_seconds += time.perf_counter() - start
-            for worker, part in zip(self._workers, parts):
-                if part:
-                    self._put(worker, part)
-            self.target.note_chunk(len(items), sum(map(len, parts)))
-        else:
-            self._put(self._workers[0], items)
+        backlog = self._worker.queue
+        start = time.perf_counter()
+        backlog.put(items)
+        self.producer_stall_seconds += time.perf_counter() - start
+        depth = backlog.qsize()
+        if depth > self.max_queue_depth:
+            self.max_queue_depth = depth
         self.chunks_submitted += 1
         self.tuples_submitted += len(items)
         return len(items)
-
-    def _put(self, worker: _Worker, part: List) -> None:
-        start = time.perf_counter()
-        worker.queue.put(part)
-        self.producer_stall_seconds += time.perf_counter() - start
-        depth = worker.queue.qsize()
-        if depth > self.max_queue_depth:
-            self.max_queue_depth = depth
 
     def ingest(self, stream: Iterable[StreamTuple]) -> "AsyncIngestor":
         """Chunk a flat stream, submit every chunk, drain; returns ``self``."""
@@ -234,7 +181,7 @@ class AsyncIngestor:
         :class:`~repro.relational.stream.ThrottledChunkSource`), then drain.
 
         This is the pipelined loop: while the source blocks producing the
-        next chunk, the workers ingest the buffered ones.
+        next chunk, the worker ingests the buffered ones.
         """
         for chunk in chunks:
             self.submit(chunk)
@@ -250,8 +197,7 @@ class AsyncIngestor:
         uniform over the join of everything submitted — and any worker
         error has been re-raised.
         """
-        for worker in self._workers:
-            worker.queue.join()
+        self._worker.queue.join()
         self._raise_pending()
         if self.chunks_submitted > self._chunks_at_last_boundary:
             self._chunks_at_last_boundary = self.chunks_submitted
@@ -274,14 +220,14 @@ class AsyncIngestor:
         An async pipeline only *has* chunk boundaries at drain points, so
         hooks fire once per :meth:`drain` that absorbed new chunks (with
         ``items``/``parts`` as ``None`` — multiple chunks may have passed
-        since the last drain).  Between drains, shards run ahead of each
-        other and no uniform cut exists to observe.
+        since the last drain).  Between drains chunks are in flight and no
+        uniform cut exists to observe.
         """
         self._boundary_hooks.append(hook)
         return hook
 
     def close(self) -> None:
-        """Stop the workers and join their threads (idempotent).
+        """Stop the worker and join its thread (idempotent).
 
         The cleanup path: drains healthy pipelines, but — unlike every other
         method — does not re-raise a sticky failure, so it is always safe to
@@ -291,22 +237,25 @@ class AsyncIngestor:
             return
         self._closed = True
         try:
-            for worker in self._workers:
-                worker.queue.join()
+            self._worker.queue.join()
         finally:
+            self._stop()
+
+    def _stop(self) -> None:
+        """Send the stop sentinel behind the backlog, join the thread, and
+        collect any failure it left."""
+        if not self._stopped:
             self._stopped = True
-            for worker in self._workers:
-                worker.queue.put(_STOP)
-            for worker in self._workers:
-                worker.thread.join()
+            self._worker.queue.put(_STOP)
+            self._worker.thread.join()
         self._collect_failure()
 
     def _collect_failure(self) -> None:
-        for worker in self._workers:
-            if worker.error is not None:
-                if self._failure is None:
-                    self._failure = worker.error
-                worker.error = None
+        worker = self._worker
+        if worker.error is not None:
+            if self._failure is None:
+                self._failure = worker.error
+            worker.error = None
         if self._failure is not None:
             self._closed = True  # a broken pipeline must not eat chunks
 
@@ -324,21 +273,15 @@ class AsyncIngestor:
             if self._failure is not None:
                 # A clean `with` exit must not swallow a worker failure the
                 # caller never drained for — surface it here, once the
-                # threads are already down.
+                # thread is already down.
                 raise self._failure
             return
         # Error path: never mask the original exception with a drain-raise,
-        # but do stop the workers and *join* them — the backlog is bounded
-        # by the buffers, and joining leaves the target quiescent (and at a
+        # but do stop the worker and *join* it — the backlog is bounded by
+        # the buffer, and joining leaves the target quiescent (and at a
         # chunk boundary) for whoever catches the exception.
         self._closed = True
-        if not self._stopped:
-            self._stopped = True
-            for worker in self._workers:
-                worker.queue.put(_STOP)
-            for worker in self._workers:
-                worker.thread.join()
-        self._collect_failure()
+        self._stop()
 
     # ------------------------------------------------------------------ #
     # Durability
@@ -347,13 +290,13 @@ class AsyncIngestor:
         """Drain, then capture the quiescent target plus pipeline counters.
 
         An async pipeline only has well-defined state at a chunk boundary —
-        mid-flight, the workers hold sub-chunks the target has not absorbed.
+        mid-flight, the queue holds chunks the target has not absorbed.
         :meth:`drain` *is* the chunk boundary (and re-raises any pending
         worker failure, so a poisoned pipeline refuses to checkpoint), after
         which the target is captured through the same
         :func:`~repro.core.backend.snapshot_backend` probe every other
         ingestor uses.  The restored pipeline resumes the suffix
-        bit-identically: fresh workers are mere transport, all randomness
+        bit-identically: a fresh worker is mere transport, all randomness
         lives in the target.
         """
         self.drain()
@@ -365,14 +308,12 @@ class AsyncIngestor:
             "tuples_submitted": self.tuples_submitted,
             "producer_stall_seconds": self.producer_stall_seconds,
             "max_queue_depth": self.max_queue_depth,
-            "worker_chunks_processed": [
-                worker.chunks_processed for worker in self._workers
-            ],
+            "worker_chunks_processed": [self._worker.chunks_processed],
         }
 
     @classmethod
     def from_snapshot(cls, state: Dict[str, object]) -> "AsyncIngestor":
-        """Rebuild a pipeline (fresh workers, restored target) from a snapshot."""
+        """Rebuild a pipeline (fresh worker, restored target) from a snapshot."""
         ingestor = cls(
             restore_backend(state["target"]),
             chunk_size=state["chunk_size"],
@@ -382,12 +323,11 @@ class AsyncIngestor:
         ingestor.tuples_submitted = state["tuples_submitted"]
         ingestor.producer_stall_seconds = state["producer_stall_seconds"]
         ingestor.max_queue_depth = state["max_queue_depth"]
-        # The worker topology is a function of the target type, so the
-        # counts line up; a changed topology simply starts fresh counters.
-        for worker, processed in zip(
-            ingestor._workers, state["worker_chunks_processed"]
-        ):
-            worker.chunks_processed = processed
+        # Checkpoints written under the retired thread-per-shard topology
+        # hold one sub-chunk count per shard; those start a fresh counter.
+        processed = state["worker_chunks_processed"]
+        if len(processed) == 1:
+            ingestor._worker.chunks_processed = processed[0]
         return ingestor
 
     def save(self, path: str) -> None:
@@ -418,26 +358,22 @@ class AsyncIngestor:
         """Pipeline counters merged over the target's statistics.
 
         Exact once :meth:`drain` has returned; mid-flight reads see the
-        tuples the producer has *accepted*, some of which workers are still
-        absorbing.
+        tuples the producer has *accepted*, some of which the worker is
+        still absorbing.  The per-worker figures stay one-element lists.
         """
         stats: Dict[str, object] = {}
         if hasattr(self.target, "statistics"):
             stats.update(self.target.statistics())
         stats.update(
             {
-                "async_workers": len(self._workers),
+                "async_workers": 1,
                 "async_buffer_chunks": self.buffer_chunks,
                 "async_chunks_submitted": self.chunks_submitted,
                 "async_tuples_submitted": self.tuples_submitted,
                 "async_producer_stall_seconds": round(self.producer_stall_seconds, 4),
                 "async_max_queue_depth": self.max_queue_depth,
-                "async_worker_busy_seconds": [
-                    round(worker.busy_seconds, 4) for worker in self._workers
-                ],
-                "async_chunks_processed": [
-                    worker.chunks_processed for worker in self._workers
-                ],
+                "async_worker_busy_seconds": [round(self._worker.busy_seconds, 4)],
+                "async_chunks_processed": [self._worker.chunks_processed],
             }
         )
         return stats
@@ -445,6 +381,6 @@ class AsyncIngestor:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"AsyncIngestor({type(self.target).__name__}, "
-            f"workers={len(self._workers)}, buffer={self.buffer_chunks}, "
+            f"buffer={self.buffer_chunks}, "
             f"chunks={self.chunks_submitted})"
         )

@@ -116,9 +116,9 @@ def route_rows(
     index, or ``-1`` for a broadcast tuple.
 
     This is *the* routing rule — the chunk splitter behind
-    :meth:`ShardedIngestor.partition` (serial and pool wire paths alike) and
-    the rebalancer's plan simulation both resolve shards through this one
-    helper, and :meth:`ShardedIngestor.shard_of` applies the same
+    :meth:`ShardedIngestor.partition` (serial and pool wire paths alike)
+    resolves shards through this one helper, and
+    :meth:`ShardedIngestor.shard_of` applies the same
     :func:`stable_shard_hash` to a single row, so they cannot drift.
 
     ``pairs`` are ``(relation, row_tuple)`` items; ``getters`` maps the
@@ -254,11 +254,7 @@ class ShardedIngestor:
             ],
             chunk_size=chunk_size,
             router=self._route,
-            after_chunk=[
-                lambda items, parts: self.note_chunk(
-                    len(items), sum(map(len, parts))
-                )
-            ],
+            after_chunk=[self._count_chunk],
         )
         # Projection getters for the relations that carry the partition
         # attribute; every other relation is broadcast.
@@ -267,10 +263,6 @@ class ShardedIngestor:
             for schema in query.relations
             if self.partition_attr in schema.attr_set
         }
-        # Stream-order shard assignments of the most recently *delivered*
-        # chunk (see take_last_assignments) — lets the rebalancing planner
-        # reuse routing work instead of re-hashing the window.
-        self._last_assignments: Optional[List[int]] = None
         self.tuples_ingested = 0
         self.batches_ingested = 0
         self.broadcast_deliveries = 0
@@ -281,10 +273,6 @@ class ShardedIngestor:
         self.relation_deliveries: Dict[str, int] = {
             name: 0 for name in query.relation_names
         }
-        # Set by drivers that bypass the per-chunk barrier (the async
-        # transport): the critical-path accumulator is then meaningless and
-        # statistics() reports it as None instead of a misleading figure.
-        self.timing_incomplete = False
         self._counts: Optional[List[int]] = None
         # The persistent worker-pool runtime (start_pool/close_pool): while
         # live, every shard replica resides in its worker process and all
@@ -301,25 +289,16 @@ class ShardedIngestor:
     # Shards share no state, so the wall clock of a one-worker-per-shard
     # deployment is, per chunk, the partitioning cost plus the *slowest*
     # shard's sub-chunk.  The engine accumulates exactly that; these views
-    # keep the historical names (and stay writable, because the async
-    # transport driver adds its own measurements into them).
+    # keep the historical names.
     @property
     def partition_seconds(self) -> float:
         """Cumulative cost of hash-partitioning chunks across the shards."""
         return self._engine.route_seconds
 
-    @partition_seconds.setter
-    def partition_seconds(self, value: float) -> None:
-        self._engine.route_seconds = value
-
     @property
     def critical_path_seconds(self) -> float:
         """Per-chunk partitioning cost + slowest shard, accumulated."""
         return self._engine.critical_path_seconds
-
-    @critical_path_seconds.setter
-    def critical_path_seconds(self, value: float) -> None:
-        self._engine.critical_path_seconds = value
 
     @property
     def shard_busy_seconds(self) -> List[float]:
@@ -355,8 +334,8 @@ class ShardedIngestor:
         wrong arity → ``ValueError``) so a failed call leaves every shard
         untouched.  Broadcast tuples appear in every shard's sub-batch.
         Side-effect-free: inspecting routing never advances any counter —
-        the delivery points (:meth:`ingest_batch`, :meth:`ingest_parallel`,
-        the async transport driver) use :meth:`_route` instead.
+        the delivery points (the serial and pool paths of
+        :meth:`ingest_batch`) use :meth:`_route` instead.
         """
         return self._split(items, count=False)
 
@@ -365,8 +344,7 @@ class ShardedIngestor:
 
         The internal delivery point: tuples routed through here are being
         *delivered* to shards, so the per-relation observability counters
-        advance exactly once per stream tuple (and the chunk's shard
-        assignments are recorded for :meth:`take_last_assignments`).
+        advance exactly once per stream tuple.
         """
         return self._split(items, count=True)
 
@@ -389,7 +367,6 @@ class ShardedIngestor:
         """
         pairs: List[Tuple[str, Tuple]] = []
         payloads: List[object] = []
-        has_deletes = False
         for item in items:
             if isinstance(item, StreamTuple):
                 pair = (item.relation, item.row)
@@ -397,7 +374,6 @@ class ShardedIngestor:
             elif isinstance(item, StreamDelete):
                 pair = (item.relation, item.row)
                 payloads.append(item)
-                has_deletes = True
             else:
                 relation, row = item
                 pair = (relation, tuple(row))
@@ -409,9 +385,6 @@ class ShardedIngestor:
             deliveries = self.relation_deliveries
             for relation, _ in pairs:
                 deliveries[relation] += 1
-            # Mixed chunks carry retractions the rebalancing planner has no
-            # move semantics for; never hand it their assignments.
-            self._last_assignments = None if has_deletes else assignments
         parts: List[List[Tuple[str, Tuple]]] = [[] for _ in range(self.num_shards)]
         for payload, assignment in zip(payloads, assignments):
             if assignment < 0:
@@ -420,20 +393,6 @@ class ShardedIngestor:
             else:
                 parts[assignment].append(payload)
         return parts
-
-    def take_last_assignments(self) -> Optional[List[int]]:
-        """Stream-order shard assignments of the last delivered chunk.
-
-        One entry per stream tuple of the chunk most recently routed through
-        a delivery point (``-1`` marks a broadcast tuple), or ``None`` when
-        no delivery happened since the previous take.  Consumed — cleared on
-        read — so a caller can never mistake a stale chunk's routing for the
-        current one.  This is how :class:`~repro.ingest.rebalance
-        .RebalancingIngestor` reuses delivery-time routing during planning
-        instead of re-hashing its whole window.
-        """
-        assignments, self._last_assignments = self._last_assignments, None
-        return assignments
 
     # ------------------------------------------------------------------ #
     # The worker-pool runtime
@@ -487,7 +446,7 @@ class ShardedIngestor:
 
         With ``sync=True`` (the default) the workers are drained first and
         their final replica states are adopted back into this process —
-        serial ingestion, ``stored_rows`` and rebalancing then continue
+        serial ingestion and in-process reads of the replicas then continue
         seamlessly from everything the pool ingested.  ``sync=False`` skips
         the adoption (the in-process replicas keep their pre-pool state):
         the cleanup path for a poisoned pool, or for throwaway runs that
@@ -554,7 +513,7 @@ class ShardedIngestor:
             if part:
                 lane.chunks_applied += 1
                 lane.tuples_applied += len(part)
-        # Dispatch the engine's boundary hooks (the first is the note_chunk
+        # Dispatch the engine's boundary hooks (the first is the counter
         # roll-up registered at construction) so pool-fed chunks fire the
         # same chunk-boundary seam as serial dispatch — epoch cuts and timer
         # checkpoints observe pool ingestion too.
@@ -581,18 +540,13 @@ class ShardedIngestor:
             return self._pool_ingest_batch(list(items))
         return self._engine.ingest_batch(items)
 
-    def note_chunk(self, tuples: int, deliveries: int) -> None:
-        """Record one ingested chunk's counters and invalidate count caches.
-
-        The tail half of :meth:`ingest_batch`, exposed so transport drivers
-        that route sub-chunks to the per-shard :class:`BatchIngestor` objects
-        themselves (e.g. :class:`~repro.ingest.pipeline.AsyncIngestor`'s
-        per-shard workers) keep this ingestor's global counters and the
-        cached exact counts consistent.
-        """
+    def _count_chunk(self, items: List, parts: List[List]) -> None:
+        """The first chunk-boundary hook: roll up one ingested chunk's
+        counters and invalidate the cached exact counts."""
+        tuples = len(items)
         self.tuples_ingested += tuples
         self.batches_ingested += 1
-        self.broadcast_deliveries += deliveries - tuples
+        self.broadcast_deliveries += sum(map(len, parts)) - tuples
         self._counts = None
 
     def ingest(self, stream: Iterable[StreamTuple]) -> "ShardedIngestor":
@@ -687,7 +641,6 @@ class ShardedIngestor:
                 "broadcast_deliveries": self.broadcast_deliveries,
                 "relation_deliveries": dict(self.relation_deliveries),
             },
-            "timing_incomplete": self.timing_incomplete,
             "parallel_wall_seconds": self.parallel_wall_seconds,
         }
 
@@ -723,9 +676,6 @@ class ShardedIngestor:
         ingestor.batches_ingested = counters["batches_ingested"]
         ingestor.broadcast_deliveries = counters["broadcast_deliveries"]
         ingestor.relation_deliveries = dict(counters["relation_deliveries"])
-        # An async transport may have driven this ingestor barrier-less; the
-        # restored instance must keep suppressing the critical-path figure.
-        ingestor.timing_incomplete = state["timing_incomplete"]
         # Absent in pre-pool checkpoints, which never measured it.
         ingestor.parallel_wall_seconds = state.get("parallel_wall_seconds", 0.0)
         return ingestor
@@ -738,8 +688,7 @@ class ShardedIngestor:
         is bound to the shard count it was written under (the hash routing
         and every shard-local reservoir depend on it), so a mismatch raises
         :class:`~repro.ingest.checkpoint.CheckpointMismatchError` — state is
-        never silently rehashed into a different layout.  Re-partitioning
-        is a rebalancing operation on a *live* ingestor, not a restore.
+        never silently rehashed into a different layout.
         """
         document = CODEC.load(path, expected_kind="sharded")
         state = document["state"]
@@ -748,8 +697,7 @@ class ShardedIngestor:
                 f"checkpoint was written with {state['num_shards']} shards "
                 f"and cannot be restored into {num_shards}; a checkpoint is "
                 "bound to its shard layout (restoring would silently rehash "
-                "every partition) — restore with the saved layout, then "
-                "re-partition through repro.ingest.rebalance"
+                "every partition) — restore with the saved layout"
             )
         return cls.from_snapshot(state)
 
@@ -814,7 +762,7 @@ class ShardedIngestor:
         return sum(self.shard_counts())
 
     # ------------------------------------------------------------------ #
-    # Rebalancing hooks
+    # Load observability
     # ------------------------------------------------------------------ #
     def shard_loads(self) -> List[int]:
         """Stream tuples delivered per shard so far (O(1) observability).
@@ -830,62 +778,15 @@ class ShardedIngestor:
     def load_imbalance(self) -> float:
         """Hottest shard's load over the mean load (1.0 = perfectly even).
 
-        The O(1) skew signal :class:`~repro.ingest.rebalance.SkewMonitor`
-        polls at chunk boundaries; loads count delivered stream tuples
-        (broadcast replicas included), which is what the per-shard workers
-        actually pay for.
+        An O(1) skew signal, safe to poll at every chunk boundary; loads
+        count delivered stream tuples (broadcast replicas included), which
+        is what the per-shard workers actually pay for.
         """
         loads = self.shard_loads()
         total = sum(loads)
         if total == 0:
             return 1.0
         return max(loads) * self.num_shards / total
-
-    def stored_rows(self) -> Dict[str, List[tuple]]:
-        """The deduplicated *global* relation state, reassembled from shards.
-
-        For a partitioned relation every stored row lives in exactly one
-        shard, so concatenating the shard-local rows (in shard order)
-        re-creates the global set; broadcast relations are replicated
-        identically everywhere, so shard 0's copy is the global set.  This is
-        the replay source for rebalancing: re-ingesting exactly these rows
-        into fresh replicas reproduces the same join state under any new
-        partitioning (duplicates never reach a reservoir, so the
-        deduplicated state is distribution-equivalent to the raw stream).
-
-        Requires replicas exposing ``index.database`` (the default
-        :class:`~repro.core.reservoir_join.ReservoirJoin` does).  While a
-        worker pool is live the relation state resides in the worker
-        processes — call :meth:`close_pool` first to adopt it back rather
-        than silently shipping whole relations over IPC.
-        """
-        if self.pool_active:
-            raise RuntimeError(
-                "the shard-local relation state lives in the pool's worker "
-                "processes; call close_pool() to adopt the worker state "
-                "back into this process, then read stored_rows()"
-            )
-        rows: Dict[str, List[tuple]] = {}
-        broadcast = set(self.broadcast_relations)
-        for name in self.query.relation_names:
-            if name in broadcast:
-                rows[name] = list(self._shard_relation_rows(0, name))
-            else:
-                merged: List[tuple] = []
-                for shard in range(self.num_shards):
-                    merged.extend(self._shard_relation_rows(shard, name))
-                rows[name] = merged
-        return rows
-
-    def _shard_relation_rows(self, shard: int, relation: str) -> List[tuple]:
-        sampler = self.samplers[shard]
-        index = getattr(sampler, "index", None)
-        if index is None:
-            raise TypeError(
-                f"{type(sampler).__name__} does not expose a dynamic index; "
-                "rebalancing needs the shard-local relation state"
-            )
-        return index.database[relation].rows
 
     def merged_sample(
         self, k: Optional[int] = None, rng: Optional[random.Random] = None
@@ -956,10 +857,7 @@ class ShardedIngestor:
         dispatch uses (``critical_path_seconds`` = per chunk, routing cost
         + slowest worker).  Mid-flight reads fold whatever acks have
         arrived; any drain point (``merged_sample``, ``snapshot_state``,
-        ``ingest_parallel``'s return) makes them exact.  An async transport
-        driver sets ``timing_incomplete`` — shards then run ahead of each
-        other with no per-chunk barrier, so ``shard_busy_seconds`` and
-        ``partition_seconds`` stay real but no critical path exists.
+        ``ingest_parallel``'s return) makes them exact.
         """
         if self.pool_active:
             self._pool.collect()
@@ -976,11 +874,7 @@ class ShardedIngestor:
             "relation_deliveries": dict(self.relation_deliveries),
             "load_imbalance": round(self.load_imbalance(), 4),
             "partition_seconds": round(self.partition_seconds, 4),
-            "critical_path_seconds": (
-                None
-                if self.timing_incomplete
-                else round(self.critical_path_seconds, 4)
-            ),
+            "critical_path_seconds": round(self.critical_path_seconds, 4),
             "shard_busy_seconds": [round(s, 4) for s in self.shard_busy_seconds],
             "parallel": self.pool_active,
             "parallel_wall_seconds": round(self.parallel_wall_seconds, 4),

@@ -3,7 +3,7 @@
 The paper's whole point is that reservoir maintenance makes ``sample(k)``
 answerable *at any moment during the stream*.  This module is that moment's
 front door: one writer drives any live ingestor (batch / sharded /
-rebalancing / async) chunk by chunk, and many concurrent readers draw
+fan-out / async) chunk by chunk, and many concurrent readers draw
 samples that are never torn and always exactly uniform.
 
 Snapshot epochs
@@ -122,7 +122,7 @@ class EpochSnapshot:
     ) -> List[dict]:
         """A uniform sample of the join results of this epoch's prefix.
 
-        Sharded/rebalancing replicas draw a fresh merged sample
+        Sharded replicas draw a fresh merged sample
         (hypergeometric allocation over the frozen shard reservoirs);
         batch-style replicas return the frozen reservoir itself when ``k``
         is ``None`` or at least the reservoir size (bit-identical to a

@@ -23,12 +23,7 @@ the two properties the sharded/bulk refactor must preserve:
     ``insert`` — the bulk path degenerates exactly, not just
     distributionally.
 
-(c) **Rebalancing preserves (a) through a triggered rebalance.**  On a
-    skewed stream that provably trips the ``SkewMonitor``, the
-    ``RebalancingIngestor``'s replay must leave ``merged_sample`` drawing
-    from exactly the unsharded result set (over-sized reservoir check) and
-    uniformly over it (chi-square) — the replay invariant of
-    ``repro.ingest.rebalance``, at the chunk boundary after the switch.
+(c) Unassigned, so the sections below keep the letters docs and CI cite.
 
 (d) **Fan-out ≡ standalone, per backend, bit for bit.**  Every backend of a
     ``FanoutIngestor`` must end the stream in exactly the state a
@@ -39,16 +34,13 @@ the two properties the sharded/bulk refactor must preserve:
     change.
 
 (e) **Checkpoint/restore resumes bit-identically.**  For every durable
-    ingestor — batched acyclic, cyclic, sharded, fan-out, and the two
-    wrappers (skew-aware rebalancing and the draining async pipeline) —
-    ingesting a prefix, saving a checkpoint, restoring it (through the
+    ingestor — batched acyclic, cyclic, sharded, fan-out, and the draining
+    async pipeline wrapper — ingesting a prefix, saving a checkpoint, restoring it (through the
     on-disk codec) and ingesting the suffix must end in exactly the state
     of an uninterrupted run under the same seed: same reservoirs in order,
     same statistics, same merged samples.  Durability is a transport
     concern, never a distribution change — the restored RNG continues the
-    exact random stream the uninterrupted run consumes.  (One deliberate
-    exception: ``RebalanceEvent`` records embed wall-clock planning/replay
-    timings, so event *lists* are compared by count, never by value.)
+    exact random stream the uninterrupted run consumes.
 
 (f) **Realistic workload schemas survive ``chunk_stream`` at any chunk
     size.**  The TPC-DS and LDBC workload streams, cut at chunk sizes
@@ -82,11 +74,9 @@ from repro import (
     CyclicReservoirJoin,
     FanoutIngestor,
     JoinQuery,
-    RebalancingIngestor,
     ReservoirJoin,
     SampleServer,
     ShardedIngestor,
-    SkewMonitor,
     StreamTuple,
 )
 from repro import SJoin
@@ -267,81 +257,6 @@ def test_count_results_matches_enumeration_on_random_cases(case_seed):
 
 
 # ---------------------------------------------------------------------- #
-# (c) Rebalancing preserves the sharded ≡ unsharded property
-# ---------------------------------------------------------------------- #
-def skewed_chain_case(rng: random.Random) -> Tuple[JoinQuery, List[StreamTuple]]:
-    """A chain-3 query with a stream hot enough to trip the skew monitor."""
-    query = JoinQuery.from_spec(
-        "chain-3", {"R1": ["x1", "x2"], "R2": ["x2", "x3"], "R3": ["x3", "x4"]}
-    )
-    domain = rng.choice([4, 5])
-    stream = []
-    for i in range(600):
-        relation = ("R1", "R2", "R3")[i % 3]
-        hot = 0 if rng.random() < 0.7 else rng.randrange(1, domain)
-        if relation == "R1":
-            row = (rng.randrange(domain), hot)
-        elif relation == "R2":
-            row = (hot, rng.randrange(domain))
-        else:
-            row = (rng.randrange(domain), rng.randrange(domain))
-        stream.append(StreamTuple(relation, row))
-    return query, stream
-
-
-def rebalancing_ingestor(query: JoinQuery, k: int, seed: int) -> RebalancingIngestor:
-    return RebalancingIngestor(
-        query,
-        k=k,
-        num_shards=4,
-        chunk_size=64,
-        monitor=SkewMonitor(threshold=1.25, min_tuples=128, cooldown_chunks=2),
-        rng=random.Random(seed),
-    )
-
-
-@pytest.mark.parametrize("case_seed", [17, 41, 83])
-def test_rebalance_preserves_the_exact_result_set(case_seed):
-    """Over-sized reservoirs: post-rebalance merged sample == ground truth."""
-    rng = random.Random(case_seed)
-    query, stream = skewed_chain_case(rng)
-    truth = ground_truth_keys(query, stream)
-    assert len(truth) > 8
-    ingestor = rebalancing_ingestor(query, k=len(truth) + 5, seed=1)
-    ingestor.ingest(stream)
-    assert ingestor.rebalances, "the skewed stream must trigger a rebalance"
-    assert ingestor.total_results() == len(truth)
-    assert {result_key(r) for r in ingestor.merged_sample()} == truth
-
-
-@pytest.mark.parametrize("case_seed", [23, 67])
-def test_post_rebalance_merged_sample_uniform(case_seed):
-    """Chi-square: merged_sample(k) stays uniform after a triggered rebalance.
-
-    The trigger and the adopted plan depend only on the stream and the
-    stable hash — never on the sampler RNG — so every trial rebalances
-    identically and the inclusion counts are i.i.d. across trials.
-    """
-    rng = random.Random(case_seed)
-    query, stream = skewed_chain_case(rng)
-    universe = ground_truth(query, stream)
-    if len(universe) < 8:
-        pytest.skip("degenerate random instance (join too small)")
-    k = max(3, len(universe) // 8)
-
-    def run_one(seed):
-        ingestor = rebalancing_ingestor(query, k=k, seed=seed)
-        ingestor.ingest(stream)
-        assert ingestor.rebalances, "every trial must exercise the replay path"
-        sample = ingestor.merged_sample()
-        assert len(sample) == min(k, len(universe))
-        return sample
-
-    p_value = uniformity_p_value(run_one, universe, TRIALS, k)
-    assert p_value > P_THRESHOLD, f"post-rebalance rejected: p={p_value:.5f}"
-
-
-# ---------------------------------------------------------------------- #
 # (d) Fan-out backends ≡ standalone runs, bit for bit, and uniform
 # ---------------------------------------------------------------------- #
 FANOUT_FACTORIES = {
@@ -515,38 +430,6 @@ def test_checkpointed_fanout_bit_identical(case_seed, tmp_path):
             resumed.backend(name).statistics()
             == uninterrupted.backend(name).statistics()
         ), name
-
-
-@pytest.mark.parametrize("case_seed", [17, 41, 83])
-def test_checkpointed_rebalancing_ingest_bit_identical(case_seed, tmp_path):
-    """The rebalancing wrapper resumes exactly: monitor counters, the replay
-    window, the planning RNG and the inner sharded state all round-trip, so
-    post-restore replans fire identically and the merged draw continues the
-    exact random stream.  RebalanceEvents embed wall-clock timings, so the
-    event lists are compared by count only."""
-    rng = random.Random(case_seed)
-    query, stream = skewed_chain_case(rng)
-    chunks = _chunks_of(stream, 64)
-    cut = rng.randrange(1, len(chunks))
-
-    uninterrupted = rebalancing_ingestor(query, k=6, seed=case_seed + 1)
-    _drive(uninterrupted, chunks)
-    assert uninterrupted.rebalances, "the skewed stream must trigger a rebalance"
-
-    interrupted = rebalancing_ingestor(query, k=6, seed=case_seed + 1)
-    _drive(interrupted, chunks[:cut])
-    path = tmp_path / "ckpt"
-    interrupted.save(path)
-    resumed = RebalancingIngestor.restore(path)
-    _drive(resumed, chunks[cut:])
-
-    assert len(resumed.rebalances) == len(uninterrupted.rebalances)
-    assert resumed.plans_attempted == uninterrupted.plans_attempted
-    assert resumed.inner.partition_attr == uninterrupted.inner.partition_attr
-    for restored, reference in zip(resumed.inner.samplers, uninterrupted.inner.samplers):
-        assert restored.sample == reference.sample
-    # The restored planning/merge RNG continues exactly.
-    assert resumed.merged_sample() == uninterrupted.merged_sample()
 
 
 @pytest.mark.parametrize("case_seed", [12, 37])

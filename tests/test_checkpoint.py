@@ -18,6 +18,7 @@ from typing import List
 import pytest
 
 from repro import (
+    AsyncIngestor,
     BatchIngestor,
     CheckpointCorruptError,
     CheckpointError,
@@ -142,17 +143,25 @@ class TestRestoreGuards:
         assert ShardedIngestor.restore(path).num_shards == 3
         assert ShardedIngestor.restore(path, num_shards=3).num_shards == 3
 
-    def test_sharded_restore_preserves_timing_incomplete(self, tmp_path):
-        # An async transport drives shards barrier-less, so the live ingestor
-        # suppresses the critical-path figure; the restored one must too.
-        path = tmp_path / "s.ckpt"
+    def test_sharded_snapshot_with_a_retired_key_restores(self):
+        # Older sharded checkpoints carry keys from_snapshot no longer
+        # reads; they restore, and the critical path is always a figure.
         ingestor = ShardedIngestor(chain3(), k=4, num_shards=2, rng=random.Random(19))
         ingestor.ingest(chain3_stream(40))
-        ingestor.timing_incomplete = True
-        ingestor.save(path)
-        restored = ShardedIngestor.restore(path)
-        assert restored.timing_incomplete is True
-        assert restored.statistics()["critical_path_seconds"] is None
+        state = ingestor.snapshot_state()
+        state["retired_flag"] = True
+        restored = ShardedIngestor.from_snapshot(state)
+        assert restored.shard_samples() == ingestor.shard_samples()
+        assert restored.statistics()["critical_path_seconds"] >= 0.0
+
+    @pytest.mark.parametrize(
+        "ingestor_cls", [BatchIngestor, ShardedIngestor, FanoutIngestor, AsyncIngestor]
+    )
+    def test_retired_rebalancing_kind_is_rejected(self, tmp_path, ingestor_cls):
+        path = tmp_path / "r.ckpt"
+        CODEC.dump(path, "rebalancing", {})
+        with pytest.raises(CheckpointMismatchError, match="rebalancing"):
+            ingestor_cls.restore(path)
 
     def test_sampler_restore_state_requires_fresh_sampler(self):
         query = chain3()
@@ -319,14 +328,28 @@ class TestLivePoolCheckpoint:
         ]
         resumed.close_pool()
 
-    def test_stored_rows_requires_closing_the_pool_first(self, tmp_path):
+    def test_stored_rows_requires_closing_the_pool_first(self):
+        stream = chain3_stream(80, seed=18)
+        serial = ShardedIngestor(
+            chain3(), k=4, num_shards=2, rng=random.Random(17)
+        ).ingest(stream)
+
         ingestor = ShardedIngestor(chain3(), k=4, num_shards=2, rng=random.Random(17))
-        ingestor.ingest_parallel(chain3_stream(80, seed=18))
-        with pytest.raises(RuntimeError, match="close_pool"):
-            ingestor.stored_rows()
+        ingestor.ingest_parallel(stream)
+        # While the pool is live the stored rows live in the worker
+        # processes; the in-process replicas keep their pre-pool state.
+        assert ingestor.pool_active
+        for sampler in ingestor.samplers:
+            for name in ("R1", "R2", "R3"):
+                assert not sampler.index.database[name].rows
+        # Closing the pool adopts the workers' relation state back.
         ingestor.close_pool()
-        rows = ingestor.stored_rows()
-        assert set(rows) == {"R1", "R2", "R3"}
+        for adopted, reference in zip(ingestor.samplers, serial.samplers):
+            for name in ("R1", "R2", "R3"):
+                assert sorted(adopted.index.database[name].rows) == sorted(
+                    reference.index.database[name].rows
+                )
+        assert sum(len(s.index.database["R2"].rows) for s in ingestor.samplers) > 0
 
 
 # --------------------------------------------------------------------- #

@@ -149,11 +149,10 @@ def test_fast_matrix_passes_with_exact_set_tiers(fast_report):
 
 
 def test_structural_skips_carry_reasons(fast_report):
-    for mode in ("sharded", "sharded-parallel", "rebalancing"):
+    for mode in ("sharded", "sharded-parallel"):
         cell = fast_report.cell("strings-predicate", mode)
         assert cell.status == "skip"
         assert "predicate" in cell.reason
-    assert fast_report.cell("graph-triangle", "rebalancing").status == "skip"
     # Cyclic scenarios shard serially through the custom factory — and now
     # ride the process-parallel pool too (built replica state crosses the
     # process boundary, never the factory callable).
@@ -170,7 +169,7 @@ def test_parallel_cells_assert_bit_identity(fast_report):
         assert cell.detail["bit_identical"] is True
 
 
-def test_checkpoint_column_covers_all_six_durable_modes(fast_report):
+def test_checkpoint_column_covers_all_five_durable_modes(fast_report):
     covered = set()
     for scenario in (s["name"] for s in fast_report.scenarios):
         cell = fast_report.cell(scenario, "checkpoint")
@@ -178,7 +177,7 @@ def test_checkpoint_column_covers_all_six_durable_modes(fast_report):
         assert cell.detail["cut_at_tuple"] % fast_report.config["chunk_size"] == 0
         covered.update(cell.detail["covered"])
     assert covered == {
-        "batch", "fanout", "async", "sharded", "rebalancing", "windowed"
+        "batch", "fanout", "async", "sharded", "windowed"
     }
 
 

@@ -1,9 +1,10 @@
 """Tests for the async pipelined transport (``repro.ingest.pipeline``).
 
-Covers the determinism contract (per-shard FIFO queues make async ingestion
-bit-identical to serial ingestion under equal seeds), backpressure on the
-bounded buffers, worker error propagation, the chunk-boundary drain
-guarantee, and the throttled chunk source.
+Covers the determinism contract (one FIFO queue in front of the target
+makes async ingestion bit-identical to serial ingestion under equal seeds),
+the single-worker topology, backpressure on the bounded buffer, worker
+error propagation, the chunk-boundary drain guarantee, and the throttled
+chunk source.
 """
 
 from __future__ import annotations
@@ -17,10 +18,8 @@ from repro import (
     AsyncIngestor,
     BatchIngestor,
     JoinQuery,
-    RebalancingIngestor,
     ReservoirJoin,
     ShardedIngestor,
-    SkewMonitor,
     StreamTuple,
 )
 from repro.relational.stream import ThrottledChunkSource, chunk_stream
@@ -55,8 +54,8 @@ class TestDeterminism:
         )
         with AsyncIngestor(target, chunk_size=64, buffer_chunks=2) as ingestor:
             ingestor.ingest(stream)
-        # Every shard queue is FIFO, so each replica consumed exactly the
-        # serial sub-chunk sequence: reservoirs match bit for bit.
+        # The queue is FIFO, so the target consumed exactly the serial chunk
+        # sequence: reservoirs match bit for bit.
         for async_sampler, serial_sampler in zip(target.samplers, serial.samplers):
             assert async_sampler.sample == serial_sampler.sample
         assert target.shard_counts() == serial.shard_counts()
@@ -73,18 +72,43 @@ class TestDeterminism:
             ingestor.ingest(stream)
             assert ingestor.sample == serial.sample
 
-    def test_rebalancing_target_single_worker(self, line3_query):
-        stream = line3_stream(600, seed=4)
-        target = RebalancingIngestor(
-            line3_query, k=20, num_shards=2, chunk_size=64,
-            monitor=SkewMonitor(threshold=1.2, min_tuples=200),
-            rng=random.Random(5),
+    def test_one_worker_thread_for_every_target(self, line3_query):
+        targets = [
+            ShardedIngestor(line3_query, k=5, num_shards=3, rng=random.Random(1)),
+            BatchIngestor(ReservoirJoin(line3_query, 5, rng=random.Random(2))),
+            ReservoirJoin(line3_query, 5, rng=random.Random(3)),
+        ]
+        for target in targets:
+            before = set(threading.enumerate())
+            ingestor = AsyncIngestor(target)
+            try:
+                assert set(threading.enumerate()) - before == {ingestor._worker.thread}
+                assert ingestor.statistics()["async_workers"] == 1
+            finally:
+                ingestor.close()
+
+    def test_pool_started_after_wrapping_receives_the_chunks(self, line3_query):
+        # Regression: a pool-less sharded target used to get per-shard
+        # threads bound to its in-process replicas, so a pool started after
+        # wrapping never saw a chunk and the merge read an empty pool.
+        stream = line3_stream(3000, seed=17, domain=40)
+        serial = ShardedIngestor(
+            line3_query, k=20, num_shards=2, chunk_size=64, rng=random.Random(18)
+        )
+        serial.ingest(stream)
+        target = ShardedIngestor(
+            line3_query, k=20, num_shards=2, chunk_size=64, rng=random.Random(18)
         )
         ingestor = AsyncIngestor(target, chunk_size=64)
-        assert ingestor.statistics()["async_workers"] == 1
-        with ingestor:
-            ingestor.ingest(stream)
-        assert target.tuples_ingested == 600
+        target.start_pool()
+        try:
+            with ingestor:
+                ingestor.ingest(stream)
+            assert target.tuples_ingested == 3000
+            assert target.total_results() == serial.total_results() > 0
+            assert target.shard_samples() == serial.shard_samples()
+        finally:
+            target.close_pool(sync=False)
 
     def test_merged_sample_drains_first(self, line3_query):
         stream = line3_stream(500, seed=6)
@@ -115,11 +139,10 @@ class TestBackpressure:
         assert stats["async_max_queue_depth"] <= 3
         assert stats["async_chunks_submitted"] == -(-2000 // 32)
         assert stats["async_tuples_submitted"] == 2000
-        assert sum(stats["async_chunks_processed"]) >= stats["async_chunks_submitted"]
-        # Shards run ahead of each other here: no per-chunk barrier exists,
-        # so the target reports no critical path — but busy/partition
-        # timing stays real (each worker owns its shard's slot).
-        assert stats["critical_path_seconds"] is None
+        assert stats["async_chunks_processed"] == [stats["async_chunks_submitted"]]
+        # The target's own ingest_batch ran every chunk, so its per-chunk
+        # accounting is complete: the critical path is a real figure.
+        assert stats["critical_path_seconds"] > 0
         assert sum(stats["shard_busy_seconds"]) > 0
         assert stats["partition_seconds"] > 0
 
@@ -128,17 +151,13 @@ class TestBackpressure:
             line3_query, k=10, num_shards=2, chunk_size=16, rng=random.Random(11)
         )
         gate = threading.Event()
-        originals = [ingestor.ingest_batch for ingestor in target.ingestors]
 
-        def slow(original):
-            def apply(part):
+        class Gated:
+            def ingest_batch(self, items):
                 gate.wait(timeout=10)
-                return original(part)
-            return apply
+                return target.ingest_batch(items)
 
-        for shard_ingestor, original in zip(target.ingestors, originals):
-            shard_ingestor.ingest_batch = slow(original)
-        ingestor = AsyncIngestor(target, chunk_size=16, buffer_chunks=2)
+        ingestor = AsyncIngestor(Gated(), chunk_size=16, buffer_chunks=2)
         try:
             done = threading.Event()
 
@@ -148,7 +167,7 @@ class TestBackpressure:
 
             thread = threading.Thread(target=producer, daemon=True)
             thread.start()
-            # Workers are gated, buffers are 2 chunks deep: the producer
+            # The worker is gated, the buffer is 2 chunks deep: the producer
             # must stall rather than finish.
             assert not done.wait(timeout=0.3)
             gate.set()
@@ -168,19 +187,22 @@ class TestBackpressure:
 # Validation and error propagation
 # ---------------------------------------------------------------------- #
 class TestErrors:
-    def test_bad_chunk_rejected_on_the_producer_thread(self, line3_query):
+    def test_bad_chunk_poisons_and_leaves_every_shard_untouched(self, line3_query):
         target = ShardedIngestor(
             line3_query, k=5, num_shards=2, rng=random.Random(13)
         )
-        with AsyncIngestor(target, chunk_size=16) as ingestor:
-            ingestor.submit([("R1", (1, 2))])
-            with pytest.raises(KeyError):
-                ingestor.submit([("NOPE", (1, 2))])
-            with pytest.raises(ValueError):
-                ingestor.submit([("R1", (1, 2, 3))])
+        ingestor = AsyncIngestor(target, chunk_size=16)
+        ingestor.submit([("R1", (1, 2))])
+        ingestor.submit([("NOPE", (1, 2))])
+        with pytest.raises(KeyError):
             ingestor.drain()
-        # Validation failed before enqueueing: no shard saw the bad chunks.
+        # Sticky, as for every other target: the next submit re-raises.
+        with pytest.raises(KeyError):
+            ingestor.submit([("R1", (3, 4))])
+        ingestor.close()
+        # The router validates the whole chunk before any shard mutates.
         assert target.tuples_ingested == 1
+        assert sum(target.shard_loads()) == 1
 
     def test_worker_error_is_sticky_and_poisons_sampling(self, line3_query):
         # A plain sampler validates inside the worker, not the producer.
@@ -221,7 +243,7 @@ class TestErrors:
                 raise RuntimeError("boom")
         # The error path still joins the workers: the bounded backlog is
         # fully absorbed and the target is quiescent for post-mortem reads.
-        assert all(not worker.thread.is_alive() for worker in ingestor._workers)
+        assert not ingestor._worker.thread.is_alive()
         assert target.tuples_ingested == 640
         assert sum(target.shard_loads()) >= 640
 

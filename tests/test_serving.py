@@ -17,12 +17,10 @@ from repro import (
     AsyncIngestor,
     BatchIngestor,
     PredicateStreamSampler,
-    RebalancingIngestor,
     ReservoirJoin,
     SampleServer,
     ServerFrontend,
     ShardedIngestor,
-    SkewMonitor,
     StreamTuple,
 )
 from repro.ingest.checkpoint import PeriodicCheckpointer
@@ -89,33 +87,6 @@ class TestBoundaryHooks:
             assert boundaries == [len(c) for c in chunks_of(stream)], (
                 "pool path" if parallel else "serial path"
             )
-
-    def test_rebalancing_hooks_survive_inner_swaps(self, line3_query):
-        # A stream hot on the default partition attribute (x2), so a replan
-        # actually fires mid-run while the hooks are registered.
-        rng = random.Random(3)
-        stream = []
-        for i in range(24 * CHUNK):
-            relation = ("R1", "R2", "R3")[i % 3]
-            hot = 0 if rng.random() < 0.7 else rng.randrange(1, 8)
-            if relation == "R1":
-                row = (rng.randrange(100), hot)
-            elif relation == "R2":
-                row = (hot, rng.randrange(8))
-            else:
-                row = (rng.randrange(8), rng.randrange(100))
-            stream.append(StreamTuple(relation, row))
-        ingestor = RebalancingIngestor(
-            line3_query, K, num_shards=2, chunk_size=CHUNK,
-            monitor=SkewMonitor(threshold=1.2, min_tuples=2 * CHUNK,
-                                cooldown_chunks=1),
-            rng=random.Random(5),
-        )
-        count = [0]
-        ingestor.add_boundary_hook(lambda items, parts: count.__setitem__(0, count[0] + 1))
-        ingestor.ingest(stream)
-        assert count[0] == len(chunks_of(stream))
-        assert ingestor.rebalances  # the swap actually happened under the hooks
 
     def test_async_hooks_fire_at_drain_points_only(self, line3_query, stream):
         target = BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)

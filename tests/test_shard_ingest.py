@@ -224,31 +224,6 @@ class TestIngestion:
         assert ingestor.merged_sample() == []
 
 
-class TestTakeLastAssignments:
-    def test_delivery_records_stream_order_assignments(self, line3_query):
-        ingestor = ShardedIngestor(
-            line3_query, k=10, num_shards=4, chunk_size=64, rng=random.Random(1)
-        )
-        chunk = line3_stream(line3_query, 48, seed=4, domain=40)
-        ingestor.ingest_batch(chunk)
-        recorded = ingestor.take_last_assignments()
-        assert recorded is not None and len(recorded) == len(chunk)
-        for item, assignment in zip(chunk, recorded):
-            expected = ingestor.shard_of(item.relation, item.row)
-            assert assignment == (-1 if expected is None else expected)
-
-    def test_cleared_on_read_and_not_set_by_partition(self, line3_query):
-        ingestor = ShardedIngestor(
-            line3_query, k=10, num_shards=4, chunk_size=64, rng=random.Random(1)
-        )
-        chunk = line3_stream(line3_query, 24, seed=5, domain=40)
-        ingestor.ingest_batch(chunk)
-        assert ingestor.take_last_assignments() is not None
-        assert ingestor.take_last_assignments() is None  # consumed
-        ingestor.partition(chunk)  # inspection, not delivery
-        assert ingestor.take_last_assignments() is None
-
-
 class TestMixedChunkRouting:
     """One stream-order loop routes inserts and retractions alike."""
 
@@ -301,13 +276,11 @@ class TestMixedChunkRouting:
             order = [payloads.index(payload) for payload in part]
             assert order == sorted(order)
         assert ingestor.relation_deliveries == {"R1": 0, "R2": 0, "R3": 0}
-        assert ingestor.take_last_assignments() is None
 
     def test_ingest_matches_surviving_rows_per_shard(self, line3_query):
         ingestor = self.make(line3_query)
         parts = ingestor.partition(self.CHUNK)
         ingestor.ingest_batch(self.CHUNK)
-        assert ingestor.take_last_assignments() is None  # never for mixed chunks
         assert ingestor.relation_deliveries == {"R1": 5, "R2": 4, "R3": 3}
         for sampler, part in zip(ingestor.samplers, parts):
             live = surviving_rows(part)

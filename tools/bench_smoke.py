@@ -41,9 +41,9 @@ BENCHMARKS = {
         "BENCH_shard_ingest.json",
         ("benchmark", "n_tuples", "modes", "speedup", "cyclic"),
     ),
-    "benchmarks/bench_rebalance.py": (
-        "BENCH_rebalance.json",
-        ("benchmark", "n_tuples", "modes", "speedup", "async_transport"),
+    "benchmarks/bench_async.py": (
+        "BENCH_async.json",
+        ("benchmark", "n_tuples", "async_transport"),
     ),
     "benchmarks/bench_fanout.py": (
         "BENCH_fanout.json",
