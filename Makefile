@@ -4,7 +4,7 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test test-smoke unit docs-check slow slow-smoke gauntlet gauntlet-smoke benchmark bench bench-smoke bench-fanout profile
+.PHONY: test test-smoke unit docs-check slow slow-smoke gauntlet gauntlet-smoke benchmark bench bench-smoke profile
 
 # The default invocation: the fast deterministic suite + executable docs.
 test: unit docs-check
@@ -55,20 +55,16 @@ bench:
 	python benchmarks/bench_batch_ingest.py
 	python benchmarks/bench_shard_ingest.py
 	python benchmarks/bench_async.py
-	python benchmarks/bench_fanout.py
 	python benchmarks/bench_gauntlet.py
 	python benchmarks/bench_serving.py
 	python benchmarks/bench_turnstile.py
-
-bench-fanout:
-	python benchmarks/bench_fanout.py
 
 # Profile-first workflow for the ingestion hot path: GC-paused wall times
 # plus cProfile hotspot tables for the batched and sharded ingestion modes.
 profile:
 	python tools/profile_hotpath.py
 
-# Tiny-N smoke of the seven seam benchmarks (REPRO_BENCH_SCALE=0.02, one
+# Tiny-N smoke of the six seam benchmarks (REPRO_BENCH_SCALE=0.02, one
 # repeat): asserts each still *executes and emits valid JSON* — imports,
 # streams, internal bit-identity/exact-count assertions, report schema.  No
 # speedup thresholds: per the bench-box convention, ratios are far too noisy

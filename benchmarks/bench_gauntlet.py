@@ -9,11 +9,8 @@ matrix.  Each cell carries
 * its equivalence **tier** and pass/fail/skip **status** — the run aborts
   with a non-zero exit if any cell fails, so a smoke run still gates on
   conformance;
-* the **serial wall clock** of one representative run, unredacted; and
-* the **critical path** where the mode's engine accounts one
-  (partitioning/broadcast cost + slowest lane per chunk) — the wall clock a
-  one-worker-per-lane deployment would see.  Per the 1-CPU bench-box
-  convention neither figure gates anything; both are reported raw so a
+* the **serial wall clock** of one representative run, unredacted.  Per
+  the 1-CPU bench-box convention it gates nothing; it is reported raw so a
   reader can recompute any ratio under their own deployment assumptions.
 
 ``REPRO_BENCH_SCALE`` shrinks the scenario streams *and* the chi-square
@@ -42,10 +39,9 @@ TRIALS = int(48 * SCALE)
 METHODOLOGY = (
     "Each cell asserts its mode's equivalence tier (bit-identical, "
     "exact-set+chi-square, or exact-set+determinism) against the scenario's "
-    "ground-truth universe, then reports the serial wall clock of one "
-    "representative run plus the engine-accounted critical path where the "
-    "mode has lanes. 1-CPU bench-box convention: no ratio is gated; walls "
-    "are raw."
+    "ground-truth universe, then reports the measured wall clock of one "
+    "representative run. 1-CPU bench-box convention: no ratio is gated; "
+    "walls are raw."
 )
 
 

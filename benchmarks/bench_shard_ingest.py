@@ -4,18 +4,15 @@ Acceptance benchmark for the sharded ingestion subsystem and the cyclic bulk
 path, on the same chain-3 workload as ``bench_batch_ingest.py``:
 
 * **Sharded** — a 4-shard :class:`repro.ShardedIngestor` against the
-  unsharded :class:`repro.BatchIngestor` fast path.  Shards share no mutable
-  state, so the headline figure is the *critical path*: partitioning cost
-  plus the slowest shard's ingestion time, i.e. the wall-clock of a
-  one-worker-per-shard deployment.  The single-thread serial total and the
-  measured steady-state ``ingest_parallel`` wall clock (persistent worker
-  pool started outside the timed region; spawn cost reported separately)
-  are reported alongside, so nothing is hidden: on a single-CPU box the
-  serial sharded total is *slower* than unsharded (broadcast relations are
-  replicated per shard); the subsystem pays off exactly when the shards
-  actually run in parallel.  Headline criterion: critical-path speedup
-  ≥ 1.5× with 4 shards; the pool's IPC tax (parallel wall over serial
-  sharded total) should stay near 1× on a single core.
+  unsharded :class:`repro.BatchIngestor` fast path.  The headline figure is
+  the measured steady-state ``ingest_parallel`` wall clock (persistent
+  worker pool started outside the timed region; spawn cost reported
+  separately) over the unsharded wall.  The single-thread serial sharded
+  total is reported alongside: it is *slower* than unsharded (broadcast
+  relations are replicated per shard), so the subsystem can only pay off
+  when the shards actually run in parallel on spare cores.  No sharding
+  target is set; the ratio is informational, and the pool's IPC tax (parallel wall
+  over serial sharded total) is reported with it.
 * **Cyclic bulk** — ``CyclicReservoirJoin.insert_batch`` (grouped bag-index
   updates + whole-batch skips) against the per-tuple cyclic path on the same
   stream.  Criterion: ≥ 2×.
@@ -34,7 +31,6 @@ import random
 import time
 from typing import Dict, List
 
-from repro.bench.harness import run_sampler_sharded
 from repro.core.reservoir_join import ReservoirJoin
 from repro.cyclic.cyclic_join import CyclicReservoirJoin
 from repro.ingest.batch import BatchIngestor
@@ -54,7 +50,6 @@ NUM_SHARDS = 4
 #: Repeats per mode; the *minimum* is reported (least-noise estimate).
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "3"))
 SEED = 2024
-TARGET_SPEEDUP_SHARDED = 1.5
 TARGET_SPEEDUP_CYCLIC = 2.0
 
 
@@ -106,31 +101,11 @@ def make_sharded(query: JoinQuery) -> ShardedIngestor:
     )
 
 
-def run_sharded_split(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
-    """One measured sharded run via the shared harness helper.
-
-    ``repro.bench.harness.run_sampler_sharded`` owns the methodology —
-    ordinary chunk-interleaved serial ingestion, then a shard-by-shard
-    replay whose slowest shard (plus partitioning) is the critical path a
-    one-worker-per-shard deployment would see.  GC is paused around it the
-    same way the other modes are timed.
-    """
-    gc.collect()
-    gc.disable()
-    try:
-        result = run_sampler_sharded(
-            "sharded", lambda: make_sharded(query), stream
-        )
-    finally:
-        gc.enable()
-    stats = result.statistics
-    return {
-        "partition_seconds": stats["partition_seconds"],
-        "shard_seconds": stats["shard_seconds"],
-        "critical_path_seconds": stats["critical_path_seconds"],
-        "serial_total_seconds": result.elapsed_seconds,
-        "shard_loads": stats["shard_tuples"],
-    }
+def run_sharded_serial(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
+    """One single-thread sharded run: every shard ingests in process."""
+    ingestor = make_sharded(query)
+    seconds = timed(lambda: ingestor.ingest(stream))
+    return {"seconds": seconds, "shard_loads": ingestor.shard_loads()}
 
 
 def run_sharded_parallel(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
@@ -147,12 +122,7 @@ def run_sharded_parallel(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
     ingestor.start_pool()
     try:
         wall = timed(lambda: ingestor.ingest_parallel(stream))
-        stats = ingestor.statistics()
-        return {
-            "wall": wall,
-            "startup": round(ingestor.pool_startup_seconds, 4),
-            "busy": [round(b, 4) for b in stats["shard_busy_seconds"]],
-        }
+        return {"wall": wall, "startup": round(ingestor.pool_startup_seconds, 4)}
     finally:
         ingestor.close_pool(sync=False)
 
@@ -187,29 +157,27 @@ def bench() -> Dict:
     probe = make_sharded(query)
     probe.ingest(stream)
     assert len(probe.merged_sample()) == min(SAMPLE_SIZE, probe.total_results())
-    # Serial splits and parallel pool runs are interleaved so each repeat
-    # yields a *paired* (serial, parallel) measurement under the same
-    # machine conditions — the overhead ratio is taken per pair, which
-    # cancels the frequency/thermal drift that a phase-separated min-vs-min
-    # comparison mixes in.  The first pool of a process also pays one-off
+    # Serial and parallel pool runs are interleaved so each repeat yields a
+    # *paired* (serial, parallel) measurement under the same machine
+    # conditions — the overhead ratio is taken per pair, which cancels the
+    # frequency/thermal drift that a phase-separated min-vs-min comparison
+    # mixes in.  The first pool of a process also pays one-off
     # fork/page-fault warm-up steady state never sees; min over repeats
     # drops it.
-    splits = []
+    serial_runs = []
     parallel_runs = []
     for _ in range(REPEATS):
-        splits.append(run_sharded_split(query, stream))
+        serial_runs.append(run_sharded_serial(query, stream))
         parallel_runs.append(run_sharded_parallel(query, stream))
-    best_split = min(splits, key=lambda s: s["critical_path_seconds"])
-    critical_path = best_split["critical_path_seconds"]
-    serial_total = min(s["serial_total_seconds"] for s in splits)
+    best_serial = min(serial_runs, key=lambda r: r["seconds"])
+    serial_total = best_serial["seconds"]
     best_parallel = min(parallel_runs, key=lambda r: r["wall"])
     parallel_wall = best_parallel["wall"]
     overhead = min(
-        p["wall"] / s["serial_total_seconds"]
-        for p, s in zip(parallel_runs, splits)
+        p["wall"] / s["seconds"] for p, s in zip(parallel_runs, serial_runs)
     )
 
-    sharded_speedup = unsharded / critical_path
+    sharded_speedup = unsharded / parallel_wall
     modes = [
         {
             "mode": "batched_unsharded",
@@ -218,28 +186,19 @@ def bench() -> Dict:
             "speedup": 1.0,
         },
         {
-            "mode": "sharded_critical_path",
-            "seconds": round(critical_path, 4),
-            "tuples_per_second": round(N_TUPLES / critical_path),
-            "speedup": round(sharded_speedup, 2),
-            "partition_seconds": round(best_split["partition_seconds"], 4),
-            "shard_seconds": [round(s, 4) for s in best_split["shard_seconds"]],
-            "shard_loads": best_split["shard_loads"],
-        },
-        {
             "mode": "sharded_serial_total",
             "seconds": round(serial_total, 4),
             "tuples_per_second": round(N_TUPLES / serial_total),
             "speedup": round(unsharded / serial_total, 2),
+            "shard_loads": best_serial["shard_loads"],
         },
         {
             "mode": "sharded_parallel_wall",
             "seconds": round(parallel_wall, 4),
             "tuples_per_second": round(N_TUPLES / parallel_wall),
-            "speedup": round(unsharded / parallel_wall, 2),
+            "speedup": round(sharded_speedup, 2),
             "cpu_count": os.cpu_count(),
             "pool_startup_seconds": best_parallel["startup"],
-            "worker_busy_seconds": best_parallel["busy"],
             "overhead_over_serial_total": round(overhead, 2),
         },
     ]
@@ -261,31 +220,23 @@ def bench() -> Dict:
         "repeats": REPEATS,
         "modes": modes,
         "speedup": round(sharded_speedup, 2),
-        "target_speedup": TARGET_SPEEDUP_SHARDED,
-        "meets_target": sharded_speedup >= TARGET_SPEEDUP_SHARDED,
         "methodology": (
-            "Shards are fully independent (no shared mutable state), so the "
-            "headline sharded figure is the critical path: partitioning cost "
-            "plus the slowest shard's ingestion time — the wall-clock of a "
-            f"{NUM_SHARDS}-worker deployment. The single-thread serial total "
-            "and the measured parallel wall clock on this machine "
-            f"(cpu_count={os.cpu_count()}) are reported unredacted alongside; "
-            "on a single-CPU box the serial sharded total exceeds the "
-            "unsharded time because broadcast relations are replicated per "
-            "shard. sharded_parallel_wall is a steady-state measurement of "
-            "the persistent shard worker pool: the pool (one long-lived "
-            "process per shard, sub-chunks pickled over one pipe each) is "
-            "started outside the timed region and its one-off spawn cost is "
-            "reported as pool_startup_seconds; the timed region is route + "
-            "scatter + worker ingestion + drain, which is what repeats per "
-            "stream. worker_busy_seconds is each worker's measured in-chunk "
-            "ingestion time, and overhead_over_serial_total is the parallel "
-            "wall divided by the serial sharded total, taken as the best of "
-            "per-repeat pairs measured back-to-back (serial and parallel "
-            "interleaved each repeat, so frequency/thermal drift cancels) — "
-            "the IPC tax, near 1x on a single CPU (workers timeshare the "
-            "core) and the number that lets >1-core machines show real "
-            "wall-clock wins."
+            "Every figure is a measured wall clock on this machine "
+            f"(cpu_count={os.cpu_count()}). The headline speedup is the "
+            "unsharded batched wall over sharded_parallel_wall, a "
+            "steady-state measurement of the persistent shard worker pool: "
+            "the pool (one long-lived process per shard, sub-chunks pickled "
+            "over one pipe each) is started outside the timed region and its "
+            "one-off spawn cost is reported as pool_startup_seconds; the "
+            "timed region is route + scatter + worker ingestion + drain, "
+            "which is what repeats per stream. sharded_serial_total is the "
+            "single-thread sharded wall; it exceeds the unsharded time "
+            "because broadcast relations are replicated per shard. "
+            "overhead_over_serial_total is the parallel wall divided by the "
+            "serial sharded total, taken as the best of per-repeat pairs "
+            "measured back-to-back (serial and parallel interleaved each "
+            "repeat, so frequency/thermal drift cancels) — the IPC tax net "
+            "of whatever the spare cores win back."
         ),
         "cyclic": {
             "n_tuples": N_TUPLES_CYCLIC,
@@ -312,11 +263,7 @@ def main() -> None:
             f"  {row['mode']:>22}: {row['seconds']:7.3f}s  "
             f"{row['tuples_per_second']:>9,} tuples/s  {row['speedup']:.2f}x"
         )
-    print(
-        f"critical-path speedup: {report['speedup']:.2f}x "
-        f"(target ≥ {report['target_speedup']}x, "
-        f"{'met' if report['meets_target'] else 'NOT met'})"
-    )
+    print(f"measured parallel-wall speedup: {report['speedup']:.2f}x")
     cyclic = report["cyclic"]
     print(
         f"cyclic bulk path: per-tuple {cyclic['per_tuple_seconds']:.3f}s vs "

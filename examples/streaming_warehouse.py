@@ -23,12 +23,12 @@ synopsis replicas (one per shard, parallelizable across workers) and
 recombines them with ``merged_sample`` — an *exactly* uniform sample of the
 global join, good for the same analytics.
 
-The third section fans the *same* click stream out to two consumers with
-one pass (:class:`repro.FanoutIngestor`): a freshness-tuned dashboard
-reservoir and a cyclic-pattern analytics sampler.  The stream is the
-expensive resource — transport, decoding, chunking — so it is paid once;
-each backend's reservoir is bit-identical to what a standalone run under
-its derived seed would have produced.
+The third section feeds the *same* click stream to two consumers in one
+pass: a freshness-tuned dashboard reservoir and a cyclic-pattern analytics
+sampler.  No special ingestor is needed — each chunk of one
+``chunk_stream`` pass is handed to every sampler through
+:func:`repro.core.backend.chunk_apply`, so each reservoir is bit-identical
+to what a standalone run under its own seed would have produced.
 
 The fourth section lets the feed *take things back*: a fraction of the
 fact tuples is later retracted — late corrections, erasure requests —
@@ -57,13 +57,13 @@ from collections import Counter
 from repro import (
     BatchIngestor,
     CyclicReservoirJoin,
-    FanoutIngestor,
     JoinQuery,
     ReservoirJoin,
     ShardedIngestor,
     StreamTuple,
     SymmetricHashJoinSampler,
 )
+from repro.core.backend import chunk_apply
 from repro.ingest import chunked
 from repro.workloads import tpcds
 
@@ -145,14 +145,14 @@ def main() -> None:
     print(f"  largest sharded estimation error: {worst_sharded:.1%}")
 
     # ------------------------------------------------------------------ #
-    # Fan-out: one stream pass, several consumers
+    # One stream pass, several consumers
     # ------------------------------------------------------------------ #
     # The same click feed, two consumers: the dashboard wants a small,
     # frequently-read reservoir over the chain join, and the analytics team
     # samples a *cyclic* pattern — sessions whose session/item/day loop
-    # closes.  Without fan-out each consumer pays its own pass over the
-    # stream; with it, delivery is paid once and each backend stays
-    # bit-identical to a standalone run under its derived seed.
+    # closes.  One pass cuts the feed into chunks and hands each chunk to
+    # both samplers; each stays bit-identical to a standalone run under its
+    # own seed.
     chain = JoinQuery.from_spec(
         "clicks", {"R1": ["session", "item"], "R2": ["item", "day"], "R3": ["day", "price"]}
     )
@@ -171,30 +171,26 @@ def main() -> None:
         }[relation]
         clicks.append(StreamTuple(relation, row))
 
-    fan = FanoutIngestor(chunk_size=CHUNK_SIZE, rng=random.Random(21))
-    fan.register("dashboard", lambda rng: ReservoirJoin(chain, k=50, rng=rng))
-    fan.register(
-        "analytics", lambda rng: CyclicReservoirJoin(cyclic_clicks, k=200, rng=rng)
-    )
-    fan.ingest(clicks)
-    fan_stats = fan.statistics()
-    print(f"\nfan-out over one click feed ({fan_stats['num_backends']} backends, "
-          f"{fan_stats['batches_ingested']} chunks delivered once):")
-    for name in fan.backend_names:
-        backend = fan_stats["backends"][name]
-        print(f"  {name:>10}: mode={backend['mode']}, "
-              f"sample size {len(fan.backend(name).sample)}, "
-              f"busy {backend['busy_seconds']:.3f}s")
-    print(f"  critical path (1 worker/backend):  "
-          f"{fan_stats['critical_path_seconds']:.3f}s")
+    consumers = {
+        "dashboard": ReservoirJoin(chain, k=50, rng=random.Random(21)),
+        "analytics": CyclicReservoirJoin(cyclic_clicks, k=200, rng=random.Random(22)),
+    }
+    applies = [chunk_apply(sampler)[0] for sampler in consumers.values()]
+    passes = 0
+    for chunk in chunked(clicks, CHUNK_SIZE):
+        for apply in applies:
+            apply(chunk)
+        passes += 1
+    print(f"\none pass over the click feed ({len(consumers)} consumers, "
+          f"{passes} chunks cut once):")
+    for name, sampler in consumers.items():
+        print(f"  {name:>10}: sample size {len(sampler.sample)}")
 
-    # The fan-out guarantee, demonstrated: the dashboard backend equals a
-    # standalone batched run under the recorded derived seed, bit for bit.
-    standalone = ReservoirJoin(
-        chain, k=50, rng=random.Random(fan.backend_seed("dashboard"))
-    )
+    # The guarantee, demonstrated: the dashboard sampler equals a standalone
+    # batched run under the same seed, bit for bit.
+    standalone = ReservoirJoin(chain, k=50, rng=random.Random(21))
     BatchIngestor(standalone, chunk_size=CHUNK_SIZE).ingest(clicks)
-    identical = fan.backend("dashboard").sample == standalone.sample
+    identical = consumers["dashboard"].sample == standalone.sample
     print(f"  dashboard == standalone rerun:     {identical}")
 
     # ------------------------------------------------------------------ #

@@ -44,14 +44,11 @@ Every sampler supports three interchangeable ways of consuming a stream:
   single-threaded workloads plain batched ingestion does strictly less work
   (broadcast relations are replicated per shard).
 
-* **Fan-out** — ``FanoutIngestor(chunk_size, rng)`` with
-  ``register(name, factory)`` per consumer.  One pass over the stream
-  delivers every chunk to all registered backends (acyclic, cyclic,
-  baseline, even sharded ingestors), each seeded independently from the
-  master RNG so its reservoir is bit-identical to a standalone run.  Choose
-  it when several consumers need their own synopsis of the *same* stream —
-  the pass is paid once, and with one worker per backend the wall clock is
-  the slowest backend instead of the sum.
+* **Several samplers, one pass** — no ingestor needed: for each chunk of
+  one ``chunk_stream(stream, chunk_size)`` pass, call
+  ``chunk_apply(backend)[0](chunk)`` (:mod:`repro.core.backend`) on every
+  backend.  Each backend sees exactly the chunks a standalone run would, so
+  under its own seed its reservoir is bit-identical to that run.
 
 * **Turnstile** — ``TurnstileReservoirJoin(query, k)``: the stream may
   *retract* tuples (``sampler.delete(relation, row)``, or
@@ -66,8 +63,8 @@ Every sampler supports three interchangeable ways of consuming a stream:
   a timestamp horizon with ``mode="timestamp"``) are retracted automatically
   at chunk boundaries.  Both conform to the same backend seam, so they
   compose with every mode below — sharded (retractions are hash-routed to
-  the owning shard; broadcast relations broadcast their deletes), fan-out,
-  async, checkpoint/restore and serving.  Use them for feeds with
+  the owning shard; broadcast relations broadcast their deletes), async,
+  checkpoint/restore and serving.  Use them for feeds with
   corrections/expirations; the insert-only samplers stay strictly faster on
   append-only streams.
 
@@ -86,7 +83,7 @@ boundaries — with per-subscriber predicate views and an asyncio front end
 (``ServerFrontend``) for bounded-staleness reader tasks.
 
 Long-running streams are durable: ``BatchIngestor``, ``ShardedIngestor``
-and ``FanoutIngestor`` expose ``save(path)`` / ``restore(path)`` — a
+and ``AsyncIngestor`` expose ``save(path)`` / ``restore(path)`` — a
 versioned, checksummed checkpoint (reservoirs, stored relation state, exact
 RNG state) from which a fresh process resumes *bit-identically* to an
 uninterrupted run (see :mod:`repro.ingest.checkpoint`).
@@ -96,8 +93,8 @@ All modes draw from exactly the same join-result distribution;
 
 See ``README.md`` for the decision table, ``docs/ARCHITECTURE.md`` for the
 uniformity arguments, ``examples/quickstart.py`` for a five-minute tour and
-``examples/streaming_warehouse.py`` for the batched/sharded/fan-out APIs
-in context.
+``examples/streaming_warehouse.py`` for the batched/sharded/multi-sampler
+APIs in context.
 """
 
 from .relational.query import JoinQuery
@@ -125,7 +122,6 @@ from .ingest.checkpoint import (
     PeriodicCheckpointer,
 )
 from .ingest.engine import IngestionEngine
-from .ingest.fanout import FanoutIngestor
 from .ingest.pipeline import AsyncIngestor
 from .ingest.pool import ShardWorkerPool, WorkerCrashError
 from .ingest.shard import ShardedIngestor
@@ -162,7 +158,6 @@ __all__ = [
     "ShardedIngestor",
     "ShardWorkerPool",
     "WorkerCrashError",
-    "FanoutIngestor",
     "AsyncIngestor",
     "CheckpointCodec",
     "CheckpointError",

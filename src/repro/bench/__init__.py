@@ -9,7 +9,6 @@ from .harness import (
     progress_run,
     run_sampler,
     run_sampler_batched,
-    run_sampler_sharded,
     run_with_timeout,
     speedup,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "progress_run",
     "run_sampler",
     "run_sampler_batched",
-    "run_sampler_sharded",
     "run_with_timeout",
     "speedup",
     "format_series",

@@ -80,79 +80,6 @@ def run_sampler_batched(
     return RunResult(name, elapsed, len(stream), ingestor.statistics())
 
 
-def run_sampler_sharded(name: str, factory, stream: Sequence[StreamTuple]) -> RunResult:
-    """Measure sharded ingestion: serial wall clock plus the per-shard split.
-
-    ``factory()`` must build a fresh :class:`~repro.ingest.shard
-    .ShardedIngestor`.  Two runs are measured:
-
-    * the ordinary chunk-interleaved :meth:`ingest` (reported as
-      ``elapsed_seconds`` — what one thread actually takes on this machine);
-    * a shard-by-shard replay on a second fresh ingestor, timing every
-      shard's sub-stream separately.  Shards share no state, so the replay
-      is semantically identical, and the slowest shard
-      (``critical_path_seconds``) is the wall-clock an ``S``-worker
-      deployment would see — the scale-out figure a single-core bench box
-      can still measure honestly.
-
-    The per-shard times, the critical path, and the partitioning cost are
-    merged into the result's statistics.
-    """
-    ingestor = factory()
-    start = time.perf_counter()
-    ingestor.ingest(stream)
-    serial_seconds = time.perf_counter() - start
-
-    probe = factory()
-    start = time.perf_counter()
-    parts = probe.partition(list(stream))
-    partition_seconds = time.perf_counter() - start
-    shard_seconds: List[float] = []
-    for shard_ingestor, part in zip(probe.ingestors, parts):
-        start = time.perf_counter()
-        shard_ingestor.ingest(part)
-        shard_seconds.append(time.perf_counter() - start)
-
-    statistics = ingestor.statistics()
-    statistics.update(
-        {
-            "serial_seconds": round(serial_seconds, 4),
-            "partition_seconds": round(partition_seconds, 4),
-            "shard_seconds": [round(s, 4) for s in shard_seconds],
-            "critical_path_seconds": round(max(shard_seconds) + partition_seconds, 4),
-        }
-    )
-    return RunResult(name, serial_seconds, len(stream), statistics)
-
-
-def run_ingestor_critical_path(
-    name: str, factory, stream: Sequence[StreamTuple]
-) -> RunResult:
-    """Measure any instrumented multi-lane ingestor in one serial pass.
-
-    ``factory()`` must build an ingestor whose ``statistics()`` report
-    ``critical_path_seconds`` — every engine-backed ingestor does:
-    :class:`~repro.ingest.shard.ShardedIngestor` accumulates, per chunk, the
-    partitioning cost plus the *slowest* shard's sub-chunk time, and
-    :class:`~repro.ingest.fanout.FanoutIngestor` the broadcast cost plus
-    the slowest backend (lanes share no state, so that sum is the wall
-    clock of a one-worker-per-lane deployment).  Unlike
-    :func:`run_sampler_sharded`'s replay methodology, the figure comes from
-    the ingestor's own per-chunk accounting in one pass.  It is a model;
-    a measured multi-worker wall must come from running the workers.
-
-    ``elapsed_seconds`` is the single-thread serial wall clock, reported
-    unredacted alongside the critical path in the statistics.
-    """
-    ingestor = factory()
-    start = time.perf_counter()
-    ingestor.ingest(stream)
-    serial_seconds = time.perf_counter() - start
-    statistics = dict(ingestor.statistics())
-    statistics["serial_seconds"] = round(serial_seconds, 4)
-    return RunResult(name, serial_seconds, len(stream), statistics)
-
-
 def run_sampler_pipelined(
     name: str, target_factory, chunks: Iterable, buffer_chunks: int = 8
 ) -> RunResult:

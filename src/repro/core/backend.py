@@ -19,9 +19,8 @@ Three layers of service:
   a given backend actually offers beyond the minimum: a bulk path, an
   ingestor-style ``ingest_batch``, exact result counting via a dynamic
   index, replica cloning via ``spawn``.
-* **Seed derivation** (:func:`derive_seed`) — the one rule every
-  multi-replica feature (sharding, fan-out) uses to
-  split a master RNG into independent per-replica RNGs, so replica
+* **Seed derivation** (:func:`derive_seed`) — the one rule sharding uses
+  to split a master RNG into independent per-replica RNGs, so replica
   randomness is reproducible and never shared.
 * **Durability** (:func:`snapshot_backend`, :func:`restore_backend`) — the
   one rule every checkpointing ingestor uses to capture and rebuild a
@@ -78,10 +77,11 @@ class SamplerBackend(Protocol):
         the reservoir uniform at the chunk boundary.
     ``index``
         A :class:`~repro.index.dynamic_index.DynamicJoinIndex`, enabling the
-        O(N) exact result count the sharded merge and fan-out accounting use.
+        O(N) exact result count the sharded merge uses.
     ``spawn(rng)``
         Replica cloning: a fresh, empty, identically configured sampler
-        driven by ``rng`` — what sharding and fan-out build replicas from.
+        driven by ``rng`` — what custom shard factories and the serving
+        layer's frozen predicate views build replicas from.
     ``snapshot_state()`` / ``restore_state(state)`` / ``from_snapshot(state)``
         Durability: a versioned, self-describing snapshot of the backend's
         complete resumable state (stored relation rows, reservoir contents,
@@ -135,8 +135,9 @@ def chunk_apply(backend) -> Tuple[Callable[[Sequence], object], str]:
     Probe order — the single dispatch rule every ingestor shares:
 
     1. ``ingest_batch`` (``mode='ingest_batch'``) — the backend is itself an
-       ingestor (a :class:`~repro.ingest.shard.ShardedIngestor`, a nested
-       fan-out, ...) and owns its own routing;
+       ingestor (a :class:`~repro.ingest.shard.ShardedIngestor`, a
+       :class:`~repro.ingest.batch.BatchIngestor`, ...) and owns its own
+       routing;
     2. ``insert_batch`` (``mode='insert_batch'``) — the sampler's bulk fast
        path;
     3. per-tuple ``insert`` loop (``mode='insert'``) — the universal
@@ -183,11 +184,25 @@ def _class_path(obj) -> str:
 
 
 def _load_class(path: str):
-    """Resolve a :func:`_class_path` string back to the class object."""
+    """Resolve a :func:`_class_path` string back to the class object.
+
+    A path this code base cannot resolve — the record names a retired class
+    or module — raises
+    :class:`~repro.ingest.checkpoint.CheckpointMismatchError` naming it.
+    """
     module_name, _, qualname = path.partition(":")
-    obj = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
+    try:
+        obj = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+    except (ImportError, AttributeError) as error:
+        from ..ingest.checkpoint import CheckpointMismatchError
+
+        raise CheckpointMismatchError(
+            f"snapshot record names {path}, which cannot be loaded here "
+            f"({error}): a retired ingestion mode or sampler, or a module "
+            "missing from this environment"
+        ) from None
     return obj
 
 
@@ -232,18 +247,21 @@ def restore_transport(payload: bytes) -> Dict[str, object]:
 def restore_backend(record: Dict[str, object]):
     """Rebuild a backend from a :func:`snapshot_backend` record.
 
-    ``codec='pickle'`` records simply unpickle.  ``codec='native'`` records
-    resolve the recorded class and hand the state to its ``from_snapshot``
-    classmethod (the constructor-shaped half of the snapshot capability);
-    a native-capable class without ``from_snapshot`` is a protocol
-    violation and raises ``TypeError``.
+    Either codec first resolves the recorded class, so a record naming a
+    class this version no longer has fails as
+    :class:`~repro.ingest.checkpoint.CheckpointMismatchError`.
+    ``codec='pickle'`` records then simply unpickle.  ``codec='native'``
+    records hand the state to the class's ``from_snapshot`` classmethod
+    (the constructor-shaped half of the snapshot capability); a
+    native-capable class without ``from_snapshot`` is a protocol violation
+    and raises ``TypeError``.
     """
     codec = record["codec"]
-    if codec == "pickle":
-        return pickle.loads(record["state"])
-    if codec != "native":
+    if codec not in ("pickle", "native"):
         raise ValueError(f"unknown backend snapshot codec {codec!r}")
     cls = _load_class(record["class"])
+    if codec == "pickle":
+        return pickle.loads(record["state"])
     from_snapshot = getattr(cls, "from_snapshot", None)
     if not callable(from_snapshot):
         raise TypeError(
@@ -258,8 +276,8 @@ def derive_seed(rng: random.Random) -> int:
 
     Every multi-replica feature derives its per-replica randomness through
     this single rule, so a run is reproducible from one master seed and two
-    replicas never share an RNG — the independence the uniformity arguments
-    of sharding and fan-out rely on.
+    replicas never share an RNG — the independence the uniformity argument
+    of sharding relies on.
     """
     return rng.getrandbits(SEED_BITS)
 

@@ -28,8 +28,8 @@ chunk sizes are distribution-equal, not bit-equal (mirroring the acyclic
 The adapter deliberately exposes **no** ``query`` and **no** ``index``:
 there is no join to hash-partition or count, so the sharded modes
 cannot host it (the workload gauntlet records those cells as structural
-skips).  Batched, async, fan-out (via ``spawn``) and checkpoint modes all
-apply.
+skips).  Batched, async and checkpoint modes all apply, and ``spawn``
+builds the replicas of the serving layer's predicate views.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ class PredicateStreamSampler:
         return stats
 
     # ------------------------------------------------------------------ #
-    # Replica cloning (the spawn capability; fan-out / custom shard use)
+    # Replica cloning (the spawn capability; custom shard factories use it)
     # ------------------------------------------------------------------ #
     def spawn(self, rng: Optional[random.Random] = None) -> "PredicateStreamSampler":
         """A fresh, empty, identically configured replica driven by ``rng``.

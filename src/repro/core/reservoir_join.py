@@ -183,11 +183,9 @@ class ReservoirJoin:
         """A fresh, empty, identically configured replica driven by ``rng``.
 
         The replica-cloning capability of the
-        :class:`~repro.core.backend.SamplerBackend` protocol:
-        :meth:`~repro.ingest.fanout.FanoutIngestor.register_replica` builds
-        per-backend samplers through this (and custom shard factories can),
-        handing each a derived RNG so replica randomness is independent and
-        reproducible.
+        :class:`~repro.core.backend.SamplerBackend` protocol: a custom
+        shard factory can build its replicas through this, handing each its
+        own RNG so replica randomness is independent and reproducible.
         """
         return ReservoirJoin(self.original_query, self.k, rng=rng, **self._config)
 

@@ -90,8 +90,8 @@ class TurnstileReservoirJoin(ReservoirJoin):
     inserts — per tuple (:meth:`delete`), per run (:meth:`delete_batch`) or
     mixed into chunks (:meth:`ingest_batch`, which the ingestion seam's
     :func:`~repro.core.backend.chunk_apply` probes first, so this sampler
-    composes under the batched, sharded, fan-out, async, checkpointing and
-    serving modes like any other backend).
+    composes under the batched, sharded, async, checkpointing and serving
+    modes like any other backend).
 
     Differences from the insert-only sampler:
 

@@ -7,12 +7,11 @@ ground-truth universe or against a reference run:
 ``bit-identical``
     The mode promises the same reservoir, bit for bit, as a reference
     serial run under equal seeds and chunking: async pipelining (one FIFO
-    queue in front of the target), fan-out (independently derived
-    per-backend seeds), process-parallel sharding (the persistent worker pool feeds each shard
-    replica the exact serial sub-chunk sequence from a snapshot of the
-    serial starting state), and mid-stream checkpoint-resume (exact RNG
-    state round trip).  The cell asserts list equality of the final
-    samples.
+    queue in front of the target), process-parallel sharding (the
+    persistent worker pool feeds each shard replica the exact serial
+    sub-chunk sequence from a snapshot of the serial starting state), and
+    mid-stream checkpoint-resume (exact RNG state round trip).  The cell
+    asserts list equality of the final samples.
 
 ``exact-set+chi-square``
     The mode promises the right *distribution*, not the same bits: the
@@ -72,7 +71,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..bench.harness import measure_seconds
 from ..core.turnstile import WindowedSampler
 from ..ingest.batch import BatchIngestor
-from ..ingest.fanout import FanoutIngestor
 from ..ingest.pipeline import AsyncIngestor
 from ..ingest.shard import ShardedIngestor
 from ..relational.stream import StreamDelete
@@ -93,7 +91,6 @@ MODES = (
     "sharded",
     "sharded-parallel",
     "async",
-    "fanout",
     "checkpoint",
     "served",
     "turnstile",
@@ -157,7 +154,6 @@ class CellResult:
     reason: Optional[str] = None        # skip reason or failure message
     p_value: Optional[float] = None
     serial_seconds: Optional[float] = None
-    critical_path_seconds: Optional[float] = None
     detail: Dict[str, object] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, object]:
@@ -169,7 +165,6 @@ class CellResult:
             "reason": self.reason,
             "p_value": self.p_value,
             "serial_seconds": self.serial_seconds,
-            "critical_path_seconds": self.critical_path_seconds,
             "detail": self.detail,
         }
 
@@ -379,7 +374,6 @@ class ModeMatrix:
         )
         statistics = ingestor.statistics()
         cell.serial_seconds = round(seconds, 4)
-        cell.critical_path_seconds = statistics.get("critical_path_seconds")
         cell.detail["load_imbalance"] = statistics.get("load_imbalance")
         return cell
 
@@ -444,9 +438,7 @@ class ModeMatrix:
                 )
         return CellResult(
             scenario.name, "sharded-parallel", "bit-identical", "pass",
-            p_value=p_value, serial_seconds=round(seconds, 4),
-            critical_path_seconds=statistics.get("critical_path_seconds"),
-            detail=detail,
+            p_value=p_value, serial_seconds=round(seconds, 4), detail=detail,
         )
 
     def _cell_async(self, scenario: Scenario) -> CellResult:
@@ -498,32 +490,6 @@ class ModeMatrix:
         return CellResult(
             scenario.name, "async", "bit-identical", "pass",
             serial_seconds=round(seconds, 4), detail=detail,
-        )
-
-    def _cell_fanout(self, scenario: Scenario) -> CellResult:
-        """Every fan-out backend is bit-identical to its standalone run."""
-        cfg = self.config
-        fan = FanoutIngestor(chunk_size=cfg.chunk_size, rng=random.Random(cfg.seed))
-        for name in ("alpha", "beta"):
-            fan.register(name, lambda rng: scenario.make_sampler(cfg.k, rng))
-        _, seconds = measure_seconds(lambda: fan.ingest(scenario.stream))
-        for name in ("alpha", "beta"):
-            standalone = scenario.make_sampler(
-                cfg.k, random.Random(fan.backend_seed(name))
-            )
-            BatchIngestor(standalone, chunk_size=cfg.chunk_size).ingest(
-                scenario.stream
-            )
-            if list(fan.backend(name).sample) != list(standalone.sample):
-                raise CellFailure(
-                    f"fan-out backend {name!r} differs from its standalone run"
-                )
-        statistics = fan.statistics()
-        return CellResult(
-            scenario.name, "fanout", "bit-identical", "pass",
-            serial_seconds=round(seconds, 4),
-            critical_path_seconds=statistics.get("critical_path_seconds"),
-            detail={"backends": 2},
         )
 
     def _prefix_universe(self, scenario: Scenario, consumed: int) -> List[dict]:
@@ -666,7 +632,7 @@ class ModeMatrix:
         """Save mid-stream, restore, finish: bit-identical to uninterrupted.
 
         Sub-checks cover every durable ingestor the scenario supports, so
-        across the matrix the checkpoint column exercises all five modes.
+        across the matrix the checkpoint column exercises all four modes.
         """
         cfg = self.config
         cut = self._checkpoint_boundary(scenario)
@@ -702,29 +668,6 @@ class ModeMatrix:
                 path,
                 finished,
             )
-
-        def fanout_check() -> None:
-            reference = FanoutIngestor(
-                chunk_size=cfg.chunk_size, rng=random.Random(cfg.seed)
-            )
-            reference.register("alpha", lambda rng: scenario.make_sampler(cfg.k, rng))
-            reference.ingest(scenario.stream)
-            path = os.path.join(tmp_dir, f"{scenario.name}-fanout.ckpt")
-
-            def build() -> FanoutIngestor:
-                fan = FanoutIngestor(
-                    chunk_size=cfg.chunk_size, rng=random.Random(cfg.seed)
-                )
-                fan.register("alpha", lambda rng: scenario.make_sampler(cfg.k, rng))
-                return fan
-
-            def finished(resumed: FanoutIngestor) -> None:
-                if list(resumed.backend("alpha").sample) != list(
-                    reference.backend("alpha").sample
-                ):
-                    raise CellFailure("fanout checkpoint-resume diverged")
-
-            roundtrip(FanoutIngestor, build, path, finished)
 
         def sharded_check() -> None:
             reference = self._make_sharded(scenario, cfg.k, cfg.seed)
@@ -797,7 +740,6 @@ class ModeMatrix:
             roundtrip(BatchIngestor, build, path, finished)
 
         check("batch", batch_check)
-        check("fanout", fanout_check)
         check("async", async_check)
         if scenario.query is not None and scenario.kind in ("acyclic", "turnstile"):
             check("sharded", sharded_check)
@@ -853,7 +795,6 @@ class ModeMatrix:
             "sharded": self._cell_sharded,
             "sharded-parallel": self._cell_parallel,
             "async": self._cell_async,
-            "fanout": self._cell_fanout,
             "served": self._cell_served,
             "turnstile": self._cell_turnstile,
         }

@@ -14,8 +14,7 @@ three layers instead of four sibling class hierarchies:
    ``getattr`` boilerplate.
 2. **The engine** (:mod:`repro.ingest.engine`): one shared
    :class:`IngestionEngine` owns chunk cutting, per-lane dispatch,
-   all-or-nothing routing-time validation, and honest critical-path
-   accounting (``route_seconds`` + slowest lane per chunk).
+   all-or-nothing routing-time validation and the delivery counters.
 3. **Policies and wrappers**: the public ingestors are thin policies over
    the engine —
 
@@ -26,14 +25,15 @@ three layers instead of four sibling class hierarchies:
      hash-partitioning router (relations lacking the partition attribute
      are broadcast), with the exactly-uniform ``merged_sample`` recombining
      the shard reservoirs (see :mod:`repro.ingest.shard`).
-   * :class:`FanoutIngestor` — one lane per registered backend behind
-     broadcast routing: a single stream pass feeds acyclic, cyclic,
-     baseline and even sharded samplers simultaneously, each bit-identical
-     to a standalone run under its derived seed (see
-     :mod:`repro.ingest.fanout`).
    * :class:`AsyncIngestor` stacks a transport on any of the above: a
      bounded queue + one worker thread overlap blocking chunk delivery
      with sampler CPU (see :mod:`repro.ingest.pipeline`).
+
+Feeding one stream pass to several samplers needs no ingestor of its own:
+call ``chunk_apply(backend)[0](chunk)`` for each backend on every chunk of
+one :func:`~repro.relational.stream.chunk_stream` pass.  Each backend then
+sees exactly the chunks a standalone run would, so its guarantee is its
+own, unchanged.
 
 Anything that can hand chunks of
 :class:`~repro.relational.stream.StreamTuple` to one of these participates
@@ -70,7 +70,6 @@ from .checkpoint import (
     PeriodicCheckpointer,
 )
 from .engine import DEFAULT_CHUNK_SIZE, EngineLane, IngestionEngine
-from .fanout import FanoutIngestor
 from .pipeline import AsyncIngestor
 from .pool import ShardWorkerPool, WorkerCrashError
 from .shard import ShardedIngestor, partition_attribute, stable_shard_hash
@@ -84,7 +83,6 @@ __all__ = [
     "ShardedIngestor",
     "ShardWorkerPool",
     "WorkerCrashError",
-    "FanoutIngestor",
     "AsyncIngestor",
     "CheckpointCodec",
     "CheckpointError",

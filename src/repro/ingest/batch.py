@@ -98,7 +98,8 @@ class BatchIngestor:
         via the :func:`~repro.core.backend.snapshot_backend` capability
         probe) plus the engine accounting.  Also the ingestor's own
         :class:`~repro.core.backend.SamplerBackend` snapshot capability, so
-        a ``BatchIngestor`` nested as a fan-out backend checkpoints along
+        a ``BatchIngestor`` behind an
+        :class:`~repro.ingest.pipeline.AsyncIngestor` checkpoints along
         with its host."""
         return {
             "backend": snapshot_backend(self.sampler),

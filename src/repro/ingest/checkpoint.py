@@ -23,8 +23,7 @@ future behaviour depends on:
 * the reservoir state (contents, running ``w``, the pending skip that may
   span chunk boundaries),
 * the exact RNG state (``random.Random.getstate()``), at every level that
-  owns randomness (sampler replicas, the sharded master RNG, the fan-out
-  master RNG).
+  owns randomness (sampler replicas, the sharded master RNG).
 
 File format (version 1)
 -----------------------
@@ -42,9 +41,12 @@ The digest turns silent truncation and bit rot into
 quietly wrong reservoir); the version field turns a format change into
 :class:`CheckpointVersionError` instead of a guessing game.  The payload
 always carries the saving ingestor's *kind* (``"batch"``, ``"sharded"``,
-``"fanout"``), and each ``restore`` entry point refuses a wrong kind — or a
+``"async"``), and each ``restore`` entry point refuses a wrong kind — or a
 mismatched topology, e.g. a different shard count — with
-:class:`CheckpointMismatchError` rather than silently rehashing state.
+:class:`CheckpointMismatchError` rather than silently rehashing state.  A
+nested backend record naming a class this code base no longer has (a
+retired ingestion mode) is refused the same way, by
+:func:`~repro.core.backend.restore_backend`.
 
 Checkpoints are trusted inputs: the payload is a pickle, so only load files
 you (or your infrastructure) wrote — the same trust model as every pickle-
@@ -87,7 +89,8 @@ class CheckpointVersionError(CheckpointError):
 
 class CheckpointMismatchError(CheckpointError):
     """The checkpoint is valid but does not fit the requested restore —
-    wrong ingestor kind, different shard count, different topology."""
+    wrong ingestor kind, different shard count, different topology, or a
+    nested backend whose class no longer exists."""
 
 
 class CheckpointCodec:
@@ -212,7 +215,7 @@ class PeriodicCheckpointer:
     ----------
     ingestor:
         Any ingestor exposing ``add_boundary_hook`` and ``save(path)``
-        (batch / sharded / fan-out / async).  For an async pipeline the
+        (batch / sharded / async).  For an async pipeline the
         boundaries are its drain points.
     path:
         Checkpoint file; each write atomically replaces the previous one.

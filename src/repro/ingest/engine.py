@@ -1,58 +1,49 @@
 """The :class:`IngestionEngine`: one chunk-dispatch loop for every ingestor.
 
 Historically each ingestion mode re-implemented the same skeleton — cut the
-stream into chunks, hand each chunk to one or more delivery targets, time
-the dispatch honestly, keep counters — with small policy differences
-(how a chunk is split across targets, what happens at a chunk boundary).
-This module extracts that skeleton once.  The public ingestors are now thin
-policies over it:
+stream into chunks, hand each chunk to one or more delivery targets, keep
+counters — with small policy differences (how a chunk is split across
+targets, what happens at a chunk boundary).  This module extracts that
+skeleton once.  The public ingestors are thin policies over it:
 
 * :class:`~repro.ingest.batch.BatchIngestor` — one lane, no routing;
 * :class:`~repro.ingest.shard.ShardedIngestor` — one lane per shard, a
   hash-partitioning router;
-* :class:`~repro.ingest.fanout.FanoutIngestor` — one lane per registered
-  backend, broadcast routing (every lane sees every chunk);
 * :class:`~repro.ingest.pipeline.AsyncIngestor` stacks a transport *on
   top* of any engine-backed ingestor (one worker thread calling its
   ``ingest_batch``) instead of forming a parallel class hierarchy.
 
+Feeding one stream to several samplers needs no engine of its own: call
+each sampler's :func:`~repro.core.backend.chunk_apply` on every chunk of
+one :func:`~repro.relational.stream.chunk_stream` pass.
+
 Anatomy of one ``ingest_batch`` call
 ------------------------------------
 1. **Route** — the chunk is materialised and split into per-lane parts by
-   the ``router`` (identity for a single lane, hash partitioning for
-   shards, broadcast for fan-out).  A routing policy that validates (the
+   the ``router`` (hash partitioning for shards; a single lane without a
+   router receives the chunk as is).  A routing policy that validates (the
    sharded hash router validates the whole chunk) raises here, *before*
    any lane mutates — all-or-nothing.  Routerless policies delegate
-   whole-chunk validation to each backend's own pre-mutation contract
+   whole-chunk validation to the backend's own pre-mutation contract
    (``insert_batch`` validates before mutating; the probed per-tuple
    fallback of :func:`repro.core.backend.chunk_apply` validates against
    the backend's query when it exposes one).
-2. **Dispatch** — each non-empty part is applied to its lane, timed
-   individually.  A lane's apply may return :data:`SKIPPED` to signal it
-   deliberately absorbed nothing (a quarantined fan-out backend); skipped
-   deliveries are excluded from the lane's counters and timing.
-3. **Account** — the engine accumulates the routing cost
-   (``route_seconds``), each lane's busy time (``lane_busy_seconds``, a
-   live list the sharded worker pool also folds its timings into), and the
-   *critical path*: per chunk, routing cost plus the **slowest** lane.
-   Lanes share no mutable state, so that sum is the wall clock of a
-   one-worker-per-lane deployment — the honest scale-out figure a
-   single-core box can still measure.
-4. **Hooks** — ``after_chunk(items, parts)`` callbacks run at the chunk
+2. **Dispatch** — each non-empty part is applied to its lane, and the
+   lane's delivery counters advance.
+3. **Hooks** — ``after_chunk(items, parts)`` callbacks run at the chunk
    boundary (where the uniformity guarantee holds): counter roll-ups,
    cache invalidation, epoch cuts, timed checkpoints.
 
 Error semantics: an exception raised while routing leaves every lane
 untouched; an exception raised by a lane's ``apply`` aborts the dispatch
 loop mid-chunk (earlier lanes have absorbed the part, later ones have not)
-and no boundary hook runs.  Policies that must survive a lane failure wrap
-their ``apply`` callables (fan-out's isolation mode) or poison the whole
-pipeline (the async transport); the engine itself never hides a failure.
+and no boundary hook runs.  Policies that must survive a lane failure
+poison the whole pipeline (the async transport); the engine itself never
+hides a failure.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Iterable, List, Optional, Sequence
 
 from ..relational.stream import chunk_stream
@@ -62,22 +53,14 @@ from ..relational.stream import chunk_stream
 #: chunk of join deltas fits comfortably in memory.
 DEFAULT_CHUNK_SIZE = 1024
 
-#: Sentinel a lane's ``apply`` may return to signal that it deliberately
-#: absorbed nothing (e.g. delivery to a quarantined fan-out backend).  The
-#: engine then leaves the lane's counters, busy time and the chunk's
-#: critical path untouched — the lane did no work and must not report any.
-SKIPPED = object()
-
 
 class EngineLane:
     """One delivery target of an :class:`IngestionEngine`.
 
     ``apply`` takes one chunk part and absorbs it whole — typically a bound
     ``BatchIngestor.ingest_batch``, a sampler's ``insert_batch``, or the
-    probed fallback from :func:`repro.core.backend.chunk_apply`.  It may
-    return :data:`SKIPPED` to tell the engine the delivery was a deliberate
-    no-op; ``chunks_applied`` / ``tuples_applied`` count only real
-    deliveries.
+    probed fallback from :func:`repro.core.backend.chunk_apply`.
+    ``chunks_applied`` / ``tuples_applied`` count the delivered parts.
     """
 
     __slots__ = ("name", "apply", "chunks_applied", "tuples_applied")
@@ -93,7 +76,7 @@ class EngineLane:
 
 
 class IngestionEngine:
-    """Chunked dispatch across lanes with honest critical-path accounting.
+    """Chunked dispatch across lanes with per-lane delivery counters.
 
     Parameters
     ----------
@@ -105,10 +88,9 @@ class IngestionEngine:
     router:
         ``router(items) -> List[parts]`` splitting one chunk into per-lane
         parts (``len(parts) == len(lanes)``; empty parts are skipped).
-        ``None`` broadcasts: every lane receives the whole chunk — which
-        for a single lane is plain pass-through.  The router runs before
-        any lane is touched, so it is also the whole-chunk validation
-        point.
+        ``None`` is pass-through and needs exactly one lane.  The router
+        runs before any lane is touched, so it is also the whole-chunk
+        validation point.
     after_chunk:
         Callbacks ``hook(items, parts)`` run after every successfully
         dispatched chunk — the chunk boundary.
@@ -118,11 +100,6 @@ class IngestionEngine:
     batches_ingested / tuples_ingested:
         Chunks / stream tuples dispatched so far (tuples counted once,
         before any broadcast replication by the router).
-    route_seconds / critical_path_seconds / lane_busy_seconds:
-        The accounting described in the module docstring.
-        ``lane_busy_seconds`` is a live, mutable list indexed like
-        ``lanes`` — the sharded worker pool, which bypasses the lanes'
-        ``apply``, folds its per-worker timings into it.
     """
 
     def __init__(
@@ -135,23 +112,13 @@ class IngestionEngine:
         if chunk_size <= 0:
             raise ValueError("chunk size must be positive")
         self.lanes: List[EngineLane] = list(lanes)
+        if router is None and len(self.lanes) != 1:
+            raise ValueError("an engine without a router needs exactly one lane")
         self.chunk_size = chunk_size
         self.router = router
         self.after_chunk: List[Callable] = list(after_chunk)
         self.batches_ingested = 0
         self.tuples_ingested = 0
-        self.route_seconds = 0.0
-        self.critical_path_seconds = 0.0
-        self.lane_busy_seconds: List[float] = [0.0] * len(self.lanes)
-
-    # ------------------------------------------------------------------ #
-    # Lane management
-    # ------------------------------------------------------------------ #
-    def add_lane(self, lane: EngineLane) -> EngineLane:
-        """Append a lane (only meaningful before ingestion starts)."""
-        self.lanes.append(lane)
-        self.lane_busy_seconds.append(0.0)
-        return lane
 
     # ------------------------------------------------------------------ #
     # Boundary hooks
@@ -179,8 +146,9 @@ class IngestionEngine:
         """Route one chunk across the lanes and apply every non-empty part.
 
         Returns the number of stream tuples dispatched (before any
-        broadcast replication).  An empty chunk is a no-op and does not
-        count as a batch.  On return every lane sits at a chunk boundary.
+        broadcast replication by the router).  An empty chunk is a no-op
+        and does not count as a batch.  On return every lane sits at a
+        chunk boundary.
         """
         items = list(items)
         # Snapshot the size before dispatch: a backend may legally consume
@@ -189,36 +157,14 @@ class IngestionEngine:
         tuples = len(items)
         if not tuples:
             return 0
-        start = time.perf_counter()
-        if self.router is not None:
-            parts = self.router(items)
-        elif len(self.lanes) == 1:
-            parts = [items]
-        else:
-            # Broadcast: each lane gets its own shallow copy, so a backend
-            # that consumes its argument destructively cannot corrupt the
-            # delivery to later lanes (bit-identity depends on every lane
-            # seeing the full chunk).
-            parts = [list(items) for _ in self.lanes]
-        route_seconds = time.perf_counter() - start
-        slowest = 0.0
-        busy = self.lane_busy_seconds
-        for position, (lane, part) in enumerate(zip(self.lanes, parts)):
+        parts = [items] if self.router is None else self.router(items)
+        for lane, part in zip(self.lanes, parts):
             part_tuples = len(part)
             if not part_tuples:
                 continue
-            start = time.perf_counter()
-            outcome = lane.apply(part)
-            elapsed = time.perf_counter() - start
-            if outcome is SKIPPED:
-                continue
-            busy[position] += elapsed
+            lane.apply(part)
             lane.chunks_applied += 1
             lane.tuples_applied += part_tuples
-            if elapsed > slowest:
-                slowest = elapsed
-        self.route_seconds += route_seconds
-        self.critical_path_seconds += route_seconds + slowest
         self.batches_ingested += 1
         self.tuples_ingested += tuples
         for hook in self.after_chunk:
@@ -241,9 +187,8 @@ class IngestionEngine:
     # Durability
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict:
-        """The engine's resumable accounting: chunk counters, lane layout,
-        per-lane delivery counters, and the timing accumulators (the
-        critical path included).  Lane ``apply`` callables are *not*
+        """The engine's resumable accounting: chunk counters, lane layout
+        and per-lane delivery counters.  Lane ``apply`` callables are *not*
         captured — a restore rebuilds the lanes from restored backends and
         then loads this state on top.
         """
@@ -251,9 +196,6 @@ class IngestionEngine:
             "chunk_size": self.chunk_size,
             "batches_ingested": self.batches_ingested,
             "tuples_ingested": self.tuples_ingested,
-            "route_seconds": self.route_seconds,
-            "critical_path_seconds": self.critical_path_seconds,
-            "lane_busy_seconds": list(self.lane_busy_seconds),
             "lanes": [
                 {
                     "name": lane.name,
@@ -269,6 +211,8 @@ class IngestionEngine:
 
         The lane layout must match the snapshot (same count — the lanes
         were rebuilt from the same checkpoint), otherwise ``ValueError``.
+        Keys this engine no longer reads (the timing accumulators older
+        snapshots carry) are ignored.
         """
         if len(state["lanes"]) != len(self.lanes):
             raise ValueError(
@@ -278,9 +222,6 @@ class IngestionEngine:
         self.chunk_size = state["chunk_size"]
         self.batches_ingested = state["batches_ingested"]
         self.tuples_ingested = state["tuples_ingested"]
-        self.route_seconds = state["route_seconds"]
-        self.critical_path_seconds = state["critical_path_seconds"]
-        self.lane_busy_seconds[:] = state["lane_busy_seconds"]
         for lane, entry in zip(self.lanes, state["lanes"]):
             lane.chunks_applied = entry["chunks_applied"]
             lane.tuples_applied = entry["tuples_applied"]
@@ -295,9 +236,6 @@ class IngestionEngine:
             "tuples_ingested": self.tuples_ingested,
             "chunk_size": self.chunk_size,
             "lanes": len(self.lanes),
-            "route_seconds": round(self.route_seconds, 4),
-            "critical_path_seconds": round(self.critical_path_seconds, 4),
-            "lane_busy_seconds": [round(s, 4) for s in self.lane_busy_seconds],
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -307,4 +245,4 @@ class IngestionEngine:
         )
 
 
-__all__ = ["DEFAULT_CHUNK_SIZE", "SKIPPED", "EngineLane", "IngestionEngine"]
+__all__ = ["DEFAULT_CHUNK_SIZE", "EngineLane", "IngestionEngine"]

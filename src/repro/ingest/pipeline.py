@@ -16,8 +16,7 @@ Every target gets the same single lane: one queue and one worker applying
 chunks in arrival order through the capability probe of
 :func:`repro.core.backend.chunk_apply` — ``ingest_batch`` (a
 :class:`~repro.ingest.batch.BatchIngestor`, a
-:class:`~repro.ingest.shard.ShardedIngestor`, a
-:class:`~repro.ingest.fanout.FanoutIngestor`), else ``insert_batch`` (a
+:class:`~repro.ingest.shard.ShardedIngestor`), else ``insert_batch`` (a
 sampler's bulk path), else the validated per-tuple fallback.  The target
 sees exactly the chunk sequence a synchronous loop would feed it, so with
 equal seeds its state is bit-identical to synchronous ingestion.
@@ -112,8 +111,7 @@ class AsyncIngestor:
         Where chunks land, applied through the capability probe of
         :func:`repro.core.backend.chunk_apply` — ``ingest_batch`` (a
         :class:`~repro.ingest.batch.BatchIngestor`, a
-        :class:`~repro.ingest.shard.ShardedIngestor`, a
-        :class:`~repro.ingest.fanout.FanoutIngestor`), else ``insert_batch``
+        :class:`~repro.ingest.shard.ShardedIngestor`), else ``insert_batch``
         (a sampler's bulk path), else the per-tuple fallback.
     chunk_size:
         Chunk size used by :meth:`ingest` when handed a flat stream.

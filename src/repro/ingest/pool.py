@@ -21,9 +21,8 @@ long-lived workers, morsel-driven parallelism):
 * **Pipelined scatter, explicit barriers.**  ``submit`` returns once the
   sub-chunks are handed off (bounded by :data:`DEFAULT_MAX_PENDING` in
   flight per worker — honest backpressure); :meth:`drain` is the chunk
-  boundary.  Acks carry per-chunk worker busy seconds, so the parent can
-  report measured per-worker busy time and a per-chunk critical path
-  (slowest worker per chunk).
+  boundary.  The owner measures the wall clock from submit through drain;
+  the pool itself keeps only delivery counters.
 * **Sticky poison.**  The first worker failure (an exception shipped back,
   or the process dying outright) poisons the pool in the
   :class:`~repro.ingest.pipeline.AsyncIngestor` style: every subsequent
@@ -44,7 +43,6 @@ replicas and custom factories ride the parallel path.
 from __future__ import annotations
 
 import multiprocessing
-import time
 import traceback
 import weakref
 from multiprocessing import connection
@@ -127,13 +125,8 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
                 continue
             if tag == "chunk":
                 _, seq, part = message
-                # CPU time, not wall: on a box with fewer cores than
-                # workers, wall-in-worker counts time spent preempted and
-                # the busy sum comes out several times the true work (and
-                # the derived critical path exceeds the wall clock).
-                start = time.process_time()
                 ingestor.ingest_batch(part)
-                conn.send(("ok", seq, time.process_time() - start))
+                conn.send(("ok", seq))
             elif tag == "state":
                 index = getattr(sampler, "index", None)
                 count = (
@@ -226,11 +219,6 @@ class ShardWorkerPool:
         self._failure: Optional[WorkerCrashError] = None
         self._closed = False
         self._seq = 0
-        #: seq -> {"remaining": set(shards), "max_busy": float, "route": float}
-        self._inflight: Dict[int, Dict[str, object]] = {}
-        #: accounting deltas since the owner last folded them
-        self._busy_delta: List[float] = [0.0] * len(worker_inits)
-        self._critical_delta = 0.0
         self.workers: List[_WorkerHandle] = []
         for shard, init in enumerate(worker_inits):
             parent_conn, child_conn = multiprocessing.Pipe()
@@ -279,25 +267,12 @@ class ShardWorkerPool:
     def _dispatch(self, handle: _WorkerHandle, message: Tuple) -> None:
         tag = message[0]
         if tag == "ok":
-            seq, busy = message[1], message[2]
-            if handle.pending_acks and handle.pending_acks[0] == seq:
+            if handle.pending_acks and handle.pending_acks[0] == message[1]:
                 handle.pending_acks.pop(0)
-            self._busy_delta[handle.shard] += busy
-            entry = self._inflight.get(seq)
-            if entry is not None:
-                entry["remaining"].discard(handle.shard)
-                if busy > entry["max_busy"]:
-                    entry["max_busy"] = busy
-                self._settle(seq, entry)
             return
         if tag == "error":
             self._poison(WorkerCrashError(handle.shard, message[1]))
         raise ValueError(f"unexpected pool reply {tag!r}")  # pragma: no cover
-
-    def _settle(self, seq: int, entry: Dict[str, object]) -> None:
-        if not entry["remaining"]:
-            self._critical_delta += entry["route"] + entry["max_busy"]
-            del self._inflight[seq]
 
     def _receive(self, handle: _WorkerHandle, block: bool) -> bool:
         """Absorb one message from ``handle``; returns whether one arrived.
@@ -389,7 +364,7 @@ class ShardWorkerPool:
         while len(handle.pending_acks) > DEFAULT_MAX_PENDING:
             self._receive(handle, block=True)
 
-    def submit(self, parts: Sequence[List], route_seconds: float = 0.0) -> int:
+    def submit(self, parts: Sequence[List]) -> int:
         """Scatter one routed chunk (``parts[shard]`` per worker).
 
         Empty parts are skipped exactly as the serial engine skips them, so
@@ -406,14 +381,11 @@ class ShardWorkerPool:
         self.collect()
         seq = self._seq
         self._seq += 1
-        shards = {shard for shard, part in enumerate(parts) if part}
-        entry = {"remaining": shards, "max_busy": 0.0, "route": route_seconds}
-        self._inflight[seq] = entry
         # No defensive copy: the pipe pickles the part before ``send``
         # returns, so the caller may reuse its buffers immediately after.
-        for shard in sorted(shards):
-            self._send_chunk(self.workers[shard], seq, parts[shard])
-        self._settle(seq, entry)  # all-empty chunks settle immediately
+        for handle, part in zip(self.workers, parts):
+            if part:
+                self._send_chunk(handle, seq, part)
         return seq
 
     # ------------------------------------------------------------------ #
@@ -466,21 +438,8 @@ class ShardWorkerPool:
         ]
 
     # ------------------------------------------------------------------ #
-    # Accounting hand-off
+    # Counters
     # ------------------------------------------------------------------ #
-    def take_busy_deltas(self) -> List[float]:
-        """Per-worker busy seconds accumulated since the last take."""
-        deltas = list(self._busy_delta)
-        self._busy_delta = [0.0] * len(self.workers)
-        return deltas
-
-    def take_critical_delta(self) -> float:
-        """Sum over completed chunks of (route + slowest worker) since the
-        last take — the pool's contribution to the critical path."""
-        delta = self._critical_delta
-        self._critical_delta = 0.0
-        return delta
-
     @property
     def delivered_tuples(self) -> List[float]:
         """Stream tuples shipped per worker so far (broadcasts included)."""

@@ -245,8 +245,7 @@ class ShardedIngestor:
         ]
         # The shared dispatch loop: one lane per shard, the hash router as
         # the (validating) splitter, and the chunk-boundary counter roll-up
-        # as the boundary hook.  All timing — partitioning cost, per-shard
-        # busy seconds, the critical path — is the engine's accounting.
+        # as the boundary hook.
         self._engine = IngestionEngine(
             [
                 EngineLane(f"shard-{shard}", ingestor.ingest_batch)
@@ -282,28 +281,6 @@ class ShardedIngestor:
         # through drain) and one-time pool spawn cost.
         self.parallel_wall_seconds = 0.0
         self.pool_startup_seconds = 0.0
-
-    # ------------------------------------------------------------------ #
-    # Timing (delegated to the engine's accounting)
-    # ------------------------------------------------------------------ #
-    # Shards share no state, so the wall clock of a one-worker-per-shard
-    # deployment is, per chunk, the partitioning cost plus the *slowest*
-    # shard's sub-chunk.  The engine accumulates exactly that; these views
-    # keep the historical names.
-    @property
-    def partition_seconds(self) -> float:
-        """Cumulative cost of hash-partitioning chunks across the shards."""
-        return self._engine.route_seconds
-
-    @property
-    def critical_path_seconds(self) -> float:
-        """Per-chunk partitioning cost + slowest shard, accumulated."""
-        return self._engine.critical_path_seconds
-
-    @property
-    def shard_busy_seconds(self) -> List[float]:
-        """Per-shard busy time — the engine's live lane list (mutable)."""
-        return self._engine.lane_busy_seconds
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -458,12 +435,7 @@ class ShardedIngestor:
             return
         try:
             if sync and pool.active and not pool.poisoned:
-                records = pool.snapshots()
-                self._fold_pool_accounting(pool)
-                self._adopt_worker_states(records)
-            else:
-                pool.collect()
-                self._fold_pool_accounting(pool)
+                self._adopt_worker_states(pool.snapshots())
         finally:
             pool.close()
 
@@ -482,18 +454,6 @@ class ShardedIngestor:
             lane.apply = ingestor.ingest_batch
         self._counts = None
 
-    def _fold_pool_accounting(self, pool: Optional[ShardWorkerPool] = None) -> None:
-        """Fold the pool's accounting deltas into the engine accumulators:
-        per-worker busy seconds into the lane slots, completed chunks'
-        (route + slowest worker) into the critical path."""
-        pool = pool if pool is not None else self._pool
-        if pool is None:
-            return
-        busy = self._engine.lane_busy_seconds
-        for shard, delta in enumerate(pool.take_busy_deltas()):
-            busy[shard] += delta
-        self._engine.critical_path_seconds += pool.take_critical_delta()
-
     def _pool_ingest_batch(self, items: List) -> int:
         """One chunk through the pool: route in the parent (all-or-nothing
         validation, same hash router as serial), scatter the sub-chunks,
@@ -502,11 +462,8 @@ class ShardedIngestor:
         if not tuples:
             return 0
         engine = self._engine
-        start = time.perf_counter()
         parts = self._route(items)
-        route_seconds = time.perf_counter() - start
-        self._pool.submit(parts, route_seconds=route_seconds)
-        engine.route_seconds += route_seconds
+        self._pool.submit(parts)
         engine.batches_ingested += 1
         engine.tuples_ingested += tuples
         for lane, part in zip(engine.lanes, parts):
@@ -519,7 +476,6 @@ class ShardedIngestor:
         # checkpoints observe pool ingestion too.
         for hook in engine.after_chunk:
             hook(items, parts)
-        self._fold_pool_accounting()
         return tuples
 
     # ------------------------------------------------------------------ #
@@ -593,7 +549,6 @@ class ShardedIngestor:
         )
         self._pool.drain()
         self.parallel_wall_seconds += time.perf_counter() - start
-        self._fold_pool_accounting()
         return self
 
     # ------------------------------------------------------------------ #
@@ -602,11 +557,12 @@ class ShardedIngestor:
     def snapshot_state(self) -> Dict[str, object]:
         """The ingestor's complete resumable state: one sub-checkpoint per
         shard lane plus the engine-level state (lane layout, partition
-        attribute, counters, critical-path accounting) and both randomness
-        sources (the master RNG state and the derived per-shard seeds).
+        attribute, counters) and both randomness sources (the master RNG
+        state and the derived per-shard seeds).
 
-        Also the ingestor's own snapshot capability, so a sharded backend
-        registered into a fan-out checkpoints along with its host.
+        Also the ingestor's own snapshot capability, so a sharded target
+        behind an :class:`~repro.ingest.pipeline.AsyncIngestor`
+        checkpoints along with its host.
         Requires every shard replica to be snapshot-capable or picklable,
         which the default :class:`ReservoirJoin` replicas are.  With a live
         worker pool the replica states are captured *inside* the workers
@@ -616,7 +572,6 @@ class ShardedIngestor:
         """
         if self.pool_active:
             records = self._pool.snapshots()
-            self._fold_pool_accounting()
             shard_records = [record["backend"] for record in records]
             shard_engines = [record["engine"] for record in records]
         else:
@@ -724,7 +679,6 @@ class ShardedIngestor:
                     dict(stats),
                 )
             )
-        self._fold_pool_accounting()
         self._counts = [state.count for state in states]
         return states
 
@@ -851,17 +805,10 @@ class ShardedIngestor:
         :meth:`shard_counts` / :meth:`total_results` explicitly when exact
         figures are worth that price.
 
-        With a live worker pool the figures are measured, not placeholders:
-        workers time each sub-chunk and ship the busy seconds back with
-        their acks, which fold into the same engine accumulators serial
-        dispatch uses (``critical_path_seconds`` = per chunk, routing cost
-        + slowest worker).  Mid-flight reads fold whatever acks have
-        arrived; any drain point (``merged_sample``, ``snapshot_state``,
-        ``ingest_parallel``'s return) makes them exact.
+        The only timings are measured walls: ``parallel_wall_seconds``
+        (submit through drain inside :meth:`ingest_parallel`) and
+        ``pool_startup_seconds``.
         """
-        if self.pool_active:
-            self._pool.collect()
-            self._fold_pool_accounting()
         stats: Dict[str, object] = {
             "num_shards": self.num_shards,
             "partition_attr": self.partition_attr,
@@ -873,9 +820,6 @@ class ShardedIngestor:
             "shard_tuples": self.shard_loads(),
             "relation_deliveries": dict(self.relation_deliveries),
             "load_imbalance": round(self.load_imbalance(), 4),
-            "partition_seconds": round(self.partition_seconds, 4),
-            "critical_path_seconds": round(self.critical_path_seconds, 4),
-            "shard_busy_seconds": [round(s, 4) for s in self.shard_busy_seconds],
             "parallel": self.pool_active,
             "parallel_wall_seconds": round(self.parallel_wall_seconds, 4),
             "pool_startup_seconds": round(self.pool_startup_seconds, 4),

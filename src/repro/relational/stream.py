@@ -126,8 +126,8 @@ def validate_pairs(pairs: Iterable[Tuple[str, Tuple]], query) -> None:
 def chunk_stream(stream: Iterable, size: int) -> Iterator[List]:
     """Yield consecutive chunks of at most ``size`` items from ``stream``.
 
-    The canonical chunker behind every ingestion mode — batched, sharded,
-    fan-out and async all cut streams through the
+    The canonical chunker behind every ingestion mode — batched, sharded
+    and async all cut streams through the
     :class:`~repro.ingest.engine.IngestionEngine`, which uses this
     (``repro.ingest.batch.chunked`` is an alias).  Chunk boundaries are where
     the per-prefix uniformity guarantee holds, so anything that transports

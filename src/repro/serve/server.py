@@ -3,7 +3,7 @@
 The paper's whole point is that reservoir maintenance makes ``sample(k)``
 answerable *at any moment during the stream*.  This module is that moment's
 front door: one writer drives any live ingestor (batch / sharded /
-fan-out / async) chunk by chunk, and many concurrent readers draw
+async) chunk by chunk, and many concurrent readers draw
 samples that are never torn and always exactly uniform.
 
 Snapshot epochs

@@ -23,20 +23,13 @@ the two properties the sharded/bulk refactor must preserve:
     ``insert`` — the bulk path degenerates exactly, not just
     distributionally.
 
-(c) Unassigned, so the sections below keep the letters docs and CI cite.
-
-(d) **Fan-out ≡ standalone, per backend, bit for bit.**  Every backend of a
-    ``FanoutIngestor`` must end the stream in exactly the state a
-    standalone batched run of the same factory under the recorded derived
-    seed produces — same reservoir in order, same statistics — and each
-    backend's sample must independently pass the chi-square uniformity
-    check.  Fan-out is a delivery optimisation, never a distribution
-    change.
+(c), (d) Unassigned, so the sections below keep the letters docs and CI
+    cite.
 
 (e) **Checkpoint/restore resumes bit-identically.**  For every durable
-    ingestor — batched acyclic, cyclic, sharded, fan-out, and the draining
-    async pipeline wrapper — ingesting a prefix, saving a checkpoint, restoring it (through the
-    on-disk codec) and ingesting the suffix must end in exactly the state
+    ingestor — batched acyclic, cyclic and pickle-fallback baseline,
+    sharded, and the draining async pipeline wrapper — ingesting a prefix,
+    saving a checkpoint, restoring it (through the on-disk codec) and ingesting the suffix must end in exactly the state
     of an uninterrupted run under the same seed: same reservoirs in order,
     same statistics, same merged samples.  Durability is a transport
     concern, never a distribution change — the restored RNG continues the
@@ -72,7 +65,6 @@ from repro import (
     AsyncIngestor,
     BatchIngestor,
     CyclicReservoirJoin,
-    FanoutIngestor,
     JoinQuery,
     ReservoirJoin,
     SampleServer,
@@ -257,66 +249,6 @@ def test_count_results_matches_enumeration_on_random_cases(case_seed):
 
 
 # ---------------------------------------------------------------------- #
-# (d) Fan-out backends ≡ standalone runs, bit for bit, and uniform
-# ---------------------------------------------------------------------- #
-FANOUT_FACTORIES = {
-    "fresh": lambda query, k: (lambda rng: ReservoirJoin(query, max(3, k // 2), rng=rng)),
-    "analytics": lambda query, k: (lambda rng: ReservoirJoin(query, k, rng=rng)),
-    "cyclic": lambda query, k: (lambda rng: CyclicReservoirJoin(query, k, rng=rng)),
-}
-
-
-@pytest.mark.parametrize("case_seed", [9, 31, 77])
-def test_fanout_backends_bit_identical_to_standalone(case_seed):
-    """Each fan-out backend == the same factory run standalone, bit for bit."""
-    rng = random.Random(case_seed)
-    query, stream = random_acyclic_case(rng)
-    k = rng.choice([4, 9])
-    chunk = rng.choice([7, 16])
-
-    factories = {
-        name: make(query, k) for name, make in FANOUT_FACTORIES.items()
-    }
-    fan = FanoutIngestor(chunk_size=chunk, rng=random.Random(case_seed + 1))
-    for name, factory in factories.items():
-        fan.register(name, factory)
-    fan.ingest(stream)
-
-    for name, factory in factories.items():
-        alone = factory(random.Random(fan.backend_seed(name)))
-        BatchIngestor(alone, chunk_size=chunk).ingest(stream)
-        assert fan.backend(name).sample == alone.sample, name
-        assert fan.backend(name).statistics() == alone.statistics(), name
-
-
-@pytest.mark.parametrize("case_seed", [47, 101])
-def test_fanout_backends_each_uniform(case_seed):
-    """Chi-square per backend: fan-out delivery does not bend any backend."""
-    rng = random.Random(case_seed)
-    query, stream = random_acyclic_case(rng)
-    universe = ground_truth(query, stream)
-    if len(universe) < 8:
-        pytest.skip("degenerate random instance (join too small)")
-    k = max(3, len(universe) // 8)
-
-    def run_backend(name):
-        def run_one(seed):
-            fan = FanoutIngestor(chunk_size=11, rng=random.Random(seed))
-            fan.register("acyclic", lambda r: ReservoirJoin(query, k, rng=r))
-            fan.register("cyclic", lambda r: CyclicReservoirJoin(query, k, rng=r))
-            fan.ingest(stream)
-            sample = fan.backend(name).sample
-            assert len(sample) == min(k, len(universe))
-            return sample
-
-        return run_one
-
-    for name in ("acyclic", "cyclic"):
-        p_value = uniformity_p_value(run_backend(name), universe, TRIALS, k)
-        assert p_value > P_THRESHOLD, f"fan-out {name} rejected: p={p_value:.5f}"
-
-
-# ---------------------------------------------------------------------- #
 # (e) Checkpoint at a prefix, restore, ingest the suffix — bit-identical
 # ---------------------------------------------------------------------- #
 def _chunks_of(stream: List[StreamTuple], chunk_size: int) -> List[List[StreamTuple]]:
@@ -329,13 +261,17 @@ def _drive(ingestor, chunks: List[List[StreamTuple]]) -> None:
 
 
 @pytest.mark.parametrize("case_seed", [6, 27, 61])
-@pytest.mark.parametrize("kind", ["acyclic", "cyclic"])
+@pytest.mark.parametrize("kind", ["acyclic", "cyclic", "baseline"])
 def test_checkpointed_batch_ingest_bit_identical(case_seed, kind, tmp_path):
-    """Prefix + save + restore + suffix == uninterrupted, for both samplers."""
+    """Prefix + save + restore + suffix == uninterrupted, for native-snapshot
+    samplers and a pickle-fallback baseline alike."""
     rng = random.Random(case_seed)
     if kind == "acyclic":
         query, stream = random_acyclic_case(rng)
         make = lambda: ReservoirJoin(query, 7, rng=random.Random(case_seed + 1))
+    elif kind == "baseline":
+        query, stream = random_acyclic_case(rng)
+        make = lambda: SJoin(query, 7, rng=random.Random(case_seed + 1))
     else:
         query, stream = random_cyclic_case(rng)
         make = lambda: CyclicReservoirJoin(query, 7, rng=random.Random(case_seed + 1))
@@ -392,44 +328,6 @@ def test_checkpointed_sharded_ingest_bit_identical(case_seed, tmp_path):
     assert resumed.shard_loads() == uninterrupted.shard_loads()
     # The master RNG resumed exactly: the next merged draw is identical.
     assert resumed.merged_sample() == uninterrupted.merged_sample()
-
-
-@pytest.mark.parametrize("case_seed", [22, 58])
-def test_checkpointed_fanout_bit_identical(case_seed, tmp_path):
-    """Every fan-out backend — native-snapshot samplers and pickle-fallback
-    baselines alike — resumes exactly, with seeds and rejection counters
-    preserved."""
-    rng = random.Random(case_seed)
-    query, stream = random_acyclic_case(rng)
-    chunk_size = rng.choice([8, 17])
-    chunks = _chunks_of(stream, chunk_size)
-    cut = rng.randrange(1, len(chunks))
-
-    def build():
-        fan = FanoutIngestor(chunk_size=chunk_size, rng=random.Random(case_seed + 1))
-        fan.register("acyclic", lambda r: ReservoirJoin(query, 6, rng=r))
-        fan.register("cyclic", lambda r: CyclicReservoirJoin(query, 5, rng=r))
-        fan.register("baseline", lambda r: SJoin(query, 5, rng=r))
-        return fan
-
-    uninterrupted = build()
-    _drive(uninterrupted, chunks)
-
-    interrupted = build()
-    _drive(interrupted, chunks[:cut])
-    path = tmp_path / "ckpt"
-    interrupted.save(path)
-    resumed = FanoutIngestor.restore(path)
-    _drive(resumed, chunks[cut:])
-
-    assert resumed.backend_names == uninterrupted.backend_names
-    for name in resumed.backend_names:
-        assert resumed.backend_seed(name) == uninterrupted.backend_seed(name), name
-        assert resumed.backend(name).sample == uninterrupted.backend(name).sample, name
-        assert (
-            resumed.backend(name).statistics()
-            == uninterrupted.backend(name).statistics()
-        ), name
 
 
 @pytest.mark.parametrize("case_seed", [12, 37])

@@ -24,7 +24,9 @@ from repro import (
     SymmetricHashJoinSampler,
 )
 from repro.baselines.naive import NaiveRecomputeSampler
+from repro.core.backend import SamplerBackend, chunk_apply, probe_backend
 from repro.ingest.batch import chunked
+from repro.ingest.shard import ShardedIngestor
 from repro.stats.uniformity import result_key
 
 from tests.conftest import ground_truth_keys, make_edges, make_graph_stream
@@ -170,6 +172,159 @@ class TestBatchIngestor:
         assert sampler.seen == [("R1", (1, 2)), ("R2", (2, 3))]
         assert not ingestor.uses_fast_path
         assert ingestor.statistics()["fast_path"] is False
+
+    def test_destructive_single_backend_counters_stay_honest(self):
+        """Counters describe what was delivered, not what the backend left.
+
+        The single lane receives the engine's own list; if the backend
+        consumes it destructively, the chunk size must still be counted
+        from the pre-dispatch snapshot.
+        """
+
+        class Destructive:
+            def insert_batch(self, items):
+                items.clear()
+
+            sample = []
+
+        ingestor = BatchIngestor(Destructive(), chunk_size=16)
+        pushed = ingestor.ingest_batch(
+            [StreamTuple("R1", (1, 2)), StreamTuple("R2", (2, 3))]
+        )
+        assert pushed == 2
+        assert ingestor.tuples_ingested == 2
+        assert ingestor.batches_ingested == 1
+        lane = ingestor._engine.lanes[0]
+        assert (lane.chunks_applied, lane.tuples_applied) == (1, 2)
+
+    def test_per_tuple_fallback_validates_before_mutating(self, line3_query):
+        """An insert-only backend exposing its query gets whole-chunk validation."""
+
+        class PerTupleOnly:
+            def __init__(self, query):
+                self.query = query
+                self.seen = []
+
+            def insert(self, relation, row):
+                self.seen.append((relation, row))
+
+            sample = []
+
+        backend = PerTupleOnly(line3_query)
+        ingestor = BatchIngestor(backend, chunk_size=8)
+        with pytest.raises(KeyError):
+            ingestor.ingest_batch([("R1", (1, 2)), ("BOGUS", (3, 4))])
+        assert backend.seen == []  # the bad chunk never reached insert()
+        assert ingestor.tuples_ingested == 0
+
+
+# ---------------------------------------------------------------------- #
+# The backend protocol, and several samplers fed from one pass
+# ---------------------------------------------------------------------- #
+class TestBackendProtocol:
+    def test_samplers_conform_to_the_backend_protocol(self, line3_query):
+        """Every sampler satisfies SamplerBackend and probes fully capable."""
+        for sampler in (
+            ReservoirJoin(line3_query, 3),
+            CyclicReservoirJoin(line3_query, 3),
+            SJoin(line3_query, 3),
+            SymmetricHashJoinSampler(line3_query, 3),
+            NaiveRecomputeSampler(line3_query, 3),
+        ):
+            assert isinstance(sampler, SamplerBackend), type(sampler).__name__
+            capabilities = probe_backend(sampler)
+            assert capabilities.insert and capabilities.insert_batch
+            assert capabilities.sample and capabilities.statistics
+            assert capabilities.spawn
+            assert capabilities.as_dict()["insert_batch"] is True
+
+    @pytest.mark.parametrize(
+        "prototype_factory",
+        [
+            lambda q: ReservoirJoin(q, 6, rng=random.Random(0), grouping=True),
+            lambda q: CyclicReservoirJoin(q, 6, rng=random.Random(0)),
+            lambda q: SJoin(q, 6, rng=random.Random(0)),
+            lambda q: SymmetricHashJoinSampler(q, 6, rng=random.Random(0)),
+            lambda q: NaiveRecomputeSampler(q, 6, rng=random.Random(0)),
+        ],
+        ids=["acyclic", "cyclic", "sjoin", "symmetric", "naive"],
+    )
+    def test_spawn_builds_seeded_clones(self, line3_query, prototype_factory):
+        """spawn(rng) builds an empty, identically configured replica.
+
+        Parametrised over every sampler type, so each spawn() implementation
+        is exercised: two spawns under one seed ingest bit-identically, and
+        the prototype stays untouched.
+        """
+        stream = line3_stream(line3_query, 120, seed=23, domain=5)
+        prototype = prototype_factory(line3_query)
+        first = prototype.spawn(random.Random(31))
+        second = prototype.spawn(random.Random(31))
+        assert first is not prototype
+        for replica in (first, second):
+            BatchIngestor(replica, chunk_size=16).ingest(stream)
+        assert first.sample and first.sample == second.sample
+        assert prototype.tuples_processed == 0
+
+    def test_single_backend_bit_identical_to_standalone(self, line3_query):
+        """One sampler fed chunk by chunk through chunk_apply ends
+        bit-identical to a standalone BatchIngestor run under the same
+        seed and chunk size."""
+        stream = line3_stream(line3_query, 300, seed=3, domain=8)
+        fed = ReservoirJoin(line3_query, 7, rng=random.Random(5))
+        apply, mode = chunk_apply(fed)
+        assert mode == "insert_batch"
+        for chunk in chunked(stream, 16):
+            apply(chunk)
+
+        alone = ReservoirJoin(line3_query, 7, rng=random.Random(5))
+        BatchIngestor(alone, chunk_size=16).ingest(stream)
+        assert fed.sample and fed.sample == alone.sample
+        assert fed.statistics() == alone.statistics()
+
+    def test_mixed_backends_recover_the_exact_result_set(self, line3_query):
+        """The documented multi-sampler loop: one chunked pass, each
+        chunk handed to every backend through chunk_apply.  Each backend
+        ends bit-identical to its own standalone run and, with an
+        over-sized reservoir, holds exactly the join's result set."""
+        stream = line3_stream(line3_query, 240, seed=11, domain=5)
+        truth = ground_truth_keys(line3_query, stream)
+        assert truth
+        k_all = len(truth) + 5
+        builders = {
+            "acyclic": lambda rng: ReservoirJoin(line3_query, k_all, rng=rng),
+            "cyclic": lambda rng: CyclicReservoirJoin(line3_query, k_all, rng=rng),
+            "baseline": lambda rng: SymmetricHashJoinSampler(
+                line3_query, k_all, rng=rng
+            ),
+            "sharded": lambda rng: ShardedIngestor(
+                line3_query, k=k_all, num_shards=2, chunk_size=32, rng=rng
+            ),
+        }
+        backends = {
+            name: build(random.Random(seed))
+            for seed, (name, build) in enumerate(builders.items())
+        }
+        modes = {name: chunk_apply(b)[1] for name, b in backends.items()}
+        assert modes["sharded"] == "ingest_batch"
+        assert modes["acyclic"] == "insert_batch"
+        applies = [chunk_apply(backend)[0] for backend in backends.values()]
+        for chunk in chunked(stream, 32):
+            for apply in applies:
+                apply(chunk)
+
+        merged = backends["sharded"].merged_sample()
+        assert {result_key(r) for r in merged} == truth
+        for seed, (name, build) in enumerate(builders.items()):
+            alone = build(random.Random(seed))
+            if name == "sharded":
+                alone.ingest(stream)
+                assert alone.shard_samples() == backends[name].shard_samples()
+                continue
+            assert {result_key(r) for r in backends[name].sample} == truth, name
+            BatchIngestor(alone, chunk_size=32).ingest(stream)
+            assert backends[name].sample == alone.sample, name
+            assert backends[name].statistics() == alone.statistics(), name
 
 
 # ---------------------------------------------------------------------- #

@@ -13,6 +13,7 @@ from __future__ import annotations
 import multiprocessing
 import pickle
 import random
+from pathlib import Path
 from typing import List
 
 import pytest
@@ -25,7 +26,6 @@ from repro import (
     CheckpointMismatchError,
     CheckpointVersionError,
     CyclicReservoirJoin,
-    FanoutIngestor,
     JoinQuery,
     ReservoirJoin,
     ShardedIngestor,
@@ -34,6 +34,24 @@ from repro import (
 from repro.core.backend import probe_backend, restore_backend, snapshot_backend
 from repro.baselines.sjoin import SJoin
 from repro.ingest.checkpoint import CODEC, FORMAT_VERSION, MAGIC, CheckpointCodec
+
+
+#: Checkpoints written by an earlier release whose engine snapshots still
+#: carried three modelled-timing keys (routing cost, per-chunk slowest
+#: lane, per-lane busy time), which restores now ignore.  Each holds the
+#: first 32 tuples of ``chain3_stream(60, seed=20)`` cut into chunks of 16:
+#: ``batch`` over ``ReservoirJoin(chain3(), 6, rng=Random(21))``;
+#: ``sharded-pool`` a ``ShardedIngestor(chain3(), k=4, num_shards=2,
+#: chunk_size=16, rng=Random(19))`` fed by ``ingest_parallel`` and saved
+#: through its live worker pool; ``async`` the same sharded target behind
+#: an ``AsyncIngestor(chunk_size=16)``.
+LEGACY_CHECKPOINTS = Path(__file__).parent / "data"
+
+
+def legacy_sharded() -> ShardedIngestor:
+    return ShardedIngestor(
+        chain3(), k=4, num_shards=2, chunk_size=16, rng=random.Random(19)
+    )
 
 
 def chain3() -> JoinQuery:
@@ -145,23 +163,86 @@ class TestRestoreGuards:
 
     def test_sharded_snapshot_with_a_retired_key_restores(self):
         # Older sharded checkpoints carry keys from_snapshot no longer
-        # reads; they restore, and the critical path is always a figure.
+        # reads: a retired top-level flag, and the timing keys in the
+        # sharded engine and in every pool worker's engine snapshot.
         ingestor = ShardedIngestor(chain3(), k=4, num_shards=2, rng=random.Random(19))
         ingestor.ingest(chain3_stream(40))
         state = ingestor.snapshot_state()
         state["retired_flag"] = True
         restored = ShardedIngestor.from_snapshot(state)
         assert restored.shard_samples() == ingestor.shard_samples()
-        assert restored.statistics()["critical_path_seconds"] >= 0.0
+
+        stream = chain3_stream(60, seed=20)
+        legacy = CODEC.load(LEGACY_CHECKPOINTS / "sharded-pool.checkpoint")["state"]
+        current = legacy_sharded().snapshot_state()
+        for old, new in zip(
+            [legacy["engine"], *legacy["shard_engines"]],
+            [current["engine"], *current["shard_engines"]],
+        ):
+            assert len(set(old) - set(new)) == 3
+        uninterrupted = legacy_sharded().ingest(stream)
+        resumed = ShardedIngestor.restore(LEGACY_CHECKPOINTS / "sharded-pool.checkpoint")
+        resumed.ingest(stream[32:])
+        assert resumed.shard_samples() == uninterrupted.shard_samples()
+        # Every counter matches; only the measured pool wall differs.
+        measured = resumed.statistics()
+        assert measured.pop("parallel_wall_seconds") > 0.0
+        assert measured == {
+            key: value
+            for key, value in uninterrupted.statistics().items()
+            if key != "parallel_wall_seconds"
+        }
+
+    def test_batch_and_async_checkpoints_with_retired_timing_keys_restore(self):
+        stream = chain3_stream(60, seed=20)
+        uninterrupted = BatchIngestor(
+            ReservoirJoin(chain3(), 6, rng=random.Random(21)), chunk_size=16
+        ).ingest(stream)
+        legacy = CODEC.load(LEGACY_CHECKPOINTS / "batch.checkpoint")["state"]
+        assert len(set(legacy["engine"]) - set(uninterrupted._engine.snapshot_state())) == 3
+        resumed = BatchIngestor.restore(LEGACY_CHECKPOINTS / "batch.checkpoint")
+        resumed.ingest(stream[32:])
+        assert resumed.sampler.sample == uninterrupted.sampler.sample
+        assert resumed.statistics() == uninterrupted.statistics()
+
+        sharded = legacy_sharded().ingest(stream)
+        with AsyncIngestor.restore(LEGACY_CHECKPOINTS / "async.checkpoint") as piped:
+            piped.ingest(stream[32:])
+        assert piped.target.shard_samples() == sharded.shard_samples()
 
     @pytest.mark.parametrize(
-        "ingestor_cls", [BatchIngestor, ShardedIngestor, FanoutIngestor, AsyncIngestor]
+        "ingestor_cls", [BatchIngestor, ShardedIngestor, AsyncIngestor]
     )
     def test_retired_rebalancing_kind_is_rejected(self, tmp_path, ingestor_cls):
-        path = tmp_path / "r.ckpt"
-        CODEC.dump(path, "rebalancing", {})
-        with pytest.raises(CheckpointMismatchError, match="rebalancing"):
-            ingestor_cls.restore(path)
+        # Both retired ingestion modes' kinds: rebalancing and fan-out.
+        for kind in ("rebalancing", "fanout"):
+            path = tmp_path / f"{kind}.ckpt"
+            CODEC.dump(path, kind, {})
+            with pytest.raises(CheckpointMismatchError, match=kind):
+                ingestor_cls.restore(path)
+
+    @pytest.mark.parametrize("codec", ["native", "pickle"])
+    def test_nested_backend_of_a_retired_class_is_a_mismatch(self, tmp_path, codec):
+        # An async checkpoint whose target names a module or class this
+        # version no longer has fails as a checkpoint mismatch naming it.
+        path = tmp_path / "a.ckpt"
+        pipeline = AsyncIngestor(
+            BatchIngestor(ReservoirJoin(chain3(), 4, rng=random.Random(22)))
+        )
+        with pipeline:
+            state = pipeline.snapshot_state()
+        for retired in (
+            "repro.ingest.rebalance:RebalancingIngestor",
+            "repro.ingest.batch:RetiredIngestor",
+        ):
+            module, _, name = retired.partition(":")
+            # A pickle that names the class (the GLOBAL opcode), as a
+            # whole-object pickle of an instance would.
+            payload = f"c{module}\n{name}\n.".encode() if codec == "pickle" else {}
+            state["target"] = {"codec": codec, "class": retired, "state": payload}
+            CODEC.dump(path, "async", state)
+            with pytest.raises(CheckpointMismatchError, match=retired):
+                AsyncIngestor.restore(path)
 
     def test_sampler_restore_state_requires_fresh_sampler(self):
         query = chain3()
@@ -180,21 +261,6 @@ class TestRestoreGuards:
         state = sampler.snapshot_state()
         with pytest.raises(ValueError, match="k=4"):
             CyclicReservoirJoin(query, 9, rng=random.Random(6)).restore_state(state)
-
-    def test_fanout_refuses_checkpoint_with_failed_backend(self, tmp_path):
-        class Exploding:
-            query = chain3()
-
-            def insert(self, relation, row):
-                raise OSError("disk on fire")
-
-        fan = FanoutIngestor(chunk_size=8, rng=random.Random(7), on_error="isolate")
-        fan.register("good", lambda rng: ReservoirJoin(chain3(), 4, rng=rng))
-        fan.add("bad", Exploding())
-        fan.ingest(chain3_stream(20))
-        assert "bad" in fan.failures
-        with pytest.raises(RuntimeError, match="failed backends"):
-            fan.save(tmp_path / "f.ckpt")
 
 
 # --------------------------------------------------------------------- #

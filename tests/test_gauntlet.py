@@ -169,16 +169,14 @@ def test_parallel_cells_assert_bit_identity(fast_report):
         assert cell.detail["bit_identical"] is True
 
 
-def test_checkpoint_column_covers_all_five_durable_modes(fast_report):
+def test_checkpoint_column_covers_all_four_durable_modes(fast_report):
     covered = set()
     for scenario in (s["name"] for s in fast_report.scenarios):
         cell = fast_report.cell(scenario, "checkpoint")
         assert cell.status == "pass"
         assert cell.detail["cut_at_tuple"] % fast_report.config["chunk_size"] == 0
         covered.update(cell.detail["covered"])
-    assert covered == {
-        "batch", "fanout", "async", "sharded", "windowed"
-    }
+    assert covered == {"batch", "async", "sharded", "windowed"}
 
 
 def test_served_column_probes_interior_epochs_everywhere(fast_report):
@@ -254,11 +252,11 @@ def test_broken_sampler_reports_traceback_instead_of_raising(tiny_scenarios):
 def test_run_gauntlet_scales_from_the_environment(monkeypatch):
     monkeypatch.setenv("REPRO_GAUNTLET_SCALE", str(TINY))
     report = run_gauntlet(
-        names=["graph-star3"], modes=["fanout"], config=GauntletConfig(trials=0)
+        names=["graph-star3"], modes=["async"], config=GauntletConfig(trials=0)
     )
     assert report.passed, report.render()
     assert [s["name"] for s in report.scenarios] == ["graph-star3"]
-    assert report.modes == ["fanout"]
+    assert report.modes == ["async"]
 
 
 def test_chi_square_kicks_in_at_the_trial_floor(tiny_scenarios):

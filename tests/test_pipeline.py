@@ -140,11 +140,11 @@ class TestBackpressure:
         assert stats["async_chunks_submitted"] == -(-2000 // 32)
         assert stats["async_tuples_submitted"] == 2000
         assert stats["async_chunks_processed"] == [stats["async_chunks_submitted"]]
-        # The target's own ingest_batch ran every chunk, so its per-chunk
-        # accounting is complete: the critical path is a real figure.
-        assert stats["critical_path_seconds"] > 0
-        assert sum(stats["shard_busy_seconds"]) > 0
-        assert stats["partition_seconds"] > 0
+        # The target's own ingest_batch ran every chunk, so its delivery
+        # counters are complete, and the worker's busy time is measured.
+        assert stats["batches_ingested"] == stats["async_chunks_submitted"]
+        assert sum(stats["shard_tuples"]) >= 2000
+        assert stats["async_worker_busy_seconds"][0] > 0
 
     def test_producer_blocks_instead_of_buffering_unboundedly(self, line3_query):
         target = ShardedIngestor(

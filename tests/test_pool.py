@@ -5,7 +5,7 @@ contract is pinned on its own terms: worker replicas bit-identical to
 locally-fed twins, reuse across submission waves, sub-chunks larger than
 the kernel pipe buffer, snapshot round trips through live workers, sticky
 poison on worker death and worker-side exceptions, backpressure/validation
-errors, and the accounting hand-off (busy/critical-path deltas).  The
+errors, and the delivery counters.  The
 ``ShardedIngestor`` integration (live-pool ``ingest_batch``, measured
 statistics, checkpoint adoption) lives in tests/test_shard_ingest.py and
 tests/test_checkpoint.py.
@@ -237,27 +237,9 @@ class TestCrash:
 
 
 # --------------------------------------------------------------------- #
-# Accounting hand-off
+# Counters
 # --------------------------------------------------------------------- #
 class TestAccounting:
-    def test_busy_and_critical_deltas_accumulate_and_reset(self):
-        _, _, inits = make_replicas(2)
-        stream = chain3_stream(96, seed=16)
-        with ShardWorkerPool(inits) as pool:
-            chunks = 0
-            for parts in routed_chunks(stream, 2, 16):
-                pool.submit(parts, route_seconds=0.25)
-                chunks += 1
-            pool.drain()
-            busy = pool.take_busy_deltas()
-            critical = pool.take_critical_delta()
-            assert len(busy) == 2 and all(b > 0 for b in busy)
-            # Each completed chunk contributes route + slowest worker.
-            assert critical >= 0.25 * chunks
-            # Taking transfers ownership: the second take is empty.
-            assert pool.take_busy_deltas() == [0.0, 0.0]
-            assert pool.take_critical_delta() == 0.0
-
     def test_statistics_shape(self):
         _, _, inits = make_replicas(2)
         stream = chain3_stream(64, seed=17)

@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from repro import AsyncIngestor, BatchIngestor, FanoutIngestor, PredicateStreamSampler
+from repro import AsyncIngestor, BatchIngestor, PredicateStreamSampler
 from repro.core.skippable import is_real
 from repro.workloads.strings import EditDistancePredicate, string_stream
 
@@ -107,15 +107,3 @@ def test_async_pipeline_matches_serial_run():
     with AsyncIngestor(BatchIngestor(piped, chunk_size=32), chunk_size=32) as ingestor:
         ingestor.ingest(stream)
     assert piped.sample == serial.sample
-
-
-def test_fanout_backend_matches_standalone_run():
-    stream, _, fresh = make_case()
-    fan = FanoutIngestor(chunk_size=32, rng=random.Random(9))
-    fan.register("pred", lambda rng: PredicateStreamSampler(12, fresh(), rng=rng))
-    fan.ingest(stream)
-    standalone = PredicateStreamSampler(
-        12, fresh(), rng=random.Random(fan.backend_seed("pred"))
-    )
-    BatchIngestor(standalone, chunk_size=32).ingest(stream)
-    assert fan.backend("pred").sample == standalone.sample

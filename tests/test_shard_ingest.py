@@ -448,9 +448,8 @@ class TestParallel:
         parallel.close_pool()
 
     def test_statistics_report_measured_parallel_timings(self, line3_query):
-        # Regression: the one-shot pool reported critical_path_seconds and
-        # shard_busy_seconds as None after parallel ingestion; the worker
-        # pool ships measured per-chunk busy seconds back with its acks.
+        # Every timing the ingestor reports is a wall it measured: the
+        # pool's startup and the submit-through-drain parallel wall.
         stream = line3_stream(line3_query, 120, seed=47)
         ingestor = ShardedIngestor(
             line3_query, k=5, num_shards=2, chunk_size=16, rng=random.Random(10)
@@ -460,16 +459,13 @@ class TestParallel:
         assert stats["parallel"] is True
         assert stats["parallel_wall_seconds"] > 0.0
         assert stats["pool_startup_seconds"] > 0.0
-        assert stats["critical_path_seconds"] > 0.0
-        assert len(stats["shard_busy_seconds"]) == 2
-        assert sum(stats["shard_busy_seconds"]) > 0.0
-        assert stats["partition_seconds"] >= 0.0
         pool_stats = stats["pool"]
         assert pool_stats["workers"] == 2
         assert pool_stats["poisoned"] is False
         assert sum(pool_stats["chunks_shipped"]) >= 8  # 120 tuples / 16
         ingestor.close_pool()
-        # After adoption the figures survive on the in-process engine.
+        # After adoption the measured walls survive on the ingestor.
         closed = ingestor.statistics()
         assert closed["parallel"] is False
-        assert closed["critical_path_seconds"] == stats["critical_path_seconds"]
+        assert closed["parallel_wall_seconds"] == stats["parallel_wall_seconds"]
+        assert closed["pool_startup_seconds"] == stats["pool_startup_seconds"]
