@@ -263,7 +263,7 @@ def bench() -> Dict:
             "the solo baseline (writer_overhead_over_baseline): on a "
             f"single core (cpu_count={os.cpu_count()}) readers timeshare "
             "with the writer and the ratio exceeds 1x by design — the "
-            "copy-on-read cut means readers never block the writer on "
+            "O(k) epoch cut means readers never block the writer on "
             "anything but the GIL. served_asyncio is the same server on "
             "one event loop via ServerFrontend: cooperative scheduling, "
             "reads interleaved at chunk boundaries."

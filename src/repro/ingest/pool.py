@@ -54,7 +54,6 @@ from ..core.backend import (
     snapshot_backend,
     snapshot_transport,
 )
-from ..relational.join import count_results
 from ..relational.stream import StreamDelete, StreamTuple, as_relation_rows
 
 #: Maximum sub-chunks in flight per worker before ``submit`` blocks on acks
@@ -95,7 +94,9 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
     everything but ``close`` with the same error (the parent raises it as
     :class:`WorkerCrashError`).
     """
-    from .batch import BatchIngestor  # deferred: avoid import cycles at fork
+    # Deferred: avoid import cycles (shard.py imports this module).
+    from .batch import BatchIngestor
+    from .shard import exact_result_count
 
     sampler = None
     ingestor = None
@@ -128,10 +129,10 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
                 ingestor.ingest_batch(part)
                 conn.send(("ok", seq))
             elif tag == "state":
-                index = getattr(sampler, "index", None)
+                # No index means no exact count; the parent raises for it.
                 count = (
-                    count_results(index.query, index.database)
-                    if index is not None
+                    exact_result_count(sampler)
+                    if getattr(sampler, "index", None) is not None
                     else None
                 )
                 conn.send(

@@ -26,11 +26,14 @@ tuple.  The shard-local join result sets therefore partition the global
 result set, and each shard's reservoir is — by the per-sampler guarantee — a
 uniform sample without replacement of its local set at every chunk boundary.
 
-:meth:`ShardedIngestor.merged_sample` turns those shard-local reservoirs
-into one uniform sample of the *global* join via weighted subsampling:
+:func:`merge_shard_samples` (behind :meth:`ShardedIngestor.merged_sample`
+and a served epoch cut alike) turns those shard-local reservoirs into one
+uniform sample of the *global* join via weighted subsampling:
 
-1. the exact local result count ``n_s`` of every shard is computed from its
-   index in ``O(N)`` (:func:`repro.relational.join.count_results`);
+1. the exact local result count ``n_s`` of every shard comes from
+   :func:`exact_result_count`: an ``O(N)`` pass over its index
+   (:func:`repro.relational.join.count_results`), or a turnstile shard's
+   tracked surviving count;
 2. ``k`` distinct virtual positions are drawn uniformly from ``range(sum
    n_s)`` and mapped to shards — this realises the multivariate
    hypergeometric allocation ``(k_1, …, k_S)`` of a uniform ``k``-subset of
@@ -53,7 +56,7 @@ import itertools
 import random
 import time
 from bisect import bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.backend import derive_seed, restore_backend, snapshot_backend
@@ -157,8 +160,15 @@ def exact_result_count(sampler) -> int:
     Works for any sampler built on :class:`~repro.index.dynamic_index
     .DynamicJoinIndex` (``ReservoirJoin`` counts its working query's join;
     ``CyclicReservoirJoin`` counts the bag join, which equals the original
-    query's result set).
+    query's result set).  A :class:`~repro.core.turnstile
+    .TurnstileReservoirJoin` that already tracks its surviving count (seeded
+    at its first applied delete) answers from that count, with no recount.
+    This is the one place a shard's count is computed, in process and in
+    the pool workers alike.
     """
+    tracked = getattr(sampler, "_population", None)
+    if tracked is not None:
+        return tracked
     index = getattr(sampler, "index", None)
     if index is None:
         raise TypeError(
@@ -168,14 +178,63 @@ def exact_result_count(sampler) -> int:
     return count_results(index.query, index.database)
 
 
-@dataclass
-class _ShardState:
+@dataclass(frozen=True)
+class ShardState:
     """What the merge needs from one shard: reservoir, exact count, capacity."""
 
-    sample: List[dict]
+    sample: Sequence[dict]
     count: int
     capacity: int
-    statistics: Dict[str, object] = field(default_factory=dict)
+
+
+def merge_shard_samples(
+    states: Sequence[ShardState], k: int, rng: random.Random
+) -> List[dict]:
+    """A uniform sample without replacement of the union of the shards'
+    disjoint local result sets.
+
+    Draws ``min(k, sum of counts)`` results: a hypergeometric allocation
+    over the shards, then a uniform subset of each shard's reservoir (see
+    the module docstring for the uniformity argument).  The live
+    :meth:`ShardedIngestor.merged_sample` and a served epoch cut both merge
+    through here, making the same ``rng.sample`` calls in the same order, so
+    equal states and equal RNGs give equal samples.  ``k`` may not exceed
+    any overflowing shard's reservoir capacity.
+    """
+    if k <= 0:
+        raise ValueError("merged sample size must be positive")
+    total = sum(state.count for state in states)
+    k_eff = min(k, total)
+    if k_eff == 0:
+        return []
+    boundaries: List[int] = []
+    running = 0
+    for state in states:
+        if state.count > state.capacity and k_eff > state.capacity:
+            raise ValueError(
+                f"merged sample of size {k_eff} needs per-shard reservoir "
+                f"capacity >= {k_eff}, but a shard holding "
+                f"{state.count} results has capacity {state.capacity}"
+            )
+        if len(state.sample) != min(state.capacity, state.count):
+            raise RuntimeError(
+                f"shard reservoir holds {len(state.sample)} results but the "
+                f"exact local count is {state.count} (capacity "
+                f"{state.capacity}); the shard sampler is not uniform over "
+                "its local join"
+            )
+        running += state.count
+        boundaries.append(running)
+    # A uniform k-subset of range(total) realises the multivariate
+    # hypergeometric allocation over the disjoint shard ranges.
+    allocation = [0] * len(states)
+    for position in rng.sample(range(total), k_eff):
+        allocation[bisect_right(boundaries, position)] += 1
+    merged: List[dict] = []
+    for state, take in zip(states, allocation):
+        if take:
+            merged.extend(rng.sample(state.sample, take))
+    return merged
 
 
 class ShardedIngestor:
@@ -659,11 +718,11 @@ class ShardedIngestor:
     # ------------------------------------------------------------------ #
     # Merging
     # ------------------------------------------------------------------ #
-    def _pool_states(self) -> List[_ShardState]:
+    def _pool_states(self) -> List[ShardState]:
         """Fetch the merge inputs from the live workers (drains first — the
         read happens at a chunk boundary) and refresh the count cache."""
         states = []
-        for shard, (sample, count, capacity, stats, _) in enumerate(
+        for shard, (sample, count, capacity, _, _) in enumerate(
             self._pool.shard_states()
         ):
             if count is None:
@@ -672,22 +731,22 @@ class ShardedIngestor:
                     "index; the sharded merge needs exact local result counts"
                 )
             states.append(
-                _ShardState(
-                    sample,
-                    count,
-                    capacity if capacity is not None else self.k,
-                    dict(stats),
+                ShardState(
+                    sample, count, capacity if capacity is not None else self.k
                 )
             )
         self._counts = [state.count for state in states]
         return states
 
-    def _states(self) -> List[_ShardState]:
+    def shard_states(self) -> List[ShardState]:
+        """Every shard's merge inputs (reservoir, exact count, capacity),
+        read at the current chunk boundary — from the live workers in pool
+        mode, from the in-process replicas otherwise."""
         if self.pool_active:
             return self._pool_states()
         counts = self.shard_counts()
         return [
-            _ShardState(sampler.sample, counts[shard], getattr(sampler, "k", self.k))
+            ShardState(sampler.sample, counts[shard], getattr(sampler, "k", self.k))
             for shard, sampler in enumerate(self.samplers)
         ]
 
@@ -754,44 +813,11 @@ class ShardedIngestor:
         state.  ``k`` defaults to the constructor's ``k`` and may not exceed
         any overflowing shard's reservoir capacity.
         """
-        if k is None:
-            k = self.k
-        if k <= 0:
-            raise ValueError("merged sample size must be positive")
-        rng = rng if rng is not None else self._rng
-        states = self._states()
-        total = sum(state.count for state in states)
-        k_eff = min(k, total)
-        if k_eff == 0:
-            return []
-        boundaries: List[int] = []
-        running = 0
-        for state in states:
-            if state.count > state.capacity and k_eff > state.capacity:
-                raise ValueError(
-                    f"merged sample of size {k_eff} needs per-shard reservoir "
-                    f"capacity >= {k_eff}, but a shard holding "
-                    f"{state.count} results has capacity {state.capacity}"
-                )
-            if len(state.sample) != min(state.capacity, state.count):
-                raise RuntimeError(
-                    f"shard reservoir holds {len(state.sample)} results but the "
-                    f"exact local count is {state.count} (capacity "
-                    f"{state.capacity}); the shard sampler is not uniform over "
-                    "its local join"
-                )
-            running += state.count
-            boundaries.append(running)
-        # A uniform k-subset of range(total) realises the multivariate
-        # hypergeometric allocation over the disjoint shard ranges.
-        allocation = [0] * len(states)
-        for position in rng.sample(range(total), k_eff):
-            allocation[bisect_right(boundaries, position)] += 1
-        merged: List[dict] = []
-        for state, take in zip(states, allocation):
-            if take:
-                merged.extend(rng.sample(state.sample, take))
-        return merged
+        return merge_shard_samples(
+            self.shard_states(),
+            self.k if k is None else k,
+            rng if rng is not None else self._rng,
+        )
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -1,8 +1,8 @@
 """The sample-serving layer: snapshot-isolated concurrent reads.
 
 One writer drives a live ingestor; many readers draw exactly-uniform
-samples from copy-on-read epoch cuts that never observe a half-applied
-chunk.  See :mod:`repro.serve.server` for the uniformity argument and
+samples from O(k) epoch records of the reservoirs, which never observe a
+half-applied chunk.  See :mod:`repro.serve.server` for the uniformity argument and
 :mod:`repro.serve.frontend` for the asyncio front end.
 """
 

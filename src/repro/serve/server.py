@@ -11,26 +11,39 @@ Snapshot epochs
 Uniformity holds at chunk boundaries — and only there.  The server counts
 boundaries as *epochs* via the ingestors' ``add_boundary_hook`` seam
 (epoch ``E`` = the state after chunk ``E``; epoch 0 = the empty prefix).
-Reads never touch the live state.  Instead the server takes a **copy-on-read
-cut**: the first read of an epoch freezes the ingestor through the existing
-:func:`~repro.core.backend.snapshot_backend` / :func:`~repro.core.backend
-.restore_backend` capability (an in-memory round trip, no disk codec) into
-an immutable replica; every subsequent read of that epoch shares the cached
-replica lock-free.  The cut is captured under the same lock the writer holds
-while applying a chunk, so a replica always equals the ingestor's state at
-*exactly* one chunk boundary — no half-applied chunk is observable.
+Reads never touch the live state.  Instead the first read of an epoch
+captures an :class:`EpochSnapshot`: an immutable record of only what a read
+needs, never the index or the relations.
+
+* A batch-style target (a :class:`~repro.ingest.batch.BatchIngestor`, a
+  bare sampler, or the drained target of an :class:`~repro.ingest.pipeline
+  .AsyncIngestor`) records its reservoir.
+* A :class:`~repro.ingest.shard.ShardedIngestor` records each shard's
+  reservoir, exact local count and capacity, plus its default merge size.
+* Every subscribed predicate view records its reservoir.
+
+Result dicts are copied into the record, so later ingestion cannot reach
+it.  A cut therefore costs O(k) per reservoir, plus the exact shard counts
+of a sharded target, and holds O(k) memory.  The record is captured under
+the same lock the writer holds while applying a chunk, so it always equals
+the state at *exactly* one chunk boundary — no half-applied chunk is
+observable.  Every other read of that epoch shares the cached record
+lock-free, and the results it returns are shared between those readers:
+treat them as read-only.
 
 Why the served sample is exactly uniform
 ----------------------------------------
-Snapshot/restore is bit-identical (property-harness section (e)), so the
-frozen replica at epoch ``E`` *is* a sampler that ingested precisely the
-first ``E`` chunks and then stopped.  By the per-sampler chunk-boundary
-guarantee its reservoir is a uniform sample without replacement of the join
-results of that prefix; for sharded replicas, :meth:`~repro.ingest.shard
-.ShardedIngestor.merged_sample` on the frozen cut realises the exact
-hypergeometric merge over the frozen shard reservoirs.  Readers therefore
-get exact uniformity over the prefix at their snapshot epoch — never an
-approximation, never a mixture of two prefixes.
+The record's reservoir *is* the target's reservoir at the boundary of epoch
+``E``, copied value for value.  By the per-sampler chunk-boundary guarantee
+it is a uniform sample without replacement of the join results of the
+first ``E`` chunks, and a uniform subset of it (``sample(k)`` below the
+reservoir size) is uniform too.  For a sharded target the record's shard
+states are the exact inputs of :func:`~repro.ingest.shard
+.merge_shard_samples`, the same function the live
+:meth:`~repro.ingest.shard.ShardedIngestor.merged_sample` calls, so a read
+realises the exact hypergeometric merge over the boundary reservoirs.
+Readers therefore get exact uniformity over the prefix at their snapshot
+epoch — never an approximation, never a mixture of two prefixes.
 
 Predicate views
 ---------------
@@ -39,8 +52,8 @@ Predicate views
 feeds every view at each chunk it pushes (stream items arrive at the view
 as ``(relation, row)`` pairs wrapped into the view's arity-1 relation), so
 a view's reservoir is a uniform sample of the *predicate-matching* stream
-items pushed since subscription — and it freezes into every epoch cut with
-the same snapshot capability, giving views the same isolation guarantee.
+items pushed since subscription — and it is recorded in every epoch cut,
+giving views the same isolation guarantee.
 
 Single-writer discipline: drive ingestion through ``server.ingest_batch`` /
 ``server.ingest`` (or the asyncio front end).  Reads are safe from any
@@ -53,43 +66,31 @@ from __future__ import annotations
 
 import random
 import threading
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.backend import chunk_apply, derive_seed, restore_backend, snapshot_backend
+from ..core.backend import chunk_apply, derive_seed
+# Bound but never called: bench/run.py's trace probes look these names up here.
+from ..core.backend import restore_backend, snapshot_backend  # noqa: F401
 from ..core.predicate_backend import PredicateStreamSampler
 from ..ingest.engine import DEFAULT_CHUNK_SIZE
 from ..ingest.pipeline import AsyncIngestor
+from ..ingest.shard import ShardState, merge_shard_samples
 from ..relational.stream import StreamTuple, as_relation_rows, chunk_stream
 
 
-def _freeze_view(view: PredicateStreamSampler) -> PredicateStreamSampler:
-    """An inert in-memory replica of a predicate view's current state.
-
-    Unlike the disk-bound snapshot capability this never pickles the
-    predicate — the frozen clone *shares* the live predicate object (it is
-    configuration, not sampler state), so lambdas and closures work as
-    subscriber predicates.  Everything mutable is copied.
-    """
-    clone = view.spawn(rng=random.Random())
-    source, frozen = view.reservoir, clone.reservoir
-    frozen._sample = list(source._sample)
-    frozen._w = source._w
-    frozen.stops = source.stops
-    frozen.real_stops = source.real_stops
-    frozen._rng.setstate(source._rng.getstate())
-    clone.tuples_processed = view.tuples_processed
-    clone.chunks_processed = view.chunks_processed
-    return clone
+def _copied(results: Iterable[dict]) -> Tuple[dict, ...]:
+    """The results as a tuple of fresh dicts, out of the writer's reach."""
+    return tuple(dict(result) for result in results)
 
 
 class EpochSnapshot:
-    """An immutable cut of the served state at one chunk-boundary epoch.
+    """An immutable record of the served state at one chunk-boundary epoch.
 
-    Holds a frozen replica of the ingestor (and of every subscribed
-    predicate view) rebuilt from its snapshot record — a deep, inert copy
-    that later ingestion cannot touch.  All read methods are safe to call
-    from any number of threads concurrently: the only mutable state is a
-    private seed RNG, guarded by its own lock, from which each read that
+    Holds only what reads need: ``reservoir`` (a batch-style target) or
+    ``shard_states`` plus the default merge size ``k`` (a sharded target),
+    and each subscribed view's reservoir.  All read methods are safe to
+    call from any number of threads concurrently: the only mutable state is
+    a private seed RNG, guarded by its own lock, from which each read that
     needs randomness derives an independent ``random.Random``.
     """
 
@@ -97,21 +98,20 @@ class EpochSnapshot:
         self,
         epoch: int,
         tuples_ingested: Optional[int],
-        frozen,
-        views: Dict[str, PredicateStreamSampler],
         seed: int,
+        reservoir: Optional[Tuple[dict, ...]],
+        shard_states: Optional[Tuple[ShardState, ...]],
+        k: Optional[int],
+        views: Dict[str, Tuple[dict, ...]],
     ) -> None:
         self.epoch = epoch
         self.tuples_ingested = tuples_ingested
-        self._frozen = frozen
+        self.reservoir = reservoir
+        self.shard_states = shard_states
+        self.k = k
         self._views = views
         self._seed_rng = random.Random(seed)
         self._rng_lock = threading.Lock()
-
-    @property
-    def replica(self):
-        """The frozen ingestor/sampler replica (treat as read-only)."""
-        return self._frozen
 
     def _reader_rng(self) -> random.Random:
         with self._rng_lock:
@@ -122,32 +122,30 @@ class EpochSnapshot:
     ) -> List[dict]:
         """A uniform sample of the join results of this epoch's prefix.
 
-        Sharded replicas draw a fresh merged sample
-        (hypergeometric allocation over the frozen shard reservoirs);
-        batch-style replicas return the frozen reservoir itself when ``k``
-        is ``None`` or at least the reservoir size (bit-identical to a
-        standalone sampler stopped at this prefix), and a uniform
-        ``k``-subset of it otherwise — a uniform subset of a uniform
-        sample is itself uniform.  Pass ``rng`` for a deterministic draw;
-        by default each call derives an independent RNG from the
-        snapshot's capture seed.
+        Sharded records draw a fresh merged sample (hypergeometric
+        allocation over the recorded shard reservoirs, ``k`` defaulting to
+        the ingestor's).  Batch-style records return the reservoir itself
+        when ``k`` is ``None`` or at least the reservoir size
+        (bit-identical to a standalone sampler stopped at this prefix), and
+        a uniform ``k``-subset of it otherwise — a uniform subset of a
+        uniform sample is itself uniform.  Pass ``rng`` for a deterministic
+        draw; by default each call derives an independent RNG from the
+        snapshot's capture seed.  The returned dicts are shared with other
+        readers of this cut: treat them as read-only.
         """
-        frozen = self._frozen
-        if hasattr(frozen, "merged_sample"):
-            if rng is None:
-                rng = self._reader_rng()
-            return frozen.merged_sample(k, rng=rng)
-        reservoir = frozen.sampler.sample if hasattr(frozen, "sampler") else frozen.sample
-        if callable(reservoir):
-            reservoir = reservoir()
-        reservoir = list(reservoir)
-        if k is None or k >= len(reservoir):
-            return reservoir
-        if k <= 0:
+        if k is not None and k <= 0:
             raise ValueError("sample size must be positive")
-        if rng is None:
-            rng = self._reader_rng()
-        return rng.sample(reservoir, k)
+        if self.shard_states is not None:
+            return merge_shard_samples(
+                self.shard_states,
+                self.k if k is None else k,
+                rng if rng is not None else self._reader_rng(),
+            )
+        if k is None or k >= len(self.reservoir):
+            return list(self.reservoir)
+        return (rng if rng is not None else self._reader_rng()).sample(
+            self.reservoir, k
+        )
 
     def merged_sample(
         self, k: Optional[int] = None, rng: Optional[random.Random] = None
@@ -156,29 +154,20 @@ class EpochSnapshot:
         return self.sample(k, rng=rng)
 
     def view_sample(self, name: str) -> List[dict]:
-        """The frozen reservoir of one subscribed predicate view."""
+        """The recorded reservoir of one subscribed predicate view."""
         view = self._views.get(name)
         if view is None:
             raise KeyError(
                 f"no subscriber {name!r} in this snapshot "
                 f"(known: {sorted(self._views)})"
             )
-        return view.sample
-
-    def statistics(self) -> Dict[str, object]:
-        """The frozen replica's statistics, tagged with the epoch."""
-        stats: Dict[str, object] = {
-            "epoch": self.epoch,
-            "tuples_ingested": self.tuples_ingested,
-        }
-        if hasattr(self._frozen, "statistics"):
-            stats.update(self._frozen.statistics())
-        return stats
+        return list(view)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        kind = "sharded" if self.shard_states is not None else "reservoir"
         return (
-            f"EpochSnapshot(epoch={self.epoch}, "
-            f"replica={type(self._frozen).__name__}, views={sorted(self._views)})"
+            f"EpochSnapshot(epoch={self.epoch}, {kind}, "
+            f"views={sorted(self._views)})"
         )
 
 
@@ -192,7 +181,7 @@ class SampleServer:
         ``add_boundary_hook`` gets exact epoch tracking; a bare sampler
         falls back to counting the chunks pushed through the server.
     rng:
-        Master randomness for snapshot-capture seeds and view replicas;
+        Master randomness for snapshot-capture seeds and view samplers;
         seed it for reproducible served draws.
 
     Writer API: :meth:`ingest_batch` / :meth:`ingest` (one thread/task).
@@ -292,7 +281,7 @@ class SampleServer:
 
         Each stream item reaches the predicate as its normalised
         ``(relation, row)`` pair.  Subscribe before ingestion starts for a
-        whole-stream view.  The view freezes into every epoch cut, so
+        whole-stream view.  Its reservoir is recorded in every epoch cut, so
         :meth:`view_sample` is snapshot-isolated exactly like
         :meth:`sample`.  ``relation``/``attribute`` name the view's own
         arity-1 schema (cosmetic; they shape the returned dicts).
@@ -327,29 +316,31 @@ class SampleServer:
         return None
 
     def _capture(self) -> EpochSnapshot:
-        inner = self.ingestor
-        if isinstance(inner, AsyncIngestor):
+        target = self.ingestor
+        if isinstance(target, AsyncIngestor):
             # The only boundaries an async pipeline has are drain points:
-            # drain (publishing the epoch via the drain hook), then freeze
-            # the quiescent *target* — freezing the pipeline itself would
-            # spawn worker threads the frozen replica never uses.
-            inner.drain()
-            frozen = restore_backend(snapshot_backend(inner.target))
+            # drain (publishing the epoch via the drain hook), then record
+            # the quiescent target.
+            target.drain()
+            target = target.target
+        reservoir = shard_states = k = None
+        if hasattr(target, "shard_states"):
+            shard_states = tuple(
+                ShardState(_copied(state.sample), state.count, state.capacity)
+                for state in target.shard_states()
+            )
+            k = target.k
         else:
-            frozen = restore_backend(snapshot_backend(inner))
-        if hasattr(frozen, "shard_counts"):
-            # Pre-warm the exact-count cache under the write lock so
-            # concurrent merged_sample readers share it lock-free.
-            frozen.shard_counts()
-        views = {
-            name: _freeze_view(view) for name, view in self._views.items()
-        }
+            held = target.sampler.sample if hasattr(target, "sampler") else target.sample
+            reservoir = _copied(held() if callable(held) else held)
         return EpochSnapshot(
             self._epoch,
             self._prefix_tuples(),
-            frozen,
-            views,
             derive_seed(self._rng),
+            reservoir=reservoir,
+            shard_states=shard_states,
+            k=k,
+            views={name: _copied(view.sample) for name, view in self._views.items()},
         )
 
     def _boundary_pending(self) -> bool:
@@ -357,14 +348,14 @@ class SampleServer:
         return isinstance(inner, AsyncIngestor) and not inner.at_boundary
 
     def snapshot(self, max_staleness: int = 0) -> EpochSnapshot:
-        """The copy-on-read cut readers sample from.
+        """The epoch record readers sample from.
 
         Returns the cached cut when it is at most ``max_staleness`` epochs
         behind the current one (0 = must be current); otherwise captures a
-        fresh cut at the current boundary.  Capture cost is one in-memory
-        snapshot/restore of the ingestor state, paid once per epoch by the
-        first reader needing it — every other read of that epoch is a
-        cache hit on an immutable object.
+        fresh cut at the current boundary.  Capture copies the reservoirs
+        (O(k) each; a sharded target also reads its exact shard counts),
+        paid once per epoch by the first reader needing it — every other
+        read of that epoch is a cache hit on an immutable record.
         """
         if max_staleness < 0:
             raise ValueError("max_staleness must be non-negative")

@@ -497,7 +497,8 @@ def test_served_batched_sample_bit_identical_at_every_epoch(case_seed):
     """At each chunk boundary the server's cut holds exactly the reservoir
     of a co-seeded standalone run stopped at that prefix — and capturing
     the cut never perturbs the writer (the runs stay identical to the
-    end even though every epoch was snapshotted)."""
+    end even though every epoch was snapshotted, and a cut taken earlier
+    still serves its own epoch's reservoir afterwards)."""
     rng = random.Random(case_seed)
     query, stream = random_acyclic_case(rng)
     chunk_size = rng.choice([8, 17])
@@ -514,15 +515,20 @@ def test_served_batched_sample_bit_identical_at_every_epoch(case_seed):
         ReservoirJoin(query, 7, rng=random.Random(case_seed + 1)),
         chunk_size=chunk_size,
     )
+    served = []
     for epoch, chunk in enumerate(chunks, start=1):
         server.ingest_batch(chunk)
         standalone.ingest_batch(chunk)
         snap = server.snapshot()
         assert snap.epoch == epoch
-        assert snap.sample() == list(standalone.sampler.sample)
-    # The frozen replica is a full bit-copy, statistics included.
-    assert snap.replica.sampler.statistics() == standalone.sampler.statistics()
-    assert snap.replica.statistics() == standalone.statistics()
+        assert snap.tuples_ingested == standalone.tuples_ingested
+        expected = list(standalone.sampler.sample)
+        assert snap.sample() == expected
+        served.append((snap, expected))
+    # Every cut still serves its own epoch after all later chunks.
+    for snap, expected in served:
+        assert snap.sample() == expected
+    assert server.ingestor.sampler.statistics() == standalone.sampler.statistics()
 
 
 @pytest.mark.parametrize("case_seed", [12, 41, 77])
@@ -556,6 +562,6 @@ def test_served_sharded_merged_sample_bit_identical_at_every_epoch(case_seed):
         assert snap.merged_sample(
             7, rng=random.Random(merge_rng)
         ) == standalone.merged_sample(7, rng=random.Random(merge_rng))
-    assert [list(s.sample) for s in snap.replica.samplers] == [
-        list(s.sample) for s in standalone.samplers
-    ]
+    assert [
+        list(state.sample) for state in snap.shard_states
+    ] == standalone.shard_samples()

@@ -23,8 +23,10 @@ from repro import (
     ShardedIngestor,
     StreamTuple,
 )
+import repro.serve.server as server_module
 from repro.ingest.checkpoint import PeriodicCheckpointer
 from repro.serve.frontend import quantile
+from repro.stats.memory import deep_sizeof
 from repro.stats.uniformity import result_key
 
 K = 8
@@ -239,6 +241,119 @@ class TestSampleServer:
         assert server.statistics()["exact_epoch_tracking"] is False
         sample = server.snapshot().sample()
         assert sample and all(row["item"] % 2 == 0 for row in sample)
+
+
+# ---------------------------------------------------------------------- #
+# The epoch record: a cut copies reservoirs, never the ingestor
+# ---------------------------------------------------------------------- #
+TARGETS = ["batch", "sharded", "pool", "async", "bare"]
+
+
+def build_target(kind, query):
+    """A served target of the given kind, seeded for reproducible reads."""
+    if kind == "batch":
+        return BatchIngestor(
+            ReservoirJoin(query, K, rng=random.Random(5)), chunk_size=CHUNK
+        )
+    if kind in ("sharded", "pool"):
+        target = ShardedIngestor(
+            query, K, num_shards=2, chunk_size=CHUNK, rng=random.Random(5)
+        )
+        if kind == "pool":
+            target.start_pool()
+        return target
+    if kind == "async":
+        return AsyncIngestor(
+            BatchIngestor(
+                ReservoirJoin(query, K, rng=random.Random(5)), chunk_size=CHUNK
+            ),
+            chunk_size=CHUNK,
+            buffer_chunks=4,
+        )
+    return ReservoirJoin(query, K, rng=random.Random(5))
+
+
+def close_target(target):
+    if isinstance(target, ShardedIngestor):
+        target.close_pool(sync=False)
+    elif isinstance(target, AsyncIngestor):
+        target.close()
+
+
+@pytest.fixture
+def no_backend_copies(monkeypatch):
+    """Make any whole-state copy inside the serving layer fail loudly."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an epoch cut copied the ingestor's whole state")
+
+    monkeypatch.setattr(server_module, "snapshot_backend", forbidden)
+    monkeypatch.setattr(server_module, "restore_backend", forbidden)
+
+
+class TestEpochRecord:
+    @pytest.mark.parametrize("kind", TARGETS)
+    def test_cut_never_copies_the_ingestor(
+        self, line3_query, stream, kind, no_backend_copies
+    ):
+        target = build_target(kind, line3_query)
+        try:
+            server = SampleServer(target, rng=random.Random(6))
+            server.subscribe("evens", lambda pair: pair[1][0] % 2 == 0, k=4)
+            pieces = chunks_of(stream)
+            for piece in pieces[: len(pieces) // 2]:
+                server.ingest_batch(piece)
+            snap = server.snapshot()
+            assert snap.epoch == server.epoch > 0
+            served = snap.sample(K, rng=random.Random(3))
+            view = snap.view_sample("evens")
+            assert len(served) == K
+            assert all(set(row) == set(line3_query.attributes) for row in served)
+            assert len(view) == 4
+            assert all(row["item"][1][0] % 2 == 0 for row in view)
+            for piece in pieces[len(pieces) // 2 :]:
+                server.ingest_batch(piece)
+            server.drain()
+            assert snap.sample(K, rng=random.Random(3)) == served
+            assert snap.view_sample("evens") == view
+            assert server.snapshot().epoch > snap.epoch
+        finally:
+            close_target(target)
+
+    def test_cut_size_does_not_grow_with_the_stream(self, line3_query):
+        sizes = []
+        for n in (N_TUPLES, 8 * N_TUPLES):
+            server = SampleServer(
+                BatchIngestor(
+                    ReservoirJoin(line3_query, K, rng=random.Random(2)),
+                    chunk_size=CHUNK,
+                ),
+                rng=random.Random(3),
+            ).ingest(line3_stream(line3_query, n, seed=7))
+            snap = server.snapshot()
+            assert len(snap.sample()) == K
+            sizes.append(deep_sizeof(snap))
+        small, large = sizes
+        # Not exactly equal: deep_sizeof counts an int object shared by
+        # several results once, and the sharing differs between the runs.
+        assert large <= 1.05 * small, sizes
+
+    @pytest.mark.parametrize("kind", ["batch", "sharded"])
+    @pytest.mark.parametrize("epochs", [0, 1])
+    def test_non_positive_k_is_rejected_at_every_epoch(
+        self, line3_query, stream, kind, epochs
+    ):
+        server = SampleServer(build_target(kind, line3_query))
+        for piece in chunks_of(stream)[:epochs]:
+            server.ingest_batch(piece)
+        snap = server.snapshot()
+        for k in (0, -1):
+            with pytest.raises(ValueError):
+                snap.sample(k)
+            with pytest.raises(ValueError):
+                server.merged_sample(k)
+        if not epochs:
+            assert snap.sample() == []
 
 
 # ---------------------------------------------------------------------- #

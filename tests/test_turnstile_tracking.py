@@ -23,6 +23,7 @@ from typing import List
 import pytest
 
 import repro.core.turnstile as turnstile_module
+import repro.ingest.shard as shard_module
 from repro import (
     BatchIngestor,
     JoinQuery,
@@ -318,6 +319,39 @@ def test_insert_only_stream_never_recounts(recount_calls):
     )
     assert sampler._population is None
     assert recount_calls == []
+
+
+def test_sharded_counts_read_the_tracked_count(monkeypatch):
+    """A turnstile shard reports its tracked surviving count to the merge;
+    serial ``shard_counts`` recounts nothing, and the pool workers (whose
+    replicas restart untracked) agree with it."""
+    stream = mixed_stream(CHAIN3, 41, n=400)
+    ingestor = ShardedIngestor(
+        CHAIN3, 6, num_shards=3, chunk_size=16,
+        factory=lambda shard, rng: TurnstileReservoirJoin(CHAIN3, 6, rng=rng),
+        rng=random.Random(41),
+    )
+    ingestor.ingest(stream)
+    assert all(sampler._population is not None for sampler in ingestor.samplers)
+    oracle = [
+        count_results(sampler.query, sampler.index.database)
+        for sampler in ingestor.samplers
+    ]
+    calls = []
+
+    def counting(query, database):
+        calls.append(query.name)
+        return count_results(query, database)
+
+    monkeypatch.setattr(turnstile_module, "count_results", counting)
+    monkeypatch.setattr(shard_module, "count_results", counting)
+    assert ingestor.shard_counts() == oracle
+    assert calls == []
+    ingestor.start_pool()
+    try:
+        assert ingestor.shard_counts() == oracle
+    finally:
+        ingestor.close_pool(sync=False)
 
 
 # ---------------------------------------------------------------------- #
