@@ -4,17 +4,17 @@
 PYTHONPATH := src
 export PYTHONPATH
 
-.PHONY: test test-smoke unit docs-check slow slow-smoke gauntlet gauntlet-smoke benchmark bench bench-smoke profile
+.PHONY: test test-smoke unit docs-check slow slow-smoke gauntlet gauntlet-smoke benchmark bench-gates bench bench-smoke profile
 
 # The default invocation: the fast deterministic suite + executable docs.
 test: unit docs-check
 
 # The CI smoke profile in one shot: tier-1 suite, executable docs, the
-# serving-layer slice (gating: snapshot isolation is a correctness seam, not
-# a perf knob), and the statistical suites at the scaled-down
-# REPRO_STAT_TRIALS=60 trial counts (the whole thing finishes in well under
-# three minutes).
-test-smoke: unit docs-check
+# repository benchmark's correctness gates, the serving-layer slice (gating:
+# snapshot isolation is a correctness seam, not a perf knob), and the
+# statistical suites at the scaled-down REPRO_STAT_TRIALS=60 trial counts
+# (the whole thing finishes in well under three minutes).
+test-smoke: unit docs-check bench-gates
 	python -m pytest tests/test_serving.py -q
 	REPRO_STAT_TRIALS=60 python -m pytest -m slow -q
 
@@ -49,6 +49,12 @@ gauntlet-smoke:
 # public API, end-to-end metrics printed and written to BENCH_suite.json.
 benchmark:
 	python3 bench/run.py
+
+# The benchmark's correctness gates, not its numbers: one small traced pass
+# of every workload.  Exits 1 if a workload's correctness gate fails or a
+# tracer probe no longer resolves a name in src/; no timing is bounded.
+bench-gates:
+	python3 bench/run.py --scale 0.05 --trace 1 --out "$$(mktemp -d)/suite.json"
 
 # Ingestion-seam acceptance benchmarks (each emits BENCH_*.json in CWD).
 bench:

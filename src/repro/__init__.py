@@ -121,7 +121,6 @@ from .ingest.checkpoint import (
     CheckpointVersionError,
     PeriodicCheckpointer,
 )
-from .ingest.engine import IngestionEngine
 from .ingest.pipeline import AsyncIngestor
 from .ingest.pool import ShardWorkerPool, WorkerCrashError
 from .ingest.shard import ShardedIngestor
@@ -153,7 +152,6 @@ __all__ = [
     "TurnstileReservoirJoin",
     "WindowedSampler",
     "SamplerBackend",
-    "IngestionEngine",
     "BatchIngestor",
     "ShardedIngestor",
     "ShardWorkerPool",

@@ -131,11 +131,6 @@ class DynamicJoinIndex:
             tree.delete_row(relation, row)
         return True
 
-    def delete_rows(self, relation: str, rows: Iterable[Sequence]) -> List[tuple]:
-        """Delete several rows from one relation; returns the rows removed."""
-        removed = [row for row in (tuple(r) for r in rows) if self.delete(relation, row)]
-        return removed
-
     # ------------------------------------------------------------------ #
     # Delta batches (operation (3) of Theorem 4.2)
     # ------------------------------------------------------------------ #

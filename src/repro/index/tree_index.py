@@ -217,16 +217,6 @@ class TreeIndex:
         key = self._entity_key(relation, group, view)
         self._reweight(relation, key, group, approx_old * children, approx_new * children)
 
-    def delete_rows(self, relation: str, rows: Sequence[Tuple]) -> None:
-        """Bulk companion of :meth:`delete_row` (a straight per-row loop).
-
-        Deletions are far rarer than inserts in every supported workload
-        (tombstone retractions, window expiries), so the bulk entry point
-        exists for API symmetry rather than as a bulk-optimised hot path.
-        """
-        for row in rows:
-            self.delete_row(relation, row)
-
     def insert_rows(self, relation: str, rows: Sequence[Tuple]) -> None:
         """Bulk version of :meth:`insert_row` for several rows of one relation.
 

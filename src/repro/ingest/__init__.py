@@ -3,8 +3,7 @@
 Per-tuple ingestion (``sampler.insert(relation, row)``) pays full Python
 dispatch — index lookups, projection-position resolution, reservoir
 bookkeeping — for every arriving tuple.  The ingestion subsystem amortises
-that cost and scales it out, and since the engine refactor it is built as
-three layers instead of four sibling class hierarchies:
+that cost and scales it out in two layers:
 
 1. **The protocol** (:mod:`repro.core.backend`): every sampler conforms to
    the :class:`~repro.core.backend.SamplerBackend` interface; capability
@@ -12,16 +11,13 @@ three layers instead of four sibling class hierarchies:
    best chunk path once — ``ingest_batch``, ``insert_batch``, or the
    validated per-tuple fallback — so no ingestor carries its own
    ``getattr`` boilerplate.
-2. **The engine** (:mod:`repro.ingest.engine`): one shared
-   :class:`IngestionEngine` owns chunk cutting, per-lane dispatch,
-   all-or-nothing routing-time validation and the delivery counters.
-3. **Policies and wrappers**: the public ingestors are thin policies over
-   the engine —
+2. **The ingestors**, each one chunk loop that applies a chunk, counts it
+   once and then runs its chunk-boundary hooks:
 
-   * :class:`BatchIngestor` — one lane, no routing; the uniformity
+   * :class:`BatchIngestor` — one sampler, no routing; the uniformity
      guarantee holds at every chunk boundary (``chunk_size=1`` degenerates
      to exact per-tuple semantics).
-   * :class:`ShardedIngestor` — one lane per shard behind a
+   * :class:`ShardedIngestor` — one sampler per shard behind a
      hash-partitioning router (relations lacking the partition attribute
      are broadcast), with the exactly-uniform ``merged_sample`` recombining
      the shard reservoirs (see :mod:`repro.ingest.shard`).
@@ -53,14 +49,14 @@ worker-pool transport ships ``StreamDelete`` items through unchanged.  The
 boundary guarantee becomes: exactly uniform over the *surviving* join
 results of the prefix.
 
-Chunk boundaries are also the durability points: the engine-backed
-ingestors checkpoint (``save(path)``) and restore (``Ingestor.restore``)
-through the versioned file format of :mod:`repro.ingest.checkpoint`, with
-bit-identical resumption — the restored run consumes exactly the random
+Chunk boundaries are also the durability points: the ingestors checkpoint
+(``save(path)``) and restore (``Ingestor.restore``) through the versioned
+file format of :mod:`repro.ingest.checkpoint`, with bit-identical
+resumption — the restored run consumes exactly the random
 stream an uninterrupted run would have.
 """
 
-from .batch import BatchIngestor, chunked
+from .batch import DEFAULT_CHUNK_SIZE, BatchIngestor, chunked
 from .checkpoint import (
     CheckpointCodec,
     CheckpointCorruptError,
@@ -69,15 +65,12 @@ from .checkpoint import (
     CheckpointVersionError,
     PeriodicCheckpointer,
 )
-from .engine import DEFAULT_CHUNK_SIZE, EngineLane, IngestionEngine
 from .pipeline import AsyncIngestor
 from .pool import ShardWorkerPool, WorkerCrashError
 from .shard import ShardedIngestor, partition_attribute, stable_shard_hash
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
-    "IngestionEngine",
-    "EngineLane",
     "BatchIngestor",
     "chunked",
     "ShardedIngestor",

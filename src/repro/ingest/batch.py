@@ -1,8 +1,7 @@
 """The :class:`BatchIngestor` driver and chunking helpers.
 
 See the package docstring for the design rationale.  The ingestor is the
-simplest policy over the shared :class:`~repro.ingest.engine
-.IngestionEngine`: one lane, no routing.  It is sampler agnostic — the lane's
+simplest chunk loop: one sampler, no routing.  It is sampler agnostic — its
 apply callable comes from :func:`repro.core.backend.chunk_apply`, so anything
 conforming to the :class:`~repro.core.backend.SamplerBackend` protocol gets
 its best path probed once (``insert_batch`` fast path when present, validated
@@ -12,12 +11,16 @@ both kinds.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, List, Sequence
 
 from ..core.backend import chunk_apply, restore_backend, snapshot_backend
 from ..relational.stream import StreamTuple, chunk_stream
 from .checkpoint import CODEC
-from .engine import DEFAULT_CHUNK_SIZE, EngineLane, IngestionEngine
+
+#: Default number of stream tuples per ingested chunk.  Large enough to
+#: amortise per-batch dispatch, small enough that samples stay fresh and a
+#: chunk of join deltas fits comfortably in memory.
+DEFAULT_CHUNK_SIZE = 1024
 
 #: Alias of :func:`repro.relational.stream.chunk_stream`, the canonical
 #: chunker shared by every ingestion mode (kept under its historical name).
@@ -39,28 +42,18 @@ class BatchIngestor:
     Attributes
     ----------
     batches_ingested / tuples_ingested:
-        How many chunks / stream tuples have been pushed so far (the
-        underlying engine's counters).
+        How many chunks / stream tuples have been pushed so far.
     """
 
     def __init__(self, sampler, chunk_size: int = DEFAULT_CHUNK_SIZE) -> None:
+        if chunk_size <= 0:
+            raise ValueError("chunk size must be positive")
         self.sampler = sampler
-        apply, self._mode = chunk_apply(sampler)
-        self._engine = IngestionEngine(
-            [EngineLane(type(sampler).__name__, apply)], chunk_size=chunk_size
-        )
-
-    @property
-    def chunk_size(self) -> int:
-        return self._engine.chunk_size
-
-    @property
-    def batches_ingested(self) -> int:
-        return self._engine.batches_ingested
-
-    @property
-    def tuples_ingested(self) -> int:
-        return self._engine.tuples_ingested
+        self._apply, self._mode = chunk_apply(sampler)
+        self.chunk_size = chunk_size
+        self.batches_ingested = 0
+        self.tuples_ingested = 0
+        self._hooks: List[Callable] = []
 
     @property
     def uses_fast_path(self) -> bool:
@@ -71,13 +64,27 @@ class BatchIngestor:
         """Push one chunk (``StreamTuple`` or ``(relation, row)`` items).
 
         Returns the number of tuples pushed.  An empty chunk is a no-op and
-        does not count as a batch.
+        does not count as a batch.  The boundary hooks run after the chunk
+        is absorbed and counted; if the sampler raises, nothing is counted
+        and no hook runs.
         """
-        return self._engine.ingest_batch(items)
+        items = list(items)
+        # Count before applying: a backend may legally consume its chunk
+        # destructively, and the counters describe what was delivered.
+        tuples = len(items)
+        if not tuples:
+            return 0
+        self._apply(items)
+        self.batches_ingested += 1
+        self.tuples_ingested += tuples
+        for hook in self._hooks:
+            hook(items, [items])
+        return tuples
 
     def ingest(self, stream: Iterable[StreamTuple]) -> "BatchIngestor":
         """Cut ``stream`` into chunks and ingest them all; returns ``self``."""
-        self._engine.ingest(stream)
+        for chunk in chunk_stream(stream, self.chunk_size):
+            self.ingest_batch(chunk)
         return self
 
     def add_boundary_hook(self, hook):
@@ -86,9 +93,13 @@ class BatchIngestor:
         Chunk boundaries are exactly where the reservoir's uniformity
         guarantee holds, so this is the attachment point for epoch cuts
         (:class:`~repro.serve.SampleServer`) and timer checkpointing
-        (:class:`~repro.ingest.checkpoint.PeriodicCheckpointer`).
+        (:class:`~repro.ingest.checkpoint.PeriodicCheckpointer`).  Hooks
+        run in registration order, ``parts`` is ``[items]``, and a hook that
+        raises aborts the ``ingest_batch`` call (the chunk itself is already
+        absorbed).  Returns ``hook`` so it can be registered inline.
         """
-        return self._engine.add_boundary_hook(hook)
+        self._hooks.append(hook)
+        return hook
 
     # ------------------------------------------------------------------ #
     # Durability
@@ -96,24 +107,34 @@ class BatchIngestor:
     def snapshot_state(self) -> dict:
         """The ingestor's complete resumable state: the sampler (captured
         via the :func:`~repro.core.backend.snapshot_backend` capability
-        probe) plus the engine accounting.  Also the ingestor's own
+        probe) plus the chunk counters.  Also the ingestor's own
         :class:`~repro.core.backend.SamplerBackend` snapshot capability, so
         a ``BatchIngestor`` behind an
         :class:`~repro.ingest.pipeline.AsyncIngestor` checkpoints along
         with its host."""
+        # "engine" is the checkpoint format's name for the counter record.
         return {
             "backend": snapshot_backend(self.sampler),
-            "engine": self._engine.snapshot_state(),
+            "engine": {
+                "chunk_size": self.chunk_size,
+                "batches_ingested": self.batches_ingested,
+                "tuples_ingested": self.tuples_ingested,
+            },
         }
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "BatchIngestor":
-        """Rebuild an ingestor from a :meth:`snapshot_state` snapshot."""
+        """Rebuild an ingestor from a :meth:`snapshot_state` snapshot.
+
+        Keys older snapshots carry and this version no longer reads (the
+        lane layout, timing accumulators) are ignored.
+        """
+        counters = state["engine"]
         ingestor = cls(
-            restore_backend(state["backend"]),
-            chunk_size=state["engine"]["chunk_size"],
+            restore_backend(state["backend"]), chunk_size=counters["chunk_size"]
         )
-        ingestor._engine.restore_state(state["engine"])
+        ingestor.batches_ingested = counters["batches_ingested"]
+        ingestor.tuples_ingested = counters["tuples_ingested"]
         return ingestor
 
     def save(self, path: str) -> None:

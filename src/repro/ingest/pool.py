@@ -14,10 +14,10 @@ long-lived workers, morsel-driven parallelism):
   persistent duplex pipe per worker.  On the wire a sub-chunk is the list
   of ``(relation, row)`` pairs every ingest seam normalises to
   (``as_relation_rows``) — logically identical to the StreamTuples the
-  serial lane sees, but far cheaper to pickle.  Workers apply each sub-chunk through the same
-  ``BatchIngestor.ingest_batch`` call the serial per-shard lane uses, so a
-  pool-fed replica is **bit-identical** to its serial counterpart — not
-  merely set-equal.
+  serial path sees, but far cheaper to pickle.  Workers apply each
+  sub-chunk through the same :func:`~repro.core.backend.chunk_apply` path
+  the serial shard uses, so a pool-fed replica is **bit-identical** to its
+  serial counterpart — not merely set-equal.
 * **Pipelined scatter, explicit barriers.**  ``submit`` returns once the
   sub-chunks are handed off (bounded by :data:`DEFAULT_MAX_PENDING` in
   flight per worker — honest backpressure); :meth:`drain` is the chunk
@@ -31,8 +31,8 @@ long-lived workers, morsel-driven parallelism):
   prefixes can no longer produce a trustworthy merged sample.
 * **Live-state round trips.**  At any drain point the parent can pull each
   worker's reservoir + exact local count (for ``merged_sample`` against
-  live workers) or a full snapshot record + engine accounting (for
-  ``CheckpointCodec`` checkpoints taken *through* the pool).
+  live workers) or its full snapshot record (for ``CheckpointCodec``
+  checkpoints taken *through* the pool).
 
 The pool is deliberately sampler-agnostic: anything whose snapshot record
 restores into a live sampler (native ``snapshot_state`` capability or the
@@ -49,6 +49,7 @@ from multiprocessing import connection
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.backend import (
+    chunk_apply,
     restore_backend,
     restore_transport,
     snapshot_backend,
@@ -77,35 +78,25 @@ class WorkerCrashError(RuntimeError):
         self.shard = shard
 
 
-def _worker_statistics(sampler) -> Dict[str, object]:
-    try:
-        return dict(sampler.statistics())
-    except Exception:  # pragma: no cover - statistics are best-effort
-        return {}
-
-
 def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
     """One worker's service loop: build the replica once, then serve
     sub-chunks, state reads and snapshot requests until ``close``.
 
-    Every failure — a bad init payload, an exception inside
-    ``ingest_batch`` — is reported back as an ``("error", traceback)``
+    Every failure — a bad init payload, an exception while applying a
+    sub-chunk — is reported back as an ``("error", traceback)``
     message and latches the worker into a poisoned state that answers
     everything but ``close`` with the same error (the parent raises it as
     :class:`WorkerCrashError`).
     """
     # Deferred: avoid import cycles (shard.py imports this module).
-    from .batch import BatchIngestor
     from .shard import exact_result_count
 
     sampler = None
-    ingestor = None
+    apply = None
     poisoned: Optional[str] = None
     try:
-        init = restore_transport(init_payload)
-        sampler = restore_backend(init["backend"])
-        ingestor = BatchIngestor(sampler, chunk_size=init["chunk_size"])
-        ingestor._engine.restore_state(init["engine"])
+        sampler = restore_backend(restore_transport(init_payload))
+        apply = chunk_apply(sampler)[0]
     except BaseException:
         poisoned = traceback.format_exc()
         try:
@@ -126,7 +117,7 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
                 continue
             if tag == "chunk":
                 _, seq, part = message
-                ingestor.ingest_batch(part)
+                apply(part)
                 conn.send(("ok", seq))
             elif tag == "state":
                 # No index means no exact count; the parent raises for it.
@@ -135,24 +126,10 @@ def _pool_worker_main(conn, shard: int, init_payload: bytes) -> None:
                     if getattr(sampler, "index", None) is not None
                     else None
                 )
-                conn.send(
-                    (
-                        "state",
-                        (
-                            list(sampler.sample),
-                            count,
-                            getattr(sampler, "k", None),
-                            _worker_statistics(sampler),
-                            ingestor.tuples_ingested,
-                        ),
-                    )
-                )
+                capacity = getattr(sampler, "k", None)
+                conn.send(("state", (list(sampler.sample), count, capacity)))
             elif tag == "snapshot":
-                record = {
-                    "backend": snapshot_backend(sampler),
-                    "engine": ingestor._engine.snapshot_state(),
-                }
-                conn.send(("snapshot", snapshot_transport(record)))
+                conn.send(("snapshot", snapshot_transport(snapshot_backend(sampler))))
             else:
                 raise ValueError(f"unknown pool command {tag!r}")
         except BaseException:
@@ -207,8 +184,7 @@ class ShardWorkerPool:
     Parameters
     ----------
     worker_inits:
-        One init record per shard: ``{"backend": snapshot_backend(replica),
-        "engine": <BatchIngestor engine snapshot>, "chunk_size": int}``.
+        One :func:`~repro.core.backend.snapshot_backend` record per shard.
         Workers rebuild their replica from the record, so a pool started
         mid-stream (or from a restored checkpoint) continues exactly where
         the parent-side replicas stood.
@@ -225,7 +201,7 @@ class ShardWorkerPool:
             parent_conn, child_conn = multiprocessing.Pipe()
             process = multiprocessing.Process(
                 target=_pool_worker_main,
-                args=(child_conn, shard, snapshot_transport(dict(init))),
+                args=(child_conn, shard, snapshot_transport(init)),
                 name=f"shard-pool-{shard}",
                 daemon=True,
             )
@@ -368,7 +344,7 @@ class ShardWorkerPool:
     def submit(self, parts: Sequence[List]) -> int:
         """Scatter one routed chunk (``parts[shard]`` per worker).
 
-        Empty parts are skipped exactly as the serial engine skips them, so
+        Empty parts are skipped exactly as serial dispatch skips them, so
         every worker sees the serial path's sub-chunk sequence verbatim.
         Returns the chunk's sequence number.  Pipelined: workers may still
         be ingesting when this returns — :meth:`drain` is the barrier.
@@ -417,21 +393,21 @@ class ShardWorkerPool:
                 return reply[1]
             self._dispatch(handle, reply)
 
-    def shard_states(self) -> List[Tuple[List[dict], Optional[int], Optional[int], Dict[str, object], int]]:
-        """Drain, then fetch ``(sample, exact_count, capacity, statistics,
-        tuples_ingested)`` from every live worker — what ``merged_sample``
-        needs, read at a chunk boundary."""
+    def shard_states(self) -> List[Tuple[List[dict], Optional[int], Optional[int]]]:
+        """Drain, then fetch ``(sample, exact_count, capacity)`` from every
+        live worker — what ``merged_sample`` needs, read at a chunk
+        boundary."""
         self.drain()
         return [
             self._request(handle, ("state",), "state") for handle in self.workers
         ]
 
     def snapshots(self) -> List[Dict[str, object]]:
-        """Drain, then fetch each worker's full durable state: the replica's
-        :func:`~repro.core.backend.snapshot_backend` record plus its
-        ingestion-engine accounting — the same shape the serial
-        checkpointing path captures, so a checkpoint written through the
-        pool restores through the unchanged ``CheckpointCodec`` probe."""
+        """Drain, then fetch each worker's replica as a
+        :func:`~repro.core.backend.snapshot_backend` record — the same record
+        the serial checkpointing path captures, so a checkpoint written
+        through the pool restores through the unchanged ``CheckpointCodec``
+        probe."""
         self.drain()
         return [
             restore_transport(self._request(handle, ("snapshot",), "snapshot"))

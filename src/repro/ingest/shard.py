@@ -59,15 +59,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.backend import derive_seed, restore_backend, snapshot_backend
+from ..core.backend import chunk_apply, derive_seed, restore_backend, snapshot_backend
 from ..core.reservoir_join import ReservoirJoin
 from ..relational.join import count_results
 from ..relational.query import JoinQuery
 from ..relational.schema import tuple_getter
-from ..relational.stream import StreamDelete, StreamTuple, validate_pairs
-from .batch import DEFAULT_CHUNK_SIZE, BatchIngestor
+from ..relational.stream import StreamDelete, StreamTuple, chunk_stream, validate_pairs
+from .batch import DEFAULT_CHUNK_SIZE
 from .checkpoint import CODEC, CheckpointMismatchError
-from .engine import EngineLane, IngestionEngine
 from .pool import ShardWorkerPool, WorkerCrashError  # noqa: F401 (re-export)
 
 #: Default shard count; the tentpole benchmark uses this value.
@@ -281,6 +280,8 @@ class ShardedIngestor:
             raise ValueError("sample size k must be positive")
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
+        if chunk_size <= 0:
+            raise ValueError("chunk size must be positive")
         self.query = query
         self.k = k
         self.num_shards = num_shards
@@ -295,25 +296,11 @@ class ShardedIngestor:
         self._shard_seeds = [derive_seed(self._rng) for _ in range(num_shards)]
         if factory is None:
             factory = lambda shard, shard_rng: ReservoirJoin(query, k, rng=shard_rng)
-        self.samplers = [
+        self._bind([
             factory(shard, random.Random(self._shard_seeds[shard]))
             for shard in range(num_shards)
-        ]
-        self.ingestors = [
-            BatchIngestor(sampler, chunk_size=chunk_size) for sampler in self.samplers
-        ]
-        # The shared dispatch loop: one lane per shard, the hash router as
-        # the (validating) splitter, and the chunk-boundary counter roll-up
-        # as the boundary hook.
-        self._engine = IngestionEngine(
-            [
-                EngineLane(f"shard-{shard}", ingestor.ingest_batch)
-                for shard, ingestor in enumerate(self.ingestors)
-            ],
-            chunk_size=chunk_size,
-            router=self._route,
-            after_chunk=[self._count_chunk],
-        )
+        ])
+        self._hooks: List[Callable[[List, List[List]], None]] = []
         # Projection getters for the relations that carry the partition
         # attribute; every other relation is broadcast.
         self._value_getters: Dict[str, Callable] = {
@@ -324,6 +311,9 @@ class ShardedIngestor:
         self.tuples_ingested = 0
         self.batches_ingested = 0
         self.broadcast_deliveries = 0
+        # Stream tuples delivered per shard (broadcast replicas included),
+        # advanced at routing time in serial and pool mode alike.
+        self._shard_tuples = [0] * num_shards
         # Per-relation stream tuples routed so far (before broadcast
         # replication) — O(1) observability, surfaced via statistics();
         # dedup inside the shard samplers makes this mix unrecoverable from
@@ -331,7 +321,6 @@ class ShardedIngestor:
         self.relation_deliveries: Dict[str, int] = {
             name: 0 for name in query.relation_names
         }
-        self._counts: Optional[List[int]] = None
         # The persistent worker-pool runtime (start_pool/close_pool): while
         # live, every shard replica resides in its worker process and all
         # per-shard reads go through the pool's chunk-boundary round trips.
@@ -340,6 +329,12 @@ class ShardedIngestor:
         # through drain) and one-time pool spawn cost.
         self.parallel_wall_seconds = 0.0
         self.pool_startup_seconds = 0.0
+
+    def _bind(self, samplers: List) -> None:
+        """Install the in-process shard replicas and their chunk paths."""
+        self.samplers = samplers
+        self._appliers = [chunk_apply(sampler)[0] for sampler in samplers]
+        self._counts: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -370,8 +365,8 @@ class ShardedIngestor:
         wrong arity → ``ValueError``) so a failed call leaves every shard
         untouched.  Broadcast tuples appear in every shard's sub-batch.
         Side-effect-free: inspecting routing never advances any counter —
-        the delivery points (the serial and pool paths of
-        :meth:`ingest_batch`) use :meth:`_route` instead.
+        the delivery point (:meth:`ingest_batch`) uses :meth:`_route`
+        instead.
         """
         return self._split(items, count=False)
 
@@ -465,14 +460,7 @@ class ShardedIngestor:
             return self._pool
         start = time.perf_counter()
         self._pool = ShardWorkerPool(
-            [
-                {
-                    "backend": snapshot_backend(sampler),
-                    "engine": ingestor._engine.snapshot_state(),
-                    "chunk_size": self.chunk_size,
-                }
-                for sampler, ingestor in zip(self.samplers, self.ingestors)
-            ]
+            [snapshot_backend(sampler) for sampler in self.samplers]
         )
         self.pool_startup_seconds += time.perf_counter() - start
         return self._pool
@@ -494,48 +482,11 @@ class ShardedIngestor:
             return
         try:
             if sync and pool.active and not pool.poisoned:
-                self._adopt_worker_states(pool.snapshots())
+                # The counters live here in both modes; only the replicas
+                # come back from the workers.
+                self._bind([restore_backend(record) for record in pool.snapshots()])
         finally:
             pool.close()
-
-    def _adopt_worker_states(self, records: List[Dict[str, object]]) -> None:
-        """Rebuild the in-process replicas from worker snapshot records,
-        splicing the fresh per-shard ingestors into the existing engine
-        lanes so all accumulated accounting survives the transition."""
-        self.samplers = [restore_backend(record["backend"]) for record in records]
-        self.ingestors = [
-            BatchIngestor(sampler, chunk_size=self.chunk_size)
-            for sampler in self.samplers
-        ]
-        for ingestor, record in zip(self.ingestors, records):
-            ingestor._engine.restore_state(record["engine"])
-        for lane, ingestor in zip(self._engine.lanes, self.ingestors):
-            lane.apply = ingestor.ingest_batch
-        self._counts = None
-
-    def _pool_ingest_batch(self, items: List) -> int:
-        """One chunk through the pool: route in the parent (all-or-nothing
-        validation, same hash router as serial), scatter the sub-chunks,
-        advance the same engine counters the serial dispatch would."""
-        tuples = len(items)
-        if not tuples:
-            return 0
-        engine = self._engine
-        parts = self._route(items)
-        self._pool.submit(parts)
-        engine.batches_ingested += 1
-        engine.tuples_ingested += tuples
-        for lane, part in zip(engine.lanes, parts):
-            if part:
-                lane.chunks_applied += 1
-                lane.tuples_applied += len(part)
-        # Dispatch the engine's boundary hooks (the first is the counter
-        # roll-up registered at construction) so pool-fed chunks fire the
-        # same chunk-boundary seam as serial dispatch — epoch cuts and timer
-        # checkpoints observe pool ingestion too.
-        for hook in engine.after_chunk:
-            hook(items, parts)
-        return tuples
 
     # ------------------------------------------------------------------ #
     # Ingestion
@@ -544,39 +495,54 @@ class ShardedIngestor:
         """Partition one chunk across the shards and ingest every sub-chunk.
 
         Returns the number of stream tuples pushed (before broadcast
-        replication).  With a live worker pool the sub-chunks are scattered
-        to the workers (pipelined — the next chunk may be routed while the
-        slow shard still chews); otherwise each shard lane ingests
-        in-process.  Either way every shard sees the identical sub-chunk
-        sequence, and after a drain point (:meth:`merged_sample` drains
-        implicitly) all reservoirs are uniform over their local result sets.
+        replication).  The chunk is routed first, which validates it whole:
+        a bad chunk raises before any shard mutates.  With a live worker
+        pool the sub-chunks are scattered to the workers (pipelined — the
+        next chunk may be routed while the slow shard still chews);
+        otherwise each shard applies its non-empty part in-process.  Either
+        way every shard sees the identical sub-chunk sequence, and after a
+        drain point (:meth:`merged_sample` drains implicitly) all
+        reservoirs are uniform over their local result sets.  An empty
+        chunk is a no-op and does not count as a batch.
         """
-        if self.pool_active:
-            return self._pool_ingest_batch(list(items))
-        return self._engine.ingest_batch(items)
-
-    def _count_chunk(self, items: List, parts: List[List]) -> None:
-        """The first chunk-boundary hook: roll up one ingested chunk's
-        counters and invalidate the cached exact counts."""
+        items = list(items)
         tuples = len(items)
+        if not tuples:
+            return 0
+        parts = self._route(items)
+        # Sized before dispatch: a backend may consume its part destructively.
+        sizes = [len(part) for part in parts]
+        if self.pool_active:
+            self._pool.submit(parts)
+        else:
+            for apply, part in zip(self._appliers, parts):
+                if part:
+                    apply(part)
         self.tuples_ingested += tuples
         self.batches_ingested += 1
-        self.broadcast_deliveries += sum(map(len, parts)) - tuples
+        self.broadcast_deliveries += sum(sizes) - tuples
+        for shard, size in enumerate(sizes):
+            self._shard_tuples[shard] += size
         self._counts = None
+        for hook in self._hooks:
+            hook(items, parts)
+        return tuples
 
     def ingest(self, stream: Iterable[StreamTuple]) -> "ShardedIngestor":
         """Cut ``stream`` into chunks and ingest them all; returns ``self``."""
-        self._engine.ingest(stream, sink=self.ingest_batch)
+        for chunk in chunk_stream(stream, self.chunk_size):
+            self.ingest_batch(chunk)
         return self
 
     def add_boundary_hook(self, hook):
         """Register ``hook(items, parts)`` to run at every chunk boundary.
 
-        Fires for serial and pool-fed chunks alike (the pool path dispatches
-        the same engine hook list), always after the counter roll-up — so a
-        hook reading ``tuples_ingested`` sees the chunk already accounted.
+        Fires for serial and pool-fed chunks alike, in registration order,
+        after the counters advance — so a hook reading ``tuples_ingested``
+        sees the chunk already accounted.  Returns ``hook``.
         """
-        return self._engine.add_boundary_hook(hook)
+        self._hooks.append(hook)
+        return hook
 
     def ingest_parallel(self, stream: Iterable[StreamTuple]) -> "ShardedIngestor":
         """Ingest ``stream`` through the persistent worker pool.
@@ -603,9 +569,7 @@ class ShardedIngestor:
             return self  # empty stream: no pool spawn, no counters touched
         self.start_pool()
         start = time.perf_counter()
-        self._engine.ingest(
-            itertools.chain([first], iterator), sink=self.ingest_batch
-        )
+        self.ingest(itertools.chain([first], iterator))
         self._pool.drain()
         self.parallel_wall_seconds += time.perf_counter() - start
         return self
@@ -615,9 +579,9 @@ class ShardedIngestor:
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict[str, object]:
         """The ingestor's complete resumable state: one sub-checkpoint per
-        shard lane plus the engine-level state (lane layout, partition
-        attribute, counters) and both randomness sources (the master RNG
-        state and the derived per-shard seeds).
+        shard plus the layout (shard count, chunk size, partition
+        attribute), the counters and both randomness sources (the master
+        RNG state and the derived per-shard seeds).
 
         Also the ingestor's own snapshot capability, so a sharded target
         behind an :class:`~repro.ingest.pipeline.AsyncIngestor`
@@ -630,14 +594,9 @@ class ShardedIngestor:
         one, through the unchanged codec.
         """
         if self.pool_active:
-            records = self._pool.snapshots()
-            shard_records = [record["backend"] for record in records]
-            shard_engines = [record["engine"] for record in records]
+            shard_records = self._pool.snapshots()
         else:
             shard_records = [snapshot_backend(sampler) for sampler in self.samplers]
-            shard_engines = [
-                ingestor._engine.snapshot_state() for ingestor in self.ingestors
-            ]
         return {
             "query": self.query,
             "k": self.k,
@@ -647,13 +606,12 @@ class ShardedIngestor:
             "shard_seeds": list(self._shard_seeds),
             "rng": self._rng.getstate(),
             "shards": shard_records,
-            "shard_engines": shard_engines,
-            "engine": self._engine.snapshot_state(),
             "counters": {
                 "tuples_ingested": self.tuples_ingested,
                 "batches_ingested": self.batches_ingested,
                 "broadcast_deliveries": self.broadcast_deliveries,
                 "relation_deliveries": dict(self.relation_deliveries),
+                "shard_tuples": list(self._shard_tuples),
             },
             "parallel_wall_seconds": self.parallel_wall_seconds,
         }
@@ -665,7 +623,12 @@ class ShardedIngestor:
 
     @classmethod
     def from_snapshot(cls, state: Dict[str, object]) -> "ShardedIngestor":
-        """Rebuild an ingestor from a :meth:`snapshot_state` snapshot."""
+        """Rebuild an ingestor from a :meth:`snapshot_state` snapshot.
+
+        Older snapshots also carry an ``engine`` record and one
+        ``shard_engines`` record per shard; only the per-shard tuple counts
+        are read from the latter, and only when ``counters`` lacks them.
+        """
         replicas = [restore_backend(record) for record in state["shards"]]
         ingestor = cls(
             state["query"],
@@ -682,14 +645,17 @@ class ShardedIngestor:
         # derivation continue the checkpointed randomness exactly.
         ingestor._shard_seeds = list(state["shard_seeds"])
         ingestor._rng.setstate(state["rng"])
-        ingestor._engine.restore_state(state["engine"])
-        for sub, engine_state in zip(ingestor.ingestors, state["shard_engines"]):
-            sub._engine.restore_state(engine_state)
         counters = state["counters"]
         ingestor.tuples_ingested = counters["tuples_ingested"]
         ingestor.batches_ingested = counters["batches_ingested"]
         ingestor.broadcast_deliveries = counters["broadcast_deliveries"]
         ingestor.relation_deliveries = dict(counters["relation_deliveries"])
+        if "shard_tuples" in counters:
+            ingestor._shard_tuples = list(counters["shard_tuples"])
+        else:
+            ingestor._shard_tuples = [
+                record["tuples_ingested"] for record in state["shard_engines"]
+            ]
         # Absent in pre-pool checkpoints, which never measured it.
         ingestor.parallel_wall_seconds = state.get("parallel_wall_seconds", 0.0)
         return ingestor
@@ -722,7 +688,7 @@ class ShardedIngestor:
         """Fetch the merge inputs from the live workers (drains first — the
         read happens at a chunk boundary) and refresh the count cache."""
         states = []
-        for shard, (sample, count, capacity, _, _) in enumerate(
+        for shard, (sample, count, capacity) in enumerate(
             self._pool.shard_states()
         ):
             if count is None:
@@ -780,13 +746,10 @@ class ShardedIngestor:
     def shard_loads(self) -> List[int]:
         """Stream tuples delivered per shard so far (O(1) observability).
 
-        In pool mode the parent-side engine lanes carry the delivery
-        counters (advanced at scatter time — no worker round trip), and
-        they agree exactly with what the serial dispatch would count.
+        Counted in this process at routing time, so pool mode needs no
+        worker round trip and reports exactly what serial dispatch would.
         """
-        if self.pool_active:
-            return [lane.tuples_applied for lane in self._engine.lanes]
-        return [ingestor.tuples_ingested for ingestor in self.ingestors]
+        return list(self._shard_tuples)
 
     def load_imbalance(self) -> float:
         """Hottest shard's load over the mean load (1.0 = perfectly even).

@@ -127,9 +127,8 @@ def chunk_stream(stream: Iterable, size: int) -> Iterator[List]:
     """Yield consecutive chunks of at most ``size`` items from ``stream``.
 
     The canonical chunker behind every ingestion mode — batched, sharded
-    and async all cut streams through the
-    :class:`~repro.ingest.engine.IngestionEngine`, which uses this
-    (``repro.ingest.batch.chunked`` is an alias).  Chunk boundaries are where
+    and async all cut streams with it (``repro.ingest.batch.chunked`` is an
+    alias).  Chunk boundaries are where
     the per-prefix uniformity guarantee holds, so anything that transports
     streams in chunks of this shape can feed any ingestor.
     """

@@ -19,6 +19,7 @@ thread-safe regardless; this front end only adds scheduling.
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
@@ -33,13 +34,14 @@ _DONE = object()  # queue sentinel: stream exhausted
 
 def quantile(values: Sequence[float], q: float) -> Optional[float]:
     """The ``q``-quantile of ``values`` by nearest-rank on the sorted list
-    (``q`` in [0, 1]); ``None`` for an empty sequence."""
+    (``q`` in [0, 1]): the smallest value with at least ``q`` of the values
+    at or below it.  ``None`` for an empty sequence."""
     if not values:
         return None
     if not 0.0 <= q <= 1.0:
         raise ValueError("q must be within [0, 1]")
     ordered = sorted(values)
-    return ordered[round(q * (len(ordered) - 1))]
+    return ordered[max(0, math.ceil(q * len(ordered)) - 1)]
 
 
 @dataclass

@@ -72,7 +72,7 @@ from ..core.backend import chunk_apply, derive_seed
 # Bound but never called: bench/run.py's trace probes look these names up here.
 from ..core.backend import restore_backend, snapshot_backend  # noqa: F401
 from ..core.predicate_backend import PredicateStreamSampler
-from ..ingest.engine import DEFAULT_CHUNK_SIZE
+from ..ingest.batch import DEFAULT_CHUNK_SIZE
 from ..ingest.pipeline import AsyncIngestor
 from ..ingest.shard import ShardState, merge_shard_samples
 from ..relational.stream import StreamTuple, as_relation_rows, chunk_stream

@@ -173,12 +173,12 @@ class TestBatchIngestor:
         assert not ingestor.uses_fast_path
         assert ingestor.statistics()["fast_path"] is False
 
-    def test_destructive_single_backend_counters_stay_honest(self):
+    def test_destructive_single_backend_counters_stay_honest(self, line3_query):
         """Counters describe what was delivered, not what the backend left.
 
-        The single lane receives the engine's own list; if the backend
-        consumes it destructively, the chunk size must still be counted
-        from the pre-dispatch snapshot.
+        The backend receives the ingestor's own list (a sharded backend its
+        routed part); if it consumes that list destructively, the chunk and
+        part sizes must still be counted from before dispatch.
         """
 
         class Destructive:
@@ -194,8 +194,17 @@ class TestBatchIngestor:
         assert pushed == 2
         assert ingestor.tuples_ingested == 2
         assert ingestor.batches_ingested == 1
-        lane = ingestor._engine.lanes[0]
-        assert (lane.chunks_applied, lane.tuples_applied) == (1, 2)
+
+        sharded = ShardedIngestor(
+            line3_query, k=4, num_shards=2, factory=lambda shard, rng: Destructive()
+        )
+        chunk = [("R1", (1, 2)), ("R2", (2, 3)), ("R3", (3, 4))]
+        assert sharded.ingest_batch(chunk) == 3
+        broadcast = sum(
+            relation in sharded.broadcast_relations for relation, _ in chunk
+        )
+        assert broadcast and sharded.broadcast_deliveries == broadcast
+        assert sum(sharded.shard_loads()) == len(chunk) + broadcast
 
     def test_per_tuple_fallback_validates_before_mutating(self, line3_query):
         """An insert-only backend exposing its query gets whole-chunk validation."""

@@ -163,8 +163,10 @@ class TestRestoreGuards:
 
     def test_sharded_snapshot_with_a_retired_key_restores(self):
         # Older sharded checkpoints carry keys from_snapshot no longer
-        # reads: a retired top-level flag, and the timing keys in the
-        # sharded engine and in every pool worker's engine snapshot.
+        # reads: a retired top-level flag, and the engine record of the
+        # sharded ingestor and of every shard; of the latter only the
+        # per-shard tuple counts are read, which newer checkpoints keep in
+        # their counters.
         ingestor = ShardedIngestor(chain3(), k=4, num_shards=2, rng=random.Random(19))
         ingestor.ingest(chain3_stream(40))
         state = ingestor.snapshot_state()
@@ -175,11 +177,8 @@ class TestRestoreGuards:
         stream = chain3_stream(60, seed=20)
         legacy = CODEC.load(LEGACY_CHECKPOINTS / "sharded-pool.checkpoint")["state"]
         current = legacy_sharded().snapshot_state()
-        for old, new in zip(
-            [legacy["engine"], *legacy["shard_engines"]],
-            [current["engine"], *current["shard_engines"]],
-        ):
-            assert len(set(old) - set(new)) == 3
+        assert set(legacy) - set(current) == {"engine", "shard_engines"}
+        assert set(current["counters"]) - set(legacy["counters"]) == {"shard_tuples"}
         uninterrupted = legacy_sharded().ingest(stream)
         resumed = ShardedIngestor.restore(LEGACY_CHECKPOINTS / "sharded-pool.checkpoint")
         resumed.ingest(stream[32:])
@@ -199,7 +198,8 @@ class TestRestoreGuards:
             ReservoirJoin(chain3(), 6, rng=random.Random(21)), chunk_size=16
         ).ingest(stream)
         legacy = CODEC.load(LEGACY_CHECKPOINTS / "batch.checkpoint")["state"]
-        assert len(set(legacy["engine"]) - set(uninterrupted._engine.snapshot_state())) == 3
+        current = uninterrupted.snapshot_state()["engine"]
+        assert len(set(legacy["engine"]) - set(current)) == 4
         resumed = BatchIngestor.restore(LEGACY_CHECKPOINTS / "batch.checkpoint")
         resumed.ingest(stream[32:])
         assert resumed.sampler.sample == uninterrupted.sampler.sample

@@ -117,6 +117,25 @@ class TestPackageSurface:
         for name in repro.__all__:
             assert hasattr(repro, name), name
 
+    def test_every_subpackage_export_resolves(self):
+        # A deleted class must not linger as a stale name in any __all__.
+        import importlib
+        import pkgutil
+
+        import repro
+
+        subpackages = [
+            info.name
+            for info in pkgutil.iter_modules(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        assert {"repro.core", "repro.index", "repro.ingest", "repro.relational",
+                "repro.serve"} <= set(subpackages)
+        for name in subpackages:
+            module = importlib.import_module(name)
+            for export in getattr(module, "__all__", ()):
+                assert hasattr(module, export), f"{name}.{export}"
+
     def test_version(self):
         import repro
 

@@ -55,14 +55,7 @@ def make_replicas(num_shards, k=4, seed=7, chunk_size=16):
         for shard in range(num_shards)
     ]
     ingestors = [BatchIngestor(s, chunk_size=chunk_size) for s in samplers]
-    inits = [
-        {
-            "backend": snapshot_backend(sampler),
-            "engine": ingestor._engine.snapshot_state(),
-            "chunk_size": chunk_size,
-        }
-        for sampler, ingestor in zip(samplers, ingestors)
-    ]
+    inits = [snapshot_backend(sampler) for sampler in samplers]
     return samplers, ingestors, inits
 
 
@@ -119,12 +112,11 @@ class TestBitIdentity:
                 pool.submit(parts)
                 feed_locally(ingestors, parts)
             states = pool.shard_states()
-        for (sample, count, capacity, _stats, ingested), sampler, ingestor in zip(
-            states, samplers, ingestors
-        ):
+            delivered = pool.delivered_tuples
+        assert delivered == [ingestor.tuples_ingested for ingestor in ingestors]
+        for (sample, count, capacity), sampler in zip(states, samplers):
             assert sample == list(sampler.sample)  # order too, not just set
             assert capacity == sampler.k
-            assert ingested == ingestor.tuples_ingested
             assert count is not None and count >= 0
 
     def test_pool_reuse_across_submission_waves(self):
@@ -155,16 +147,19 @@ class TestBitIdentity:
             records = pool.snapshots()  # drains; pool stays live
             # Restore the worker snapshots into fresh local replicas and
             # race them against the still-live workers on the tail.
-            restored = [restore_backend(r["backend"]) for r in records]
+            restored = [restore_backend(r) for r in records]
             twins = [BatchIngestor(s, chunk_size=16) for s in restored]
-            for twin, record in zip(twins, records):
-                twin._engine.restore_state(record["engine"])
             for parts in routed_chunks(stream[80:], 2, 16):
                 pool.submit(parts)
                 feed_locally(twins, parts)
             states = pool.shard_states()
+            delivered = pool.delivered_tuples
         assert [s[0] for s in states] == [list(s.sample) for s in restored]
-        assert [s[4] for s in states] == [t.tuples_ingested for t in twins]
+        # The parent's per-worker counts cover both legs of the stream.
+        assert delivered == [
+            head.tuples_ingested + tail.tuples_ingested
+            for head, tail in zip(ingestors, twins)
+        ]
 
     def test_empty_chunks_settle_without_worker_traffic(self):
         _, _, inits = make_replicas(2)
@@ -294,7 +289,8 @@ class TestAccounting:
                 signal.alarm(0)
                 signal.signal(signal.SIGALRM, previous)
             assert not pool.poisoned
+            delivered = pool.delivered_tuples
         assert len(states) == 1
         assert samplers[0].sample  # the small chunks do join
         assert states[0][0] == list(samplers[0].sample)
-        assert states[0][4] == ingestors[0].tuples_ingested
+        assert delivered == [ingestors[0].tuples_ingested]

@@ -446,7 +446,10 @@ class TestServerFrontend:
         assert quantile([3.0], 0.99) == 3.0
         assert quantile([4.0, 1.0, 3.0, 2.0], 0.0) == 1.0
         assert quantile([4.0, 1.0, 3.0, 2.0], 1.0) == 4.0
-        assert quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 3.0
+        # Nearest rank: the median of an even count is the lower middle.
+        assert quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
+        assert quantile([1.0, 2.0, 3.0, 4.0], 0.51) == 3.0
+        assert quantile([float(v) for v in range(1, 101)], 0.95) == 95.0
         with pytest.raises(ValueError):
             quantile([1.0], 1.5)
 

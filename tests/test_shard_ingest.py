@@ -429,7 +429,7 @@ class TestParallel:
         # The persistent pool kills the old finalisation semantics: after
         # ingest_parallel the ingestor accepts more chunks, more parallel
         # streams, and live merged_sample reads — matching a serial twin.
-        stream = line3_stream(line3_query, 80, seed=43)
+        stream = line3_stream(line3_query, 100, seed=43)
         serial = ShardedIngestor(
             line3_query, k=10, num_shards=2, chunk_size=16, rng=random.Random(9)
         )
@@ -441,11 +441,24 @@ class TestParallel:
         assert parallel.pool_active
         parallel.ingest_batch(stream[40:60])
         serial.ingest_batch(stream[40:60])
-        parallel.ingest_parallel(stream[60:])
-        serial.ingest(stream[60:])
+        parallel.ingest_parallel(stream[60:80])
+        serial.ingest(stream[60:80])
         assert parallel.shard_samples() == serial.shard_samples()
         assert parallel.shard_counts() == serial.shard_counts()
+        # Back in process after a synced close, a serial tail continues
+        # from the adopted replicas, and every chunk was counted once
+        # across both modes: all counters equal the all-serial twin's.
         parallel.close_pool()
+        parallel.ingest(stream[80:])
+        serial.ingest(stream[80:])
+        assert parallel.shard_samples() == serial.shard_samples()
+        unmeasured = lambda stats: {
+            key: value
+            for key, value in stats.items()
+            if key not in ("parallel_wall_seconds", "pool_startup_seconds", "parallel", "pool")
+        }
+        assert unmeasured(parallel.statistics()) == unmeasured(serial.statistics())
+        assert parallel.batches_ingested == serial.batches_ingested == 8
 
     def test_statistics_report_measured_parallel_timings(self, line3_query):
         # Every timing the ingestor reports is a wall it measured: the
