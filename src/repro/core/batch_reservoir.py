@@ -116,6 +116,8 @@ class BatchedPredicateReservoir(Generic[T]):
         skip bookkeeping kept in locals between batches; on the steady-state
         ingestion path almost every batch is skipped wholesale, so this
         turns a method call per stream tuple into plain integer arithmetic.
+        A batch that must be built is built as ``make_batch(args[i],
+        sizes[i])``, so the builder need not recompute its size.
         """
         if any(size < 0 for size in sizes):
             # Validate before touching any bookkeeping: a bad size mid-loop
@@ -142,7 +144,7 @@ class BatchedPredicateReservoir(Generic[T]):
             self.items_total = total
             self.batches_processed += skipped
             skipped = 0
-            self.process_batch(make_batch(arg))
+            self.process_batch(make_batch(arg, size))
             pending = self._pending_skip
             total = self.items_total
             w_ready = not math.isinf(self._w)

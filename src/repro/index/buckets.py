@@ -11,8 +11,9 @@ also maintains
 
 Buckets support O(1) insertion, O(1) removal (swap-with-last) and O(1)
 positional access, and the family can map a position ``z ∈ [0, cnt)`` to the
-entity whose weight range contains ``z`` in ``O(log N)`` time (there are at
-most ``O(log N)`` non-empty buckets per family).
+entity whose weight range contains ``z`` by walking its non-empty buckets in
+exponent order (there are at most ``O(log N)`` of them; see
+:meth:`BucketFamily.locate` for the cost).
 """
 
 from __future__ import annotations
@@ -156,14 +157,19 @@ class BucketFamily:
         entity by entity within a bucket, each entity spanning ``2^i``
         consecutive positions.  Returns ``None`` when ``position >= cnt``
         (a dummy position introduced by the ``c̃nt`` padding one level up).
+
+        Cost: the ``b = O(log N)`` non-empty bucket exponents are sorted on
+        every call, ``O(b log b)``, and the walk visits at most ``b`` buckets;
+        a family with one bucket skips the sort.
         """
         if position < 0:
             raise ValueError("positions must be non-negative")
         if position >= self.cnt:
             return None
         remaining = position
-        for exponent in sorted(self._buckets):
-            bucket = self._buckets[exponent]
+        buckets = self._buckets
+        for exponent in buckets if len(buckets) == 1 else sorted(buckets):
+            bucket = buckets[exponent]
             span = len(bucket) << exponent
             if remaining < span:
                 entity_index = remaining >> exponent

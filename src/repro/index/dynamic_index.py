@@ -52,16 +52,19 @@ class DynamicJoinIndex:
         maintain_root: bool = True,
         sampling_root: Optional[str] = None,
     ) -> None:
-        if not query.is_acyclic():
+        try:
+            # The GYO reduction behind the join tree is the acyclicity test.
+            join_tree = JoinTree(query)
+        except ValueError:
             raise ValueError(
                 f"query {query.name!r} is cyclic; DynamicJoinIndex only supports "
                 "acyclic joins (see repro.cyclic for the GHD-based extension)"
-            )
+            ) from None
         self.query = query
         self.grouping = grouping
         self.maintain_root = maintain_root
         self.database = Database(query)
-        self._join_tree = JoinTree(query)
+        self._join_tree = join_tree
         self.sampling_root = sampling_root or query.relation_names[0]
         if self.sampling_root not in query.relation_names:
             raise ValueError(f"unknown sampling root {self.sampling_root!r}")
@@ -146,8 +149,7 @@ class DynamicJoinIndex:
         """``|ΔJ|`` for several rows just inserted into ``relation``.
 
         The bulk companion of :meth:`delta_batch_size`, completing the
-        index-level batched API (projection positions resolved once per
-        batch).  The sampler hot paths hold the relation's
+        index-level batched API.  The sampler hot paths hold the relation's
         :class:`~repro.index.tree_index.TreeIndex` already and call its
         ``delta_batch_sizes`` directly; this wrapper is for external callers
         that address the index by relation name.

@@ -23,16 +23,65 @@ source of the ``O(log N)`` amortised update bound.
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.skippable import FunctionBatch
 from ..relational.database import Database
 from ..relational.jointree import RootedJoinTree
 from ..relational.query import JoinQuery
-from ..relational.schema import tuple_getter
 from .buckets import BucketFamily
 from .counters import next_pow2
 from .grouping import GroupView, grouping_attrs
+
+
+class _NodePlan:
+    """Everything the hot paths need about one node, resolved once.
+
+    ``children`` and ``siblings`` hold ``(family lookup, key getter, child
+    plan)`` triples whose getters project the node's *entities* (group
+    tuples when the node is grouped); ``row_children`` projects its full rows
+    and is ``children`` itself when the node is not grouped.  ``parent`` is
+    the plan that :meth:`TreeIndex._propagate` pushes ``c̃nt`` changes into,
+    or ``None`` when nothing above is maintained; ``parent_lookup`` finds the
+    parent entities of a key, and ``siblings`` and ``feq_approx`` give the
+    other factors of their weights.
+    """
+
+    __slots__ = (
+        "attrs", "families", "view", "members", "maintained", "family_key",
+        "children", "row_children", "parent", "parent_lookup", "siblings",
+        "feq_approx",
+    )
+
+
+def _key_getter(schema, attrs):
+    """``row -> schema.project(row, attrs)`` for the tuples the index stores.
+
+    ``attrs`` is a canonical key.  A one-attribute key is a one-item slice
+    and the empty key an empty one, so every key projection on the hot
+    paths runs at C speed.
+    """
+    if len(attrs) == 1:
+        position = schema.attrs.index(attrs[0])
+        return itemgetter(slice(position, position + 1))
+    return itemgetter(*schema.positions_of(attrs)) if attrs else _NO_KEY
+
+
+_NO_KEY = itemgetter(slice(0, 0))
+
+
+def _product(children, entity) -> int:
+    """Π over ``children`` of the approximate counts at the entity's keys."""
+    product = 1
+    for get_family, key_of, _ in children:
+        family = get_family(key_of(entity))
+        if family is None:
+            return 0
+        product *= family.approx
+        if product == 0:
+            return 0
+    return product
 
 
 class TreeIndex:
@@ -77,70 +126,76 @@ class TreeIndex:
         #: number of parent-entity re-weightings performed inside propagation
         #: loops (the quantity reported in the paper's Figure 9 table).
         self.propagations = 0
-        self._prepare()
+        self._prepare(build=True)
 
     # ------------------------------------------------------------------ #
     # Setup
     # ------------------------------------------------------------------ #
-    def _prepare(self) -> None:
-        for name in self.tree.topological_order():
-            node = self.tree.node(name)
+    def _prepare(self, build: bool) -> None:
+        """Compile the per-node plans in one root-first walk of the tree.
+
+        With ``build`` (at construction) the walk also creates the group
+        views and relation indexes the index maintains; on unpickling they
+        exist already and ``index_on`` returns them.  The plans are derived
+        state: :meth:`__getstate__` drops them.
+        """
+        tree = self.tree
+        families = self._families
+        root = _NodePlan()
+        root.parent = root.parent_lookup = root.feq_approx = None
+        root.siblings = ()
+        plans = {self.root: root}
+        for name in tree.topological_order():
+            node = tree.node(name)
             relation = self.database[name]
-            if relation.rows:
-                raise ValueError(
-                    "TreeIndex must be built over an empty database; "
-                    "replay pre-loaded tuples through insert_row instead"
-                )
-            attrs = grouping_attrs(self.tree, name) if self.grouping_enabled else None
-            view = GroupView(relation, attrs) if attrs else None
-            self._group_views[name] = view
-            entity_relation = view.relation if view else relation
+            if build:
+                if relation.rows:
+                    raise ValueError(
+                        "TreeIndex must be built over an empty database; "
+                        "replay pre-loaded tuples through insert_row instead"
+                    )
+                attrs = grouping_attrs(tree, name) if self.grouping_enabled else None
+                self._group_views[name] = GroupView(relation, attrs) if attrs else None
+            view = self._group_views[name]
+            entity_relation = view.relation if view is not None else relation
+            schema = entity_relation.schema
+            plan = plans[name]
+            plan.attrs = node.attrs
+            plan.families = families[name]
+            plan.view = view
+            plan.members = relation.index_on(view.attrs).lookup if view is not None else None
+            plan.maintained = maintained = not node.is_root or self.maintain_root
+            plan.family_key = _key_getter(schema, node.key_attrs)
+            children = []
+            row_children = []
             for child in node.children:
-                entity_relation.index_on(self.tree.key_of(child))
-            if view is not None:
-                relation.index_on(view.attrs)
+                key_attrs = tree.node(child).key_attrs
+                child_plan = plans[child] = _NodePlan()
+                child_plan.parent = plan if maintained else None
+                # The index the propagation loops walk, created here once.
+                child_plan.parent_lookup = entity_relation.index_on(key_attrs).lookup
+                child_plan.siblings = ()
+                child_plan.feq_approx = view.feq_approx if view is not None else None
+                entry = (families[child].get, _key_getter(schema, key_attrs), child_plan)
+                children.append(entry)
+                if view is not None:
+                    row_getter = _key_getter(relation.schema, key_attrs)
+                    row_children.append((entry[0], row_getter, child_plan))
+            plan.children = tuple(children)
+            plan.row_children = tuple(row_children) if view is not None else plan.children
+            if len(children) > 1:
+                for entry in children:
+                    entry[2].siblings = tuple(other for other in children if other is not entry)
+        self._plan = plans
 
-    # ------------------------------------------------------------------ #
-    # Small helpers
-    # ------------------------------------------------------------------ #
-    def _approx(self, node: str, key: Tuple) -> int:
-        family = self._families[node].get(key)
-        return family.approx if family is not None else 0
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_plan"]
+        return state
 
-    def _count(self, node: str, key: Tuple) -> int:
-        family = self._families[node].get(key)
-        return family.cnt if family is not None else 0
-
-    def _project_entity(
-        self, node: str, entity: Tuple, view: Optional[GroupView], attrs: Iterable[str]
-    ) -> Tuple:
-        if view is not None:
-            return view.project(entity, attrs)
-        return self.query.relation(node).project(entity, attrs)
-
-    def _children_product(
-        self,
-        node: str,
-        entity: Tuple,
-        view: Optional[GroupView],
-        exclude: Optional[str] = None,
-    ) -> int:
-        """Π over children of the entity's child-key approximate counts."""
-        product = 1
-        for child in self.tree.children_of(node):
-            if child == exclude:
-                continue
-            key = self._project_entity(node, entity, view, self.tree.key_of(child))
-            product *= self._approx(child, key)
-            if product == 0:
-                return 0
-        return product
-
-    def _entity_key(self, node: str, entity: Tuple, view: Optional[GroupView]) -> Tuple:
-        key_attrs = self.tree.key_of(node)
-        if not key_attrs:
-            return ()
-        return self._project_entity(node, entity, view, key_attrs)
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._prepare(build=False)
 
     # ------------------------------------------------------------------ #
     # IndexUpdate (Algorithms 7 / 10)
@@ -151,26 +206,7 @@ class TreeIndex:
         The shared database (and therefore every maintained relation index
         and group view) must already contain the row.
         """
-        row = tuple(row)
-        node = self.tree.node(relation)
-        if node.is_root and not self.maintain_root:
-            return
-        view = self._group_views[relation]
-        if view is None:
-            weight = self._children_product(relation, row, None)
-            key = self._entity_key(relation, row, None)
-            self._reweight(relation, key, row, 0, weight)
-            return
-        group = view.group_of(row)
-        feq_new = view.feq(group)  # the view was updated by the relation insert
-        feq_old = feq_new - 1
-        approx_old = next_pow2(feq_old)
-        approx_new = next_pow2(feq_new)
-        if approx_old == approx_new:
-            return
-        children = self._children_product(relation, group, view)
-        key = self._entity_key(relation, group, view)
-        self._reweight(relation, key, group, approx_old * children, approx_new * children)
+        self._update_row(self._plan[relation], tuple(row), 1)
 
     def delete_row(self, relation: str, row: Tuple) -> None:
         """Register a row that has just been deleted from ``relation``.
@@ -191,31 +227,33 @@ class TreeIndex:
         uniformity of retrieval — is unaffected; see
         ``docs/ARCHITECTURE.md``, "Turnstile & Windowed Sampling".
         """
-        row = tuple(row)
-        node = self.tree.node(relation)
-        if node.is_root and not self.maintain_root:
+        self._update_row(self._plan[relation], tuple(row), -1)
+
+    def _update_row(self, plan: _NodePlan, row: Tuple, delta: int) -> None:
+        """One row entered (``delta = 1``) or left (``-1``) the node's relation."""
+        if not plan.maintained:
             return
-        view = self._group_views[relation]
+        view = plan.view
         if view is None:
-            weight = self._children_product(relation, row, None)
+            weight = _product(plan.children, row)
             if weight == 0:
                 # Zero-weight entities are never stored in a family (an
                 # insert at weight 0 is skipped, and a child collapse to 0
-                # evicts through propagation), so there is nothing to undo.
+                # evicts through propagation), so there is nothing to do.
                 return
-            key = self._entity_key(relation, row, None)
-            self._reweight(relation, key, row, weight, 0)
+            old_weight, new_weight = (0, weight) if delta > 0 else (weight, 0)
+            self._reweight(plan, plan.family_key(row), row, old_weight, new_weight)
             return
         group = view.group_of(row)
-        feq_new = view.feq(group)  # the view was updated by the relation delete
-        feq_old = feq_new + 1
-        approx_old = next_pow2(feq_old)
+        feq_new = view.feq(group)  # the view was updated by the relation change
+        approx_old = next_pow2(feq_new - delta)
         approx_new = next_pow2(feq_new)
         if approx_old == approx_new:
             return
-        children = self._children_product(relation, group, view)
-        key = self._entity_key(relation, group, view)
-        self._reweight(relation, key, group, approx_old * children, approx_new * children)
+        children = _product(plan.children, group)
+        self._reweight(
+            plan, plan.family_key(group), group, approx_old * children, approx_new * children
+        )
 
     def insert_rows(self, relation: str, rows: Sequence[Tuple]) -> None:
         """Bulk version of :meth:`insert_row` for several rows of one relation.
@@ -223,14 +261,11 @@ class TreeIndex:
         The shared database must already contain every row (and the rows must
         be deduplicated).  The final index state — every family's ``cnt``,
         ``approx`` and bucket contents — is identical to calling
-        :meth:`insert_row` once per row; the savings are structural:
-
-        * rows are grouped by their bucket-family key, so a family whose
-          exact count crosses several power-of-two boundaries within the
-          batch propagates its ``c̃nt`` change *once* (per-tuple processing
-          propagates once per doubling);
-        * the projection machinery (attribute-position resolution) is hoisted
-          out of the per-row loop.
+        :meth:`insert_row` once per row; the saving is structural: rows are
+        grouped by their bucket-family key, so a family whose exact count
+        crosses several power-of-two boundaries within the batch propagates
+        its ``c̃nt`` change *once* (per-tuple processing propagates once per
+        doubling).
 
         This is valid because, within a single-relation batch, the child
         families this node's weights depend on belong to *other* relations
@@ -239,32 +274,21 @@ class TreeIndex:
         if len(rows) == 1:
             self.insert_row(relation, rows[0])
             return
-        node = self.tree.node(relation)
-        if node.is_root and not self.maintain_root:
+        plan = self._plan[relation]
+        if not plan.maintained:
             return
-        view = self._group_views[relation]
-        if view is not None:
-            self._insert_rows_grouped(relation, rows, view)
+        if plan.view is not None:
+            self._insert_rows_grouped(plan, rows)
             return
-        schema = self.query.relation(relation)
-        key_attrs = self.tree.key_of(relation)
-        project_key = tuple_getter(schema.positions_of(key_attrs)) if key_attrs else None
-        child_info = [
-            (self._families[child].get, tuple_getter(schema.positions_of(self.tree.key_of(child))))
-            for child in self.tree.children_of(relation)
-        ]
-        families = self._families[relation]
+        children = plan.children
+        family_key = plan.family_key
+        families = plan.families
         before: Dict[Tuple, int] = {}
         for row in rows:
-            weight = 1
-            for lookup_family, project_child in child_info:
-                family = lookup_family(project_child(row))
-                weight = weight * family.approx if family is not None else 0
-                if weight == 0:
-                    break
+            weight = _product(children, row)
             if weight == 0:
                 continue
-            key = project_key(row) if project_key is not None else ()
+            key = family_key(row)
             family = families.get(key)
             if family is None:
                 family = BucketFamily()
@@ -275,15 +299,9 @@ class TreeIndex:
             # approximate counters, hence a positive power of two — the
             # flattened fast path applies.
             family.reweight_one(row, 0, weight)
-        changes = [
-            (key, old_approx, families[key].approx)
-            for key, old_approx in before.items()
-            if families[key].approx != old_approx
-        ]
-        if changes:
-            self._bulk_propagate(relation, changes)
+        self._bulk_propagate(plan, before)
 
-    def _insert_rows_grouped(self, relation: str, rows: Sequence[Tuple], view: GroupView) -> None:
+    def _insert_rows_grouped(self, plan: _NodePlan, rows: Sequence[Tuple]) -> None:
         """Bulk insert under the grouping optimisation.
 
         ``feq`` already reflects the whole batch (the group view is updated
@@ -291,249 +309,185 @@ class TreeIndex:
         from ``f̃eq(feq - added)`` to ``f̃eq(feq)`` — the telescoped
         composition of the per-row updates of Algorithm 10.
         """
+        view = plan.view
         added: Dict[Tuple, int] = {}
-        order: List[Tuple] = []
         for row in rows:
             group = view.group_of(row)
-            if group in added:
-                added[group] += 1
-            else:
-                added[group] = 1
-                order.append(group)
-        families = self._families[relation]
-        old_approxes: Dict[Tuple, int] = {}
-        for group in order:
+            added[group] = added.get(group, 0) + 1
+        families = plan.families
+        before: Dict[Tuple, int] = {}
+        for group, count in added.items():
             feq_new = view.feq(group)
-            feq_old = feq_new - added[group]
-            approx_old = next_pow2(feq_old)
+            approx_old = next_pow2(feq_new - count)
             approx_new = next_pow2(feq_new)
             if approx_old == approx_new:
                 continue
-            children = self._children_product(relation, group, view)
-            old_weight = approx_old * children
-            new_weight = approx_new * children
-            if old_weight == new_weight:
+            children = _product(plan.children, group)
+            if children == 0:
                 continue
-            key = self._entity_key(relation, group, view)
+            key = plan.family_key(group)
             family = families.get(key)
             if family is None:
                 family = BucketFamily()
                 families[key] = family
-            old_approxes.setdefault(key, family.approx)
-            family.move(group, old_weight, new_weight)
-        changes = [
-            (key, old_approx, families[key].approx)
-            for key, old_approx in old_approxes.items()
-            if families[key].approx != old_approx
-        ]
-        if changes:
-            self._bulk_propagate(relation, changes)
+            before.setdefault(key, family.approx)
+            family.move(group, approx_old * children, approx_new * children)
+        self._bulk_propagate(plan, before)
 
     def _reweight(
-        self, node: str, key: Tuple, entity: Tuple, old_weight: int, new_weight: int
+        self, plan: _NodePlan, key: Tuple, entity: Tuple, old_weight: int, new_weight: int
     ) -> None:
         if old_weight == new_weight:
             return
-        family = self._families[node].get(key)
+        families = plan.families
+        family = families.get(key)
         if family is None:
             family = BucketFamily()
-            self._families[node][key] = family
+            families[key] = family
         old_approx, new_approx = family.move(entity, old_weight, new_weight)
         if new_approx != old_approx:
-            self._propagate(node, key, old_approx, new_approx)
+            self._propagate(plan, key, old_approx, new_approx)
         if family.cnt == 0:
             # Deletions can empty a family; prune it so windowed workloads
             # (which eventually delete everything) do not leak dict entries.
             # Lookups treat a missing family as cnt = approx = 0.
-            self._families[node].pop(key, None)
+            families.pop(key, None)
 
-    def _bulk_propagate(self, node: str, changes: List[Tuple[Tuple, int, int]]) -> None:
+    def _bulk_propagate(self, plan: _NodePlan, before: Dict[Tuple, int]) -> None:
         """Bulk version of :meth:`_propagate`: push many ``c̃nt`` changes at once.
 
-        ``changes`` holds ``(key, old_approx, new_approx)`` for the families
-        of ``node`` whose approximation changed during a batch.  All parent
-        entity re-weightings are applied first and the resulting parent-level
-        approximation changes are pushed up in a single recursive call — each
-        touched counter path is walked once per batch.  The per-entity
-        arithmetic is identical to :meth:`_propagate` (lines 8-11 of
-        Algorithm 7), with the key-projection machinery hoisted out of the
-        loops.
+        ``before`` maps each family key of the node touched during a batch to
+        its ``c̃nt`` before the batch; the families whose approximation
+        changed are pushed up.  All parent entity re-weightings are applied
+        first and the resulting parent-level approximation changes are
+        pushed up in a single recursive call — each touched counter path is
+        walked once per batch.  The per-entity arithmetic is identical to
+        :meth:`_propagate` (lines 8-11 of Algorithm 7).
         """
-        parent = self.tree.parent_of(node)
+        parent = plan.parent
         if parent is None:
             return
-        if parent == self.root and not self.maintain_root:
-            return
-        parent_view = self._group_views[parent]
-        entity_relation = (
-            parent_view.relation if parent_view is not None else self.database[parent]
-        )
-        lookup = entity_relation.index_on(self.tree.key_of(node)).lookup
-        schema = entity_relation.schema
-        sibling_info = [
-            (self._families[child].get, tuple_getter(schema.positions_of(self.tree.key_of(child))))
-            for child in self.tree.children_of(parent)
-            if child != node
-        ]
-        feq_approx = parent_view.feq_approx if parent_view is not None else None
-        parent_key_attrs = self.tree.key_of(parent)
-        project_parent_key = (
-            tuple_getter(schema.positions_of(parent_key_attrs)) if parent_key_attrs else None
-        )
-        parent_families = self._families[parent]
-        old_approxes: Dict[Tuple, int] = {}
-        for key, old_approx, new_approx in changes:
+        families = plan.families
+        lookup = plan.parent_lookup
+        siblings = plan.siblings
+        feq_approx = plan.feq_approx
+        parent_key = parent.family_key
+        parent_families = parent.families
+        parent_before: Dict[Tuple, int] = {}
+        for key, old_approx in before.items():
+            new_approx = families[key].approx
+            if new_approx == old_approx:
+                continue
             for entity in lookup(key):
                 self.propagations += 1
-                others = 1
-                for lookup_family, project_sibling in sibling_info:
-                    family = lookup_family(project_sibling(entity))
-                    others = others * family.approx if family is not None else 0
-                    if others == 0:
-                        break
+                others = _product(siblings, entity)
                 factor = feq_approx(entity) if feq_approx is not None else 1
                 old_weight = factor * old_approx * others
                 new_weight = factor * new_approx * others
                 if old_weight == new_weight:
                     continue
-                parent_key = (
-                    project_parent_key(entity) if project_parent_key is not None else ()
-                )
-                family = parent_families.get(parent_key)
+                entity_key = parent_key(entity)
+                family = parent_families.get(entity_key)
                 if family is None:
                     family = BucketFamily()
-                    parent_families[parent_key] = family
-                old_approxes.setdefault(parent_key, family.approx)
+                    parent_families[entity_key] = family
+                parent_before.setdefault(entity_key, family.approx)
                 family.reweight_one(entity, old_weight, new_weight)
-        parent_changes = [
-            (parent_key, old_approx, parent_families[parent_key].approx)
-            for parent_key, old_approx in old_approxes.items()
-            if parent_families[parent_key].approx != old_approx
-        ]
-        if parent_changes:
-            self._bulk_propagate(parent, parent_changes)
+        if parent_before:
+            self._bulk_propagate(parent, parent_before)
 
-    def _propagate(self, child: str, key: Tuple, old_approx: int, new_approx: int) -> None:
+    def _propagate(self, plan: _NodePlan, key: Tuple, old_approx: int, new_approx: int) -> None:
         """Lines 8-11 of Algorithm 7: push a ``c̃nt`` change up to the parent."""
-        parent = self.tree.parent_of(child)
+        parent = plan.parent
         if parent is None:
             return
-        if parent == self.root and not self.maintain_root:
-            return
-        parent_view = self._group_views[parent]
-        entity_relation = (
-            parent_view.relation if parent_view is not None else self.database[parent]
-        )
-        child_key_attrs = self.tree.key_of(child)
-        for entity in entity_relation.semijoin(child_key_attrs, key):
+        siblings = plan.siblings
+        feq_approx = plan.feq_approx
+        for entity in plan.parent_lookup(key):
             self.propagations += 1
-            others = self._children_product(parent, entity, parent_view, exclude=child)
-            factor = parent_view.feq_approx(entity) if parent_view is not None else 1
+            others = _product(siblings, entity)
+            factor = feq_approx(entity) if feq_approx is not None else 1
             old_weight = factor * old_approx * others
             new_weight = factor * new_approx * others
             if old_weight != new_weight:
-                parent_key = self._entity_key(parent, entity, parent_view)
-                self._reweight(parent, parent_key, entity, old_weight, new_weight)
+                self._reweight(parent, parent.family_key(entity), entity, old_weight, new_weight)
 
     # ------------------------------------------------------------------ #
     # BatchGenerate (Algorithm 8)
     # ------------------------------------------------------------------ #
     def delta_batch_size(self, row: Tuple) -> int:
         """``|ΔJ|`` for a row just inserted into the root relation."""
-        schema = self.query.relation(self.root)
-        size = 1
-        for child in self.tree.children_of(self.root):
-            key = schema.project(row, self.tree.key_of(child))
-            size *= self._approx(child, key)
-            if size == 0:
-                return 0
-        return size
+        return _product(self._plan[self.root].children, tuple(row))
 
     def delta_batch_sizes(self, rows: Sequence[Tuple]) -> List[int]:
         """``|ΔJ|`` for several rows just inserted into the root relation.
 
-        The bulk companion of :meth:`delta_batch_size` with the child-key
-        projection positions resolved once for the whole batch; used by the
-        batched ingestion path to decide which delta batches can be skipped
-        without ever being constructed.
+        The bulk companion of :meth:`delta_batch_size`; used by the batched
+        ingestion path to decide which delta batches can be skipped without
+        ever being constructed.
         """
-        schema = self.query.relation(self.root)
-        child_info = [
-            (self._families[child].get, tuple_getter(schema.positions_of(self.tree.key_of(child))))
-            for child in self.tree.children_of(self.root)
-        ]
-        sizes: List[int] = []
-        for row in rows:
-            size = 1
-            for lookup_family, project_child in child_info:
-                family = lookup_family(project_child(row))
-                size = size * family.approx if family is not None else 0
-                if size == 0:
-                    break
-            sizes.append(size)
-        return sizes
+        children = self._plan[self.root].children
+        return [_product(children, row) for row in rows]
 
-    def delta_batch(self, row: Tuple) -> FunctionBatch:
+    def delta_batch(self, row: Tuple, size: Optional[int] = None) -> FunctionBatch:
         """The (lazy) batch ``ΔJ ⊇ ΔQ(R, t)`` for a newly inserted root row.
 
         Items are join results as ``{attribute: value}`` dicts; dummy
-        positions yield ``None``.
+        positions yield ``None``.  ``size``, when the caller already holds
+        :meth:`delta_batch_size` of the row, is not recomputed.
         """
         row = tuple(row)
-        size = self.delta_batch_size(row)
-        return FunctionBatch(size, lambda position: self._retrieve_full(self.root, row, position))
+        plan = self._plan[self.root]
+        if size is None:
+            size = _product(plan.children, row)
+        return FunctionBatch(size, lambda position: self._retrieve_full(plan, row, position))
 
     # ------------------------------------------------------------------ #
     # Retrieve (Algorithms 9 / 11)
     # ------------------------------------------------------------------ #
-    def _retrieve_full(self, node: str, row: Tuple, position: int) -> Optional[dict]:
-        """Retrieve within the batch generated for a full tuple of ``node``."""
-        schema = self.query.relation(node)
-        children = self.tree.children_of(node)
-        result = schema.row_to_mapping(row)
+    def _retrieve_full(self, plan: _NodePlan, row: Tuple, position: int) -> Optional[dict]:
+        """Retrieve within the batch generated for a full tuple of a node."""
+        result = dict(zip(plan.attrs, row))
+        children = plan.row_children
         if not children:
             return result if position == 0 else None
-        radices: List[int] = []
-        keys: List[Tuple] = []
-        for child in children:
-            key = schema.project(row, self.tree.key_of(child))
-            keys.append(key)
-            radices.append(self._approx(child, key))
-        coordinates: List[int] = []
-        remaining = position
-        for radix in reversed(radices):
-            if radix == 0:
+        found = []
+        for get_family, key_of, child in children:
+            family = get_family(key_of(row))
+            if family is None or not family.approx:
                 return None
-            coordinates.append(remaining % radix)
-            remaining //= radix
-        coordinates.reverse()
-        for child, key, coordinate in zip(children, keys, coordinates):
-            piece = self._retrieve_key(child, key, coordinate)
+            found.append((child, family))
+        # Mixed radix, the last child varying fastest.
+        coordinates = []
+        remaining = position
+        for _, family in reversed(found):
+            remaining, coordinate = divmod(remaining, family.approx)
+            coordinates.append(coordinate)
+        for (child, family), coordinate in zip(found, reversed(coordinates)):
+            piece = self._retrieve_key(child, family, coordinate)
             if piece is None:
                 return None
             result.update(piece)
         return result
 
-    def _retrieve_key(self, node: str, key: Tuple, position: int) -> Optional[dict]:
-        """Retrieve within the batch generated for a key tuple of ``node``."""
-        family = self._families[node].get(key)
-        if family is None:
-            return None
+    def _retrieve_key(
+        self, plan: _NodePlan, family: BucketFamily, position: int
+    ) -> Optional[dict]:
+        """Retrieve within the batch generated for a key tuple of a node."""
         located = family.locate(position)
         if located is None:
             return None
         entity, offset = located
-        view = self._group_views[node]
+        view = plan.view
         if view is None:
-            return self._retrieve_full(node, entity, offset)
-        span = self._children_product(node, entity, view)
+            return self._retrieve_full(plan, entity, offset)
+        span = _product(plan.children, entity)
         if span <= 0:
             return None
         member_index, member_offset = divmod(offset, span)
         if member_index >= view.feq(entity):
             return None
-        member = view.members(entity)[member_index]
-        return self._retrieve_full(node, member, member_offset)
+        return self._retrieve_full(plan, plan.members(entity)[member_index], member_offset)
 
     # ------------------------------------------------------------------ #
     # Full-query sampling (operation (2) of Theorem 4.2)
@@ -542,13 +496,17 @@ class TreeIndex:
         """``|J|``: the padded size of the full join under this rooting."""
         if not self.maintain_root:
             raise RuntimeError("the root family is not maintained (maintain_root=False)")
-        return self._count(self.root, ())
+        family = self._families[self.root].get(())
+        return family.cnt if family is not None else 0
 
     def retrieve_global(self, position: int) -> Optional[dict]:
         """``J[position]`` for the full query (``None`` for dummy positions)."""
         if not self.maintain_root:
             raise RuntimeError("the root family is not maintained (maintain_root=False)")
-        return self._retrieve_key(self.root, (), position)
+        family = self._families[self.root].get(())
+        if family is None:
+            return None
+        return self._retrieve_key(self._plan[self.root], family, position)
 
     def sample(self, rng: random.Random, max_attempts: int = 100_000) -> Optional[dict]:
         """Draw one uniform sample from the current full join result.

@@ -105,7 +105,7 @@ class TestProcessDeferredMany:
     @staticmethod
     def payload_batches():
         payload = iter(range(10 ** 9))
-        return lambda size: ListBatch([next(payload) for _ in range(size)])
+        return lambda _arg, size: ListBatch([next(payload) for _ in range(size)])
 
     @pytest.mark.parametrize("count", [5, 200])
     def test_matches_per_batch_deferred(self, count):
@@ -116,7 +116,7 @@ class TestProcessDeferredMany:
         single = BatchedPredicateReservoir(7, rng=random.Random(11))
         make_batch = self.payload_batches()
         for size in sizes:
-            single.process_deferred(size, make_batch, size)
+            single.process_deferred(size, make_batch, size, size)
         assert many.sample == single.sample
         assert many.snapshot_state() == single.snapshot_state()
 
@@ -126,7 +126,7 @@ class TestProcessDeferredMany:
         while math.isinf(reservoir._w):  # fill the sample so skips apply
             reservoir.process_batch(ListBatch([1, 2]))
 
-        def must_not_build(arg):  # pragma: no cover - the point is it never runs
+        def must_not_build(arg, size):  # pragma: no cover - the point is it never runs
             raise AssertionError("wholesale-skipped batches must never be built")
 
         # Delta sizes are products of approximate counters, so they can
@@ -147,7 +147,7 @@ class TestProcessDeferredMany:
         sizes = [1] * count + [-1]
         with pytest.raises(ValueError):
             reservoir.process_deferred_many(
-                sizes, lambda size: ListBatch(range(size)), sizes
+                sizes, lambda _arg, size: ListBatch(range(size)), sizes
             )
         assert reservoir.items_total == 0
         assert reservoir.batches_processed == 0

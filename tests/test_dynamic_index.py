@@ -14,7 +14,7 @@ from tests.conftest import make_edges, make_graph_stream, materialize_batch
 
 class TestConstruction:
     def test_rejects_cyclic_queries(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="is cyclic; DynamicJoinIndex only supports"):
             DynamicJoinIndex(triangle_query())
 
     def test_rejects_unknown_sampling_root(self, line3_query):

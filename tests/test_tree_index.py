@@ -1,17 +1,28 @@
 """Tests for the per-rooted-tree dynamic index (Algorithms 7/8/9)."""
 
+import hashlib
+import pickle
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from repro.core.density import batch_density_bound
+from repro.core.reservoir_join import ReservoirJoin
+from repro.core.turnstile import TurnstileReservoirJoin
+from repro.index.dynamic_index import DynamicJoinIndex
 from repro.index.tree_index import TreeIndex
+from repro.ingest.batch import BatchIngestor
+from repro.ingest.pipeline import AsyncIngestor
+from repro.ingest.shard import ShardedIngestor
 from repro.relational import Database, JoinQuery, delta_results
 from repro.relational.jointree import JoinTree
+from repro.relational.stream import StreamDelete, StreamTuple
 from repro.stats.uniformity import result_key
 from repro.workloads.graph import line_query, star_query
 from tests.conftest import make_edges, make_graph_stream, materialize_batch
+from tests.test_checkpoint import chain3_stream
 
 
 def build_indexes(query, grouping=False):
@@ -246,3 +257,151 @@ class TestBulkInsert:
         assert self.replay(line3_query, by_relation, chunk) == self.replay(
             line3_query, by_relation, 1
         )
+
+
+# ---------------------------------------------------------------------- #
+# Samples pinned to recorded digests
+# ---------------------------------------------------------------------- #
+def _random_rows(query, count, domain, seed):
+    rng = random.Random(seed)
+    names = query.relation_names
+    return [
+        (name, tuple(rng.randrange(domain) for _ in range(query.relation(name).arity)))
+        for name in (names[i % len(names)] for i in range(count))
+    ]
+
+
+def _digest(sample, examined, propagations):
+    payload = repr(([list(result.items()) for result in sample], examined, propagations))
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+_CHAIN3 = {"R1": ["x1", "x2"], "R2": ["x2", "x3"], "R3": ["x3", "x4"]}
+_WIDE = {"Ra": ["x", "y"], "Rb": ["y", "z", "w"], "Rc": ["w", "u"]}
+
+
+def _pinned_chain3():
+    query = JoinQuery.from_spec("chain-3", _CHAIN3)
+    sampler = ReservoirJoin(query, 30, rng=random.Random(1))
+    rows = _random_rows(query, 900, 12, seed=2)
+    for start in range(0, len(rows), 40):
+        sampler.insert_batch(rows[start:start + 40])
+    return _digest(sampler.sample, sampler.items_examined, sampler.index.propagations)
+
+
+def _pinned_two_children():
+    # Per-tuple inserts: every R2 row's delta batch is built under the rooting
+    # at R2, whose two children (R1 and R3) take the multi-child radix path.
+    query = JoinQuery.from_spec("chain-3", _CHAIN3)
+    sampler = ReservoirJoin(query, 25, rng=random.Random(3))
+    for relation, row in _random_rows(query, 600, 10, seed=4):
+        sampler.insert(relation, row)
+    return _digest(sampler.sample, sampler.items_examined, sampler.index.propagations)
+
+
+def _pinned_grouped_payload():
+    # Rb's ``z`` is joined by nobody, so under the rooting at Ra the node Rb
+    # stores groups and Retrieve walks the GroupView member path.
+    query = JoinQuery.from_spec("wide", _WIDE)
+    sampler = ReservoirJoin(query, 20, rng=random.Random(5), grouping=True)
+    rows = _random_rows(query, 600, 6, seed=6)
+    for start in range(0, len(rows), 25):
+        sampler.insert_batch(rows[start:start + 25])
+    return _digest(sampler.sample, sampler.items_examined, sampler.index.propagations)
+
+
+def _pinned_full_join_sample():
+    query = JoinQuery.from_spec("wide", _WIDE)
+    index = DynamicJoinIndex(query, grouping=True, maintain_root=True)
+    for relation, row in _random_rows(query, 300, 5, seed=7):
+        index.insert(relation, row)
+    sample = index.sample_many(200, random.Random(8))
+    return _digest(sample, index.total_weight(), index.propagations)
+
+
+def _pinned_turnstile():
+    query = JoinQuery.from_spec("chain-3", _CHAIN3)
+    sampler = TurnstileReservoirJoin(query, 20, rng=random.Random(9))
+    rng = random.Random(10)
+    live = []
+    chunk = []
+    for relation, row in _random_rows(query, 800, 9, seed=11):
+        if live and rng.random() < 0.3:
+            chunk.append(StreamDelete(*live.pop(rng.randrange(len(live)))))
+        chunk.append(StreamTuple(relation, row))
+        live.append((relation, row))
+        if len(chunk) >= 30:
+            sampler.ingest_batch(chunk)
+            chunk = []
+    sampler.ingest_batch(chunk)
+    return _digest(sampler.sample, sampler.items_examined, sampler.index.propagations)
+
+
+_PINNED = {
+    "chain3": (
+        _pinned_chain3,
+        "8a5fd1654ce7b9b13c90d1e678f7763a7d81e30d8a87fd4ed09f8e09963fd683",
+    ),
+    "two-children": (
+        _pinned_two_children,
+        "e09427f65338cc0a40adffd600c3080470fea6c8e0c71a80981b719af71d3482",
+    ),
+    "grouped-payload": (
+        _pinned_grouped_payload,
+        "9b9eacc0b2560dd8c85267a761370291e1d04edec2c251e199f52c5fadc48d81",
+    ),
+    "full-join-sample": (
+        _pinned_full_join_sample,
+        "719530e5238b5b0dceabc5b0270b529f3e8c355c2a67583ba2d7dde5ea60f31c",
+    ),
+    "turnstile": (
+        _pinned_turnstile,
+        "bd713d565ad98fe84b68f7488ef2db2586b62cb767f90c3c63fb2e88fdc7405c",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED))
+def test_samples_pinned_to_parent(case):
+    """Samples, ``items_examined`` and ``propagations`` match recorded digests.
+
+    The digests were recorded before the index compiled its per-node plan;
+    any change to positions, bucket order or RNG draws changes them.
+    """
+    run, expected = _PINNED[case]
+    assert run() == expected
+
+
+class TestDerivedPlan:
+    """The compiled per-node plan is derived state, rebuilt on unpickling."""
+
+    def test_plan_is_not_pickled(self, line3_query):
+        _, indexes = drive(
+            line3_query, make_graph_stream(line3_query, make_edges(5, 14, seed=1), seed=2),
+            check_batches=False,
+        )
+        for index in indexes.values():
+            assert "_plan" not in index.__getstate__()
+            restored = pickle.loads(pickle.dumps(index))
+            assert set(vars(restored)) == set(vars(index))
+            for position in range(index.total_weight()):
+                assert restored.retrieve_global(position) == index.retrieve_global(position)
+
+    @pytest.mark.parametrize(
+        "name", ["async.checkpoint", "batch.checkpoint", "sharded-pool.checkpoint"]
+    )
+    def test_legacy_checkpoints_restore_and_validate(self, name):
+        path = Path(__file__).parent / "data" / name
+        # Each checkpoint holds the first 32 tuples of this stream.
+        tail = chain3_stream(232, seed=20)[32:]
+        if name == "batch.checkpoint":
+            samplers = [BatchIngestor.restore(path).ingest(tail).sampler]
+        elif name == "async.checkpoint":
+            with AsyncIngestor.restore(path) as pipeline:
+                pipeline.ingest(tail)
+            samplers = pipeline.target.samplers
+        else:
+            samplers = ShardedIngestor.restore(path).ingest(tail).samplers
+        for sampler in samplers:
+            assert sampler.index.size > 0
+            sampler.index.validate()

@@ -3,8 +3,9 @@
 
 Every perf PR against the ingestion seam starts from the same measurement
 (``make profile``), so optimisations chase profiles, not hunches.  The
-harness drives the two representative ingestion shapes over the standard
-chain-3 stream of ``benchmarks/bench_batch_ingest.py``:
+harness drives the two representative ingestion shapes over a chain-3 stream
+of the repository benchmark's ``insert-chain3`` shape (``bench/run.py``:
+20k tuples, domain 400, chunks of 100, k = 1000):
 
 * **batched** — one ``BatchIngestor`` over a ``ReservoirJoin`` (the inner
   loops of ``index/tree_index.py`` and ``core/batch_reservoir.py``);
@@ -19,7 +20,7 @@ Knobs: ``--n`` stream length, ``--chunk-size``, ``--shards``, ``--top``,
 ``--repeats``; ``REPRO_PROFILE_N`` overrides ``--n`` for Makefile use
 (``make profile``).
 
-Usage:  PYTHONPATH=src python tools/profile_hotpath.py [--n 50000]
+Usage:  PYTHONPATH=src python tools/profile_hotpath.py [--n 20000]
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.relational.query import JoinQuery  # noqa: E402
 from repro.relational.stream import StreamTuple  # noqa: E402
 
 SEED = 2024
-DOMAIN = 4_000
+DOMAIN = 400
 SAMPLE_SIZE = 1_000
 
 
@@ -110,10 +111,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
         "--n", type=int,
-        default=int(os.environ.get("REPRO_PROFILE_N", "50000")),
-        help="stream length (default 50000, or REPRO_PROFILE_N)",
+        default=int(os.environ.get("REPRO_PROFILE_N", "20000")),
+        help="stream length (default 20000, or REPRO_PROFILE_N)",
     )
-    parser.add_argument("--chunk-size", type=int, default=8192)
+    parser.add_argument("--chunk-size", type=int, default=100)
     parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--top", type=int, default=18,
                         help="profile rows to print per shape")
