@@ -38,7 +38,7 @@ TRIALS = int(48 * SCALE)
 
 METHODOLOGY = (
     "Each cell asserts its mode's equivalence tier (bit-identical, "
-    "exact-set+chi-square, or exact-set+determinism) against the scenario's "
+    "exact-set+chi-square, or epoch-exact-set+bit-identical) against the scenario's "
     "ground-truth universe, then reports the measured wall clock of one "
     "representative run. 1-CPU bench-box convention: no ratio is gated; "
     "walls are raw."

@@ -4,15 +4,11 @@ Acceptance benchmark for the sharded ingestion subsystem and the cyclic bulk
 path, on the same chain-3 workload as ``bench_batch_ingest.py``:
 
 * **Sharded** — a 4-shard :class:`repro.ShardedIngestor` against the
-  unsharded :class:`repro.BatchIngestor` fast path.  The headline figure is
-  the measured steady-state ``ingest_parallel`` wall clock (persistent
-  worker pool started outside the timed region; spawn cost reported
-  separately) over the unsharded wall.  The single-thread serial sharded
-  total is reported alongside: it is *slower* than unsharded (broadcast
-  relations are replicated per shard), so the subsystem can only pay off
-  when the shards actually run in parallel on spare cores.  No sharding
-  target is set; the ratio is informational, and the pool's IPC tax (parallel wall
-  over serial sharded total) is reported with it.
+  unsharded :class:`repro.BatchIngestor` fast path.  Sharding runs every
+  shard in process, so its wall is *slower* than unsharded (broadcast
+  relations are ingested once per shard): the figure prices the sharded
+  merge's routing and replication, it is not a speedup.  No target is set;
+  the ratio is informational.
 * **Cyclic bulk** — ``CyclicReservoirJoin.insert_batch`` (grouped bag-index
   updates + whole-batch skips) against the per-tuple cyclic path on the same
   stream.  Criterion: ≥ 2×.
@@ -108,25 +104,6 @@ def run_sharded_serial(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
     return {"seconds": seconds, "shard_loads": ingestor.shard_loads()}
 
 
-def run_sharded_parallel(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
-    """One steady-state parallel run through the persistent worker pool.
-
-    The pool is started *outside* the timed region — worker spawn plus
-    replica bootstrap is a one-off cost, paid once per deployment, and is
-    reported separately as ``pool_startup_seconds`` instead of being
-    smeared into the per-stream wall clock.  The timed region covers exactly
-    what repeats per stream: routing, scatter over the worker pipes, worker
-    ingestion, and the final drain barrier.
-    """
-    ingestor = make_sharded(query)
-    ingestor.start_pool()
-    try:
-        wall = timed(lambda: ingestor.ingest_parallel(stream))
-        return {"wall": wall, "startup": round(ingestor.pool_startup_seconds, 4)}
-    finally:
-        ingestor.close_pool(sync=False)
-
-
 # --------------------------------------------------------------------- #
 # Cyclic per-tuple vs bulk
 # --------------------------------------------------------------------- #
@@ -157,27 +134,11 @@ def bench() -> Dict:
     probe = make_sharded(query)
     probe.ingest(stream)
     assert len(probe.merged_sample()) == min(SAMPLE_SIZE, probe.total_results())
-    # Serial and parallel pool runs are interleaved so each repeat yields a
-    # *paired* (serial, parallel) measurement under the same machine
-    # conditions — the overhead ratio is taken per pair, which cancels the
-    # frequency/thermal drift that a phase-separated min-vs-min comparison
-    # mixes in.  The first pool of a process also pays one-off
-    # fork/page-fault warm-up steady state never sees; min over repeats
-    # drops it.
-    serial_runs = []
-    parallel_runs = []
-    for _ in range(REPEATS):
-        serial_runs.append(run_sharded_serial(query, stream))
-        parallel_runs.append(run_sharded_parallel(query, stream))
-    best_serial = min(serial_runs, key=lambda r: r["seconds"])
-    serial_total = best_serial["seconds"]
-    best_parallel = min(parallel_runs, key=lambda r: r["wall"])
-    parallel_wall = best_parallel["wall"]
-    overhead = min(
-        p["wall"] / s["seconds"] for p, s in zip(parallel_runs, serial_runs)
+    best_serial = min(
+        (run_sharded_serial(query, stream) for _ in range(REPEATS)),
+        key=lambda r: r["seconds"],
     )
-
-    sharded_speedup = unsharded / parallel_wall
+    serial_total = best_serial["seconds"]
     modes = [
         {
             "mode": "batched_unsharded",
@@ -191,15 +152,6 @@ def bench() -> Dict:
             "tuples_per_second": round(N_TUPLES / serial_total),
             "speedup": round(unsharded / serial_total, 2),
             "shard_loads": best_serial["shard_loads"],
-        },
-        {
-            "mode": "sharded_parallel_wall",
-            "seconds": round(parallel_wall, 4),
-            "tuples_per_second": round(N_TUPLES / parallel_wall),
-            "speedup": round(sharded_speedup, 2),
-            "cpu_count": os.cpu_count(),
-            "pool_startup_seconds": best_parallel["startup"],
-            "overhead_over_serial_total": round(overhead, 2),
         },
     ]
 
@@ -219,24 +171,13 @@ def bench() -> Dict:
         "partition_attr": make_sharded(query).partition_attr,
         "repeats": REPEATS,
         "modes": modes,
-        "speedup": round(sharded_speedup, 2),
         "methodology": (
             "Every figure is a measured wall clock on this machine "
-            f"(cpu_count={os.cpu_count()}). The headline speedup is the "
-            "unsharded batched wall over sharded_parallel_wall, a "
-            "steady-state measurement of the persistent shard worker pool: "
-            "the pool (one long-lived process per shard, sub-chunks pickled "
-            "over one pipe each) is started outside the timed region and its "
-            "one-off spawn cost is reported as pool_startup_seconds; the "
-            "timed region is route + scatter + worker ingestion + drain, "
-            "which is what repeats per stream. sharded_serial_total is the "
-            "single-thread sharded wall; it exceeds the unsharded time "
-            "because broadcast relations are replicated per shard. "
-            "overhead_over_serial_total is the parallel wall divided by the "
-            "serial sharded total, taken as the best of per-repeat pairs "
-            "measured back-to-back (serial and parallel interleaved each "
-            "repeat, so frequency/thermal drift cancels) — the IPC tax net "
-            "of whatever the spare cores win back."
+            f"(cpu_count={os.cpu_count()}), the minimum over repeats with GC "
+            "paused. sharded_serial_total is the sharded wall, every shard "
+            "ingesting in process; its speedup is the unsharded batched wall "
+            "over it and falls below 1 because broadcast relations are "
+            "ingested once per shard."
         ),
         "cyclic": {
             "n_tuples": N_TUPLES_CYCLIC,
@@ -263,7 +204,6 @@ def main() -> None:
             f"  {row['mode']:>22}: {row['seconds']:7.3f}s  "
             f"{row['tuples_per_second']:>9,} tuples/s  {row['speedup']:.2f}x"
         )
-    print(f"measured parallel-wall speedup: {report['speedup']:.2f}x")
     cyclic = report["cyclic"]
     print(
         f"cyclic bulk path: per-tuple {cyclic['per_tuple_seconds']:.3f}s vs "

@@ -17,11 +17,11 @@ tuple-at-a-time processing.  The synopsis is then used to estimate a
 group-by aggregate, compared with the exact answer computed by the
 symmetric-hash-join oracle.
 
-The second half scales the same pipeline horizontally: a
+The second half partitions the same pipeline: a
 :class:`repro.ShardedIngestor` hash-partitions the feed across independent
-synopsis replicas (one per shard, parallelizable across workers) and
-recombines them with ``merged_sample`` — an *exactly* uniform sample of the
-global join, good for the same analytics.
+synopsis replicas (one per shard) and recombines them with
+``merged_sample`` — an *exactly* uniform sample of the global join, good
+for the same analytics.
 
 The third section feeds the *same* click stream to two consumers in one
 pass: a freshness-tuned dashboard reservoir and a cyclic-pattern analytics
@@ -126,7 +126,7 @@ def main() -> None:
     print(f"\nlargest absolute estimation error across categories: {worst:.1%}")
 
     # ------------------------------------------------------------------ #
-    # Scale-out: the same synopsis, sharded across replicas
+    # Sharded: the same synopsis, partitioned across replicas
     # ------------------------------------------------------------------ #
     sharded = ShardedIngestor(
         query, k=500, num_shards=4, chunk_size=CHUNK_SIZE, rng=random.Random(3)

@@ -33,16 +33,15 @@ Every sampler supports three interchangeable ways of consuming a stream:
 * **Sharded** — ``ShardedIngestor(query, k, num_shards).ingest(stream)``.
   Chunks are hash-partitioned on a partition attribute across independent
   per-shard sampler replicas (relations lacking the attribute are broadcast),
-  so the per-chunk work parallelises across shards with no shared state —
-  ``ingest_parallel`` feeds a persistent one-process-per-shard worker pool
-  bit-identically to the serial path.  Because every join
+  and the shards run one after another in process.  Because every join
   result binds the partition attribute to one value, the shard-local result
   sets partition the global result set; ``merged_sample(k)`` recombines the
   shard reservoirs by exact-count-weighted subsampling into a sample that is
-  *exactly* uniform over the global join at every chunk boundary.  Choose it
-  when a single ingestion thread cannot keep up with the stream; for
-  single-threaded workloads plain batched ingestion does strictly less work
-  (broadcast relations are replicated per shard).
+  *exactly* uniform over the global join at every chunk boundary.  It is
+  not a speed mode: on one machine it does strictly more work than plain
+  batched ingestion (broadcast relations are ingested once per shard).  Use
+  it for its merge, which makes independently maintained shard reservoirs
+  one uniform sample.
 
 * **Several samplers, one pass** — no ingestor needed: for each chunk of
   one ``chunk_stream(stream, chunk_size)`` pass, call
@@ -122,7 +121,6 @@ from .ingest.checkpoint import (
     PeriodicCheckpointer,
 )
 from .ingest.pipeline import AsyncIngestor
-from .ingest.pool import ShardWorkerPool, WorkerCrashError
 from .ingest.shard import ShardedIngestor
 from .serve import EpochSnapshot, SampleServer, ServerFrontend
 from .index.dynamic_index import DynamicJoinIndex
@@ -154,8 +152,6 @@ __all__ = [
     "SamplerBackend",
     "BatchIngestor",
     "ShardedIngestor",
-    "ShardWorkerPool",
-    "WorkerCrashError",
     "AsyncIngestor",
     "CheckpointCodec",
     "CheckpointError",

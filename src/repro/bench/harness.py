@@ -9,6 +9,7 @@ same way.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -231,14 +232,14 @@ def measure_seconds(run: Callable[[], object]) -> tuple:
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
-    """Simple percentile (nearest-rank) used for the update-time distribution."""
+    """Nearest-rank percentile used for the update-time distribution: the
+    smallest value with at least ``fraction`` of the values at or below it."""
     if not values:
         raise ValueError("no values")
     if not 0.0 <= fraction <= 1.0:
         raise ValueError("fraction must be in [0, 1]")
     ordered = sorted(values)
-    index = min(len(ordered) - 1, max(0, int(round(fraction * (len(ordered) - 1)))))
-    return ordered[index]
+    return ordered[max(0, math.ceil(fraction * len(ordered)) - 1)]
 
 
 def speedup(baseline_seconds: float, improved_seconds: float) -> float:

@@ -7,12 +7,10 @@ and the ingestion seam is written against.
 """
 
 from .backend import (
-    BackendCapabilities,
     PerTupleBatchMixin,
     SamplerBackend,
     chunk_apply,
     derive_seed,
-    probe_backend,
 )
 from .skippable import (
     END_OF_STREAM,
@@ -32,9 +30,7 @@ from . import density
 
 __all__ = [
     "SamplerBackend",
-    "BackendCapabilities",
     "PerTupleBatchMixin",
-    "probe_backend",
     "chunk_apply",
     "derive_seed",
     "END_OF_STREAM",

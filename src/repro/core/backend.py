@@ -10,15 +10,14 @@ the per-tuple fallback loop; this module is the one place that knows the
 interface, so the ingestors (and anything else that drives samplers) share a
 single probe, a single fallback, and a single seed-derivation rule.
 
-Three layers of service:
+Four layers of service:
 
 * **The protocol** (:class:`SamplerBackend`) — the structural type a backend
   must satisfy to ride the ingestion seam.  Conformance is duck-typed
   (``typing.Protocol``); samplers do not import this module to conform.
-* **Capability probing** (:func:`probe_backend`, :func:`chunk_apply`) — what
-  a given backend actually offers beyond the minimum: a bulk path, an
-  ingestor-style ``ingest_batch``, exact result counting via a dynamic
-  index, replica cloning via ``spawn``.
+* **Capability probing** (:func:`chunk_apply`) — the best chunk path a
+  given backend offers: an ingestor-style ``ingest_batch``, a bulk
+  ``insert_batch``, or the validated per-tuple fallback.
 * **Seed derivation** (:func:`derive_seed`) — the one rule sharding uses
   to split a master RNG into independent per-replica RNGs, so replica
   randomness is reproducible and never shared.
@@ -39,7 +38,7 @@ from __future__ import annotations
 import importlib
 import pickle
 import random
-from typing import Callable, Dict, Iterable, List, Optional, Protocol, Sequence, Tuple, runtime_checkable
+from typing import Callable, Dict, Iterable, List, Protocol, Sequence, Tuple, runtime_checkable
 
 from ..relational.stream import as_relation_rows, validated_items
 
@@ -99,34 +98,6 @@ class SamplerBackend(Protocol):
     def sample(self) -> List[dict]: ...
 
     def statistics(self) -> Dict[str, object]: ...
-
-
-class BackendCapabilities:
-    """What :func:`probe_backend` found on one backend (immutable record)."""
-
-    __slots__ = ("insert", "insert_batch", "ingest_batch", "sample", "statistics", "index", "spawn", "snapshot")
-
-    def __init__(self, backend) -> None:
-        self.insert = callable(getattr(backend, "insert", None))
-        self.insert_batch = callable(getattr(backend, "insert_batch", None))
-        self.ingest_batch = callable(getattr(backend, "ingest_batch", None))
-        self.sample = hasattr(backend, "sample")
-        self.statistics = callable(getattr(backend, "statistics", None))
-        self.index = getattr(backend, "index", None) is not None
-        self.spawn = callable(getattr(backend, "spawn", None))
-        self.snapshot = callable(getattr(backend, "snapshot_state", None))
-
-    def as_dict(self) -> Dict[str, bool]:
-        return {name: getattr(self, name) for name in self.__slots__}
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        present = ", ".join(name for name in self.__slots__ if getattr(self, name))
-        return f"BackendCapabilities({present})"
-
-
-def probe_backend(backend) -> BackendCapabilities:
-    """Probe a backend's capabilities once, instead of ``getattr`` at every use."""
-    return BackendCapabilities(backend)
 
 
 def chunk_apply(backend) -> Tuple[Callable[[Sequence], object], str]:
@@ -223,27 +194,6 @@ def snapshot_backend(backend) -> Dict[str, object]:
     return {"codec": "pickle", "class": _class_path(backend), "state": pickle.dumps(backend)}
 
 
-def snapshot_transport(record: Dict[str, object]) -> bytes:
-    """Serialise a :func:`snapshot_backend` record for IPC transport.
-
-    The worker-pool runtime (:mod:`repro.ingest.pool`) captures backend
-    snapshots *inside* worker processes and ships them to the parent over a
-    pipe; the parent likewise ships initial replica state into freshly
-    spawned workers.  Those hops need one explicit serialisation point —
-    ``pickle`` at the highest protocol — rather than relying on whatever a
-    ``multiprocessing.Connection`` would implicitly do to a dict that may
-    itself contain pickled payloads.  The bytes round-trip exactly through
-    :func:`restore_transport`.
-    """
-    return pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def restore_transport(payload: bytes) -> Dict[str, object]:
-    """Invert :func:`snapshot_transport` (the record is *not* restored into
-    a backend — hand it to :func:`restore_backend` for that)."""
-    return pickle.loads(payload)
-
-
 def restore_backend(record: Dict[str, object]):
     """Rebuild a backend from a :func:`snapshot_backend` record.
 
@@ -334,13 +284,9 @@ class PerTupleBatchMixin:
 __all__ = [
     "SEED_BITS",
     "SamplerBackend",
-    "BackendCapabilities",
-    "probe_backend",
     "chunk_apply",
     "derive_seed",
     "snapshot_backend",
     "restore_backend",
-    "snapshot_transport",
-    "restore_transport",
     "PerTupleBatchMixin",
 ]

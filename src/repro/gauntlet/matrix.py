@@ -7,11 +7,9 @@ ground-truth universe or against a reference run:
 ``bit-identical``
     The mode promises the same reservoir, bit for bit, as a reference
     serial run under equal seeds and chunking: async pipelining (one FIFO
-    queue in front of the target), process-parallel sharding (the
-    persistent worker pool feeds each shard replica the exact serial
-    sub-chunk sequence from a snapshot of the serial starting state), and
-    mid-stream checkpoint-resume (exact RNG state round trip).  The cell
-    asserts list equality of the final samples.
+    queue in front of the target) and mid-stream checkpoint-resume (exact
+    RNG state round trip).  The cell asserts list equality of the final
+    samples.
 
 ``exact-set+chi-square``
     The mode promises the right *distribution*, not the same bits: the
@@ -21,12 +19,6 @@ ground-truth universe or against a reference run:
     set exactly, and across independently seeded trials the per-result
     inclusion counts must pass a chi-square uniformity test
     (``p > p_threshold``).
-
-``exact-set+determinism``
-    Retired as of the worker-pool runtime: the ``sharded-parallel`` cell
-    that used to live here now asserts full bit-identity (see above).  The
-    tier name remains recognised so downstream tooling reading old reports
-    keeps working.
 
 ``epoch-exact-set+bit-identical``
     The serving layer's contract: reading the scenario *through* a
@@ -89,7 +81,6 @@ MODES = (
     "pertuple",
     "batched",
     "sharded",
-    "sharded-parallel",
     "async",
     "checkpoint",
     "served",
@@ -111,7 +102,6 @@ class GauntletConfig:
     chunk_size: int = 32        # chunking shared by every chunked mode
     num_shards: int = 3
     trials: int = 48            # chi-square trials for statistical cells
-    parallel_trials: int = 0    # extra chi-square trials for sharded-parallel
     p_threshold: float = 0.002  # reject uniformity below this p-value
     seed: int = 2024
     buffer_chunks: int = 4      # async queue depth
@@ -135,7 +125,6 @@ class GauntletConfig:
             "chunk_size": self.chunk_size,
             "num_shards": self.num_shards,
             "trials": self.trials,
-            "parallel_trials": self.parallel_trials,
             "p_threshold": self.p_threshold,
             "seed": self.seed,
             "buffer_chunks": self.buffer_chunks,
@@ -297,16 +286,6 @@ class ModeMatrix:
         ingestor.ingest(scenario.stream)
         return ingestor.merged_sample(k, rng=random.Random(seed + 101))
 
-    def _run_parallel(self, scenario: Scenario, k: int, seed: int) -> List[dict]:
-        ingestor = self._make_sharded(scenario, k, seed)
-        try:
-            ingestor.ingest_parallel(scenario.stream)
-            return ingestor.merged_sample(k, rng=random.Random(seed + 101))
-        finally:
-            # Throwaway run: the sample is extracted, reclaim the worker
-            # processes without the state-adoption round trip.
-            ingestor.close_pool(sync=False)
-
     # ------------------------------------------------------------------ #
     # Cell checks
     # ------------------------------------------------------------------ #
@@ -376,70 +355,6 @@ class ModeMatrix:
         cell.serial_seconds = round(seconds, 4)
         cell.detail["load_imbalance"] = statistics.get("load_imbalance")
         return cell
-
-    def _cell_parallel(self, scenario: Scenario) -> CellResult:
-        """Process-parallel sharding is bit-identical to the serial run.
-
-        The worker pool feeds each shard replica the exact serial
-        sub-chunk sequence from a snapshot of the serial starting state,
-        so every per-shard reservoir — and therefore the merged sample
-        under an equal merge RNG — must equal the serial run bit for bit
-        (which subsumes the old same-seed determinism check).  The
-        exact-set half and the per-shard load comparison are kept as
-        independent probes of the routing layer.
-        """
-        cfg = self.config
-        _, seconds = measure_seconds(
-            lambda: self._check_exact_set(scenario, self._run_parallel)
-        )
-        serial = self._make_sharded(scenario, cfg.k, cfg.seed)
-        serial.ingest(scenario.stream)
-        parallel = self._make_sharded(scenario, cfg.k, cfg.seed)
-        try:
-            parallel.ingest_parallel(scenario.stream)
-            statistics = parallel.statistics()
-            if parallel.shard_samples() != serial.shard_samples():
-                raise CellFailure(
-                    "per-shard reservoirs differ from the serial run"
-                )
-            merge_rng = cfg.seed + 101
-            if parallel.merged_sample(
-                cfg.k, rng=random.Random(merge_rng)
-            ) != serial.merged_sample(cfg.k, rng=random.Random(merge_rng)):
-                raise CellFailure("merged sample differs from the serial run")
-            if parallel.shard_loads() != serial.shard_loads():
-                raise CellFailure(
-                    f"parallel routing stored {parallel.shard_loads()}, "
-                    f"serial stored {serial.shard_loads()}"
-                )
-        finally:
-            parallel.close_pool(sync=False)
-        detail: Dict[str, object] = {
-            "exact_set": True,
-            "bit_identical": True,
-            "shard_loads": list(serial.shard_loads()),
-            "parallel_wall_seconds": statistics.get("parallel_wall_seconds"),
-        }
-        p_value = None
-        if cfg.parallel_trials >= MIN_CHI_TRIALS:
-            # Optional belt-and-braces: chi-square over independently
-            # seeded pool runs on top of the bit-identity assertion.
-            k_chi = cfg.chi_sample_size(scenario.universe_size)
-            p_value = uniformity_p_value(
-                lambda seed: self._run_parallel(scenario, k_chi, cfg.seed + 1 + seed),
-                scenario.universe,
-                cfg.parallel_trials,
-                k_chi,
-            )
-            detail.update({"trials": cfg.parallel_trials, "chi_k": k_chi})
-            if p_value <= cfg.p_threshold:
-                raise CellFailure(
-                    f"uniformity rejected: p={p_value:.5f} <= {cfg.p_threshold}"
-                )
-        return CellResult(
-            scenario.name, "sharded-parallel", "bit-identical", "pass",
-            p_value=p_value, serial_seconds=round(seconds, 4), detail=detail,
-        )
 
     def _cell_async(self, scenario: Scenario) -> CellResult:
         """Async pipelining is bit-identical to the serial run it overlaps."""
@@ -754,11 +669,7 @@ class ModeMatrix:
     # Dispatch
     # ------------------------------------------------------------------ #
     def _skip_reason(self, scenario: Scenario, mode: str) -> Optional[str]:
-        # Cyclic scenarios ride sharded-parallel now: the pool ships built
-        # replica *state* (snapshot records), never the factory callable,
-        # so the custom cyclic factory no longer blocks process parallelism.
-        partitioned = ("sharded", "sharded-parallel")
-        if mode in partitioned and scenario.query is None:
+        if mode == "sharded" and scenario.query is None:
             return "no join query to hash-partition (predicate stream)"
         if mode == "turnstile":
             if scenario.query is None:
@@ -793,7 +704,6 @@ class ModeMatrix:
             "pertuple": self._cell_pertuple,
             "batched": self._cell_batched,
             "sharded": self._cell_sharded,
-            "sharded-parallel": self._cell_parallel,
             "async": self._cell_async,
             "served": self._cell_served,
             "turnstile": self._cell_turnstile,

@@ -3,7 +3,7 @@
 Per-tuple ingestion (``sampler.insert(relation, row)``) pays full Python
 dispatch — index lookups, projection-position resolution, reservoir
 bookkeeping — for every arriving tuple.  The ingestion subsystem amortises
-that cost and scales it out in two layers:
+that cost in two layers:
 
 1. **The protocol** (:mod:`repro.core.backend`): every sampler conforms to
    the :class:`~repro.core.backend.SamplerBackend` interface; capability
@@ -44,8 +44,7 @@ inserts when the hosted sampler is deletion-capable
 :class:`~repro.core.turnstile.WindowedSampler`).  ``chunk_apply`` probes
 ``ingest_batch`` first, so the turnstile samplers segment mixed chunks
 themselves; the sharded router hash-routes each retraction to the shard
-owning the row (broadcast relations broadcast their deletes), and the
-worker-pool transport ships ``StreamDelete`` items through unchanged.  The
+owning the row (broadcast relations broadcast their deletes).  The
 boundary guarantee becomes: exactly uniform over the *surviving* join
 results of the prefix.
 
@@ -66,7 +65,6 @@ from .checkpoint import (
     PeriodicCheckpointer,
 )
 from .pipeline import AsyncIngestor
-from .pool import ShardWorkerPool, WorkerCrashError
 from .shard import ShardedIngestor, partition_attribute, stable_shard_hash
 
 __all__ = [
@@ -74,8 +72,6 @@ __all__ = [
     "BatchIngestor",
     "chunked",
     "ShardedIngestor",
-    "ShardWorkerPool",
-    "WorkerCrashError",
     "AsyncIngestor",
     "CheckpointCodec",
     "CheckpointError",

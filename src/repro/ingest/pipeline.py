@@ -22,14 +22,11 @@ sees exactly the chunk sequence a synchronous loop would feed it, so with
 equal seeds its state is bit-identical to synchronous ingestion.
 
 A sharded target routes, validates and dispatches each chunk inside its own
-``ingest_batch`` on the worker thread.  Whether it runs in process or
-through a live :class:`~repro.ingest.pool.ShardWorkerPool` is decided per
-chunk, so a pool started after wrapping takes effect at once.  One thread
-per shard was tried and removed: the shard work is pure Python and holds
-the GIL, so over a blocking source (60k tuples, 20 ms per 2048-tuple chunk,
-4 shards) it gave the same samples and no faster wall — medians 2.98 vs
-3.06 s, then 3.03 vs 2.79 s with one thread ahead in 9 of 10 pairs.
-Process-level parallelism is the pool's job.
+``ingest_batch`` on the worker thread.  One thread per shard was tried and
+removed: the shard work is pure Python and holds the GIL, so over a
+blocking source (60k tuples, 20 ms per 2048-tuple chunk, 4 shards) it gave
+the same samples and no faster wall — medians 2.98 vs 3.06 s, then 3.03 vs
+2.79 s with one thread ahead in 9 of 10 pairs.
 
 Backpressure and boundaries
 ---------------------------

@@ -1,21 +1,17 @@
 """Sharded ingestion: hash-partitioned sampler replicas with an exact merge.
 
-:class:`ShardedIngestor` scales the batched ingestion seam horizontally.  A
+:class:`ShardedIngestor` partitions the batched ingestion seam.  A
 *partition attribute* is chosen (by default the attribute shared by the most
 relations); every arriving chunk is split by a stable hash of that
 attribute's value, relations that do not contain the attribute are broadcast
 to every shard, and each shard runs its own independent sampler replica over
-its share of the stream.  Shards share no mutable state, so the per-chunk
-work is embarrassingly parallel — :meth:`ShardedIngestor.start_pool` moves
-the live shard replicas into a persistent one-process-per-shard
-:class:`~repro.ingest.pool.ShardWorkerPool` (:meth:`ShardedIngestor
-.ingest_parallel` is the one-call convenience wrapper), while the serial
-:meth:`ShardedIngestor.ingest` keeps the same semantics in-process.  The
-pool feeds every worker the exact sub-chunk sequence the serial path
-produces and each replica starts from a snapshot of the parent-side state,
-so pool-fed shards are *bit-identical* to a serial run under equal seeds —
-ingestion, ``merged_sample``, checkpointing and ``statistics`` all keep
-working against the live workers.
+its share of the stream.  Shards share no mutable state; each chunk is
+routed once and every shard applies its non-empty part in process, in shard
+order.  On one machine this is strictly more work than
+:class:`~repro.ingest.batch.BatchIngestor` (broadcast relations are ingested
+once per shard); the ingestor exists for the merge algorithm below, which
+turns independently maintained shard reservoirs into one exactly uniform
+sample, and as the reference for the "sharded ≡ unsharded" guarantee.
 
 Correctness (the merge rule)
 ----------------------------
@@ -52,9 +48,7 @@ default replica uses the same ``k``).
 from __future__ import annotations
 
 import hashlib
-import itertools
 import random
-import time
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
@@ -67,7 +61,6 @@ from ..relational.schema import tuple_getter
 from ..relational.stream import StreamDelete, StreamTuple, chunk_stream, validate_pairs
 from .batch import DEFAULT_CHUNK_SIZE
 from .checkpoint import CODEC, CheckpointMismatchError
-from .pool import ShardWorkerPool, WorkerCrashError  # noqa: F401 (re-export)
 
 #: Default shard count; the tentpole benchmark uses this value.
 DEFAULT_NUM_SHARDS = 4
@@ -118,9 +111,8 @@ def route_rows(
     index, or ``-1`` for a broadcast tuple.
 
     This is *the* routing rule — the chunk splitter behind
-    :meth:`ShardedIngestor.partition` (serial and pool wire paths alike)
-    resolves shards through this one helper, and
-    :meth:`ShardedIngestor.shard_of` applies the same
+    :meth:`ShardedIngestor.partition` resolves shards through this one
+    helper, and :meth:`ShardedIngestor.shard_of` applies the same
     :func:`stable_shard_hash` to a single row, so they cannot drift.
 
     ``pairs`` are ``(relation, row_tuple)`` items; ``getters`` maps the
@@ -162,8 +154,7 @@ def exact_result_count(sampler) -> int:
     query's result set).  A :class:`~repro.core.turnstile
     .TurnstileReservoirJoin` that already tracks its surviving count (seeded
     at its first applied delete) answers from that count, with no recount.
-    This is the one place a shard's count is computed, in process and in
-    the pool workers alike.
+    This is the one place a shard's count is computed.
     """
     tracked = getattr(sampler, "_population", None)
     if tracked is not None:
@@ -259,7 +250,7 @@ class ShardedIngestor:
         Optional ``factory(shard_index, rng) -> sampler`` building one
         replica per shard; defaults to a plain :class:`ReservoirJoin` of
         size ``k``.  Replicas must expose ``index`` (for exact counts) and
-        ``sample``; :meth:`ingest_parallel` additionally needs them to be
+        ``sample``; :meth:`save` additionally needs them to be
         snapshot-capable or picklable.
     rng:
         Seedable randomness source; derives one independent RNG per shard
@@ -296,10 +287,12 @@ class ShardedIngestor:
         self._shard_seeds = [derive_seed(self._rng) for _ in range(num_shards)]
         if factory is None:
             factory = lambda shard, shard_rng: ReservoirJoin(query, k, rng=shard_rng)
-        self._bind([
+        self.samplers = [
             factory(shard, random.Random(self._shard_seeds[shard]))
             for shard in range(num_shards)
-        ])
+        ]
+        self._appliers = [chunk_apply(sampler)[0] for sampler in self.samplers]
+        self._counts: Optional[List[int]] = None
         self._hooks: List[Callable[[List, List[List]], None]] = []
         # Projection getters for the relations that carry the partition
         # attribute; every other relation is broadcast.
@@ -312,7 +305,7 @@ class ShardedIngestor:
         self.batches_ingested = 0
         self.broadcast_deliveries = 0
         # Stream tuples delivered per shard (broadcast replicas included),
-        # advanced at routing time in serial and pool mode alike.
+        # advanced at routing time.
         self._shard_tuples = [0] * num_shards
         # Per-relation stream tuples routed so far (before broadcast
         # replication) — O(1) observability, surfaced via statistics();
@@ -321,20 +314,6 @@ class ShardedIngestor:
         self.relation_deliveries: Dict[str, int] = {
             name: 0 for name in query.relation_names
         }
-        # The persistent worker-pool runtime (start_pool/close_pool): while
-        # live, every shard replica resides in its worker process and all
-        # per-shard reads go through the pool's chunk-boundary round trips.
-        self._pool: Optional[ShardWorkerPool] = None
-        # Measured wall clock spent inside ingest_parallel calls (submit
-        # through drain) and one-time pool spawn cost.
-        self.parallel_wall_seconds = 0.0
-        self.pool_startup_seconds = 0.0
-
-    def _bind(self, samplers: List) -> None:
-        """Install the in-process shard replicas and their chunk paths."""
-        self.samplers = samplers
-        self._appliers = [chunk_apply(sampler)[0] for sampler in samplers]
-        self._counts: Optional[List[int]] = None
 
     # ------------------------------------------------------------------ #
     # Routing
@@ -426,69 +405,6 @@ class ShardedIngestor:
         return parts
 
     # ------------------------------------------------------------------ #
-    # The worker-pool runtime
-    # ------------------------------------------------------------------ #
-    @property
-    def pool_active(self) -> bool:
-        """Whether the shard replicas currently live in pool workers."""
-        return self._pool is not None and self._pool.active
-
-    @property
-    def pool(self) -> Optional[ShardWorkerPool]:
-        """The live worker pool, or ``None`` outside pool mode."""
-        return self._pool if self.pool_active else None
-
-    def start_pool(self) -> ShardWorkerPool:
-        """Move the live shard replicas into a persistent worker pool.
-
-        Each worker process rebuilds its replica from a
-        :func:`~repro.core.backend.snapshot_backend` record of the
-        parent-side sampler — the same capability checkpoints use — so a
-        pool started mid-stream (or on a checkpoint-restored ingestor)
-        continues exactly where the in-process replicas stood, and a pool
-        started fresh is bit-identical to a serial run under equal seeds.
-        Any snapshot-capable (or picklable) replica qualifies, custom
-        factories included: the built replica's *state* crosses the process
-        boundary, never the factory callable.
-
-        Shards are stateful, so the pool always runs exactly one worker per
-        shard — there is no smaller unit a process could own.  Sub-chunks
-        travel pickled over one pipe per worker.  Idempotent while a pool is
-        live.
-        """
-        if self.pool_active:
-            return self._pool
-        start = time.perf_counter()
-        self._pool = ShardWorkerPool(
-            [snapshot_backend(sampler) for sampler in self.samplers]
-        )
-        self.pool_startup_seconds += time.perf_counter() - start
-        return self._pool
-
-    def close_pool(self, sync: bool = True) -> None:
-        """Stop the pool and return to in-process mode (idempotent).
-
-        With ``sync=True`` (the default) the workers are drained first and
-        their final replica states are adopted back into this process —
-        serial ingestion and in-process reads of the replicas then continue
-        seamlessly from everything the pool ingested.  ``sync=False`` skips
-        the adoption (the in-process replicas keep their pre-pool state):
-        the cleanup path for a poisoned pool, or for throwaway runs that
-        already extracted their merged sample.  A poisoned pool is never
-        synced — its shards saw different chunk prefixes.
-        """
-        pool, self._pool = self._pool, None
-        if pool is None:
-            return
-        try:
-            if sync and pool.active and not pool.poisoned:
-                # The counters live here in both modes; only the replicas
-                # come back from the workers.
-                self._bind([restore_backend(record) for record in pool.snapshots()])
-        finally:
-            pool.close()
-
-    # ------------------------------------------------------------------ #
     # Ingestion
     # ------------------------------------------------------------------ #
     def ingest_batch(self, items: Sequence) -> int:
@@ -496,14 +412,10 @@ class ShardedIngestor:
 
         Returns the number of stream tuples pushed (before broadcast
         replication).  The chunk is routed first, which validates it whole:
-        a bad chunk raises before any shard mutates.  With a live worker
-        pool the sub-chunks are scattered to the workers (pipelined — the
-        next chunk may be routed while the slow shard still chews);
-        otherwise each shard applies its non-empty part in-process.  Either
-        way every shard sees the identical sub-chunk sequence, and after a
-        drain point (:meth:`merged_sample` drains implicitly) all
-        reservoirs are uniform over their local result sets.  An empty
-        chunk is a no-op and does not count as a batch.
+        a bad chunk raises before any shard mutates.  Each shard then
+        applies its non-empty part, after which every reservoir is uniform
+        over its local result set.  An empty chunk is a no-op and does not
+        count as a batch.
         """
         items = list(items)
         tuples = len(items)
@@ -512,12 +424,9 @@ class ShardedIngestor:
         parts = self._route(items)
         # Sized before dispatch: a backend may consume its part destructively.
         sizes = [len(part) for part in parts]
-        if self.pool_active:
-            self._pool.submit(parts)
-        else:
-            for apply, part in zip(self._appliers, parts):
-                if part:
-                    apply(part)
+        for apply, part in zip(self._appliers, parts):
+            if part:
+                apply(part)
         self.tuples_ingested += tuples
         self.batches_ingested += 1
         self.broadcast_deliveries += sum(sizes) - tuples
@@ -537,42 +446,11 @@ class ShardedIngestor:
     def add_boundary_hook(self, hook):
         """Register ``hook(items, parts)`` to run at every chunk boundary.
 
-        Fires for serial and pool-fed chunks alike, in registration order,
-        after the counters advance — so a hook reading ``tuples_ingested``
+        Fires in registration order, after the counters advance — so a hook reading ``tuples_ingested``
         sees the chunk already accounted.  Returns ``hook``.
         """
         self._hooks.append(hook)
         return hook
-
-    def ingest_parallel(self, stream: Iterable[StreamTuple]) -> "ShardedIngestor":
-        """Ingest ``stream`` through the persistent worker pool.
-
-        Starts the pool on first use (:meth:`start_pool` — workers inherit
-        the live replica state, so the call composes with prior serial
-        ingestion) and leaves it running afterwards: further
-        :meth:`ingest_batch` / ``ingest_parallel`` calls reuse the same
-        workers, :meth:`merged_sample` reads the live shards at a chunk
-        boundary, and :meth:`save` checkpoints *through* the workers.
-        Workers consume the exact per-shard sub-chunk sequence of the
-        serial path from the same replica state, so the result is
-        bit-identical to :meth:`ingest` under equal seeds.  The stream is
-        consumed incrementally (chunk by chunk), never materialised whole.
-
-        The pool runs one worker per shard.  An empty stream returns
-        immediately without spawning anything.  Measured wall clock
-        accumulates in ``parallel_wall_seconds``.
-        """
-        iterator = iter(stream)
-        try:
-            first = next(iterator)
-        except StopIteration:
-            return self  # empty stream: no pool spawn, no counters touched
-        self.start_pool()
-        start = time.perf_counter()
-        self.ingest(itertools.chain([first], iterator))
-        self._pool.drain()
-        self.parallel_wall_seconds += time.perf_counter() - start
-        return self
 
     # ------------------------------------------------------------------ #
     # Durability
@@ -587,16 +465,8 @@ class ShardedIngestor:
         behind an :class:`~repro.ingest.pipeline.AsyncIngestor`
         checkpoints along with its host.
         Requires every shard replica to be snapshot-capable or picklable,
-        which the default :class:`ReservoirJoin` replicas are.  With a live
-        worker pool the replica states are captured *inside* the workers
-        (drained first, so the cut is a chunk boundary) and shipped back —
-        a checkpoint taken mid-parallel-run restores exactly like a serial
-        one, through the unchanged codec.
+        which the default :class:`ReservoirJoin` replicas are.
         """
-        if self.pool_active:
-            shard_records = self._pool.snapshots()
-        else:
-            shard_records = [snapshot_backend(sampler) for sampler in self.samplers]
         return {
             "query": self.query,
             "k": self.k,
@@ -605,7 +475,7 @@ class ShardedIngestor:
             "partition_attr": self.partition_attr,
             "shard_seeds": list(self._shard_seeds),
             "rng": self._rng.getstate(),
-            "shards": shard_records,
+            "shards": [snapshot_backend(sampler) for sampler in self.samplers],
             "counters": {
                 "tuples_ingested": self.tuples_ingested,
                 "batches_ingested": self.batches_ingested,
@@ -613,7 +483,6 @@ class ShardedIngestor:
                 "relation_deliveries": dict(self.relation_deliveries),
                 "shard_tuples": list(self._shard_tuples),
             },
-            "parallel_wall_seconds": self.parallel_wall_seconds,
         }
 
     def save(self, path: str) -> None:
@@ -625,9 +494,11 @@ class ShardedIngestor:
     def from_snapshot(cls, state: Dict[str, object]) -> "ShardedIngestor":
         """Rebuild an ingestor from a :meth:`snapshot_state` snapshot.
 
-        Older snapshots also carry an ``engine`` record and one
-        ``shard_engines`` record per shard; only the per-shard tuple counts
-        are read from the latter, and only when ``counters`` lacks them.
+        Older snapshots also carry keys this version ignores: the measured
+        ``parallel_wall_seconds`` of the retired worker pool, an ``engine``
+        record, and one ``shard_engines`` record per shard.  Only the
+        per-shard tuple counts are read from the last, and only when
+        ``counters`` lacks them.
         """
         replicas = [restore_backend(record) for record in state["shards"]]
         ingestor = cls(
@@ -656,8 +527,6 @@ class ShardedIngestor:
             ingestor._shard_tuples = [
                 record["tuples_ingested"] for record in state["shard_engines"]
             ]
-        # Absent in pre-pool checkpoints, which never measured it.
-        ingestor.parallel_wall_seconds = state.get("parallel_wall_seconds", 0.0)
         return ingestor
 
     @classmethod
@@ -684,32 +553,9 @@ class ShardedIngestor:
     # ------------------------------------------------------------------ #
     # Merging
     # ------------------------------------------------------------------ #
-    def _pool_states(self) -> List[ShardState]:
-        """Fetch the merge inputs from the live workers (drains first — the
-        read happens at a chunk boundary) and refresh the count cache."""
-        states = []
-        for shard, (sample, count, capacity) in enumerate(
-            self._pool.shard_states()
-        ):
-            if count is None:
-                raise TypeError(
-                    f"shard {shard}'s replica does not expose a dynamic "
-                    "index; the sharded merge needs exact local result counts"
-                )
-            states.append(
-                ShardState(
-                    sample, count, capacity if capacity is not None else self.k
-                )
-            )
-        self._counts = [state.count for state in states]
-        return states
-
     def shard_states(self) -> List[ShardState]:
         """Every shard's merge inputs (reservoir, exact count, capacity),
-        read at the current chunk boundary — from the live workers in pool
-        mode, from the in-process replicas otherwise."""
-        if self.pool_active:
-            return self._pool_states()
+        read at the current chunk boundary."""
         counts = self.shard_counts()
         return [
             ShardState(sampler.sample, counts[shard], getattr(sampler, "k", self.k))
@@ -717,23 +563,13 @@ class ShardedIngestor:
         ]
 
     def shard_samples(self) -> List[List[dict]]:
-        """Every shard's reservoir, in shard order — read from the live
-        workers (at a chunk boundary) in pool mode, from the in-process
-        replicas otherwise.  The bit-identity probe: a pool-fed run must
-        produce exactly these lists under equal seeds and chunking."""
-        if self.pool_active:
-            return [list(state.sample) for state in self._pool_states()]
+        """Every shard's reservoir, in shard order."""
         return [list(sampler.sample) for sampler in self.samplers]
 
     def shard_counts(self) -> List[int]:
         """Exact local join result counts, one per shard (cached)."""
         if self._counts is None:
-            if self.pool_active:
-                self._pool_states()  # refreshes the cache as a side effect
-            else:
-                self._counts = [
-                    exact_result_count(sampler) for sampler in self.samplers
-                ]
+            self._counts = [exact_result_count(sampler) for sampler in self.samplers]
         return list(self._counts)
 
     def total_results(self) -> int:
@@ -744,11 +580,8 @@ class ShardedIngestor:
     # Load observability
     # ------------------------------------------------------------------ #
     def shard_loads(self) -> List[int]:
-        """Stream tuples delivered per shard so far (O(1) observability).
-
-        Counted in this process at routing time, so pool mode needs no
-        worker round trip and reports exactly what serial dispatch would.
-        """
+        """Stream tuples delivered per shard so far (O(1) observability),
+        counted at routing time."""
         return list(self._shard_tuples)
 
     def load_imbalance(self) -> float:
@@ -756,7 +589,7 @@ class ShardedIngestor:
 
         An O(1) skew signal, safe to poll at every chunk boundary; loads
         count delivered stream tuples (broadcast replicas included), which
-        is what the per-shard workers actually pay for.
+        is what each shard's sampler actually pays for.
         """
         loads = self.shard_loads()
         total = sum(loads)
@@ -793,12 +626,8 @@ class ShardedIngestor:
         per-chunk observability polling into quadratic total work.  Call
         :meth:`shard_counts` / :meth:`total_results` explicitly when exact
         figures are worth that price.
-
-        The only timings are measured walls: ``parallel_wall_seconds``
-        (submit through drain inside :meth:`ingest_parallel`) and
-        ``pool_startup_seconds``.
         """
-        stats: Dict[str, object] = {
+        return {
             "num_shards": self.num_shards,
             "partition_attr": self.partition_attr,
             "chunk_size": self.chunk_size,
@@ -809,13 +638,7 @@ class ShardedIngestor:
             "shard_tuples": self.shard_loads(),
             "relation_deliveries": dict(self.relation_deliveries),
             "load_imbalance": round(self.load_imbalance(), 4),
-            "parallel": self.pool_active,
-            "parallel_wall_seconds": round(self.parallel_wall_seconds, 4),
-            "pool_startup_seconds": round(self.pool_startup_seconds, 4),
         }
-        if self.pool_active:
-            stats["pool"] = self._pool.statistics()
-        return stats
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

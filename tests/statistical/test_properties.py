@@ -10,12 +10,6 @@ the two properties the sharded/bulk refactor must preserve:
     return the whole set) and must be uniform over it (checked with the
     chi-square helpers, the same way the unsharded path is checked).
 
-    The process-parallel form is stronger: ``ingest_parallel`` through the
-    persistent worker pool must leave every shard replica *bit-identical*
-    to its serially-fed twin — same reservoirs in order, same exact counts,
-    same merged draw under the same merge RNG — for acyclic and (via a
-    custom factory) cyclic samplers alike, across pool reuse.
-
 (b) **Cyclic bulk ≡ per-tuple, bit-identically at ``chunk_size=1``.**  With
     the same seed, driving ``CyclicReservoirJoin`` through single-tuple
     ``insert_batch`` calls must consume the same randomness and produce the
@@ -187,54 +181,6 @@ def test_sharded_small_reservoir_uniform_like_unsharded(case_seed):
     p_batched = uniformity_p_value(run_batched, universe, TRIALS, k)
     assert p_sharded > P_THRESHOLD, f"sharded rejected: p={p_sharded:.5f}"
     assert p_batched > P_THRESHOLD, f"unsharded rejected: p={p_batched:.5f}"
-
-
-@pytest.mark.parametrize("case_seed", [11, 43, 89])
-@pytest.mark.parametrize("kind", ["acyclic", "cyclic"])
-def test_parallel_pool_bit_identical_to_serial(case_seed, kind):
-    """Property form of the gauntlet's bit-identity tier: on random joins
-    (acyclic and cyclic — the latter rides the pool via a custom factory,
-    since replica *state* crosses the process boundary, not the callable),
-    pool-fed shard replicas equal their serially-fed twins reservoir for
-    reservoir, and the weighted merge draws the same sample under the same
-    merge RNG.  Two ``ingest_parallel`` calls share one pool, so reuse is
-    part of the property."""
-    rng = random.Random(case_seed)
-    if kind == "acyclic":
-        query, stream = random_acyclic_case(rng)
-        factory = None
-    else:
-        query, stream = random_cyclic_case(rng)
-        factory = lambda shard, r: CyclicReservoirJoin(query, 6, rng=r)
-    chunk_size = rng.choice([8, 17])
-    num_shards = rng.choice([2, 3])
-
-    def build():
-        return ShardedIngestor(
-            query, k=6, num_shards=num_shards, chunk_size=chunk_size,
-            factory=factory, rng=random.Random(case_seed + 1),
-        )
-
-    # Both twins see the same two-call pattern: chunk boundaries restart at
-    # each call, and samplers consume randomness per chunk, so bit-identity
-    # is defined over equal call sequences (as everywhere in this file).
-    cut = len(stream) // 2
-    serial = build()
-    serial.ingest(stream[:cut])
-    serial.ingest(stream[cut:])
-    parallel = build()
-    parallel.ingest_parallel(stream[:cut])
-    parallel.ingest_parallel(stream[cut:])
-    try:
-        assert parallel.shard_samples() == [
-            list(sampler.sample) for sampler in serial.samplers
-        ]
-        assert parallel.shard_counts() == serial.shard_counts()
-        assert parallel.merged_sample(
-            rng=random.Random(case_seed + 2)
-        ) == serial.merged_sample(rng=random.Random(case_seed + 2))
-    finally:
-        parallel.close_pool(sync=False)
 
 
 @pytest.mark.parametrize("case_seed", [5, 37, 59])

@@ -4,8 +4,8 @@ The statistical half of the story — bit-identical resumption for every
 backend kind — lives in property-harness section (e) of
 ``tests/statistical/test_properties.py``.  This module covers the
 deterministic seam: the file format (truncation, corruption, version and
-kind mismatches), the shard-layout guard, the backend capability probe, and
-the post-``ingest_parallel`` finalisation UX.
+kind mismatches), the shard-layout guard, legacy checkpoints, and native
+versus pickled backend snapshots.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro import (
     ShardedIngestor,
     StreamTuple,
 )
-from repro.core.backend import probe_backend, restore_backend, snapshot_backend
+from repro.core.backend import restore_backend, snapshot_backend
 from repro.baselines.sjoin import SJoin
 from repro.ingest.checkpoint import CODEC, FORMAT_VERSION, MAGIC, CheckpointCodec
 
@@ -42,8 +42,8 @@ from repro.ingest.checkpoint import CODEC, FORMAT_VERSION, MAGIC, CheckpointCode
 #: first 32 tuples of ``chain3_stream(60, seed=20)`` cut into chunks of 16:
 #: ``batch`` over ``ReservoirJoin(chain3(), 6, rng=Random(21))``;
 #: ``sharded-pool`` a ``ShardedIngestor(chain3(), k=4, num_shards=2,
-#: chunk_size=16, rng=Random(19))`` fed by ``ingest_parallel`` and saved
-#: through its live worker pool; ``async`` the same sharded target behind
+#: chunk_size=16, rng=Random(19))`` fed and saved through the worker pool
+#: of that release (retired since); ``async`` the same sharded target behind
 #: an ``AsyncIngestor(chunk_size=16)``.
 LEGACY_CHECKPOINTS = Path(__file__).parent / "data"
 
@@ -163,10 +163,10 @@ class TestRestoreGuards:
 
     def test_sharded_snapshot_with_a_retired_key_restores(self):
         # Older sharded checkpoints carry keys from_snapshot no longer
-        # reads: a retired top-level flag, and the engine record of the
-        # sharded ingestor and of every shard; of the latter only the
-        # per-shard tuple counts are read, which newer checkpoints keep in
-        # their counters.
+        # reads: a retired top-level flag, the retired worker pool's
+        # measured wall, and the engine record of the sharded ingestor and
+        # of every shard; of the latter only the per-shard tuple counts are
+        # read, which newer checkpoints keep in their counters.
         ingestor = ShardedIngestor(chain3(), k=4, num_shards=2, rng=random.Random(19))
         ingestor.ingest(chain3_stream(40))
         state = ingestor.snapshot_state()
@@ -175,22 +175,22 @@ class TestRestoreGuards:
         assert restored.shard_samples() == ingestor.shard_samples()
 
         stream = chain3_stream(60, seed=20)
-        legacy = CODEC.load(LEGACY_CHECKPOINTS / "sharded-pool.checkpoint")["state"]
-        current = legacy_sharded().snapshot_state()
-        assert set(legacy) - set(current) == {"engine", "shard_engines"}
-        assert set(current["counters"]) - set(legacy["counters"]) == {"shard_tuples"}
         uninterrupted = legacy_sharded().ingest(stream)
-        resumed = ShardedIngestor.restore(LEGACY_CHECKPOINTS / "sharded-pool.checkpoint")
-        resumed.ingest(stream[32:])
-        assert resumed.shard_samples() == uninterrupted.shard_samples()
-        # Every counter matches; only the measured pool wall differs.
-        measured = resumed.statistics()
-        assert measured.pop("parallel_wall_seconds") > 0.0
-        assert measured == {
-            key: value
-            for key, value in uninterrupted.statistics().items()
-            if key != "parallel_wall_seconds"
-        }
+        current = legacy_sharded().snapshot_state()
+        retired = {"engine", "shard_engines", "parallel_wall_seconds"}
+        path = LEGACY_CHECKPOINTS / "sharded-pool.checkpoint"
+        # The async checkpoint nests the same sharded target, natively.
+        nested = CODEC.load(LEGACY_CHECKPOINTS / "async.checkpoint")["state"]["target"]
+        assert nested["codec"] == "native"
+        for record, resumed in (
+            (CODEC.load(path)["state"], ShardedIngestor.restore(path)),
+            (nested["state"], ShardedIngestor.from_snapshot(nested["state"])),
+        ):
+            assert set(record) - set(current) == retired
+            assert set(current["counters"]) - set(record["counters"]) == {"shard_tuples"}
+            resumed.ingest(stream[32:])
+            assert resumed.shard_samples() == uninterrupted.shard_samples()
+            assert resumed.statistics() == uninterrupted.statistics()
 
     def test_batch_and_async_checkpoints_with_retired_timing_keys_restore(self):
         stream = chain3_stream(60, seed=20)
@@ -264,17 +264,17 @@ class TestRestoreGuards:
 
 
 # --------------------------------------------------------------------- #
-# Backend capability probe (native snapshot vs generic pickle fallback)
+# Backend snapshots (native snapshot vs generic pickle fallback)
 # --------------------------------------------------------------------- #
 class TestBackendSnapshots:
     def test_native_capability_is_probed(self):
         sampler = ReservoirJoin(chain3(), 4, rng=random.Random(8))
-        assert probe_backend(sampler).snapshot
+        assert callable(getattr(sampler, "snapshot_state", None))
         assert snapshot_backend(sampler)["codec"] == "native"
 
     def test_pickle_fallback_for_baselines(self):
         sampler = SJoin(chain3(), 4, rng=random.Random(9))
-        assert not probe_backend(sampler).snapshot
+        assert getattr(sampler, "snapshot_state", None) is None
         record = snapshot_backend(sampler)
         assert record["codec"] == "pickle"
         for item in chain3_stream(40, seed=11):
@@ -340,82 +340,6 @@ class TestFreshProcessRestore:
             )[0]
         assert sample == uninterrupted.sampler.sample
         assert statistics == uninterrupted.sampler.statistics()
-
-
-# --------------------------------------------------------------------- #
-# Checkpointing through a live worker pool (the old "parallel discards
-# live samplers, so snapshot raises" limitation is gone)
-# --------------------------------------------------------------------- #
-class TestLivePoolCheckpoint:
-    def test_save_through_live_workers_resumes_bit_identically(self, tmp_path):
-        stream = chain3_stream(160, seed=18)
-        uninterrupted = ShardedIngestor(
-            chain3(), k=4, num_shards=2, chunk_size=20, rng=random.Random(17)
-        ).ingest(stream)
-
-        pooled = ShardedIngestor(
-            chain3(), k=4, num_shards=2, chunk_size=20, rng=random.Random(17)
-        )
-        pooled.ingest_parallel(stream[:80])
-        path = str(tmp_path / "live-pool.ckpt")
-        pooled.save(path)  # replica state captured inside the workers
-        assert pooled.pool_active  # checkpointing does not stop the pool
-
-        resumed = ShardedIngestor.restore(path)
-        resumed.ingest(stream[80:])
-        assert [list(s.sample) for s in resumed.samplers] == [
-            list(s.sample) for s in uninterrupted.samplers
-        ]
-
-        # The original pool run keeps going too, to the same final state.
-        pooled.ingest_parallel(stream[80:])
-        assert pooled.shard_samples() == [
-            list(s.sample) for s in uninterrupted.samplers
-        ]
-        pooled.close_pool()
-
-    def test_restored_ingestor_can_start_its_own_pool(self, tmp_path):
-        stream = chain3_stream(160, seed=18)
-        uninterrupted = ShardedIngestor(
-            chain3(), k=4, num_shards=2, chunk_size=20, rng=random.Random(17)
-        ).ingest(stream)
-
-        first = ShardedIngestor(
-            chain3(), k=4, num_shards=2, chunk_size=20, rng=random.Random(17)
-        )
-        first.ingest(stream[:80])
-        path = str(tmp_path / "serial.ckpt")
-        first.save(path)
-
-        resumed = ShardedIngestor.restore(path)
-        resumed.ingest_parallel(stream[80:])  # pool over restored state
-        assert resumed.shard_samples() == [
-            list(s.sample) for s in uninterrupted.samplers
-        ]
-        resumed.close_pool()
-
-    def test_stored_rows_requires_closing_the_pool_first(self):
-        stream = chain3_stream(80, seed=18)
-        serial = ShardedIngestor(
-            chain3(), k=4, num_shards=2, rng=random.Random(17)
-        ).ingest(stream)
-
-        ingestor = ShardedIngestor(chain3(), k=4, num_shards=2, rng=random.Random(17))
-        ingestor.ingest_parallel(stream)
-        # While the pool is live the stored rows live in the worker
-        # processes; the in-process replicas keep their pre-pool state.
-        assert ingestor.pool_active
-        for sampler in ingestor.samplers:
-            for name in ("R1", "R2", "R3"):
-                assert not sampler.index.database[name].rows
-        # Closing the pool adopts the workers' relation state back.
-        ingestor.close_pool()
-        for adopted, reference in zip(ingestor.samplers, serial.samplers):
-            for name in ("R1", "R2", "R3"):
-                assert sorted(adopted.index.database[name].rows) == sorted(
-                    reference.index.database[name].rows
-                )
-        assert sum(len(s.index.database["R2"].rows) for s in ingestor.samplers) > 0
 
 
 # --------------------------------------------------------------------- #

@@ -141,7 +141,6 @@ def test_fast_matrix_passes_with_exact_set_tiers(fast_report):
             continue
         assert cell.tier in (
             "exact-set",
-            "exact-set+determinism",
             "bit-identical",
             "epoch-exact-set+bit-identical",
         ), (cell.scenario, cell.mode, cell.tier)
@@ -149,24 +148,11 @@ def test_fast_matrix_passes_with_exact_set_tiers(fast_report):
 
 
 def test_structural_skips_carry_reasons(fast_report):
-    for mode in ("sharded", "sharded-parallel"):
-        cell = fast_report.cell("strings-predicate", mode)
-        assert cell.status == "skip"
-        assert "predicate" in cell.reason
-    # Cyclic scenarios shard serially through the custom factory — and now
-    # ride the process-parallel pool too (built replica state crosses the
-    # process boundary, never the factory callable).
+    cell = fast_report.cell("strings-predicate", "sharded")
+    assert cell.status == "skip"
+    assert "predicate" in cell.reason
+    # Cyclic scenarios shard through the custom factory.
     assert fast_report.cell("graph-triangle", "sharded").status == "pass"
-    assert fast_report.cell("graph-triangle", "sharded-parallel").status == "pass"
-
-
-def test_parallel_cells_assert_bit_identity(fast_report):
-    for scenario in (s["name"] for s in fast_report.scenarios):
-        cell = fast_report.cell(scenario, "sharded-parallel")
-        if cell.status == "skip":
-            continue
-        assert cell.tier == "bit-identical", (scenario, cell.tier)
-        assert cell.detail["bit_identical"] is True
 
 
 def test_checkpoint_column_covers_all_four_durable_modes(fast_report):

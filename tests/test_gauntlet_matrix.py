@@ -40,7 +40,6 @@ def test_every_non_skipped_cell_asserts_a_declared_tier(report):
     declared = {
         "bit-identical",
         "exact-set+chi-square",
-        "exact-set+determinism",
         "epoch-exact-set+bit-identical",
     }
     for cell in report.cells:

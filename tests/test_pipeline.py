@@ -87,29 +87,6 @@ class TestDeterminism:
             finally:
                 ingestor.close()
 
-    def test_pool_started_after_wrapping_receives_the_chunks(self, line3_query):
-        # Regression: a pool-less sharded target used to get per-shard
-        # threads bound to its in-process replicas, so a pool started after
-        # wrapping never saw a chunk and the merge read an empty pool.
-        stream = line3_stream(3000, seed=17, domain=40)
-        serial = ShardedIngestor(
-            line3_query, k=20, num_shards=2, chunk_size=64, rng=random.Random(18)
-        )
-        serial.ingest(stream)
-        target = ShardedIngestor(
-            line3_query, k=20, num_shards=2, chunk_size=64, rng=random.Random(18)
-        )
-        ingestor = AsyncIngestor(target, chunk_size=64)
-        target.start_pool()
-        try:
-            with ingestor:
-                ingestor.ingest(stream)
-            assert target.tuples_ingested == 3000
-            assert target.total_results() == serial.total_results() > 0
-            assert target.shard_samples() == serial.shard_samples()
-        finally:
-            target.close_pool(sync=False)
-
     def test_merged_sample_drains_first(self, line3_query):
         stream = line3_stream(500, seed=6)
         truth = ground_truth_keys(line3_query, stream)

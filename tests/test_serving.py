@@ -68,27 +68,14 @@ class TestBoundaryHooks:
         ingestor.ingest(stream)
         assert seen == [len(c) for c in chunks_of(stream)]
 
-    def test_sharded_serial_and_pool_paths_fire_hooks(self, line3_query, stream):
-        for parallel in (False, True):
-            ingestor = ShardedIngestor(
-                line3_query, K, num_shards=2, chunk_size=CHUNK,
-                rng=random.Random(11),
-            )
-            boundaries = []
-            ingestor.add_boundary_hook(
-                lambda items, parts: boundaries.append(len(items))
-            )
-            try:
-                if parallel:
-                    ingestor.ingest_parallel(stream)
-                else:
-                    ingestor.ingest(stream)
-            finally:
-                if parallel:
-                    ingestor.close_pool(sync=False)
-            assert boundaries == [len(c) for c in chunks_of(stream)], (
-                "pool path" if parallel else "serial path"
-            )
+    def test_sharded_ingestor_fires_once_per_chunk(self, line3_query, stream):
+        ingestor = ShardedIngestor(
+            line3_query, K, num_shards=2, chunk_size=CHUNK, rng=random.Random(11)
+        )
+        boundaries = []
+        ingestor.add_boundary_hook(lambda items, parts: boundaries.append(len(items)))
+        ingestor.ingest(stream)
+        assert boundaries == [len(c) for c in chunks_of(stream)]
 
     def test_async_hooks_fire_at_drain_points_only(self, line3_query, stream):
         target = BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
@@ -246,7 +233,7 @@ class TestSampleServer:
 # ---------------------------------------------------------------------- #
 # The epoch record: a cut copies reservoirs, never the ingestor
 # ---------------------------------------------------------------------- #
-TARGETS = ["batch", "sharded", "pool", "async", "bare"]
+TARGETS = ["batch", "sharded", "async", "bare"]
 
 
 def build_target(kind, query):
@@ -255,13 +242,10 @@ def build_target(kind, query):
         return BatchIngestor(
             ReservoirJoin(query, K, rng=random.Random(5)), chunk_size=CHUNK
         )
-    if kind in ("sharded", "pool"):
-        target = ShardedIngestor(
+    if kind == "sharded":
+        return ShardedIngestor(
             query, K, num_shards=2, chunk_size=CHUNK, rng=random.Random(5)
         )
-        if kind == "pool":
-            target.start_pool()
-        return target
     if kind == "async":
         return AsyncIngestor(
             BatchIngestor(
@@ -274,9 +258,7 @@ def build_target(kind, query):
 
 
 def close_target(target):
-    if isinstance(target, ShardedIngestor):
-        target.close_pool(sync=False)
-    elif isinstance(target, AsyncIngestor):
+    if isinstance(target, AsyncIngestor):
         target.close()
 
 

@@ -2,7 +2,7 @@
 
 Covers routing (partition attribute choice, stable hashing, broadcast),
 all-or-nothing batch validation across shards, the exact-count weighted
-merge, the parallel ingestion path, and the documented error behaviour.
+merge, and the documented error behaviour.
 The statistical properties (uniformity of ``merged_sample``) live in
 ``tests/statistical/``.
 """
@@ -187,7 +187,7 @@ class TestIngestion:
         r3_tuples = sum(1 for item in stream if item.relation == "R3")
         assert stats["broadcast_deliveries"] == 3 * r3_tuples
         assert sum(stats["shard_tuples"]) == 60 + stats["broadcast_deliveries"]
-        assert stats["parallel"] is False
+        assert not {"parallel", "parallel_wall_seconds", "pool_startup_seconds"} & set(stats)
 
     def test_partition_is_side_effect_free(self, line3_query):
         # Inspecting routing must not advance the delivery counters; only
@@ -379,106 +379,3 @@ class TestMergedSample:
     def test_exact_result_count_requires_an_index(self):
         with pytest.raises(TypeError):
             exact_result_count(object())
-
-
-# ---------------------------------------------------------------------- #
-# Parallel ingestion
-# ---------------------------------------------------------------------- #
-class TestParallel:
-    def test_parallel_matches_serial_shard_state(self, line3_query):
-        edges = make_edges(8, 20, seed=37)
-        stream = make_graph_stream(line3_query, edges, seed=41)
-        serial = ShardedIngestor(
-            line3_query, k=50, num_shards=3, chunk_size=16, rng=random.Random(7)
-        )
-        serial.ingest(stream)
-        parallel = ShardedIngestor(
-            line3_query, k=50, num_shards=3, chunk_size=16, rng=random.Random(7)
-        )
-        parallel.ingest_parallel(stream)
-        # Same derived seeds, same partitions: identical exact counts, the
-        # same ingestion counters, and the same global result set behind
-        # the merged samples.
-        assert parallel.shard_counts() == serial.shard_counts()
-        for counter in ("tuples_ingested", "batches_ingested", "broadcast_deliveries", "shard_tuples"):
-            assert parallel.statistics()[counter] == serial.statistics()[counter], counter
-        truth = ground_truth_keys(line3_query, stream)
-        k_all = len(truth) + 5
-        full_serial = ShardedIngestor(
-            line3_query, k=k_all, num_shards=3, rng=random.Random(8)
-        ).ingest(stream)
-        full_parallel = ShardedIngestor(
-            line3_query, k=k_all, num_shards=3, rng=random.Random(8)
-        ).ingest_parallel(stream)
-        assert (
-            {result_key(r) for r in full_parallel.merged_sample()}
-            == {result_key(r) for r in full_serial.merged_sample()}
-            == truth
-        )
-
-    def test_empty_stream_short_circuits_without_a_pool(self, line3_query):
-        # Regression: the old path spawned a full worker pool even when the
-        # stream had nothing in it.
-        ingestor = ShardedIngestor(line3_query, k=5, num_shards=2, rng=random.Random(9))
-        assert ingestor.ingest_parallel([]) is ingestor
-        assert not ingestor.pool_active
-        assert ingestor.tuples_ingested == 0
-        assert ingestor.batches_ingested == 0
-
-    def test_pool_stays_live_for_further_ingestion(self, line3_query):
-        # The persistent pool kills the old finalisation semantics: after
-        # ingest_parallel the ingestor accepts more chunks, more parallel
-        # streams, and live merged_sample reads — matching a serial twin.
-        stream = line3_stream(line3_query, 100, seed=43)
-        serial = ShardedIngestor(
-            line3_query, k=10, num_shards=2, chunk_size=16, rng=random.Random(9)
-        )
-        parallel = ShardedIngestor(
-            line3_query, k=10, num_shards=2, chunk_size=16, rng=random.Random(9)
-        )
-        parallel.ingest_parallel(stream[:40])
-        serial.ingest(stream[:40])
-        assert parallel.pool_active
-        parallel.ingest_batch(stream[40:60])
-        serial.ingest_batch(stream[40:60])
-        parallel.ingest_parallel(stream[60:80])
-        serial.ingest(stream[60:80])
-        assert parallel.shard_samples() == serial.shard_samples()
-        assert parallel.shard_counts() == serial.shard_counts()
-        # Back in process after a synced close, a serial tail continues
-        # from the adopted replicas, and every chunk was counted once
-        # across both modes: all counters equal the all-serial twin's.
-        parallel.close_pool()
-        parallel.ingest(stream[80:])
-        serial.ingest(stream[80:])
-        assert parallel.shard_samples() == serial.shard_samples()
-        unmeasured = lambda stats: {
-            key: value
-            for key, value in stats.items()
-            if key not in ("parallel_wall_seconds", "pool_startup_seconds", "parallel", "pool")
-        }
-        assert unmeasured(parallel.statistics()) == unmeasured(serial.statistics())
-        assert parallel.batches_ingested == serial.batches_ingested == 8
-
-    def test_statistics_report_measured_parallel_timings(self, line3_query):
-        # Every timing the ingestor reports is a wall it measured: the
-        # pool's startup and the submit-through-drain parallel wall.
-        stream = line3_stream(line3_query, 120, seed=47)
-        ingestor = ShardedIngestor(
-            line3_query, k=5, num_shards=2, chunk_size=16, rng=random.Random(10)
-        )
-        ingestor.ingest_parallel(stream)
-        stats = ingestor.statistics()
-        assert stats["parallel"] is True
-        assert stats["parallel_wall_seconds"] > 0.0
-        assert stats["pool_startup_seconds"] > 0.0
-        pool_stats = stats["pool"]
-        assert pool_stats["workers"] == 2
-        assert pool_stats["poisoned"] is False
-        assert sum(pool_stats["chunks_shipped"]) >= 8  # 120 tuples / 16
-        ingestor.close_pool()
-        # After adoption the measured walls survive on the ingestor.
-        closed = ingestor.statistics()
-        assert closed["parallel"] is False
-        assert closed["parallel_wall_seconds"] == stats["parallel_wall_seconds"]
-        assert closed["pool_startup_seconds"] == stats["pool_startup_seconds"]

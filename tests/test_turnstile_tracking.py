@@ -322,9 +322,8 @@ def test_insert_only_stream_never_recounts(recount_calls):
 
 
 def test_sharded_counts_read_the_tracked_count(monkeypatch):
-    """A turnstile shard reports its tracked surviving count to the merge;
-    serial ``shard_counts`` recounts nothing, and the pool workers (whose
-    replicas restart untracked) agree with it."""
+    """A turnstile shard reports its tracked surviving count to the merge,
+    so ``shard_counts`` recounts nothing."""
     stream = mixed_stream(CHAIN3, 41, n=400)
     ingestor = ShardedIngestor(
         CHAIN3, 6, num_shards=3, chunk_size=16,
@@ -347,11 +346,6 @@ def test_sharded_counts_read_the_tracked_count(monkeypatch):
     monkeypatch.setattr(shard_module, "count_results", counting)
     assert ingestor.shard_counts() == oracle
     assert calls == []
-    ingestor.start_pool()
-    try:
-        assert ingestor.shard_counts() == oracle
-    finally:
-        ingestor.close_pool(sync=False)
 
 
 # ---------------------------------------------------------------------- #

@@ -39,7 +39,7 @@ BENCHMARKS = {
     ),
     "benchmarks/bench_shard_ingest.py": (
         "BENCH_shard_ingest.json",
-        ("benchmark", "n_tuples", "modes", "speedup", "cyclic"),
+        ("benchmark", "n_tuples", "modes", "cyclic"),
     ),
     "benchmarks/bench_async.py": (
         "BENCH_async.json",
@@ -75,18 +75,11 @@ BENCHMARKS = {
 }
 
 #: report -> {mode row -> fields that must be present and non-null}.  Mode
-#: rows carry the *measured* figures (no placeholders allowed): the parallel
-#: row must report its wall, the worker pool's startup cost and its overhead
-#: over the serial sharded total.  Values are still never thresholded here —
-#: ratios stay informational.
+#: rows carry the *measured* figures (no placeholders allowed).  Values are
+#: never thresholded here — ratios stay informational.
 MODE_FIELDS = {
     "BENCH_shard_ingest.json": {
         "sharded_serial_total": ("seconds", "shard_loads"),
-        "sharded_parallel_wall": (
-            "seconds",
-            "pool_startup_seconds",
-            "overhead_over_serial_total",
-        ),
     },
     "BENCH_serving.json": {
         "writer_baseline": ("writer_wall_seconds", "tuples_per_second"),
