@@ -31,6 +31,7 @@ from repro.core.reservoir_join import ReservoirJoin
 from repro.cyclic.cyclic_join import CyclicReservoirJoin
 from repro.ingest.batch import BatchIngestor
 from repro.ingest.shard import ShardedIngestor
+from repro.relational.join import count_results
 from repro.relational.query import JoinQuery
 from repro.relational.stream import StreamTuple
 
@@ -133,7 +134,11 @@ def bench() -> Dict:
     # uniform sample at the final chunk boundary.
     probe = make_sharded(query)
     probe.ingest(stream)
-    assert len(probe.merged_sample()) == min(SAMPLE_SIZE, probe.total_results())
+    total = sum(
+        count_results(sampler.query, sampler.index.database)
+        for sampler in probe.samplers
+    )
+    assert len(probe.merged_sample()) == min(SAMPLE_SIZE, total)
     best_serial = min(
         (run_sharded_serial(query, stream) for _ in range(REPEATS)),
         key=lambda r: r["seconds"],

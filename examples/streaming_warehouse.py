@@ -110,7 +110,7 @@ def main() -> None:
 
     # Approximate analytics from the synopsis: share of join results per
     # item category, versus the exact distribution.
-    from repro.relational import Database, join_results
+    from repro.relational import Database, count_results, join_results
 
     database = Database(query)
     for item in stream:
@@ -139,7 +139,11 @@ def main() -> None:
     print(f"\nsharded synopsis ({shard_stats['num_shards']} shards, partitioned "
           f"on {shard_stats['partition_attr']!r}):")
     print(f"  per-shard stream tuples:          {shard_stats['shard_tuples']}")
-    print(f"  per-shard join results (exact):   {sharded.shard_counts()}")
+    shard_counts = [
+        count_results(sampler.query, sampler.index.database)
+        for sampler in sharded.samplers
+    ]
+    print(f"  per-shard join results (exact):   {shard_counts}")
     print(f"  broadcast deliveries:             {shard_stats['broadcast_deliveries']}")
     print(f"  merged sample size:               {len(merged)}")
     print(f"  largest sharded estimation error: {worst_sharded:.1%}")
@@ -203,7 +207,6 @@ def main() -> None:
     # synopsis through the deletion-capable sampler.  The estimate is now
     # computed over exactly the facts that survive.
     from repro import TurnstileReservoirJoin, WindowedSampler, surviving_rows, turnstile_stream
-    from repro.ingest.shard import exact_result_count
 
     corrected = turnstile_stream(
         stream, random.Random(17), delete_fraction=0.2, tombstone_fraction=0.1
@@ -226,7 +229,8 @@ def main() -> None:
           f"{turnstile_stats['annihilations']} tombstone annihilations):")
     print(f"  reservoir evictions / refills:     "
           f"{turnstile_stats['evictions']} / {turnstile_stats['refills']}")
-    print(f"  surviving join results (exact):    {exact_result_count(turnstile_synopsis)}")
+    surviving = count_results(turnstile_synopsis.query, turnstile_synopsis.index.database)
+    print(f"  surviving join results (exact):    {surviving}")
     print(f"  largest estimation error over the surviving join: {worst_surviving:.1%}")
 
     # Sliding window over the same feed: only the most recent stream items

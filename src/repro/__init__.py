@@ -36,8 +36,10 @@ Every sampler supports three interchangeable ways of consuming a stream:
   and the shards run one after another in process.  Because every join
   result binds the partition attribute to one value, the shard-local result
   sets partition the global result set; ``merged_sample(k)`` recombines the
-  shard reservoirs by exact-count-weighted subsampling into a sample that is
-  *exactly* uniform over the global join at every chunk boundary.  It is
+  shard reservoirs into a sample that is *exactly* uniform over the global
+  join at every chunk boundary, by keeping the ``k`` smallest of keys
+  regenerated from each shard's reservoir and running ``w``, with no
+  result count.  It is
   not a speed mode: on one machine it does strictly more work than plain
   batched ingestion (broadcast relations are ingested once per shard).  Use
   it for its merge, which makes independently maintained shard reservoirs

@@ -74,9 +74,9 @@ class SamplerBackend(Protocol):
         Bulk fast path over a chunk of ``StreamTuple``/``(relation, row)``
         items; must validate the whole chunk before any mutation and keep
         the reservoir uniform at the chunk boundary.
-    ``index``
-        A :class:`~repro.index.dynamic_index.DynamicJoinIndex`, enabling the
-        O(N) exact result count the sharded merge uses.
+    ``reservoir``
+        The :class:`~repro.core.batch_reservoir.BatchedPredicateReservoir`
+        behind ``sample``, whose running ``w`` the sharded merge reads.
     ``spawn(rng)``
         Replica cloning: a fresh, empty, identically configured sampler
         driven by ``rng`` — what custom shard factories and the serving

@@ -68,6 +68,12 @@ class BatchedPredicateReservoir(Generic[T]):
         return list(self._sample)
 
     @property
+    def w(self) -> float:
+        """The running ``w``: the ``k``-th smallest key of the real items
+        seen, ``inf`` until the reservoir first fills."""
+        return self._w
+
+    @property
     def is_full(self) -> bool:
         """Whether the reservoir holds ``k`` items."""
         return len(self._sample) >= self.k
@@ -165,7 +171,7 @@ class BatchedPredicateReservoir(Generic[T]):
         the surviving population:
 
         * ``population_size >= k`` — after ``r`` real items, Algorithm 4's
-          running ``w`` is the ``k``-th largest of ``r`` i.i.d. uniforms,
+          running ``w`` is the ``k``-th smallest of ``r`` i.i.d. uniforms,
           i.e. ``Beta(k, r - k + 1)``, *independent of which items occupy the
           reservoir*.  So ``w`` is redrawn from ``Beta(k, m' - k + 1)`` with
           ``m' = population_size`` and a fresh geometric skip is taken.  (At

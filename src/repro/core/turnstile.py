@@ -27,7 +27,7 @@ rows is deleted — ``D`` is determined by the deletes, not by the sample).
    ``min(k, |Q \\ D|)`` results yields a uniform sample of that size — the
    standard coupon construction of a uniform subset.
 3. *The skip state is re-anchored.*  Algorithm 4's running ``w`` after ``r``
-   real items is the ``k``-th largest of ``r`` i.i.d. uniforms —
+   real items is the ``k``-th smallest of ``r`` i.i.d. uniforms —
    ``Beta(k, r - k + 1)`` — independent of which items occupy the reservoir.
    :meth:`~repro.core.batch_reservoir.BatchedPredicateReservoir
    .rebase_population` therefore redraws ``w ~ Beta(k, |Q'| - k + 1)`` (or
@@ -461,6 +461,10 @@ class WindowedSampler:
     @property
     def index(self):
         return self._inner.index
+
+    @property
+    def reservoir(self):
+        return self._inner.reservoir
 
     @property
     def sample(self) -> List[dict]:

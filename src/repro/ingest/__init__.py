@@ -20,7 +20,8 @@ that cost in two layers:
    * :class:`ShardedIngestor` — one sampler per shard behind a
      hash-partitioning router (relations lacking the partition attribute
      are broadcast), with the exactly-uniform ``merged_sample`` recombining
-     the shard reservoirs (see :mod:`repro.ingest.shard`).
+     the shard reservoirs by regenerated keys, never by counts (see
+     :mod:`repro.ingest.shard`).
    * :class:`AsyncIngestor` stacks a transport on any of the above: a
      bounded queue + one worker thread overlap blocking chunk delivery
      with sampler CPU (see :mod:`repro.ingest.pipeline`).

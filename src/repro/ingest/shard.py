@@ -19,43 +19,53 @@ Every join result binds the partition attribute to a single value, so each
 result is *formable in exactly one shard*: the shard owning the hash of that
 value holds all of the result's partitioned tuples plus every broadcast
 tuple.  The shard-local join result sets therefore partition the global
-result set, and each shard's reservoir is — by the per-sampler guarantee — a
-uniform sample without replacement of its local set at every chunk boundary.
+result set.
+
+Each shard's reservoir is Algorithm 4/5, which is Li's Algorithm L: in law
+it keeps the results with the ``capacity`` smallest of i.i.d. U(0, 1) keys,
+one key per real result, and its running ``w`` is the ``capacity``-th
+smallest key.  Given the reservoir and ``w`` the keys are known in
+distribution, with no result count:
+
+* a full shard (finite ``w``) holds ``capacity`` results; one of them,
+  chosen uniformly, has key ``w`` and the others have i.i.d. U(0, w) keys;
+  every result outside the reservoir has a key above ``w``;
+* a shard still filling (``w = inf``) holds its whole local join, with
+  i.i.d. U(0, 1) keys.
+
+A turnstile shard re-anchors ``w`` from ``Beta(k, r - k + 1)`` beside a
+uniform refill, which is the same joint law, so deletes change nothing here.
 
 :func:`merge_shard_samples` (behind :meth:`ShardedIngestor.merged_sample`
-and a served epoch cut alike) turns those shard-local reservoirs into one
-uniform sample of the *global* join via weighted subsampling:
+and a served epoch cut alike) regenerates those keys and keeps the ``k``
+smallest across all shards: a bottom-``k`` merge of bottom-``k`` sketches.
+Because the keys of all shards together are i.i.d. over the global join,
+the results holding the ``k`` smallest are a uniform ``k``-subset of it —
+exact uniformity, not an approximation.  A result among the global ``k``
+smallest keys is among its own shard's ``k`` smallest, so every full
+shard's capacity must be at least the merged sample size (the default
+replica uses the same ``k``).
 
-1. the exact local result count ``n_s`` of every shard comes from
-   :func:`exact_result_count`: an ``O(N)`` pass over its index
-   (:func:`repro.relational.join.count_results`), or a turnstile shard's
-   tracked surviving count;
-2. ``k`` distinct virtual positions are drawn uniformly from ``range(sum
-   n_s)`` and mapped to shards — this realises the multivariate
-   hypergeometric allocation ``(k_1, …, k_S)`` of a uniform ``k``-subset of
-   the disjoint union;
-3. each shard contributes a uniform ``k_s``-subset of its reservoir.  A
-   uniform random subset of a uniform-without-replacement sample is itself a
-   uniform-without-replacement sample of the underlying set, so the merged
-   probability of any fixed ``k``-subset factorises to ``1 / C(sum n_s, k)``
-   — exact uniformity, not an approximation.
-
-The allocation can demand up to ``min(k, n_s)`` items from shard ``s``, so
-per-shard reservoir capacity must be at least the merged sample size (the
-default replica uses the same ``k``).
+The keys are never materialised.  Each shard's keys are drawn lazily in
+increasing order from order-statistic spacings (the minimum of ``r`` i.i.d.
+U(t, top) keys is ``t + (top - t)(1 - V^(1/r))``) and popped from a heap
+over the shards, so a merge costs O(k log S).  A shard whose ``m`` smallest
+keys were taken contributes a uniform ``m``-subset of its reservoir: given
+``w``, which results hold the smallest keys is uniform.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
+import math
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..core.backend import chunk_apply, derive_seed, restore_backend, snapshot_backend
+from ..core.reservoir import _uniform
 from ..core.reservoir_join import ReservoirJoin
-from ..relational.join import count_results
 from ..relational.query import JoinQuery
 from ..relational.schema import tuple_getter
 from ..relational.stream import StreamDelete, StreamTuple, chunk_stream, validate_pairs
@@ -145,35 +155,12 @@ def partition_attribute(query: JoinQuery) -> str:
     return best
 
 
-def exact_result_count(sampler) -> int:
-    """Exact size of the join result set a sampler's reservoir draws from.
-
-    Works for any sampler built on :class:`~repro.index.dynamic_index
-    .DynamicJoinIndex` (``ReservoirJoin`` counts its working query's join;
-    ``CyclicReservoirJoin`` counts the bag join, which equals the original
-    query's result set).  A :class:`~repro.core.turnstile
-    .TurnstileReservoirJoin` that already tracks its surviving count (seeded
-    at its first applied delete) answers from that count, with no recount.
-    This is the one place a shard's count is computed.
-    """
-    tracked = getattr(sampler, "_population", None)
-    if tracked is not None:
-        return tracked
-    index = getattr(sampler, "index", None)
-    if index is None:
-        raise TypeError(
-            f"{type(sampler).__name__} does not expose a dynamic index; "
-            "the sharded merge needs exact local result counts"
-        )
-    return count_results(index.query, index.database)
-
-
 @dataclass(frozen=True)
 class ShardState:
-    """What the merge needs from one shard: reservoir, exact count, capacity."""
+    """What the merge needs from one shard: reservoir, running ``w``, capacity."""
 
     sample: Sequence[dict]
-    count: int
+    w: float
     capacity: int
 
 
@@ -183,45 +170,68 @@ def merge_shard_samples(
     """A uniform sample without replacement of the union of the shards'
     disjoint local result sets.
 
-    Draws ``min(k, sum of counts)`` results: a hypergeometric allocation
-    over the shards, then a uniform subset of each shard's reservoir (see
-    the module docstring for the uniformity argument).  The live
-    :meth:`ShardedIngestor.merged_sample` and a served epoch cut both merge
-    through here, making the same ``rng.sample`` calls in the same order, so
-    equal states and equal RNGs give equal samples.  ``k`` may not exceed
-    any overflowing shard's reservoir capacity.
+    Keeps the results with the ``k`` smallest regenerated keys across the
+    shards (see the module docstring for the uniformity argument), so it
+    draws ``k`` results, or every held result when the shards hold fewer
+    and none is full.  The live :meth:`ShardedIngestor.merged_sample` and a
+    served epoch cut both merge through here, so equal states and equal
+    RNGs give equal samples.  ``k`` may not exceed any full shard's
+    capacity.
     """
     if k <= 0:
         raise ValueError("merged sample size must be positive")
-    total = sum(state.count for state in states)
-    k_eff = min(k, total)
-    if k_eff == 0:
-        return []
-    boundaries: List[int] = []
-    running = 0
     for state in states:
-        if state.count > state.capacity and k_eff > state.capacity:
-            raise ValueError(
-                f"merged sample of size {k_eff} needs per-shard reservoir "
-                f"capacity >= {k_eff}, but a shard holding "
-                f"{state.count} results has capacity {state.capacity}"
-            )
-        if len(state.sample) != min(state.capacity, state.count):
+        full = not math.isinf(state.w)
+        held = len(state.sample)
+        if held != state.capacity if full else held >= state.capacity:
             raise RuntimeError(
-                f"shard reservoir holds {len(state.sample)} results but the "
-                f"exact local count is {state.count} (capacity "
-                f"{state.capacity}); the shard sampler is not uniform over "
-                "its local join"
+                f"shard reservoir holds {held} results at "
+                f"capacity {state.capacity} with w = {state.w}; the shard "
+                "sampler is not an Algorithm 4/5 reservoir over its local join"
             )
-        running += state.count
-        boundaries.append(running)
-    # A uniform k-subset of range(total) realises the multivariate
-    # hypergeometric allocation over the disjoint shard ranges.
-    allocation = [0] * len(states)
-    for position in rng.sample(range(total), k_eff):
-        allocation[bisect_right(boundaries, position)] += 1
+        if full and k > state.capacity:
+            raise ValueError(
+                f"merged sample of size {k} needs per-shard reservoir "
+                f"capacity >= {k}, but a full shard has capacity "
+                f"{state.capacity}"
+            )
+    # Each shard's keys are drawn lazily, in increasing order: the next key
+    # is the minimum of the ``draws`` keys still spread over (key, top).  A
+    # full shard's last key is w itself, so it takes one draw fewer.
+    uniform = rng.random
+    tops: List[float] = []
+    fulls: List[bool] = []
+    left: List[int] = []  # keys each shard has not yet given up
+    heap: List[Tuple[float, int]] = []
+    for shard, state in enumerate(states):
+        full = not math.isinf(state.w)
+        top = state.w if full else 1.0
+        tops.append(top)
+        fulls.append(full)
+        left.append(len(state.sample))
+        draws = len(state.sample) - full
+        if draws:
+            # ``or`` redraws an exact 0.0, as _uniform does.
+            spacing = 1.0 - (uniform() or _uniform(rng)) ** (1.0 / draws)
+            heap.append((top * spacing, shard))
+        elif full:
+            heap.append((top, shard))
+    heapq.heapify(heap)
+    for _ in range(min(k, sum(left))):
+        key, shard = heap[0]
+        left[shard] -= 1
+        draws = left[shard] - fulls[shard]
+        if draws > 0:
+            top = tops[shard]
+            step = (top - key) * (1.0 - (uniform() or _uniform(rng)) ** (1.0 / draws))
+            heapq.heapreplace(heap, (key + step, shard))
+        elif left[shard]:
+            heapq.heapreplace(heap, (tops[shard], shard))
+        else:
+            heapq.heappop(heap)
     merged: List[dict] = []
-    for state, take in zip(states, allocation):
+    for state, remaining in zip(states, left):
+        take = len(state.sample) - remaining
         if take:
             merged.extend(rng.sample(state.sample, take))
     return merged
@@ -249,9 +259,10 @@ class ShardedIngestor:
     factory:
         Optional ``factory(shard_index, rng) -> sampler`` building one
         replica per shard; defaults to a plain :class:`ReservoirJoin` of
-        size ``k``.  Replicas must expose ``index`` (for exact counts) and
-        ``sample``; :meth:`save` additionally needs them to be
-        snapshot-capable or picklable.
+        size ``k``.  Replicas must expose ``reservoir``, the
+        :class:`~repro.core.batch_reservoir.BatchedPredicateReservoir` whose
+        running ``w`` and capacity the merge reads; :meth:`save`
+        additionally needs them to be snapshot-capable or picklable.
     rng:
         Seedable randomness source; derives one independent RNG per shard
         and drives the merge subsampling.
@@ -292,7 +303,6 @@ class ShardedIngestor:
             for shard in range(num_shards)
         ]
         self._appliers = [chunk_apply(sampler)[0] for sampler in self.samplers]
-        self._counts: Optional[List[int]] = None
         self._hooks: List[Callable[[List, List[List]], None]] = []
         # Projection getters for the relations that carry the partition
         # attribute; every other relation is broadcast.
@@ -338,7 +348,7 @@ class ShardedIngestor:
         return stable_shard_hash(value) % self.num_shards
 
     def partition(self, items: Iterable) -> List[List[Tuple[str, Tuple]]]:
-        """Split a batch into per-shard ``(relation, row)`` sub-batches.
+        """Split a batch into per-shard sub-batches, in stream order.
 
         The whole batch is validated first (unknown relation → ``KeyError``,
         wrong arity → ``ValueError``) so a failed call leaves every shard
@@ -371,17 +381,15 @@ class ShardedIngestor:
         of the row receives its delete.  Combined with in-order delivery
         within each shard part, each shard's local state stays equal to the
         global turnstile state restricted to that shard, which is what the
-        :meth:`merged_sample` partition argument needs.  Retractions pass
-        through as ``StreamDelete`` objects, so the per-shard sampler's
-        ``ingest_batch`` sees them as retractions.
+        :meth:`merged_sample` partition argument needs.  Stream items pass
+        through as they came: a ``StreamDelete`` reaches the per-shard
+        sampler's ``ingest_batch`` as a retraction, and a ``StreamTuple``
+        keeps its timestamp, which a timestamp-windowed shard reads.
         """
         pairs: List[Tuple[str, Tuple]] = []
         payloads: List[object] = []
         for item in items:
-            if isinstance(item, StreamTuple):
-                pair = (item.relation, item.row)
-                payloads.append(pair)
-            elif isinstance(item, StreamDelete):
+            if isinstance(item, (StreamTuple, StreamDelete)):
                 pair = (item.relation, item.row)
                 payloads.append(item)
             else:
@@ -432,7 +440,6 @@ class ShardedIngestor:
         self.broadcast_deliveries += sum(sizes) - tuples
         for shard, size in enumerate(sizes):
             self._shard_tuples[shard] += size
-        self._counts = None
         for hook in self._hooks:
             hook(items, parts)
         return tuples
@@ -554,27 +561,22 @@ class ShardedIngestor:
     # Merging
     # ------------------------------------------------------------------ #
     def shard_states(self) -> List[ShardState]:
-        """Every shard's merge inputs (reservoir, exact count, capacity),
-        read at the current chunk boundary."""
-        counts = self.shard_counts()
-        return [
-            ShardState(sampler.sample, counts[shard], getattr(sampler, "k", self.k))
-            for shard, sampler in enumerate(self.samplers)
-        ]
+        """Every shard's merge inputs (reservoir, running ``w``, capacity),
+        read at the current chunk boundary in O(capacity) each."""
+        states: List[ShardState] = []
+        for sampler in self.samplers:
+            reservoir = getattr(sampler, "reservoir", None)
+            if reservoir is None:
+                raise TypeError(
+                    f"{type(sampler).__name__} exposes no reservoir; the "
+                    "sharded merge reads each shard's running w from it"
+                )
+            states.append(ShardState(reservoir.sample, reservoir.w, reservoir.k))
+        return states
 
     def shard_samples(self) -> List[List[dict]]:
         """Every shard's reservoir, in shard order."""
         return [list(sampler.sample) for sampler in self.samplers]
-
-    def shard_counts(self) -> List[int]:
-        """Exact local join result counts, one per shard (cached)."""
-        if self._counts is None:
-            self._counts = [exact_result_count(sampler) for sampler in self.samplers]
-        return list(self._counts)
-
-    def total_results(self) -> int:
-        """Exact ``|Q(R)|`` of the global join (sum of disjoint shard counts)."""
-        return sum(self.shard_counts())
 
     # ------------------------------------------------------------------ #
     # Load observability
@@ -602,12 +604,12 @@ class ShardedIngestor:
     ) -> List[dict]:
         """A uniform sample without replacement of the global join results.
 
-        Draws ``min(k, |Q(R)|)`` results by hypergeometric allocation across
-        the shard-local reservoirs followed by uniform subsampling within
-        each shard (see the module docstring for the uniformity argument).
+        Draws ``min(k, |Q(R)|)`` results by keeping the ``k`` smallest
+        regenerated keys across the shard reservoirs (see the module
+        docstring for the uniformity argument); no shard is recounted.
         Repeated calls draw independent merged samples from the same shard
         state.  ``k`` defaults to the constructor's ``k`` and may not exceed
-        any overflowing shard's reservoir capacity.
+        any full shard's reservoir capacity.
         """
         return merge_shard_samples(
             self.shard_states(),
@@ -621,11 +623,9 @@ class ShardedIngestor:
     def statistics(self) -> Dict[str, object]:
         """Ingestion counters and per-shard load — all O(1), safe per chunk.
 
-        Deliberately excludes the exact shard result counts: those cost an
-        O(N) count pass per shard when the cache is cold, which would turn
-        per-chunk observability polling into quadratic total work.  Call
-        :meth:`shard_counts` / :meth:`total_results` explicitly when exact
-        figures are worth that price.
+        Exact join result counts are not reported: they cost an O(N) pass
+        per shard (:func:`repro.relational.join.count_results`), and nothing
+        here needs them.
         """
         return {
             "num_shards": self.num_shards,

@@ -19,12 +19,12 @@ needs, never the index or the relations.
   bare sampler, or the drained target of an :class:`~repro.ingest.pipeline
   .AsyncIngestor`) records its reservoir.
 * A :class:`~repro.ingest.shard.ShardedIngestor` records each shard's
-  reservoir, exact local count and capacity, plus its default merge size.
+  reservoir, running ``w`` and capacity, plus its default merge size.
 * Every subscribed predicate view records its reservoir.
 
 Result dicts are copied into the record, so later ingestion cannot reach
-it.  A cut therefore costs O(k) per reservoir, plus the exact shard counts
-of a sharded target, and holds O(k) memory.  The record is captured under
+it.  A cut therefore costs O(k) per reservoir, never a pass over the
+database, and holds O(k) memory.  The record is captured under
 the same lock the writer holds while applying a chunk, so it always equals
 the state at *exactly* one chunk boundary — no half-applied chunk is
 observable.  Every other read of that epoch shares the cached record
@@ -41,7 +41,7 @@ reservoir size) is uniform too.  For a sharded target the record's shard
 states are the exact inputs of :func:`~repro.ingest.shard
 .merge_shard_samples`, the same function the live
 :meth:`~repro.ingest.shard.ShardedIngestor.merged_sample` calls, so a read
-realises the exact hypergeometric merge over the boundary reservoirs.
+realises the exact bottom-``k`` key merge over the boundary reservoirs.
 Readers therefore get exact uniformity over the prefix at their snapshot
 epoch — never an approximation, never a mixture of two prefixes.
 
@@ -122,9 +122,9 @@ class EpochSnapshot:
     ) -> List[dict]:
         """A uniform sample of the join results of this epoch's prefix.
 
-        Sharded records draw a fresh merged sample (hypergeometric
-        allocation over the recorded shard reservoirs, ``k`` defaulting to
-        the ingestor's).  Batch-style records return the reservoir itself
+        Sharded records draw a fresh merged sample (the ``k`` smallest
+        regenerated keys over the recorded shard reservoirs, ``k``
+        defaulting to the ingestor's).  Batch-style records return the reservoir itself
         when ``k`` is ``None`` or at least the reservoir size
         (bit-identical to a standalone sampler stopped at this prefix), and
         a uniform ``k``-subset of it otherwise — a uniform subset of a
@@ -146,12 +146,6 @@ class EpochSnapshot:
         return (rng if rng is not None else self._reader_rng()).sample(
             self.reservoir, k
         )
-
-    def merged_sample(
-        self, k: Optional[int] = None, rng: Optional[random.Random] = None
-    ) -> List[dict]:
-        """Alias of :meth:`sample` under the sharded merge's name."""
-        return self.sample(k, rng=rng)
 
     def view_sample(self, name: str) -> List[dict]:
         """The recorded reservoir of one subscribed predicate view."""
@@ -185,8 +179,8 @@ class SampleServer:
         seed it for reproducible served draws.
 
     Writer API: :meth:`ingest_batch` / :meth:`ingest` (one thread/task).
-    Reader API: :meth:`snapshot`, :meth:`sample`, :meth:`merged_sample`,
-    :meth:`view_sample` (any number of threads/tasks).
+    Reader API: :meth:`snapshot`, :meth:`sample`, :meth:`view_sample` (any
+    number of threads/tasks).
     """
 
     def __init__(self, ingestor, rng: Optional[random.Random] = None) -> None:
@@ -326,7 +320,7 @@ class SampleServer:
         reservoir = shard_states = k = None
         if hasattr(target, "shard_states"):
             shard_states = tuple(
-                ShardState(_copied(state.sample), state.count, state.capacity)
+                ShardState(_copied(state.sample), state.w, state.capacity)
                 for state in target.shard_states()
             )
             k = target.k
@@ -353,8 +347,7 @@ class SampleServer:
         Returns the cached cut when it is at most ``max_staleness`` epochs
         behind the current one (0 = must be current); otherwise captures a
         fresh cut at the current boundary.  Capture copies the reservoirs
-        (O(k) each; a sharded target also reads its exact shard counts),
-        paid once per epoch by the first reader needing it — every other
+        (O(k) each, sharded or not), paid once per epoch by the first reader needing it — every other
         read of that epoch is a cache hit on an immutable record.
         """
         if max_staleness < 0:
@@ -388,17 +381,6 @@ class SampleServer:
     ) -> List[dict]:
         """One uniform read: :meth:`snapshot` then the cut's sample."""
         result = self.snapshot(max_staleness).sample(k, rng=rng)
-        self.note_read()
-        return result
-
-    def merged_sample(
-        self,
-        k: Optional[int] = None,
-        rng: Optional[random.Random] = None,
-        max_staleness: int = 0,
-    ) -> List[dict]:
-        """One uniform read under the sharded merge's name."""
-        result = self.snapshot(max_staleness).merged_sample(k, rng=rng)
         self.note_read()
         return result
 

@@ -148,8 +148,11 @@ def test_sharded_draws_exactly_the_unsharded_result_set(case_seed):
     )
     sharded.ingest(stream)
     assert {result_key(r) for r in sharded.merged_sample()} == batched_set
-    # The exact shard counts must tile the true result set.
-    assert sharded.total_results() == len(truth)
+    # The shard-local joins must tile the true result set.
+    assert sum(
+        count_results(sampler.query, sampler.index.database)
+        for sampler in sharded.samplers
+    ) == len(truth)
 
 
 @pytest.mark.parametrize("case_seed", [7, 29])
@@ -270,7 +273,7 @@ def test_checkpointed_sharded_ingest_bit_identical(case_seed, tmp_path):
     for restored, reference in zip(resumed.samplers, uninterrupted.samplers):
         assert restored.sample == reference.sample
         assert restored.statistics() == reference.statistics()
-    assert resumed.shard_counts() == uninterrupted.shard_counts()
+    assert resumed.shard_states() == uninterrupted.shard_states()
     assert resumed.shard_loads() == uninterrupted.shard_loads()
     # The master RNG resumed exactly: the next merged draw is identical.
     assert resumed.merged_sample() == uninterrupted.merged_sample()
@@ -479,8 +482,8 @@ def test_served_batched_sample_bit_identical_at_every_epoch(case_seed):
 
 @pytest.mark.parametrize("case_seed", [12, 41, 77])
 def test_served_sharded_merged_sample_bit_identical_at_every_epoch(case_seed):
-    """The served cut of a sharded host realises the exact hypergeometric
-    merge: under an equal explicit merge RNG it draws the same merged
+    """The served cut of a sharded host realises the exact key merge:
+    under an equal explicit merge RNG it draws the same merged
     sample as the live standalone ingestor at every chunk boundary."""
     rng = random.Random(case_seed)
     query, stream = random_acyclic_case(rng)
@@ -505,7 +508,7 @@ def test_served_sharded_merged_sample_bit_identical_at_every_epoch(case_seed):
         snap = server.snapshot()
         assert snap.epoch == epoch
         merge_rng = case_seed + 1000 + epoch
-        assert snap.merged_sample(
+        assert snap.sample(
             7, rng=random.Random(merge_rng)
         ) == standalone.merged_sample(7, rng=random.Random(merge_rng))
     assert [

@@ -7,7 +7,7 @@ not bias which survivors occupy the reservoir.  Each test replays the same
 retraction-bearing stream under many independent seeds and chi-square-tests
 the per-result inclusion counts against the uniform expectation, for the
 per-tuple path, the chunked (run-segmented) path, the sharded merge, and the
-sliding-window sampler over its window universe.
+sliding-window sampler over its window universe, alone and sharded.
 """
 
 from __future__ import annotations
@@ -104,25 +104,45 @@ def test_sharded_merge_uniform_over_survivors():
     assert p > P_THRESHOLD, f"uniformity rejected: p={p:.5f}"
 
 
-def test_windowed_uniform_over_window_universe():
+@pytest.mark.parametrize("mode, num_shards", [("count", None), ("timestamp", 3)])
+def test_windowed_uniform_over_window_universe(mode, num_shards):
+    """A window alone, and timestamp windows merged across shards.
+
+    Each shard's horizon follows the newest timestamp it was routed, so the
+    sharded universe is the union of the shard-local window joins.
+    """
     window = 64
     chunk_size = 16
 
-    def final_window_rows():
-        probe = WindowedSampler(
-            QUERY, 10_000, window=window, rng=random.Random(0)
-        )
-        BatchIngestor(probe, chunk_size=chunk_size).ingest(STREAM)
-        return probe.index.database
+    def run(k, seed):
+        def windowed(rng):
+            return WindowedSampler(QUERY, k, window=window, rng=rng, mode=mode)
 
-    database = final_window_rows()
-    universe = join_results(QUERY, database)
+        if num_shards is None:
+            ingestor = BatchIngestor(windowed(random.Random(seed)), chunk_size=chunk_size)
+        else:
+            ingestor = ShardedIngestor(
+                QUERY, k, num_shards=num_shards, chunk_size=chunk_size,
+                factory=lambda shard, rng: windowed(rng),
+                rng=random.Random(seed),
+            )
+        ingestor.ingest(STREAM)
+        return ingestor
+
+    probe = run(10_000, 0)
+    samplers = [probe.sampler] if num_shards is None else probe.samplers
+    universe = [
+        result
+        for sampler in samplers
+        for result in join_results(QUERY, sampler.index.database)
+    ]
     assert len(universe) > 2 * K
 
     def run_one(seed):
-        sampler = WindowedSampler(QUERY, K, window=window, rng=random.Random(seed))
-        BatchIngestor(sampler, chunk_size=chunk_size).ingest(STREAM)
-        return sampler.sample
+        ingestor = run(K, seed)
+        if num_shards is None:
+            return ingestor.sampler.sample
+        return ingestor.merged_sample(rng=random.Random(seed + 101))
 
     p = uniformity_p_value(run_one, universe, TRIALS, K)
     assert p > P_THRESHOLD, f"uniformity rejected: p={p:.5f}"

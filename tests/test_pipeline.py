@@ -58,7 +58,7 @@ class TestDeterminism:
         # sequence: reservoirs match bit for bit.
         for async_sampler, serial_sampler in zip(target.samplers, serial.samplers):
             assert async_sampler.sample == serial_sampler.sample
-        assert target.shard_counts() == serial.shard_counts()
+        assert target.shard_states() == serial.shard_states()
         assert target.tuples_ingested == serial.tuples_ingested
         assert target.batches_ingested == serial.batches_ingested
         assert target.broadcast_deliveries == serial.broadcast_deliveries

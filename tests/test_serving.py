@@ -188,7 +188,7 @@ class TestSampleServer:
             server.ingest_batch(piece)
             standalone.ingest_batch(piece)
         snap = server.snapshot()
-        assert snap.merged_sample(
+        assert snap.sample(
             K, rng=random.Random(77)
         ) == standalone.merged_sample(K, rng=random.Random(77))
 
@@ -333,7 +333,7 @@ class TestEpochRecord:
             with pytest.raises(ValueError):
                 snap.sample(k)
             with pytest.raises(ValueError):
-                server.merged_sample(k)
+                server.sample(k)
         if not epochs:
             assert snap.sample() == []
 

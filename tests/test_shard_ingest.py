@@ -1,15 +1,17 @@
 """Tests for the sharded ingestion subsystem (``repro.ingest.shard``).
 
 Covers routing (partition attribute choice, stable hashing, broadcast),
-all-or-nothing batch validation across shards, the exact-count weighted
-merge, and the documented error behaviour.
+all-or-nothing batch validation across shards, the regenerated-key merge
+(which never recounts a shard), and the documented error behaviour.
 The statistical properties (uniformity of ``merged_sample``) live in
 ``tests/statistical/``.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 
 import pytest
 
@@ -18,18 +20,22 @@ from repro import (
     CyclicReservoirJoin,
     JoinQuery,
     ReservoirJoin,
+    SampleServer,
     ShardedIngestor,
     StreamDelete,
     StreamTuple,
     TurnstileReservoirJoin,
+    WindowedSampler,
     surviving_rows,
 )
 from repro.ingest.shard import (
-    exact_result_count,
+    ShardState,
+    merge_shard_samples,
     partition_attribute,
     route_rows,
     stable_shard_hash,
 )
+from repro.relational.join import count_results
 from repro.relational.schema import tuple_getter
 from repro.stats.uniformity import result_key
 
@@ -43,6 +49,14 @@ def partition_getters(query, attr="x2"):
         for schema in query.relations
         if attr in schema.attrs
     }
+
+
+def oracle_counts(ingestor):
+    """Exact shard-local join sizes: the O(N) ``count_results`` oracle."""
+    return [
+        count_results(sampler.query, sampler.index.database)
+        for sampler in ingestor.samplers
+    ]
 
 
 def line3_stream(query, n, seed, domain=10):
@@ -161,7 +175,7 @@ class TestRouting:
                 query, k=10, num_shards=num_shards, rng=random.Random(0)
             )
             ingestor.ingest_batch(stream)
-            assert ingestor.total_results() == 1
+            assert sum(oracle_counts(ingestor)) == 1
             assert len(ingestor.merged_sample()) == 1
 
     def test_explicit_partition_attr_validated(self, line3_query):
@@ -254,22 +268,28 @@ class TestMixedChunkRouting:
     def test_deletes_follow_their_inserts(self, line3_query):
         ingestor = self.make(line3_query)
         parts = ingestor.partition(self.CHUNK)
+
+        def payload(item):
+            if isinstance(item, (StreamDelete, StreamTuple)):
+                return item
+            return (item[0], tuple(item[1]))
+
+        def inserts(part):
+            return {
+                (p.relation, p.row) if isinstance(p, StreamTuple) else p
+                for p in part
+                if not isinstance(p, StreamDelete)
+            }
+
         for item in self.CHUNK:
             if not isinstance(item, StreamDelete):
                 continue
             insert = (item.relation, item.row)
             with_delete = [s for s, part in enumerate(parts) if item in part]
-            with_insert = [s for s, part in enumerate(parts) if insert in part]
+            with_insert = [s for s, part in enumerate(parts) if insert in inserts(part)]
             assert with_delete == with_insert
             expected = 3 if item.relation == "R3" else 1
             assert len(with_delete) == expected
-
-        def payload(item):
-            if isinstance(item, StreamDelete):
-                return item
-            if isinstance(item, StreamTuple):
-                return (item.relation, item.row)
-            return (item[0], tuple(item[1]))
 
         payloads = [payload(item) for item in self.CHUNK]
         for part in parts:  # stream order survives within every part
@@ -296,7 +316,7 @@ class TestMixedChunkRouting:
 
 
 # ---------------------------------------------------------------------- #
-# The exact-count weighted merge
+# The regenerated-key merge
 # ---------------------------------------------------------------------- #
 class TestMergedSample:
     def test_oversized_reservoir_returns_the_whole_join(self, line3_query):
@@ -309,7 +329,7 @@ class TestMergedSample:
         )
         ingestor.ingest(stream)
         assert {result_key(r) for r in ingestor.merged_sample()} == truth
-        assert ingestor.total_results() == len(truth)
+        assert sum(oracle_counts(ingestor)) == len(truth)
 
     def test_shard_counts_tile_the_global_join(self, line3_query):
         stream = line3_stream(line3_query, 150, seed=13, domain=6)
@@ -318,7 +338,13 @@ class TestMergedSample:
             line3_query, k=4, num_shards=3, chunk_size=32, rng=random.Random(2)
         )
         ingestor.ingest(stream)
-        assert sum(ingestor.shard_counts()) == len(truth)
+        counts = oracle_counts(ingestor)
+        assert sum(counts) == len(truth)
+        # Each shard holds min(capacity, its count): what the merge's w
+        # checks rely on without ever counting.
+        for state, count in zip(ingestor.shard_states(), counts):
+            assert len(state.sample) == min(state.capacity, count)
+            assert math.isinf(state.w) == (count < state.capacity)
 
     def test_small_k_size_and_containment(self, line3_query):
         stream = line3_stream(line3_query, 150, seed=17, domain=6)
@@ -353,7 +379,7 @@ class TestMergedSample:
             line3_query, k=3, num_shards=2, chunk_size=64, rng=random.Random(5)
         )
         ingestor.ingest(stream)
-        assert any(c > 3 for c in ingestor.shard_counts())  # shards overflow k
+        assert any(c > 3 for c in oracle_counts(ingestor))  # shards overflow k
         with pytest.raises(ValueError):
             ingestor.merged_sample(k=10)
 
@@ -376,6 +402,87 @@ class TestMergedSample:
         ingestor.ingest(stream)
         assert {result_key(r) for r in ingestor.merged_sample()} == truth
 
-    def test_exact_result_count_requires_an_index(self):
-        with pytest.raises(TypeError):
-            exact_result_count(object())
+    def test_full_shard_holds_w_as_its_largest_key(self):
+        """At capacity 1 a full shard's only key is its ``w``, so the merge
+        keeps the shard with the smaller ``w`` every time."""
+        low, high = ShardState([{"x": 0}], 0.2, 1), ShardState([{"x": 1}], 0.7, 1)
+        rng = random.Random(0)
+        for _ in range(50):
+            assert merge_shard_samples([high, low], 1, rng) == [{"x": 0}]
+
+    def test_merge_rejects_inconsistent_shards(self, line3_query):
+        rows = [{"x": i} for i in range(4)]
+        rng = random.Random(0)
+        with pytest.raises(RuntimeError):  # w finite, reservoir not full
+            merge_shard_samples([ShardState(rows[:3], 0.5, 4)], 2, rng)
+        with pytest.raises(RuntimeError):  # w unset, reservoir full
+            merge_shard_samples([ShardState(rows, math.inf, 4)], 2, rng)
+        with pytest.raises(ValueError):  # a full shard below the merge size
+            merge_shard_samples([ShardState(rows, 0.5, 4)], 5, rng)
+        assert len(merge_shard_samples([ShardState(rows, 0.5, 4)], 4, rng)) == 4
+
+        class NoReservoir:
+            sample = []
+
+            def insert(self, relation, row):
+                pass
+
+        ingestor = ShardedIngestor(
+            line3_query, k=4, num_shards=2, factory=lambda shard, rng: NoReservoir()
+        )
+        with pytest.raises(TypeError, match="exposes no reservoir"):
+            ingestor.merged_sample()
+
+
+# ---------------------------------------------------------------------- #
+# No count pass: the merge and a served sharded cut never call count_results
+# ---------------------------------------------------------------------- #
+def _forbid_count_results(monkeypatch):
+    """Make every binding of ``count_results`` raise."""
+
+    def forbidden(query, database):
+        raise AssertionError("count_results ran during a sharded merge")
+
+    for module in list(sys.modules.values()):
+        if getattr(module, "count_results", None) is count_results:
+            monkeypatch.setattr(module, "count_results", forbidden)
+
+
+@pytest.mark.parametrize("kind", ["insert-only", "turnstile", "windowed"])
+def test_merge_and_served_cut_run_no_count_pass(line3_query, monkeypatch, kind):
+    factories = {
+        "insert-only": lambda shard, rng: ReservoirJoin(line3_query, 6, rng=rng),
+        "turnstile": lambda shard, rng: TurnstileReservoirJoin(line3_query, 6, rng=rng),
+        "windowed": lambda shard, rng: WindowedSampler(
+            line3_query, 6, window=60, rng=rng, mode="timestamp"
+        ),
+    }
+    rng = random.Random(43)
+    stream = []
+    for ts in range(1, 241):
+        item = StreamTuple(
+            rng.choice(line3_query.relation_names),
+            (rng.randrange(6), rng.randrange(6)),
+            ts,
+        )
+        stream.append(item)
+        if kind == "turnstile" and ts % 5 == 0:
+            stream.append(StreamDelete(item.relation, item.row))
+
+    def build():
+        return ShardedIngestor(
+            line3_query, 6, num_shards=3, chunk_size=16,
+            factory=factories[kind], rng=random.Random(44),
+        )
+
+    ingestor, server = build(), SampleServer(build(), rng=random.Random(45))
+    ingestor.ingest(stream)
+    server.ingest(stream)
+    assert all(len(sampler.sample) == 6 for sampler in ingestor.samplers)
+    if kind != "insert-only":
+        assert any(
+            sampler.statistics()["evictions"] for sampler in ingestor.samplers
+        )
+    _forbid_count_results(monkeypatch)
+    assert len(ingestor.merged_sample()) == 6
+    assert len(server.snapshot().sample()) == 6
