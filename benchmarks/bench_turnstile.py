@@ -2,7 +2,7 @@
 
 Turnstile streams pay for three things insert-only streams never touch:
 ``c̃nt`` decrement propagation through the dynamic index, reservoir
-eviction + rejection refill when sampled results die, and (for the
+eviction + order-statistic refill when sampled results die, and (for the
 windowed sampler) the per-boundary expiry scan.  This benchmark measures
 that tax honestly on a two-relation join: the same insert workload is
 ingested once append-only (``ReservoirJoin``, the reference throughput),

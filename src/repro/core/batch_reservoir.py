@@ -158,45 +158,39 @@ class BatchedPredicateReservoir(Generic[T]):
         self.items_total = total
         self.batches_processed += skipped
 
-    def rebase_population(self, sample: "List[T]", population_size: int) -> None:
-        """Replace the reservoir after an out-of-band population change.
+    def rebase_population(self, sample: "List[T]", w: float) -> None:
+        """Install a reservoir re-anchored after an out-of-band population change.
 
-        Deletions shrink the *population* the reservoir is supposed to be a
-        uniform sample of — something the insert-only Algorithm 4/5 state
-        machine has no transition for.  The turnstile sampler evicts dead
-        items, refills ``sample`` to ``min(k, population_size)`` uniformly
-        from the survivors, and hands both here; this method installs the new
-        reservoir and *re-anchors* the skip state so the sampler behaves, from
-        now on, exactly like a fresh Algorithm 4 run that had seen precisely
-        the surviving population:
+        Deletions shrink the population the reservoir samples, which the
+        insert-only Algorithm 4/5 state machine has no transition for.  The
+        turnstile sampler evicts the dead items, refills from the survivors
+        by continuing the order statistics of their lazily generated keys
+        (see :mod:`repro.core.turnstile`), and hands over the new reservoir
+        with its ``k``-th smallest key ``w``.  This installs both and redraws
+        the pending skip from ``w``; the geometric skip is memoryless, so the
+        sampler then goes on exactly as Algorithm 4 would.
 
-        * ``population_size >= k`` — after ``r`` real items, Algorithm 4's
-          running ``w`` is the ``k``-th smallest of ``r`` i.i.d. uniforms,
-          i.e. ``Beta(k, r - k + 1)``, *independent of which items occupy the
-          reservoir*.  So ``w`` is redrawn from ``Beta(k, m' - k + 1)`` with
-          ``m' = population_size`` and a fresh geometric skip is taken.  (At
-          ``m' = k`` this is ``Beta(k, 1)``, the ``u^(1/k)`` the first-fill
-          initialisation uses — the two anchors agree on the boundary.)
-        * ``population_size < k`` — the reservoir now holds the *entire*
-          surviving population, which is the fill-phase invariant; ``w``
-          returns to the uninitialised sentinel and the skip resets, so
-          subsequent arrivals are appended until the reservoir refills.
+        A finite ``w`` must lie in ``(0, 1]`` and come with exactly ``k``
+        items.  ``w = inf`` means the reservoir holds the *entire* surviving
+        population (the fill phase): fewer than ``k`` items, and the skip
+        resets.  ``ValueError`` otherwise, before any state changes.
         """
-        if population_size < 0:
-            raise ValueError("population size must be non-negative")
-        expected = min(self.k, population_size)
-        if len(sample) != expected:
+        if math.isinf(w):
+            if len(sample) >= self.k:
+                raise ValueError(
+                    f"a fill-phase reservoir (w = inf) holds fewer than k = "
+                    f"{self.k} items, got {len(sample)}"
+                )
+        elif not 0.0 < w <= 1.0:
+            raise ValueError(f"w must be in (0, 1] or inf, got {w}")
+        elif len(sample) != self.k:
             raise ValueError(
-                f"rebased reservoir must hold min(k, population) = {expected} "
-                f"items, got {len(sample)}"
+                f"a reservoir with finite w holds k = {self.k} items, got "
+                f"{len(sample)}"
             )
         self._sample = list(sample)
-        if population_size >= self.k:
-            self._w = self._rng.betavariate(self.k, population_size - self.k + 1)
-            self._pending_skip = geometric_skip(self._w, self._rng)
-        else:
-            self._w = math.inf
-            self._pending_skip = 0
+        self._w = w
+        self._pending_skip = 0 if math.isinf(w) else geometric_skip(w, self._rng)
 
     def snapshot_state(self) -> dict:
         """The sampler's complete resumable state (plain data, no objects).

@@ -111,7 +111,6 @@ class ReservoirJoin:
         if not self.index.insert(relation, row):
             self.duplicates_ignored += 1
             return
-        self._rows_inserted(relation, (row,))
         batch = self.index.delta_batch(relation, row)
         self.reservoir.process_batch(batch)
 
@@ -157,7 +156,6 @@ class ReservoirJoin:
         reservoir = self.reservoir
         for relation, rows in groups.items():
             new_rows = self.index.insert_rows(relation, rows)
-            self._rows_inserted(relation, new_rows)
             self.duplicates_ignored += len(rows) - len(new_rows)
             inserted += len(new_rows)
             tree = self.index.trees[relation]
@@ -165,13 +163,6 @@ class ReservoirJoin:
                 tree.delta_batch_sizes(new_rows), tree.delta_batch, new_rows
             )
         return inserted
-
-    def _rows_inserted(self, relation: str, rows: Sequence[tuple]) -> None:
-        """Called with each relation group's new rows once they are stored.
-
-        A no-op here; the turnstile sampler tracks its surviving join count
-        through it.
-        """
 
     def process(self, stream: Iterable[StreamTuple]) -> "ReservoirJoin":
         """Process a whole stream of :class:`StreamTuple`; returns ``self``."""

@@ -9,32 +9,34 @@ keeping the per-chunk-boundary guarantee every other ingestion mode offers:
     replacement of size ``min(k, |Q'|)`` of the *surviving* join results
     ``Q'`` (the join of everything inserted and not yet retracted).
 
-Uniformity argument (resample-on-eviction)
-------------------------------------------
-Let ``R`` be the reservoir before a delete-run, a uniform size-``min(k,|Q|)``
-sample without replacement of the join ``Q``, and let ``D ⊆ Q`` be the
-results killed by the retractions (a result dies iff any of its constituent
-rows is deleted — ``D`` is determined by the deletes, not by the sample).
+Uniformity argument (lazy keys)
+-------------------------------
+Algorithm 4 is Li's Algorithm L: in law every real item carries an i.i.d.
+U(0, 1) key, the reservoir ``S`` holds the ``k`` smallest and ``w`` is the
+``k``-th smallest, though no key is ever drawn for an item.  A delete run
+kills a set ``D ⊆ Q`` of results fixed by the stream, never by the keys.
 
-1. *Survivors are uniform.*  Conditioned on ``|R ∩ (Q \\ D)| = s``, the
-   surviving set ``R ∩ (Q \\ D)`` is a uniform size-``s`` sample without
-   replacement of ``Q \\ D``: for a uniform subset, the conditional law of
-   its intersection with any fixed set is uniform over that set's subsets of
-   the realised size.
-2. *Refill preserves it.*  Drawing uniformly from ``(Q \\ D) \\ current``
-   (rejection sampling through the dynamic index's full-join ``sample``,
-   rejecting members already held) until the reservoir holds
-   ``min(k, |Q \\ D|)`` results yields a uniform sample of that size — the
-   standard coupon construction of a uniform subset.
-3. *The skip state is re-anchored.*  Algorithm 4's running ``w`` after ``r``
-   real items is the ``k``-th smallest of ``r`` i.i.d. uniforms —
-   ``Beta(k, r - k + 1)`` — independent of which items occupy the reservoir.
+1. *No sampled result dies.*  Every dead result had a key above ``w``, so
+   ``S`` and ``w`` are still the ``k`` smallest keys of ``Q \\ D`` and the
+   ``k``-th: nothing changes, no random draw is made, and the pending skip
+   stays valid.  In the fill phase (``w = inf``) ``S`` is all of ``Q``; the
+   dead results are evicted and the fill phase goes on.
+2. *d sampled results die.*  Given ``S`` and ``w``, the keys of the
+   surviving results outside ``S`` are i.i.d. U(w, 1), and nothing has
+   looked at them yet.  Give each dummy position of the index's padded join
+   array (size ``U = total_weight()``) a fresh key from that law too; the
+   ``R = U - |live|`` positions not holding a live sampled result then carry
+   i.i.d. U(w, 1) keys.  The smallest above ``t`` is
+   ``t + (1 - t)(1 - V^{1/R})``, at a uniform one of those positions, which
+   a sparse Fisher–Yates draw over ``[0, U)`` picks, passing over live
+   sampled positions.  Each drawn candidate decrements ``R``; a real result
+   is kept.  After the ``d``-th, ``w' = t``; if the candidates run out
+   first, every survivor is held and the fill phase (``w = inf``) resumes.
+3. *The run goes on as Algorithm 4.*  The reservoir and ``w'`` are those of
+   a key-per-item run over ``Q \\ D`` alone, because ``D`` ignored the keys.
    :meth:`~repro.core.batch_reservoir.BatchedPredicateReservoir
-   .rebase_population` therefore redraws ``w ~ Beta(k, |Q'| - k + 1)`` (or
-   returns to the fill-phase sentinel when ``|Q'| < k``), after which the
-   sampler is statistically indistinguishable from a fresh run that saw
-   exactly the surviving population.  Subsequent inserts then keep uniformity
-   by the insert-only argument.
+   .rebase_population` installs them and redraws the skip from ``w'``.  No
+   step needs the size of the surviving join.
 
 Tombstone lifecycle
 -------------------
@@ -47,40 +49,34 @@ live rows never pend — so the two states are mutually exclusive, and a
 double-delete of a live row applies once and pends once.  The reference
 semantics live in :func:`repro.relational.stream.surviving_rows`.
 
-Cost: the exact surviving-join size is counted in full (the ``O(N)``
-:func:`~repro.relational.join.count_results` dynamic program) once, at the
-first applied delete, and after a restore.  From then on every inserted or
-deleted row moves it by the row's
-:func:`~repro.relational.join.count_containing`, the same dynamic program
-rooted at that row, whose cost is the rows that join with it, not ``N``.
-Each delete-run then pays one ``O(k)`` liveness pass over the reservoir — a
-held result died iff its projection onto a relation the run touched is one
-of the run's removed rows — plus expected ``O(evicted)`` full-join draws.
-Insert-only streams never pay for any of this.  With deletions the index's
-approximate counters can also shrink, which voids the insert-only amortised
-``O(log N)`` update bound under adversarial oscillation across a
-power-of-two boundary; correctness is unaffected.
+Cost: no delete run counts the join.  Each run probes the reservoir once,
+with a C-level ``isdisjoint`` of its removed rows against the held results'
+projections per relation it touched (``O(k)``, no per-slot state).  A run
+that kills ``d`` sampled results then makes an expected ``d · U / |Q'|``
+retrievals, ``O(d)`` by the index's density bound; running out of
+candidates costs ``O(U)`` and happens only when ``|Q'| < k``.  So the
+per-update cost does not grow with the stream, and insert-only streams pay
+nothing.  With deletions the index's approximate counters can also shrink,
+which voids the insert-only amortised ``O(log N)`` update bound under
+adversarial oscillation across a power-of-two boundary; correctness is
+unaffected.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from itertools import groupby
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..relational.join import count_containing, count_results
+from ..relational.join import count_results
 from ..relational.query import JoinQuery
 from ..relational.schema import tuple_getter
 from ..relational.stream import StreamDelete, StreamTuple, validate_pairs
+from .reservoir import _uniform
 from .reservoir_join import ReservoirJoin
-
-#: Safety valve for the refill rejection loop, mirroring
-#: ``TreeIndex.sample``'s cap: the loop is expected to finish in
-#: ``O(target · log target)`` draws, so hitting this means the index's
-#: density invariant is broken, not that we were unlucky.
-_MAX_REFILL_ATTEMPTS = 200_000
 
 
 class TurnstileReservoirJoin(ReservoirJoin):
@@ -95,9 +91,8 @@ class TurnstileReservoirJoin(ReservoirJoin):
 
     Differences from the insert-only sampler:
 
-    * ``maintain_root`` is forced on — eviction refills draw uniformly from
-      the surviving full join, and the exact surviving count anchors the
-      reservoir's skip state (see the module docstring);
+    * ``maintain_root`` is forced on — eviction refills walk the padded
+      full-join array (see the module docstring);
     * the foreign-key combiner is rejected — it rewrites tuples into merged
       relations, and retracting a merged row is not well defined;
     * deletes of absent rows become pending tombstones that annihilate the
@@ -132,11 +127,6 @@ class TurnstileReservoirJoin(ReservoirJoin):
         # free parameter.
         self._config = {"grouping": grouping}
         self._pending: Dict[Tuple[str, tuple], int] = {}
-        #: Exact size of the surviving join.  Seeded by one ``count_results``
-        #: at the first applied delete, then moved by each inserted or deleted
-        #: row's ``count_containing``; ``None`` until the first delete and
-        #: after a restore, so insert-only streams never pay for it.
-        self._population: Optional[int] = None
         self.deletes_applied = 0
         self.annihilations = 0
         self.evictions = 0
@@ -258,15 +248,8 @@ class TurnstileReservoirJoin(ReservoirJoin):
         return self._insert_pairs(survivors)
 
     # ------------------------------------------------------------------ #
-    # Surviving count, eviction and refill
+    # Eviction and refill
     # ------------------------------------------------------------------ #
-    def _containing(self, relation: str, row: tuple) -> int:
-        return count_containing(self.index.trees[relation].tree, self.index.database, row)
-
-    def _rows_inserted(self, relation: str, rows: Sequence[tuple]) -> None:
-        if self._population is not None:
-            self._population += sum(self._containing(relation, row) for row in rows)
-
     def _apply_delete_pairs(self, pairs: List[Tuple[str, tuple]]) -> int:
         """Apply a validated delete run; returns how many live rows it removed."""
         removed: Dict[str, set] = {}
@@ -274,8 +257,6 @@ class TurnstileReservoirJoin(ReservoirJoin):
             relation, row = key
             if self.index.delete(relation, row):
                 removed.setdefault(relation, set()).add(row)
-                if self._population is not None:
-                    self._population -= self._containing(relation, row)
             else:
                 self._pending[key] = self._pending.get(key, 0) + 1
         applied = sum(len(rows) for rows in removed.values())
@@ -285,49 +266,70 @@ class TurnstileReservoirJoin(ReservoirJoin):
         return applied
 
     def _resample_after_deletes(self, removed: Dict[str, set]) -> None:
-        """Evict dead results, refill from the survivors, re-anchor the skip.
+        """Evict dead results and refill by the order statistics of their keys.
 
         Implements steps 1–3 of the module-docstring uniformity argument.
         ``removed`` holds the rows this run deleted, per relation.  Every
         held result was alive before the run, so it died iff its projection
         onto one of those relations is a removed row.
         """
-        if self._population is None:
-            self._population = count_results(self.query, self.index.database)
-        population = self._population
         sample = self.reservoir.sample
+        # A tuple getter reads a result by attribute name the way it reads a
+        # stored row by position.
+        projections = [
+            (tuple_getter(self.query.relation(relation).attrs), rows)
+            for relation, rows in removed.items()
+        ]
+        if all(rows.isdisjoint(map(project, sample)) for project, rows in projections):
+            return
         live = sample
-        for relation, rows in removed.items():
-            # A tuple getter reads a result by attribute name the way it
-            # reads a stored row by position.
-            project = tuple_getter(self.query.relation(relation).attrs)
+        for project, rows in projections:
             live = [result for result in live if project(result) not in rows]
         self.evictions += len(sample) - len(live)
-        target = min(self.k, population)
-        if len(live) < target:
-            identity = itemgetter(*self.query.output_attrs())
-            held = set(map(identity, live))
-            attempts = 0
-            while len(live) < target:
-                attempts += 1
-                if attempts > _MAX_REFILL_ATTEMPTS:
+        w = self.reservoir.w
+        if not math.isinf(w):
+            w = self._refill(live, self.k - len(live), w)
+        self.reservoir.rebase_population(live, w)
+
+    def _refill(self, live: List[dict], needed: int, w: float) -> float:
+        """Append the ``needed`` surviving results with the smallest keys above
+        ``w`` to ``live``; returns the last key revealed, or ``inf`` when the
+        candidates ran out (``live`` then holds every survivor)."""
+        rng = self._rng
+        retrieve = self.index.retrieve
+        identity = itemgetter(*self.query.output_attrs())
+        held = set(map(identity, live))
+        size = self.index.total_weight()
+        candidates = size - len(live)
+        # Sparse Fisher–Yates over [0, size): positions [0, drawn) are the
+        # ones drawn so far, and ``moved`` maps a slot past ``drawn`` to the
+        # position swapped into it.
+        moved: Dict[int, int] = {}
+        drawn = 0
+        t = w
+        while needed:
+            if not candidates:
+                return math.inf
+            t += (1.0 - t) * -math.expm1(math.log(_uniform(rng)) / candidates)
+            while True:
+                if drawn == size:
                     raise RuntimeError(
-                        "refill rejection sampling failed; the index density "
-                        "invariant is broken"
+                        "refill ran out of join positions with candidates "
+                        "left; the index density invariant is broken"
                     )
-                draw = self.index.sample(self._rng)
-                if draw is None:
-                    raise RuntimeError(
-                        "full-join sampling returned empty while the exact "
-                        f"surviving count is {population}"
-                    )
-                key = identity(draw)
-                if key in held:
-                    continue
-                held.add(key)
-                live.append(draw)
+                slot = rng.randrange(drawn, size)
+                position = moved.get(slot, slot)
+                moved[slot] = moved.get(drawn, drawn)
+                drawn += 1
+                result = retrieve(position)
+                if result is None or identity(result) not in held:
+                    break
+            candidates -= 1
+            if result is not None:
+                live.append(result)
                 self.refills += 1
-        self.reservoir.rebase_population(live, population)
+                needed -= 1
+        return t
 
     # ------------------------------------------------------------------ #
     # Replication and durability
@@ -352,7 +354,6 @@ class TurnstileReservoirJoin(ReservoirJoin):
 
     def restore_state(self, state: Dict[str, object]) -> None:
         super().restore_state(state)
-        self._population = None
         self._pending = {
             (relation, tuple(row)): count
             for relation, row, count in state.get("pending_tombstones", [])
@@ -362,6 +363,32 @@ class TurnstileReservoirJoin(ReservoirJoin):
         self.annihilations = counters.get("annihilations", 0)
         self.evictions = counters.get("evictions", 0)
         self.refills = counters.get("refills", 0)
+
+    # ------------------------------------------------------------------ #
+    # Invariants
+    # ------------------------------------------------------------------ #
+    def check_invariants(self) -> None:
+        """Raise ``RuntimeError`` unless the reservoir holds ``min(k, |Q'|)``
+        live results, ``w`` is ``inf`` exactly when it holds fewer than ``k``,
+        and no pending tombstone names a live row.
+
+        ``O(N)`` and on demand only: ``|Q'|`` comes from the
+        :func:`~repro.relational.join.count_results` oracle.
+        """
+        database = self.index.database
+        held = self.reservoir.sample
+        population = count_results(self.query, database)
+        if len(held) != min(self.k, population):
+            raise RuntimeError(f"{len(held)} results held of {population}, k = {self.k}")
+        if math.isinf(self.reservoir.w) != (len(held) < self.k):
+            raise RuntimeError(f"w = {self.reservoir.w} with {len(held)} held, k = {self.k}")
+        for schema in self.query.relations:
+            project = tuple_getter(schema.attrs)
+            if any(project(result) not in database[schema.name] for result in held):
+                raise RuntimeError(f"a held result is dead: {schema.name} lost its row")
+        for relation, row in self._pending:
+            if row in database[relation]:
+                raise RuntimeError(f"a pending tombstone names the live row {relation}{row}")
 
     # ------------------------------------------------------------------ #
     # Statistics
@@ -646,6 +673,19 @@ class WindowedSampler:
         )
         sampler.restore_state(state)
         return sampler
+
+    # ------------------------------------------------------------------ #
+    # Invariants
+    # ------------------------------------------------------------------ #
+    def check_invariants(self) -> None:
+        """The inner sampler's ``O(N)``
+        :meth:`TurnstileReservoirJoin.check_invariants`, and every stamped
+        row lies inside the window."""
+        self._inner.check_invariants()
+        horizon = self._horizon()
+        for (relation, row), stamp in self._stamps.items():
+            if stamp <= horizon:
+                raise RuntimeError(f"{relation}{row} is stamped {stamp}, behind the horizon {horizon}")
 
     # ------------------------------------------------------------------ #
     # Statistics

@@ -33,8 +33,9 @@ distribution, with no result count:
 * a shard still filling (``w = inf``) holds its whole local join, with
   i.i.d. U(0, 1) keys.
 
-A turnstile shard re-anchors ``w`` from ``Beta(k, r - k + 1)`` beside a
-uniform refill, which is the same joint law, so deletes change nothing here.
+A turnstile shard's refill continues the order statistics of the same
+keys (:mod:`repro.core.turnstile`), so after deletes its ``w`` is still its
+true ``capacity``-th smallest key and deletes change nothing here.
 
 :func:`merge_shard_samples` (behind :meth:`ShardedIngestor.merged_sample`
 and a served epoch cut alike) regenerates those keys and keeps the ``k``

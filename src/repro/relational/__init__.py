@@ -22,7 +22,6 @@ from .stream import (
 from .acyclicity import gyo_reduction, is_acyclic, join_tree_edges, verify_join_tree
 from .jointree import JoinTree, RootedJoinTree, TreeNode
 from .join import (
-    count_containing,
     count_results,
     delta_results,
     delta_size,
@@ -57,7 +56,6 @@ __all__ = [
     "JoinTree",
     "RootedJoinTree",
     "TreeNode",
-    "count_containing",
     "count_results",
     "delta_results",
     "delta_size",

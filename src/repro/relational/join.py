@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .database import Database
-from .jointree import JoinTree, RootedJoinTree
+from .jointree import JoinTree
 from .query import JoinQuery
 from .schema import canonical_attrs, tuple_getter
 
@@ -107,9 +107,10 @@ def count_results(query: JoinQuery, database: Database) -> int:
     For acyclic queries the count is computed by the classic bottom-up
     dynamic program over a join tree: each node aggregates, per key tuple,
     the exact number of sub-join results below it, so the total cost is
-    ``O(N)`` index lookups instead of ``O(|Q(R)|)`` enumeration steps.  This
-    is what the sharded ingestion merge uses to weight shard-local
-    reservoirs exactly (see :mod:`repro.ingest.shard`).  Cyclic queries fall
+    ``O(N)`` index lookups instead of ``O(|Q(R)|)`` enumeration steps.  It is
+    an oracle: the test suite checks sample sizes against it, and
+    :meth:`repro.core.turnstile.TurnstileReservoirJoin.check_invariants`
+    runs it on demand.  No ingestion path calls it.  Cyclic queries fall
     back to enumeration.
     """
     if not query.is_acyclic():
@@ -146,43 +147,6 @@ def count_results(query: JoinQuery, database: Database) -> int:
                 counts[key] = counts.get(key, 0) + weight
         degrees[name] = counts
     raise AssertionError("unreachable: a rooted join tree always has a root")
-
-
-def count_containing(tree: RootedJoinTree, database: Database, row: Sequence) -> int:
-    """Exact number of join results whose projection onto ``tree.root`` is ``row``.
-
-    The :func:`count_results` dynamic program, rooted at one row of the
-    tree's root relation instead of summed over all of them: each child's
-    matching rows are fetched through the relation's maintained semi-join
-    index and every ``(node, key)`` group is counted once, so the cost is the
-    number of rows reachable from ``row``, not ``N``.  The root relation's
-    other rows are never read, so ``row`` need not be stored — counted right
-    after its delete, this is the number of results the delete killed;
-    right after its insert, the number it created.
-    """
-    query = tree.query
-    memo: Dict[Tuple[str, Tuple], int] = {}
-
-    def below(name: str, row: Tuple) -> int:
-        schema = query.relation(name)
-        weight = 1
-        for child in tree.children_of(name):
-            key_attrs = tree.key_of(child)
-            key = schema.project(row, key_attrs)
-            total = memo.get((child, key))
-            if total is None:
-                matches = database[child].semijoin(key_attrs, key)
-                if tree.children_of(child):
-                    total = sum(below(child, match) for match in matches)
-                else:
-                    total = len(matches)
-                memo[(child, key)] = total
-            weight *= total
-            if not weight:
-                return 0
-        return weight
-
-    return below(tree.root, tuple(row))
 
 
 def delta_results(

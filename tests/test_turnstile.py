@@ -12,6 +12,7 @@ checkpoint boundary), and hash-routed retractions under sharding.
 
 from __future__ import annotations
 
+import math
 import random
 import subprocess
 from typing import Dict, List, Set, Tuple
@@ -259,12 +260,25 @@ def test_reservoir_size_tracks_surviving_population():
 
 def test_rebase_population_validates():
     from repro.core.batch_reservoir import BatchedPredicateReservoir
+    from repro.core.skippable import ListBatch
 
     reservoir = BatchedPredicateReservoir(4, rng=random.Random(0))
     with pytest.raises(ValueError):
-        reservoir.rebase_population([1, 2, 3], 10)  # must hold min(k, m') = 4
+        reservoir.rebase_population([1, 2, 3], 0.5)  # a finite w needs k items
     with pytest.raises(ValueError):
-        reservoir.rebase_population([], -1)
+        reservoir.rebase_population([1, 2, 3, 4], math.inf)  # inf needs fewer
+    for w in (0.0, -0.1, 1.5):
+        with pytest.raises(ValueError):
+            reservoir.rebase_population([1, 2, 3, 4], w)
+    assert reservoir.sample == [] and math.isinf(reservoir.w)
+
+    reservoir.rebase_population([1, 2, 3, 4], 0.25)
+    assert reservoir.sample == [1, 2, 3, 4] and reservoir.w == 0.25
+    reservoir.rebase_population([1, 2], math.inf)
+    assert reservoir.sample == [1, 2] and math.isinf(reservoir.w)
+    # Back in the fill phase, the next arrivals are appended.
+    reservoir.process_batch(ListBatch([5, 6]))
+    assert reservoir.sample == [1, 2, 5, 6] and not math.isinf(reservoir.w)
 
 
 # ---------------------------------------------------------------------- #

@@ -1,28 +1,33 @@
-"""The turnstile sampler's tracked surviving count and incremental eviction.
+"""The turnstile sampler's count-free re-anchor and its invariants.
 
-``TurnstileReservoirJoin`` seeds the surviving join size with one
-``count_results`` at its first applied delete, then moves it by each row's
-``count_containing``, and evicts only the held results that project onto a
-row the delete run removed.  These tests pin that down:
+``TurnstileReservoirJoin`` never counts the surviving join on its ingest
+path.  A delete run probes the reservoir for held results that project onto
+a removed row, and refills only when one died, by the order statistics of
+lazily generated keys over the padded join array.  These tests pin that
+down:
 
-* ``count_containing`` agrees with the enumeration-based ``delta_size``;
-* the tracked count equals a full recount after every call, over several
-  query shapes, with grouping on and off, per tuple and chunked, with early
-  tombstones, under window expiry and across a snapshot restore;
+* ``check_invariants`` (the reservoir holds ``min(k, |Q'|)`` live results
+  against a full recount, ``w`` matches the fill state, no tombstone names a
+  live row) holds after every call, over several query shapes, with
+  grouping on and off, per tuple and chunked, with early tombstones, under
+  window expiry and across a snapshot restore, and it catches planted
+  corruptions;
 * samples, ``evictions`` and ``refills`` are bit-identical to an oracle that
-  keeps the full recount and the full liveness scan of every slot;
-* ``count_results`` runs once per sampler, and once more after a restore;
+  finds the dead results by scanning every held result against the
+  database;
+* no ingest, delete or expiry path runs ``count_results``;
 * a call that fails validation leaves the sampler untouched.
 """
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 from typing import List
 
 import pytest
 
-import repro.core.turnstile as turnstile_module
 from repro import (
     BatchIngestor,
     JoinQuery,
@@ -34,9 +39,7 @@ from repro import (
     turnstile_stream,
 )
 from repro.core.backend import restore_backend, snapshot_backend
-from repro.relational.database import Database
-from repro.relational.join import count_containing, count_results, delta_size
-from repro.relational.jointree import JoinTree
+from repro.relational.join import count_results
 
 
 TWO = JoinQuery.from_spec("two", {"R": ["a", "b"], "S": ["b", "c"]})
@@ -87,73 +90,35 @@ def mixed_stream(query: JoinQuery, seed: int, n: int = 160) -> List:
     )
 
 
-def assert_tracked(sampler: TurnstileReservoirJoin) -> None:
-    """The tracked count, once seeded, equals a full recount."""
-    if sampler._population is not None:
-        assert sampler._population == count_results(sampler.query, sampler.index.database)
-
-
-def result_identity(result: dict) -> tuple:
-    return tuple(sorted(result.items()))
-
-
-class FullRecountOracle(TurnstileReservoirJoin):
-    """The delete path before count tracking: one full ``count_results`` and
-    a liveness scan of every reservoir slot against the database per delete
-    run.  It never seeds the tracked count, so nothing else is tracked."""
+class FullScanOracle(TurnstileReservoirJoin):
+    """The same order-statistic refill, but dead results are found by
+    checking every held result's rows against the database after each delete
+    run, instead of probing the reservoir with the run's removed rows."""
 
     def _resample_after_deletes(self, removed) -> None:
-        population = count_results(self.query, self.index.database)
         database = self.index.database
-        held: set = set()
-        live: List[dict] = []
-        for result in self.reservoir.sample:
+        sample = self.reservoir.sample
+        live = [
+            result
+            for result in sample
             if all(
                 tuple(result[attr] for attr in schema.attrs) in database[schema.name]
                 for schema in self.query.relations
-            ):
-                live.append(result)
-                held.add(result_identity(result))
-            else:
-                self.evictions += 1
-        target = min(self.k, population)
-        while len(live) < target:
-            draw = self.index.sample(self._rng)
-            identity = result_identity(draw)
-            if identity in held:
-                continue
-            held.add(identity)
-            live.append(draw)
-            self.refills += 1
-        self.reservoir.rebase_population(live, population)
+            )
+        ]
+        if len(live) == len(sample):
+            return
+        self.evictions += len(sample) - len(live)
+        w = self.reservoir.w
+        if not math.isinf(w):
+            w = self._refill(live, self.k - len(live), w)
+        self.reservoir.rebase_population(live, w)
 
 
 # ---------------------------------------------------------------------- #
-# count_containing
-# ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
-@pytest.mark.parametrize("seed", [1, 2, 3])
-def test_count_containing_matches_delta_size(query, seed):
-    rng = random.Random(seed)
-    database = Database(query)
-    for _ in range(60):
-        relation = rng.choice(query.relation_names)
-        database.insert(relation, random_row(query, relation, rng))
-    join_tree = JoinTree(query)
-    for relation in query.relation_names:
-        tree = join_tree.rooted_at(relation)
-        for row in list(database[relation].rows):
-            expected = delta_size(query, database, relation, row)
-            assert count_containing(tree, database, row) == expected
-            # Counted right after its delete, the row's count is what the
-            # delete took away.
-            database.delete(relation, row)
-            assert count_containing(tree, database, row) == expected
-            database.insert(relation, row)
-
-
-# ---------------------------------------------------------------------- #
-# The tracked count equals a full recount
+# The reservoir tracks the exact surviving count.  The sampler keeps no
+# count of its own; check_invariants compares the reservoir against a full
+# recount after every call.
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
 @pytest.mark.parametrize("grouping", [False, True])
@@ -164,9 +129,9 @@ def test_tracked_count_per_tuple(query, grouping):
             sampler.delete(item.relation, item.row)
         else:
             sampler.insert(item.relation, item.row)
-        assert_tracked(sampler)
-    assert sampler._population is not None
+        sampler.check_invariants()
     assert sampler.annihilations > 0
+    assert sampler.evictions > 0
 
 
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
@@ -177,8 +142,8 @@ def test_tracked_count_chunked(query, grouping, chunk_size):
     sampler = TurnstileReservoirJoin(query, k=7, rng=random.Random(9), grouping=grouping)
     for start in range(0, len(stream), chunk_size):
         sampler.ingest_batch(stream[start:start + chunk_size])
-        assert_tracked(sampler)
-    assert sampler._population is not None
+        sampler.check_invariants()
+    assert sampler.evictions > 0
 
 
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
@@ -188,9 +153,8 @@ def test_tracked_count_under_window_expiry(query, mode):
     sampler = WindowedSampler(query, k=7, window=30, rng=random.Random(13), mode=mode)
     for start in range(0, len(stream), 8):
         sampler.ingest_batch(stream[start:start + 8])
-        assert_tracked(sampler._inner)
+        sampler.check_invariants()
     assert sampler.expirations > 0
-    assert sampler._inner._population is not None
 
 
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
@@ -199,15 +163,69 @@ def test_tracked_count_reseeds_after_restore(query):
     cut = len(stream) // 2
     sampler = TurnstileReservoirJoin(query, k=7, rng=random.Random(17))
     sampler.ingest_batch(stream[:cut])
-    assert sampler._population is not None
     restored = restore_backend(snapshot_backend(sampler))
-    assert restored._population is None
+    restored.check_invariants()
     for start in range(cut, len(stream), 5):
         restored.ingest_batch(stream[start:start + 5])
         sampler.ingest_batch(stream[start:start + 5])
-        assert_tracked(restored)
-    assert restored._population == sampler._population
-    assert list(restored.sample) == list(sampler.sample)
+        restored.check_invariants()
+        assert list(restored.sample) == list(sampler.sample)
+        assert restored.reservoir.w == sampler.reservoir.w
+    assert restored.statistics() == sampler.statistics()
+
+
+# ---------------------------------------------------------------------- #
+# check_invariants catches planted corruption
+# ---------------------------------------------------------------------- #
+def _full_sampler() -> TurnstileReservoirJoin:
+    sampler = TurnstileReservoirJoin(TWO, k=5, rng=random.Random(2))
+    sampler.ingest_batch(
+        [StreamTuple("R", (a, b)) for a in range(4) for b in range(3)]
+        + [StreamTuple("S", (b, c)) for b in range(3) for c in range(4)]
+    )
+    sampler.check_invariants()
+    assert len(sampler.sample) == 5 and not math.isinf(sampler.reservoir.w)
+    return sampler
+
+
+def test_invariants_catch_a_dead_held_result():
+    sampler = _full_sampler()
+    held = sampler.sample[0]
+    # Delete the row behind the database's back: no eviction runs.
+    sampler.index.database.delete("R", (held["a"], held["b"]))
+    with pytest.raises(RuntimeError, match="dead"):
+        sampler.check_invariants()
+
+
+def test_invariants_catch_finite_w_below_k():
+    sampler = _full_sampler()
+    sampler.reservoir._sample.pop()
+    with pytest.raises(RuntimeError):
+        sampler.check_invariants()
+
+
+def test_invariants_catch_inf_w_with_a_full_reservoir():
+    sampler = _full_sampler()
+    sampler.reservoir._w = math.inf
+    with pytest.raises(RuntimeError, match="w = inf"):
+        sampler.check_invariants()
+
+
+def test_invariants_catch_a_tombstone_on_a_live_row():
+    sampler = _full_sampler()
+    sampler._pending[("R", (0, 0))] = 1
+    with pytest.raises(RuntimeError, match="tombstone"):
+        sampler.check_invariants()
+
+
+def test_invariants_catch_a_stamp_behind_the_horizon():
+    sampler = WindowedSampler(TWO, k=5, window=4, rng=random.Random(3))
+    for value in range(8):
+        sampler.ingest_batch([StreamTuple("R", (value, 1)), StreamTuple("S", (1, value))])
+    sampler.check_invariants()
+    sampler._stamps[("R", (0, 1))] = sampler._horizon()
+    with pytest.raises(RuntimeError, match="horizon"):
+        sampler.check_invariants()
 
 
 # ---------------------------------------------------------------------- #
@@ -223,7 +241,7 @@ def _counters(sampler) -> tuple:
 def test_bit_identical_to_oracle_per_tuple(query, grouping, seed):
     stream = mixed_stream(query, seed)
     new = TurnstileReservoirJoin(query, k=5, rng=random.Random(seed), grouping=grouping)
-    old = FullRecountOracle(query, k=5, rng=random.Random(seed), grouping=grouping)
+    old = FullScanOracle(query, k=5, rng=random.Random(seed), grouping=grouping)
     for item in stream:
         new.process([item])
         old.process([item])
@@ -238,7 +256,7 @@ def test_bit_identical_to_oracle_per_tuple(query, grouping, seed):
 def test_bit_identical_to_oracle_chunked(query, grouping, chunk_size):
     stream = mixed_stream(query, 23, n=240)
     new = TurnstileReservoirJoin(query, k=9, rng=random.Random(23), grouping=grouping)
-    old = FullRecountOracle(query, k=9, rng=random.Random(23), grouping=grouping)
+    old = FullScanOracle(query, k=9, rng=random.Random(23), grouping=grouping)
     for ingestor in (BatchIngestor(new, chunk_size=chunk_size), BatchIngestor(old, chunk_size=chunk_size)):
         ingestor.ingest(stream)
     assert new.sample == old.sample
@@ -251,7 +269,7 @@ def test_bit_identical_to_oracle_windowed(mode):
     stream = mixed_stream(CHAIN3, 29, n=240)
     new = WindowedSampler(CHAIN3, k=9, window=40, rng=random.Random(29), mode=mode)
     old = WindowedSampler(CHAIN3, k=9, window=40, rng=random.Random(29), mode=mode)
-    old._inner = FullRecountOracle(CHAIN3, k=9, rng=random.Random(29))
+    old._inner = FullScanOracle(CHAIN3, k=9, rng=random.Random(29))
     for start in range(0, len(stream), 10):
         new.ingest_batch(stream[start:start + 10])
         old.ingest_batch(stream[start:start + 10])
@@ -270,7 +288,7 @@ def test_bit_identical_to_oracle_sharded():
             rng=random.Random(31),
         )
 
-    new, old = build(TurnstileReservoirJoin), build(FullRecountOracle)
+    new, old = build(TurnstileReservoirJoin), build(FullScanOracle)
     new.ingest_batch(stream)
     old.ingest_batch(stream)
     for mine, theirs in zip(new.samplers, old.samplers):
@@ -282,42 +300,57 @@ def test_bit_identical_to_oracle_sharded():
 
 
 # ---------------------------------------------------------------------- #
-# count_results runs once per sampler
+# No ingest path counts the join
 # ---------------------------------------------------------------------- #
-@pytest.fixture
-def recount_calls(monkeypatch):
-    calls = []
+def _forbid_count_results(monkeypatch) -> None:
+    """Make every module's binding of ``count_results`` raise."""
 
-    def counting(query, database):
-        calls.append(query.name)
-        return count_results(query, database)
+    def forbidden(query, database):
+        raise AssertionError("count_results ran on the ingest path")
 
-    monkeypatch.setattr(turnstile_module, "count_results", counting)
-    return calls
+    for module in list(sys.modules.values()):
+        if getattr(module, "count_results", None) is count_results:
+            monkeypatch.setattr(module, "count_results", forbidden)
 
 
-def test_count_results_runs_once_per_sampler(recount_calls):
+@pytest.mark.parametrize("kind", ["plain", "windowed", "sharded"])
+def test_ingest_runs_no_count_pass(monkeypatch, kind):
     stream = mixed_stream(CHAIN3, 37, n=400)
-    sampler = TurnstileReservoirJoin(CHAIN3, k=9, rng=random.Random(37))
+    if kind == "plain":
+        target = TurnstileReservoirJoin(CHAIN3, k=9, rng=random.Random(37))
+    elif kind == "windowed":
+        target = WindowedSampler(CHAIN3, k=9, window=50, rng=random.Random(37))
+    else:
+        target = ShardedIngestor(
+            CHAIN3, 9, num_shards=2, chunk_size=8,
+            factory=lambda shard, rng: TurnstileReservoirJoin(CHAIN3, 9, rng=rng),
+            rng=random.Random(37),
+        )
+    deletes = [item for item in stream if isinstance(item, StreamDelete)][:20]
+    _forbid_count_results(monkeypatch)
     for start in range(0, len(stream), 4):
-        sampler.ingest_batch(stream[start:start + 4])
-    assert sampler.deletes_applied > 50
-    assert len(recount_calls) == 1
+        target.ingest_batch(stream[start:start + 4])
+    if kind == "sharded":
+        target.ingest_batch(deletes)
+    else:
+        target.delete_batch(deletes)
+    monkeypatch.undo()
+    samplers = target.samplers if kind == "sharded" else [target]
+    assert sum(sampler.statistics()["evictions"] for sampler in samplers) > 10
+    if kind == "windowed":
+        assert target.expirations > 0
+    for sampler in samplers:
+        sampler.check_invariants()
 
-    restored = restore_backend(snapshot_backend(sampler))
-    for item in mixed_stream(CHAIN3, 38, n=200):
-        restored.process([item])
-    assert len(recount_calls) == 2
 
-
-def test_insert_only_stream_never_recounts(recount_calls):
+def test_insert_only_stream_never_recounts(monkeypatch):
     sampler = TurnstileReservoirJoin(TWO, k=4, rng=random.Random(0))
     rng = random.Random(1)
+    _forbid_count_results(monkeypatch)
     sampler.ingest_batch(
         [StreamTuple(name, random_row(TWO, name, rng)) for name in ["R", "S"] * 50]
     )
-    assert sampler._population is None
-    assert recount_calls == []
+    assert len(sampler.sample) == 4
 
 
 # ---------------------------------------------------------------------- #
@@ -329,7 +362,7 @@ def _loaded_sampler() -> TurnstileReservoirJoin:
         for b in range(3):
             sampler.insert("R", (a, b))
             sampler.insert("S", (b, a))
-    sampler.delete("R", (0, 0))  # seeds the tracked count
+    sampler.delete("R", (0, 0))
     sampler.delete("S", (9, 9))  # plants a tombstone
     return sampler
 
@@ -339,7 +372,7 @@ def _state(sampler: TurnstileReservoirJoin) -> tuple:
     return (
         list(sampler.sample),
         dict(sampler._pending),
-        sampler._population,
+        sampler.reservoir.w,
         {name: set(database[name].rows) for name in TWO.relation_names},
         sampler.statistics(),
         sampler._rng.getstate(),
@@ -368,9 +401,9 @@ def test_failed_call_leaves_sampler_untouched(call, error):
     with pytest.raises(error):
         call(sampler)
     assert _state(sampler) == before
-    # The sampler still works, and its count is still exact.
+    # The sampler still works, and its invariants still hold.
     sampler.ingest_batch([StreamDelete("R", (1, 1)), StreamTuple("R", (8, 2))])
-    assert_tracked(sampler)
+    sampler.check_invariants()
 
 
 def test_windowed_failed_chunk_leaves_window_untouched():
@@ -389,8 +422,8 @@ def test_windowed_failed_chunk_leaves_window_untouched():
 @pytest.mark.parametrize("query", QUERIES, ids=lambda q: q.name)
 @pytest.mark.parametrize("grouping", [False, True])
 def test_tracking_adds_no_relation_index(query, grouping):
-    """``count_containing`` reads only the semi-join indexes the dynamic
-    index already maintains, so tracking adds no per-row state."""
+    """The delete path reads only the stored rows and the reservoir, so it
+    adds no relation index."""
     sampler = TurnstileReservoirJoin(query, k=5, rng=random.Random(1), grouping=grouping)
     database = sampler.index.database
 
@@ -399,5 +432,5 @@ def test_tracking_adds_no_relation_index(query, grouping):
 
     before = indexes()
     sampler.ingest_batch(mixed_stream(query, 3))
-    assert sampler._population is not None
+    assert sampler.deletes_applied > 0
     assert indexes() == before
