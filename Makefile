@@ -11,9 +11,10 @@ test: unit docs-check
 
 # The CI smoke profile in one shot: tier-1 suite, executable docs, the
 # repository benchmark's correctness gates, the serving-layer slice (gating:
-# snapshot isolation is a correctness seam, not a perf knob), and the
-# statistical suites at the scaled-down REPRO_STAT_TRIALS=60 trial counts
-# (the whole thing finishes in well under three minutes).
+# snapshot isolation is a correctness seam, not a perf knob; the thread-safe
+# SampleServer is the one serving mode, read from any number of threads),
+# and the statistical suites at the scaled-down REPRO_STAT_TRIALS=60 trial
+# counts (the whole thing finishes in well under three minutes).
 test-smoke: unit docs-check bench-gates
 	python -m pytest tests/test_serving.py -q
 	REPRO_STAT_TRIALS=60 python -m pytest -m slow -q
@@ -72,8 +73,9 @@ profile:
 
 # Tiny-N smoke of the six seam benchmarks (REPRO_BENCH_SCALE=0.02, one
 # repeat): asserts each still *executes and emits valid JSON* — imports,
-# streams, internal bit-identity/exact-count assertions, report schema.  No
-# speedup thresholds: per the bench-box convention, ratios are far too noisy
-# to gate CI on.  The emitted BENCH_*.json files are CI artifacts.
+# streams, internal bit-identity/exact-count assertions, report schema — and
+# that the serving bench's reader threads read inside the writer's window.
+# No speedup thresholds: per the bench-box convention, ratios are far too
+# noisy to gate CI on.  The emitted BENCH_*.json files are CI artifacts.
 bench-smoke:
 	python tools/bench_smoke.py

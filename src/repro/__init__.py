@@ -80,8 +80,9 @@ One add-on composes with every mode above:
 Any of these modes can be *served*: ``SampleServer`` (:mod:`repro.serve`)
 wraps a live ingestor and multiplexes concurrent readers against the single
 writer through snapshot-isolated, exactly-uniform epoch cuts taken at chunk
-boundaries — with per-subscriber predicate views and an asyncio front end
-(``ServerFrontend``) for bounded-staleness reader tasks.
+boundaries — with per-subscriber predicate views and a bounded-staleness
+policy (``snapshot(max_staleness)``); reads are safe from any number of
+threads.
 
 Long-running streams are durable: ``BatchIngestor``, ``ShardedIngestor``
 and ``AsyncIngestor`` expose ``save(path)`` / ``restore(path)`` — a
@@ -124,7 +125,7 @@ from .ingest.checkpoint import (
 )
 from .ingest.pipeline import AsyncIngestor
 from .ingest.shard import ShardedIngestor
-from .serve import EpochSnapshot, SampleServer, ServerFrontend
+from .serve import EpochSnapshot, SampleServer
 from .index.dynamic_index import DynamicJoinIndex
 from .index.two_table import TwoTableIndex
 from .index.foreign_key import ForeignKeyCombiner
@@ -163,7 +164,6 @@ __all__ = [
     "PeriodicCheckpointer",
     "EpochSnapshot",
     "SampleServer",
-    "ServerFrontend",
     "DynamicJoinIndex",
     "TwoTableIndex",
     "ForeignKeyCombiner",

@@ -56,10 +56,10 @@ items pushed since subscription — and it is recorded in every epoch cut,
 giving views the same isolation guarantee.
 
 Single-writer discipline: drive ingestion through ``server.ingest_batch`` /
-``server.ingest`` (or the asyncio front end).  Reads are safe from any
-number of threads or tasks.  For an :class:`~repro.ingest.pipeline
-.AsyncIngestor` the only chunk boundaries are drain points, so epochs
-advance at drains and a freshest-data read (``max_staleness=0``) forces one.
+``server.ingest`` from one thread.  Reads are safe from any number of
+threads.  For an :class:`~repro.ingest.pipeline.AsyncIngestor` the only
+chunk boundaries are drain points, so epochs advance at drains and a
+freshest-data read (``max_staleness=0``) forces one.
 """
 
 from __future__ import annotations
@@ -178,9 +178,9 @@ class SampleServer:
         Master randomness for snapshot-capture seeds and view samplers;
         seed it for reproducible served draws.
 
-    Writer API: :meth:`ingest_batch` / :meth:`ingest` (one thread/task).
+    Writer API: :meth:`ingest_batch` / :meth:`ingest` (one thread).
     Reader API: :meth:`snapshot`, :meth:`sample`, :meth:`view_sample` (any
-    number of threads/tasks).
+    number of threads).
     """
 
     def __init__(self, ingestor, rng: Optional[random.Random] = None) -> None:
@@ -367,12 +367,6 @@ class SampleServer:
             self._snapshots_taken += 1
             return snap
 
-    def note_read(self, count: int = 1) -> None:
-        """Fold reads served through an external front end into the
-        server's ``reads_served`` counter (thread-safe)."""
-        with self._read_lock:
-            self._reads_served += count
-
     def sample(
         self,
         k: Optional[int] = None,
@@ -381,13 +375,15 @@ class SampleServer:
     ) -> List[dict]:
         """One uniform read: :meth:`snapshot` then the cut's sample."""
         result = self.snapshot(max_staleness).sample(k, rng=rng)
-        self.note_read()
+        with self._read_lock:
+            self._reads_served += 1
         return result
 
     def view_sample(self, name: str, max_staleness: int = 0) -> List[dict]:
         """One snapshot-isolated read of a subscribed predicate view."""
         result = self.snapshot(max_staleness).view_sample(name)
-        self.note_read()
+        with self._read_lock:
+            self._reads_served += 1
         return result
 
     # ------------------------------------------------------------------ #

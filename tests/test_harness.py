@@ -15,7 +15,6 @@ from repro.bench.harness import (
 )
 from repro.bench.reporting import format_series, format_table, format_value
 from repro.core.reservoir_join import ReservoirJoin
-from repro.serve.frontend import quantile
 from tests.conftest import make_edges, make_graph_stream
 
 
@@ -87,9 +86,11 @@ class TestHarness:
         assert percentile(values, 0.5) == 50
         # Nearest rank: the smallest value with half the values at or below.
         assert percentile([1, 2, 3, 4], 0.5) == 2
-        for sample in ([1, 2, 3, 4], [5, 1, 4], [2.5], list(range(7, 0, -1))):
-            for q in (0.0, 0.25, 0.5, 0.9, 0.99, 1.0):
-                assert percentile(sample, q) == quantile(sample, q), (sample, q)
+        assert percentile([1, 2, 3, 4], 0.51) == 3
+        assert percentile([3.0], 0.99) == 3.0
+        assert percentile([4, 1, 3, 2], 0.0) == 1
+        assert percentile([4, 1, 3, 2], 1.0) == 4
+        assert percentile(list(range(1, 101)), 0.95) == 95
         with pytest.raises(ValueError):
             percentile([], 0.5)
         with pytest.raises(ValueError):

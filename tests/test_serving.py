@@ -1,4 +1,4 @@
-"""The sample-serving layer: epochs, snapshot isolation, views, front end.
+"""The sample-serving layer: epochs, snapshot isolation, views, read counts.
 
 Fast tier-1 tests for ``repro.serve`` plus the chunk-boundary hook seam it
 rides on (``add_boundary_hook`` across every ingestor) and the
@@ -10,6 +10,7 @@ bit-for-bit property sweep is section (g) of the statistical harness.
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -19,13 +20,11 @@ from repro import (
     PredicateStreamSampler,
     ReservoirJoin,
     SampleServer,
-    ServerFrontend,
     ShardedIngestor,
     StreamTuple,
 )
 import repro.serve.server as server_module
 from repro.ingest.checkpoint import PeriodicCheckpointer
-from repro.serve.frontend import quantile
 from repro.stats.memory import deep_sizeof
 from repro.stats.uniformity import result_key
 
@@ -146,6 +145,7 @@ class TestSampleServer:
         server = SampleServer(
             BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
         )
+        server.subscribe("all", lambda pair: True, k=4)
         pieces = chunks_of(stream)
         server.ingest_batch(pieces[0])
         first = server.snapshot()
@@ -157,6 +157,26 @@ class TestSampleServer:
         stats = server.statistics()
         assert stats["snapshots_taken"] == 2
         assert stats["snapshot_cache_hits"] == 2
+        assert stats["reads_served"] == 0       # snapshot() alone is no read
+
+        # reads_served counts every server.sample / view_sample call, from
+        # any number of threads; a rejected read is not counted.
+        def read(times):
+            for _ in range(times):
+                server.sample(3, max_staleness=1)
+                server.view_sample("all", max_staleness=1)
+
+        readers = [threading.Thread(target=read, args=(25,)) for _ in range(4)]
+        for thread in readers:
+            thread.start()
+        for thread in readers:
+            thread.join()
+        read(1)
+        with pytest.raises(ValueError):
+            server.sample(0)
+        stats = server.statistics()
+        assert stats["reads_served"] == 2 * (4 * 25 + 1)
+        assert stats["snapshots_taken"] == 2    # every read hit the cut
 
     def test_subset_sampling_and_argument_validation(self, line3_query, stream):
         server = SampleServer(
@@ -380,60 +400,6 @@ class TestPredicateViews:
             server.subscribe("w", "not-callable", k=4)
         with pytest.raises(KeyError):
             server.snapshot().view_sample("missing")
-
-
-# ---------------------------------------------------------------------- #
-# The asyncio front end
-# ---------------------------------------------------------------------- #
-class TestServerFrontend:
-    def test_run_serves_every_reader_to_the_final_epoch(
-        self, line3_query, stream
-    ):
-        server = SampleServer(
-            BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
-        )
-        frontend = (
-            ServerFrontend(server, buffer_chunks=4)
-            .add_reader("fresh", k=K, max_staleness=0, min_reads=3)
-            .add_reader("lagged", max_staleness=2, min_reads=3)
-        )
-        stats = frontend.run(chunks_of(stream))
-        assert stats["chunks_written"] == len(chunks_of(stream))
-        assert stats["reader_count"] == 2
-        assert stats["reads_total"] >= 6
-        assert stats["p99_read_latency_ms"] is not None
-        assert stats["writer_wall_seconds"] > 0
-        for reader in stats["readers"].values():
-            assert reader["reads"] >= 3
-            assert reader["last_epoch"] == server.epoch
-        assert server.statistics()["reads_served"] == stats["reads_total"]
-
-    def test_reader_and_buffer_validation(self, line3_query):
-        server = SampleServer(
-            BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
-        )
-        with pytest.raises(ValueError):
-            ServerFrontend(server, buffer_chunks=0)
-        frontend = ServerFrontend(server)
-        frontend.add_reader("r")
-        with pytest.raises(ValueError):
-            frontend.add_reader("r")
-        with pytest.raises(ValueError):
-            frontend.add_reader("s", max_staleness=-1)
-        with pytest.raises(ValueError):
-            frontend.add_reader("t", min_reads=0)
-
-    def test_quantile_is_nearest_rank(self):
-        assert quantile([], 0.5) is None
-        assert quantile([3.0], 0.99) == 3.0
-        assert quantile([4.0, 1.0, 3.0, 2.0], 0.0) == 1.0
-        assert quantile([4.0, 1.0, 3.0, 2.0], 1.0) == 4.0
-        # Nearest rank: the median of an even count is the lower middle.
-        assert quantile([1.0, 2.0, 3.0, 4.0], 0.5) == 2.0
-        assert quantile([1.0, 2.0, 3.0, 4.0], 0.51) == 3.0
-        assert quantile([float(v) for v in range(1, 101)], 0.95) == 95.0
-        with pytest.raises(ValueError):
-            quantile([1.0], 1.5)
 
 
 # ---------------------------------------------------------------------- #

@@ -75,8 +75,8 @@ BENCHMARKS = {
 }
 
 #: report -> {mode row -> fields that must be present and non-null}.  Mode
-#: rows carry the *measured* figures (no placeholders allowed).  Values are
-#: never thresholded here — ratios stay informational.
+#: rows carry the *measured* figures (no placeholders allowed).  Ratios are
+#: never thresholded here — they stay informational.
 MODE_FIELDS = {
     "BENCH_shard_ingest.json": {
         "sharded_serial_total": ("seconds", "shard_loads"),
@@ -86,18 +86,12 @@ MODE_FIELDS = {
         "served_threads": (
             "writer_wall_seconds",
             "writer_overhead_over_baseline",
+            "reads_in_window",
             "reader_throughput_per_s",
             "p50_read_latency_ms",
             "p99_read_latency_ms",
             "epochs",
             "snapshots_taken",
-        ),
-        "served_asyncio": (
-            "writer_wall_seconds",
-            "reader_throughput_per_s",
-            "p99_read_latency_ms",
-            "max_queue_depth",
-            "epochs",
         ),
     },
     "BENCH_turnstile.json": {
@@ -113,6 +107,14 @@ MODE_FIELDS = {
         "windowed_batched": ("seconds", "tuples_per_second", "expirations", "window"),
         "turnstile_sharded": ("seconds", "tuples_per_second", "num_shards"),
     },
+}
+
+
+#: report -> {mode row -> counts that must be positive}: a mode that
+#: measured nothing reports no figure worth uploading.  A served run with no
+#: read inside the writer's window has no read latency at all.
+MODE_POSITIVE = {
+    "BENCH_serving.json": {"served_threads": ("reads_in_window",)},
 }
 
 
@@ -162,6 +164,13 @@ def check_report(script: str, report: str, required_keys) -> None:
             raise SystemExit(
                 f"[bench-smoke] FAILED: {report} mode {mode!r} is missing "
                 f"measured fields {gaps}"
+            )
+    for mode, fields in MODE_POSITIVE.get(report, {}).items():
+        empty = [field for field in fields if not rows[mode][field] > 0]
+        if empty:
+            raise SystemExit(
+                f"[bench-smoke] FAILED: {report} mode {mode!r} measured "
+                f"nothing: {empty} not positive"
             )
     print(f"[bench-smoke] ok: {report} ({path.stat().st_size} bytes)", flush=True)
 
