@@ -1,13 +1,13 @@
-"""Microbenchmark: async pipelined transport over a blocking chunk source.
+"""Microbenchmark: a prefetched blocking chunk source against a plain one.
 
 A 4-shard :class:`repro.ShardedIngestor` on a Zipf-skewed chain-3 stream is
 fed from a :class:`repro.relational.stream.ThrottledChunkSource` whose chunk
 delivery blocks (a stand-in for network transport), once synchronously
 (``ingest_batch`` per delivered chunk) and once through
-:class:`repro.AsyncIngestor` (one bounded queue, one worker thread).
-Reported: both end-to-end wall clocks and the fraction of the transport
-wait the pipeline hid.  Both runs must leave bit-identical shard
-reservoirs.
+:func:`repro.prefetched` (one thread reads the source ahead into a bounded
+queue; ``ingest_batch`` stays on the caller's thread).  Reported: both
+end-to-end wall clocks and the fraction of the transport wait prefetching
+hid.  Both runs must leave bit-identical shard reservoirs.
 
 Emits ``BENCH_async.json`` in the current working directory.
 
@@ -23,10 +23,9 @@ import time
 from bisect import bisect_left
 from typing import Dict, List
 
-from repro.bench.harness import run_sampler_pipelined
 from repro.ingest.shard import ShardedIngestor
 from repro.relational.query import JoinQuery
-from repro.relational.stream import StreamTuple, ThrottledChunkSource
+from repro.relational.stream import StreamTuple, ThrottledChunkSource, prefetched
 
 #: CI smoke knob (see ``bench_batch_ingest.py``): shrink the stream and the
 #: chunk size proportionally so ``make bench-smoke`` can assert execution +
@@ -48,7 +47,6 @@ SEED = 2024
 ASYNC_TUPLES = max(2_000, int(60_000 * SCALE))
 ASYNC_CHUNK_SIZE = max(128, int(2_048 * SCALE))
 ASYNC_LATENCY_SECONDS = 0.02
-ASYNC_BUFFER_CHUNKS = 8
 #: Runs per mode; the *minimum* wall is reported (least-noise estimate).
 RUNS = 2
 
@@ -121,37 +119,24 @@ def throttled(stream: List[StreamTuple]) -> ThrottledChunkSource:
 
 
 def bench_async(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
-    """Sync vs pipelined ingestion over a blocking chunk source."""
+    """Sync vs prefetched ingestion over a blocking chunk source."""
     # Only the latest ingestor of each mode is kept, for the identity check.
     latest: Dict[str, ShardedIngestor] = {}
 
-    def sync_run() -> float:
-        ingestor = latest["sync"] = make_sharded(query)
+    def timed_run(mode: str, wrap) -> float:
+        ingestor = latest[mode] = make_sharded(query)
         source = throttled(stream)
         start = time.perf_counter()
-        for chunk in source:
+        for chunk in wrap(source):
             ingestor.ingest_batch(chunk)
         return time.perf_counter() - start
 
-    sync_seconds = min(sync_run() for _ in range(RUNS))
-
-    def async_target() -> ShardedIngestor:
-        latest["async"] = make_sharded(query)
-        return latest["async"]
-
-    best = None
-    for _ in range(RUNS):
-        result = run_sampler_pipelined(
-            "async", async_target, throttled(stream),
-            buffer_chunks=ASYNC_BUFFER_CHUNKS,
-        )
-        if best is None or result.elapsed_seconds < best.elapsed_seconds:
-            best = result
-    # Outside the timed regions: the pipeline is transport only.
+    sync_seconds = min(timed_run("sync", iter) for _ in range(RUNS))
+    async_seconds = min(timed_run("async", prefetched) for _ in range(RUNS))
+    # Outside the timed regions: prefetching is transport only.
     assert latest["async"].shard_samples() == latest["sync"].shard_samples(), (
-        "async ingestion must leave the synchronous shard reservoirs"
+        "prefetched ingestion must leave the synchronous shard reservoirs"
     )
-    async_seconds = best.elapsed_seconds
     n_chunks = -(-len(stream) // ASYNC_CHUNK_SIZE)
     transport_seconds = n_chunks * ASYNC_LATENCY_SECONDS
     # Clamped into [0, transport]: noise can make the async run beat sync by
@@ -166,8 +151,6 @@ def bench_async(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
         "async_seconds": round(async_seconds, 4),
         "speedup": round(sync_seconds / async_seconds, 2),
         "transport_hidden_fraction": round(hidden / transport_seconds, 2),
-        "producer_stall_seconds": best.statistics["async_producer_stall_seconds"],
-        "max_queue_depth": best.statistics["async_max_queue_depth"],
     }
 
 
@@ -185,8 +168,9 @@ def bench() -> Dict:
         "methodology": (
             "x2 is Zipf-skewed (skew=2.0). Each chunk's delivery blocks for "
             f"{ASYNC_LATENCY_SECONDS * 1000:.0f} ms. The sync wall interleaves "
-            "that wait with ingest_batch; the async wall covers submission, "
-            "the waits and the final drain. Both are the minimum of "
+            "that wait with ingest_batch; the async wall times the same loop "
+            "over prefetched(source), which reads the source ahead on one "
+            "thread. Both are the minimum of "
             f"{RUNS} runs."
         ),
         "async_transport": bench_async(query, stream),
@@ -204,7 +188,7 @@ def main() -> None:
         f"{a['chunks']} chunks x {a['latency_seconds_per_chunk'] * 1000:.0f} ms"
     )
     print(
-        f"async transport: sync {a['sync_seconds']:.3f}s vs pipelined "
+        f"async transport: sync {a['sync_seconds']:.3f}s vs prefetched "
         f"{a['async_seconds']:.3f}s -> {a['speedup']:.2f}x "
         f"({a['transport_hidden_fraction']:.0%} of {a['transport_seconds']:.2f}s "
         "blocking transport hidden)"

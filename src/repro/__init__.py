@@ -64,18 +64,17 @@ Every sampler supports three interchangeable ways of consuming a stream:
   a timestamp horizon with ``mode="timestamp"``) are retracted automatically
   at chunk boundaries.  Both conform to the same backend seam, so they
   compose with every mode below — sharded (retractions are hash-routed to
-  the owning shard; broadcast relations broadcast their deletes), async,
+  the owning shard; broadcast relations broadcast their deletes),
   checkpoint/restore and serving.  Use them for feeds with
   corrections/expirations; the insert-only samplers stay strictly faster on
   append-only streams.
 
-One add-on composes with every mode above:
-
-* **Async pipelined transport** — ``AsyncIngestor`` overlaps blocking chunk
-  delivery with sampler CPU: one worker thread drains a bounded queue into
-  the target (backpressure included).  Choose it when the stream source
-  itself blocks (network, pagination) and would otherwise serialise with
-  ingestion.
+Any of these modes can read a blocking source ahead:
+``for chunk in prefetched(source): ingestor.ingest_batch(chunk)``
+(:func:`~repro.relational.stream.prefetched`) iterates the source on one
+daemon thread into a bounded queue, so the wait for the next chunk (network,
+pagination) overlaps the ingestion of the current one.  Ingestion stays on
+the caller's thread, so every chunk is still an exact chunk boundary.
 
 Any of these modes can be *served*: ``SampleServer`` (:mod:`repro.serve`)
 wraps a live ingestor and multiplexes concurrent readers against the single
@@ -84,11 +83,10 @@ boundaries — with per-subscriber predicate views and a bounded-staleness
 policy (``snapshot(max_staleness)``); reads are safe from any number of
 threads.
 
-Long-running streams are durable: ``BatchIngestor``, ``ShardedIngestor``
-and ``AsyncIngestor`` expose ``save(path)`` / ``restore(path)`` — a
-versioned, checksummed checkpoint (reservoirs, stored relation state, exact
-RNG state) from which a fresh process resumes *bit-identically* to an
-uninterrupted run (see :mod:`repro.ingest.checkpoint`).
+Long-running streams are durable: ``BatchIngestor`` and ``ShardedIngestor``
+expose ``save(path)`` / ``restore(path)`` — a versioned, checksummed
+checkpoint (reservoirs, stored relation state, exact RNG state) from which a
+fresh process resumes *bit-identically* to an uninterrupted run (see :mod:`repro.ingest.checkpoint`).
 
 All modes draw from exactly the same join-result distribution;
 ``chunk_size=1`` makes the batched mode degenerate to per-tuple semantics.
@@ -104,6 +102,7 @@ from .relational.schema import KeyConstraint, RelationSchema
 from .relational.stream import (
     StreamDelete,
     StreamTuple,
+    prefetched,
     surviving_rows,
     turnstile_stream,
 )
@@ -123,7 +122,6 @@ from .ingest.checkpoint import (
     CheckpointVersionError,
     PeriodicCheckpointer,
 )
-from .ingest.pipeline import AsyncIngestor
 from .ingest.shard import ShardedIngestor
 from .serve import EpochSnapshot, SampleServer
 from .index.dynamic_index import DynamicJoinIndex
@@ -143,6 +141,7 @@ __all__ = [
     "StreamTuple",
     "StreamDelete",
     "turnstile_stream",
+    "prefetched",
     "surviving_rows",
     "ReservoirSampler",
     "SkipReservoirSampler",
@@ -155,7 +154,6 @@ __all__ = [
     "SamplerBackend",
     "BatchIngestor",
     "ShardedIngestor",
-    "AsyncIngestor",
     "CheckpointCodec",
     "CheckpointError",
     "CheckpointCorruptError",

@@ -13,7 +13,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..ingest.batch import DEFAULT_CHUNK_SIZE, BatchIngestor, chunked
 from ..relational.stream import StreamTuple
@@ -79,30 +79,6 @@ def run_sampler_batched(
     ingestor.ingest(stream)
     elapsed = time.perf_counter() - start
     return RunResult(name, elapsed, len(stream), ingestor.statistics())
-
-
-def run_sampler_pipelined(
-    name: str, target_factory, chunks: Iterable, buffer_chunks: int = 8
-) -> RunResult:
-    """End-to-end wall clock of async pipelined ingestion over a chunk source.
-
-    ``target_factory()`` builds the downstream ingestion target;  ``chunks``
-    is an iterable of ready-made chunks, typically a
-    :class:`~repro.relational.stream.ThrottledChunkSource` whose blocking
-    delivery is what the pipeline overlaps with sampler CPU.  The timed
-    region covers submission, the transport's blocking waits, and the final
-    drain — the honest end-to-end figure a consumer would see.
-    """
-    from ..ingest.pipeline import AsyncIngestor
-
-    ingestor = AsyncIngestor(target_factory(), buffer_chunks=buffer_chunks)
-    start = time.perf_counter()
-    with ingestor:
-        for chunk in chunks:
-            ingestor.submit(chunk)
-        ingestor.drain()
-    elapsed = time.perf_counter() - start
-    return RunResult(name, elapsed, ingestor.tuples_submitted, ingestor.statistics())
 
 
 def per_chunk_times(

@@ -103,12 +103,15 @@ class SamplerBackend(Protocol):
 def chunk_apply(backend) -> Tuple[Callable[[Sequence], object], str]:
     """The best way to hand ``backend`` a chunk: ``(apply, mode)``.
 
-    Probe order — the single dispatch rule every ingestor shares:
+    Probe order — the single dispatch rule shared by
+    :class:`~repro.ingest.batch.BatchIngestor`, the shard replicas of
+    :class:`~repro.ingest.shard.ShardedIngestor` and the serving layer's
+    bare-sampler path:
 
-    1. ``ingest_batch`` (``mode='ingest_batch'``) — the backend is itself an
-       ingestor (a :class:`~repro.ingest.shard.ShardedIngestor`, a
-       :class:`~repro.ingest.batch.BatchIngestor`, ...) and owns its own
-       routing;
+    1. ``ingest_batch`` (``mode='ingest_batch'``) — the backend segments or
+       routes its own chunks (a turnstile sampler splitting out its
+       retractions, or an ingestor such as a
+       :class:`~repro.ingest.shard.ShardedIngestor`);
     2. ``insert_batch`` (``mode='insert_batch'``) — the sampler's bulk fast
        path;
     3. per-tuple ``insert`` loop (``mode='insert'``) — the universal

@@ -21,14 +21,14 @@ discarded and redrawn at the next chunk — geometric distributions are
 memoryless, so the redraw is distributionally identical, but it does consume
 different randomness.  Consequently two runs are **bit-identical only under
 the same chunking** (same chunk sizes, same seed) — which is exactly what
-the checkpoint-resume and async-transport guarantees need — while different
+the checkpoint-resume guarantee needs — while different
 chunk sizes are distribution-equal, not bit-equal (mirroring the acyclic
 ``insert_batch`` contract).
 
 The adapter deliberately exposes **no** ``query`` and **no** ``index``:
 there is no join to hash-partition or count, so the sharded modes
 cannot host it (the workload gauntlet records those cells as structural
-skips).  Batched, async and checkpoint modes all apply, and ``spawn``
+skips).  Batched and checkpoint modes both apply, and ``spawn``
 builds the replicas of the serving layer's predicate views.
 """
 

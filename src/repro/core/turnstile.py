@@ -86,7 +86,7 @@ class TurnstileReservoirJoin(ReservoirJoin):
     inserts — per tuple (:meth:`delete`), per run (:meth:`delete_batch`) or
     mixed into chunks (:meth:`ingest_batch`, which the ingestion seam's
     :func:`~repro.core.backend.chunk_apply` probes first, so this sampler
-    composes under the batched, sharded, async, checkpointing and serving
+    composes under the batched, sharded, checkpointing and serving
     modes like any other backend).
 
     Differences from the insert-only sampler:

@@ -6,10 +6,9 @@ ground-truth universe or against a reference run:
 
 ``bit-identical``
     The mode promises the same reservoir, bit for bit, as a reference
-    serial run under equal seeds and chunking: async pipelining (one FIFO
-    queue in front of the target) and mid-stream checkpoint-resume (exact
-    RNG state round trip).  The cell asserts list equality of the final
-    samples.
+    serial run under equal seeds and chunking: mid-stream checkpoint-resume
+    (exact RNG state round trip).  The cell asserts list equality of the
+    final samples.
 
 ``exact-set+chi-square``
     The mode promises the right *distribution*, not the same bits: the
@@ -63,7 +62,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 from ..bench.harness import measure_seconds
 from ..core.turnstile import WindowedSampler
 from ..ingest.batch import BatchIngestor
-from ..ingest.pipeline import AsyncIngestor
 from ..ingest.shard import ShardedIngestor
 from ..relational.stream import StreamDelete
 from ..serve import SampleServer
@@ -81,7 +79,6 @@ MODES = (
     "pertuple",
     "batched",
     "sharded",
-    "async",
     "checkpoint",
     "served",
     "turnstile",
@@ -104,7 +101,6 @@ class GauntletConfig:
     trials: int = 48            # chi-square trials for statistical cells
     p_threshold: float = 0.002  # reject uniformity below this p-value
     seed: int = 2024
-    buffer_chunks: int = 4      # async queue depth
     scale: float = 1.0          # informational: the scenario scale used
 
     @classmethod
@@ -127,7 +123,6 @@ class GauntletConfig:
             "trials": self.trials,
             "p_threshold": self.p_threshold,
             "seed": self.seed,
-            "buffer_chunks": self.buffer_chunks,
             "scale": self.scale,
         }
 
@@ -356,57 +351,6 @@ class ModeMatrix:
         cell.detail["load_imbalance"] = statistics.get("load_imbalance")
         return cell
 
-    def _cell_async(self, scenario: Scenario) -> CellResult:
-        """Async pipelining is bit-identical to the serial run it overlaps."""
-        cfg = self.config
-        detail: Dict[str, object] = {"workers": 1}
-        if scenario.kind == "acyclic" and scenario.query is not None:
-            # A sharded target: its ingest_batch routes on the worker thread.
-            serial = self._make_sharded(scenario, cfg.k, cfg.seed)
-            serial.ingest(scenario.stream)
-
-            target = self._make_sharded(scenario, cfg.k, cfg.seed)
-
-            def run_async():
-                with AsyncIngestor(
-                    target, chunk_size=cfg.chunk_size,
-                    buffer_chunks=cfg.buffer_chunks,
-                ) as ingestor:
-                    ingestor.ingest(scenario.stream)
-                return target
-
-            _, seconds = measure_seconds(run_async)
-            piped_samples = [list(s.sample) for s in target.samplers]
-            serial_samples = [list(s.sample) for s in serial.samplers]
-            if piped_samples != serial_samples:
-                raise CellFailure("per-shard reservoirs differ from serial run")
-            merge_rng = cfg.seed + 101
-            if target.merged_sample(
-                cfg.k, rng=random.Random(merge_rng)
-            ) != serial.merged_sample(cfg.k, rng=random.Random(merge_rng)):
-                raise CellFailure("merged sample differs from serial run")
-            detail["target"] = "sharded"
-        else:
-            serial_sample = self._run_batched(scenario, cfg.k, cfg.seed)
-            sampler = scenario.make_sampler(cfg.k, random.Random(cfg.seed))
-            target = BatchIngestor(sampler, chunk_size=cfg.chunk_size)
-
-            def run_async():
-                with AsyncIngestor(
-                    target, chunk_size=cfg.chunk_size,
-                    buffer_chunks=cfg.buffer_chunks,
-                ) as ingestor:
-                    ingestor.ingest(scenario.stream)
-
-            _, seconds = measure_seconds(run_async)
-            if list(sampler.sample) != serial_sample:
-                raise CellFailure("pipelined reservoir differs from serial run")
-            detail["target"] = "batched"
-        return CellResult(
-            scenario.name, "async", "bit-identical", "pass",
-            serial_seconds=round(seconds, 4), detail=detail,
-        )
-
     def _prefix_universe(self, scenario: Scenario, consumed: int) -> List[dict]:
         """Ground truth of the first ``consumed`` stream tuples — what a
         snapshot at that boundary's epoch must be uniform over."""
@@ -547,7 +491,8 @@ class ModeMatrix:
         """Save mid-stream, restore, finish: bit-identical to uninterrupted.
 
         Sub-checks cover every durable ingestor the scenario supports, so
-        across the matrix the checkpoint column exercises all four modes.
+        across the matrix the checkpoint column exercises all three: batch,
+        sharded and windowed.
         """
         cfg = self.config
         cut = self._checkpoint_boundary(scenario)
@@ -602,26 +547,6 @@ class ModeMatrix:
                 finished,
             )
 
-        def async_check() -> None:
-            serial = self._run_batched(scenario, cfg.k, cfg.seed)
-            path = os.path.join(tmp_dir, f"{scenario.name}-async.ckpt")
-            first = AsyncIngestor(
-                BatchIngestor(
-                    scenario.make_sampler(cfg.k, random.Random(cfg.seed)),
-                    chunk_size=cfg.chunk_size,
-                ),
-                chunk_size=cfg.chunk_size,
-                buffer_chunks=cfg.buffer_chunks,
-            )
-            with first:
-                first.ingest(head)
-                first.save(path)  # draining snapshot at a chunk boundary
-            resumed = AsyncIngestor.restore(path)
-            with resumed:
-                resumed.ingest(tail)
-            if list(resumed.target.sampler.sample) != serial:
-                raise CellFailure("async checkpoint-resume diverged")
-
         def windowed_check() -> None:
             # Window expiry state (stamp log, local clock) must round-trip:
             # a count window short enough that expiries continue *after* the
@@ -655,7 +580,6 @@ class ModeMatrix:
             roundtrip(BatchIngestor, build, path, finished)
 
         check("batch", batch_check)
-        check("async", async_check)
         if scenario.query is not None and scenario.kind in ("acyclic", "turnstile"):
             check("sharded", sharded_check)
         if scenario.kind == "turnstile":
@@ -704,7 +628,6 @@ class ModeMatrix:
             "pertuple": self._cell_pertuple,
             "batched": self._cell_batched,
             "sharded": self._cell_sharded,
-            "async": self._cell_async,
             "served": self._cell_served,
             "turnstile": self._cell_turnstile,
         }

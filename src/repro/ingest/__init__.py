@@ -22,15 +22,17 @@ that cost in two layers:
      are broadcast), with the exactly-uniform ``merged_sample`` recombining
      the shard reservoirs by regenerated keys, never by counts (see
      :mod:`repro.ingest.shard`).
-   * :class:`AsyncIngestor` stacks a transport on any of the above: a
-     bounded queue + one worker thread overlap blocking chunk delivery
-     with sampler CPU (see :mod:`repro.ingest.pipeline`).
 
 Feeding one stream pass to several samplers needs no ingestor of its own:
 call ``chunk_apply(backend)[0](chunk)`` for each backend on every chunk of
 one :func:`~repro.relational.stream.chunk_stream` pass.  Each backend then
 sees exactly the chunks a standalone run would, so its guarantee is its
 own, unchanged.
+
+A blocking source overlaps with ingestion without an ingestor of its own
+either: :func:`~repro.relational.stream.prefetched` reads it ahead on one
+thread while the caller's thread calls ``ingest_batch`` per chunk, so every
+chunk stays an exact chunk boundary.
 
 Anything that can hand chunks of
 :class:`~repro.relational.stream.StreamTuple` to one of these participates
@@ -65,7 +67,6 @@ from .checkpoint import (
     CheckpointVersionError,
     PeriodicCheckpointer,
 )
-from .pipeline import AsyncIngestor
 from .shard import ShardedIngestor, partition_attribute, stable_shard_hash
 
 __all__ = [
@@ -73,7 +74,6 @@ __all__ = [
     "BatchIngestor",
     "chunked",
     "ShardedIngestor",
-    "AsyncIngestor",
     "CheckpointCodec",
     "CheckpointError",
     "CheckpointCorruptError",

@@ -107,11 +107,9 @@ class BatchIngestor:
     def snapshot_state(self) -> dict:
         """The ingestor's complete resumable state: the sampler (captured
         via the :func:`~repro.core.backend.snapshot_backend` capability
-        probe) plus the chunk counters.  Also the ingestor's own
-        :class:`~repro.core.backend.SamplerBackend` snapshot capability, so
-        a ``BatchIngestor`` behind an
-        :class:`~repro.ingest.pipeline.AsyncIngestor` checkpoints along
-        with its host."""
+        probe) plus the chunk counters, taken at the chunk boundary the
+        caller stands on: ingestion runs on the caller's thread, so
+        between two ``ingest_batch`` calls no chunk is in flight."""
         # "engine" is the checkpoint format's name for the counter record.
         return {
             "backend": snapshot_backend(self.sampler),

@@ -40,13 +40,16 @@ The digest turns silent truncation and bit rot into
 :class:`CheckpointCorruptError` instead of an unpickling crash (or, worse, a
 quietly wrong reservoir); the version field turns a format change into
 :class:`CheckpointVersionError` instead of a guessing game.  The payload
-always carries the saving ingestor's *kind* (``"batch"``, ``"sharded"``,
-``"async"``), and each ``restore`` entry point refuses a wrong kind — or a
+always carries the saving ingestor's *kind* (``"batch"`` or
+``"sharded"``), and each ``restore`` entry point refuses a wrong kind — or a
 mismatched topology, e.g. a different shard count — with
 :class:`CheckpointMismatchError` rather than silently rehashing state.  A
 nested backend record naming a class this code base no longer has (a
 retired ingestion mode) is refused the same way, by
-:func:`~repro.core.backend.restore_backend`.
+:func:`~repro.core.backend.restore_backend`.  Files of the retired
+``"async"`` kind are refused by both entry points; the target record they
+nest still restores through
+``restore_backend(CODEC.load(path)["state"]["target"])``.
 
 Checkpoints are trusted inputs: the payload is a pickle, so only load files
 you (or your infrastructure) wrote — the same trust model as every pickle-
@@ -215,8 +218,9 @@ class PeriodicCheckpointer:
     ----------
     ingestor:
         Any ingestor exposing ``add_boundary_hook`` and ``save(path)``
-        (batch / sharded / async).  For an async pipeline the
-        boundaries are its drain points.
+        (batch / sharded); every chunk it ingests is a boundary, whether
+        its chunks come straight from the source or through
+        :func:`~repro.relational.stream.prefetched`.
     path:
         Checkpoint file; each write atomically replaces the previous one.
     interval_seconds:

@@ -469,9 +469,8 @@ class ShardedIngestor:
         attribute), the counters and both randomness sources (the master
         RNG state and the derived per-shard seeds).
 
-        Also the ingestor's own snapshot capability, so a sharded target
-        behind an :class:`~repro.ingest.pipeline.AsyncIngestor`
-        checkpoints along with its host.
+        Taken at the chunk boundary the caller stands on: every shard has
+        absorbed the last routed chunk before ``ingest_batch`` returns.
         Requires every shard replica to be snapshot-capable or picklable,
         which the default :class:`ReservoirJoin` replicas are.
         """

@@ -8,7 +8,9 @@ and replay streams reproducibly.
 
 from __future__ import annotations
 
+import queue
 import random
+import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, List, Sequence, Tuple
@@ -126,8 +128,8 @@ def validate_pairs(pairs: Iterable[Tuple[str, Tuple]], query) -> None:
 def chunk_stream(stream: Iterable, size: int) -> Iterator[List]:
     """Yield consecutive chunks of at most ``size`` items from ``stream``.
 
-    The canonical chunker behind every ingestion mode — batched, sharded
-    and async all cut streams with it (``repro.ingest.batch.chunked`` is an
+    The canonical chunker behind every ingestion mode — batched and
+    sharded both cut streams with it (``repro.ingest.batch.chunked`` is an
     alias).  Chunk boundaries are where
     the per-prefix uniformity guarantee holds, so anything that transports
     streams in chunks of this shape can feed any ingestor.
@@ -153,11 +155,11 @@ class ThrottledChunkSource:
     chunk is not available the instant the previous one was consumed.
 
     Synchronous ingestion over such a source pays ``sum(latencies) + cpu``;
-    the async pipeline (:class:`~repro.ingest.pipeline.AsyncIngestor`)
-    overlaps the blocking wait with sampler CPU and pays roughly
-    ``max(sum(latencies), cpu)``.  ``wait_seconds`` and ``chunks_yielded``
-    record what the transport actually cost, and ``sleep`` is injectable so
-    tests can run latency-free.
+    iterating it through :func:`prefetched` overlaps the blocking wait with
+    sampler CPU and pays roughly ``max(sum(latencies), cpu)``.
+    ``wait_seconds`` and ``chunks_yielded`` record what the transport
+    actually cost, and ``sleep`` is injectable so tests can run
+    latency-free.
     """
 
     def __init__(
@@ -184,6 +186,66 @@ class ThrottledChunkSource:
                 self.wait_seconds += time.perf_counter() - start
             self.chunks_yielded += 1
             yield chunk
+
+
+#: Chunks :func:`prefetched` reads ahead of its consumer.
+PREFETCH_CHUNKS = 8
+
+_DONE = object()  # queue sentinel: the source is exhausted or failed
+
+
+def prefetched(chunks: Iterable) -> Iterator:
+    """Yield ``chunks`` in order while one daemon thread reads ahead.
+
+    The thread iterates ``chunks`` into a queue bounded at
+    :data:`PREFETCH_CHUNKS`, so a source that blocks (a network fetch, a
+    :class:`ThrottledChunkSource`) waits for the next chunk while the
+    caller's thread ingests the current one.  Ingestion itself stays on the
+    caller's thread, so every chunk is an ordinary chunk boundary::
+
+        for chunk in prefetched(source):
+            ingestor.ingest_batch(chunk)
+
+    An exception raised by the source is re-raised here after the chunks
+    that came before it.  When the consumer stops early (``break``, an
+    exception or ``close()``), the thread stops after the source call in
+    flight and is joined; it is never left blocked on a full queue.
+    """
+    buffer: "queue.Queue" = queue.Queue(maxsize=PREFETCH_CHUNKS)
+    stop = threading.Event()
+    failure: List[BaseException] = []
+
+    def produce() -> None:
+        try:
+            for chunk in chunks:
+                if stop.is_set():
+                    return
+                buffer.put(chunk)
+        except BaseException as error:
+            failure.append(error)
+        if not stop.is_set():
+            buffer.put(_DONE)
+
+    producer = threading.Thread(target=produce, name="prefetch", daemon=True)
+    producer.start()
+    try:
+        while True:
+            chunk = buffer.get()
+            if chunk is _DONE:
+                if failure:
+                    raise failure[0]
+                return
+            yield chunk
+    finally:
+        # Every put after ``stop`` is set passed its check before it, so at
+        # most one lands after this drain: the producer cannot block again.
+        stop.set()
+        while True:
+            try:
+                buffer.get_nowait()
+            except queue.Empty:
+                break
+        producer.join()
 
 
 def stream_from_rows(relation: str, rows: Iterable[Sequence], start: int = 0) -> List[StreamTuple]:

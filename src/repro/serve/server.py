@@ -2,8 +2,8 @@
 
 The paper's whole point is that reservoir maintenance makes ``sample(k)``
 answerable *at any moment during the stream*.  This module is that moment's
-front door: one writer drives any live ingestor (batch / sharded /
-async) chunk by chunk, and many concurrent readers draw
+front door: one writer drives any live ingestor (batch / sharded) chunk by
+chunk, and many concurrent readers draw
 samples that are never torn and always exactly uniform.
 
 Snapshot epochs
@@ -15,9 +15,8 @@ Reads never touch the live state.  Instead the first read of an epoch
 captures an :class:`EpochSnapshot`: an immutable record of only what a read
 needs, never the index or the relations.
 
-* A batch-style target (a :class:`~repro.ingest.batch.BatchIngestor`, a
-  bare sampler, or the drained target of an :class:`~repro.ingest.pipeline
-  .AsyncIngestor`) records its reservoir.
+* A batch-style target (a :class:`~repro.ingest.batch.BatchIngestor` or a
+  bare sampler) records its reservoir.
 * A :class:`~repro.ingest.shard.ShardedIngestor` records each shard's
   reservoir, running ``w`` and capacity, plus its default merge size.
 * Every subscribed predicate view records its reservoir.
@@ -49,17 +48,18 @@ Predicate views
 ---------------
 ``subscribe(name, predicate, k)`` attaches a per-subscriber
 :class:`~repro.core.predicate_backend.PredicateStreamSampler`.  The writer
-feeds every view at each chunk it pushes (stream items arrive at the view
-as ``(relation, row)`` pairs wrapped into the view's arity-1 relation), so
-a view's reservoir is a uniform sample of the *predicate-matching* stream
-items pushed since subscription — and it is recorded in every epoch cut,
-giving views the same isolation guarantee.
+feeds every view the inserts of each chunk it pushes (stream items arrive at
+the view as ``(relation, row)`` pairs wrapped into the view's arity-1
+relation; a retraction is not a stream item a view samples), so a view's
+reservoir is a uniform sample of the *predicate-matching* inserts pushed
+since subscription — and it is recorded in every epoch cut, giving views
+the same isolation guarantee.
 
 Single-writer discipline: drive ingestion through ``server.ingest_batch`` /
 ``server.ingest`` from one thread.  Reads are safe from any number of
-threads.  For an :class:`~repro.ingest.pipeline.AsyncIngestor` the only
-chunk boundaries are drain points, so epochs advance at drains and a
-freshest-data read (``max_staleness=0``) forces one.
+threads.  A blocking source overlaps with the writer through
+:func:`~repro.relational.stream.prefetched`, which reads ahead on its own
+thread and leaves every chunk an ordinary epoch.
 """
 
 from __future__ import annotations
@@ -73,9 +73,13 @@ from ..core.backend import chunk_apply, derive_seed
 from ..core.backend import restore_backend, snapshot_backend  # noqa: F401
 from ..core.predicate_backend import PredicateStreamSampler
 from ..ingest.batch import DEFAULT_CHUNK_SIZE
-from ..ingest.pipeline import AsyncIngestor
 from ..ingest.shard import ShardState, merge_shard_samples
-from ..relational.stream import StreamTuple, as_relation_rows, chunk_stream
+from ..relational.stream import (
+    StreamTuple,
+    as_relation_rows,
+    chunk_stream,
+    is_delete,
+)
 
 
 def _copied(results: Iterable[dict]) -> Tuple[dict, ...]:
@@ -198,11 +202,7 @@ class SampleServer:
         self._hooked = add_hook is not None
         if self._hooked:
             add_hook(self._on_boundary)
-        if isinstance(ingestor, AsyncIngestor):
-            # Chunks are merely *submitted*; the epoch advances at drains.
-            self._push: Callable[[Sequence], object] = ingestor.submit
-        elif self._hooked:
-            self._push = ingestor.ingest_batch
+            self._push: Callable[[Sequence], object] = ingestor.ingest_batch
         else:
             # A bare sampler: the capability probe picks its best bulk path
             # and the server itself counts the boundaries it creates.
@@ -220,9 +220,8 @@ class SampleServer:
         Held under the server's write lock, which is also what snapshot
         capture takes — so a concurrent reader either cuts before this
         chunk or after it, never inside it.  Subscribed predicate views are
-        fed the same chunk (as ``(relation, row)`` pairs) after the
-        ingestor absorbed it.  For an async ingestor the chunk is merely
-        *submitted*; the epoch advances at the next drain point.
+        fed the chunk's inserts (as ``(relation, row)`` pairs) after the
+        ingestor absorbed it; its retractions are not view items.
         """
         with self._lock:
             items = list(items)
@@ -230,7 +229,9 @@ class SampleServer:
             pushed = result if isinstance(result, int) else len(items)
             if pushed:
                 if self._views:
-                    pairs = as_relation_rows(items)
+                    pairs = as_relation_rows(
+                        item for item in items if not is_delete(item)
+                    )
                     for view in self._views.values():
                         view.insert_batch(
                             [(view.relation, (pair,)) for pair in pairs]
@@ -240,23 +241,13 @@ class SampleServer:
             return pushed
 
     def ingest(self, stream: Iterable[StreamTuple]) -> "SampleServer":
-        """Chunk ``stream`` with the ingestor's chunk size and push it all,
-        draining an async ingestor at the end so the final epoch is
-        published; returns ``self``."""
+        """Chunk ``stream`` with the ingestor's chunk size and push it all;
+        returns ``self``."""
         chunk_size = (
             getattr(self.ingestor, "chunk_size", None) or DEFAULT_CHUNK_SIZE
         )
         for chunk in chunk_stream(stream, chunk_size):
             self.ingest_batch(chunk)
-        return self.drain()
-
-    def drain(self) -> "SampleServer":
-        """Force a chunk boundary on ingestors that buffer (async); no-op
-        otherwise.  Returns ``self``."""
-        drain = getattr(self.ingestor, "drain", None)
-        if drain is not None:
-            with self._lock:
-                drain()
         return self
 
     # ------------------------------------------------------------------ #
@@ -267,18 +258,15 @@ class SampleServer:
         name: str,
         predicate: Callable[[object], bool],
         k: int,
-        relation: str = "V",
-        attribute: str = "item",
     ) -> "SampleServer":
         """Attach a predicate view: a per-subscriber reservoir, uniform
-        over the predicate-matching stream items pushed from now on.
+        over the predicate-matching inserts pushed from now on.
 
-        Each stream item reaches the predicate as its normalised
+        Each insert reaches the predicate as its normalised
         ``(relation, row)`` pair.  Subscribe before ingestion starts for a
         whole-stream view.  Its reservoir is recorded in every epoch cut, so
         :meth:`view_sample` is snapshot-isolated exactly like
-        :meth:`sample`.  ``relation``/``attribute`` name the view's own
-        arity-1 schema (cosmetic; they shape the returned dicts).
+        :meth:`sample`; its results are ``{"item": pair}`` dicts.
         """
         if not callable(predicate):
             raise TypeError("predicate must be callable")
@@ -289,8 +277,6 @@ class SampleServer:
                 k,
                 predicate,
                 rng=random.Random(derive_seed(self._rng)),
-                relation=relation,
-                attribute=attribute,
             )
         return self
 
@@ -303,7 +289,7 @@ class SampleServer:
         return self._epoch
 
     def _prefix_tuples(self) -> Optional[int]:
-        for attr in ("tuples_ingested", "tuples_submitted", "tuples_processed"):
+        for attr in ("tuples_ingested", "tuples_processed"):
             value = getattr(self.ingestor, attr, None)
             if value is not None:
                 return value
@@ -311,12 +297,6 @@ class SampleServer:
 
     def _capture(self) -> EpochSnapshot:
         target = self.ingestor
-        if isinstance(target, AsyncIngestor):
-            # The only boundaries an async pipeline has are drain points:
-            # drain (publishing the epoch via the drain hook), then record
-            # the quiescent target.
-            target.drain()
-            target = target.target
         reservoir = shard_states = k = None
         if hasattr(target, "shard_states"):
             shard_states = tuple(
@@ -337,10 +317,6 @@ class SampleServer:
             views={name: _copied(view.sample) for name, view in self._views.items()},
         )
 
-    def _boundary_pending(self) -> bool:
-        inner = self.ingestor
-        return isinstance(inner, AsyncIngestor) and not inner.at_boundary
-
     def snapshot(self, max_staleness: int = 0) -> EpochSnapshot:
         """The epoch record readers sample from.
 
@@ -354,12 +330,7 @@ class SampleServer:
             raise ValueError("max_staleness must be non-negative")
         with self._lock:
             latest = self._latest
-            fresh_enough = (
-                latest is not None
-                and self._epoch - latest.epoch <= max_staleness
-                and not (max_staleness == 0 and self._boundary_pending())
-            )
-            if fresh_enough:
+            if latest is not None and self._epoch - latest.epoch <= max_staleness:
                 self._snapshot_cache_hits += 1
                 return latest
             snap = self._capture()

@@ -21,9 +21,9 @@ the two properties the sharded/bulk refactor must preserve:
     cite.
 
 (e) **Checkpoint/restore resumes bit-identically.**  For every durable
-    ingestor — batched acyclic, cyclic and pickle-fallback baseline,
-    sharded, and the draining async pipeline wrapper — ingesting a prefix,
-    saving a checkpoint, restoring it (through the on-disk codec) and ingesting the suffix must end in exactly the state
+    ingestor — batched acyclic, cyclic and pickle-fallback baseline, and
+    sharded — ingesting a prefix, saving a checkpoint, restoring it
+    (through the on-disk codec) and ingesting the suffix must end in exactly the state
     of an uninterrupted run under the same seed: same reservoirs in order,
     same statistics, same merged samples.  Durability is a transport
     concern, never a distribution change — the restored RNG continues the
@@ -56,7 +56,6 @@ from typing import List, Tuple
 import pytest
 
 from repro import (
-    AsyncIngestor,
     BatchIngestor,
     CyclicReservoirJoin,
     JoinQuery,
@@ -277,53 +276,6 @@ def test_checkpointed_sharded_ingest_bit_identical(case_seed, tmp_path):
     assert resumed.shard_loads() == uninterrupted.shard_loads()
     # The master RNG resumed exactly: the next merged draw is identical.
     assert resumed.merged_sample() == uninterrupted.merged_sample()
-
-
-@pytest.mark.parametrize("case_seed", [12, 37])
-@pytest.mark.parametrize("target_kind", ["batched", "sharded"])
-def test_checkpointed_async_ingest_bit_identical(case_seed, target_kind, tmp_path):
-    """A draining AsyncIngestor snapshot resumes exactly: the checkpoint is
-    taken at a quiesced chunk boundary, the target round-trips through its
-    own snapshot capability, and the resumed pipeline ends bit-identical to
-    an uninterrupted serial run of the same target."""
-    rng = random.Random(case_seed)
-    query, stream = random_acyclic_case(rng)
-    chunk_size = rng.choice([8, 17])
-    chunks = _chunks_of(stream, chunk_size)
-    cut = rng.randrange(1, len(chunks))
-
-    def build_target():
-        if target_kind == "batched":
-            return BatchIngestor(
-                ReservoirJoin(query, 7, rng=random.Random(case_seed + 1)),
-                chunk_size=chunk_size,
-            )
-        return ShardedIngestor(
-            query, k=7, num_shards=3, chunk_size=chunk_size,
-            rng=random.Random(case_seed + 1),
-        )
-
-    def final_samples(target):
-        if target_kind == "batched":
-            return [target.sampler.sample]
-        return [sampler.sample for sampler in target.samplers]
-
-    uninterrupted = build_target()
-    _drive(uninterrupted, chunks)
-
-    interrupted = AsyncIngestor(build_target(), chunk_size=chunk_size)
-    path = tmp_path / "ckpt"
-    with interrupted:
-        for chunk in chunks[:cut]:
-            interrupted.submit(chunk)
-        interrupted.save(path)
-    resumed = AsyncIngestor.restore(path)
-    with resumed:
-        for chunk in chunks[cut:]:
-            resumed.submit(chunk)
-    assert final_samples(resumed.target) == final_samples(uninterrupted)
-    assert resumed.chunks_submitted == len(chunks)
-    assert resumed.tuples_submitted == len(stream)
 
 
 # ---------------------------------------------------------------------- #

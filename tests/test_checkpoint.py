@@ -19,7 +19,6 @@ from typing import List
 import pytest
 
 from repro import (
-    AsyncIngestor,
     BatchIngestor,
     CheckpointCorruptError,
     CheckpointError,
@@ -44,7 +43,8 @@ from repro.ingest.checkpoint import CODEC, FORMAT_VERSION, MAGIC, CheckpointCode
 #: ``sharded-pool`` a ``ShardedIngestor(chain3(), k=4, num_shards=2,
 #: chunk_size=16, rng=Random(19))`` fed and saved through the worker pool
 #: of that release (retired since); ``async`` the same sharded target behind
-#: an ``AsyncIngestor(chunk_size=16)``.
+#: the retired async ingestor (``chunk_size=16``), a checkpoint kind no
+#: ``restore`` accepts any more, whose nested target record still restores.
 LEGACY_CHECKPOINTS = Path(__file__).parent / "data"
 
 
@@ -206,13 +206,17 @@ class TestRestoreGuards:
         assert resumed.statistics() == uninterrupted.statistics()
 
         sharded = legacy_sharded().ingest(stream)
-        with AsyncIngestor.restore(LEGACY_CHECKPOINTS / "async.checkpoint") as piped:
-            piped.ingest(stream[32:])
-        assert piped.target.shard_samples() == sharded.shard_samples()
+        path = LEGACY_CHECKPOINTS / "async.checkpoint"
+        piped = restore_backend(CODEC.load(path)["state"]["target"])
+        piped.ingest(stream[32:])
+        assert piped.shard_samples() == sharded.shard_samples()
 
-    @pytest.mark.parametrize(
-        "ingestor_cls", [BatchIngestor, ShardedIngestor, AsyncIngestor]
-    )
+    @pytest.mark.parametrize("ingestor_cls", [BatchIngestor, ShardedIngestor])
+    def test_retired_async_kind_is_rejected(self, ingestor_cls):
+        with pytest.raises(CheckpointMismatchError, match="async"):
+            ingestor_cls.restore(LEGACY_CHECKPOINTS / "async.checkpoint")
+
+    @pytest.mark.parametrize("ingestor_cls", [BatchIngestor, ShardedIngestor])
     def test_retired_rebalancing_kind_is_rejected(self, tmp_path, ingestor_cls):
         # Both retired ingestion modes' kinds: rebalancing and fan-out.
         for kind in ("rebalancing", "fanout"):
@@ -223,14 +227,12 @@ class TestRestoreGuards:
 
     @pytest.mark.parametrize("codec", ["native", "pickle"])
     def test_nested_backend_of_a_retired_class_is_a_mismatch(self, tmp_path, codec):
-        # An async checkpoint whose target names a module or class this
+        # A batch checkpoint whose backend names a module or class this
         # version no longer has fails as a checkpoint mismatch naming it.
         path = tmp_path / "a.ckpt"
-        pipeline = AsyncIngestor(
-            BatchIngestor(ReservoirJoin(chain3(), 4, rng=random.Random(22)))
-        )
-        with pipeline:
-            state = pipeline.snapshot_state()
+        state = BatchIngestor(
+            ReservoirJoin(chain3(), 4, rng=random.Random(22))
+        ).snapshot_state()
         for retired in (
             "repro.ingest.rebalance:RebalancingIngestor",
             "repro.ingest.batch:RetiredIngestor",
@@ -239,10 +241,10 @@ class TestRestoreGuards:
             # A pickle that names the class (the GLOBAL opcode), as a
             # whole-object pickle of an instance would.
             payload = f"c{module}\n{name}\n.".encode() if codec == "pickle" else {}
-            state["target"] = {"codec": codec, "class": retired, "state": payload}
-            CODEC.dump(path, "async", state)
+            state["backend"] = {"codec": codec, "class": retired, "state": payload}
+            CODEC.dump(path, "batch", state)
             with pytest.raises(CheckpointMismatchError, match=retired):
-                AsyncIngestor.restore(path)
+                BatchIngestor.restore(path)
 
     def test_sampler_restore_state_requires_fresh_sampler(self):
         query = chain3()

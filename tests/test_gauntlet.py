@@ -155,14 +155,14 @@ def test_structural_skips_carry_reasons(fast_report):
     assert fast_report.cell("graph-triangle", "sharded").status == "pass"
 
 
-def test_checkpoint_column_covers_all_four_durable_modes(fast_report):
+def test_checkpoint_column_covers_every_durable_mode(fast_report):
     covered = set()
     for scenario in (s["name"] for s in fast_report.scenarios):
         cell = fast_report.cell(scenario, "checkpoint")
         assert cell.status == "pass"
         assert cell.detail["cut_at_tuple"] % fast_report.config["chunk_size"] == 0
         covered.update(cell.detail["covered"])
-    assert covered == {"batch", "async", "sharded", "windowed"}
+    assert covered == {"batch", "sharded", "windowed"}
 
 
 def test_served_column_probes_interior_epochs_everywhere(fast_report):
@@ -238,11 +238,11 @@ def test_broken_sampler_reports_traceback_instead_of_raising(tiny_scenarios):
 def test_run_gauntlet_scales_from_the_environment(monkeypatch):
     monkeypatch.setenv("REPRO_GAUNTLET_SCALE", str(TINY))
     report = run_gauntlet(
-        names=["graph-star3"], modes=["async"], config=GauntletConfig(trials=0)
+        names=["graph-star3"], modes=["batched"], config=GauntletConfig(trials=0)
     )
     assert report.passed, report.render()
     assert [s["name"] for s in report.scenarios] == ["graph-star3"]
-    assert report.modes == ["async"]
+    assert report.modes == ["batched"]
 
 
 def test_chi_square_kicks_in_at_the_trial_floor(tiny_scenarios):

@@ -6,8 +6,9 @@ import random
 
 import pytest
 
-from repro import AsyncIngestor, BatchIngestor, PredicateStreamSampler
+from repro import BatchIngestor, PredicateStreamSampler, prefetched
 from repro.core.skippable import is_real
+from repro.relational.stream import chunk_stream
 from repro.workloads.strings import EditDistancePredicate, string_stream
 
 
@@ -104,6 +105,7 @@ def test_async_pipeline_matches_serial_run():
     BatchIngestor(serial, chunk_size=32).ingest(stream)
 
     piped = PredicateStreamSampler(12, fresh(), rng=random.Random(5))
-    with AsyncIngestor(BatchIngestor(piped, chunk_size=32), chunk_size=32) as ingestor:
-        ingestor.ingest(stream)
+    ingestor = BatchIngestor(piped, chunk_size=32)
+    for chunk in prefetched(chunk_stream(stream, 32)):
+        ingestor.ingest_batch(chunk)
     assert piped.sample == serial.sample

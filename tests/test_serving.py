@@ -15,13 +15,15 @@ import threading
 import pytest
 
 from repro import (
-    AsyncIngestor,
     BatchIngestor,
     PredicateStreamSampler,
     ReservoirJoin,
     SampleServer,
     ShardedIngestor,
+    StreamDelete,
     StreamTuple,
+    TurnstileReservoirJoin,
+    prefetched,
 )
 import repro.serve.server as server_module
 from repro.ingest.checkpoint import PeriodicCheckpointer
@@ -76,23 +78,13 @@ class TestBoundaryHooks:
         ingestor.ingest(stream)
         assert boundaries == [len(c) for c in chunks_of(stream)]
 
-    def test_async_hooks_fire_at_drain_points_only(self, line3_query, stream):
-        target = BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
-        fired = []
-        with AsyncIngestor(target, chunk_size=CHUNK, buffer_chunks=4) as ingestor:
-            ingestor.add_boundary_hook(lambda items, parts: fired.append(True))
-            for piece in chunks_of(stream)[:3]:
-                ingestor.submit(piece)
-            assert fired == []          # nothing until a drain
-            ingestor.drain()
-            assert fired == [True]      # one boundary per draining drain
-            assert ingestor.at_boundary
-            ingestor.drain()
-            assert fired == [True]      # idle drain: no new chunks, no event
-            ingestor.submit(chunks_of(stream)[3])
-            assert not ingestor.at_boundary
-            ingestor.drain()
-            assert fired == [True, True]
+    def test_prefetched_chunks_fire_once_per_chunk(self, line3_query, stream):
+        ingestor = BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
+        seen = []
+        ingestor.add_boundary_hook(lambda items, parts: seen.append(len(items)))
+        for piece in prefetched(chunks_of(stream)):
+            ingestor.ingest_batch(piece)
+        assert seen == [len(c) for c in chunks_of(stream)]
 
 
 # ---------------------------------------------------------------------- #
@@ -212,34 +204,6 @@ class TestSampleServer:
             K, rng=random.Random(77)
         ) == standalone.merged_sample(K, rng=random.Random(77))
 
-    def test_serves_async_ingestor_with_drain_point_epochs(
-        self, line3_query, stream
-    ):
-        reference = BatchIngestor(
-            ReservoirJoin(line3_query, K, rng=random.Random(31)), chunk_size=CHUNK
-        )
-        reference.ingest(stream)
-        with AsyncIngestor(
-            BatchIngestor(
-                ReservoirJoin(line3_query, K, rng=random.Random(31)),
-                chunk_size=CHUNK,
-            ),
-            chunk_size=CHUNK,
-            buffer_chunks=4,
-        ) as inner:
-            server = SampleServer(inner)
-            pieces = chunks_of(stream)
-            for piece in pieces[:-1]:
-                server.ingest_batch(piece)
-            # Epochs only advance at drain points — but a freshest read
-            # (max_staleness=0) forces one rather than serving stale data.
-            snap = server.snapshot()
-            assert snap.epoch == server.epoch > 0
-            server.ingest_batch(pieces[-1])
-            server.drain()
-            final = server.snapshot()
-            assert final.sample() == list(reference.sampler.sample)
-
     def test_bare_sampler_fallback_counts_epochs_itself(self):
         sampler = PredicateStreamSampler(K, is_even, rng=random.Random(1))
         server = SampleServer(sampler)
@@ -253,7 +217,7 @@ class TestSampleServer:
 # ---------------------------------------------------------------------- #
 # The epoch record: a cut copies reservoirs, never the ingestor
 # ---------------------------------------------------------------------- #
-TARGETS = ["batch", "sharded", "async", "bare"]
+TARGETS = ["batch", "sharded", "bare"]
 
 
 def build_target(kind, query):
@@ -266,20 +230,7 @@ def build_target(kind, query):
         return ShardedIngestor(
             query, K, num_shards=2, chunk_size=CHUNK, rng=random.Random(5)
         )
-    if kind == "async":
-        return AsyncIngestor(
-            BatchIngestor(
-                ReservoirJoin(query, K, rng=random.Random(5)), chunk_size=CHUNK
-            ),
-            chunk_size=CHUNK,
-            buffer_chunks=4,
-        )
     return ReservoirJoin(query, K, rng=random.Random(5))
-
-
-def close_target(target):
-    if isinstance(target, AsyncIngestor):
-        target.close()
 
 
 @pytest.fixture
@@ -298,29 +249,24 @@ class TestEpochRecord:
     def test_cut_never_copies_the_ingestor(
         self, line3_query, stream, kind, no_backend_copies
     ):
-        target = build_target(kind, line3_query)
-        try:
-            server = SampleServer(target, rng=random.Random(6))
-            server.subscribe("evens", lambda pair: pair[1][0] % 2 == 0, k=4)
-            pieces = chunks_of(stream)
-            for piece in pieces[: len(pieces) // 2]:
-                server.ingest_batch(piece)
-            snap = server.snapshot()
-            assert snap.epoch == server.epoch > 0
-            served = snap.sample(K, rng=random.Random(3))
-            view = snap.view_sample("evens")
-            assert len(served) == K
-            assert all(set(row) == set(line3_query.attributes) for row in served)
-            assert len(view) == 4
-            assert all(row["item"][1][0] % 2 == 0 for row in view)
-            for piece in pieces[len(pieces) // 2 :]:
-                server.ingest_batch(piece)
-            server.drain()
-            assert snap.sample(K, rng=random.Random(3)) == served
-            assert snap.view_sample("evens") == view
-            assert server.snapshot().epoch > snap.epoch
-        finally:
-            close_target(target)
+        server = SampleServer(build_target(kind, line3_query), rng=random.Random(6))
+        server.subscribe("evens", lambda pair: pair[1][0] % 2 == 0, k=4)
+        pieces = chunks_of(stream)
+        for piece in pieces[: len(pieces) // 2]:
+            server.ingest_batch(piece)
+        snap = server.snapshot()
+        assert snap.epoch == server.epoch > 0
+        served = snap.sample(K, rng=random.Random(3))
+        view = snap.view_sample("evens")
+        assert len(served) == K
+        assert all(set(row) == set(line3_query.attributes) for row in served)
+        assert len(view) == 4
+        assert all(row["item"][1][0] % 2 == 0 for row in view)
+        for piece in pieces[len(pieces) // 2 :]:
+            server.ingest_batch(piece)
+        assert snap.sample(K, rng=random.Random(3)) == served
+        assert snap.view_sample("evens") == view
+        assert server.snapshot().epoch > snap.epoch
 
     def test_cut_size_does_not_grow_with_the_stream(self, line3_query):
         sizes = []
@@ -388,6 +334,28 @@ class TestPredicateViews:
         assert mid.view_sample("evens") == mid_view     # frozen with the cut
         final_view = server.snapshot().view_sample("evens")
         assert len(final_view) > len(mid_view)
+
+    def test_views_take_the_inserts_of_a_turnstile_chunk(self, line3_query):
+        server = SampleServer(
+            BatchIngestor(
+                TurnstileReservoirJoin(line3_query, K, rng=random.Random(4)),
+                chunk_size=CHUNK,
+            ),
+            rng=random.Random(5),
+        )
+        server.subscribe("all", lambda pair: True, k=4)
+        server.ingest_batch([StreamTuple("R1", (1, 2))])
+        # A retraction is not a stream item a view samples: the view takes
+        # the chunk's insert, and the ingestor both of its items.
+        server.ingest_batch(
+            [StreamDelete("R1", (1, 2)), StreamTuple("R1", (5, 2))]
+        )
+        assert server.epoch == 2
+        snap = server.snapshot()
+        assert snap.view_sample("all") == [
+            {"item": ("R1", (1, 2))},
+            {"item": ("R1", (5, 2))},
+        ]
 
     def test_subscription_validation(self, line3_query):
         server = SampleServer(

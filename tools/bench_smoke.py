@@ -110,6 +110,19 @@ MODE_FIELDS = {
 }
 
 
+#: report -> {top-level section -> fields that must be present and
+#: non-null}: the measured figures of reports without mode rows.
+SECTION_FIELDS = {
+    "BENCH_async.json": {
+        "async_transport": (
+            "sync_seconds",
+            "async_seconds",
+            "transport_hidden_fraction",
+        ),
+    },
+}
+
+
 #: report -> {mode row -> counts that must be positive}: a mode that
 #: measured nothing reports no figure worth uploading.  A served run with no
 #: read inside the writer's window has no read latency at all.
@@ -146,6 +159,13 @@ def check_report(script: str, report: str, required_keys) -> None:
     missing = [key for key in required_keys if document.get(key) is None]
     if missing:
         raise SystemExit(f"[bench-smoke] FAILED: {report} is missing keys {missing}")
+    for section, fields in SECTION_FIELDS.get(report, {}).items():
+        gaps = [field for field in fields if document[section].get(field) is None]
+        if gaps:
+            raise SystemExit(
+                f"[bench-smoke] FAILED: {report} section {section!r} is "
+                f"missing measured fields {gaps}"
+            )
     # "modes" is a list of row dicts in the seam benchmarks but a list of
     # mode *names* in the gauntlet report; only dict rows carry fields.
     rows = {
