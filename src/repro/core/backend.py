@@ -3,21 +3,19 @@
 Every sampler in this repository — :class:`~repro.core.reservoir_join
 .ReservoirJoin`, :class:`~repro.cyclic.cyclic_join.CyclicReservoirJoin` and
 the three baselines — maintains its reservoir through the same small
-interface: per-tuple ``insert``, an optional bulk ``insert_batch``, the
-``sample`` property, ``statistics()``.  Historically each ingestor probed
-those capabilities with its own ``getattr`` boilerplate and re-implemented
-the per-tuple fallback loop; this module is the one place that knows the
-interface, so the ingestors (and anything else that drives samplers) share a
-single probe, a single fallback, and a single seed-derivation rule.
+interface: per-tuple ``insert``, a chunk method ``insert_batch``, the
+``sample`` property, ``statistics()``.  This module is the one place that
+knows the interface, so the ingestors (and anything else that drives
+samplers) share a single probe, a single per-tuple adapter, and a single
+seed-derivation rule.
 
 Four layers of service:
 
 * **The protocol** (:class:`SamplerBackend`) — the structural type a backend
   must satisfy to ride the ingestion seam.  Conformance is duck-typed
   (``typing.Protocol``); samplers do not import this module to conform.
-* **Capability probing** (:func:`chunk_apply`) — the best chunk path a
-  given backend offers: an ingestor-style ``ingest_batch``, a bulk
-  ``insert_batch``, or the validated per-tuple fallback.
+* **Capability probing** (:func:`chunk_apply`) — the chunk method a given
+  backend offers: an ingestor-style ``ingest_batch``, else ``insert_batch``.
 * **Seed derivation** (:func:`derive_seed`) — the one rule sharding uses
   to split a master RNG into independent per-replica RNGs, so replica
   randomness is reproducible and never shared.
@@ -27,10 +25,10 @@ Four layers of service:
   capability when present, a generic whole-object pickle otherwise (see
   :mod:`repro.ingest.checkpoint` for the file format on top).
 
-:class:`PerTupleBatchMixin` is the shared fallback implementation of
-``insert_batch`` for samplers without a structural bulk path (the
-baselines): validate the whole chunk up front, then drive the per-tuple
-``insert`` loop — identical semantics, one copy of the code.
+:class:`PerTupleBatchMixin` is the one per-tuple→chunk adapter: the
+``insert_batch`` of samplers without a structural bulk path (the
+baselines) validates the whole chunk up front, then drives the per-tuple
+``insert`` loop.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ import pickle
 import random
 from typing import Callable, Dict, Iterable, List, Protocol, Sequence, Tuple, runtime_checkable
 
-from ..relational.stream import as_relation_rows, validated_items
+from ..relational.stream import validated_items
 
 #: Bits of entropy drawn from a master RNG per derived replica seed.  48 bits
 #: keeps seeds comfortably collision-free at any realistic replica count
@@ -68,12 +66,17 @@ class SamplerBackend(Protocol):
     ``statistics()``
         A flat dict of observability counters.
 
+    The chunk method the seam drives
+    --------------------------------
+    ``insert_batch(items)`` (or an ingestor-style ``ingest_batch``)
+        Absorb a chunk of ``StreamTuple``/``(relation, row)`` items; must
+        validate the whole chunk before any mutation and keep the
+        reservoir uniform at the chunk boundary.  :func:`chunk_apply`
+        refuses a backend with neither; a per-tuple sampler gets one from
+        :class:`PerTupleBatchMixin`.
+
     Optional capabilities (probed, never assumed)
     ---------------------------------------------
-    ``insert_batch(items)``
-        Bulk fast path over a chunk of ``StreamTuple``/``(relation, row)``
-        items; must validate the whole chunk before any mutation and keep
-        the reservoir uniform at the chunk boundary.
     ``reservoir``
         The :class:`~repro.core.batch_reservoir.BatchedPredicateReservoir`
         behind ``sample``, whose running ``w`` the sharded merge reads.
@@ -101,54 +104,34 @@ class SamplerBackend(Protocol):
 
 
 def chunk_apply(backend) -> Tuple[Callable[[Sequence], object], str]:
-    """The best way to hand ``backend`` a chunk: ``(apply, mode)``.
+    """How to hand ``backend`` a chunk: ``(apply, mode)``.
 
     Probe order — the single dispatch rule shared by
-    :class:`~repro.ingest.batch.BatchIngestor`, the shard replicas of
-    :class:`~repro.ingest.shard.ShardedIngestor` and the serving layer's
-    bare-sampler path:
+    :class:`~repro.ingest.batch.BatchIngestor` and the shard replicas of
+    :class:`~repro.ingest.shard.ShardedIngestor`:
 
     1. ``ingest_batch`` (``mode='ingest_batch'``) — the backend segments or
        routes its own chunks (a turnstile sampler splitting out its
        retractions, or an ingestor such as a
        :class:`~repro.ingest.shard.ShardedIngestor`);
-    2. ``insert_batch`` (``mode='insert_batch'``) — the sampler's bulk fast
-       path;
-    3. per-tuple ``insert`` loop (``mode='insert'``) — the universal
-       fallback: the chunk is normalised once and driven tuple by tuple.
-       When the backend exposes its query (``original_query`` or
-       ``query``), the whole chunk is validated against it *before* the
-       first insert, so a bad chunk leaves the backend untouched — the
-       same all-or-nothing contract the structural bulk paths honour.  A
-       query-less backend gets the raw loop (and a mid-chunk failure may
-       leave it partially fed; conforming samplers always carry a query).
+    2. ``insert_batch`` (``mode='insert_batch'``) — the sampler's chunk
+       path, which validates the whole chunk before any mutation.
 
-    The returned callable takes one chunk (``StreamTuple`` or
-    ``(relation, row)`` items) and applies it whole.
+    A backend with neither raises ``TypeError``: a sampler that only has a
+    per-tuple ``insert`` mixes in :class:`PerTupleBatchMixin`, the one
+    per-tuple→chunk adapter.  The returned callable takes one chunk
+    (``StreamTuple`` or ``(relation, row)`` items) and applies it whole;
+    ``mode`` is the name of the method it is.
     """
-    ingest_batch = getattr(backend, "ingest_batch", None)
-    if callable(ingest_batch):
-        return ingest_batch, "ingest_batch"
-    insert_batch = getattr(backend, "insert_batch", None)
-    if callable(insert_batch):
-        return insert_batch, "insert_batch"
-    insert = getattr(backend, "insert", None)
-    if not callable(insert):
-        raise TypeError(
-            f"{type(backend).__name__} exposes neither ingest_batch, "
-            "insert_batch nor insert; it cannot be driven by the ingestion seam"
-        )
-    query = getattr(backend, "original_query", None) or getattr(backend, "query", None)
-
-    def fallback(items: Sequence) -> None:
-        if query is not None:
-            pairs = validated_items(items, query)
-        else:
-            pairs = as_relation_rows(items)
-        for relation, row in pairs:
-            insert(relation, row)
-
-    return fallback, "insert"
+    for mode in ("ingest_batch", "insert_batch"):
+        apply = getattr(backend, mode, None)
+        if callable(apply):
+            return apply, mode
+    raise TypeError(
+        f"{type(backend).__name__} exposes neither ingest_batch nor "
+        "insert_batch; a per-tuple sampler gets insert_batch by mixing in "
+        "repro.core.backend.PerTupleBatchMixin"
+    )
 
 
 def _class_path(obj) -> str:

@@ -58,23 +58,23 @@ class PredicateStreamSampler:
         are not).
     rng:
         Seedable randomness source, owned by the underlying reservoir.
-    relation:
-        The single relation name the adapter accepts (default ``"S"``).
-    attribute:
-        Attribute name under which sampled items appear in :attr:`sample`
-        result dicts (default ``"item"``).
+
+    The adapter accepts rows of the single relation :attr:`RELATION` and
+    reports sampled items under :attr:`ATTRIBUTE` in :attr:`sample` result
+    dicts.
     """
+
+    #: The one relation name the adapter accepts.
+    RELATION = "S"
+    #: The attribute under which sampled items appear in result dicts.
+    ATTRIBUTE = "item"
 
     def __init__(
         self,
         k: int,
         predicate: Callable[[object], bool] = is_real,
         rng: Optional[random.Random] = None,
-        relation: str = "S",
-        attribute: str = "item",
     ) -> None:
-        self.relation = relation
-        self.attribute = attribute
         self.reservoir: PredicateReservoir = PredicateReservoir(
             k, predicate, rng=rng
         )
@@ -98,10 +98,10 @@ class PredicateStreamSampler:
         pairs = as_relation_rows(items)
         values: List[object] = []
         for relation, row in pairs:
-            if relation != self.relation:
+            if relation != self.RELATION:
                 raise KeyError(
                     f"relation {relation!r} is not the predicate stream "
-                    f"relation {self.relation!r}"
+                    f"relation {self.RELATION!r}"
                 )
             if len(row) != 1:
                 raise ValueError(
@@ -112,10 +112,8 @@ class PredicateStreamSampler:
         return values
 
     def insert(self, relation: str, row: Sequence) -> None:
-        """Absorb one stream tuple ``(item,)`` of the stream relation."""
-        values = self._validated_values([(relation, tuple(row))])
-        self.reservoir.run(ListStream(values))
-        self.tuples_processed += 1
+        """Absorb one stream tuple ``(item,)``: a one-item :meth:`insert_batch`."""
+        self.insert_batch([(relation, row)])
 
     def insert_batch(self, items: Sequence) -> int:
         """Absorb one chunk through a single ``run()`` over the chunk.
@@ -135,7 +133,7 @@ class PredicateStreamSampler:
     @property
     def sample(self) -> List[Dict[str, object]]:
         """The current reservoir as attr→value dicts (protocol shape)."""
-        return [{self.attribute: item} for item in self.reservoir.sample]
+        return [{self.ATTRIBUTE: item} for item in self.reservoir.sample]
 
     def statistics(self) -> Dict[str, object]:
         stats: Dict[str, object] = {
@@ -162,13 +160,7 @@ class PredicateStreamSampler:
         ``EditDistancePredicate.evaluations``, then aggregate across
         replicas.
         """
-        return PredicateStreamSampler(
-            self.k,
-            self.predicate,
-            rng=rng,
-            relation=self.relation,
-            attribute=self.attribute,
-        )
+        return PredicateStreamSampler(self.k, self.predicate, rng=rng)
 
     # ------------------------------------------------------------------ #
     # Durability (the snapshot capability)
@@ -179,8 +171,6 @@ class PredicateStreamSampler:
         reservoir = self.reservoir
         return {
             "k": reservoir.k,
-            "relation": self.relation,
-            "attribute": self.attribute,
             "predicate": pickle.dumps(reservoir.predicate),
             "sample": list(reservoir._sample),
             "w": reservoir._w,
@@ -194,13 +184,22 @@ class PredicateStreamSampler:
     @classmethod
     def from_snapshot(cls, state: Dict[str, object]) -> "PredicateStreamSampler":
         """Rebuild an adapter that resumes bit-identically *under the same
-        chunking* (see the module docstring for why chunking matters)."""
+        chunking* (see the module docstring for why chunking matters).
+
+        Older snapshots also record the relation and attribute names; a
+        recorded name other than :attr:`RELATION` / :attr:`ATTRIBUTE` raises
+        ``ValueError``.
+        """
+        for key, constant in (("relation", cls.RELATION), ("attribute", cls.ATTRIBUTE)):
+            if state.get(key, constant) != constant:
+                raise ValueError(
+                    f"snapshot records {key} {state[key]!r}; this adapter "
+                    f"only uses {constant!r}"
+                )
         sampler = cls(
             state["k"],
             pickle.loads(state["predicate"]),
             rng=random.Random(),  # throwaway; exact state restored below
-            relation=state["relation"],
-            attribute=state["attribute"],
         )
         reservoir = sampler.reservoir
         reservoir._sample = list(state["sample"])
@@ -214,8 +213,7 @@ class PredicateStreamSampler:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"PredicateStreamSampler(k={self.k}, relation={self.relation!r}, "
-            f"|sample|={len(self.reservoir)})"
+            f"PredicateStreamSampler(k={self.k}, |sample|={len(self.reservoir)})"
         )
 
 

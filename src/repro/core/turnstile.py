@@ -46,8 +46,10 @@ of an absent row becomes a **pending tombstone** that annihilates the next
 insert of that row (multiset counts, so ``n`` early deletes absorb ``n``
 inserts).  A live row never also carries a pending tombstone — deletes of
 live rows never pend — so the two states are mutually exclusive, and a
-double-delete of a live row applies once and pends once.  The reference
-semantics live in :func:`repro.relational.stream.surviving_rows`.
+double-delete of a live row applies once and pends once.  The rule lives
+in one method, ``_annihilated``, which :meth:`TurnstileReservoirJoin.insert`,
+``insert_batch`` and the insert runs of ``ingest_batch`` all ask first.  The
+reference semantics live in :func:`repro.relational.stream.surviving_rows`.
 
 Cost: no delete run counts the join.  Each run probes the reservoir once,
 with a C-level ``isdisjoint`` of its removed rows against the held results'
@@ -83,11 +85,14 @@ class TurnstileReservoirJoin(ReservoirJoin):
     """:class:`~repro.core.reservoir_join.ReservoirJoin` over turnstile streams.
 
     Accepts :class:`~repro.relational.stream.StreamDelete` items alongside
-    inserts — per tuple (:meth:`delete`), per run (:meth:`delete_batch`) or
-    mixed into chunks (:meth:`ingest_batch`, which the ingestion seam's
-    :func:`~repro.core.backend.chunk_apply` probes first, so this sampler
-    composes under the batched, sharded, checkpointing and serving
-    modes like any other backend).
+    inserts — per tuple (:meth:`delete`, a one-item :meth:`delete_batch`),
+    per run (:meth:`delete_batch`) or mixed into chunks (:meth:`ingest_batch`,
+    which the ingestion seam's :func:`~repro.core.backend.chunk_apply`
+    probes first, so this sampler composes under the batched, sharded,
+    checkpointing and serving modes like any other backend).  Inserts keep
+    the insert-only sampler's two paths — per tuple (:meth:`insert`) and
+    bulk (``insert_batch`` and the insert runs of :meth:`ingest_batch`) —
+    and both honour pending tombstones through the same rule.
 
     Differences from the insert-only sampler:
 
@@ -138,30 +143,18 @@ class TurnstileReservoirJoin(ReservoirJoin):
     def insert(self, relation: str, row: Sequence) -> None:
         """Process one insert, honouring pending tombstones."""
         row = tuple(row)
-        key = (relation, row)
-        outstanding = self._pending.get(key, 0)
-        if outstanding:
-            if outstanding == 1:
-                del self._pending[key]
-            else:
-                self._pending[key] = outstanding - 1
-            self.annihilations += 1
-            self.tuples_processed += 1
-            return
-        super().insert(relation, row)
+        if not self._annihilated((relation, row)):
+            super().insert(relation, row)
 
     def delete(self, relation: str, row: Sequence) -> bool:
         """Process one retraction; returns whether a live row was removed.
 
-        A retraction of an absent row returns ``False`` and records a
-        pending tombstone.  The reservoir is re-uniformised immediately
-        (single-item "chunk"), so the per-boundary guarantee holds after
-        every call.  An unknown relation raises ``KeyError`` and a wrong
-        arity ``ValueError``, both before any state changes.
+        A one-item :meth:`delete_batch`: a retraction of an absent row
+        returns ``False`` and records a pending tombstone, and the reservoir
+        is re-uniformised immediately, so the per-boundary guarantee holds
+        after every call.
         """
-        pairs = [(relation, tuple(row))]
-        validate_pairs(pairs, self.original_query)
-        return self._apply_delete_pairs(pairs) == 1
+        return self.delete_batch([(relation, row)]) == 1
 
     def delete_batch(self, items: Iterable) -> int:
         """Process a run of retractions; returns how many removed live rows.
@@ -215,7 +208,7 @@ class TurnstileReservoirJoin(ReservoirJoin):
             if is_delete:
                 self._apply_delete_pairs(pairs)
             else:
-                absorbed += self._insert_run(pairs)
+                absorbed += self._insert_pairs(pairs)
         return absorbed
 
     def process(self, stream: Iterable) -> "TurnstileReservoirJoin":
@@ -230,22 +223,31 @@ class TurnstileReservoirJoin(ReservoirJoin):
                 self.insert(relation, row)
         return self
 
-    def _insert_run(self, pairs: List[Tuple[str, tuple]]) -> int:
-        survivors: List[Tuple[str, tuple]] = []
-        for key in pairs:
-            outstanding = self._pending.get(key, 0)
-            if outstanding:
-                if outstanding == 1:
-                    del self._pending[key]
-                else:
-                    self._pending[key] = outstanding - 1
-                self.annihilations += 1
-                self.tuples_processed += 1
-                continue
-            survivors.append(key)
-        if not survivors:
-            return 0
-        return self._insert_pairs(survivors)
+    def _annihilated(self, key: Tuple[str, tuple]) -> bool:
+        """Consume a pending tombstone naming ``key``; whether one was there.
+
+        The one place the tombstone rule lives: every insert entry point
+        asks it first, and an annihilated insert counts as processed but
+        never reaches the index.
+        """
+        outstanding = self._pending.get(key, 0)
+        if not outstanding:
+            return False
+        if outstanding == 1:
+            del self._pending[key]
+        else:
+            self._pending[key] = outstanding - 1
+        self.annihilations += 1
+        self.tuples_processed += 1
+        return True
+
+    def _insert_pairs(self, pairs: List[Tuple[str, tuple]]) -> int:
+        """Validated insert pairs minus the annihilated ones, through the
+        insert-only bulk path (reached by ``insert_batch`` and by the insert
+        runs of :meth:`ingest_batch`)."""
+        if self._pending:
+            pairs = [key for key in pairs if not self._annihilated(key)]
+        return super()._insert_pairs(pairs)
 
     # ------------------------------------------------------------------ #
     # Eviction and refill

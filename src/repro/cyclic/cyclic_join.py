@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.batch_reservoir import BatchedPredicateReservoir
 from ..index.dynamic_index import DynamicJoinIndex
 from ..relational.database import Database
-from ..relational.join import _relation_order, delta_results
+from ..relational.join import _relation_order
 from ..relational.query import JoinQuery
 from ..relational.schema import RelationSchema, canonical_attrs, tuple_getter
 from ..relational.stream import StreamTuple, validated_items
@@ -45,11 +45,10 @@ class _BagDeltaPlan:
     on the arriving row — the member relation, the projection getter, the
     backtracking order with its per-step bound/free attribute split — is
     resolved once at construction time.  :meth:`deltas` then enumerates the
-    exact same results, in the exact same order, as
+    same results, in the same order, as the generic
     ``delta_results(subquery, database, member, projection)`` followed by
-    ``bag_schema.row_from_mapping`` (the per-tuple :meth:`CyclicReservoirJoin
-    ._bag_delta` path), which is what keeps the two paths bit-identical for
-    single-tuple chunks.
+    ``bag_schema.row_from_mapping`` (``tests/test_cyclic_join.py`` checks
+    this against that oracle).
     """
 
     __slots__ = ("bag_name", "member_relation", "member_attrs", "project", "steps", "bag_attrs")
@@ -107,6 +106,9 @@ class CyclicReservoirJoin:
         automatically (see :func:`repro.cyclic.ghd.ghd_for`).
     grouping:
         Enable the grouping optimisation inside the acyclic index over bags.
+
+    Every tuple enters through :meth:`insert_batch`; :meth:`insert` is a
+    one-item chunk.
     """
 
     def __init__(
@@ -194,36 +196,8 @@ class CyclicReservoirJoin:
     # Streaming interface
     # ------------------------------------------------------------------ #
     def insert(self, relation: str, row: Sequence) -> None:
-        """Process one base-stream tuple."""
-        self.tuples_processed += 1
-        row = tuple(row)
-        if not self._seen.insert(relation, row):
-            self.duplicates_ignored += 1
-            return
-        chosen = self._chosen_bag[relation]
-        chosen_rows: List[tuple] = []
-        other_rows: List[Tuple[str, tuple]] = []
-        for bag_name in self._touching[relation]:
-            new_rows = self._bag_delta(bag_name, relation, row)
-            if bag_name == chosen:
-                chosen_rows.extend(new_rows)
-            else:
-                other_rows.extend((bag_name, bag_row) for bag_row in new_rows)
-        # Non-covering bags first: their new tuples only update the index.
-        for bag_name, bag_row in other_rows:
-            if self.index.insert(bag_name, bag_row):
-                self.bag_tuples_inserted += 1
-        # Covering bag last: each new tuple produces a delta batch.  The
-        # batch is materialised lazily only when the reservoir's pending
-        # skip does not already cover it (see ``process_deferred``).
-        chosen_tree = self.index.trees[chosen]
-        for bag_row in chosen_rows:
-            if not self.index.insert(chosen, bag_row):
-                continue
-            self.bag_tuples_inserted += 1
-            self.reservoir.process_deferred(
-                chosen_tree.delta_batch_size(bag_row), chosen_tree.delta_batch, bag_row
-            )
+        """Process one base-stream tuple: a one-item :meth:`insert_batch`."""
+        self.insert_batch([(relation, row)])
 
     def insert_batch(self, items: Iterable) -> int:
         """Process a chunk of base-stream tuples through the bulk fast path.
@@ -251,8 +225,8 @@ class CyclicReservoirJoin:
         the batch of the last of its covering-bag tuples in processing order
         — so the reservoir is a uniform sample without replacement of the
         join results of the stream prefix ending at the chunk boundary.
-        With a single-tuple chunk the path degenerates to exactly
-        :meth:`insert` (same randomness consumption, same reservoir).
+        A single-tuple chunk is Algorithm 6 as the paper states it, and is
+        what :meth:`insert` runs.
         """
         pairs = validated_items(items, self.query)
         if not pairs:
@@ -311,30 +285,6 @@ class CyclicReservoirJoin:
                 tree.delta_batch_sizes(new_bag_rows), tree.delta_batch, new_bag_rows
             )
         return inserted
-
-    def _bag_delta(self, bag_name: str, relation: str, row: tuple) -> List[tuple]:
-        """New tuples of the bag's materialised sub-join caused by ``row``.
-
-        This is the reference enumeration used by the per-tuple
-        :meth:`insert` path (Algorithm 6 as the paper states it).  The bulk
-        path evaluates the same delta through :class:`_BagDeltaPlan.deltas`,
-        which must stay bit-identical — same rows, same order — or the
-        ``chunk_size=1`` degeneration breaks; any divergence is caught by
-        ``tests/statistical/test_properties.py::
-        test_cyclic_bulk_path_bit_identical_at_chunk_size_one``.
-        """
-        member = self._member_name[(bag_name, relation)]
-        attrs = self._member_attrs[(bag_name, relation)]
-        projection = self.query.relation(relation).project(row, attrs)
-        database = self._bag_databases[bag_name]
-        if not database.insert(member, projection):
-            return []
-        subquery = self._bag_subqueries[bag_name]
-        bag_schema = self.bag_query.relation(bag_name)
-        return [
-            bag_schema.row_from_mapping(result)
-            for result in delta_results(subquery, database, member, projection)
-        ]
 
     def process(self, stream: Iterable[StreamTuple]) -> "CyclicReservoirJoin":
         """Process a whole stream of :class:`StreamTuple`."""

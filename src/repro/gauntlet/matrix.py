@@ -366,9 +366,9 @@ class ModeMatrix:
         # predicate (probed off a throwaway sampler, so scenario builders
         # stay free to wrap or counter-instrument it).
         probe = scenario.make_sampler(1, random.Random(0))
-        predicate, attribute = probe.predicate, probe.attribute
+        predicate = probe.predicate
         return [
-            {attribute: item.row[0]}
+            {probe.ATTRIBUTE: item.row[0]}
             for item in prefix
             if predicate(item.row[0])
         ]

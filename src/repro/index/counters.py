@@ -33,40 +33,3 @@ def pow2_exponent(value: int) -> int:
 def is_pow2(value: int) -> bool:
     """Whether ``value`` is a positive power of two."""
     return value > 0 and not value & (value - 1)
-
-
-class ApproximateCounter:
-    """An exact counter together with its power-of-two upper approximation.
-
-    ``bump(delta)`` returns ``(old_approx, new_approx)`` so callers can detect
-    the (rare) event that the approximation changed and trigger propagation.
-    """
-
-    __slots__ = ("count", "approx")
-
-    def __init__(self, count: int = 0) -> None:
-        if count < 0:
-            raise ValueError("counts cannot be negative")
-        self.count = count
-        self.approx = next_pow2(count)
-
-    def bump(self, delta: int) -> tuple:
-        """Add ``delta`` to the exact count; return ``(old_approx, new_approx)``."""
-        new_count = self.count + delta
-        if new_count < 0:
-            raise ValueError("counter would become negative")
-        old_approx = self.approx
-        self.count = new_count
-        self.approx = next_pow2(new_count)
-        return old_approx, self.approx
-
-    @property
-    def changed_times_bound(self) -> int:
-        """An upper bound on how often the approximation can still double.
-
-        Purely informational (used in tests illustrating the O(log N) claim).
-        """
-        return max(self.count, 1).bit_length()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"ApproximateCounter(count={self.count}, approx={self.approx})"

@@ -530,14 +530,6 @@ class TreeIndex:
         """The bucket family of ``(node, key)`` if it exists."""
         return self._families[node].get(key)
 
-    def family_count(self) -> int:
-        """Total number of bucket families across all nodes."""
-        return sum(len(families) for families in self._families.values())
-
-    def group_view(self, node: str) -> Optional[GroupView]:
-        """The grouping view of ``node`` (``None`` when the node is not grouped)."""
-        return self._group_views[node]
-
     def true_degree(self, node: str, key: Tuple) -> int:
         """Ground-truth degree of ``key`` in the subtree of ``node`` (recomputed).
 

@@ -8,9 +8,8 @@ that cost in two layers:
 1. **The protocol** (:mod:`repro.core.backend`): every sampler conforms to
    the :class:`~repro.core.backend.SamplerBackend` interface; capability
    probing (:func:`~repro.core.backend.chunk_apply`) picks each backend's
-   best chunk path once — ``ingest_batch``, ``insert_batch``, or the
-   validated per-tuple fallback — so no ingestor carries its own
-   ``getattr`` boilerplate.
+   chunk method once — ``ingest_batch``, else ``insert_batch`` — so no
+   ingestor carries its own ``getattr`` boilerplate.
 2. **The ingestors**, each one chunk loop that applies a chunk, counts it
    once and then runs its chunk-boundary hooks:
 

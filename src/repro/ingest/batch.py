@@ -2,11 +2,10 @@
 
 See the package docstring for the design rationale.  The ingestor is the
 simplest chunk loop: one sampler, no routing.  It is sampler agnostic — its
-apply callable comes from :func:`repro.core.backend.chunk_apply`, so anything
-conforming to the :class:`~repro.core.backend.SamplerBackend` protocol gets
-its best path probed once (``insert_batch`` fast path when present, validated
-per-tuple ``insert`` fallback otherwise) and the same harness code can run
-both kinds.
+apply callable comes from :func:`repro.core.backend.chunk_apply`, which
+probes once for the sampler's chunk method (``ingest_batch``, else
+``insert_batch``; a per-tuple sampler gets the latter from
+:class:`~repro.core.backend.PerTupleBatchMixin`).
 """
 
 from __future__ import annotations
@@ -33,10 +32,10 @@ class BatchIngestor:
     Parameters
     ----------
     sampler:
-        Any sampler with an ``insert_batch(items)`` method, or — as a
-        fallback — a per-tuple ``insert(relation, row)`` method.
+        Any sampler with an ``ingest_batch(items)`` or ``insert_batch(items)``
+        method (``TypeError`` otherwise).
     chunk_size:
-        How many stream tuples to accumulate per ``insert_batch`` call.
+        How many stream tuples to accumulate per chunk call.
         The reservoir is guaranteed uniform at every chunk boundary.
 
     Attributes
@@ -49,16 +48,11 @@ class BatchIngestor:
         if chunk_size <= 0:
             raise ValueError("chunk size must be positive")
         self.sampler = sampler
-        self._apply, self._mode = chunk_apply(sampler)
+        self._apply = chunk_apply(sampler)[0]
         self.chunk_size = chunk_size
         self.batches_ingested = 0
         self.tuples_ingested = 0
         self._hooks: List[Callable] = []
-
-    @property
-    def uses_fast_path(self) -> bool:
-        """Whether the sampler exposes a batched (or ingestor) fast path."""
-        return self._mode != "insert"
 
     def ingest_batch(self, items: Sequence) -> int:
         """Push one chunk (``StreamTuple`` or ``(relation, row)`` items).
@@ -157,7 +151,6 @@ class BatchIngestor:
             "batches_ingested": self.batches_ingested,
             "tuples_ingested": self.tuples_ingested,
             "chunk_size": self.chunk_size,
-            "fast_path": self.uses_fast_path,
         }
         if hasattr(self.sampler, "statistics"):
             stats.update(self.sampler.statistics())

@@ -6,7 +6,7 @@ normalises and validates a chunk before any sampler state changes.
 """
 
 from .schema import KeyConstraint, RelationSchema, canonical_attrs
-from .relation import ProjectionView, Relation, RelationIndex
+from .relation import Relation, RelationIndex
 from .query import JoinQuery
 from .database import Database
 from .stream import (
@@ -36,7 +36,6 @@ __all__ = [
     "KeyConstraint",
     "RelationSchema",
     "canonical_attrs",
-    "ProjectionView",
     "Relation",
     "RelationIndex",
     "JoinQuery",

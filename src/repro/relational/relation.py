@@ -1,4 +1,4 @@
-"""Relation instances with maintained hash indexes and projection views.
+"""Relation instances with maintained hash indexes.
 
 The dynamic sampling index of the paper repeatedly performs semi-joins of the
 form ``R_e ⋉ t`` where ``t`` is a value tuple over a subset of ``R_e``'s
@@ -6,11 +6,8 @@ attributes (Section 4.3).  :class:`Relation` therefore supports *maintained*
 hash indexes on arbitrary attribute subsets: once registered, an index is
 kept up to date by every insert in O(1) time, and exposes the matching rows
 as an append-only list with positional access (needed by ``Retrieve``,
-Algorithm 9, Case 1).
-
-The grouping optimisation (Section 4.4) additionally needs materialised
-projections with multiplicities (the ``feq`` counters); these are provided by
-:class:`ProjectionView`.
+Algorithm 9, Case 1).  The grouping optimisation's projections (Section 4.4)
+live in :class:`repro.index.grouping.GroupView`.
 """
 
 from __future__ import annotations
@@ -86,75 +83,6 @@ class RelationIndex:
         return len(self._groups)
 
 
-class ProjectionView:
-    """A maintained projection ``π_attrs R`` with multiplicity counters.
-
-    Used by the grouping optimisation (Section 4.4): the grouped node ``ē``
-    stores one entry per distinct projection, together with
-    ``feq = |R_e ⋉ t|`` for each projection ``t``.
-    """
-
-    def __init__(self, relation: "Relation", attrs: Iterable[str]) -> None:
-        self.attrs = canonical_attrs(attrs)
-        self._positions = relation.schema.positions_of(self.attrs)
-        self._key_of = tuple_getter(self._positions)
-        self._counts: Dict[Tuple, int] = {}
-        self._rows: List[Tuple] = []
-        self._row_positions: Dict[Tuple, int] = {}
-        for row in relation.rows:
-            self.add(row)
-
-    def key_of(self, row: Row) -> Tuple:
-        """Projection of a base row onto the view attributes."""
-        return self._key_of(row)
-
-    def add(self, row: Row) -> Tuple[Tuple, bool]:
-        """Record a base-row insert.  Returns ``(projection, is_new)``."""
-        key = self._key_of(row)
-        count = self._counts.get(key, 0)
-        self._counts[key] = count + 1
-        if count == 0:
-            self._row_positions[key] = len(self._rows)
-            self._rows.append(key)
-            return key, True
-        return key, False
-
-    def remove(self, row: Row) -> Tuple[Tuple, bool]:
-        """Record a base-row delete.  Returns ``(projection, became_absent)``.
-
-        When the last base row carrying a projection disappears, the
-        projection itself is removed from :attr:`rows` (swap-with-last, so
-        the distinct-projection list stays positionally addressable).
-        """
-        key = self._key_of(row)
-        count = self._counts[key]
-        if count > 1:
-            self._counts[key] = count - 1
-            return key, False
-        del self._counts[key]
-        pos = self._row_positions.pop(key)
-        last = self._rows.pop()
-        if pos < len(self._rows):
-            self._rows[pos] = last
-            self._row_positions[last] = pos
-        return key, True
-
-    def count(self, key: Tuple) -> int:
-        """Multiplicity ``feq`` of a projection (0 when absent)."""
-        return self._counts.get(key, 0)
-
-    @property
-    def rows(self) -> List[Tuple]:
-        """Distinct projections in first-appearance order."""
-        return self._rows
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def __contains__(self, key: Tuple) -> bool:
-        return key in self._counts
-
-
 class Relation:
     """A set-semantics relation instance with maintained indexes.
 
@@ -173,7 +101,6 @@ class Relation:
         self.rows: List[Row] = []
         self._row_positions: Dict[Row, int] = {}
         self._indexes: Dict[Tuple[str, ...], RelationIndex] = {}
-        self._views: Dict[Tuple[str, ...], ProjectionView] = {}
         self._on_insert: List[Callable[[Row], None]] = []
         self._on_delete: List[Callable[[Row], None]] = []
         if rows is not None:
@@ -197,8 +124,8 @@ class Relation:
     def insert(self, row: Sequence) -> bool:
         """Insert a row.  Returns ``True`` if the row is new, ``False`` otherwise.
 
-        All registered indexes, projection views and insert callbacks are
-        updated when the row is new.
+        All registered indexes and insert callbacks are updated when the row
+        is new.
         """
         row = tuple(row)
         if len(row) != self.schema.arity:
@@ -212,8 +139,6 @@ class Relation:
         self.rows.append(row)
         for index in self._indexes.values():
             index.add(row)
-        for view in self._views.values():
-            view.add(row)
         for callback in self._on_insert:
             callback(row)
         return True
@@ -221,8 +146,8 @@ class Relation:
     def delete(self, row: Sequence) -> bool:
         """Delete a row.  Returns ``True`` if the row was present.
 
-        All registered indexes, projection views and delete callbacks are
-        updated when the row was present; deleting an absent row is a no-op
+        All registered indexes and delete callbacks are updated when the row
+        was present; deleting an absent row is a no-op
         (turnstile tombstone bookkeeping lives above this layer, see
         ``repro.core.turnstile``).
         """
@@ -236,8 +161,6 @@ class Relation:
             self._row_positions[last] = pos
         for index in self._indexes.values():
             index.remove(row)
-        for view in self._views.values():
-            view.remove(row)
         for callback in self._on_delete:
             callback(row)
         return True
@@ -246,7 +169,7 @@ class Relation:
         """Insert several rows; returns the new (deduplicated) rows in order.
 
         Behaviourally identical to calling :meth:`insert` per row — the
-        index/view/callback maintenance loops are simply hoisted out of the
+        index/callback maintenance loops are simply hoisted out of the
         per-row dispatch, which matters on the batched ingestion hot path.
         """
         arity = self.schema.arity
@@ -271,9 +194,6 @@ class Relation:
         if new_rows:
             for index in self._indexes.values():
                 index.add_many(new_rows)
-            for view in self._views.values():
-                for row in new_rows:
-                    view.add(row)
             for callback in self._on_insert:
                 for row in new_rows:
                     callback(row)
@@ -287,15 +207,6 @@ class Relation:
             index = RelationIndex(self, key)
             self._indexes[key] = index
         return index
-
-    def view_on(self, attrs: Iterable[str]) -> ProjectionView:
-        """Return (creating if needed) a maintained projection view on ``attrs``."""
-        key = canonical_attrs(attrs)
-        view = self._views.get(key)
-        if view is None:
-            view = ProjectionView(self, key)
-            self._views[key] = view
-        return view
 
     def add_insert_callback(self, callback: Callable[[Row], None]) -> None:
         """Register a callback invoked for every *new* row inserted."""

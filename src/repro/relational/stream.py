@@ -88,9 +88,9 @@ def validated_items(items: Iterable, query) -> List[Tuple[str, Tuple]]:
     """Normalise a batch and validate it against ``query`` before any mutation.
 
     The shared front half of every ``insert_batch`` implementation — the
-    structural bulk paths, :class:`repro.core.backend.PerTupleBatchMixin`
-    and the probed per-tuple fallback of :func:`repro.core.backend
-    .chunk_apply` all validate through this: returns the
+    structural bulk paths and the per-tuple adapter
+    :class:`repro.core.backend.PerTupleBatchMixin` all validate through
+    this: returns the
     ``(relation, row)`` pairs of :func:`as_relation_rows`, raising
     ``KeyError`` for a pair naming a relation outside the query and
     ``ValueError`` for a row whose arity does not match its relation's schema.

@@ -2,8 +2,10 @@
 
 The paper's whole point is that reservoir maintenance makes ``sample(k)``
 answerable *at any moment during the stream*.  This module is that moment's
-front door: one writer drives any live ingestor (batch / sharded) chunk by
-chunk, and many concurrent readers draw
+front door: one writer drives a live ingestor (a
+:class:`~repro.ingest.batch.BatchIngestor` or a
+:class:`~repro.ingest.shard.ShardedIngestor`) chunk by chunk, and many
+concurrent readers draw
 samples that are never torn and always exactly uniform.
 
 Snapshot epochs
@@ -15,8 +17,8 @@ Reads never touch the live state.  Instead the first read of an epoch
 captures an :class:`EpochSnapshot`: an immutable record of only what a read
 needs, never the index or the relations.
 
-* A batch-style target (a :class:`~repro.ingest.batch.BatchIngestor` or a
-  bare sampler) records its reservoir.
+* A :class:`~repro.ingest.batch.BatchIngestor` records its sampler's
+  reservoir.
 * A :class:`~repro.ingest.shard.ShardedIngestor` records each shard's
   reservoir, running ``w`` and capacity, plus its default merge size.
 * Every subscribed predicate view records its reservoir.
@@ -68,11 +70,10 @@ import random
 import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.backend import chunk_apply, derive_seed
+from ..core.backend import derive_seed
 # Bound but never called: bench/run.py's trace probes look these names up here.
 from ..core.backend import restore_backend, snapshot_backend  # noqa: F401
 from ..core.predicate_backend import PredicateStreamSampler
-from ..ingest.batch import DEFAULT_CHUNK_SIZE
 from ..ingest.shard import ShardState, merge_shard_samples
 from ..relational.stream import (
     StreamTuple,
@@ -90,7 +91,7 @@ def _copied(results: Iterable[dict]) -> Tuple[dict, ...]:
 class EpochSnapshot:
     """An immutable record of the served state at one chunk-boundary epoch.
 
-    Holds only what reads need: ``reservoir`` (a batch-style target) or
+    Holds only what reads need: ``reservoir`` (a batch target) or
     ``shard_states`` plus the default merge size ``k`` (a sharded target),
     and each subscribed view's reservoir.  All read methods are safe to
     call from any number of threads concurrently: the only mutable state is
@@ -101,7 +102,7 @@ class EpochSnapshot:
     def __init__(
         self,
         epoch: int,
-        tuples_ingested: Optional[int],
+        tuples_ingested: int,
         seed: int,
         reservoir: Optional[Tuple[dict, ...]],
         shard_states: Optional[Tuple[ShardState, ...]],
@@ -128,7 +129,7 @@ class EpochSnapshot:
 
         Sharded records draw a fresh merged sample (the ``k`` smallest
         regenerated keys over the recorded shard reservoirs, ``k``
-        defaulting to the ingestor's).  Batch-style records return the reservoir itself
+        defaulting to the ingestor's).  Batch records return the reservoir itself
         when ``k`` is ``None`` or at least the reservoir size
         (bit-identical to a standalone sampler stopped at this prefix), and
         a uniform ``k``-subset of it otherwise — a uniform subset of a
@@ -175,9 +176,11 @@ class SampleServer:
     Parameters
     ----------
     ingestor:
-        The live ingestor (or bare sampler) to serve.  Anything exposing
-        ``add_boundary_hook`` gets exact epoch tracking; a bare sampler
-        falls back to counting the chunks pushed through the server.
+        The live ingestor to serve: anything exposing ``add_boundary_hook``
+        (a :class:`~repro.ingest.batch.BatchIngestor` or a
+        :class:`~repro.ingest.shard.ShardedIngestor`), whose boundary hook
+        counts the epochs.  Anything else raises ``TypeError``; serve a
+        bare sampler by wrapping it in a ``BatchIngestor``.
     rng:
         Master randomness for snapshot-capture seeds and view samplers;
         seed it for reproducible served draws.
@@ -188,6 +191,12 @@ class SampleServer:
     """
 
     def __init__(self, ingestor, rng: Optional[random.Random] = None) -> None:
+        add_hook = getattr(ingestor, "add_boundary_hook", None)
+        if not callable(add_hook):
+            raise TypeError(
+                f"SampleServer serves an ingestor with add_boundary_hook, not a "
+                f"{type(ingestor).__name__}; wrap a sampler in BatchIngestor"
+            )
         self.ingestor = ingestor
         self._rng = rng if rng is not None else random.Random()
         self._lock = threading.RLock()
@@ -198,15 +207,7 @@ class SampleServer:
         self._snapshots_taken = 0
         self._snapshot_cache_hits = 0
         self._reads_served = 0
-        add_hook = getattr(ingestor, "add_boundary_hook", None)
-        self._hooked = add_hook is not None
-        if self._hooked:
-            add_hook(self._on_boundary)
-            self._push: Callable[[Sequence], object] = ingestor.ingest_batch
-        else:
-            # A bare sampler: the capability probe picks its best bulk path
-            # and the server itself counts the boundaries it creates.
-            self._push, _ = chunk_apply(ingestor)
+        add_hook(self._on_boundary)
 
     # ------------------------------------------------------------------ #
     # Writer side
@@ -225,28 +226,17 @@ class SampleServer:
         """
         with self._lock:
             items = list(items)
-            result = self._push(items)
-            pushed = result if isinstance(result, int) else len(items)
-            if pushed:
-                if self._views:
-                    pairs = as_relation_rows(
-                        item for item in items if not is_delete(item)
-                    )
-                    for view in self._views.values():
-                        view.insert_batch(
-                            [(view.relation, (pair,)) for pair in pairs]
-                        )
-                if not self._hooked:
-                    self._epoch += 1
+            pushed = self.ingestor.ingest_batch(items)
+            if pushed and self._views:
+                pairs = as_relation_rows(item for item in items if not is_delete(item))
+                for view in self._views.values():
+                    view.insert_batch([(view.RELATION, (pair,)) for pair in pairs])
             return pushed
 
     def ingest(self, stream: Iterable[StreamTuple]) -> "SampleServer":
         """Chunk ``stream`` with the ingestor's chunk size and push it all;
         returns ``self``."""
-        chunk_size = (
-            getattr(self.ingestor, "chunk_size", None) or DEFAULT_CHUNK_SIZE
-        )
-        for chunk in chunk_stream(stream, chunk_size):
+        for chunk in chunk_stream(stream, self.ingestor.chunk_size):
             self.ingest_batch(chunk)
         return self
 
@@ -288,13 +278,6 @@ class SampleServer:
         """Chunk boundaries published so far (0 = empty prefix)."""
         return self._epoch
 
-    def _prefix_tuples(self) -> Optional[int]:
-        for attr in ("tuples_ingested", "tuples_processed"):
-            value = getattr(self.ingestor, attr, None)
-            if value is not None:
-                return value
-        return None
-
     def _capture(self) -> EpochSnapshot:
         target = self.ingestor
         reservoir = shard_states = k = None
@@ -305,11 +288,10 @@ class SampleServer:
             )
             k = target.k
         else:
-            held = target.sampler.sample if hasattr(target, "sampler") else target.sample
-            reservoir = _copied(held() if callable(held) else held)
+            reservoir = _copied(target.sampler.sample)
         return EpochSnapshot(
             self._epoch,
-            self._prefix_tuples(),
+            target.tuples_ingested,
             derive_seed(self._rng),
             reservoir=reservoir,
             shard_states=shard_states,
@@ -367,15 +349,13 @@ class SampleServer:
         with self._lock:
             stats: Dict[str, object] = {
                 "epoch": self._epoch,
-                "tuples_ingested": self._prefix_tuples(),
+                "tuples_ingested": self.ingestor.tuples_ingested,
                 "reads_served": reads,
                 "snapshots_taken": self._snapshots_taken,
                 "snapshot_cache_hits": self._snapshot_cache_hits,
                 "subscribers": sorted(self._views),
-                "exact_epoch_tracking": self._hooked,
+                "writer": self.ingestor.statistics(),
             }
-            if hasattr(self.ingestor, "statistics"):
-                stats["writer"] = self.ingestor.statistics()
         return stats
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -24,7 +24,7 @@ from repro import (
     SymmetricHashJoinSampler,
 )
 from repro.baselines.naive import NaiveRecomputeSampler
-from repro.core.backend import SamplerBackend, chunk_apply
+from repro.core.backend import PerTupleBatchMixin, SamplerBackend, chunk_apply
 from repro.ingest.batch import chunked
 from repro.ingest.shard import ShardedIngestor
 from repro.stats.uniformity import result_key
@@ -39,6 +39,23 @@ def line3_stream(query, n, seed, domain=12):
         StreamTuple(rng.choice(names), (rng.randrange(domain), rng.randrange(domain)))
         for _ in range(n)
     ]
+
+
+class PerTupleOnly(PerTupleBatchMixin):
+    """A sampler with only a per-tuple ``insert``, adapted to the chunk seam
+    by the mixin; it records every tuple that reaches ``insert``."""
+
+    sample = []
+
+    def __init__(self, query):
+        self.query = query
+        self.seen = []
+        self.tuples_processed = 0
+        self.duplicates_ignored = 0
+
+    def insert(self, relation, row):
+        self.tuples_processed += 1
+        self.seen.append((relation, row))
 
 
 # ---------------------------------------------------------------------- #
@@ -91,7 +108,6 @@ class TestBatchIngestor:
         ingestor.ingest(stream)
         assert ingestor.tuples_ingested == 100
         assert ingestor.batches_ingested == 4  # 32+32+32+4
-        assert ingestor.uses_fast_path
         stats = ingestor.statistics()
         assert stats["tuples_ingested"] == 100
         assert stats["tuples_processed"] == 100
@@ -102,18 +118,22 @@ class TestBatchIngestor:
         assert ingestor.batches_ingested == 0
 
     def test_fallback_to_per_tuple_insert(self, line3_query):
-        class PerTupleOnly:
-            def __init__(self):
-                self.seen = []
+        """A per-tuple sampler rides the seam through PerTupleBatchMixin;
+        without it the seam refuses the sampler and names the mixin."""
+
+        class InsertOnly:
+            sample = []
 
             def insert(self, relation, row):
-                self.seen.append((relation, row))
+                raise AssertionError("the seam never drives insert itself")
 
-        sampler = PerTupleOnly()
+        with pytest.raises(TypeError, match="PerTupleBatchMixin"):
+            BatchIngestor(InsertOnly(), chunk_size=4)
+
+        sampler = PerTupleOnly(line3_query)
         ingestor = BatchIngestor(sampler, chunk_size=4)
         stream = line3_stream(line3_query, 10, seed=5)
         ingestor.ingest(stream)
-        assert not ingestor.uses_fast_path
         assert sampler.seen == [(item.relation, item.row) for item in stream]
 
     def test_accepts_plain_pairs(self, line3_query):
@@ -123,7 +143,7 @@ class TestBatchIngestor:
         )
         assert sampler.index.size == 3
 
-    def test_generator_stream_through_the_fast_path(self, line3_query):
+    def test_generator_stream_through_insert_batch(self, line3_query):
         """Ingesting a one-shot generator matches ingesting the listed stream."""
         stream = line3_stream(line3_query, 50, seed=7)
         from_list = ReservoirJoin(line3_query, 5, rng=random.Random(1))
@@ -136,14 +156,7 @@ class TestBatchIngestor:
         assert from_generator.statistics() == from_list.statistics()
 
     def test_generator_stream_through_the_fallback(self, line3_query):
-        class PerTupleOnly:
-            def __init__(self):
-                self.seen = []
-
-            def insert(self, relation, row):
-                self.seen.append((relation, row))
-
-        sampler = PerTupleOnly()
+        sampler = PerTupleOnly(line3_query)
         stream = line3_stream(line3_query, 10, seed=9)
         BatchIngestor(sampler, chunk_size=3).ingest(item for item in stream)
         assert sampler.seen == [(item.relation, item.row) for item in stream]
@@ -157,21 +170,13 @@ class TestBatchIngestor:
         assert ingestor.batches_ingested == 1
         assert ingestor.tuples_ingested == 5
 
-    def test_fallback_accepts_plain_pairs(self):
-        class PerTupleOnly:
-            def __init__(self):
-                self.seen = []
-
-            def insert(self, relation, row):
-                self.seen.append((relation, row))
-
-        sampler = PerTupleOnly()
+    def test_fallback_accepts_plain_pairs(self, line3_query):
+        sampler = PerTupleOnly(line3_query)
         ingestor = BatchIngestor(sampler, chunk_size=2)
-        ingestor.ingest_batch([("R1", [1, 2]), ("R2", (2, 3))])
+        assert ingestor.ingest_batch([("R1", [1, 2]), ("R2", (2, 3))]) == 2
         # Rows are normalised to tuples on the way through.
         assert sampler.seen == [("R1", (1, 2)), ("R2", (2, 3))]
-        assert not ingestor.uses_fast_path
-        assert ingestor.statistics()["fast_path"] is False
+        assert sampler.insert_batch([("R3", [3, 4])]) == 1
 
     def test_destructive_single_backend_counters_stay_honest(self, line3_query):
         """Counters describe what was delivered, not what the backend left.
@@ -207,23 +212,14 @@ class TestBatchIngestor:
         assert sum(sharded.shard_loads()) == len(chunk) + broadcast
 
     def test_per_tuple_fallback_validates_before_mutating(self, line3_query):
-        """An insert-only backend exposing its query gets whole-chunk validation."""
-
-        class PerTupleOnly:
-            def __init__(self, query):
-                self.query = query
-                self.seen = []
-
-            def insert(self, relation, row):
-                self.seen.append((relation, row))
-
-            sample = []
-
+        """The per-tuple adapter validates the whole chunk against the query."""
         backend = PerTupleOnly(line3_query)
         ingestor = BatchIngestor(backend, chunk_size=8)
         with pytest.raises(KeyError):
             ingestor.ingest_batch([("R1", (1, 2)), ("BOGUS", (3, 4))])
-        assert backend.seen == []  # the bad chunk never reached insert()
+        with pytest.raises(ValueError):
+            ingestor.ingest_batch([("R1", (1, 2)), ("R2", (3, 4, 5))])
+        assert backend.seen == []  # the bad chunks never reached insert()
         assert ingestor.tuples_ingested == 0
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.index.counters import ApproximateCounter, is_pow2, next_pow2, pow2_exponent
+from repro.index.counters import is_pow2, next_pow2, pow2_exponent
 
 
 class TestNextPow2:
@@ -39,38 +39,3 @@ class TestIsPow2:
     def test_examples(self):
         assert is_pow2(1) and is_pow2(2) and is_pow2(1024)
         assert not is_pow2(0) and not is_pow2(3) and not is_pow2(-2)
-
-
-class TestApproximateCounter:
-    def test_initial_state(self):
-        counter = ApproximateCounter()
-        assert counter.count == 0
-        assert counter.approx == 0
-
-    def test_bump_reports_approx_change(self):
-        counter = ApproximateCounter()
-        old, new = counter.bump(3)
-        assert (old, new) == (0, 4)
-        old, new = counter.bump(1)
-        assert (old, new) == (4, 4)
-        old, new = counter.bump(1)
-        assert (old, new) == (4, 8)
-
-    def test_negative_total_rejected(self):
-        counter = ApproximateCounter(2)
-        with pytest.raises(ValueError):
-            counter.bump(-5)
-
-    def test_negative_initial_rejected(self):
-        with pytest.raises(ValueError):
-            ApproximateCounter(-1)
-
-    def test_doubling_happens_logarithmically_often(self):
-        """The approximation changes O(log N) times over N unit increments."""
-        counter = ApproximateCounter()
-        changes = 0
-        for _ in range(10_000):
-            old, new = counter.bump(1)
-            if old != new:
-                changes += 1
-        assert changes <= 15  # ceil(log2(10000)) + 1

@@ -6,7 +6,7 @@ import pytest
 
 from repro.cyclic.cyclic_join import CyclicReservoirJoin
 from repro.cyclic.ghd import GHD
-from repro.relational import JoinQuery
+from repro.relational import Database, JoinQuery, StreamTuple, delta_results
 from repro.stats.uniformity import result_key, uniformity_p_value
 from repro.workloads.graph import dumbbell_query, line_query, triangle_query
 from tests.conftest import ground_truth, make_edges, make_graph_stream
@@ -173,3 +173,65 @@ class TestInsertBatchBulkPath:
         assert inserted == 2
         assert sampler.duplicates_ignored == 1
         assert sampler.insert_batch([("G1", (1, 2))]) == 0
+
+
+class TestBagDeltaEnumeration:
+    """The bulk path's precomputed bag-delta plans against the generic oracle.
+
+    For every arriving base tuple and every bag it touches,
+    ``_BagDeltaPlan.deltas(row)`` must return the rows ``delta_results``
+    enumerates over a shadow copy of that bag's sub-join database — the
+    same rows in the same order, which is what keeps the reservoir's
+    randomness consumption the one Algorithm 6 prescribes.
+    """
+
+    QUERIES = {
+        "triangle": {"R1": ["x1", "x2"], "R2": ["x2", "x3"], "R3": ["x1", "x3"]},
+        "cycle-4": {
+            "R1": ["x1", "x2"],
+            "R2": ["x2", "x3"],
+            "R3": ["x3", "x4"],
+            "R4": ["x1", "x4"],
+        },
+    }
+
+    @pytest.mark.parametrize("case_seed", [2, 13, 43, 89])
+    @pytest.mark.parametrize("shape", list(QUERIES))
+    def test_plans_enumerate_exactly_the_delta_oracle(self, shape, case_seed):
+        rng = random.Random(case_seed)
+        query = JoinQuery.from_spec(shape, self.QUERIES[shape])
+        domain = rng.choice([3, 4])
+        stream = [
+            StreamTuple(
+                rng.choice(query.relation_names),
+                (rng.randrange(domain), rng.randrange(domain)),
+            )
+            for _ in range(90)
+        ]
+        sampler = CyclicReservoirJoin(query, 7, rng=random.Random(case_seed + 1))
+        shadows = {
+            bag: Database(subquery) for bag, subquery in sampler._bag_subqueries.items()
+        }
+        seen = set()
+        compared = 0
+        for item in stream:
+            if (item.relation, item.row) in seen:
+                continue  # the sampler dedups base tuples before any bag sees them
+            seen.add((item.relation, item.row))
+            for plan in sampler._delta_plans[item.relation]:
+                bag = plan.bag_name
+                member = sampler._member_name[(bag, item.relation)]
+                attrs = sampler._member_attrs[(bag, item.relation)]
+                projection = query.relation(item.relation).project(item.row, attrs)
+                expected = []
+                if shadows[bag].insert(member, projection):
+                    bag_schema = sampler.bag_query.relation(bag)
+                    expected = [
+                        bag_schema.row_from_mapping(result)
+                        for result in delta_results(
+                            sampler._bag_subqueries[bag], shadows[bag], member, projection
+                        )
+                    ]
+                assert plan.deltas(item.row) == expected
+                compared += len(expected)
+        assert compared

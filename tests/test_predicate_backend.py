@@ -109,3 +109,32 @@ def test_async_pipeline_matches_serial_run():
     for chunk in prefetched(chunk_stream(stream, 32)):
         ingestor.ingest_batch(chunk)
     assert piped.sample == serial.sample
+
+
+def test_insert_is_a_one_item_chunk():
+    stream, _, fresh = make_case()
+    per_item = PredicateStreamSampler(12, fresh(), rng=random.Random(5))
+    chunked = PredicateStreamSampler(12, fresh(), rng=random.Random(5))
+    for relation, row in stream:
+        per_item.insert(relation, row)
+        chunked.insert_batch([(relation, row)])
+    assert per_item.sample == chunked.sample
+    assert per_item.statistics() == chunked.statistics()
+    assert per_item.statistics()["chunks_processed"] == len(stream)
+
+
+def test_snapshot_restores_with_or_without_the_retired_names():
+    stream, _, fresh = make_case()
+    sampler = PredicateStreamSampler(12, fresh(), rng=random.Random(5))
+    sampler.insert_batch(stream[:64])
+    state = sampler.snapshot_state()
+    assert "relation" not in state and "attribute" not in state
+    older = dict(state, relation="S", attribute="item")
+    for snapshot in (state, older):
+        restored = PredicateStreamSampler.from_snapshot(snapshot)
+        restored.insert_batch(stream[64:])
+        assert restored.sample[0].keys() == {"item"}
+    with pytest.raises(ValueError, match="relation"):
+        PredicateStreamSampler.from_snapshot(dict(state, relation="T"))
+    with pytest.raises(ValueError, match="attribute"):
+        PredicateStreamSampler.from_snapshot(dict(state, attribute="value"))

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational.relation import ProjectionView, Relation, RelationIndex
+from repro.relational.relation import Relation, RelationIndex
 from repro.relational.schema import RelationSchema
 
 
@@ -86,28 +86,3 @@ class TestRelationIndex:
         rel.insert((1, 2))  # b=1, a=2
         index = rel.index_on(["b", "a"])
         assert index.key_of((1, 2)) == (2, 1)  # (a, b)
-
-
-class TestProjectionView:
-    def test_counts_multiplicities(self, relation):
-        view = relation.view_on(["x"])
-        relation.insert((1, 2, 3))
-        relation.insert((1, 5, 6))
-        relation.insert((2, 5, 6))
-        assert view.count((1,)) == 2
-        assert view.count((2,)) == 1
-        assert view.count((9,)) == 0
-        assert len(view) == 2
-        assert (1,) in view and (9,) not in view
-
-    def test_add_reports_newness(self):
-        rel = Relation(RelationSchema("R", ("x", "y")))
-        view = rel.view_on(["x"])
-        rel.insert((1, 1))
-        rel.insert((1, 2))
-        assert view.rows == [(1,)]
-
-    def test_view_covers_preexisting_rows(self):
-        rel = Relation(RelationSchema("R", ("x", "y")), rows=[(1, 1), (1, 2)])
-        view = rel.view_on(["x"])
-        assert view.count((1,)) == 2

@@ -99,7 +99,6 @@ class TestSampleServer:
         for expected, piece in enumerate(chunks_of(stream), start=1):
             server.ingest_batch(piece)
             assert server.epoch == expected
-        assert server.statistics()["exact_epoch_tracking"] is True
 
     def test_snapshot_is_bit_identical_to_standalone_prefix(
         self, line3_query, stream
@@ -204,12 +203,13 @@ class TestSampleServer:
             K, rng=random.Random(77)
         ) == standalone.merged_sample(K, rng=random.Random(77))
 
-    def test_bare_sampler_fallback_counts_epochs_itself(self):
+    def test_bare_sampler_is_served_through_a_batch_ingestor(self):
         sampler = PredicateStreamSampler(K, is_even, rng=random.Random(1))
-        server = SampleServer(sampler)
+        with pytest.raises(TypeError, match="BatchIngestor"):
+            SampleServer(sampler)
+        server = SampleServer(BatchIngestor(sampler, chunk_size=CHUNK))
         server.ingest_batch([("S", (i,)) for i in range(40)])
         assert server.epoch == 1
-        assert server.statistics()["exact_epoch_tracking"] is False
         sample = server.snapshot().sample()
         assert sample and all(row["item"] % 2 == 0 for row in sample)
 
@@ -217,7 +217,7 @@ class TestSampleServer:
 # ---------------------------------------------------------------------- #
 # The epoch record: a cut copies reservoirs, never the ingestor
 # ---------------------------------------------------------------------- #
-TARGETS = ["batch", "sharded", "bare"]
+TARGETS = ["batch", "sharded"]
 
 
 def build_target(kind, query):
@@ -226,11 +226,9 @@ def build_target(kind, query):
         return BatchIngestor(
             ReservoirJoin(query, K, rng=random.Random(5)), chunk_size=CHUNK
         )
-    if kind == "sharded":
-        return ShardedIngestor(
-            query, K, num_shards=2, chunk_size=CHUNK, rng=random.Random(5)
-        )
-    return ReservoirJoin(query, K, rng=random.Random(5))
+    return ShardedIngestor(
+        query, K, num_shards=2, chunk_size=CHUNK, rng=random.Random(5)
+    )
 
 
 @pytest.fixture

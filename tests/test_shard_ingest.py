@@ -424,7 +424,7 @@ class TestMergedSample:
         class NoReservoir:
             sample = []
 
-            def insert(self, relation, row):
+            def insert_batch(self, items):
                 pass
 
         ingestor = ShardedIngestor(
