@@ -13,10 +13,13 @@ test: unit docs-check
 # repository benchmark's correctness gates, the serving-layer slice (gating:
 # snapshot isolation is a correctness seam, not a perf knob; the thread-safe
 # SampleServer is the one serving mode, read from any number of threads),
-# and the statistical suites at the scaled-down REPRO_STAT_TRIALS=60 trial
-# counts (the whole thing finishes in well under three minutes).
+# the pytest-benchmark entry points of the figure and ablation scripts (so
+# they cannot rot; ~10 s), and the statistical suites at the scaled-down
+# REPRO_STAT_TRIALS=60 trial counts (the whole thing finishes in well under
+# three minutes).
 test-smoke: unit docs-check bench-gates
 	python -m pytest tests/test_serving.py -q
+	python -m pytest benchmarks/bench_*.py -q
 	REPRO_STAT_TRIALS=60 python -m pytest -m slow -q
 
 unit:

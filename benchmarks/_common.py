@@ -70,9 +70,3 @@ def make_sjoin(query: JoinQuery, k: int, seed: int = SEED, **kwargs) -> SJoin:
 def make_cyclic(query: JoinQuery, k: int, seed: int = SEED, **kwargs) -> CyclicReservoirJoin:
     """Cyclic (GHD-based) RSJoin with a fixed seed."""
     return CyclicReservoirJoin(query, k, rng=random.Random(seed), **kwargs)
-
-
-def drain(sampler, stream) -> None:
-    """Feed a whole stream to a sampler (the timed unit of most benchmarks)."""
-    for item in stream:
-        sampler.insert(item.relation, item.row)

@@ -10,10 +10,9 @@ time, with grouping on and off.
 
 from __future__ import annotations
 
-from repro.bench.harness import run_sampler
-from repro.bench.reporting import format_table
 from repro.workloads import graph
 
+from harness import format_table, run_with_timeout
 from _common import GRAPH_EDGES_SMALL, GRAPH_SAMPLE_SIZE, graph_stream, make_rsjoin
 
 
@@ -23,7 +22,7 @@ def ablation_rows(arms: int = 4, n_edges: int = 2 * GRAPH_EDGES_SMALL):
     rows = []
     for label, grouping in (("no grouping", False), ("grouping", True)):
         sampler = make_rsjoin(query, GRAPH_SAMPLE_SIZE, grouping=grouping)
-        result = run_sampler(label, sampler, stream)
+        result = run_with_timeout(label, sampler, stream)
         rows.append(
             {
                 "configuration": label,
@@ -39,7 +38,7 @@ def test_star4_no_grouping(benchmark):
     query = graph.star_query(4)
     stream = graph_stream(query, GRAPH_EDGES_SMALL)
     benchmark.pedantic(
-        lambda: run_sampler("plain", make_rsjoin(query, GRAPH_SAMPLE_SIZE), stream),
+        lambda: run_with_timeout("plain", make_rsjoin(query, GRAPH_SAMPLE_SIZE), stream),
         rounds=1,
         iterations=1,
     )
@@ -49,7 +48,7 @@ def test_star4_grouping(benchmark):
     query = graph.star_query(4)
     stream = graph_stream(query, GRAPH_EDGES_SMALL)
     benchmark.pedantic(
-        lambda: run_sampler(
+        lambda: run_with_timeout(
             "grouped", make_rsjoin(query, GRAPH_SAMPLE_SIZE, grouping=True), stream
         ),
         rounds=1,

@@ -10,11 +10,10 @@ maintenance on the line-3 workload.
 
 from __future__ import annotations
 
-from repro.bench.harness import run_sampler
-from repro.bench.reporting import format_table
 from repro.index.dynamic_index import DynamicJoinIndex
 from repro.workloads import graph
 
+from harness import format_table, run_with_timeout
 from _common import GRAPH_EDGES, GRAPH_EDGES_SMALL, graph_stream
 
 
@@ -34,7 +33,7 @@ def ablation_rows(n_edges: int = GRAPH_EDGES):
     stream = graph_stream(query, n_edges)
     rows = []
     for label, flag in (("delta batches only", False), ("with full-join sampling", True)):
-        result = run_sampler(label, _IndexAdapter(query, flag), stream)
+        result = run_with_timeout(label, _IndexAdapter(query, flag), stream)
         row = {"configuration": label, "seconds": result.elapsed_seconds}
         row.update(result.statistics)
         rows.append(row)
@@ -45,7 +44,7 @@ def test_index_without_root(benchmark):
     query = graph.line_query(3)
     stream = graph_stream(query, GRAPH_EDGES_SMALL)
     benchmark.pedantic(
-        lambda: run_sampler("no-root", _IndexAdapter(query, False), stream),
+        lambda: run_with_timeout("no-root", _IndexAdapter(query, False), stream),
         rounds=1,
         iterations=1,
     )
@@ -55,7 +54,7 @@ def test_index_with_root(benchmark):
     query = graph.line_query(3)
     stream = graph_stream(query, GRAPH_EDGES_SMALL)
     benchmark.pedantic(
-        lambda: run_sampler("root", _IndexAdapter(query, True), stream),
+        lambda: run_with_timeout("root", _IndexAdapter(query, True), stream),
         rounds=1,
         iterations=1,
     )

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.harness import run_sampler
-from repro.bench.reporting import format_table
 from repro.core.batch_reservoir import BatchedPredicateReservoir
 from repro.index.two_table import TwoTableIndex
 from repro.workloads import graph
 
+from harness import format_table, run_with_timeout
 from _common import GRAPH_EDGES, GRAPH_SAMPLE_SIZE, SEED, graph_stream, make_rsjoin, make_sjoin
 
 
@@ -50,7 +49,7 @@ def ablation_rows(n_edges: int = GRAPH_EDGES):
         "SJoin": make_sjoin(query, GRAPH_SAMPLE_SIZE),
     }
     for label, sampler in samplers.items():
-        result = run_sampler(label, sampler, stream)
+        result = run_with_timeout(label, sampler, stream)
         rows.append(
             {
                 "configuration": label,
@@ -65,7 +64,7 @@ def test_two_table_generic(benchmark):
     query = graph.line_query(2)
     stream = graph_stream(query, GRAPH_EDGES // 3)
     benchmark.pedantic(
-        lambda: run_sampler("generic", make_rsjoin(query, GRAPH_SAMPLE_SIZE), stream),
+        lambda: run_with_timeout("generic", make_rsjoin(query, GRAPH_SAMPLE_SIZE), stream),
         rounds=1,
         iterations=1,
     )
@@ -75,7 +74,7 @@ def test_two_table_fast_path(benchmark):
     query = graph.line_query(2)
     stream = graph_stream(query, GRAPH_EDGES // 3)
     benchmark.pedantic(
-        lambda: run_sampler("exact", TwoTableReservoir(query, GRAPH_SAMPLE_SIZE), stream),
+        lambda: run_with_timeout("exact", TwoTableReservoir(query, GRAPH_SAMPLE_SIZE), stream),
         rounds=1,
         iterations=1,
     )

@@ -12,17 +12,17 @@ Run with:  python benchmarks/bench_batch_ingest.py
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import random
-import time
 from typing import Dict, List
 
 from repro.core.reservoir_join import ReservoirJoin
 from repro.ingest.batch import BatchIngestor
 from repro.relational.query import JoinQuery
 from repro.relational.stream import StreamTuple
+
+from harness import timed
 
 #: CI smoke knob: ``REPRO_BENCH_SCALE`` < 1 shrinks the streams (and the
 #: chunk-size knobs that must shrink with them) proportionally.  Used by
@@ -56,18 +56,6 @@ def make_stream(n: int = N_TUPLES, seed: int = SEED) -> List[StreamTuple]:
         StreamTuple(relations[i % 3], (rng.randrange(DOMAIN), rng.randrange(DOMAIN)))
         for i in range(n)
     ]
-
-
-def timed(run) -> float:
-    """Best-effort clean timing: GC paused, wall clock."""
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        run()
-        return time.perf_counter() - start
-    finally:
-        gc.enable()
 
 
 def run_per_tuple(query: JoinQuery, stream: List[StreamTuple]) -> float:

@@ -14,16 +14,14 @@ between, dumbbell only on RSJoin.
 
 from __future__ import annotations
 
-from repro.bench.harness import run_sampler, run_sampler_batched, run_with_timeout
-from repro.bench.reporting import format_table
 from repro.workloads import graph
 
+from harness import format_table, run_sampler_batched, run_with_timeout
 from _common import (  # noqa: E402 (resolved relative to this directory)
     GRAPH_EDGES,
     GRAPH_EDGES_SMALL,
     GRAPH_SAMPLE_SIZE,
     RELATIONAL_SAMPLE_SIZE,
-    drain,
     graph_stream,
     ldbc_workload,
     make_cyclic,
@@ -44,7 +42,9 @@ def test_line3_rsjoin(benchmark):
     query = graph.line_query(3)
     stream = graph_stream(query, GRAPH_EDGES_SMALL)
     benchmark.pedantic(
-        lambda: drain(make_rsjoin(query, GRAPH_SAMPLE_SIZE), stream), rounds=1, iterations=1
+        lambda: run_with_timeout("RSJoin", make_rsjoin(query, GRAPH_SAMPLE_SIZE), stream),
+        rounds=1,
+        iterations=1,
     )
 
 
@@ -64,7 +64,9 @@ def test_line3_sjoin(benchmark):
     query = graph.line_query(3)
     stream = graph_stream(query, GRAPH_EDGES_SMALL)
     benchmark.pedantic(
-        lambda: drain(make_sjoin(query, GRAPH_SAMPLE_SIZE), stream), rounds=1, iterations=1
+        lambda: run_with_timeout("SJoin", make_sjoin(query, GRAPH_SAMPLE_SIZE), stream),
+        rounds=1,
+        iterations=1,
     )
 
 
@@ -72,7 +74,9 @@ def test_line4_rsjoin(benchmark):
     query = graph.line_query(4)
     stream = graph_stream(query, GRAPH_EDGES_SMALL)
     benchmark.pedantic(
-        lambda: drain(make_rsjoin(query, GRAPH_SAMPLE_SIZE), stream), rounds=1, iterations=1
+        lambda: run_with_timeout("RSJoin", make_rsjoin(query, GRAPH_SAMPLE_SIZE), stream),
+        rounds=1,
+        iterations=1,
     )
 
 
@@ -80,7 +84,9 @@ def test_star4_rsjoin(benchmark):
     query = graph.star_query(4)
     stream = graph_stream(query, GRAPH_EDGES_SMALL)
     benchmark.pedantic(
-        lambda: drain(make_rsjoin(query, GRAPH_SAMPLE_SIZE, grouping=True), stream),
+        lambda: run_with_timeout(
+            "RSJoin", make_rsjoin(query, GRAPH_SAMPLE_SIZE, grouping=True), stream
+        ),
         rounds=1,
         iterations=1,
     )
@@ -90,15 +96,19 @@ def test_dumbbell_rsjoin(benchmark):
     query = graph.dumbbell_query()
     stream = graph_stream(query, GRAPH_EDGES_SMALL)
     benchmark.pedantic(
-        lambda: drain(make_cyclic(query, GRAPH_SAMPLE_SIZE), stream), rounds=1, iterations=1
+        lambda: run_with_timeout("RSJoin", make_cyclic(query, GRAPH_SAMPLE_SIZE), stream),
+        rounds=1,
+        iterations=1,
     )
 
 
 def test_qz_rsjoin_opt(benchmark):
     query, stream = tpcds_workload("QZ")
     benchmark.pedantic(
-        lambda: drain(
-            make_rsjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True, grouping=True), stream
+        lambda: run_with_timeout(
+            "RSJoin_opt",
+            make_rsjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True, grouping=True),
+            stream,
         ),
         rounds=1,
         iterations=1,
@@ -108,7 +118,9 @@ def test_qz_rsjoin_opt(benchmark):
 def test_qz_sjoin_opt(benchmark):
     query, stream = tpcds_workload("QZ")
     benchmark.pedantic(
-        lambda: drain(make_sjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True), stream),
+        lambda: run_with_timeout(
+            "SJoin_opt", make_sjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True), stream
+        ),
         rounds=1,
         iterations=1,
     )
@@ -117,8 +129,10 @@ def test_qz_sjoin_opt(benchmark):
 def test_q10_rsjoin_opt(benchmark):
     query, stream = ldbc_workload()
     benchmark.pedantic(
-        lambda: drain(
-            make_rsjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True, grouping=True), stream
+        lambda: run_with_timeout(
+            "RSJoin_opt",
+            make_rsjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True, grouping=True),
+            stream,
         ),
         rounds=1,
         iterations=1,
@@ -155,7 +169,7 @@ def figure5_rows(timeout_seconds: float = TIMEOUT_SECONDS):
     }
     for name, query in graph_queries.items():
         stream = graph_stream(query, GRAPH_EDGES)
-        record(name, "RSJoin", run_sampler("RSJoin", make_rsjoin(query, GRAPH_SAMPLE_SIZE), stream))
+        record(name, "RSJoin", run_with_timeout("RSJoin", make_rsjoin(query, GRAPH_SAMPLE_SIZE), stream))
         record(
             name,
             "RSJoin_batch",
@@ -173,13 +187,13 @@ def figure5_rows(timeout_seconds: float = TIMEOUT_SECONDS):
     record(
         "dumbbell",
         "RSJoin",
-        run_sampler("RSJoin", make_cyclic(dumbbell, GRAPH_SAMPLE_SIZE), stream),
+        run_with_timeout("RSJoin", make_cyclic(dumbbell, GRAPH_SAMPLE_SIZE), stream),
     )
     rows.append({"query": "dumbbell", "algorithm": "SJoin", "seconds": float("inf")})
 
     for name in ("QX", "QY", "QZ"):
         query, stream = tpcds_workload(name)
-        record(name, "RSJoin", run_sampler("RSJoin", make_rsjoin(query, RELATIONAL_SAMPLE_SIZE), stream))
+        record(name, "RSJoin", run_with_timeout("RSJoin", make_rsjoin(query, RELATIONAL_SAMPLE_SIZE), stream))
         record(
             name,
             "RSJoin_opt_batch",
@@ -192,7 +206,7 @@ def figure5_rows(timeout_seconds: float = TIMEOUT_SECONDS):
         record(
             name,
             "RSJoin_opt",
-            run_sampler(
+            run_with_timeout(
                 "RSJoin_opt",
                 make_rsjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True, grouping=True),
                 stream,
@@ -209,7 +223,7 @@ def figure5_rows(timeout_seconds: float = TIMEOUT_SECONDS):
             ),
         )
     query, stream = ldbc_workload()
-    record("Q10", "RSJoin_opt", run_sampler(
+    record("Q10", "RSJoin_opt", run_with_timeout(
         "RSJoin_opt", make_rsjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True, grouping=True), stream
     ))
     record("Q10", "SJoin_opt", run_with_timeout(

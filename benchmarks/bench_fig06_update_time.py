@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import random
 
-from repro.bench.harness import per_chunk_times, per_insert_times, percentile
-from repro.bench.reporting import format_table
 from repro.index.dynamic_index import DynamicJoinIndex
 from repro.baselines.sjoin import ExactTreeIndex
 from repro.relational.stream import as_relation_rows
@@ -23,6 +21,7 @@ from repro.relational.database import Database
 from repro.relational.jointree import JoinTree
 from repro.workloads import graph
 
+from harness import format_table, per_chunk_times, per_insert_times, percentile
 from _common import GRAPH_EDGES_SMALL, SEED, graph_stream
 
 QUERY_LENGTH = 4

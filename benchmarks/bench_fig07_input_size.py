@@ -12,10 +12,9 @@ Reproduction: the same progress measurement over the synthetic graph.  The
 
 from __future__ import annotations
 
-from repro.bench.harness import progress_run
-from repro.bench.reporting import format_series
 from repro.workloads import graph
 
+from harness import format_series, progress_run
 from _common import GRAPH_EDGES, GRAPH_EDGES_SMALL, SEED, graph_stream, make_rsjoin, make_sjoin
 
 SAMPLE_SIZE = 1000

@@ -12,10 +12,9 @@ size N.
 
 from __future__ import annotations
 
-from repro.bench.harness import run_sampler
-from repro.bench.reporting import format_series
 from repro.workloads import graph
 
+from harness import format_series, run_with_timeout
 from _common import GRAPH_EDGES, GRAPH_EDGES_SMALL, SEED, graph_stream, make_rsjoin, make_sjoin
 
 
@@ -37,8 +36,8 @@ def figure8_series(n_edges: int = GRAPH_EDGES):
     rs_times = []
     sj_times = []
     for k in sweep:
-        rs_times.append(run_sampler("RSJoin", make_rsjoin(query, k), stream).elapsed_seconds)
-        sj_times.append(run_sampler("SJoin", make_sjoin(query, k), stream).elapsed_seconds)
+        rs_times.append(run_with_timeout("RSJoin", make_rsjoin(query, k), stream).elapsed_seconds)
+        sj_times.append(run_with_timeout("SJoin", make_sjoin(query, k), stream).elapsed_seconds)
     return sweep, {"RSJoin_seconds": rs_times, "SJoin_seconds": sj_times,
                    "input_size_N": [len(stream)] * len(sweep)}
 
@@ -47,7 +46,7 @@ def test_small_k(benchmark):
     query = graph.line_query(3)
     stream = graph_stream(query, GRAPH_EDGES_SMALL, seed=SEED + 8)
     benchmark.pedantic(
-        lambda: run_sampler("RSJoin", make_rsjoin(query, 100), stream), rounds=1, iterations=1
+        lambda: run_with_timeout("RSJoin", make_rsjoin(query, 100), stream), rounds=1, iterations=1
     )
 
 
@@ -55,7 +54,7 @@ def test_large_k(benchmark):
     query = graph.line_query(3)
     stream = graph_stream(query, GRAPH_EDGES_SMALL, seed=SEED + 8)
     benchmark.pedantic(
-        lambda: run_sampler("RSJoin", make_rsjoin(query, 20 * len(stream)), stream),
+        lambda: run_with_timeout("RSJoin", make_rsjoin(query, 20 * len(stream)), stream),
         rounds=1,
         iterations=1,
     )

@@ -12,9 +12,8 @@ workload; the propagation count is the library's ``propagations`` statistic.
 
 from __future__ import annotations
 
-from repro.bench.harness import run_sampler
-from repro.bench.reporting import format_table
 
+from harness import format_table, run_with_timeout
 from _common import RELATIONAL_SAMPLE_SIZE, TPCDS_SCALE, make_rsjoin, tpcds_workload
 
 CONFIGURATIONS = (
@@ -29,7 +28,7 @@ def figure9_rows(scale: float = TPCDS_SCALE, k: int = RELATIONAL_SAMPLE_SIZE):
     rows = []
     for label, options in CONFIGURATIONS:
         sampler = make_rsjoin(query, k, **options)
-        result = run_sampler(label, sampler, stream)
+        result = run_with_timeout(label, sampler, stream)
         rows.append(
             {
                 "optimisations": label,
@@ -44,7 +43,7 @@ def figure9_rows(scale: float = TPCDS_SCALE, k: int = RELATIONAL_SAMPLE_SIZE):
 def test_qz_no_optimisation(benchmark):
     query, stream = tpcds_workload("QZ")
     benchmark.pedantic(
-        lambda: run_sampler("none", make_rsjoin(query, RELATIONAL_SAMPLE_SIZE), stream),
+        lambda: run_with_timeout("none", make_rsjoin(query, RELATIONAL_SAMPLE_SIZE), stream),
         rounds=1,
         iterations=1,
     )
@@ -53,7 +52,7 @@ def test_qz_no_optimisation(benchmark):
 def test_qz_foreign_key(benchmark):
     query, stream = tpcds_workload("QZ")
     benchmark.pedantic(
-        lambda: run_sampler(
+        lambda: run_with_timeout(
             "fk", make_rsjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True), stream
         ),
         rounds=1,
@@ -64,7 +63,7 @@ def test_qz_foreign_key(benchmark):
 def test_qz_foreign_key_grouping(benchmark):
     query, stream = tpcds_workload("QZ")
     benchmark.pedantic(
-        lambda: run_sampler(
+        lambda: run_with_timeout(
             "fk+grouping",
             make_rsjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True, grouping=True),
             stream,

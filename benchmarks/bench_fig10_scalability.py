@@ -11,9 +11,8 @@ RSJoin_opt's time with the input size.
 
 from __future__ import annotations
 
-from repro.bench.harness import run_sampler
-from repro.bench.reporting import format_series
 
+from harness import format_series, run_with_timeout
 from _common import RELATIONAL_SAMPLE_SIZE, make_rsjoin, tpcds_workload
 
 SCALE_FACTORS = (0.05, 0.1, 0.2, 0.4)
@@ -24,7 +23,7 @@ def figure10_series(scales=SCALE_FACTORS, k: int = RELATIONAL_SAMPLE_SIZE):
     tuples = []
     for scale in scales:
         query, stream = tpcds_workload("QZ", scale=scale)
-        result = run_sampler(
+        result = run_with_timeout(
             "RSJoin_opt",
             make_rsjoin(query, k, foreign_key=True, grouping=True),
             stream,
@@ -37,7 +36,7 @@ def figure10_series(scales=SCALE_FACTORS, k: int = RELATIONAL_SAMPLE_SIZE):
 def test_qz_scale_small(benchmark):
     query, stream = tpcds_workload("QZ", scale=0.05)
     benchmark.pedantic(
-        lambda: run_sampler(
+        lambda: run_with_timeout(
             "RSJoin_opt",
             make_rsjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True, grouping=True),
             stream,
@@ -50,7 +49,7 @@ def test_qz_scale_small(benchmark):
 def test_qz_scale_medium(benchmark):
     query, stream = tpcds_workload("QZ", scale=0.2)
     benchmark.pedantic(
-        lambda: run_sampler(
+        lambda: run_with_timeout(
             "RSJoin_opt",
             make_rsjoin(query, RELATIONAL_SAMPLE_SIZE, foreign_key=True, grouping=True),
             stream,

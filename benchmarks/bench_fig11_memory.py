@@ -11,11 +11,10 @@ estimate of each sampler's object graph.
 
 from __future__ import annotations
 
-from repro.bench.harness import progress_run
-from repro.bench.reporting import format_series
 from repro.stats.memory import megabytes
 from repro.workloads import graph
 
+from harness import format_series, progress_run
 from _common import (
     GRAPH_EDGES_SMALL,
     RELATIONAL_SAMPLE_SIZE,

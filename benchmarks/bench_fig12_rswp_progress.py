@@ -16,12 +16,12 @@ from __future__ import annotations
 import random
 import time
 
-from repro.bench.reporting import format_series
 from repro.core.predicate_reservoir import PredicateReservoir
 from repro.core.reservoir import ReservoirSampler
 from repro.core.skippable import ListStream
 from repro.workloads.strings import EditDistancePredicate, string_stream
 
+from harness import format_series
 from _common import SEED
 
 N_ITEMS = 4000

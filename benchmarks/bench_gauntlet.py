@@ -1,6 +1,6 @@
 """Scenario×mode conformance matrix with per-cell timings.
 
-Runs the workload gauntlet (:mod:`repro.gauntlet`) — every realistic
+Runs the workload gauntlet (:mod:`tests.gauntlet`) — every realistic
 workload scenario through every ingestion mode — and emits the structured
 per-cell report as ``BENCH_gauntlet.json``.  Unlike the other seam
 benchmarks this one has no headline ratio at all: the deliverable IS the
@@ -28,8 +28,13 @@ from __future__ import annotations
 import json
 import os
 import sys
+from pathlib import Path
 
-from repro.gauntlet import GauntletConfig, build_scenarios, ModeMatrix
+# The gauntlet lives with the tests: put the repository root on the path.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+
+from tests.gauntlet.matrix import GauntletConfig, ModeMatrix  # noqa: E402
+from tests.gauntlet.scenarios import build_scenarios  # noqa: E402
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
 #: Chi-square trials shrink with scale and may drop below the validity

@@ -36,9 +36,10 @@ import time
 from typing import Dict, List, Optional
 
 from repro import BatchIngestor, ReservoirJoin, SampleServer
-from repro.bench.harness import percentile
 from repro.relational.query import JoinQuery
-from repro.relational.stream import StreamTuple
+from repro.relational.stream import StreamTuple, chunk_stream
+
+from harness import percentile
 
 #: CI smoke knob (see ``bench_batch_ingest.py``): shrink everything
 #: proportionally so ``make bench-smoke`` can assert execution + valid JSON.
@@ -81,13 +82,6 @@ def make_server(query: JoinQuery) -> SampleServer:
     )
 
 
-def chunks_of(stream: List[StreamTuple]) -> List[List[StreamTuple]]:
-    return [
-        stream[start : start + CHUNK_SIZE]
-        for start in range(0, len(stream), CHUNK_SIZE)
-    ]
-
-
 def latency_ms(latencies: List[float], fraction: float) -> Optional[float]:
     """Nearest-rank latency in ms, or ``None`` when no read completed."""
     if not latencies:
@@ -108,7 +102,7 @@ def run_served_threads(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
     never stop hammering until it finishes.  Reader figures only count
     reads whose *entire* latency window fell inside active ingestion."""
     server = make_server(query)
-    pieces = chunks_of(stream)
+    pieces = list(chunk_stream(stream, CHUNK_SIZE))
     barrier = threading.Barrier(N_READERS + 1)
     writer_done = threading.Event()
     writer_wall = [0.0]
@@ -169,12 +163,12 @@ def run_served_threads(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
 def bench() -> Dict:
     query = chain3_query()
     stream = make_stream(N_TUPLES)
-    n_chunks = len(chunks_of(stream))
+    n_chunks = -(-len(stream) // CHUNK_SIZE)
 
     # Sanity outside the timed regions: a served read mid-stream is a
     # boundary-exact cut.
     probe = make_server(query)
-    probe.ingest_batch(chunks_of(stream)[0])
+    probe.ingest_batch(stream[:CHUNK_SIZE])
     assert probe.snapshot().epoch == 1
 
     baseline = min(run_writer_baseline(query, stream) for _ in range(REPEATS))

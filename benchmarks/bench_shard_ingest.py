@@ -20,11 +20,9 @@ Run with:  python benchmarks/bench_shard_ingest.py
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import random
-import time
 from typing import Dict, List
 
 from repro.core.reservoir_join import ReservoirJoin
@@ -34,6 +32,8 @@ from repro.ingest.shard import ShardedIngestor
 from repro.relational.join import count_results
 from repro.relational.query import JoinQuery
 from repro.relational.stream import StreamTuple
+
+from harness import timed
 
 #: CI smoke knob (see ``bench_batch_ingest.py``): shrink everything
 #: proportionally so ``make bench-smoke`` can assert execution + valid JSON.
@@ -63,18 +63,6 @@ def make_stream(n: int, seed: int = SEED) -> List[StreamTuple]:
         StreamTuple(relations[i % 3], (rng.randrange(DOMAIN), rng.randrange(DOMAIN)))
         for i in range(n)
     ]
-
-
-def timed(run) -> float:
-    """Best-effort clean timing: GC paused, wall clock."""
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        run()
-        return time.perf_counter() - start
-    finally:
-        gc.enable()
 
 
 # --------------------------------------------------------------------- #

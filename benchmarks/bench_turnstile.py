@@ -25,11 +25,9 @@ Run with:  python benchmarks/bench_turnstile.py
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import random
-import time
 from typing import Dict, List
 
 from repro.core.reservoir_join import ReservoirJoin
@@ -43,6 +41,8 @@ from repro.relational.stream import (
     surviving_rows,
     turnstile_stream,
 )
+
+from harness import timed
 
 #: CI smoke knob: ``REPRO_BENCH_SCALE`` < 1 shrinks the streams (and the
 #: boundary-sensitive chunk/window knobs with them) proportionally; see
@@ -83,17 +83,6 @@ def make_streams(n: int = N_INSERTS, seed: int = SEED):
         tombstone_fraction=TOMBSTONE_FRACTION,
     )
     return inserts, stream
-
-
-def timed(run) -> float:
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        run()
-        return time.perf_counter() - start
-    finally:
-        gc.enable()
 
 
 def assert_surviving_state(query: JoinQuery, stream) -> None:

@@ -1,23 +1,28 @@
 """The experiment harness behind the Section 6 reproductions.
 
-Every figure/table of the paper's evaluation maps to a function in
-``benchmarks/``; those functions delegate the mechanical parts — timing a
+Every figure/table of the paper's evaluation maps to a script in
+``benchmarks/``; those scripts delegate the mechanical parts — timing a
 sampler over a stream, collecting progress checkpoints, measuring per-insert
-update times — to this module so that all experiments measure things the
-same way.
+update times, printing the result — to this module so that all experiments
+measure and report things the same way.
+
+The paper reports its results as figures; a terminal reproduction prints the
+same rows/series as aligned text tables, so the shape of each experiment
+(who wins, by what factor, where the crossover is) can be read directly off
+the output.
 """
 
 from __future__ import annotations
 
+import gc
 import math
-import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
-from ..ingest.batch import DEFAULT_CHUNK_SIZE, BatchIngestor, chunked
-from ..relational.stream import StreamTuple
-from ..stats.memory import sampler_memory_bytes
+from repro.ingest.batch import DEFAULT_CHUNK_SIZE, BatchIngestor
+from repro.relational.stream import StreamTuple, chunk_stream
+from repro.stats.memory import sampler_memory_bytes
 
 
 @dataclass
@@ -51,14 +56,42 @@ class ProgressPoint:
     simulated_stream_length: int
 
 
-def run_sampler(name: str, sampler, stream: Sequence[StreamTuple]) -> RunResult:
-    """Feed ``stream`` to ``sampler`` and time the whole run."""
+def timed(run: Callable[[], object]) -> float:
+    """Wall seconds of one ``run()``, with the garbage collector paused."""
+    gc.collect()
+    gc.disable()
+    try:
+        start = time.perf_counter()
+        run()
+        return time.perf_counter() - start
+    finally:
+        gc.enable()
+
+
+def run_with_timeout(
+    name: str,
+    sampler,
+    stream: Sequence[StreamTuple],
+    timeout_seconds: Optional[float] = None,
+) -> Optional[RunResult]:
+    """Feed ``stream`` to ``sampler`` tuple by tuple and time the whole run.
+
+    Past a ``timeout_seconds`` budget the run aborts and returns ``None``.
+    This mirrors the paper's 12-hour timeout (scaled down): baselines that
+    cannot finish within the budget are reported as "did not finish".
+    """
+    budget = math.inf if timeout_seconds is None else timeout_seconds
     start = time.perf_counter()
+    processed = 0
     for item in stream:
         sampler.insert(item.relation, item.row)
+        processed += 1
+        if processed % 64 == 0 and time.perf_counter() - start > budget:
+            return None
     elapsed = time.perf_counter() - start
-    statistics = sampler.statistics() if hasattr(sampler, "statistics") else {}
-    return RunResult(name, elapsed, len(stream), dict(statistics))
+    if elapsed > budget:
+        return None
+    return RunResult(name, elapsed, processed, dict(sampler.statistics()))
 
 
 def run_sampler_batched(
@@ -69,8 +102,8 @@ def run_sampler_batched(
 ) -> RunResult:
     """Feed ``stream`` to ``sampler`` through the batched ingestion fast path.
 
-    The counterpart of :func:`run_sampler` for the batched mode: the stream
-    is chunked outside the timed region's inner loop by a
+    The counterpart of :func:`run_with_timeout` for the batched mode: the
+    stream is chunked outside the timed region's inner loop by a
     :class:`~repro.ingest.batch.BatchIngestor`, so the measured time is the
     end-to-end batched ingestion cost (chunking included).
     """
@@ -93,37 +126,12 @@ def per_chunk_times(
     """
     ingestor = BatchIngestor(sampler, chunk_size=chunk_size)
     latencies: List[float] = []
-    for chunk in chunked(stream, chunk_size):
+    for chunk in chunk_stream(stream, chunk_size):
         start = time.perf_counter()
         ingestor.ingest_batch(chunk)
         amortised = (time.perf_counter() - start) / len(chunk)
         latencies.extend([amortised] * len(chunk))
     return latencies
-
-
-def run_with_timeout(
-    name: str,
-    sampler,
-    stream: Sequence[StreamTuple],
-    timeout_seconds: float,
-) -> Optional[RunResult]:
-    """Like :func:`run_sampler` but abort (returning ``None``) past a time budget.
-
-    This mirrors the paper's 12-hour timeout (scaled down): baselines that
-    cannot finish within the budget are reported as "did not finish".
-    """
-    start = time.perf_counter()
-    processed = 0
-    for item in stream:
-        sampler.insert(item.relation, item.row)
-        processed += 1
-        if processed % 64 == 0 and time.perf_counter() - start > timeout_seconds:
-            return None
-    elapsed = time.perf_counter() - start
-    if elapsed > timeout_seconds:
-        return None
-    statistics = sampler.statistics() if hasattr(sampler, "statistics") else {}
-    return RunResult(name, elapsed, processed, dict(statistics))
 
 
 def per_insert_times(sampler, stream: Sequence[StreamTuple]) -> List[float]:
@@ -158,53 +166,18 @@ def progress_run(
         sampler.insert(item.relation, item.row)
         elapsed += time.perf_counter() - start
         if position in checkpoints:
-            memory = sampler_memory_bytes(sampler) if measure_memory else 0
-            simulated = 0
-            if hasattr(sampler, "statistics"):
-                simulated = int(sampler.statistics().get("simulated_stream_length", 0))
             points.append(
                 ProgressPoint(
                     fraction=position / total,
                     tuples_processed=position,
                     elapsed_seconds=elapsed,
-                    memory_bytes=memory,
-                    simulated_stream_length=simulated,
+                    memory_bytes=sampler_memory_bytes(sampler) if measure_memory else 0,
+                    simulated_stream_length=int(
+                        sampler.statistics().get("simulated_stream_length", 0)
+                    ),
                 )
             )
     return points
-
-
-def compare_samplers(
-    factories: Dict[str, Callable[[], object]],
-    stream: Sequence[StreamTuple],
-    timeout_seconds: Optional[float] = None,
-) -> List[RunResult]:
-    """Run several samplers (built fresh from factories) over the same stream."""
-    results: List[RunResult] = []
-    for name, factory in factories.items():
-        sampler = factory()
-        if timeout_seconds is None:
-            results.append(run_sampler(name, sampler, stream))
-        else:
-            outcome = run_with_timeout(name, sampler, stream, timeout_seconds)
-            if outcome is None:
-                results.append(RunResult(name, float("inf"), len(stream), {"timed_out": True}))
-            else:
-                results.append(outcome)
-    return results
-
-
-def measure_seconds(run: Callable[[], object]) -> tuple:
-    """Run ``run()`` and return ``(result, wall_seconds)``.
-
-    The smallest shared timing idiom: the workload gauntlet times one
-    representative run per matrix cell with it, and the benchmark scripts
-    use it wherever a run's *result* is needed alongside its wall clock
-    (``timed``-style helpers discard the result).
-    """
-    start = time.perf_counter()
-    result = run()
-    return result, time.perf_counter() - start
 
 
 def percentile(values: Sequence[float], fraction: float) -> float:
@@ -223,3 +196,60 @@ def speedup(baseline_seconds: float, improved_seconds: float) -> float:
     if improved_seconds <= 0:
         return float("inf")
     return baseline_seconds / improved_seconds
+
+
+def format_value(value: object) -> str:
+    """Human-friendly rendering of a cell value."""
+    if isinstance(value, float):
+        if value == float("inf"):
+            return "DNF"
+        if value != 0 and (abs(value) >= 1e6 or abs(value) < 1e-3):
+            return f"{value:.3e}"
+        return f"{value:.4g}"
+    return str(value)
+
+
+def format_table(
+    rows: Sequence[Mapping[str, object]],
+    columns: Optional[Sequence[str]] = None,
+    title: Optional[str] = None,
+) -> str:
+    """Render a list of row dicts as an aligned text table."""
+    if not rows:
+        return f"{title}\n(no rows)" if title else "(no rows)"
+    if columns is None:
+        columns = []
+        for row in rows:
+            for key in row:
+                if key not in columns:
+                    columns.append(key)
+    table = [[format_value(row.get(column, "")) for column in columns] for row in rows]
+    widths = [
+        max(len(str(column)), *(len(line[index]) for line in table))
+        for index, column in enumerate(columns)
+    ]
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+    header = "  ".join(str(column).ljust(width) for column, width in zip(columns, widths))
+    lines.append(header)
+    lines.append("  ".join("-" * width for width in widths))
+    for line in table:
+        lines.append("  ".join(cell.ljust(width) for cell, width in zip(line, widths)))
+    return "\n".join(lines)
+
+
+def format_series(
+    series: Mapping[str, Sequence[float]],
+    x_values: Sequence[object],
+    x_label: str = "x",
+    title: Optional[str] = None,
+) -> str:
+    """Render several named series over shared x values as a table."""
+    rows: List[Dict[str, object]] = []
+    for index, x_value in enumerate(x_values):
+        row: Dict[str, object] = {x_label: x_value}
+        for name, values in series.items():
+            row[name] = values[index] if index < len(values) else ""
+        rows.append(row)
+    return format_table(rows, columns=[x_label, *series.keys()], title=title)

@@ -64,7 +64,7 @@ from repro import (
     SymmetricHashJoinSampler,
 )
 from repro.core.backend import chunk_apply
-from repro.ingest import chunked
+from repro.relational.stream import chunk_stream
 from repro.workloads import tpcds
 
 #: Micro-batch size of the simulated warehouse feed.  Analytics consumers
@@ -181,7 +181,7 @@ def main() -> None:
     }
     applies = [chunk_apply(sampler)[0] for sampler in consumers.values()]
     passes = 0
-    for chunk in chunked(clicks, CHUNK_SIZE):
+    for chunk in chunk_stream(clicks, CHUNK_SIZE):
         for apply in applies:
             apply(chunk)
         passes += 1
@@ -259,7 +259,7 @@ def main() -> None:
     # run that never crashed.
     checkpoint_path = os.path.join(tempfile.mkdtemp(), "warehouse.ckpt")
     durable_chunk = 128  # finer micro-batches: more boundaries to save at
-    chunks = list(chunked(stream, durable_chunk))
+    chunks = list(chunk_stream(stream, durable_chunk))
     CHECKPOINT_EVERY = max(1, len(chunks) // 8)
 
     durable = BatchIngestor(

@@ -2,11 +2,9 @@
 
 from .sjoin import ExactTreeIndex, SJoin
 from .symmetric import SymmetricHashJoinSampler
-from .naive import NaiveRecomputeSampler
 
 __all__ = [
     "ExactTreeIndex",
     "SJoin",
     "SymmetricHashJoinSampler",
-    "NaiveRecomputeSampler",
 ]

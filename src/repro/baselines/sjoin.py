@@ -190,8 +190,8 @@ class SJoin(PerTupleBatchMixin):
     """The SJoin baseline: exact-count index + reservoir over delta batches.
 
     Mirrors the public interface of :class:`repro.core.reservoir_join.ReservoirJoin`
-    (``insert``/``process``/``sample``/``statistics``) so the benchmark harness
-    can treat both samplers uniformly.  ``SJoin_opt`` of the paper is obtained
+    (``insert``/``process``/``sample``/``statistics``) so the benchmarks can
+    treat both samplers uniformly.  ``SJoin_opt`` of the paper is obtained
     with ``foreign_key=True``.  ``insert_batch`` comes from
     :class:`~repro.core.backend.PerTupleBatchMixin`: SJoin's exact counters
     must be repropagated on every change, so grouping a chunk buys nothing

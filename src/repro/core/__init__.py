@@ -26,7 +26,6 @@ from .predicate_reservoir import PredicateReservoir, expected_stop_bound
 from .predicate_backend import PredicateStreamSampler
 from .batch_reservoir import BatchedPredicateReservoir
 from .reservoir_join import ReservoirJoin
-from . import density
 
 __all__ = [
     "SamplerBackend",
@@ -48,5 +47,4 @@ __all__ = [
     "expected_stop_bound",
     "BatchedPredicateReservoir",
     "ReservoirJoin",
-    "density",
 ]

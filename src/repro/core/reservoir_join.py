@@ -287,7 +287,7 @@ class ReservoirJoin:
         return self.index.propagations
 
     def statistics(self) -> Dict[str, int]:
-        """A summary dictionary of the run, used by the benchmark harness."""
+        """A summary dictionary of the run."""
         return {
             "tuples_processed": self.tuples_processed,
             "duplicates_ignored": self.duplicates_ignored,

@@ -57,7 +57,7 @@ resumption — the restored run consumes exactly the random
 stream an uninterrupted run would have.
 """
 
-from .batch import DEFAULT_CHUNK_SIZE, BatchIngestor, chunked
+from .batch import DEFAULT_CHUNK_SIZE, BatchIngestor
 from .checkpoint import (
     CheckpointCodec,
     CheckpointCorruptError,
@@ -71,7 +71,6 @@ from .shard import ShardedIngestor, partition_attribute, stable_shard_hash
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "BatchIngestor",
-    "chunked",
     "ShardedIngestor",
     "CheckpointCodec",
     "CheckpointError",

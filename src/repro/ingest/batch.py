@@ -1,4 +1,4 @@
-"""The :class:`BatchIngestor` driver and chunking helpers.
+"""The :class:`BatchIngestor` driver.
 
 See the package docstring for the design rationale.  The ingestor is the
 simplest chunk loop: one sampler, no routing.  It is sampler agnostic — its
@@ -20,10 +20,6 @@ from .checkpoint import CODEC
 #: amortise per-batch dispatch, small enough that samples stay fresh and a
 #: chunk of join deltas fits comfortably in memory.
 DEFAULT_CHUNK_SIZE = 1024
-
-#: Alias of :func:`repro.relational.stream.chunk_stream`, the canonical
-#: chunker shared by every ingestion mode (kept under its historical name).
-chunked = chunk_stream
 
 
 class BatchIngestor:

@@ -129,9 +129,8 @@ def chunk_stream(stream: Iterable, size: int) -> Iterator[List]:
     """Yield consecutive chunks of at most ``size`` items from ``stream``.
 
     The canonical chunker behind every ingestion mode — batched and
-    sharded both cut streams with it (``repro.ingest.batch.chunked`` is an
-    alias).  Chunk boundaries are where
-    the per-prefix uniformity guarantee holds, so anything that transports
+    sharded both cut streams with it.  Chunk boundaries are where the
+    per-prefix uniformity guarantee holds, so anything that transports
     streams in chunks of this shape can feed any ingestor.
     """
     if size <= 0:

@@ -1,20 +1,8 @@
-"""Statistical verification and resource accounting utilities."""
+"""Resource accounting: the deep memory footprint of a sampler."""
 
-from .uniformity import (
-    chi_square_uniformity,
-    inclusion_counts,
-    max_abs_inclusion_deviation,
-    result_key,
-    uniformity_p_value,
-)
 from .memory import deep_sizeof, megabytes, sampler_memory_bytes
 
 __all__ = [
-    "chi_square_uniformity",
-    "inclusion_counts",
-    "max_abs_inclusion_deviation",
-    "result_key",
-    "uniformity_p_value",
     "deep_sizeof",
     "megabytes",
     "sampler_memory_bytes",

@@ -8,8 +8,7 @@ from typing import Dict, List, Sequence, Tuple
 
 import pytest
 
-from repro.relational import Database, JoinQuery, StreamTuple, join_results
-from repro.stats.uniformity import result_key
+from repro.relational import JoinQuery, StreamTuple
 
 
 # ---------------------------------------------------------------------- #
@@ -100,17 +99,17 @@ def make_graph_stream(
     return items
 
 
-def ground_truth(query: JoinQuery, stream: Sequence[StreamTuple]) -> List[dict]:
-    """Full join results after the whole stream has been inserted."""
-    database = Database(query)
-    for item in stream:
-        database.insert(item.relation, item.row)
-    return join_results(query, database)
-
-
-def ground_truth_keys(query: JoinQuery, stream: Sequence[StreamTuple]) -> set:
-    """Hashable canonical keys of the ground-truth join results."""
-    return {result_key(result) for result in ground_truth(query, stream)}
+def random_stream(query: JoinQuery, rng: random.Random, n: int, domain: int) -> List[StreamTuple]:
+    """``n`` uniformly random rows over ``range(domain)``, each to a random relation."""
+    names = query.relation_names
+    stream = []
+    for _ in range(n):
+        relation = rng.choice(names)
+        arity = query.relation(relation).arity
+        stream.append(
+            StreamTuple(relation, tuple(rng.randrange(domain) for _ in range(arity)))
+        )
+    return stream
 
 
 def materialize_batch(batch) -> List[object]:
@@ -127,7 +126,6 @@ __all__ = [
     "stat_trials",
     "make_edges",
     "make_graph_stream",
-    "ground_truth",
-    "ground_truth_keys",
+    "random_stream",
     "materialize_batch",
 ]

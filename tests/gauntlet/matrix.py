@@ -17,7 +17,7 @@ ground-truth universe or against a reference run:
     reservoir (``k > |universe|``) must reproduce the ground-truth result
     set exactly, and across independently seeded trials the per-result
     inclusion counts must pass a chi-square uniformity test
-    (``p > p_threshold``).
+    (``p >`` :data:`P_THRESHOLD`).
 
 ``epoch-exact-set+bit-identical``
     The serving layer's contract: reading the scenario *through* a
@@ -31,7 +31,7 @@ ground-truth universe or against a reference run:
 
 The ``turnstile`` column re-runs every acyclic join scenario over a
 retraction-bearing twin of its stream (deletions of live rows plus
-pre-insert tombstones, via :func:`~repro.gauntlet.scenarios
+pre-insert tombstones, via :func:`~tests.gauntlet.scenarios
 .turnstile_variant`) through the deletion-capable sampler, asserting the
 ``exact-set+chi-square`` tier against the *surviving* (post-deletion)
 result universe.  The dedicated turnstile scenario additionally flows
@@ -59,19 +59,19 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..bench.harness import measure_seconds
-from ..core.turnstile import WindowedSampler
-from ..ingest.batch import BatchIngestor
-from ..ingest.shard import ShardedIngestor
-from ..relational.stream import StreamDelete
-from ..serve import SampleServer
-from ..stats.uniformity import result_key, uniformity_p_value
-from .scenarios import (
-    Scenario,
-    _join_universe,
-    _surviving_universe,
-    build_scenarios,
-    turnstile_variant,
+from repro.core.turnstile import WindowedSampler
+from repro.ingest.batch import BatchIngestor
+from repro.ingest.shard import ShardedIngestor
+from repro.relational.stream import StreamDelete, chunk_stream
+from repro.serve import SampleServer
+
+from benchmarks.harness import timed
+from tests.gauntlet.scenarios import Scenario, build_scenarios, turnstile_variant
+from tests.oracles import (
+    ground_truth,
+    result_key,
+    surviving_ground_truth,
+    uniformity_p_value,
 )
 
 #: Column order of the matrix.
@@ -90,17 +90,18 @@ MIN_CHI_TRIALS = 20
 #: Environment knob scaling scenario streams and trial counts together.
 SCALE_ENV = "REPRO_GAUNTLET_SCALE"
 
+K = 20                  # reservoir size for bit-identity cells
+CHUNK_SIZE = 32         # chunking shared by every chunked mode
+NUM_SHARDS = 3
+P_THRESHOLD = 0.002     # reject uniformity at or below this p-value
+SEED = 2024
+
 
 @dataclass
 class GauntletConfig:
     """Tunables of one gauntlet run (defaults are the full-strength profile)."""
 
-    k: int = 20                 # reservoir size for bit-identity cells
-    chunk_size: int = 32        # chunking shared by every chunked mode
-    num_shards: int = 3
     trials: int = 48            # chi-square trials for statistical cells
-    p_threshold: float = 0.002  # reject uniformity below this p-value
-    seed: int = 2024
     scale: float = 1.0          # informational: the scenario scale used
 
     @classmethod
@@ -113,16 +114,16 @@ class GauntletConfig:
         """Reservoir size for chi-square trials: large enough that expected
         per-result inclusion counts stay in testable territory even for
         big universes, small enough that a trial stays cheap."""
-        return min(universe_size, max(self.k, -(-universe_size // 8)))
+        return min(universe_size, max(K, -(-universe_size // 8)))
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "k": self.k,
-            "chunk_size": self.chunk_size,
-            "num_shards": self.num_shards,
+            "k": K,
+            "chunk_size": CHUNK_SIZE,
+            "num_shards": NUM_SHARDS,
             "trials": self.trials,
-            "p_threshold": self.p_threshold,
-            "seed": self.seed,
+            "p_threshold": P_THRESHOLD,
+            "seed": SEED,
             "scale": self.scale,
         }
 
@@ -257,16 +258,15 @@ class ModeMatrix:
 
     def _run_batched(self, scenario: Scenario, k: int, seed: int) -> List[dict]:
         sampler = scenario.make_sampler(k, random.Random(seed))
-        BatchIngestor(sampler, chunk_size=self.config.chunk_size).ingest(
+        BatchIngestor(sampler, chunk_size=CHUNK_SIZE).ingest(
             scenario.stream
         )
         return list(sampler.sample)
 
     def _make_sharded(self, scenario: Scenario, k: int, seed: int) -> ShardedIngestor:
-        cfg = self.config
         kwargs = dict(
-            num_shards=cfg.num_shards,
-            chunk_size=cfg.chunk_size,
+            num_shards=NUM_SHARDS,
+            chunk_size=CHUNK_SIZE,
             rng=random.Random(seed),
         )
         if scenario.kind in ("cyclic", "turnstile"):
@@ -289,7 +289,7 @@ class ModeMatrix:
     ) -> int:
         """An over-sized reservoir must hold exactly the ground truth."""
         oversized = scenario.universe_size + 8
-        sample = run(scenario, oversized, self.config.seed)
+        sample = run(scenario, oversized, SEED)
         sampled = {result_key(result) for result in sample}
         truth = {result_key(result) for result in scenario.universe}
         if sampled != truth:
@@ -310,23 +310,21 @@ class ModeMatrix:
         trials = cfg.trials if trials is None else trials
         chi_square = trials >= MIN_CHI_TRIALS
         tier = "exact-set+chi-square" if chi_square else "exact-set"
-        _, seconds = measure_seconds(
-            lambda: self._check_exact_set(scenario, run)
-        )
+        seconds = timed(lambda: self._check_exact_set(scenario, run))
         detail: Dict[str, object] = {"exact_set": True}
         p_value = None
         if chi_square:
             k_chi = cfg.chi_sample_size(scenario.universe_size)
             p_value = uniformity_p_value(
-                lambda seed: run(scenario, k_chi, cfg.seed + 1 + seed),
+                lambda seed: run(scenario, k_chi, SEED + 1 + seed),
                 scenario.universe,
                 trials,
                 k_chi,
             )
             detail.update({"trials": trials, "chi_k": k_chi})
-            if p_value <= cfg.p_threshold:
+            if p_value <= P_THRESHOLD:
                 raise CellFailure(
-                    f"uniformity rejected: p={p_value:.5f} <= {cfg.p_threshold}"
+                    f"uniformity rejected: p={p_value:.5f} <= {P_THRESHOLD}"
                 )
         return CellResult(
             scenario.name, mode, tier, "pass",
@@ -341,14 +339,9 @@ class ModeMatrix:
 
     def _cell_sharded(self, scenario: Scenario) -> CellResult:
         cell = self._statistical_cell(scenario, "sharded", self._run_sharded)
-        ingestor, seconds = measure_seconds(
-            lambda: self._make_sharded(
-                scenario, self.config.k, self.config.seed
-            ).ingest(scenario.stream)
-        )
-        statistics = ingestor.statistics()
-        cell.serial_seconds = round(seconds, 4)
-        cell.detail["load_imbalance"] = statistics.get("load_imbalance")
+        ingestor = self._make_sharded(scenario, K, SEED)
+        cell.serial_seconds = round(timed(lambda: ingestor.ingest(scenario.stream)), 4)
+        cell.detail["load_imbalance"] = ingestor.statistics().get("load_imbalance")
         return cell
 
     def _prefix_universe(self, scenario: Scenario, consumed: int) -> List[dict]:
@@ -359,9 +352,9 @@ class ModeMatrix:
             # A prefix of a turnstile stream may truncate delete/insert
             # annihilation pairs; the surviving-rows replay resolves exactly
             # what a sampler fed that prefix has stored.
-            return _surviving_universe(scenario.query, prefix)
+            return surviving_ground_truth(scenario.query, prefix)
         if scenario.query is not None:
-            return _join_universe(scenario.query, prefix)
+            return ground_truth(scenario.query, prefix)
         # Predicate scenario: replay the prefix through the scenario's own
         # predicate (probed off a throwaway sampler, so scenario builders
         # stay free to wrap or counter-instrument it).
@@ -378,23 +371,18 @@ class ModeMatrix:
         bit-identical to a co-driven standalone run stopped at the same
         boundary, exactly covers the prefix universe, and stays frozen
         while later chunks land (snapshot isolation)."""
-        cfg = self.config
-        chunk = cfg.chunk_size
         oversized = scenario.universe_size + 8
         server = SampleServer(
             BatchIngestor(
-                scenario.make_sampler(oversized, random.Random(cfg.seed)),
-                chunk_size=chunk,
+                scenario.make_sampler(oversized, random.Random(SEED)),
+                chunk_size=CHUNK_SIZE,
             )
         )
         reference = BatchIngestor(
-            scenario.make_sampler(oversized, random.Random(cfg.seed)),
-            chunk_size=chunk,
+            scenario.make_sampler(oversized, random.Random(SEED)),
+            chunk_size=CHUNK_SIZE,
         )
-        pieces = [
-            scenario.stream[start:start + chunk]
-            for start in range(0, len(scenario.stream), chunk)
-        ]
+        pieces = list(chunk_stream(scenario.stream, CHUNK_SIZE))
         total = len(pieces)
         # Two interior boundaries plus the final one (deduplicated on the
         # smoke-scale streams where they collide).
@@ -436,7 +424,7 @@ class ModeMatrix:
                 if not held:
                     held.extend([snap, list(sample)])
 
-        _, seconds = measure_seconds(run)
+        seconds = timed(run)
         if held and held[0].sample() != held[1]:
             raise CellFailure(
                 f"epoch-{held[0].epoch} snapshot mutated after later chunks "
@@ -464,8 +452,7 @@ class ModeMatrix:
         segmentation of ``TurnstileReservoirJoin.ingest_batch`` — then the
         statistical tier asserts against the post-deletion result set.
         """
-        cfg = self.config
-        derived = turnstile_variant(scenario, seed=cfg.seed + 7)
+        derived = turnstile_variant(scenario, seed=SEED + 7)
         cell = self._statistical_cell(derived, "turnstile", self._run_batched)
         cell.scenario = scenario.name
         deletes = sum(
@@ -483,9 +470,8 @@ class ModeMatrix:
     def _checkpoint_boundary(self, scenario: Scenario) -> int:
         """A mid-stream cut on a chunk boundary (the documented save point:
         chunking-sensitive samplers resume bit-identically only there)."""
-        chunk = self.config.chunk_size
-        half_chunks = max(1, len(scenario.stream) // (2 * chunk))
-        return half_chunks * chunk
+        half_chunks = max(1, len(scenario.stream) // (2 * CHUNK_SIZE))
+        return half_chunks * CHUNK_SIZE
 
     def _cell_checkpoint(self, scenario: Scenario, tmp_dir: str) -> CellResult:
         """Save mid-stream, restore, finish: bit-identical to uninterrupted.
@@ -494,7 +480,6 @@ class ModeMatrix:
         across the matrix the checkpoint column exercises all three: batch,
         sharded and windowed.
         """
-        cfg = self.config
         cut = self._checkpoint_boundary(scenario)
         head, tail = scenario.stream[:cut], scenario.stream[cut:]
         covered: List[str] = []
@@ -512,7 +497,7 @@ class ModeMatrix:
             covered.append(name)
 
         def batch_check() -> None:
-            uninterrupted = self._run_batched(scenario, cfg.k, cfg.seed)
+            uninterrupted = self._run_batched(scenario, K, SEED)
             path = os.path.join(tmp_dir, f"{scenario.name}-batch.ckpt")
 
             def finished(resumed: BatchIngestor) -> None:
@@ -522,15 +507,15 @@ class ModeMatrix:
             roundtrip(
                 BatchIngestor,
                 lambda: BatchIngestor(
-                    scenario.make_sampler(cfg.k, random.Random(cfg.seed)),
-                    chunk_size=cfg.chunk_size,
+                    scenario.make_sampler(K, random.Random(SEED)),
+                    chunk_size=CHUNK_SIZE,
                 ),
                 path,
                 finished,
             )
 
         def sharded_check() -> None:
-            reference = self._make_sharded(scenario, cfg.k, cfg.seed)
+            reference = self._make_sharded(scenario, K, SEED)
             reference.ingest(scenario.stream)
             path = os.path.join(tmp_dir, f"{scenario.name}-sharded.ckpt")
 
@@ -542,7 +527,7 @@ class ModeMatrix:
 
             roundtrip(
                 ShardedIngestor,
-                lambda: self._make_sharded(scenario, cfg.k, cfg.seed),
+                lambda: self._make_sharded(scenario, K, SEED),
                 path,
                 finished,
             )
@@ -552,15 +537,15 @@ class ModeMatrix:
             # a count window short enough that expiries continue *after* the
             # checkpoint boundary proves the restored sampler expires the
             # same rows the uninterrupted run does.
-            window = max(cfg.chunk_size, len(scenario.stream) // 3)
+            window = max(CHUNK_SIZE, len(scenario.stream) // 3)
 
             def build() -> BatchIngestor:
                 return BatchIngestor(
                     WindowedSampler(
-                        scenario.query, cfg.k, window=window,
-                        rng=random.Random(cfg.seed), mode="count",
+                        scenario.query, K, window=window,
+                        rng=random.Random(SEED), mode="count",
                     ),
-                    chunk_size=cfg.chunk_size,
+                    chunk_size=CHUNK_SIZE,
                 )
 
             uninterrupted = build()
@@ -680,15 +665,3 @@ def run_gauntlet(
     matrix = ModeMatrix(scenarios, config or GauntletConfig.for_scale(scale), modes)
     return matrix.run()
 
-
-__all__ = [
-    "MODES",
-    "MIN_CHI_TRIALS",
-    "SCALE_ENV",
-    "GauntletConfig",
-    "CellResult",
-    "CellFailure",
-    "GauntletReport",
-    "ModeMatrix",
-    "run_gauntlet",
-]

@@ -3,7 +3,7 @@
 A :class:`Scenario` packages one workload — a query (or predicate), a
 reproducibly generated stream, a sampler factory conforming to the
 :class:`~repro.core.backend.SamplerBackend` protocol, and the ground-truth
-result universe — in exactly the shape the :mod:`~repro.gauntlet.matrix`
+result universe — in exactly the shape the :mod:`~tests.gauntlet.matrix`
 runner needs to drive it through every ingestion mode and check the mode's
 equivalence tier against the truth.
 
@@ -24,7 +24,7 @@ scenario                  kind       source
 ========================  =========  ==========================================
 
 ``kind`` determines which modes structurally apply (see
-:data:`~repro.gauntlet.matrix.MODES`): cyclic queries shard only through a
+:data:`~tests.gauntlet.matrix.MODES`): cyclic queries shard only through a
 custom per-shard factory, the predicate scenario has no join query to
 hash-partition at all, and turnstile scenarios carry
 :class:`~repro.relational.stream.StreamDelete` retractions that only the
@@ -43,15 +43,16 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..core.predicate_backend import PredicateStreamSampler
-from ..core.reservoir_join import ReservoirJoin
-from ..core.turnstile import TurnstileReservoirJoin
-from ..cyclic.cyclic_join import CyclicReservoirJoin
-from ..relational.database import Database
-from ..relational.join import join_results
-from ..relational.query import JoinQuery
-from ..relational.stream import StreamTuple, surviving_rows, turnstile_stream
-from ..workloads import graph, ldbc, strings, tpcds
+from repro.core.predicate_backend import PredicateStreamSampler
+from repro.core.reservoir_join import ReservoirJoin
+from repro.core.turnstile import TurnstileReservoirJoin
+from repro.cyclic.cyclic_join import CyclicReservoirJoin
+from repro.relational.query import JoinQuery
+from repro.relational.stream import StreamTuple, turnstile_stream
+from repro.workloads import graph, ldbc, strings, tpcds
+
+from tests.oracles import ground_truth, surviving_ground_truth
+
 
 #: Kinds a scenario can declare; the matrix keys structural skips off these.
 #: ``turnstile`` marks a retraction-bearing stream: the sampler must be
@@ -124,31 +125,6 @@ class Scenario:
         }
 
 
-def _join_universe(query: JoinQuery, stream: Sequence[StreamTuple]) -> List[Dict[str, object]]:
-    """Exhaustive join results of the fully loaded stream (the ground truth)."""
-    database = Database(query)
-    for item in stream:
-        database.insert(item.relation, item.row)
-    return join_results(query, database)
-
-
-def _surviving_universe(
-    query: JoinQuery, stream: Sequence
-) -> List[Dict[str, object]]:
-    """Exhaustive join results over the rows *surviving* a turnstile stream.
-
-    The turnstile twin of :func:`_join_universe`: the reference replay of
-    :func:`~repro.relational.stream.surviving_rows` resolves tombstone
-    semantics (a delete annihilates its matching insert wherever it lands in
-    the stream), and the join is evaluated over exactly the survivors.
-    """
-    database = Database(query)
-    for relation, rows in surviving_rows(stream).items():
-        for row in rows:
-            database.insert(relation, row)
-    return join_results(query, database)
-
-
 JOIN_INVARIANTS = ("uniform", "exact-set", "bit-identity", "checkpoint-resume")
 
 
@@ -172,7 +148,7 @@ def _join_scenario(
         query=query,
         stream=stream,
         make_sampler=make_sampler,
-        universe=_join_universe(query, stream),
+        universe=ground_truth(query, stream),
         invariants=JOIN_INVARIANTS,
         description=description,
     )
@@ -266,7 +242,7 @@ def graph_turnstile(scale: float = 1.0, seed: int = 17) -> Scenario:
         query=query,
         stream=stream,
         make_sampler=make_sampler,
-        universe=_surviving_universe(query, stream),
+        universe=surviving_ground_truth(query, stream),
         invariants=TURNSTILE_INVARIANTS,
         description="Line-2 path join over a turnstile edge stream "
         "(deletions and pre-insert tombstones)",
@@ -300,7 +276,7 @@ def turnstile_variant(scenario: Scenario, seed: int = 1719) -> Scenario:
             delete_fraction=fraction,
             tombstone_fraction=TURNSTILE_TOMBSTONE_FRACTION,
         )
-        universe = _surviving_universe(scenario.query, stream)
+        universe = surviving_ground_truth(scenario.query, stream)
         if universe:
             break
         fraction /= 2
@@ -402,18 +378,3 @@ def build_scenarios(
         raise KeyError(f"unknown scenarios: {unknown}; known: {list(SCENARIO_BUILDERS)}")
     return [SCENARIO_BUILDERS[name](scale) for name in selected]
 
-
-__all__ = [
-    "KINDS",
-    "Scenario",
-    "SCENARIO_BUILDERS",
-    "build_scenarios",
-    "tpcds_qx",
-    "tpcds_qy",
-    "ldbc_q10",
-    "graph_star3",
-    "graph_triangle",
-    "graph_turnstile",
-    "strings_predicate",
-    "turnstile_variant",
-]

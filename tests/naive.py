@@ -11,11 +11,11 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Sequence
 
-from ..core.backend import PerTupleBatchMixin
-from ..relational.database import Database
-from ..relational.join import join_results
-from ..relational.query import JoinQuery
-from ..relational.stream import StreamTuple
+from repro.core.backend import PerTupleBatchMixin
+from repro.relational.database import Database
+from repro.relational.join import join_results
+from repro.relational.query import JoinQuery
+from repro.relational.stream import StreamTuple
 
 
 class NaiveRecomputeSampler(PerTupleBatchMixin):

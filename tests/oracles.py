@@ -1,4 +1,9 @@
-"""Statistical verification that samplers are uniform.
+"""The test oracles: exhaustive ground truth and the chi-square uniformity test.
+
+The ground truth of a join is the full result set, computed by loading the
+stream into a :class:`~repro.relational.database.Database` and enumerating
+the join; for a turnstile stream it is the join over the rows that survive
+its retractions.
 
 The headline correctness claim of the paper is that, at every point of the
 stream, the reservoir is a *uniform* sample without replacement of the join
@@ -15,16 +20,45 @@ standard goodness-of-fit check.
 
 from __future__ import annotations
 
-import math
 from collections import Counter
-from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Callable, List, Mapping, Sequence, Tuple
 
 from scipy import stats as scipy_stats
+
+from repro.relational import Database, JoinQuery, join_results
+from repro.relational.stream import surviving_rows
 
 
 def result_key(result: Mapping[str, object]) -> Tuple:
     """A hashable canonical key for a join result dict."""
     return tuple(sorted(result.items()))
+
+
+def ground_truth(query: JoinQuery, stream: Sequence) -> List[dict]:
+    """Full join results after the whole stream has been inserted."""
+    database = Database(query)
+    for item in stream:
+        database.insert(item.relation, item.row)
+    return join_results(query, database)
+
+
+def ground_truth_keys(query: JoinQuery, stream: Sequence) -> set:
+    """Hashable canonical keys of the ground-truth join results."""
+    return {result_key(result) for result in ground_truth(query, stream)}
+
+
+def surviving_ground_truth(query: JoinQuery, stream: Sequence) -> List[dict]:
+    """Full join results over the rows *surviving* a turnstile stream.
+
+    :func:`~repro.relational.stream.surviving_rows` replays the tombstone
+    semantics (a delete annihilates its matching insert wherever it lands
+    in the stream), and the join is evaluated over exactly the survivors.
+    """
+    database = Database(query)
+    for relation, rows in surviving_rows(stream).items():
+        for row in rows:
+            database.insert(relation, row)
+    return join_results(query, database)
 
 
 def inclusion_counts(samples_per_trial: Sequence[Sequence[Mapping[str, object]]]) -> Counter:

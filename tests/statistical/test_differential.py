@@ -4,7 +4,7 @@ Small random acyclic queries and streams are generated from fixed seeds; for
 every flag combination of :class:`ReservoirJoin` (``grouping`` ×
 ``foreign_key`` × ``maintain_root``) and for the batched ``insert_batch``
 path, the sampler must draw from *exactly* the join-result set that
-``baselines/naive.py`` recomputes from scratch:
+``tests/naive.py`` recomputes from scratch:
 
 * with a reservoir larger than the join, the sample must equal the full
   result set (the reservoir never evicts, so any missing or spurious result
@@ -22,10 +22,10 @@ from typing import List, Tuple
 import pytest
 
 from repro import BatchIngestor, JoinQuery, ReservoirJoin, StreamTuple
-from repro.baselines.naive import NaiveRecomputeSampler
-from repro.stats.uniformity import result_key
 
-from tests.conftest import ground_truth_keys, stat_trials
+from tests.conftest import random_stream, stat_trials
+from tests.naive import NaiveRecomputeSampler
+from tests.oracles import ground_truth_keys, result_key
 
 #: Seeds for the coverage loop; scaled down by REPRO_STAT_TRIALS in CI.  The
 #: floor keeps the expected coverage (1 - (1 - k/|Q|)^seeds) comfortably
@@ -36,18 +36,6 @@ FLAG_COMBOS = [
     dict(grouping=grouping, foreign_key=foreign_key, maintain_root=maintain_root)
     for grouping, foreign_key, maintain_root in itertools.product([False, True], repeat=3)
 ]
-
-
-def random_stream(query: JoinQuery, rng: random.Random, n: int, domain: int) -> List[StreamTuple]:
-    names = query.relation_names
-    stream = []
-    for _ in range(n):
-        relation = rng.choice(names)
-        arity = query.relation(relation).arity
-        stream.append(
-            StreamTuple(relation, tuple(rng.randrange(domain) for _ in range(arity)))
-        )
-    return stream
 
 
 def chain_case(rng: random.Random) -> Tuple[JoinQuery, List[StreamTuple]]:

@@ -68,12 +68,17 @@ from repro import (
     StreamTuple,
 )
 from repro import SJoin
-from repro.ingest import chunked
 from repro.workloads import ldbc, tpcds
 from repro.relational import Database, count_results, join_size
-from repro.stats.uniformity import result_key, uniformity_p_value
+from repro.relational.stream import chunk_stream
 
-from tests.conftest import ground_truth, ground_truth_keys, stat_trials
+from tests.conftest import random_stream, stat_trials
+from tests.oracles import (
+    ground_truth,
+    ground_truth_keys,
+    result_key,
+    uniformity_p_value,
+)
 
 P_THRESHOLD = 0.002
 TRIALS = stat_trials(300)
@@ -82,18 +87,6 @@ TRIALS = stat_trials(300)
 # ---------------------------------------------------------------------- #
 # Random case generators (all deterministic in the seed)
 # ---------------------------------------------------------------------- #
-def random_stream(query: JoinQuery, rng: random.Random, n: int, domain: int) -> List[StreamTuple]:
-    names = query.relation_names
-    stream = []
-    for _ in range(n):
-        relation = rng.choice(names)
-        arity = query.relation(relation).arity
-        stream.append(
-            StreamTuple(relation, tuple(rng.randrange(domain) for _ in range(arity)))
-        )
-    return stream
-
-
 def random_acyclic_case(rng: random.Random) -> Tuple[JoinQuery, List[StreamTuple]]:
     """A random chain or star query with a random stream."""
     if rng.random() < 0.5:
@@ -202,10 +195,6 @@ def test_count_results_matches_enumeration_on_random_cases(case_seed):
 # ---------------------------------------------------------------------- #
 # (e) Checkpoint at a prefix, restore, ingest the suffix — bit-identical
 # ---------------------------------------------------------------------- #
-def _chunks_of(stream: List[StreamTuple], chunk_size: int) -> List[List[StreamTuple]]:
-    return list(chunked(stream, chunk_size))
-
-
 def _drive(ingestor, chunks: List[List[StreamTuple]]) -> None:
     for chunk in chunks:
         ingestor.ingest_batch(chunk)
@@ -227,7 +216,7 @@ def test_checkpointed_batch_ingest_bit_identical(case_seed, kind, tmp_path):
         query, stream = random_cyclic_case(rng)
         make = lambda: CyclicReservoirJoin(query, 7, rng=random.Random(case_seed + 1))
     chunk_size = rng.choice([8, 17])
-    chunks = _chunks_of(stream, chunk_size)
+    chunks = list(chunk_stream(stream, chunk_size))
     cut = rng.randrange(1, len(chunks))
 
     uninterrupted = BatchIngestor(make(), chunk_size=chunk_size)
@@ -253,7 +242,7 @@ def test_checkpointed_sharded_ingest_bit_identical(case_seed, tmp_path):
     query, stream = random_acyclic_case(rng)
     chunk_size = rng.choice([8, 17])
     num_shards = rng.choice([2, 3])
-    chunks = _chunks_of(stream, chunk_size)
+    chunks = list(chunk_stream(stream, chunk_size))
     cut = rng.randrange(1, len(chunks))
 
     def build():
@@ -334,7 +323,7 @@ def test_workload_through_chunk_stream_exact_set(workload, chunk_size):
     sampler = ReservoirJoin(query, len(truth) + 5, rng=random.Random(1))
     ingestor = BatchIngestor(sampler, chunk_size=chunk_size)
     expected_batches = 0
-    for chunk in chunked(stream, chunk_size):
+    for chunk in chunk_stream(stream, chunk_size):
         assert len(chunk) <= chunk_size
         ingestor.ingest_batch(chunk)
         expected_batches += 1
@@ -391,7 +380,7 @@ def test_served_batched_sample_bit_identical_at_every_epoch(case_seed):
     rng = random.Random(case_seed)
     query, stream = random_acyclic_case(rng)
     chunk_size = rng.choice([8, 17])
-    chunks = _chunks_of(stream, chunk_size)
+    chunks = list(chunk_stream(stream, chunk_size))
 
     server = SampleServer(
         BatchIngestor(
@@ -429,7 +418,7 @@ def test_served_sharded_merged_sample_bit_identical_at_every_epoch(case_seed):
     query, stream = random_acyclic_case(rng)
     chunk_size = rng.choice([8, 17])
     num_shards = rng.choice([2, 3])
-    chunks = _chunks_of(stream, chunk_size)
+    chunks = list(chunk_stream(stream, chunk_size))
 
     server = SampleServer(
         ShardedIngestor(

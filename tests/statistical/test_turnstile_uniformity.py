@@ -30,14 +30,13 @@ from repro import (
     StreamTuple,
     TurnstileReservoirJoin,
     WindowedSampler,
-    surviving_rows,
     turnstile_stream,
 )
 from repro.relational.database import Database
 from repro.relational.join import count_results, join_results
-from repro.stats.uniformity import result_key, uniformity_p_value
 
 from tests.conftest import stat_trials
+from tests.oracles import result_key, surviving_ground_truth, uniformity_p_value
 
 P_THRESHOLD = 0.002
 TRIALS = stat_trials(300)
@@ -60,16 +59,8 @@ def make_stream(seed: int, n: int = 160):
     )
 
 
-def universe_of(stream):
-    database = Database(QUERY)
-    for relation, rows in surviving_rows(stream).items():
-        for row in rows:
-            database.insert(relation, row)
-    return join_results(QUERY, database)
-
-
 STREAM = make_stream(97)
-UNIVERSE = universe_of(STREAM)
+UNIVERSE = surviving_ground_truth(QUERY, STREAM)
 
 
 def test_surviving_universe_is_nontrivial():
@@ -218,7 +209,7 @@ def test_evictionless_delete_runs_do_not_bias_later_inserts():
     for victim, insert in zip(victims, late):
         stream += [victim, insert]
     stream += late[len(victims):]
-    universe = universe_of(stream)
+    universe = surviving_ground_truth(QUERY, stream)
 
     quiet_runs = []
 
@@ -255,9 +246,9 @@ def test_exhausted_refill_reenters_the_fill_phase():
     later = [StreamTuple("R", (a, 0)) for a in range(10, 16)] + [
         StreamTuple("S", (0, c)) for c in range(5, 8)
     ]
-    survivors = universe_of(first + victims)
+    survivors = surviving_ground_truth(QUERY, first + victims)
     assert len(survivors) < k
-    universe = universe_of(first + victims + later)
+    universe = surviving_ground_truth(QUERY, first + victims + later)
     assert len(universe) > 5 * k
 
     def run_one(seed):

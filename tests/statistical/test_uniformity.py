@@ -5,7 +5,7 @@ reservoir is a uniform sample *without replacement* of the join results (or
 plain items) seen so far.  Each test runs a sampler many times with
 independent seeds, counts per-result inclusion frequencies, and performs a
 chi-square goodness-of-fit test against the uniform expectation via
-``repro.stats.uniformity``.  All tests are seeded and deterministic: a
+``tests/oracles.py``.  All tests are seeded and deterministic: a
 failure is a real distributional bug, not flakiness.
 
 The significance threshold is 0.002 — small enough that a correctly uniform
@@ -30,13 +30,14 @@ from repro import (
     SkipReservoirSampler,
 )
 from repro.core.skippable import ListBatch, ListStream
-from repro.stats.uniformity import (
+
+from tests.conftest import make_edges, make_graph_stream, stat_trials
+from tests.oracles import (
     chi_square_uniformity,
+    ground_truth,
     inclusion_counts,
     uniformity_p_value,
 )
-
-from tests.conftest import ground_truth, make_edges, make_graph_stream, stat_trials
 
 P_THRESHOLD = 0.002
 TRIALS = stat_trials(300)

@@ -2,11 +2,12 @@
 
 import random
 
-from repro.baselines.naive import NaiveRecomputeSampler
 from repro.baselines.symmetric import SymmetricHashJoinSampler
 from repro.relational import Database, join_size
-from repro.stats.uniformity import result_key, uniformity_p_value
-from tests.conftest import ground_truth, make_edges, make_graph_stream
+
+from tests.conftest import make_edges, make_graph_stream
+from tests.naive import NaiveRecomputeSampler
+from tests.oracles import ground_truth, result_key, uniformity_p_value
 
 
 class TestSymmetricHashJoinSampler:

@@ -23,13 +23,13 @@ from repro import (
     StreamTuple,
     SymmetricHashJoinSampler,
 )
-from repro.baselines.naive import NaiveRecomputeSampler
 from repro.core.backend import PerTupleBatchMixin, SamplerBackend, chunk_apply
-from repro.ingest.batch import chunked
 from repro.ingest.shard import ShardedIngestor
-from repro.stats.uniformity import result_key
+from repro.relational.stream import chunk_stream
 
-from tests.conftest import ground_truth_keys, make_edges, make_graph_stream
+from tests.conftest import make_edges, make_graph_stream
+from tests.naive import NaiveRecomputeSampler
+from tests.oracles import ground_truth_keys, result_key
 
 
 def line3_stream(query, n, seed, domain=12):
@@ -59,21 +59,21 @@ class PerTupleOnly(PerTupleBatchMixin):
 
 
 # ---------------------------------------------------------------------- #
-# chunked / BatchIngestor mechanics
+# chunk_stream / BatchIngestor mechanics
 # ---------------------------------------------------------------------- #
 class TestChunked:
     def test_even_chunks(self):
-        assert list(chunked(range(6), 2)) == [[0, 1], [2, 3], [4, 5]]
+        assert list(chunk_stream(range(6), 2)) == [[0, 1], [2, 3], [4, 5]]
 
     def test_ragged_tail(self):
-        assert list(chunked(range(5), 2)) == [[0, 1], [2, 3], [4]]
+        assert list(chunk_stream(range(5), 2)) == [[0, 1], [2, 3], [4]]
 
     def test_empty(self):
-        assert list(chunked([], 3)) == []
+        assert list(chunk_stream([], 3)) == []
 
     def test_invalid_size(self):
         with pytest.raises(ValueError):
-            list(chunked(range(3), 0))
+            list(chunk_stream(range(3), 0))
 
     def test_generator_input_is_consumed_lazily(self):
         """A one-shot generator works, and only one chunk is buffered at a time."""
@@ -84,16 +84,16 @@ class TestChunked:
                 pulled.append(i)
                 yield i
 
-        chunks = chunked(source(), 3)
+        chunks = chunk_stream(source(), 3)
         assert next(chunks) == [0, 1, 2]
         assert pulled == [0, 1, 2]  # nothing beyond the first chunk yet
         assert list(chunks) == [[3, 4, 5], [6]]
 
     def test_size_larger_than_stream_yields_single_chunk(self):
-        assert list(chunked(range(4), 100)) == [[0, 1, 2, 3]]
+        assert list(chunk_stream(range(4), 100)) == [[0, 1, 2, 3]]
 
     def test_size_one_degenerates_to_singletons(self):
-        assert list(chunked("ab", 1)) == [["a"], ["b"]]
+        assert list(chunk_stream("ab", 1)) == [["a"], ["b"]]
 
 
 class TestBatchIngestor:
@@ -277,7 +277,7 @@ class TestBackendProtocol:
         fed = ReservoirJoin(line3_query, 7, rng=random.Random(5))
         apply, mode = chunk_apply(fed)
         assert mode == "insert_batch"
-        for chunk in chunked(stream, 16):
+        for chunk in chunk_stream(stream, 16):
             apply(chunk)
 
         alone = ReservoirJoin(line3_query, 7, rng=random.Random(5))
@@ -312,7 +312,7 @@ class TestBackendProtocol:
         assert modes["sharded"] == "ingest_batch"
         assert modes["acyclic"] == "insert_batch"
         applies = [chunk_apply(backend)[0] for backend in backends.values()]
-        for chunk in chunked(stream, 32):
+        for chunk in chunk_stream(stream, 32):
             for apply in applies:
                 apply(chunk)
 

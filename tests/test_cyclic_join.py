@@ -7,9 +7,10 @@ import pytest
 from repro.cyclic.cyclic_join import CyclicReservoirJoin
 from repro.cyclic.ghd import GHD
 from repro.relational import Database, JoinQuery, StreamTuple, delta_results
-from repro.stats.uniformity import result_key, uniformity_p_value
 from repro.workloads.graph import dumbbell_query, line_query, triangle_query
-from tests.conftest import ground_truth, make_edges, make_graph_stream
+
+from tests.conftest import make_edges, make_graph_stream
+from tests.oracles import ground_truth, result_key, uniformity_p_value
 
 
 def replay(query, stream, k, seed, **kwargs):

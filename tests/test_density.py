@@ -5,7 +5,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.density import (
+from tests.density import (
     batch_density_bound,
     cartesian_product,
     concat_density_bound,

@@ -7,9 +7,10 @@ import pytest
 
 from repro.index.dynamic_index import DynamicJoinIndex
 from repro.relational import join_results, join_size
-from repro.stats.uniformity import result_key
 from repro.workloads.graph import line_query, triangle_query
+
 from tests.conftest import make_edges, make_graph_stream, materialize_batch
+from tests.oracles import result_key
 
 
 class TestConstruction:

@@ -13,8 +13,9 @@ from repro import (
 )
 from repro.core.skippable import ListBatch
 from repro.relational import StreamTuple
-from repro.stats.uniformity import result_key
-from tests.conftest import ground_truth, make_edges, make_graph_stream
+
+from tests.conftest import make_edges, make_graph_stream
+from tests.oracles import ground_truth, result_key
 
 
 class TestDegenerateQueries:

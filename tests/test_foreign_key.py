@@ -6,8 +6,9 @@ import pytest
 
 from repro.index.foreign_key import ForeignKeyCombiner
 from repro.relational import Database, JoinQuery, StreamTuple, join_size, join_results
-from repro.stats.uniformity import result_key
 from repro.workloads import tpcds
+
+from tests.oracles import result_key
 
 
 @pytest.fixture

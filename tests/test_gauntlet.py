@@ -2,7 +2,7 @@
 
 Fast tier-1 tests.  Matrix runs here use ``GauntletConfig(trials=0)`` — the
 statistical cells degrade to their exact-set half (see
-``repro.gauntlet.matrix.MIN_CHI_TRIALS``), which is deterministic and quick.
+``tests.gauntlet.matrix.MIN_CHI_TRIALS``), which is deterministic and quick.
 The full chi-square-powered matrix lives in tests/test_gauntlet_matrix.py
 behind the ``gauntlet`` marker.
 """
@@ -15,18 +15,16 @@ import random
 
 import pytest
 
-from repro.gauntlet import (
+from tests.gauntlet.matrix import (
+    CHUNK_SIZE,
+    K,
     MIN_CHI_TRIALS,
     MODES,
-    CellResult,
     GauntletConfig,
-    GauntletReport,
     ModeMatrix,
-    Scenario,
-    SCENARIO_BUILDERS,
-    build_scenarios,
     run_gauntlet,
 )
+from tests.gauntlet.scenarios import SCENARIO_BUILDERS, Scenario, build_scenarios
 
 TINY = 0.05  # scenario scale for machinery tests (generator floors apply)
 
@@ -102,14 +100,18 @@ def test_for_scale_floors_trials_at_chi_square_validity():
 def test_chi_sample_size_is_bounded_by_the_universe():
     cfg = GauntletConfig()
     assert cfg.chi_sample_size(5) == 5
-    assert cfg.chi_sample_size(100) == cfg.k
+    assert cfg.chi_sample_size(100) == K
     assert cfg.chi_sample_size(1600) == 200
 
 
 def test_config_as_dict_round_trips_every_field():
-    cfg = GauntletConfig()
-    assert set(cfg.as_dict()) == {
-        f.name for f in dataclasses.fields(GauntletConfig)
+    # Two settable fields; the fixed knobs are module constants, still
+    # reported so a BENCH_gauntlet.json names every value a run used.
+    cfg = GauntletConfig(trials=7, scale=0.5)
+    assert {f.name for f in dataclasses.fields(GauntletConfig)} == {"trials", "scale"}
+    assert cfg.as_dict() == {
+        "k": K, "chunk_size": CHUNK_SIZE, "num_shards": 3, "trials": 7,
+        "p_threshold": 0.002, "seed": 2024, "scale": 0.5,
     }
 
 

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.gauntlet import MODES, SCENARIO_BUILDERS, run_gauntlet
+from tests.gauntlet.matrix import MODES, run_gauntlet
+from tests.gauntlet.scenarios import SCENARIO_BUILDERS
 
 pytestmark = pytest.mark.gauntlet
 

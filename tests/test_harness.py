@@ -1,20 +1,23 @@
-"""Tests for the benchmark harness and report formatting."""
+"""Tests for the benchmark harness (``benchmarks/harness.py``) and its report formatting."""
 
+import gc
 import random
 
 import pytest
 
-from repro.bench.harness import (
-    compare_samplers,
+from repro.core.reservoir_join import ReservoirJoin
+
+from benchmarks.harness import (
+    format_series,
+    format_table,
+    format_value,
     per_insert_times,
     percentile,
     progress_run,
-    run_sampler,
     run_with_timeout,
     speedup,
+    timed,
 )
-from repro.bench.reporting import format_series, format_table, format_value
-from repro.core.reservoir_join import ReservoirJoin
 from tests.conftest import make_edges, make_graph_stream
 
 
@@ -26,7 +29,7 @@ def small_stream(line3_query):
 class TestHarness:
     def test_run_sampler_result(self, line3_query, small_stream):
         sampler = ReservoirJoin(line3_query, 5, rng=random.Random(0))
-        result = run_sampler("RSJoin", sampler, small_stream)
+        result = run_with_timeout("RSJoin", sampler, small_stream)
         assert result.name == "RSJoin"
         assert result.tuples_processed == len(small_stream)
         assert result.elapsed_seconds >= 0
@@ -71,13 +74,11 @@ class TestHarness:
         sampler = ReservoirJoin(line3_query, 5, rng=random.Random(0))
         assert progress_run(sampler, [], parts=5) == []
 
-    def test_compare_samplers(self, line3_query, small_stream):
-        factories = {
-            "a": lambda: ReservoirJoin(line3_query, 5, rng=random.Random(1)),
-            "b": lambda: ReservoirJoin(line3_query, 5, rng=random.Random(2)),
-        }
-        results = compare_samplers(factories, small_stream)
-        assert [result.name for result in results] == ["a", "b"]
+    def test_timed_pauses_the_collector_for_the_run_only(self):
+        enabled = []
+        assert timed(lambda: enabled.append(gc.isenabled())) >= 0
+        assert enabled == [False]
+        assert gc.isenabled()
 
     def test_percentile(self):
         values = list(range(1, 101))

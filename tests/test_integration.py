@@ -17,9 +17,9 @@ from repro import (
     SJoin,
     SymmetricHashJoinSampler,
 )
-from repro.stats.uniformity import result_key
 from repro.workloads import graph, ldbc, tpcds
-from tests.conftest import ground_truth
+
+from tests.oracles import ground_truth, result_key
 
 
 @pytest.fixture(scope="module")

@@ -19,8 +19,9 @@ from repro.core.reservoir_join import ReservoirJoin
 from repro.index.dynamic_index import DynamicJoinIndex
 from repro.relational import Database, JoinQuery, delta_results, join_results
 from repro.relational.stream import StreamTuple
-from repro.stats.uniformity import result_key
+
 from tests.conftest import materialize_batch
+from tests.oracles import result_key
 
 
 # A small pool of structurally different acyclic queries.

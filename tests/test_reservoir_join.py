@@ -6,14 +6,11 @@ import pytest
 
 from repro.core.reservoir_join import ReservoirJoin
 from repro.relational import Database, JoinQuery, StreamTuple, join_results
-from repro.stats.uniformity import (
-    inclusion_counts,
-    result_key,
-    uniformity_p_value,
-)
 from repro.workloads import tpcds
 from repro.workloads.graph import line_query, star_query
-from tests.conftest import ground_truth, make_edges, make_graph_stream
+
+from tests.conftest import make_edges, make_graph_stream
+from tests.oracles import ground_truth, inclusion_counts, result_key, uniformity_p_value
 
 
 def replay(query, stream, k, seed, **kwargs):

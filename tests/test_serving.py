@@ -27,8 +27,10 @@ from repro import (
 )
 import repro.serve.server as server_module
 from repro.ingest.checkpoint import PeriodicCheckpointer
+from repro.relational.stream import chunk_stream
 from repro.stats.memory import deep_sizeof
-from repro.stats.uniformity import result_key
+
+from tests.oracles import result_key
 
 K = 8
 CHUNK = 16
@@ -42,10 +44,6 @@ def line3_stream(query, n, seed, domain=12):
         StreamTuple(rng.choice(names), (rng.randrange(domain), rng.randrange(domain)))
         for _ in range(n)
     ]
-
-
-def chunks_of(stream, size=CHUNK):
-    return [stream[i : i + size] for i in range(0, len(stream), size)]
 
 
 @pytest.fixture
@@ -67,7 +65,7 @@ class TestBoundaryHooks:
         seen = []
         ingestor.add_boundary_hook(lambda items, parts: seen.append(len(items)))
         ingestor.ingest(stream)
-        assert seen == [len(c) for c in chunks_of(stream)]
+        assert seen == [len(c) for c in chunk_stream(stream, CHUNK)]
 
     def test_sharded_ingestor_fires_once_per_chunk(self, line3_query, stream):
         ingestor = ShardedIngestor(
@@ -76,15 +74,15 @@ class TestBoundaryHooks:
         boundaries = []
         ingestor.add_boundary_hook(lambda items, parts: boundaries.append(len(items)))
         ingestor.ingest(stream)
-        assert boundaries == [len(c) for c in chunks_of(stream)]
+        assert boundaries == [len(c) for c in chunk_stream(stream, CHUNK)]
 
     def test_prefetched_chunks_fire_once_per_chunk(self, line3_query, stream):
         ingestor = BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
         seen = []
         ingestor.add_boundary_hook(lambda items, parts: seen.append(len(items)))
-        for piece in prefetched(chunks_of(stream)):
+        for piece in prefetched(chunk_stream(stream, CHUNK)):
             ingestor.ingest_batch(piece)
-        assert seen == [len(c) for c in chunks_of(stream)]
+        assert seen == [len(c) for c in chunk_stream(stream, CHUNK)]
 
 
 # ---------------------------------------------------------------------- #
@@ -96,7 +94,7 @@ class TestSampleServer:
             BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
         )
         assert server.epoch == 0
-        for expected, piece in enumerate(chunks_of(stream), start=1):
+        for expected, piece in enumerate(chunk_stream(stream, CHUNK), start=1):
             server.ingest_batch(piece)
             assert server.epoch == expected
 
@@ -112,7 +110,7 @@ class TestSampleServer:
         standalone = BatchIngestor(
             ReservoirJoin(line3_query, K, rng=random.Random(21)), chunk_size=CHUNK
         )
-        for piece in chunks_of(stream):
+        for piece in chunk_stream(stream, CHUNK):
             server.ingest_batch(piece)
             standalone.ingest_batch(piece)
             assert server.snapshot().sample() == list(standalone.sampler.sample)
@@ -121,7 +119,7 @@ class TestSampleServer:
         server = SampleServer(
             BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
         )
-        pieces = chunks_of(stream)
+        pieces = list(chunk_stream(stream, CHUNK))
         for piece in pieces[: len(pieces) // 2]:
             server.ingest_batch(piece)
         snap = server.snapshot()
@@ -137,7 +135,7 @@ class TestSampleServer:
             BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
         )
         server.subscribe("all", lambda pair: True, k=4)
-        pieces = chunks_of(stream)
+        pieces = list(chunk_stream(stream, CHUNK))
         server.ingest_batch(pieces[0])
         first = server.snapshot()
         assert server.snapshot() is first       # same epoch: cache hit
@@ -195,7 +193,7 @@ class TestSampleServer:
         standalone = ShardedIngestor(
             line3_query, K, num_shards=2, chunk_size=CHUNK, rng=random.Random(9)
         )
-        for piece in chunks_of(stream):
+        for piece in chunk_stream(stream, CHUNK):
             server.ingest_batch(piece)
             standalone.ingest_batch(piece)
         snap = server.snapshot()
@@ -249,7 +247,7 @@ class TestEpochRecord:
     ):
         server = SampleServer(build_target(kind, line3_query), rng=random.Random(6))
         server.subscribe("evens", lambda pair: pair[1][0] % 2 == 0, k=4)
-        pieces = chunks_of(stream)
+        pieces = list(chunk_stream(stream, CHUNK))
         for piece in pieces[: len(pieces) // 2]:
             server.ingest_batch(piece)
         snap = server.snapshot()
@@ -290,7 +288,7 @@ class TestEpochRecord:
         self, line3_query, stream, kind, epochs
     ):
         server = SampleServer(build_target(kind, line3_query))
-        for piece in chunks_of(stream)[:epochs]:
+        for piece in list(chunk_stream(stream, CHUNK))[:epochs]:
             server.ingest_batch(piece)
         snap = server.snapshot()
         for k in (0, -1):
@@ -316,7 +314,7 @@ class TestPredicateViews:
         server.subscribe(
             "evens", lambda pair: pair[1][0] % 2 == 0, k=100
         )
-        pieces = chunks_of(stream)
+        pieces = list(chunk_stream(stream, CHUNK))
         for piece in pieces[: len(pieces) // 2]:
             server.ingest_batch(piece)
         mid = server.snapshot()
@@ -381,7 +379,7 @@ class TestPeriodicCheckpointer:
             ingestor, str(tmp_path / "periodic.ckpt"), interval_seconds=10.0,
             clock=lambda: now[0],
         ).install()
-        pieces = chunks_of(stream)
+        pieces = list(chunk_stream(stream, CHUNK))
         ingestor.ingest_batch(pieces[0])        # t=0: interval not yet elapsed
         assert checkpointer.checkpoints_written == 0
         now[0] = 10.0

@@ -24,9 +24,9 @@ import threading
 import pytest
 
 from repro import BatchIngestor, ReservoirJoin, SampleServer, StreamTuple
-from repro.stats.uniformity import result_key, uniformity_p_value
 
-from tests.conftest import ground_truth_keys, stat_trials
+from tests.conftest import stat_trials
+from tests.oracles import ground_truth_keys, result_key, uniformity_p_value
 
 pytestmark = pytest.mark.slow
 

@@ -37,9 +37,9 @@ from repro.ingest.shard import (
 )
 from repro.relational.join import count_results
 from repro.relational.schema import tuple_getter
-from repro.stats.uniformity import result_key
 
-from tests.conftest import ground_truth_keys, make_edges, make_graph_stream
+from tests.conftest import make_edges, make_graph_stream
+from tests.oracles import ground_truth_keys, result_key
 
 
 def partition_getters(query, attr="x2"):

@@ -7,11 +7,12 @@ import pytest
 from repro.baselines.sjoin import ExactTreeIndex, SJoin
 from repro.relational import Database, JoinQuery, delta_results, join_size
 from repro.relational.jointree import JoinTree
-from repro.stats.uniformity import result_key, uniformity_p_value
 from repro.workloads import tpcds
 from repro.workloads.graph import line_query, triangle_query
-from tests.conftest import ground_truth, make_edges, make_graph_stream, materialize_batch
 from collections import Counter
+
+from tests.conftest import make_edges, make_graph_stream, materialize_batch
+from tests.oracles import ground_truth, result_key, uniformity_p_value
 
 
 def replay(query, stream, k, seed, **kwargs):

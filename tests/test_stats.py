@@ -6,7 +6,8 @@ from collections import Counter
 import pytest
 
 from repro.stats.memory import deep_sizeof, megabytes, sampler_memory_bytes
-from repro.stats.uniformity import (
+
+from tests.oracles import (
     chi_square_uniformity,
     inclusion_counts,
     max_abs_inclusion_deviation,

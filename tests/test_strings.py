@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.density import density, label_items
 from repro.workloads.strings import (
     EditDistancePredicate,
     levenshtein,
@@ -15,6 +14,8 @@ from repro.workloads.strings import (
     random_string,
     string_stream,
 )
+
+from tests.density import density, label_items
 
 short_strings = st.text(alphabet="abcd", max_size=12)
 

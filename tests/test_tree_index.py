@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 from repro.core.backend import restore_backend
-from repro.core.density import batch_density_bound
 from repro.core.reservoir_join import ReservoirJoin
 from repro.core.turnstile import TurnstileReservoirJoin
 from repro.index.dynamic_index import DynamicJoinIndex
@@ -20,9 +19,11 @@ from repro.ingest.shard import ShardedIngestor
 from repro.relational import Database, JoinQuery, delta_results
 from repro.relational.jointree import JoinTree
 from repro.relational.stream import StreamDelete, StreamTuple
-from repro.stats.uniformity import result_key
 from repro.workloads.graph import line_query, star_query
+
 from tests.conftest import make_edges, make_graph_stream, materialize_batch
+from tests.density import batch_density_bound
+from tests.oracles import result_key
 from tests.test_checkpoint import chain3_stream
 
 

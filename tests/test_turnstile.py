@@ -38,7 +38,8 @@ from repro.relational.join import count_results, join_results
 from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.stream import as_relation_rows, validated_items
-from repro.stats.uniformity import result_key
+
+from tests.oracles import result_key, surviving_ground_truth
 
 
 TWO = JoinQuery.from_spec("two", {"R": ["a", "b"], "S": ["b", "c"]})
@@ -56,14 +57,6 @@ def two_table_turnstile(seed: int, n: int = 220, delete_fraction: float = 0.3):
         inserts, random.Random(seed + 1),
         delete_fraction=delete_fraction, tombstone_fraction=0.1,
     )
-
-
-def surviving_universe_keys(query: JoinQuery, stream) -> Set[Tuple]:
-    database = Database(query)
-    for relation, rows in surviving_rows(stream).items():
-        for row in rows:
-            database.insert(relation, row)
-    return {result_key(result) for result in join_results(query, database)}
 
 
 # ---------------------------------------------------------------------- #
@@ -286,7 +279,7 @@ def test_insert_only_paths_reject_stream_deletes():
 @pytest.mark.parametrize("seed", [11, 12, 13])
 def test_pertuple_matches_surviving_reference(seed):
     stream = two_table_turnstile(seed)
-    truth = surviving_universe_keys(TWO, stream)
+    truth = {result_key(r) for r in surviving_ground_truth(TWO, stream)}
     sampler = TurnstileReservoirJoin(TWO, k=len(truth) + 8, rng=random.Random(seed))
     sampler.process(stream)
     assert {result_key(r) for r in sampler.sample} == truth
@@ -298,7 +291,7 @@ def test_pertuple_matches_surviving_reference(seed):
 @pytest.mark.parametrize("chunk_size", [1, 7, 32])
 def test_chunked_matches_surviving_reference(chunk_size):
     stream = two_table_turnstile(21)
-    truth = surviving_universe_keys(TWO, stream)
+    truth = {result_key(r) for r in surviving_ground_truth(TWO, stream)}
     sampler = TurnstileReservoirJoin(TWO, k=len(truth) + 8, rng=random.Random(21))
     BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
     assert {result_key(r) for r in sampler.sample} == truth
@@ -646,7 +639,7 @@ def test_sharded_routes_retractions_to_owning_shard():
 
 def test_sharded_merged_sample_covers_survivors():
     stream = two_table_turnstile(72)
-    truth = surviving_universe_keys(TWO, stream)
+    truth = {result_key(r) for r in surviving_ground_truth(TWO, stream)}
     ingestor = ShardedIngestor(
         TWO, len(truth) + 8, num_shards=3, chunk_size=24,
         factory=lambda shard, rng: TurnstileReservoirJoin(
@@ -709,9 +702,8 @@ def test_turnstile_stream_emits_retractions_and_tombstones():
     # Timestamps are renumbered consecutively over the merged stream.
     assert [item.timestamp for item in stream] == list(range(len(stream)))
     # The reference replay agrees with a deletion-capable sampler.
-    truth = surviving_universe_keys(
-        JoinQuery.from_spec("self", {"R": ["a", "b"]}), stream
-    )
+    self_join = JoinQuery.from_spec("self", {"R": ["a", "b"]})
+    truth = {result_key(r) for r in surviving_ground_truth(self_join, stream)}
     assert truth == {
         result_key({"a": row[0], "b": row[1]})
         for row in surviving_rows(stream).get("R", set())

@@ -7,8 +7,9 @@ import pytest
 
 from repro.index.two_table import TwoTableIndex
 from repro.relational import Database, JoinQuery, delta_results, join_size
-from repro.stats.uniformity import result_key
+
 from tests.conftest import make_edges, make_graph_stream, materialize_batch
+from tests.oracles import result_key
 
 
 class TestConstruction:

@@ -27,23 +27,24 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import gc
 import io
 import os
 import pstats
 import random
 import sys
-import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from repro.core.reservoir_join import ReservoirJoin  # noqa: E402
 from repro.ingest.batch import BatchIngestor  # noqa: E402
 from repro.ingest.shard import ShardedIngestor  # noqa: E402
 from repro.relational.query import JoinQuery  # noqa: E402
 from repro.relational.stream import StreamTuple  # noqa: E402
+
+from harness import timed  # noqa: E402
 
 SEED = 2024
 DOMAIN = 400
@@ -75,17 +76,6 @@ def run_sharded(query, stream, chunk_size: int, shards: int) -> None:
         query, SAMPLE_SIZE, num_shards=shards, chunk_size=chunk_size,
         rng=random.Random(2),
     ).ingest(stream)
-
-
-def timed(run) -> float:
-    gc.collect()
-    gc.disable()
-    try:
-        start = time.perf_counter()
-        run()
-        return time.perf_counter() - start
-    finally:
-        gc.enable()
 
 
 def profile_shape(label: str, run, top: int, repeats: int) -> None:
