@@ -70,7 +70,8 @@ bench:
 	python benchmarks/bench_turnstile.py
 
 # Profile-first workflow for the ingestion hot path: GC-paused wall times
-# plus cProfile hotspot tables for the batched and sharded ingestion modes.
+# plus cProfile hotspot tables for the batched and sharded ingestion modes
+# and for the turnstile path (in the benchmark's turnstile-2way shape).
 profile:
 	python tools/profile_hotpath.py
 

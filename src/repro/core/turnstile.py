@@ -41,20 +41,37 @@ kills a set ``D ⊆ Q`` of results fixed by the stream, never by the keys.
 Tombstone lifecycle
 -------------------
 Streams are set-semantics, but retractions may arrive *before* their insert
-(out-of-order feeds).  A delete of a live row applies immediately; a delete
-of an absent row becomes a **pending tombstone** that annihilates the next
-insert of that row (multiset counts, so ``n`` early deletes absorb ``n``
-inserts).  A live row never also carries a pending tombstone — deletes of
-live rows never pend — so the two states are mutually exclusive, and a
-double-delete of a live row applies once and pends once.  The rule lives
-in one method, ``_annihilated``, which :meth:`TurnstileReservoirJoin.insert`,
-``insert_batch`` and the insert runs of ``ingest_batch`` all ask first.  The
-reference semantics live in :func:`repro.relational.stream.surviving_rows`.
+(out-of-order feeds).  Every entry point — :meth:`TurnstileReservoirJoin
+.insert`, ``insert_batch``, ``delete``, ``delete_batch`` and
+``ingest_batch`` — ends in one method, ``_apply``, which folds the chunk per
+``(relation, row)`` key before anything touches the index.  Each key starts
+from whether its row was live at the chunk start and how many tombstones it
+has pending, and takes its operations in stream order:
 
-Cost: no delete run counts the join.  Each run probes the reservoir once,
-with a C-level ``isdisjoint`` of its removed rows against the held results'
-projections per relation it touched (``O(k)``, no per-slot state).  A run
-that kills ``d`` sampled results then makes an expected ``d · U / |Q'|``
+* an insert consumes a pending tombstone if there is one (an
+  *annihilation*); otherwise it is a duplicate if the row is live, and
+  makes the row live if not;
+* a delete kills a live row, or adds a **pending tombstone** if the row is
+  absent (multiset counts, so ``n`` early deletes absorb ``n`` inserts).
+
+A live row never also carries a pending tombstone — deletes of live rows
+never pend — so a double-delete of a live row applies once and pends once.
+The chunk then reaches the index as one net insert run, the rows absent at
+the start and live at the end, followed by one net delete run, the rows
+live at the start and dead at the end.  An insert followed by a delete of
+the same row inside one chunk never reaches the index, and a delete
+followed by a reinsert of a live row is a no-op whose results keep their
+keys.  Both are sound by the lazy-key argument above: the set of results a
+chunk kills is fixed by the stream, never by the keys, and the guarantee is
+claimed at chunk boundaries only.  The reference semantics live in
+:func:`repro.relational.stream.surviving_rows`.
+
+Cost: no delete run counts the join.  A chunk makes one bulk index insert
+per relation it makes rows live in, one index delete per row it kills, and
+at most one eviction pass.  That pass probes the reservoir once, with a
+C-level ``isdisjoint`` of the removed rows against the held results'
+projections per relation the run touched (``O(k)``, no per-slot state).  A
+run that kills ``d`` sampled results then makes an expected ``d · U / |Q'|``
 retrievals, ``O(d)`` by the index's density bound; running out of
 candidates costs ``O(U)`` and happens only when ``|Q'| < k``.  So the
 per-update cost does not grow with the stream, and insert-only streams pay
@@ -69,7 +86,6 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from itertools import groupby
 from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -89,10 +105,11 @@ class TurnstileReservoirJoin(ReservoirJoin):
     per run (:meth:`delete_batch`) or mixed into chunks (:meth:`ingest_batch`,
     which the ingestion seam's :func:`~repro.core.backend.chunk_apply`
     probes first, so this sampler composes under the batched, sharded,
-    checkpointing and serving modes like any other backend).  Inserts keep
-    the insert-only sampler's two paths — per tuple (:meth:`insert`) and
-    bulk (``insert_batch`` and the insert runs of :meth:`ingest_batch`) —
-    and both honour pending tombstones through the same rule.
+    checkpointing and serving modes like any other backend).  Inserts come
+    per tuple (:meth:`insert`, a one-item ``insert_batch``) or in bulk.
+    Every entry point is a chunk through the same per-key fold, which nets
+    the chunk into one bulk insert and one delete run (see "Tombstone
+    lifecycle" above).
 
     Differences from the insert-only sampler:
 
@@ -141,10 +158,8 @@ class TurnstileReservoirJoin(ReservoirJoin):
     # Streaming interface
     # ------------------------------------------------------------------ #
     def insert(self, relation: str, row: Sequence) -> None:
-        """Process one insert, honouring pending tombstones."""
-        row = tuple(row)
-        if not self._annihilated((relation, row)):
-            super().insert(relation, row)
+        """Process one insert: a one-item :meth:`insert_batch`."""
+        self.insert_batch([(relation, row)])
 
     def delete(self, relation: str, row: Sequence) -> bool:
         """Process one retraction; returns whether a live row was removed.
@@ -178,20 +193,25 @@ class TurnstileReservoirJoin(ReservoirJoin):
                 relation, row = item
                 pairs.append((relation, tuple(row)))
         validate_pairs(pairs, self.original_query)
-        return self._apply_delete_pairs(pairs)
+        return self._apply([(True, key) for key in pairs])[1]
 
     def ingest_batch(self, items: Sequence) -> int:
-        """Absorb one mixed insert/delete chunk; returns new tuples absorbed.
+        """Absorb one mixed insert/delete chunk; returns the rows it made live.
 
-        The chunk is cut into maximal insert-runs and delete-runs in stream
-        order.  Insert-runs ride the insert-only bulk fast path; each
-        delete-run ends with one evict-refill-re-anchor pass.  Uniformity
-        over the surviving join therefore holds at every run boundary, and
-        in particular at the chunk boundary — the same contract
-        ``insert_batch`` honours for insert-only chunks.  Like
-        ``insert_batch``, every item is validated before any state changes
-        (``KeyError`` for a relation outside the query, ``ValueError`` for a
-        wrong arity), so a failed call leaves the sampler untouched.
+        The chunk is folded per ``(relation, row)`` key (see "Tombstone
+        lifecycle" in the module docstring) and reaches the index as one net
+        insert run followed by one net delete run, so uniformity over the
+        surviving join holds at the chunk boundary — the contract
+        ``insert_batch`` honours for insert-only chunks.  Every item is
+        validated before any state changes (``KeyError`` for a relation
+        outside the query, ``ValueError`` for a wrong arity), so a failed
+        call leaves the sampler untouched.
+
+        The return value and ``deletes_applied`` are net per chunk: a row
+        inserted and then retracted inside the chunk counts in neither, nor
+        does a live row retracted and then reinserted.  ``annihilations``
+        and ``duplicates_ignored`` count the inserts the fold consumed
+        against a pending tombstone or found already live.
         """
         tagged: List[Tuple[bool, Tuple[str, tuple]]] = []
         for item in items:
@@ -202,70 +222,77 @@ class TurnstileReservoirJoin(ReservoirJoin):
                 pair = (relation, tuple(row))
             tagged.append((isinstance(item, StreamDelete), pair))
         validate_pairs([pair for _, pair in tagged], self.original_query)
-        absorbed = 0
-        for is_delete, run in groupby(tagged, key=itemgetter(0)):
-            pairs = [pair for _, pair in run]
-            if is_delete:
-                self._apply_delete_pairs(pairs)
-            else:
-                absorbed += self._insert_pairs(pairs)
-        return absorbed
+        return self._apply(tagged)[0]
 
     def process(self, stream: Iterable) -> "TurnstileReservoirJoin":
-        """Process a whole (possibly turnstile) stream; returns ``self``."""
+        """Process a whole (possibly turnstile) stream item by item; returns
+        ``self``."""
         for item in stream:
-            if isinstance(item, StreamDelete):
-                self.delete(item.relation, item.row)
-            elif isinstance(item, StreamTuple):
-                self.insert(item.relation, item.row)
-            else:
-                relation, row = item
-                self.insert(relation, row)
+            self.ingest_batch([item])
         return self
 
-    def _annihilated(self, key: Tuple[str, tuple]) -> bool:
-        """Consume a pending tombstone naming ``key``; whether one was there.
-
-        The one place the tombstone rule lives: every insert entry point
-        asks it first, and an annihilated insert counts as processed but
-        never reaches the index.
-        """
-        outstanding = self._pending.get(key, 0)
-        if not outstanding:
-            return False
-        if outstanding == 1:
-            del self._pending[key]
-        else:
-            self._pending[key] = outstanding - 1
-        self.annihilations += 1
-        self.tuples_processed += 1
-        return True
-
     def _insert_pairs(self, pairs: List[Tuple[str, tuple]]) -> int:
-        """Validated insert pairs minus the annihilated ones, through the
-        insert-only bulk path (reached by ``insert_batch`` and by the insert
-        runs of :meth:`ingest_batch`)."""
-        if self._pending:
-            pairs = [key for key in pairs if not self._annihilated(key)]
-        return super()._insert_pairs(pairs)
+        """Validated insert pairs through the fold (``insert_batch``)."""
+        return self._apply([(False, key) for key in pairs])[0]
+
+    def _apply(self, tagged: List[Tuple[bool, Tuple[str, tuple]]]) -> Tuple[int, int]:
+        """Fold validated ``(is_delete, key)`` operations per key and apply
+        the net change; returns ``(rows inserted, rows deleted)``.
+
+        The one place the tombstone rule lives: every entry point ends here.
+        """
+        database = self.index.database
+        pending = self._pending
+        # Whether each key's row was live at the chunk start, and is now.
+        start: Dict[Tuple[str, tuple], bool] = {}
+        live: Dict[Tuple[str, tuple], bool] = {}
+        inserts = annihilated = duplicates = 0
+        for is_delete, key in tagged:
+            if key not in start:
+                start[key] = live[key] = key[1] in database[key[0]]
+            if is_delete:
+                if live[key]:
+                    live[key] = False
+                else:
+                    pending[key] = pending.get(key, 0) + 1
+                continue
+            inserts += 1
+            # A live row never carries a pending tombstone, so this insert
+            # annihilates against the row's tombstone before anything else.
+            outstanding = pending.get(key, 0)
+            if outstanding:
+                if outstanding == 1:
+                    del pending[key]
+                else:
+                    pending[key] = outstanding - 1
+                annihilated += 1
+            elif live[key]:
+                duplicates += 1
+            else:
+                live[key] = True
+        self.annihilations += annihilated
+        self.duplicates_ignored += duplicates
+        net_inserts = [key for key, now in live.items() if now and not start[key]]
+        net_deletes = [key for key, now in live.items() if start[key] and not now]
+        # The base insert path counts the rows it is handed.
+        self.tuples_processed += inserts - len(net_inserts)
+        inserted = super()._insert_pairs(net_inserts)
+        if net_deletes:
+            self._apply_delete_pairs(net_deletes)
+        return inserted, len(net_deletes)
 
     # ------------------------------------------------------------------ #
     # Eviction and refill
     # ------------------------------------------------------------------ #
-    def _apply_delete_pairs(self, pairs: List[Tuple[str, tuple]]) -> int:
-        """Apply a validated delete run; returns how many live rows it removed."""
+    def _apply_delete_pairs(self, pairs: List[Tuple[str, tuple]]) -> None:
+        """Delete a run of live rows from the index, then re-anchor the
+        reservoir once."""
         removed: Dict[str, set] = {}
-        for key in pairs:
-            relation, row = key
-            if self.index.delete(relation, row):
-                removed.setdefault(relation, set()).add(row)
-            else:
-                self._pending[key] = self._pending.get(key, 0) + 1
-        applied = sum(len(rows) for rows in removed.values())
-        if applied:
-            self.deletes_applied += applied
-            self._resample_after_deletes(removed)
-        return applied
+        for relation, row in pairs:
+            self.index.delete(relation, row)
+            removed.setdefault(relation, set()).add(row)
+        self.deletes_applied += len(pairs)
+        self._resample_after_deletes(removed)
 
     def _resample_after_deletes(self, removed: Dict[str, set]) -> None:
         """Evict dead results and refill by the order statistics of their keys.

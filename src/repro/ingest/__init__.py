@@ -44,8 +44,8 @@ Turnstile streams ride the same seam: chunks may mix
 inserts when the hosted sampler is deletion-capable
 (:class:`~repro.core.turnstile.TurnstileReservoirJoin`,
 :class:`~repro.core.turnstile.WindowedSampler`).  ``chunk_apply`` probes
-``ingest_batch`` first, so the turnstile samplers segment mixed chunks
-themselves; the sharded router hash-routes each retraction to the shard
+``ingest_batch`` first, so the turnstile samplers net mixed chunks per
+row themselves; the sharded router hash-routes each retraction to the shard
 owning the row (broadcast relations broadcast their deletes).  The
 boundary guarantee becomes: exactly uniform over the *surviving* join
 results of the prefix.

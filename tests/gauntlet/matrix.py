@@ -48,7 +48,8 @@ Statistical power scales with ``GauntletConfig.trials``; below
 :data:`MIN_CHI_TRIALS` trials the chi-square half of a statistical cell is
 omitted (the chi-square approximation needs a floor) and the cell degrades
 to its exact-set half — how the fast unit tests exercise the machinery
-without flaky low-power statistics.
+without flaky low-power statistics.  A universe of one result has no
+uniformity to test and keeps the exact-set half too.
 """
 
 from __future__ import annotations
@@ -113,8 +114,16 @@ class GauntletConfig:
     def chi_sample_size(self, universe_size: int) -> int:
         """Reservoir size for chi-square trials: large enough that expected
         per-result inclusion counts stay in testable territory even for
-        big universes, small enough that a trial stays cheap."""
-        return min(universe_size, max(K, -(-universe_size // 8)))
+        big universes, small enough that a trial stays cheap.
+
+        Always below the universe: a reservoir holding every result samples
+        each one in every trial, and its chi-square cannot reject.  A
+        universe of at most ``K`` results gets half of it, so a universe of
+        one gets 0 and its cell keeps only the exact-set half.
+        """
+        if universe_size <= K:
+            return universe_size // 2
+        return max(K, -(-universe_size // 8))
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -308,13 +317,13 @@ class ModeMatrix:
     ) -> CellResult:
         cfg = self.config
         trials = cfg.trials if trials is None else trials
-        chi_square = trials >= MIN_CHI_TRIALS
+        k_chi = cfg.chi_sample_size(scenario.universe_size)
+        chi_square = trials >= MIN_CHI_TRIALS and k_chi > 0
         tier = "exact-set+chi-square" if chi_square else "exact-set"
         seconds = timed(lambda: self._check_exact_set(scenario, run))
         detail: Dict[str, object] = {"exact_set": True}
         p_value = None
         if chi_square:
-            k_chi = cfg.chi_sample_size(scenario.universe_size)
             p_value = uniformity_p_value(
                 lambda seed: run(scenario, k_chi, SEED + 1 + seed),
                 scenario.universe,
@@ -448,8 +457,8 @@ class ModeMatrix:
         Every acyclic join scenario gets a retraction-bearing twin (the
         dedicated turnstile scenario rides its own stream): the stream is
         threaded through :func:`~repro.relational.stream.turnstile_stream`
-        and ingested chunked — exercising the mixed insert/retraction
-        segmentation of ``TurnstileReservoirJoin.ingest_batch`` — then the
+        and ingested chunked — exercising the per-row netting of mixed
+        chunks in ``TurnstileReservoirJoin.ingest_batch`` — then the
         statistical tier asserts against the post-deletion result set.
         """
         derived = turnstile_variant(scenario, seed=SEED + 7)

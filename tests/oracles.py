@@ -94,7 +94,10 @@ def chi_square_uniformity(
     """
     if universe_size <= 0:
         raise ValueError("the universe of join results is empty")
-    observed = [counts.get(key, 0) for key in counts]
+    # Sorted, so the floating-point sums inside scipy do not follow the
+    # set-iteration order of the result keys, which varies with
+    # PYTHONHASHSEED: the p-value is then a function of the counts alone.
+    observed = sorted(counts.values())
     # Include the results that were never sampled.
     missing = universe_size - len(observed)
     observed.extend([0] * missing)

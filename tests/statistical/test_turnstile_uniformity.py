@@ -6,8 +6,10 @@ sample without replacement of the join results over the rows that *survive*
 occupy the reservoir.  Each test replays the same retraction-bearing stream
 under many independent seeds and chi-square-tests the per-result inclusion
 counts against the uniform expectation, for the per-tuple path, the chunked
-(run-segmented) path, the sharded merge, and the sliding-window sampler over
-its window universe, alone and sharded.  Three more pin the re-anchor: the
+(per-key netted) path, the sharded merge, and the sliding-window sampler over
+its window universe, alone and sharded.  Netted chunks get their own stream,
+built so the fold nets inserts and deletes away inside a chunk, plain and
+under a count window.  Three more pin the re-anchor: the
 ``w`` it leaves is the ``k``-th smallest of ``|Q'|`` uniform keys
 (Kolmogorov–Smirnov against ``Beta(k, |Q'| - k + 1)``), delete runs that
 evict nothing do not bias later inserts, and a refill that runs out of
@@ -143,6 +145,99 @@ def test_windowed_uniform_over_window_universe(mode, num_shards):
         return ingestor.merged_sample(rng=random.Random(seed + 101))
 
     p = uniformity_p_value(run_one, universe, TRIALS, K)
+    assert p > P_THRESHOLD, f"uniformity rejected: p={p:.5f}"
+
+
+# ---------------------------------------------------------------------- #
+# Netted chunks
+# ---------------------------------------------------------------------- #
+def netted_chunks(seed: int, chunks: int = 16, moves: int = 10):
+    """Chunks built so the per-key fold has work: in-chunk insert→delete
+    pairs, delete→reinsert of live rows, early tombstones annihilated in
+    their own chunk or a later one, and plain inserts and deletes."""
+    rng = random.Random(seed)
+
+    def fresh():
+        if rng.random() < 0.5:
+            return StreamTuple("R", (rng.randrange(14), rng.randrange(6)))
+        return StreamTuple("S", (rng.randrange(6), rng.randrange(14)))
+
+    live, tombstoned, stream = [], [], []
+    for _ in range(chunks):
+        chunk = []
+        for _ in range(moves):
+            roll = rng.random()
+            item = fresh()
+            retract = StreamDelete(item.relation, item.row)
+            if roll < 0.1:
+                chunk += [item, retract]                    # nets out
+            elif roll < 0.2 and live:
+                old = rng.choice(live)
+                chunk += [StreamDelete(old.relation, old.row), old]  # a no-op
+            elif roll < 0.28:
+                chunk += [retract, item]                    # annihilates
+            elif roll < 0.35:
+                chunk.append(retract)                       # pends, or kills
+                tombstoned.append(item)
+            elif roll < 0.42 and tombstoned:
+                chunk.append(tombstoned.pop(0))             # annihilates later
+            elif roll < 0.5 and live:
+                victim = live.pop(rng.randrange(len(live)))
+                chunk.append(StreamDelete(victim.relation, victim.row))
+            else:
+                chunk.append(item)
+                live.append(item)
+        stream.append(chunk)
+    return stream
+
+
+NETTED = netted_chunks(131)
+
+
+def test_netted_chunks_exercise_the_fold():
+    """Chunked, the stream nets away deletes and inserts that item-by-item
+    ingestion applies, and both end with the same surviving rows."""
+    chunked = TurnstileReservoirJoin(QUERY, K, rng=random.Random(0))
+    per_item = TurnstileReservoirJoin(QUERY, K, rng=random.Random(0))
+    for chunk in NETTED:
+        chunked.ingest_batch(chunk)
+        chunked.check_invariants()
+        per_item.process(chunk)
+    assert chunked.deletes_applied < per_item.deletes_applied
+    assert chunked.index.tuples_inserted < per_item.index.tuples_inserted
+    assert chunked.annihilations > 0 and chunked.evictions > 0
+    for relation in QUERY.relation_names:
+        assert set(chunked.index.database[relation]) == set(per_item.index.database[relation])
+
+
+def test_netted_chunks_uniform_over_survivors():
+    universe = surviving_ground_truth(QUERY, [item for chunk in NETTED for item in chunk])
+    assert len(universe) > 4 * K
+
+    def run_one(seed):
+        sampler = TurnstileReservoirJoin(QUERY, K, rng=random.Random(seed))
+        for chunk in NETTED:
+            sampler.ingest_batch(chunk)
+        return sampler.sample
+
+    p = uniformity_p_value(run_one, universe, TRIALS, K)
+    assert p > P_THRESHOLD, f"uniformity rejected: p={p:.5f}"
+
+
+def test_netted_chunks_uniform_over_a_count_window():
+    window = 40
+
+    def run(k, seed):
+        sampler = WindowedSampler(QUERY, k, window=window, rng=random.Random(seed))
+        for chunk in NETTED:
+            sampler.ingest_batch(chunk)
+        return sampler
+
+    probe = run(10_000, 0)
+    assert probe.expirations > 0
+    universe = join_results(QUERY, probe.index.database)
+    assert len(universe) > 2 * K
+    p = uniformity_p_value(lambda seed: run(K, seed).sample, universe, TRIALS, K)
     assert p > P_THRESHOLD, f"uniformity rejected: p={p:.5f}"
 
 

@@ -15,6 +15,7 @@ import random
 
 import pytest
 
+from repro import JoinQuery, ReservoirJoin, StreamTuple
 from tests.gauntlet.matrix import (
     CHUNK_SIZE,
     K,
@@ -98,10 +99,29 @@ def test_for_scale_floors_trials_at_chi_square_validity():
 
 
 def test_chi_sample_size_is_bounded_by_the_universe():
+    # A reservoir as large as the universe samples every result in every
+    # trial, so its chi-square reads p = 1 and cannot reject.
     cfg = GauntletConfig()
-    assert cfg.chi_sample_size(5) == 5
+    assert [cfg.chi_sample_size(size) for size in (1, 2, 3, 5, 6, 20)] == [0, 1, 1, 2, 3, 10]
+    assert cfg.chi_sample_size(21) == K
     assert cfg.chi_sample_size(100) == K
     assert cfg.chi_sample_size(1600) == 200
+    for size in range(1, 400):
+        assert cfg.chi_sample_size(size) < size
+
+
+def test_one_result_universe_reports_the_exact_set_tier():
+    query = JoinQuery.from_spec("one", {"R": ["a", "b"], "S": ["b", "c"]})
+    stream = [StreamTuple("R", (1, 2)), StreamTuple("S", (2, 3))]
+    scenario = Scenario(
+        name="one-result", kind="acyclic", query=query, stream=stream,
+        make_sampler=lambda k, rng: ReservoirJoin(query, k, rng=rng),
+        universe=[{"a": 1, "b": 2, "c": 3}],
+    )
+    matrix = ModeMatrix([scenario], GauntletConfig(trials=MIN_CHI_TRIALS), modes=["batched"])
+    cell = matrix.run().cell("one-result", "batched")
+    assert cell.status == "pass", cell.reason
+    assert cell.tier == "exact-set" and cell.p_value is None
 
 
 def test_config_as_dict_round_trips_every_field():

@@ -58,6 +58,17 @@ class TestChiSquare:
         _, p_value = chi_square_uniformity(counts, universe, trials, k)
         assert p_value < 1e-6
 
+    def test_p_value_ignores_the_order_of_the_counts(self):
+        # Result keys iterate in an order that follows PYTHONHASHSEED; the
+        # p-value must not (unsorted, these orders differ in the last digits).
+        rng = random.Random(1)
+        items = [(("r", item), rng.randrange(40, 80)) for item in range(60)]
+        p_values = set()
+        for seed in range(20):
+            random.Random(seed).shuffle(items)
+            p_values.add(chi_square_uniformity(dict(items), 60, 100, 5)[1])
+        assert len(p_values) == 1
+
     def test_empty_universe_rejected(self):
         with pytest.raises(ValueError):
             chi_square_uniformity(Counter(), 0, 10, 2)

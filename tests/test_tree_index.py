@@ -358,7 +358,7 @@ _PINNED = {
     ),
     "turnstile": (
         _pinned_turnstile,
-        "baa0a8dd1bd067cb4e549a8e7177dc0eedafd458dc31c8e98180d70e53a20bae",
+        "2fcc28a0fe749a01b48a629de27fd8f3d44c54fa759aa13222c3edcbac7e264a",
     ),
 }
 
@@ -369,7 +369,8 @@ def test_samples_pinned_to_parent(case):
 
     The digests were recorded before the index compiled its per-node plan
     (the turnstile one again when its delete path stopped counting the
-    join); any change to positions, bucket order or RNG draws changes them.
+    join, and when it began netting each chunk per row); any change to
+    positions, bucket order or RNG draws changes them.
     """
     run, expected = _PINNED[case]
     assert run() == expected

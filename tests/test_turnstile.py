@@ -3,7 +3,9 @@
 Covers the whole retraction stack bottom-up — the O(1) relational delete
 layer, ``c̃nt`` decrement propagation through the dynamic index, tombstone
 semantics (including the edge cases: delete-before-insert, double-delete,
-deleting a row that participates in a sampled join result), exact-set
+deleting a row that participates in a sampled join result), the per-key fold
+of a chunk (in-chunk insert→delete, delete→reinsert of a held row, early
+tombstones annihilated in their own chunk), exact-set
 agreement with the ``surviving_rows`` reference replay in per-tuple and
 chunked ingestion, sliding windows in both count and timestamp modes,
 checkpoint/restore bit-identity (including an expiry landing exactly on the
@@ -180,6 +182,95 @@ def test_insert_batch_honours_a_pending_tombstone():
     assert sampler.statistics()["annihilations"] == 1
     assert sampler.sample == []
     sampler.check_invariants()
+
+
+# ---------------------------------------------------------------------- #
+# The per-key fold of a chunk
+# ---------------------------------------------------------------------- #
+def _ingest_checked(sampler, history, chunk):
+    """Ingest one chunk and append it to ``history``; then the invariants
+    hold and the stored rows are the surviving rows of ``history``."""
+    sampler.ingest_batch(chunk)
+    history += chunk
+    sampler.check_invariants()
+    live = surviving_rows(history)
+    for relation in TWO.relation_names:
+        assert set(sampler.index.database[relation]) == live.get(relation, set())
+
+
+def _loaded(k=4, seed=8):
+    """A sampler with a full reservoir (finite ``w``) over a few dozen
+    results, and the stream it has absorbed."""
+    sampler = TurnstileReservoirJoin(TWO, k=k, rng=random.Random(seed))
+    history = []
+    chunk = [StreamTuple("R", (a, b)) for a in range(4) for b in range(3)]
+    chunk += [StreamTuple("S", (b, c)) for b in range(3) for c in range(3)]
+    _ingest_checked(sampler, history, chunk)
+    assert not math.isinf(sampler.reservoir.w)
+    return sampler, history
+
+
+def test_insert_then_delete_in_one_chunk_never_reaches_the_index():
+    sampler, history = _loaded()
+    index = sampler.index
+    before = (index.tuples_inserted, index.tuples_deleted, sampler.deletes_applied)
+    _ingest_checked(sampler, history, [
+        StreamTuple("R", (9, 0)), StreamTuple("S", (0, 9)),
+        StreamDelete("R", (9, 0)), StreamDelete("S", (0, 9)),
+    ])
+    assert (index.tuples_inserted, index.tuples_deleted, sampler.deletes_applied) == before
+
+
+def test_delete_then_reinsert_of_a_held_row_is_a_no_op():
+    sampler, history = _loaded()
+    held = sampler.sample[0]
+    row = (held["a"], held["b"])
+    before = (list(sampler.sample), sampler.reservoir.w, sampler._rng.getstate())
+    _ingest_checked(sampler, history, [StreamDelete("R", row), StreamTuple("R", row)])
+    assert (list(sampler.sample), sampler.reservoir.w, sampler._rng.getstate()) == before
+    assert sampler.deletes_applied == 0 and sampler.evictions == 0
+
+
+def test_early_tombstone_and_its_insert_annihilate_in_one_chunk():
+    sampler, history = _loaded()
+    inserted = sampler.index.tuples_inserted
+    _ingest_checked(sampler, history, [StreamDelete("R", (9, 0)), StreamTuple("R", (9, 0))])
+    assert sampler.annihilations == 1 and sampler.tombstones_pending == 0
+    assert sampler.index.tuples_inserted == inserted and sampler.deletes_applied == 0
+
+
+def test_double_delete_of_a_live_row_in_one_chunk_applies_once_and_pends_once():
+    sampler, history = _loaded()
+    row = ("R", (1, 1))
+    _ingest_checked(sampler, history, [StreamDelete(*row), StreamDelete(*row)])
+    assert sampler.deletes_applied == 1 and sampler.index.tuples_deleted == 1
+    assert sampler._pending == {row: 1}
+    # The pending tombstone absorbs the next insert of the row.
+    _ingest_checked(sampler, history, [StreamTuple(*row)])
+    assert sampler.annihilations == 1 and sampler.tombstones_pending == 0
+
+
+def test_pending_tombstone_and_two_inserts_leave_one_live_row():
+    sampler, history = _loaded()
+    _ingest_checked(sampler, history, [StreamDelete("R", (9, 0))])
+    assert sampler.tombstones_pending == 1
+    processed = sampler.tuples_processed
+    chunk = [StreamTuple("R", (9, 0)), StreamTuple("S", (0, 9)), StreamTuple("R", (9, 0))]
+    _ingest_checked(sampler, history, chunk)
+    assert sampler.annihilations == 1 and sampler.tombstones_pending == 0
+    assert (9, 0) in sampler.index.database["R"]
+    assert sampler.tuples_processed == processed + 3
+
+
+def test_ingest_batch_returns_the_rows_a_chunk_makes_live():
+    sampler, history = _loaded()
+    chunk = [
+        StreamTuple("R", (9, 0)), StreamTuple("R", (9, 0)),   # one live, one duplicate
+        StreamTuple("R", (8, 0)), StreamDelete("R", (8, 0)),  # nets out
+        StreamDelete("R", (7, 0)), StreamTuple("R", (7, 0)),  # annihilates
+    ]
+    assert sampler.ingest_batch(chunk) == 1
+    assert sampler.duplicates_ignored == 1
 
 
 def _per_item(sampler, item):

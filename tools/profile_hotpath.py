@@ -3,14 +3,23 @@
 
 Every perf PR against the ingestion seam starts from the same measurement
 (``make profile``), so optimisations chase profiles, not hunches.  The
-harness drives the two representative ingestion shapes over a chain-3 stream
-of the repository benchmark's ``insert-chain3`` shape (``bench/run.py``:
-20k tuples, domain 400, chunks of 100, k = 1000):
+harness drives the two representative insert-only ingestion shapes over a
+chain-3 stream of the repository benchmark's ``insert-chain3`` shape
+(``bench/run.py``: 20k tuples, domain 400, chunks of 100, k = 1000):
 
 * **batched** — one ``BatchIngestor`` over a ``ReservoirJoin`` (the inner
   loops of ``index/tree_index.py`` and ``core/batch_reservoir.py``);
 * **sharded** — a serial 4-shard ``ShardedIngestor`` (adds the hash-routing
-  loop of ``ingest/shard.py`` on top).
+  loop of ``ingest/shard.py`` on top);
+
+and the turnstile path in the benchmark's ``turnstile-2way`` shape:
+
+* **turnstile** — one ``BatchIngestor`` over a ``TurnstileReservoirJoin``
+  on ``R(a, b) ⋈ S(b, c)`` (``b`` from 64 values): 2,000 distinct inserts,
+  30% of them later retracted and a tenth of those retractions arriving
+  before their insert, in chunks of 13 with k = 100 (the per-key fold,
+  delete runs and refills of ``core/turnstile.py``).  ``--n`` and
+  ``--chunk-size`` do not apply to it.
 
 For each shape it reports a wall-clock figure (GC paused, best of
 ``--repeats``) and the top ``cProfile`` rows by cumulative time, restricted
@@ -39,10 +48,11 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from repro.core.reservoir_join import ReservoirJoin  # noqa: E402
+from repro.core.turnstile import TurnstileReservoirJoin  # noqa: E402
 from repro.ingest.batch import BatchIngestor  # noqa: E402
 from repro.ingest.shard import ShardedIngestor  # noqa: E402
 from repro.relational.query import JoinQuery  # noqa: E402
-from repro.relational.stream import StreamTuple  # noqa: E402
+from repro.relational.stream import StreamDelete, StreamTuple  # noqa: E402
 
 from harness import timed  # noqa: E402
 
@@ -64,6 +74,37 @@ def make_stream(n: int, seed: int = SEED):
         StreamTuple(relations[i % 3], (rng.randrange(DOMAIN), rng.randrange(DOMAIN)))
         for i in range(n)
     ]
+
+
+def two_way_query() -> JoinQuery:
+    return JoinQuery.from_spec("two-way", {"R": ["a", "b"], "S": ["b", "c"]})
+
+
+def make_turnstile_stream(n: int = 2_000, seed: int = SEED):
+    """``n`` distinct inserts, 30% retracted later (a tenth of those early)."""
+    rng = random.Random(seed)
+    inserts, seen = [], set()
+    while len(inserts) < n:
+        relation = "R" if len(inserts) % 2 else "S"
+        value, key = rng.randrange(64), rng.randrange(2_000)
+        row = (key, value) if relation == "R" else (value, key)
+        if (relation, row) not in seen:
+            seen.add((relation, row))
+            inserts.append(StreamTuple(relation, row))
+    retracted = rng.sample(range(n), round(0.3 * n))
+    early = set(retracted[: len(retracted) // 10])
+    events = [(position + 0.5, item) for position, item in enumerate(inserts)]
+    for position in retracted:
+        item = inserts[position]
+        when = rng.uniform(0, position + 0.5) if position in early else rng.uniform(position + 0.5, n)
+        events.append((when, StreamDelete(item.relation, item.row)))
+    events.sort(key=lambda event: event[0])
+    return [item for _, item in events]
+
+
+def run_turnstile(query, stream, chunk_size: int) -> None:
+    sampler = TurnstileReservoirJoin(query, 100, rng=random.Random(3))
+    BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
 
 
 def run_batched(query, stream, chunk_size: int) -> None:
@@ -127,6 +168,12 @@ def main() -> None:
     profile_shape(
         f"sharded (serial, {args.shards} shards)",
         lambda: run_sharded(query, stream, args.chunk_size, args.shards),
+        args.top, args.repeats,
+    )
+    two_way, turnstile = two_way_query(), make_turnstile_stream()
+    profile_shape(
+        f"turnstile (two-way, {len(turnstile)} items, chunk_size=13, k=100)",
+        lambda: run_turnstile(two_way, turnstile, 13),
         args.top, args.repeats,
     )
 
