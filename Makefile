@@ -70,8 +70,9 @@ bench:
 	python benchmarks/bench_turnstile.py
 
 # Profile-first workflow for the ingestion hot path: GC-paused wall times
-# plus cProfile hotspot tables for the batched and sharded ingestion modes
-# and for the turnstile path (in the benchmark's turnstile-2way shape).
+# plus cProfile hotspot tables for the batched and sharded ingestion modes,
+# for per-row index inserts and deletes (µs/row, no sampler) and for the
+# turnstile path (in the benchmark's turnstile-2way shape).
 profile:
 	python tools/profile_hotpath.py
 

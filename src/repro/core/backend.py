@@ -2,9 +2,9 @@
 
 Every sampler in this repository — :class:`~repro.core.reservoir_join
 .ReservoirJoin`, :class:`~repro.cyclic.cyclic_join.CyclicReservoirJoin` and
-the three baselines — maintains its reservoir through the same small
-interface: per-tuple ``insert``, a chunk method ``insert_batch``, the
-``sample`` property, ``statistics()``.  This module is the one place that
+the two baselines (SJoin and the symmetric hash join) — maintains its
+reservoir through the same small interface: per-tuple ``insert``, a chunk
+method ``insert_batch``, the ``sample`` property, ``statistics()``.  This module is the one place that
 knows the interface, so the ingestors (and anything else that drives
 samplers) share a single probe, a single per-tuple adapter, and a single
 seed-derivation rule.
@@ -221,9 +221,10 @@ def derive_seed(rng: random.Random) -> int:
 class PerTupleBatchMixin:
     """Shared ``insert_batch`` for samplers without a structural bulk path.
 
-    The baselines (naive recompute, SJoin, symmetric hash join) gain nothing
-    from chunk-level grouping — their per-tuple work is already the whole
-    cost — but must still speak the batched seam.  Mixing this in gives them
+    The baselines (SJoin, symmetric hash join) and the tests' naive
+    recompute sampler gain nothing from chunk-level grouping — their
+    per-tuple work is already the whole cost — but must still speak the
+    batched seam.  Mixing this in gives them
     the canonical fallback: validate the *whole* chunk before any mutation
     (unknown relation → ``KeyError``, so a failed call leaves the sampler
     untouched), then drive the per-tuple :meth:`insert` loop and report how
@@ -241,7 +242,7 @@ class PerTupleBatchMixin:
       non-duplicate tuples; the default reads the ``tuples_processed`` /
       ``duplicates_ignored`` counters every sampler keeps.
     * :meth:`_insert_pairs` drives the validated pairs; override it to batch
-      differently (the naive baseline defers its recompute to the chunk
+      differently (the tests' naive sampler defers its recompute to the chunk
       boundary) while keeping the shared validation front half.
     """
 

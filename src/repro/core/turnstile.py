@@ -550,13 +550,18 @@ class WindowedSampler:
             self._watermark = timestamp
         return timestamp
 
-    def _admit(self, item) -> None:
+    def _admit(self, item, database) -> None:
         if isinstance(item, StreamTuple):
             key = (item.relation, item.row)
         else:
             relation, row = item
             key = (relation, tuple(row))
         stamp = self._stamp_of(item)
+        # The clock and the watermark advance per item, but only a row the
+        # chunk's fold left live is stamped: a row it netted away or
+        # annihilated has nothing for the window to retract.
+        if key[1] not in database[key[0]]:
+            return
         # An out-of-order admission never ages a live row: its effective
         # stamp is the newest timestamp it was ever admitted at.  The log
         # entry is still pushed; the pop-side staleness check skips it.
@@ -614,13 +619,16 @@ class WindowedSampler:
         """Absorb one mixed chunk, then expire rows that left the window.
 
         The inner sampler validates the chunk before the window stamps it,
-        so a rejected chunk leaves the window untouched too.
+        so a rejected chunk leaves the window untouched too.  Every insert
+        item advances the window's clock; only the rows live after the
+        chunk are stamped.
         """
         items = list(items)
         absorbed = self._inner.ingest_batch(items)
+        database = self._inner.index.database
         for item in items:
             if not isinstance(item, StreamDelete):
-                self._admit(item)
+                self._admit(item, database)
         self._expire()
         return absorbed
 
@@ -724,8 +732,8 @@ class WindowedSampler:
         """Live rows currently inside the window.
 
         Counted against the stored database, not the raw stamp table — a
-        stamp may outlive its row (explicit retraction, tombstone
-        annihilation) until the window slides past it.
+        stamp may outlive its row (a later explicit retraction) until the
+        window slides past it.
         """
         database = self._inner.index.database
         return sum(

@@ -1,6 +1,6 @@
 """Dynamic sampling index for acyclic joins (Section 4)."""
 
-from .counters import is_pow2, next_pow2, pow2_exponent
+from .counters import next_pow2
 from .buckets import Bucket, BucketFamily
 from .grouping import GroupView, grouping_attrs
 from .tree_index import TreeIndex
@@ -9,9 +9,7 @@ from .two_table import TwoTableIndex
 from .foreign_key import ForeignKeyCombiner
 
 __all__ = [
-    "is_pow2",
     "next_pow2",
-    "pow2_exponent",
     "Bucket",
     "BucketFamily",
     "GroupView",

@@ -20,32 +20,19 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .counters import is_pow2, next_pow2, pow2_exponent
-
 
 class Bucket:
-    """An indexable set of entities with O(1) insert/remove/position access."""
+    """An indexable set of entities with O(1) position access.
+
+    :meth:`BucketFamily.reweight` inserts and removes (swap-with-last) in
+    O(1).
+    """
 
     __slots__ = ("_items", "_positions")
 
     def __init__(self) -> None:
         self._items: List[Tuple] = []
         self._positions: Dict[Tuple, int] = {}
-
-    def add(self, entity: Tuple) -> None:
-        """Add an entity (must not already be present)."""
-        if entity in self._positions:
-            raise ValueError(f"entity {entity!r} already present in bucket")
-        self._positions[entity] = len(self._items)
-        self._items.append(entity)
-
-    def remove(self, entity: Tuple) -> None:
-        """Remove an entity in O(1) by swapping it with the last one."""
-        position = self._positions.pop(entity)
-        last = self._items.pop()
-        if position < len(self._items):
-            self._items[position] = last
-            self._positions[last] = position
 
     def at(self, position: int) -> Tuple:
         """The entity currently stored at ``position``."""
@@ -74,34 +61,15 @@ class BucketFamily:
     # ------------------------------------------------------------------ #
     # Mutation
     # ------------------------------------------------------------------ #
-    def move(self, entity: Tuple, old_weight: int, new_weight: int) -> Tuple[int, int]:
-        """Re-weight an entity; returns ``(old_approx, new_approx)`` of ``cnt``.
+    def reweight(self, entity: Tuple, old_weight: int, new_weight: int) -> None:
+        """Move an entity from weight ``old_weight`` to ``new_weight``.
 
         ``old_weight == 0`` means the entity is not yet present; a
-        ``new_weight`` of 0 removes it from all buckets.  Weights must be
-        powers of two (or zero), which is guaranteed by the index because
+        ``new_weight`` of 0 removes it from all buckets.  Removal swaps the
+        entity with the last one of its bucket.  Nothing is re-checked:
+        weights must be powers of two (or zero) and ``old_weight`` must be
+        the entity's current weight, which the index guarantees because
         every factor of a weight is an approximate (power-of-two) counter.
-        """
-        if old_weight == new_weight:
-            return self.approx, self.approx
-        if old_weight:
-            self._remove(entity, old_weight)
-        if new_weight:
-            self._add(entity, new_weight)
-        old_approx = self.approx
-        self.cnt += new_weight - old_weight
-        if self.cnt < 0:
-            raise ValueError("bucket family count became negative")
-        self.approx = next_pow2(self.cnt)
-        return old_approx, self.approx
-
-    def reweight_one(self, entity: Tuple, old_weight: int, new_weight: int) -> None:
-        """:meth:`move` with the bucket bookkeeping flattened (no sub-calls).
-
-        Trusted internal fast path for the bulk propagation loop: weights
-        must already be powers of two (or zero) and ``old_weight`` must match
-        the entity's current bucket — both guaranteed by the index invariants
-        the caller maintains.
         """
         buckets = self._buckets
         if old_weight:
@@ -129,23 +97,6 @@ class BucketFamily:
         count = self.cnt + new_weight - old_weight
         self.cnt = count
         self.approx = (1 << (count - 1).bit_length()) if count else 0
-
-    def _add(self, entity: Tuple, weight: int) -> None:
-        if not is_pow2(weight):
-            raise ValueError(f"bucket weights must be powers of two, got {weight}")
-        exponent = pow2_exponent(weight)
-        bucket = self._buckets.get(exponent)
-        if bucket is None:
-            bucket = Bucket()
-            self._buckets[exponent] = bucket
-        bucket.add(entity)
-
-    def _remove(self, entity: Tuple, weight: int) -> None:
-        exponent = pow2_exponent(weight)
-        bucket = self._buckets[exponent]
-        bucket.remove(entity)
-        if not bucket:
-            del self._buckets[exponent]
 
     # ------------------------------------------------------------------ #
     # Position mapping (the core of Retrieve, Algorithm 9 Case 3)

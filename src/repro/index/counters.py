@@ -22,14 +22,3 @@ def next_pow2(value: int) -> int:
         return 0
     return 1 << (value - 1).bit_length()
 
-
-def pow2_exponent(value: int) -> int:
-    """The exponent ``i`` such that ``value == 2**i`` (``value`` must be a power of two)."""
-    if value <= 0 or value & (value - 1):
-        raise ValueError(f"{value} is not a positive power of two")
-    return value.bit_length() - 1
-
-
-def is_pow2(value: int) -> bool:
-    """Whether ``value`` is a positive power of two."""
-    return value > 0 and not value & (value - 1)

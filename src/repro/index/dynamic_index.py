@@ -17,7 +17,7 @@ per relation of an acyclic query (each rooted at that relation) over a shared
 from __future__ import annotations
 
 import random
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from ..core.skippable import FunctionBatch
 from ..relational.database import Database
@@ -40,9 +40,8 @@ class DynamicJoinIndex:
         Maintain the root bucket families so that :meth:`sample` and
         :meth:`total_weight` are available.  The pure reservoir-sampling
         pipeline does not need them; disabling saves a constant factor.
-    sampling_root:
-        Which rooted tree answers full-query sampling (defaults to the first
-        relation of the query).
+        The tree rooted at the query's first relation answers full-query
+        sampling.
     """
 
     def __init__(
@@ -50,7 +49,6 @@ class DynamicJoinIndex:
         query: JoinQuery,
         grouping: bool = False,
         maintain_root: bool = True,
-        sampling_root: Optional[str] = None,
     ) -> None:
         try:
             # The GYO reduction behind the join tree is the acyclicity test.
@@ -65,9 +63,7 @@ class DynamicJoinIndex:
         self.maintain_root = maintain_root
         self.database = Database(query)
         self._join_tree = join_tree
-        self.sampling_root = sampling_root or query.relation_names[0]
-        if self.sampling_root not in query.relation_names:
-            raise ValueError(f"unknown sampling root {self.sampling_root!r}")
+        self.sampling_root = query.relation_names[0]
         self.trees: Dict[str, TreeIndex] = {}
         for name in query.relation_names:
             keep_root = maintain_root if name == self.sampling_root else False
@@ -101,9 +97,10 @@ class DynamicJoinIndex:
 
         Duplicates (within the batch or against the database) are dropped and
         counted in ``duplicates_ignored``.  Every rooted tree is updated with
-        one bulk call instead of one call per tuple; the resulting index
-        state is identical to repeated :meth:`insert`.  A ``KeyError`` is
-        raised for a relation that is not part of the query.
+        one run instead of one call per tuple; every family ends with the
+        ``cnt``, ``c̃nt`` and bucket members repeated :meth:`insert` gives.
+        A ``KeyError`` is raised for a relation that is not part of the
+        query.
         """
         target = self.database[relation]
         rows = [tuple(row) for row in rows]
@@ -120,7 +117,7 @@ class DynamicJoinIndex:
 
         The exact mirror of :meth:`insert`: the database (and every
         maintained relation index / group view) is updated first, then every
-        rooted tree decrements its ``c̃nt`` propagation.  Deleting an absent
+        rooted tree runs the same update with the opposite sign.  Deleting an absent
         row is a counted no-op — turnstile tombstone semantics (a delete
         arriving before its insert annihilates the later insert) live in
         ``repro.core.turnstile``, above this layer.
@@ -144,17 +141,6 @@ class DynamicJoinIndex:
     def delta_batch_size(self, relation: str, row: Sequence) -> int:
         """``|ΔJ|`` for a row just inserted into ``relation``."""
         return self.trees[relation].delta_batch_size(tuple(row))
-
-    def delta_batch_sizes(self, relation: str, rows: Sequence[Sequence]) -> List[int]:
-        """``|ΔJ|`` for several rows just inserted into ``relation``.
-
-        The bulk companion of :meth:`delta_batch_size`, completing the
-        index-level batched API.  The sampler hot paths hold the relation's
-        :class:`~repro.index.tree_index.TreeIndex` already and call its
-        ``delta_batch_sizes`` directly; this wrapper is for external callers
-        that address the index by relation name.
-        """
-        return self.trees[relation].delta_batch_sizes([tuple(row) for row in rows])
 
     # ------------------------------------------------------------------ #
     # Full-query sampling (operation (2) of Theorem 4.2)

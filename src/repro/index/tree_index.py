@@ -3,7 +3,9 @@
 This module implements, for a single rooted join tree ``T``:
 
 * ``IndexUpdate``            (Algorithm 7, with the grouping variant of
-  Algorithm 10 folded in) — :meth:`TreeIndex.insert_row`;
+  Algorithm 10 folded in) — :meth:`TreeIndex._update`, one engine behind
+  ``insert_row``, ``insert_rows`` and ``delete_row`` (a per-row call is a
+  one-row run);
 * ``BatchGenerate``          (Algorithm 8) — :meth:`TreeIndex.delta_batch`,
   returned as a lazy, positionally addressable batch that is never
   materialised;
@@ -42,7 +44,7 @@ class _NodePlan:
     plan)`` triples whose getters project the node's *entities* (group
     tuples when the node is grouped); ``row_children`` projects its full rows
     and is ``children`` itself when the node is not grouped.  ``parent`` is
-    the plan that :meth:`TreeIndex._propagate` pushes ``c̃nt`` changes into,
+    the plan that :meth:`TreeIndex._update` pushes ``c̃nt`` changes into,
     or ``None`` when nothing above is maintained; ``parent_lookup`` finds the
     parent entities of a key, and ``siblings`` and ``feq_approx`` give the
     other factors of their weights.
@@ -204,20 +206,32 @@ class TreeIndex:
         """Register a row that has just been inserted into ``relation``.
 
         The shared database (and therefore every maintained relation index
-        and group view) must already contain the row.
+        and group view) must already contain the row.  A one-row run of
+        :meth:`_update`.
         """
-        self._update_row(self._plan[relation], tuple(row), 1)
+        self._update(self._plan[relation], (tuple(row),), 1)
+
+    def insert_rows(self, relation: str, rows: Sequence[Tuple]) -> None:
+        """Register several rows just inserted into ``relation``, as one run.
+
+        The shared database must already contain every row (and the rows
+        must be deduplicated).  Every family ends with the ``cnt``,
+        ``approx`` and bucket members that one :meth:`insert_row` per row
+        gives; a family whose count crosses several power-of-two boundaries
+        within the run pushes its ``c̃nt`` change up once, not once per
+        doubling.
+        """
+        self._update(self._plan[relation], rows, 1)
 
     def delete_row(self, relation: str, row: Tuple) -> None:
         """Register a row that has just been deleted from ``relation``.
 
         The shared database (and therefore every maintained relation index
         and group view) must already have had the row removed.  This is the
-        exact mirror of :meth:`insert_row`: the entity's weight drops to the
-        value implied by the post-delete state, and the resulting ``c̃nt``
-        decrease propagates up the tree through the same machinery as an
-        increase (``BucketFamily.move`` and :meth:`_propagate` are both
-        direction-agnostic).
+        exact mirror of :meth:`insert_row`: a one-row run of :meth:`_update`
+        with the opposite sign, so the entity's weight drops to the value
+        implied by the post-delete state and the ``c̃nt`` decrease goes up
+        the tree the way an increase does.
 
         Note on amortisation: with deletions the approximate counters can
         now *decrease*, so the insert-only ``O(log N)`` amortised update
@@ -227,190 +241,95 @@ class TreeIndex:
         uniformity of retrieval — is unaffected; see
         ``docs/ARCHITECTURE.md``, "Turnstile & Windowed Sampling".
         """
-        self._update_row(self._plan[relation], tuple(row), -1)
+        self._update(self._plan[relation], (tuple(row),), -1)
 
-    def _update_row(self, plan: _NodePlan, row: Tuple, delta: int) -> None:
-        """One row entered (``delta = 1``) or left (``-1``) the node's relation."""
+    def _update(self, plan: _NodePlan, rows: Sequence[Tuple], sign: int) -> None:
+        """IndexUpdate: distinct ``rows`` entered (``sign = 1``) or left (``-1``).
+
+        First each touched entity of the node moves once, to the product of
+        its children's ``c̃nt`` times a scale: a full row from scale 0 to 1
+        (Algorithm 7; 1 to 0 when it leaves), a group from its ``f̃eq``
+        before the run to its ``f̃eq`` after it (Algorithm 10, telescoped
+        over the run's rows of the group; the group view already holds the
+        whole run).  Then the ``c̃nt`` changes go up one level per round
+        (lines 8-11 of Algorithm 7): every parent entity under a family
+        whose ``c̃nt`` changed is re-weighted, and the next round does the
+        same for the parent families.  A family that a deletion empties is
+        pruned, at every level including the root, so windowed workloads
+        (which eventually delete everything) do not leak dict entries;
+        lookups treat a missing family as ``cnt = approx = 0``.
+
+        One pass per level is exact: every other factor of a weight (the
+        node's child families, and above it a parent entity's sibling
+        families and ``f̃eq``) belongs to a relation other than the run's,
+        so none changes during the run.
+        """
         if not plan.maintained:
             return
         view = plan.view
         if view is None:
-            weight = _product(plan.children, row)
-            if weight == 0:
-                # Zero-weight entities are never stored in a family (an
-                # insert at weight 0 is skipped, and a child collapse to 0
-                # evicts through propagation), so there is nothing to do.
-                return
-            old_weight, new_weight = (0, weight) if delta > 0 else (weight, 0)
-            self._reweight(plan, plan.family_key(row), row, old_weight, new_weight)
-            return
-        group = view.group_of(row)
-        feq_new = view.feq(group)  # the view was updated by the relation change
-        approx_old = next_pow2(feq_new - delta)
-        approx_new = next_pow2(feq_new)
-        if approx_old == approx_new:
-            return
-        children = _product(plan.children, group)
-        self._reweight(
-            plan, plan.family_key(group), group, approx_old * children, approx_new * children
-        )
-
-    def insert_rows(self, relation: str, rows: Sequence[Tuple]) -> None:
-        """Bulk version of :meth:`insert_row` for several rows of one relation.
-
-        The shared database must already contain every row (and the rows must
-        be deduplicated).  The final index state — every family's ``cnt``,
-        ``approx`` and bucket contents — is identical to calling
-        :meth:`insert_row` once per row; the saving is structural: rows are
-        grouped by their bucket-family key, so a family whose exact count
-        crosses several power-of-two boundaries within the batch propagates
-        its ``c̃nt`` change *once* (per-tuple processing propagates once per
-        doubling).
-
-        This is valid because, within a single-relation batch, the child
-        families this node's weights depend on belong to *other* relations
-        and therefore do not change.
-        """
-        if len(rows) == 1:
-            self.insert_row(relation, rows[0])
-            return
-        plan = self._plan[relation]
-        if not plan.maintained:
-            return
-        if plan.view is not None:
-            self._insert_rows_grouped(plan, rows)
-            return
+            entities = rows
+            scales = None
+            scale_old, scale_new = (0, 1) if sign > 0 else (1, 0)
+        else:
+            counts: Dict[Tuple, int] = {}
+            for row in rows:
+                group = view.group_of(row)
+                counts[group] = counts.get(group, 0) + sign
+            entities = scales = {}
+            for group, change in counts.items():
+                feq = view.feq(group)
+                scale = next_pow2(feq - change), next_pow2(feq)
+                if scale[0] != scale[1]:
+                    scales[group] = scale
         children = plan.children
+        families = plan.families
         family_key = plan.family_key
-        families = plan.families
         before: Dict[Tuple, int] = {}
-        for row in rows:
-            weight = _product(children, row)
-            if weight == 0:
-                continue
-            key = family_key(row)
-            family = families.get(key)
-            if family is None:
-                family = BucketFamily()
-                families[key] = family
-            if key not in before:
-                before[key] = family.approx
-            # The row is new (database dedup) and the weight is a product of
-            # approximate counters, hence a positive power of two — the
-            # flattened fast path applies.
-            family.reweight_one(row, 0, weight)
-        self._bulk_propagate(plan, before)
-
-    def _insert_rows_grouped(self, plan: _NodePlan, rows: Sequence[Tuple]) -> None:
-        """Bulk insert under the grouping optimisation.
-
-        ``feq`` already reflects the whole batch (the group view is updated
-        by the database inserts), so each touched group is re-weighted once
-        from ``f̃eq(feq - added)`` to ``f̃eq(feq)`` — the telescoped
-        composition of the per-row updates of Algorithm 10.
-        """
-        view = plan.view
-        added: Dict[Tuple, int] = {}
-        for row in rows:
-            group = view.group_of(row)
-            added[group] = added.get(group, 0) + 1
-        families = plan.families
-        before: Dict[Tuple, int] = {}
-        for group, count in added.items():
-            feq_new = view.feq(group)
-            approx_old = next_pow2(feq_new - count)
-            approx_new = next_pow2(feq_new)
-            if approx_old == approx_new:
-                continue
-            children = _product(plan.children, group)
-            if children == 0:
-                continue
-            key = plan.family_key(group)
-            family = families.get(key)
-            if family is None:
-                family = BucketFamily()
-                families[key] = family
-            before.setdefault(key, family.approx)
-            family.move(group, approx_old * children, approx_new * children)
-        self._bulk_propagate(plan, before)
-
-    def _reweight(
-        self, plan: _NodePlan, key: Tuple, entity: Tuple, old_weight: int, new_weight: int
-    ) -> None:
-        if old_weight == new_weight:
-            return
-        families = plan.families
-        family = families.get(key)
-        if family is None:
-            family = BucketFamily()
-            families[key] = family
-        old_approx, new_approx = family.move(entity, old_weight, new_weight)
-        if new_approx != old_approx:
-            self._propagate(plan, key, old_approx, new_approx)
-        if family.cnt == 0:
-            # Deletions can empty a family; prune it so windowed workloads
-            # (which eventually delete everything) do not leak dict entries.
-            # Lookups treat a missing family as cnt = approx = 0.
-            families.pop(key, None)
-
-    def _bulk_propagate(self, plan: _NodePlan, before: Dict[Tuple, int]) -> None:
-        """Bulk version of :meth:`_propagate`: push many ``c̃nt`` changes at once.
-
-        ``before`` maps each family key of the node touched during a batch to
-        its ``c̃nt`` before the batch; the families whose approximation
-        changed are pushed up.  All parent entity re-weightings are applied
-        first and the resulting parent-level approximation changes are
-        pushed up in a single recursive call — each touched counter path is
-        walked once per batch.  The per-entity arithmetic is identical to
-        :meth:`_propagate` (lines 8-11 of Algorithm 7).
-        """
-        parent = plan.parent
-        if parent is None:
-            return
-        families = plan.families
-        lookup = plan.parent_lookup
-        siblings = plan.siblings
-        feq_approx = plan.feq_approx
-        parent_key = parent.family_key
-        parent_families = parent.families
-        parent_before: Dict[Tuple, int] = {}
-        for key, old_approx in before.items():
-            new_approx = families[key].approx
-            if new_approx == old_approx:
-                continue
-            for entity in lookup(key):
-                self.propagations += 1
-                others = _product(siblings, entity)
-                factor = feq_approx(entity) if feq_approx is not None else 1
-                old_weight = factor * old_approx * others
-                new_weight = factor * new_approx * others
-                if old_weight == new_weight:
-                    continue
-                entity_key = parent_key(entity)
-                family = parent_families.get(entity_key)
+        for entity in entities:
+            weight = _product(children, entity)
+            # Zero-weight entities are never stored in a family.
+            if weight:
+                if scales is not None:
+                    scale_old, scale_new = scales[entity]
+                key = family_key(entity)
+                family = families.get(key)
                 if family is None:
-                    family = BucketFamily()
-                    parent_families[entity_key] = family
-                parent_before.setdefault(entity_key, family.approx)
-                family.reweight_one(entity, old_weight, new_weight)
-        if parent_before:
-            self._bulk_propagate(parent, parent_before)
-
-    def _propagate(self, plan: _NodePlan, key: Tuple, old_approx: int, new_approx: int) -> None:
-        """Lines 8-11 of Algorithm 7: push a ``c̃nt`` change up to the parent."""
-        parent = plan.parent
-        if parent is None:
-            return
-        siblings = plan.siblings
-        feq_approx = plan.feq_approx
-        for entity in plan.parent_lookup(key):
-            self.propagations += 1
-            others = _product(siblings, entity)
-            factor = feq_approx(entity) if feq_approx is not None else 1
-            old_weight = factor * old_approx * others
-            new_weight = factor * new_approx * others
-            if old_weight != new_weight:
-                self._reweight(parent, parent.family_key(entity), entity, old_weight, new_weight)
+                    family = families[key] = BucketFamily()
+                before.setdefault(key, family.approx)
+                family.reweight(entity, scale_old * weight, scale_new * weight)
+        propagations = 0
+        while before:
+            parent = plan.parent
+            if parent is None and sign > 0:
+                break  # nothing above to update, and inserts empty no family
+            families = plan.families
+            parent_before: Dict[Tuple, int] = {}
+            for key, old_approx in before.items():
+                new_approx = families[key].approx
+                if not new_approx:
+                    del families[key]
+                if new_approx == old_approx or parent is None:
+                    continue
+                siblings = plan.siblings
+                feq_approx = plan.feq_approx
+                parent_key = parent.family_key
+                parent_families = parent.families
+                for entity in plan.parent_lookup(key):
+                    propagations += 1
+                    others = _product(siblings, entity)
+                    if feq_approx is not None:
+                        others *= feq_approx(entity)
+                    if others:
+                        entity_key = parent_key(entity)
+                        family = parent_families.get(entity_key)
+                        if family is None:
+                            family = parent_families[entity_key] = BucketFamily()
+                        parent_before.setdefault(entity_key, family.approx)
+                        family.reweight(entity, old_approx * others, new_approx * others)
+            plan, before = parent, parent_before
+        if propagations:
+            self.propagations += propagations
 
     # ------------------------------------------------------------------ #
     # BatchGenerate (Algorithm 8)

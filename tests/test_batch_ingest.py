@@ -542,21 +542,9 @@ class TestBatchedEquivalence:
 
 
 # ---------------------------------------------------------------------- #
-# Bulk bucket-family primitives
+# Bulk index insertion
 # ---------------------------------------------------------------------- #
 class TestBucketFamilyFastPaths:
-    def test_reweight_one_matches_move(self):
-        from repro.index.buckets import BucketFamily
-
-        a, b = BucketFamily(), BucketFamily()
-        steps = [((0,), 0, 2), ((1,), 0, 4), ((0,), 2, 8), ((1,), 4, 0), ((0,), 8, 1)]
-        for entity, old, new in steps:
-            a.move(entity, old, new)
-            b.reweight_one(entity, old, new)
-            assert a.cnt == b.cnt
-            assert a.approx == b.approx
-            assert a.bucket_sizes() == b.bucket_sizes()
-
     def test_insert_many_deduplicates(self, line3_query):
         from repro.index.dynamic_index import DynamicJoinIndex
 

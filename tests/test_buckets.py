@@ -1,52 +1,51 @@
 """Tests for the degree buckets and bucket families."""
 
-import random
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.index.buckets import Bucket, BucketFamily
+from repro.index.buckets import BucketFamily
 from repro.index.counters import next_pow2
 
 
 class TestBucket:
+    """A bucket's contents, written through the family's one mutator."""
+
     def test_add_and_positions(self):
-        bucket = Bucket()
-        bucket.add(("a",))
-        bucket.add(("b",))
+        family = BucketFamily()
+        family.reweight(("a",), 0, 2)
+        family.reweight(("b",), 0, 2)
+        bucket = family._buckets[1]
         assert len(bucket) == 2
         assert bucket.at(0) == ("a",)
         assert bucket.at(1) == ("b",)
         assert ("a",) in bucket and ("c",) not in bucket
 
-    def test_duplicate_add_rejected(self):
-        bucket = Bucket()
-        bucket.add(("a",))
-        with pytest.raises(ValueError):
-            bucket.add(("a",))
-
     def test_remove_swaps_with_last(self):
-        bucket = Bucket()
+        family = BucketFamily()
         for name in ("a", "b", "c"):
-            bucket.add((name,))
-        bucket.remove(("a",))
+            family.reweight((name,), 0, 1)
+        family.reweight(("a",), 1, 0)
+        bucket = family._buckets[0]
         assert len(bucket) == 2
-        assert set(bucket) == {("b",), ("c",)}
+        assert list(bucket) == [("c",), ("b",)]
         # Position access still works for every remaining entity.
-        assert {bucket.at(0), bucket.at(1)} == {("b",), ("c",)}
+        assert [bucket.at(0), bucket.at(1)] == [("c",), ("b",)]
 
     def test_remove_missing_raises(self):
-        bucket = Bucket()
+        family = BucketFamily()
         with pytest.raises(KeyError):
-            bucket.remove(("missing",))
+            family.reweight(("missing",), 1, 0)
+        family.reweight(("a",), 0, 1)
+        with pytest.raises(KeyError):
+            family.reweight(("missing",), 1, 0)
 
 
 class TestBucketFamily:
     def test_move_inserts_and_counts(self):
         family = BucketFamily()
-        family.move(("a",), 0, 4)
-        family.move(("b",), 0, 2)
+        family.reweight(("a",), 0, 4)
+        family.reweight(("b",), 0, 2)
         assert family.cnt == 6
         assert family.approx == 8
         assert family.total_entities() == 2
@@ -54,42 +53,40 @@ class TestBucketFamily:
 
     def test_move_reweights(self):
         family = BucketFamily()
-        family.move(("a",), 0, 2)
-        family.move(("a",), 2, 8)
+        family.reweight(("a",), 0, 2)
+        family.reweight(("a",), 2, 8)
         assert family.cnt == 8
         assert family.bucket_sizes() == {3: 1}
 
     def test_move_to_zero_removes(self):
         family = BucketFamily()
-        family.move(("a",), 0, 4)
-        family.move(("a",), 4, 0)
+        family.reweight(("a",), 0, 4)
+        family.reweight(("a",), 4, 0)
         assert family.cnt == 0
         assert family.total_entities() == 0
         assert family.approx == 0
 
     def test_move_noop_when_same_weight(self):
         family = BucketFamily()
-        family.move(("a",), 0, 4)
-        old, new = family.move(("a",), 4, 4)
-        assert old == new == 4
-
-    def test_rejects_non_power_of_two(self):
-        family = BucketFamily()
-        with pytest.raises(ValueError):
-            family.move(("a",), 0, 3)
+        family.reweight(("a",), 0, 4)
+        family.reweight(("a",), 4, 4)
+        assert (family.cnt, family.approx) == (4, 4)
+        assert family.bucket_sizes() == {2: 1}
 
     def test_approx_change_reported(self):
         family = BucketFamily()
-        old, new = family.move(("a",), 0, 2)
-        assert (old, new) == (0, 2)
-        old, new = family.move(("b",), 0, 2)
-        assert (old, new) == (2, 4)
+        family.reweight(("a",), 0, 2)
+        assert (family.cnt, family.approx) == (2, 2)
+        family.reweight(("b",), 0, 2)
+        assert (family.cnt, family.approx) == (4, 4)
+        family.reweight(("c",), 0, 1)
+        assert (family.cnt, family.approx) == (5, 8)
 
     def test_locate_maps_every_position(self):
         family = BucketFamily()
         weights = {("a",): 1, ("b",): 4, ("c",): 4, ("d",): 2}
         for entity, weight in weights.items():
-            family.move(entity, 0, weight)
+            family.reweight(entity, 0, weight)
         seen = {entity: [] for entity in weights}
         for position in range(family.cnt):
             entity, offset = family.locate(position)
@@ -100,7 +97,7 @@ class TestBucketFamily:
 
     def test_locate_out_of_range_is_none(self):
         family = BucketFamily()
-        family.move(("a",), 0, 2)
+        family.reweight(("a",), 0, 2)
         assert family.locate(2) is None
         assert family.locate(100) is None
         with pytest.raises(ValueError):
@@ -120,7 +117,7 @@ class TestBucketFamily:
             entity = (identity,)
             old = current.get(entity, 0)
             new = (1 << exponent) if exponent > 0 else 0
-            family.move(entity, old, new)
+            family.reweight(entity, old, new)
             current[entity] = new
         assert family.cnt == sum(current.values())
         assert family.weight_sum() == family.cnt

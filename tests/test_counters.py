@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.index.counters import is_pow2, next_pow2, pow2_exponent
+from repro.index.counters import next_pow2
 
 
 class TestNextPow2:
@@ -21,21 +21,5 @@ class TestNextPow2:
     def test_bounds(self, value):
         approx = next_pow2(value)
         assert value <= approx < 2 * value
-        assert is_pow2(approx)
+        assert approx & (approx - 1) == 0
 
-
-class TestPow2Exponent:
-    def test_roundtrip(self):
-        for exponent in range(20):
-            assert pow2_exponent(1 << exponent) == exponent
-
-    def test_rejects_non_powers(self):
-        for value in (0, 3, 6, -4):
-            with pytest.raises(ValueError):
-                pow2_exponent(value)
-
-
-class TestIsPow2:
-    def test_examples(self):
-        assert is_pow2(1) and is_pow2(2) and is_pow2(1024)
-        assert not is_pow2(0) and not is_pow2(3) and not is_pow2(-2)

@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from repro.index.dynamic_index import DynamicJoinIndex
-from repro.relational import join_results, join_size
+from repro.relational import JoinQuery, join_results, join_size
 from repro.workloads.graph import line_query, triangle_query
 
 from tests.conftest import make_edges, make_graph_stream, materialize_batch
@@ -17,10 +17,6 @@ class TestConstruction:
     def test_rejects_cyclic_queries(self):
         with pytest.raises(ValueError, match="is cyclic; DynamicJoinIndex only supports"):
             DynamicJoinIndex(triangle_query())
-
-    def test_rejects_unknown_sampling_root(self, line3_query):
-        with pytest.raises(ValueError):
-            DynamicJoinIndex(line3_query, sampling_root="missing")
 
     def test_one_tree_per_relation(self, line3_query):
         index = DynamicJoinIndex(line3_query)
@@ -81,7 +77,7 @@ class TestDeltaBatches:
             index.insert_rows(name, rows)
         for name in line3_query.relation_names:
             inserted = [tuple(r) for r in rows_by_relation[name]]
-            assert index.delta_batch_sizes(name, inserted) == [
+            assert index.trees[name].delta_batch_sizes(inserted) == [
                 index.delta_batch_size(name, row) for row in inserted
             ]
 
@@ -145,3 +141,34 @@ class TestFullQuerySampling:
         index = self.replay(line3_query, stream)
         assert index.propagations == sum(t.propagations for t in index.trees.values())
         assert index.propagations > 0
+
+
+class TestRoundTrip:
+    """Per-row inserts then per-row deletes of every row leave no trace."""
+
+    @pytest.mark.parametrize("grouping", [False, True])
+    def test_insert_then_delete_everything(self, grouping):
+        query = JoinQuery.from_spec(
+            "wide", {"Ra": ["x", "y"], "Rb": ["y", "z", "w"], "Rc": ["w", "u"]}
+        )
+        rng = random.Random(31)
+        rows = []
+        for position in range(90):
+            relation = query.relation_names[position % 3]
+            arity = query.relation(relation).arity
+            rows.append((relation, tuple(rng.randrange(3) for _ in range(arity))))
+        index = DynamicJoinIndex(query, grouping=grouping, maintain_root=True)
+        inserted = []
+        for relation, row in rows:
+            if index.insert(relation, row):
+                inserted.append((relation, row))
+            index.validate()
+        assert index.total_weight() > 0
+        rng.shuffle(inserted)
+        for relation, row in inserted:
+            assert index.delete(relation, row)
+            index.validate()
+        assert index.size == 0
+        assert index.total_weight() == 0
+        for tree in index.trees.values():
+            assert all(not families for families in tree._families.values())

@@ -593,6 +593,39 @@ def test_windowed_timestamp_late_duplicate_never_ages_row():
     assert sampler.sample == []
 
 
+def test_windowed_stamps_only_rows_live_after_the_chunk():
+    """An insert the chunk's fold nets away or annihilates is never stamped
+    or logged, yet it still advances the count clock."""
+    sampler = WindowedSampler(TWO, k=10, window=1000, rng=random.Random(0))
+    for value in range(50):
+        sampler.ingest_batch([StreamTuple("R", (value, 1)), StreamDelete("R", (value, 1))])
+    assert sampler._stamps == {} and sampler._log == []
+    assert sampler.rows_in_window == 0 and sampler.index.size == 0
+    # An early tombstone annihilates the later insert: no stamp either.
+    sampler.ingest_batch([StreamDelete("S", (1, 2))])
+    sampler.ingest_batch([StreamTuple("S", (1, 2))])
+    assert sampler._stamps == {} and sampler._log == []
+    assert sampler.index.size == 0
+    # The clock counted all 51 insert items: the next live row gets 52.
+    sampler.ingest_batch([StreamTuple("S", (1, 3))])
+    assert sampler._stamps == {("S", (1, 3)): 52}
+    assert sampler.rows_in_window == 1
+
+
+def test_windowed_netted_item_still_advances_the_watermark():
+    sampler = WindowedSampler(
+        TWO, k=10, window=5, rng=random.Random(0), mode="timestamp"
+    )
+    sampler.ingest_batch([StreamTuple("R", (1, 1), timestamp=3)])
+    # The stamp-9 row nets away, but its timestamp moves the horizon to 4.
+    sampler.ingest_batch(
+        [StreamTuple("R", (2, 1), timestamp=9), StreamDelete("R", (2, 1))]
+    )
+    assert set(sampler.index.database["R"].rows) == set()
+    assert sampler._stamps == {} and sampler._log == []
+    assert sampler.statistics()["expirations"] == 1
+
+
 def test_windowed_timestamp_out_of_order_checkpoint_roundtrip(tmp_path):
     """Save/restore straddling out-of-order admissions replays identically —
     the admission-log heap (with its tie-break sequence) rides the snapshot."""

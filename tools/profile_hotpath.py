@@ -11,6 +11,10 @@ chain-3 stream of the repository benchmark's ``insert-chain3`` shape
   loops of ``index/tree_index.py`` and ``core/batch_reservoir.py``);
 * **sharded** — a serial 4-shard ``ShardedIngestor`` (adds the hash-routing
   loop of ``ingest/shard.py`` on top);
+* **per-row** — ``DynamicJoinIndex(maintain_root=True)`` alone, with no
+  sampler: ``insert`` of every distinct row of the same stream one row at a
+  time, then ``delete`` of each in stream order (the one-row runs of
+  ``TreeIndex._update``), reported as µs/row for each half;
 
 and the turnstile path in the benchmark's ``turnstile-2way`` shape:
 
@@ -22,6 +26,7 @@ and the turnstile path in the benchmark's ``turnstile-2way`` shape:
   ``--chunk-size`` do not apply to it.
 
 For each shape it reports a wall-clock figure (GC paused, best of
+``--repeats``; the per-row shape also its µs/row, each half best of
 ``--repeats``) and the top ``cProfile`` rows by cumulative time, restricted
 to this repository's own frames so library noise never buries the hot loop.
 
@@ -49,6 +54,7 @@ sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
 
 from repro.core.reservoir_join import ReservoirJoin  # noqa: E402
 from repro.core.turnstile import TurnstileReservoirJoin  # noqa: E402
+from repro.index.dynamic_index import DynamicJoinIndex  # noqa: E402
 from repro.ingest.batch import BatchIngestor  # noqa: E402
 from repro.ingest.shard import ShardedIngestor  # noqa: E402
 from repro.relational.query import JoinQuery  # noqa: E402
@@ -119,6 +125,26 @@ def run_sharded(query, stream, chunk_size: int, shards: int) -> None:
     ).ingest(stream)
 
 
+def run_per_row(query, rows) -> DynamicJoinIndex:
+    index = DynamicJoinIndex(query, maintain_root=True)
+    for relation, row in rows:
+        index.insert(relation, row)
+    for relation, row in rows:
+        index.delete(relation, row)
+    return index
+
+
+def per_row_us(query, rows, repeats: int):
+    """Best-of-``repeats`` µs/row of per-row ``insert``, then of ``delete``."""
+    inserts, deletes = [], []
+    for _ in range(repeats):
+        index = DynamicJoinIndex(query, maintain_root=True)
+        inserts.append(timed(lambda: [index.insert(relation, row) for relation, row in rows]))
+        deletes.append(timed(lambda: [index.delete(relation, row) for relation, row in rows]))
+        assert index.size == 0
+    return 1e6 * min(inserts) / len(rows), 1e6 * min(deletes) / len(rows)
+
+
 def profile_shape(label: str, run, top: int, repeats: int) -> None:
     wall = min(timed(run) for _ in range(repeats))
     profiler = cProfile.Profile()
@@ -168,6 +194,14 @@ def main() -> None:
     profile_shape(
         f"sharded (serial, {args.shards} shards)",
         lambda: run_sharded(query, stream, args.chunk_size, args.shards),
+        args.top, args.repeats,
+    )
+    rows = list(dict.fromkeys((item.relation, item.row) for item in stream))
+    insert_us, delete_us = per_row_us(query, rows, args.repeats)
+    profile_shape(
+        f"per-row ({len(rows)} distinct rows, maintain_root=True; insert "
+        f"{insert_us:.2f} µs/row, delete {delete_us:.2f} µs/row, best of {args.repeats})",
+        lambda: run_per_row(query, rows),
         args.top, args.repeats,
     )
     two_way, turnstile = two_way_query(), make_turnstile_stream()
