@@ -9,16 +9,15 @@ export PYTHONPATH
 # The default invocation: the fast deterministic suite + executable docs.
 test: unit docs-check
 
-# The CI smoke profile in one shot: tier-1 suite, executable docs, the
-# repository benchmark's correctness gates, the serving-layer slice (gating:
-# snapshot isolation is a correctness seam, not a perf knob; the thread-safe
-# SampleServer is the one serving mode, read from any number of threads),
-# the pytest-benchmark entry points of the figure and ablation scripts (so
-# they cannot rot; ~10 s), and the statistical suites at the scaled-down
-# REPRO_STAT_TRIALS=60 trial counts (the whole thing finishes in well under
-# three minutes).
+# The CI smoke profile in one shot: tier-1 suite (which includes the gating
+# serving-layer slice, tests/test_serving.py: snapshot isolation is a
+# correctness seam, not a perf knob; the thread-safe SampleServer is the one
+# serving mode, read from any number of threads), executable docs, the
+# repository benchmark's correctness gates, the pytest-benchmark entry
+# points of the figure and ablation scripts (so they cannot rot; ~10 s), and
+# the statistical suites at the scaled-down REPRO_STAT_TRIALS=60 trial
+# counts (the whole thing finishes in well under three minutes).
 test-smoke: unit docs-check bench-gates
-	python -m pytest tests/test_serving.py -q
 	python -m pytest benchmarks/bench_*.py -q
 	REPRO_STAT_TRIALS=60 python -m pytest -m slow -q
 

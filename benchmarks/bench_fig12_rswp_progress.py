@@ -16,9 +16,9 @@ from __future__ import annotations
 import random
 import time
 
-from repro.core.predicate_reservoir import PredicateReservoir
+from repro.core.batch_reservoir import BatchedPredicateReservoir
 from repro.core.reservoir import ReservoirSampler
-from repro.core.skippable import ListStream
+from repro.core.skippable import ListBatch
 from repro.workloads.strings import EditDistancePredicate, string_stream
 
 from harness import format_series
@@ -48,13 +48,13 @@ def _run_rs(items, predicate, k):
 
 def _run_rswp(items, predicate, k):
     """Predicate-aware reservoir: skipping avoids most predicate evaluations."""
-    sampler = PredicateReservoir(k, predicate=predicate, rng=random.Random(SEED))
+    sampler = BatchedPredicateReservoir(k, predicate=predicate, rng=random.Random(SEED))
     checkpoints = []
     elapsed = 0.0
     chunk = max(1, len(items) // PARTS)
     for start in range(0, len(items), chunk):
         begin = time.perf_counter()
-        sampler.run(ListStream(items[start:start + chunk]))
+        sampler.process_batch(ListBatch(items[start:start + chunk]))
         elapsed += time.perf_counter() - begin
         checkpoints.append(elapsed)
     return checkpoints[:PARTS]

@@ -14,9 +14,9 @@ from __future__ import annotations
 import random
 import time
 
-from repro.core.predicate_reservoir import PredicateReservoir
+from repro.core.batch_reservoir import BatchedPredicateReservoir
 from repro.core.reservoir import ReservoirSampler
-from repro.core.skippable import ListStream
+from repro.core.skippable import ListBatch
 from repro.workloads.strings import EditDistancePredicate, string_stream
 
 from harness import format_series
@@ -37,9 +37,9 @@ def _time_rs(items, predicate, k) -> float:
 
 
 def _time_rswp(items, predicate, k) -> float:
-    sampler = PredicateReservoir(k, predicate=predicate, rng=random.Random(SEED))
+    sampler = BatchedPredicateReservoir(k, predicate=predicate, rng=random.Random(SEED))
     begin = time.perf_counter()
-    sampler.run(ListStream(items))
+    sampler.process_batch(ListBatch(items))
     return time.perf_counter() - begin
 
 

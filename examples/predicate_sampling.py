@@ -17,8 +17,8 @@ from __future__ import annotations
 import random
 import time
 
-from repro import PredicateReservoir, ReservoirSampler
-from repro.core.skippable import ListStream
+from repro import BatchedPredicateReservoir, ReservoirSampler
+from repro.core.skippable import ListBatch
 from repro.workloads.strings import EditDistancePredicate, string_stream
 
 
@@ -43,9 +43,9 @@ def main() -> None:
     # Predicate-aware reservoir (RSWP, Algorithm 1): skipped items are never
     # even looked at, so the predicate runs only on the examined positions.
     rswp_predicate = EditDistancePredicate(query_string, threshold)
-    predicate_sampler = PredicateReservoir(k, predicate=rswp_predicate, rng=random.Random(1))
+    predicate_sampler = BatchedPredicateReservoir(k, predicate=rswp_predicate, rng=random.Random(1))
     start = time.perf_counter()
-    predicate_sampler.run(ListStream(items))
+    predicate_sampler.process_batch(ListBatch(items))
     rswp_seconds = time.perf_counter() - start
 
     print(f"\nclassic RS : {rs_seconds:.3f}s, {rs_predicate.evaluations} predicate evaluations")

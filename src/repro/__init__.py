@@ -106,8 +106,7 @@ from .relational.stream import (
     surviving_rows,
     turnstile_stream,
 )
-from .core.reservoir import ReservoirSampler, SkipReservoirSampler
-from .core.predicate_reservoir import PredicateReservoir
+from .core.reservoir import ReservoirSampler
 from .core.predicate_backend import PredicateStreamSampler
 from .core.batch_reservoir import BatchedPredicateReservoir
 from .core.reservoir_join import ReservoirJoin
@@ -144,8 +143,6 @@ __all__ = [
     "prefetched",
     "surviving_rows",
     "ReservoirSampler",
-    "SkipReservoirSampler",
-    "PredicateReservoir",
     "PredicateStreamSampler",
     "BatchedPredicateReservoir",
     "ReservoirJoin",

@@ -146,9 +146,10 @@ class ExactTreeIndex:
     def delta_batch_size(self, row: Tuple) -> int:
         return self._row_weight(self.root, tuple(row))
 
-    def delta_batch(self, row: Tuple) -> FunctionBatch:
+    def delta_batch(self, row: Tuple, size: Optional[int] = None) -> FunctionBatch:
         row = tuple(row)
-        size = self.delta_batch_size(row)
+        if size is None:
+            size = self.delta_batch_size(row)
         return FunctionBatch(size, lambda position: self._retrieve_full(self.root, row, position))
 
     def _retrieve_full(self, node: str, row: Tuple, position: int) -> Optional[dict]:
@@ -248,8 +249,8 @@ class SJoin(PerTupleBatchMixin):
         for tree in self.trees.values():
             tree.insert_row(relation, row)
         tree = self.trees[relation]
-        self.reservoir.process_deferred(
-            tree.delta_batch_size(row), tree.delta_batch, row
+        self.reservoir.process_deferred_many(
+            [tree.delta_batch_size(row)], tree.delta_batch, [row]
         )
 
     def spawn(self, rng: Optional[random.Random] = None) -> "SJoin":

@@ -12,17 +12,8 @@ from .backend import (
     chunk_apply,
     derive_seed,
 )
-from .skippable import (
-    END_OF_STREAM,
-    Batch,
-    FunctionBatch,
-    ListBatch,
-    ListStream,
-    SkippableStream,
-    is_real,
-)
-from .reservoir import ReservoirSampler, SkipReservoirSampler, geometric_skip
-from .predicate_reservoir import PredicateReservoir, expected_stop_bound
+from .skippable import FunctionBatch, ListBatch, is_real
+from .reservoir import ReservoirSampler, geometric_skip
 from .predicate_backend import PredicateStreamSampler
 from .batch_reservoir import BatchedPredicateReservoir
 from .reservoir_join import ReservoirJoin
@@ -32,19 +23,12 @@ __all__ = [
     "PerTupleBatchMixin",
     "chunk_apply",
     "derive_seed",
-    "END_OF_STREAM",
-    "Batch",
     "FunctionBatch",
     "ListBatch",
-    "ListStream",
-    "SkippableStream",
     "is_real",
     "ReservoirSampler",
-    "SkipReservoirSampler",
     "geometric_skip",
-    "PredicateReservoir",
     "PredicateStreamSampler",
-    "expected_stop_bound",
     "BatchedPredicateReservoir",
     "ReservoirJoin",
 ]

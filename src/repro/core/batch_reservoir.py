@@ -1,10 +1,28 @@
-"""Batched reservoir sampling with a predicate (Section 3.3, Algorithms 4/5).
+"""Reservoir sampling with a predicate over batches (Section 3, Algorithms 1, 4, 5).
+
+Given a stream containing *real* and *dummy* items, a predicate ``θ`` that
+distinguishes them, and a target size ``k``, the sampler maintains a uniform
+sample without replacement of size ``k`` over the real items only.
+Conceptually every item draws ``u ~ Uni(0,1)`` and is *stopped at* when
+``u < w``; the geometric skip simulates the gaps between stops, and the
+reservoir and ``w`` are only updated when the stopped-at item is real.
+Assuming ``skip`` is constant time, the expected number of stops is
+
+    O( Σ_i  min(1, k / (r_i + 1)) )
+
+where ``r_i`` is the number of real items among the first ``i - 1`` items,
+which the paper proves instance-optimal (Theorem 3.3).  When every item is
+real this collapses to Li's ``O(k log(N/k))``; when no item is real it
+degrades gracefully to ``O(N)``.
 
 The join sampler feeds the reservoir one *batch* per arriving tuple: the
 batch is the (never materialised) delta array ``ΔJ ⊇ ΔQ(R, t)``.  The batched
-sampler behaves exactly as if Algorithm 1 ran over the concatenation of all
+sampler behaves exactly as Algorithm 1 over the concatenation of all
 batches; the only extra machinery is carrying a pending skip count across
-batch boundaries (a ``skip(q)`` may run off the end of the current batch).
+batch boundaries (a skip may run off the end of the current batch).  So this
+one loop is every skip-based reservoir of the paper: Algorithm 1 is a run
+over one batch, and Li's Algorithm L is Algorithm 1 with an always-true
+predicate.  Cutting a stream into batches anywhere changes no draw.
 """
 
 from __future__ import annotations
@@ -14,17 +32,19 @@ import random
 from typing import Callable, Generic, List, Optional, TypeVar
 
 from .reservoir import _uniform, geometric_skip
-from .skippable import Batch, is_real
+from .skippable import FunctionBatch, is_real
 
 T = TypeVar("T")
 
 
 class BatchedPredicateReservoir(Generic[T]):
-    """Algorithms 4 and 5: reservoir sampling with a predicate over batches.
+    """Algorithms 1, 4 and 5: reservoir sampling with a predicate over batches.
 
     The sampler is fed item-disjoint batches one at a time through
     :meth:`process_batch` and maintains ``k`` uniform samples without
-    replacement over the real items of all batches processed so far.
+    replacement over the real items of all batches processed so far.  A
+    plain item stream is one :class:`~repro.core.skippable.ListBatch`, or
+    any cut of it into consecutive ones.
 
     Statistics useful for the experiments:
 
@@ -32,8 +52,9 @@ class BatchedPredicateReservoir(Generic[T]):
         Total (conceptual) length of all batches seen, i.e. the length of the
         simulated join-result stream.
     ``items_examined``
-        How many batch positions were actually retrieved — the work that the
-        skip mechanism saves is ``items_total - items_examined``.
+        How many batch positions were actually retrieved (the stops that
+        Theorem 3.2 bounds) — the work that the skip mechanism saves is
+        ``items_total - items_examined``.
     ``real_stops``
         How many examined items were real.
     """
@@ -81,49 +102,23 @@ class BatchedPredicateReservoir(Generic[T]):
     def __len__(self) -> int:
         return len(self._sample)
 
-    def process_deferred(self, size: int, make_batch: Callable[..., Batch[T]], *args) -> None:
-        """Fold a batch into the reservoir, constructing it only when needed.
-
-        Semantically identical to ``process_batch(make_batch(*args))`` for a
-        batch of ``size`` items, but when the reservoir is already full and
-        the pending skip count covers the entire batch, the sampler would not
-        stop at any of its positions — so only the counters are updated and
-        the batch object is never built.  This is the per-batch fast path of
-        the batched ingestion subsystem: once the simulated result stream is
-        long, almost every delta batch is skipped wholesale, and avoiding the
-        batch construction removes the dominating constant factor.
-        """
-        if size < 0:
-            raise ValueError("batch size must be non-negative")
-        if size == 0:
-            # An empty batch touches nothing but the batch counter.
-            self.batches_processed += 1
-            return
-        if (
-            len(self._sample) >= self.k
-            and not math.isinf(self._w)
-            and self._pending_skip >= size
-        ):
-            self.batches_processed += 1
-            self.items_total += size
-            self._pending_skip -= size
-            return
-        self.process_batch(make_batch(*args))
-
     def process_deferred_many(
         self,
         sizes: "List[int]",
-        make_batch: Callable[..., Batch[T]],
+        make_batch: Callable[..., FunctionBatch[T]],
         args: "List",
     ) -> None:
-        """Fold many deferred batches at once (``sizes[i]`` ↔ ``args[i]``).
+        """Fold many batches at once, building each only when needed.
 
-        Equivalent to calling :meth:`process_deferred` per batch, with the
-        skip bookkeeping kept in locals between batches; on the steady-state
-        ingestion path almost every batch is skipped wholesale, so this
-        turns a method call per stream tuple into plain integer arithmetic.
-        A batch that must be built is built as ``make_batch(args[i],
-        sizes[i])``, so the builder need not recompute its size.
+        Semantically identical to ``process_batch(make_batch(args[i],
+        sizes[i]))`` for every ``i`` in order, but when the reservoir is
+        already full and the pending skip count covers a whole batch, the
+        sampler would not stop at any of its positions, so only the counters
+        are updated and the batch is never built.  Once the simulated result
+        stream is long, almost every delta batch is skipped wholesale; the
+        skip bookkeeping stays in locals between batches, so that case is
+        plain integer arithmetic.  The builder receives the size, so it
+        need not recompute it.
         """
         if any(size < 0 for size in sizes):
             # Validate before touching any bookkeeping: a bad size mid-loop
@@ -234,14 +229,14 @@ class BatchedPredicateReservoir(Generic[T]):
         self.real_stops = state["real_stops"]
         self.batches_processed = state["batches_processed"]
 
-    def process_batch(self, batch: Batch[T]) -> None:
+    def process_batch(self, batch: FunctionBatch[T]) -> None:
         """Algorithm 5 (``BatchUpdate``): fold one batch into the reservoir."""
         self.batches_processed += 1
         self.items_total += len(batch)
         # Fill phase: while the reservoir is not yet full, every item must be
         # examined (nothing can be skipped safely).
         while len(self._sample) < self.k and batch.remain() > 0:
-            item = batch.next()
+            item = batch.skip(0)
             self.items_examined += 1
             if self.predicate(item):
                 self.real_stops += 1

@@ -1,29 +1,21 @@
 """Drive the predicate-aware reservoir (Algorithm 1) through the ingestion seam.
 
-:class:`~repro.core.predicate_reservoir.PredicateReservoir` samples *real*
-items of a skippable stream — the Section 6.3 experiment filters strings by
+:class:`~repro.core.batch_reservoir.BatchedPredicateReservoir` samples the
+*real* items of a stream — the Section 6.3 experiment filters strings by
 edit distance to a query string — but its native interface
-(``run(SkippableStream)``) is not the :class:`~repro.core.backend
-.SamplerBackend` protocol the ingestion seam speaks, so until this module
-existed the capability was exported yet unreachable from any ingestor.
-:class:`PredicateStreamSampler` closes that gap: it presents a
-single-relation stream of ``(item,)`` rows as a conforming backend, driving
-each chunk through ``run()`` over an in-memory
-:class:`~repro.core.skippable.ListStream`.
+(``process_batch``) is not the :class:`~repro.core.backend.SamplerBackend`
+protocol the ingestion seam speaks.  :class:`PredicateStreamSampler` closes
+that gap: it presents a single-relation stream of ``(item,)`` rows as a
+conforming backend and folds each chunk into the reservoir as one
+:class:`~repro.core.skippable.ListBatch`.
 
 Semantics at chunk boundaries
 -----------------------------
-``run()`` carries the reservoir, the running ``w`` and the RNG across calls,
-so the union of the per-chunk streams is sampled as one logical stream and
-the uniformity guarantee holds at every chunk boundary.  One subtlety is
-deliberate: when a chunk ends mid-skip, the *residual* geometric skip is
-discarded and redrawn at the next chunk — geometric distributions are
-memoryless, so the redraw is distributionally identical, but it does consume
-different randomness.  Consequently two runs are **bit-identical only under
-the same chunking** (same chunk sizes, same seed) — which is exactly what
-the checkpoint-resume guarantee needs — while different
-chunk sizes are distribution-equal, not bit-equal (mirroring the acyclic
-``insert_batch`` contract).
+The reservoir carries its sample, the running ``w``, the pending skip and
+the RNG from one chunk to the next, so the chunks are sampled as one
+logical stream: the uniformity guarantee holds at every chunk boundary, and
+every chunking of a stream (one item per chunk included) gives the same
+sample and the same RNG state under the same seed.
 
 The adapter deliberately exposes **no** ``query`` and **no** ``index``:
 there is no join to hash-partition or count, so the sharded modes
@@ -36,15 +28,15 @@ from __future__ import annotations
 
 import pickle
 import random
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..relational.stream import as_relation_rows
-from .predicate_reservoir import PredicateReservoir
-from .skippable import ListStream, is_real
+from .batch_reservoir import BatchedPredicateReservoir
+from .skippable import ListBatch, is_real
 
 
 class PredicateStreamSampler:
-    """A :class:`SamplerBackend` adapter over :class:`PredicateReservoir`.
+    """A :class:`SamplerBackend` adapter over :class:`BatchedPredicateReservoir`.
 
     Parameters
     ----------
@@ -57,7 +49,7 @@ class PredicateStreamSampler:
         :class:`~repro.workloads.strings.EditDistancePredicate` are; lambdas
         are not).
     rng:
-        Seedable randomness source, owned by the underlying reservoir.
+        Seedable randomness source, driving the underlying reservoir.
 
     The adapter accepts rows of the single relation :attr:`RELATION` and
     reports sampled items under :attr:`ATTRIBUTE` in :attr:`sample` result
@@ -75,8 +67,9 @@ class PredicateStreamSampler:
         predicate: Callable[[object], bool] = is_real,
         rng: Optional[random.Random] = None,
     ) -> None:
-        self.reservoir: PredicateReservoir = PredicateReservoir(
-            k, predicate, rng=rng
+        self._rng = rng if rng is not None else random.Random()
+        self.reservoir: BatchedPredicateReservoir = BatchedPredicateReservoir(
+            k, predicate, rng=self._rng
         )
         self.tuples_processed = 0
         self.chunks_processed = 0
@@ -116,7 +109,7 @@ class PredicateStreamSampler:
         self.insert_batch([(relation, row)])
 
     def insert_batch(self, items: Sequence) -> int:
-        """Absorb one chunk through a single ``run()`` over the chunk.
+        """Absorb one chunk as one batch of the reservoir.
 
         Validates the whole chunk before any state changes, then samples the
         chunk as the next segment of the logical stream.  Returns the number
@@ -125,7 +118,7 @@ class PredicateStreamSampler:
         values = self._validated_values(items)
         if not values:
             return 0
-        self.reservoir.run(ListStream(values))
+        self.reservoir.process_batch(ListBatch(values))
         self.tuples_processed += len(values)
         self.chunks_processed += 1
         return len(values)
@@ -141,7 +134,7 @@ class PredicateStreamSampler:
             "sample_size": len(self.reservoir),
             "tuples_processed": self.tuples_processed,
             "chunks_processed": self.chunks_processed,
-            "stops": self.reservoir.stops,
+            "stops": self.reservoir.items_examined,
             "real_stops": self.reservoir.real_stops,
         }
         evaluations = getattr(self.predicate, "evaluations", None)
@@ -166,29 +159,27 @@ class PredicateStreamSampler:
     # Durability (the snapshot capability)
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> Dict[str, object]:
-        """Complete resumable state: reservoir contents, the running ``w``,
-        the exact RNG state, and the (pickled) predicate."""
-        reservoir = self.reservoir
+        """Complete resumable state: the reservoir's own snapshot, the exact
+        RNG state, the (pickled) predicate and the chunk counters."""
         return {
-            "k": reservoir.k,
-            "predicate": pickle.dumps(reservoir.predicate),
-            "sample": list(reservoir._sample),
-            "w": reservoir._w,
-            "stops": reservoir.stops,
-            "real_stops": reservoir.real_stops,
-            "rng": reservoir._rng.getstate(),
+            **self.reservoir.snapshot_state(),
+            "predicate": pickle.dumps(self.predicate),
+            "rng": self._rng.getstate(),
             "tuples_processed": self.tuples_processed,
             "chunks_processed": self.chunks_processed,
         }
 
     @classmethod
     def from_snapshot(cls, state: Dict[str, object]) -> "PredicateStreamSampler":
-        """Rebuild an adapter that resumes bit-identically *under the same
-        chunking* (see the module docstring for why chunking matters).
+        """Rebuild an adapter that resumes bit-identically.
 
-        Older snapshots also record the relation and attribute names; a
-        recorded name other than :attr:`RELATION` / :attr:`ATTRIBUTE` raises
-        ``ValueError``.
+        Older snapshots carry no pending skip (that version redrew it at
+        every chunk) and name the examined count ``stops``; their pending
+        skip is drawn from ``w`` here, as
+        :meth:`~BatchedPredicateReservoir.rebase_population` does, which is
+        the draw that version made at the start of its next chunk.  They may
+        also record the relation and attribute names; a recorded name other
+        than :attr:`RELATION` / :attr:`ATTRIBUTE` raises ``ValueError``.
         """
         for key, constant in (("relation", cls.RELATION), ("attribute", cls.ATTRIBUTE)):
             if state.get(key, constant) != constant:
@@ -202,11 +193,19 @@ class PredicateStreamSampler:
             rng=random.Random(),  # throwaway; exact state restored below
         )
         reservoir = sampler.reservoir
-        reservoir._sample = list(state["sample"])
-        reservoir._w = state["w"]
-        reservoir.stops = state["stops"]
-        reservoir.real_stops = state["real_stops"]
-        reservoir._rng.setstate(state["rng"])
+        legacy = "pending_skip" not in state
+        if legacy:
+            state = dict(
+                state,
+                pending_skip=0,
+                items_total=state["tuples_processed"],
+                items_examined=state["stops"],
+                batches_processed=state["chunks_processed"],
+            )
+        reservoir.restore_state(state)
+        sampler._rng.setstate(state["rng"])
+        if legacy:
+            reservoir.rebase_population(state["sample"], state["w"])
         sampler.tuples_processed = state["tuples_processed"]
         sampler.chunks_processed = state["chunks_processed"]
         return sampler

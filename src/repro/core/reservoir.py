@@ -1,24 +1,21 @@
-"""Classical reservoir sampling algorithms (Section 3.1).
-
-Two classic algorithms are provided:
+"""Classical reservoir sampling (Section 3.1) and the draws the skip loop makes.
 
 * :class:`ReservoirSampler` — Waterman's algorithm (attributed by Knuth):
   O(1) work per item, O(N) total.  This is the ``RS`` baseline of
-  Section 6.3 when combined with per-item predicate evaluation.
-* :class:`SkipReservoirSampler` — Li's Algorithm L [24]: assuming a
-  constant-time ``skip``, it touches only ``O(k log(N/k))`` items.
-
-Both maintain a uniform sample *without replacement* of size ``k`` over an
-unbounded stream and never need to know the stream length in advance.
+  Section 6.3 when combined with per-item predicate evaluation.  It
+  maintains a uniform sample *without replacement* of size ``k`` over an
+  unbounded stream and never needs to know the stream length in advance.
+* :func:`geometric_skip` — the skip-length draw of Li's Algorithm L [24].
+  The skip loop itself lives in
+  :class:`~repro.core.batch_reservoir.BatchedPredicateReservoir`: Algorithm L
+  is its one-batch run with an always-true predicate.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Generic, Iterable, List, Optional, Sequence, TypeVar
-
-from .skippable import END_OF_STREAM, SkippableStream
+from typing import Generic, Iterable, List, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -78,54 +75,6 @@ class ReservoirSampler(Generic[T]):
         """Feed a whole iterable of items."""
         for item in items:
             self.process(item)
-
-    def __len__(self) -> int:
-        return len(self._sample)
-
-
-class SkipReservoirSampler(Generic[T]):
-    """Li's Algorithm L [24]: skip-based reservoir sampling.
-
-    The sampler consumes a :class:`SkippableStream`; when the stream's
-    ``skip`` is constant time, the expected total cost is ``O(k log(N/k))``.
-    It can be called repeatedly on successive streams (the state ``w``
-    persists), which is how the batched algorithm of Section 3.3 reuses it.
-    """
-
-    def __init__(self, k: int, rng: Optional[random.Random] = None) -> None:
-        if k <= 0:
-            raise ValueError("sample size k must be positive")
-        self.k = k
-        self._rng = rng if rng is not None else random.Random()
-        self._sample: List[T] = []
-        self._w = math.inf  # sentinel: not yet initialised (reservoir not full)
-        self.items_seen = 0
-
-    @property
-    def sample(self) -> List[T]:
-        """The current reservoir (a copy)."""
-        return list(self._sample)
-
-    def run(self, stream: SkippableStream[T]) -> List[T]:
-        """Consume ``stream`` to exhaustion and return the current sample."""
-        # Fill phase: take items one by one until the reservoir holds k items.
-        while len(self._sample) < self.k:
-            item = stream.next()
-            if item is END_OF_STREAM:
-                return self.sample
-            self.items_seen += 1
-            self._sample.append(item)
-        if math.isinf(self._w):
-            self._w = _uniform(self._rng) ** (1.0 / self.k)
-        # Skip phase.
-        while True:
-            q = geometric_skip(self._w, self._rng)
-            item = stream.skip(q)
-            if item is END_OF_STREAM:
-                return self.sample
-            self.items_seen += q + 1
-            self._sample[self._rng.randrange(self.k)] = item
-            self._w *= _uniform(self._rng) ** (1.0 / self.k)
 
     def __len__(self) -> int:
         return len(self._sample)

@@ -1,15 +1,14 @@
-"""Stream and batch protocols used by the reservoir sampling algorithms.
+"""The batch protocol the skip-based reservoir reads its input through.
 
-The skip-based reservoir sampling algorithms of Section 3 access their input
-through two primitives (Section 3.2):
+The reservoir of Section 3 accesses its input through constant-time
+positional primitives (Sections 3.2/3.3):
 
-* ``next()``  — return the next item, or :data:`END_OF_STREAM` when exhausted;
-* ``skip(i)`` — skip the next ``i`` items and return the ``(i+1)``-th item,
-  or :data:`END_OF_STREAM` when the stream ends before that.
+* ``skip(i)`` — skip the next ``i`` items and return the ``(i+1)``-th item
+  (``skip(0)`` is the paper's ``next()``);
+* ``remain()`` — the number of items left in the batch.
 
-The batched variant (Section 3.3) additionally needs
-
-* ``remain()`` — the number of items left in the current batch.
+The caller never skips past the end of a batch (the reservoir carries the
+outstanding skip over to the next batch instead), so doing so raises.
 
 The join index of Section 4 produces batches whose items are join results
 addressed by position; dummy positions yield ``None`` items, which is exactly
@@ -18,27 +17,9 @@ what the predicate filters out.
 
 from __future__ import annotations
 
-from typing import Callable, Generic, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Generic, Iterable, Optional, TypeVar
 
 T = TypeVar("T")
-
-
-class _EndOfStream:
-    """Singleton sentinel distinguishing stream exhaustion from dummy items.
-
-    Join batches use ``None`` for dummy positions, so ``None`` cannot double
-    as the end-of-stream marker; ``skip``/``next`` return this sentinel
-    instead when the stream runs out.
-    """
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return "END_OF_STREAM"
-
-
-#: Returned by ``next``/``skip`` when the stream or batch is exhausted.
-END_OF_STREAM = _EndOfStream()
 
 
 #: Default predicate: an item is *real* unless it is ``None`` (a dummy).
@@ -47,92 +28,7 @@ def is_real(item: object) -> bool:
     return item is not None
 
 
-class SkippableStream(Generic[T]):
-    """Interface for streams supporting ``next`` and constant-time ``skip``."""
-
-    def next(self):
-        """Return the next item, or :data:`END_OF_STREAM` when exhausted."""
-        return self.skip(0)
-
-    def skip(self, count: int):
-        """Skip ``count`` items and return the following one.
-
-        Returns :data:`END_OF_STREAM` when fewer than ``count + 1`` items
-        remain.
-        """
-        raise NotImplementedError
-
-
-class Batch(SkippableStream[T]):
-    """A finite, positionally addressable batch of items."""
-
-    def remain(self) -> int:
-        """Number of items not yet consumed."""
-        raise NotImplementedError
-
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-
-class ListStream(SkippableStream[T]):
-    """A skippable stream over an in-memory sequence.
-
-    ``items_examined`` counts how many items were actually *touched* (returned
-    by ``next``/``skip``); the Section 6.3 experiments use it to show that the
-    predicate-aware sampler examines far fewer items than the classic one.
-    """
-
-    def __init__(self, items: Sequence[T]) -> None:
-        self._items = items
-        self._pos = 0
-        self.items_examined = 0
-
-    def skip(self, count: int):
-        if count < 0:
-            raise ValueError("cannot skip a negative number of items")
-        self._pos += count
-        if self._pos >= len(self._items):
-            self._pos = len(self._items)
-            return END_OF_STREAM
-        item = self._items[self._pos]
-        self._pos += 1
-        self.items_examined += 1
-        return item
-
-    @property
-    def position(self) -> int:
-        """Index of the next item to be returned."""
-        return self._pos
-
-
-class ListBatch(Batch[T]):
-    """A batch backed by an in-memory list (used heavily in tests)."""
-
-    def __init__(self, items: Sequence[T]) -> None:
-        self._items = list(items)
-        self._pos = 0
-        self.items_examined = 0
-
-    def skip(self, count: int):
-        if count < 0:
-            raise ValueError("cannot skip a negative number of items")
-        self._pos += count
-        if self._pos >= len(self._items):
-            self._pos = len(self._items)
-            return END_OF_STREAM
-        item = self._items[self._pos]
-        self._pos += 1
-        self.items_examined += 1
-        return item
-
-    def remain(self) -> int:
-        return len(self._items) - self._pos
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-
-class FunctionBatch(Batch[T]):
+class FunctionBatch(Generic[T]):
     """A lazy batch defined by a size and a position->item function.
 
     This is the shape of the delta batches ``ΔJ`` produced by the dynamic
@@ -147,22 +43,36 @@ class FunctionBatch(Batch[T]):
         self._size = size
         self._retrieve = retrieve
         self._pos = 0
-        self.items_examined = 0
 
-    def skip(self, count: int):
+    def skip(self, count: int) -> Optional[T]:
+        """Skip ``count`` items and return the following one.
+
+        ``ValueError`` for a negative ``count``, ``IndexError`` when fewer
+        than ``count + 1`` items remain.
+        """
+        position = self._pos + count
         if count < 0:
             raise ValueError("cannot skip a negative number of items")
-        self._pos += count
-        if self._pos >= self._size:
-            self._pos = self._size
-            return END_OF_STREAM
-        item = self._retrieve(self._pos)
-        self._pos += 1
-        self.items_examined += 1
-        return item
+        if position >= self._size:
+            raise IndexError(
+                f"skip({count}) runs past the end of the batch "
+                f"({self._size - self._pos} items remain)"
+            )
+        self._pos = position + 1
+        return self._retrieve(position)
 
     def remain(self) -> int:
+        """Number of items not yet consumed."""
         return self._size - self._pos
 
     def __len__(self) -> int:
         return self._size
+
+
+class ListBatch(FunctionBatch[T]):
+    """A :class:`FunctionBatch` over an in-memory list (one chunk of a
+    plain item stream, and the tests' batches)."""
+
+    def __init__(self, items: Iterable[T]) -> None:
+        items = list(items)
+        super().__init__(len(items), items.__getitem__)

@@ -604,14 +604,24 @@ class WindowedSampler:
         """Absorb one insert; the window advances and expires immediately."""
         self.ingest_batch([(relation, tuple(row))])
 
+    def _forget(self, item) -> None:
+        """Drop the stamp of an explicitly deleted row: a later re-insert is
+        a new incarnation and must not inherit the deleted one's age."""
+        if isinstance(item, StreamDelete):
+            self._stamps.pop((item.relation, item.row), None)
+        else:
+            relation, row = item
+            self._stamps.pop((relation, tuple(row)), None)
+
     def delete(self, relation: str, row: Sequence) -> bool:
         """Explicit retraction, composed with the window."""
-        removed = self._inner.delete(relation, row)
-        self._expire()
-        return removed
+        return self.delete_batch([(relation, row)]) == 1
 
     def delete_batch(self, items: Iterable) -> int:
+        items = list(items)
         removed = self._inner.delete_batch(items)
+        for item in items:
+            self._forget(item)
         self._expire()
         return removed
 
@@ -621,13 +631,16 @@ class WindowedSampler:
         The inner sampler validates the chunk before the window stamps it,
         so a rejected chunk leaves the window untouched too.  Every insert
         item advances the window's clock; only the rows live after the
-        chunk are stamped.
+        chunk are stamped.  A delete drops the row's stamp, so an insert
+        after it in the chunk stamps the row afresh.
         """
         items = list(items)
         absorbed = self._inner.ingest_batch(items)
         database = self._inner.index.database
         for item in items:
-            if not isinstance(item, StreamDelete):
+            if isinstance(item, StreamDelete):
+                self._forget(item)
+            else:
                 self._admit(item, database)
         self._expire()
         return absorbed
@@ -732,8 +745,8 @@ class WindowedSampler:
         """Live rows currently inside the window.
 
         Counted against the stored database, not the raw stamp table — a
-        stamp may outlive its row (a later explicit retraction) until the
-        window slides past it.
+        snapshot from before explicit deletes dropped their rows' stamps
+        may carry a stamp of a deleted row until the window slides past it.
         """
         database = self._inner.index.database
         return sum(

@@ -116,7 +116,7 @@ def materialize_batch(batch) -> List[object]:
     """Scan every position of a batch, returning the real items in order."""
     items = []
     while batch.remain() > 0:
-        item = batch.next()
+        item = batch.skip(0)
         if item is not None:
             items.append(item)
     return items

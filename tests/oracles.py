@@ -1,4 +1,5 @@
-"""The test oracles: exhaustive ground truth and the chi-square uniformity test.
+"""The test oracles: exhaustive ground truth, the chi-square uniformity test
+and the instance-optimal stop bound of the skip-based reservoir.
 
 The ground truth of a join is the full result set, computed by loading the
 stream into a :class:`~repro.relational.database.Database` and enumerating
@@ -157,3 +158,13 @@ def max_abs_inclusion_deviation(
     if missing > 0:
         deviations.append(expected)
     return max(deviations) if deviations else 0.0
+
+
+def expected_stop_bound(real_prefix_counts: Sequence[int], k: int) -> float:
+    """The instance-optimal bound  Σ_i min(1, k / (r_i + 1))  of Theorem 3.3.
+
+    ``real_prefix_counts[i]`` must be ``r_{i+1}``, i.e. the number of real
+    items among the first ``i`` items (so index 0 holds ``r_1 = 0``).  The
+    skip-based reservoir's ``items_examined`` is compared against it.
+    """
+    return sum(min(1.0, k / (r + 1)) for r in real_prefix_counts)

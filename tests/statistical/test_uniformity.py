@@ -23,13 +23,11 @@ from repro import (
     BatchedPredicateReservoir,
     BatchIngestor,
     CyclicReservoirJoin,
-    PredicateReservoir,
     ReservoirJoin,
     ReservoirSampler,
     ShardedIngestor,
-    SkipReservoirSampler,
 )
-from repro.core.skippable import ListBatch, ListStream
+from repro.core.skippable import ListBatch
 
 from tests.conftest import make_edges, make_graph_stream, stat_trials
 from tests.oracles import (
@@ -78,8 +76,11 @@ def test_skip_reservoir_sampler_uniform_at_prefix(prefix):
     k = 5
 
     def run_one(seed):
-        sampler = SkipReservoirSampler(k, rng=random.Random(seed))
-        sampler.run(ListStream(universe))
+        # Algorithm L: the skip-based reservoir with every item real.
+        sampler = BatchedPredicateReservoir(
+            k, predicate=lambda item: True, rng=random.Random(seed)
+        )
+        sampler.process_batch(ListBatch(universe))
         return sampler.sample
 
     assert_uniform_items(run_one, universe, k)
@@ -97,8 +98,9 @@ def test_predicate_reservoir_uniform_over_real_items(dummy_every):
     k = 5
 
     def run_one(seed):
-        sampler = PredicateReservoir(k, rng=random.Random(seed))
-        sampler.run(ListStream(stream_items))
+        # Algorithm 1: the whole stream as one batch.
+        sampler = BatchedPredicateReservoir(k, rng=random.Random(seed))
+        sampler.process_batch(ListBatch(stream_items))
         return sampler.sample
 
     assert_uniform_items(run_one, universe, k)
@@ -128,15 +130,18 @@ def test_batched_predicate_reservoir_uniform_across_batches(batch_size):
 
 
 def test_batched_reservoir_deferred_path_uniform():
-    """``process_deferred`` must sample exactly like ``process_batch``."""
+    """``process_deferred_many`` must sample exactly like ``process_batch``."""
     universe = item_universe(30)
     batches = [universe[i : i + 5] for i in range(0, 30, 5)]
     k = 4
 
     def run_one(seed):
         sampler = BatchedPredicateReservoir(k, rng=random.Random(seed))
-        for batch in batches:
-            sampler.process_deferred(len(batch), ListBatch, batch)
+        sampler.process_deferred_many(
+            [len(batch) for batch in batches],
+            lambda items, _size: ListBatch(items),
+            batches,
+        )
         return sampler.sample
 
     assert_uniform_items(run_one, universe, k)

@@ -7,8 +7,7 @@ from collections import Counter
 import pytest
 
 from repro.core.batch_reservoir import BatchedPredicateReservoir
-from repro.core.predicate_reservoir import PredicateReservoir
-from repro.core.skippable import ListBatch, ListStream
+from repro.core.skippable import ListBatch
 
 
 def positive(item) -> bool:
@@ -77,14 +76,38 @@ class TestEquivalenceWithUnbatched:
             for chunk in batches:
                 batched.process_batch(ListBatch(chunk))
             batched_counts.update(item for item in batched.sample)
-            plain = PredicateReservoir(k, rng=random.Random(seed + 7_000_001))
-            plain.run(ListStream(items))
+            plain = BatchedPredicateReservoir(k, rng=random.Random(seed + 7_000_001))
+            plain.process_batch(ListBatch(items))
             plain_counts.update(item for item in plain.sample)
         real_items = [value for value in items if value is not None]
         expected = trials * k / len(real_items)
         for item in real_items:
             assert abs(batched_counts[item] - expected) < 5 * math.sqrt(expected) + 5
             assert abs(plain_counts[item] - expected) < 5 * math.sqrt(expected) + 5
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_any_cut_into_batches_gives_the_same_bits(self, seed):
+        """Algorithm 1 over a stream is one batch; any cut of the stream into
+        consecutive batches makes exactly the same draws."""
+        rng = random.Random(seed)
+        k = rng.randint(1, 12)
+        items = [
+            value if rng.random() < 0.3 else None
+            for value in range(rng.randint(0, 40 * k))
+        ]
+        whole = BatchedPredicateReservoir(k, rng=random.Random(seed))
+        whole.process_batch(ListBatch(items))
+        cut = BatchedPredicateReservoir(k, rng=random.Random(seed))
+        start = 0
+        while start < len(items):
+            end = start + rng.choice([1, 2, 3, 7, 50])
+            cut.process_batch(ListBatch(items[start:end]))
+            start = end
+        assert cut.sample == whole.sample
+        assert cut._rng.getstate() == whole._rng.getstate()
+        for name in ("w", "items_total", "items_examined", "real_stops"):
+            assert getattr(cut, name) == getattr(whole, name)
+        assert cut._pending_skip == whole._pending_skip
 
 
 class TestStatistics:
@@ -103,22 +126,24 @@ class TestStatistics:
 
 class TestProcessDeferredMany:
     @staticmethod
-    def payload_batches():
-        payload = iter(range(10 ** 9))
-        return lambda _arg, size: ListBatch([next(payload) for _ in range(size)])
+    def make_batch(offset, size):
+        return ListBatch(range(offset, offset + size))
 
     @pytest.mark.parametrize("count", [5, 200])
     def test_matches_per_batch_deferred(self, count):
+        """Deferring the builds changes nothing: the same state as folding
+        every batch, built, with ``process_batch``."""
         rng = random.Random(9)
         sizes = [rng.choice([0, 1, 2, 5, 40]) for _ in range(count)]
+        offsets = [sum(sizes[:i]) for i in range(count)]
         many = BatchedPredicateReservoir(7, rng=random.Random(11))
-        many.process_deferred_many(sizes, self.payload_batches(), sizes)
+        many.process_deferred_many(sizes, self.make_batch, offsets)
         single = BatchedPredicateReservoir(7, rng=random.Random(11))
-        make_batch = self.payload_batches()
-        for size in sizes:
-            single.process_deferred(size, make_batch, size, size)
+        for offset, size in zip(offsets, sizes):
+            single.process_batch(self.make_batch(offset, size))
         assert many.sample == single.sample
         assert many.snapshot_state() == single.snapshot_state()
+        assert many._rng.getstate() == single._rng.getstate()
 
     @pytest.mark.parametrize("count", [3, 32])
     def test_astronomic_sizes_skip_wholesale(self, count):

@@ -8,7 +8,6 @@ from repro import (
     BatchedPredicateReservoir,
     DynamicJoinIndex,
     JoinQuery,
-    PredicateReservoir,
     ReservoirJoin,
 )
 from repro.core.skippable import ListBatch
@@ -84,7 +83,7 @@ class TestInputValidation:
 
     def test_predicate_reservoir_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            PredicateReservoir(0)
+            BatchedPredicateReservoir(0)
         with pytest.raises(ValueError):
             BatchedPredicateReservoir(-1)
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
 from repro import BatchIngestor, PredicateStreamSampler, prefetched
 from repro.core.skippable import is_real
+from repro.ingest.checkpoint import CODEC
 from repro.relational.stream import chunk_stream
 from repro.workloads.strings import EditDistancePredicate, string_stream
 
@@ -66,6 +69,59 @@ def test_same_chunking_same_seed_is_bit_identical():
     BatchIngestor(first, chunk_size=16).ingest(stream)
     BatchIngestor(second, chunk_size=16).ingest(stream)
     assert first.sample == second.sample
+
+
+def test_every_chunking_gives_the_same_bits():
+    """The pending skip carries over chunk boundaries, so the chunk size
+    changes no draw: the same sample and the same RNG state."""
+    stream, _, fresh = make_case()
+    runs = []
+    for chunk_size in (1, 7, 32, len(stream)):
+        sampler = PredicateStreamSampler(12, fresh(), rng=random.Random(5))
+        BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
+        stats = sampler.statistics()
+        del stats["chunks_processed"]
+        runs.append((sampler.sample, sampler._rng.getstate(), stats))
+    assert all(run == runs[-1] for run in runs)
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_snapshot_without_a_pending_skip_restores():
+    """A checkpoint whose snapshot predates the carried-over pending skip
+    (it records ``stops`` and no ``pending_skip``; taken after the first 96
+    tuples of ``make_case()`` in chunks of 32) restores, and its next chunk
+    draws exactly what the version that wrote it drew: the digests were
+    recorded by restoring the same file there and ingesting the same chunk.
+    """
+    path = Path(__file__).parent / "data" / "predicate.checkpoint"
+    state = CODEC.load(path)["state"]["backend"]["state"]
+    assert "pending_skip" not in state and state["stops"] == 65
+    stream, _, _ = make_case()
+    resumed = BatchIngestor.restore(path)
+    assert resumed.sampler.statistics()["stops"] == 65
+    resumed.ingest_batch(stream[96:128])
+    sampler = resumed.sampler
+    assert _digest(sampler.sample) == (
+        "31bd4b91e772cfb51113550b16fd782b97a4c7c38d7d34fd0f7349fa64a0655a"
+    )
+    assert _digest(sampler._rng.getstate()) == (
+        "cd843c9cc89e6203179f82a811b48da32ebefaee07c5d3b61cff79c9ab62316e"
+    )
+    assert sampler.statistics() == {
+        "k": 12,
+        "sample_size": 12,
+        "tuples_processed": 128,
+        "chunks_processed": 4,
+        "stops": 73,
+        "real_stops": 25,
+        "predicate_evaluations": 73,
+    }
+    # From here on it is an ordinary sampler: its own snapshot round-trips.
+    restored = PredicateStreamSampler.from_snapshot(sampler.snapshot_state())
+    assert restored.snapshot_state() == sampler.snapshot_state()
 
 
 def test_spawn_builds_independent_replicas_sharing_the_predicate():

@@ -1,4 +1,8 @@
-"""Tests for the classic and skip-based reservoir samplers (Section 3.1)."""
+"""Tests for the classic and skip-based reservoir samplers (Section 3.1).
+
+Li's Algorithm L is the skip-based reservoir with an always-true predicate:
+one :class:`BatchedPredicateReservoir` run per stream.
+"""
 
 import math
 import random
@@ -6,8 +10,14 @@ from collections import Counter
 
 import pytest
 
-from repro.core.reservoir import ReservoirSampler, SkipReservoirSampler, geometric_skip
-from repro.core.skippable import ListStream
+from repro.core.batch_reservoir import BatchedPredicateReservoir
+from repro.core.reservoir import ReservoirSampler, geometric_skip
+from repro.core.skippable import ListBatch
+
+
+def algorithm_l(k, rng=None):
+    """Algorithm L: the skip-based reservoir where every item is real."""
+    return BatchedPredicateReservoir(k, predicate=lambda item: True, rng=rng)
 
 
 class TestGeometricSkip:
@@ -69,25 +79,24 @@ class TestReservoirSampler:
 class TestSkipReservoirSampler:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(ValueError):
-            SkipReservoirSampler(0)
+            algorithm_l(0)
 
     def test_small_stream_kept_entirely(self):
-        sampler = SkipReservoirSampler(10, random.Random(0))
-        sampler.run(ListStream(list(range(5))))
+        sampler = algorithm_l(10, random.Random(0))
+        sampler.process_batch(ListBatch(range(5)))
         assert sorted(sampler.sample) == [0, 1, 2, 3, 4]
 
     def test_examines_far_fewer_items_than_stream_length(self):
-        stream = ListStream(list(range(100_000)))
-        sampler = SkipReservoirSampler(20, random.Random(1))
-        sampler.run(stream)
+        sampler = algorithm_l(20, random.Random(1))
+        sampler.process_batch(ListBatch(range(100_000)))
         assert len(sampler) == 20
         # O(k log(N/k)) examined items: generously bounded here.
-        assert stream.items_examined < 5000
+        assert sampler.items_examined < 5000
 
     def test_multiple_runs_continue_the_same_stream(self):
-        sampler = SkipReservoirSampler(5, random.Random(2))
-        sampler.run(ListStream(list(range(0, 50))))
-        sampler.run(ListStream(list(range(50, 100))))
+        sampler = algorithm_l(5, random.Random(2))
+        sampler.process_batch(ListBatch(range(0, 50)))
+        sampler.process_batch(ListBatch(range(50, 100)))
         assert len(sampler) == 5
         assert all(0 <= item < 100 for item in sampler.sample)
 
@@ -96,8 +105,8 @@ class TestSkipReservoirSampler:
         universe, k = 15, 3
         counts = Counter()
         for seed in range(trials):
-            sampler = SkipReservoirSampler(k, random.Random(seed))
-            sampler.run(ListStream(list(range(universe))))
+            sampler = algorithm_l(k, random.Random(seed))
+            sampler.process_batch(ListBatch(range(universe)))
             counts.update(sampler.sample)
         expected = trials * k / universe
         for item in range(universe):
@@ -109,8 +118,8 @@ class TestSkipReservoirSampler:
         skip_hits = 0
         classic_hits = 0
         for seed in range(trials):
-            skip_sampler = SkipReservoirSampler(k, random.Random(seed))
-            skip_sampler.run(ListStream(list(range(universe))))
+            skip_sampler = algorithm_l(k, random.Random(seed))
+            skip_sampler.process_batch(ListBatch(range(universe)))
             skip_hits += universe - 1 in skip_sampler.sample
             classic = ReservoirSampler(k, random.Random(seed + 999_983))
             classic.process_many(range(universe))

@@ -1,8 +1,11 @@
-"""Tests for the stream/batch protocols."""
+"""Tests for the batch protocol."""
+
+import random
 
 import pytest
 
-from repro.core.skippable import END_OF_STREAM, FunctionBatch, ListBatch, ListStream, is_real
+from repro.core.batch_reservoir import BatchedPredicateReservoir
+from repro.core.skippable import FunctionBatch, ListBatch, is_real
 
 
 class TestIsReal:
@@ -12,51 +15,44 @@ class TestIsReal:
         assert is_real({"x": 1})
 
 
-class TestListStream:
-    def test_next_and_skip(self):
-        stream = ListStream([10, 11, 12, 13, 14])
-        assert stream.next() == 10
-        assert stream.skip(2) == 13
-        assert stream.position == 4
-        assert stream.next() == 14
-        assert stream.next() is END_OF_STREAM
-
-    def test_skip_past_end(self):
-        stream = ListStream([1, 2])
-        assert stream.skip(10) is END_OF_STREAM
-        assert stream.next() is END_OF_STREAM
-
-    def test_negative_skip_rejected(self):
-        with pytest.raises(ValueError):
-            ListStream([1]).skip(-1)
-
-    def test_items_examined_counts_only_returned(self):
-        stream = ListStream(list(range(100)))
-        stream.skip(50)
-        stream.skip(48)
-        assert stream.items_examined == 2
-
-    def test_none_items_are_returned_not_treated_as_end(self):
-        stream = ListStream([None, 1])
-        assert stream.next() is None
-        assert stream.next() == 1
-        assert stream.next() is END_OF_STREAM
-
-
 class TestListBatch:
     def test_remain_and_len(self):
         batch = ListBatch([1, 2, 3])
         assert len(batch) == 3
         assert batch.remain() == 3
-        batch.next()
+        batch.skip(0)
         assert batch.remain() == 2
         batch.skip(1)
         assert batch.remain() == 0
 
-    def test_skip_past_end_exhausts(self):
-        batch = ListBatch([1, 2])
-        assert batch.skip(5) is END_OF_STREAM
+    def test_next_and_skip(self):
+        batch = ListBatch([10, 11, 12, 13, 14])
+        assert batch.skip(0) == 10      # next()
+        assert batch.skip(2) == 13
+        assert batch.remain() == 1
+        assert batch.skip(0) == 14
         assert batch.remain() == 0
+
+    def test_skip_past_end_raises(self):
+        batch = ListBatch([1, 2])
+        with pytest.raises(IndexError):
+            batch.skip(2)
+        # A failed skip consumes nothing.
+        assert batch.remain() == 2
+        assert batch.skip(1) == 2
+        with pytest.raises(IndexError):
+            batch.skip(0)
+
+    def test_negative_skip_rejected(self):
+        with pytest.raises(ValueError):
+            ListBatch([1]).skip(-1)
+
+    def test_none_items_are_returned_not_treated_as_end(self):
+        batch = ListBatch([None, 1])
+        assert batch.skip(0) is None
+        assert batch.skip(0) == 1
+        with pytest.raises(IndexError):
+            batch.skip(0)
 
 
 class TestFunctionBatch:
@@ -69,7 +65,7 @@ class TestFunctionBatch:
 
         batch = FunctionBatch(6, retrieve)
         assert len(batch) == 6
-        assert batch.next() == 0        # position 0
+        assert batch.skip(0) == 0       # position 0
         assert batch.skip(1) == 20      # skips position 1, returns position 2
         assert batch.skip(0) is None    # position 3 is a dummy
         assert calls == [0, 2, 3]
@@ -81,11 +77,14 @@ class TestFunctionBatch:
     def test_zero_size_batch(self):
         batch = FunctionBatch(0, lambda position: position)
         assert batch.remain() == 0
-        assert batch.next() is END_OF_STREAM
+        with pytest.raises(IndexError):
+            batch.skip(0)
 
     def test_items_examined(self):
-        batch = FunctionBatch(100, lambda position: position)
-        batch.skip(10)
-        batch.skip(50)
-        batch.skip(100)
-        assert batch.items_examined == 2
+        # The reservoir counts exactly the positions it retrieves.
+        calls = []
+        batch = FunctionBatch(100_000, lambda position: calls.append(position) or position)
+        reservoir = BatchedPredicateReservoir(5, rng=random.Random(1))
+        reservoir.process_batch(batch)
+        assert reservoir.items_examined == len(calls) == len(set(calls))
+        assert 5 <= len(calls) < 1000

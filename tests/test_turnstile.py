@@ -626,6 +626,34 @@ def test_windowed_netted_item_still_advances_the_watermark():
     assert sampler.statistics()["expirations"] == 1
 
 
+@pytest.mark.parametrize("how", ["delete", "delete_batch", "ingest_batch", "same_chunk"])
+def test_windowed_delete_drops_the_stamp(how):
+    """A re-insert after an explicit delete is a new incarnation: it ages
+    from its own timestamp, not from the deleted incarnation's newer one."""
+    sampler = WindowedSampler(
+        TWO, k=10, window=10, rng=random.Random(0), mode="timestamp"
+    )
+    sampler.ingest_batch([StreamTuple("R", (1, 1), timestamp=20)])
+    reinsert = StreamTuple("R", (1, 1), timestamp=12)
+    if how == "delete":
+        sampler.delete("R", (1, 1))
+    elif how == "delete_batch":
+        sampler.delete_batch([("R", (1, 1))])
+    elif how == "ingest_batch":
+        sampler.ingest_batch([StreamDelete("R", (1, 1))])
+    if how == "same_chunk":
+        sampler.ingest_batch([StreamDelete("R", (1, 1)), reinsert])
+    else:
+        assert sampler._stamps == {}
+        sampler.ingest_batch([reinsert])
+    assert sampler._stamps == {("R", (1, 1)): 12}
+    # The watermark moves to 25: horizon 15 is past the re-insert's 12.
+    sampler.ingest_batch([StreamTuple("S", (1, 7), timestamp=25)])
+    assert (1, 1) not in sampler.index.database["R"]
+    assert sampler._stamps == {("S", (1, 7)): 25}
+    sampler.check_invariants()
+
+
 def test_windowed_timestamp_out_of_order_checkpoint_roundtrip(tmp_path):
     """Save/restore straddling out-of-order admissions replays identically —
     the admission-log heap (with its tie-break sequence) rides the snapshot."""
