@@ -99,20 +99,27 @@ def assert_surviving_state(query: JoinQuery, stream) -> None:
         )
 
 
-def final_statistics(make_sampler, stream) -> Dict[str, int]:
-    sampler = make_sampler()
-    BatchIngestor(sampler, chunk_size=CHUNK_SIZE).ingest(stream)
-    return sampler.statistics()
-
-
 def run_insert_only(query: JoinQuery, inserts) -> None:
     sampler = ReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
     BatchIngestor(sampler, chunk_size=CHUNK_SIZE).ingest(inserts)
 
 
-def run_turnstile(query: JoinQuery, stream) -> None:
+def run_turnstile(
+    query: JoinQuery, stream, chunk_size: int = CHUNK_SIZE
+) -> TurnstileReservoirJoin:
     sampler = TurnstileReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
-    BatchIngestor(sampler, chunk_size=CHUNK_SIZE).ingest(stream)
+    BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
+    return sampler
+
+
+def run_windowed(
+    query: JoinQuery, stream, window: int, chunk_size: int = CHUNK_SIZE
+) -> WindowedSampler:
+    sampler = WindowedSampler(
+        query, SAMPLE_SIZE, window=window, rng=random.Random(1), mode="count"
+    )
+    BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
+    return sampler
 
 
 def per_delete(query: JoinQuery, n: int) -> Dict[str, float]:
@@ -121,10 +128,7 @@ def per_delete(query: JoinQuery, n: int) -> Dict[str, float]:
     inserts, stream = make_streams(n)
     insert_only = min(timed(lambda: run_insert_only(query, inserts)) for _ in range(REPEATS))
     turnstile = min(timed(lambda: run_turnstile(query, stream)) for _ in range(REPEATS))
-    deletes_applied = final_statistics(
-        lambda: TurnstileReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1)),
-        stream,
-    )["deletes_applied"]
+    deletes_applied = run_turnstile(query, stream).statistics()["deletes_applied"]
     return {
         "n_inserts": n,
         "deletes_applied": deletes_applied,
@@ -132,6 +136,35 @@ def per_delete(query: JoinQuery, n: int) -> Dict[str, float]:
         "turnstile_seconds": turnstile,
         "per_delete_us": round((turnstile - insert_only) / deletes_applied * 1e6, 2),
     }
+
+
+# --------------------------------------------------------------------- #
+# pytest-benchmark targets (reduced scale: 2,000 inserts, 128-item chunks)
+# --------------------------------------------------------------------- #
+SMOKE_INSERTS = 2_000
+SMOKE_CHUNK = 128
+
+
+def test_turnstile_batched(benchmark):
+    query = two_table_query()
+    _, stream = make_streams(SMOKE_INSERTS)
+    sampler = benchmark.pedantic(
+        lambda: run_turnstile(query, stream, SMOKE_CHUNK), rounds=1, iterations=1
+    )
+    assert sampler.statistics()["evictions"] > 0
+    sampler.check_invariants()
+
+
+def test_windowed_batched(benchmark):
+    query = two_table_query()
+    _, stream = make_streams(SMOKE_INSERTS)
+    sampler = benchmark.pedantic(
+        lambda: run_windowed(query, stream, len(stream) // 4, SMOKE_CHUNK),
+        rounds=1,
+        iterations=1,
+    )
+    assert sampler.statistics()["expirations"] > 0
+    sampler.check_invariants()
 
 
 def main() -> None:
@@ -143,12 +176,6 @@ def main() -> None:
     assert_surviving_state(query, stream)
 
     window = max(2 * CHUNK_SIZE, len(stream) // 4)
-
-    def run_windowed():
-        sampler = WindowedSampler(
-            query, SAMPLE_SIZE, window=window, rng=random.Random(1), mode="count"
-        )
-        BatchIngestor(sampler, chunk_size=CHUNK_SIZE).ingest(stream)
 
     def run_sharded():
         ingestor = ShardedIngestor(
@@ -163,19 +190,11 @@ def main() -> None:
     per_delete_rows = [per_delete(query, n) for n in PER_DELETE_SIZES]
     insert_only = per_delete_rows[0]["insert_only_seconds"]
     turnstile = per_delete_rows[0]["turnstile_seconds"]
-    windowed = min(timed(run_windowed) for _ in range(REPEATS))
+    windowed = min(timed(lambda: run_windowed(query, stream, window)) for _ in range(REPEATS))
     sharded = min(timed(run_sharded) for _ in range(REPEATS))
 
-    turnstile_stats = final_statistics(
-        lambda: TurnstileReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1)),
-        stream,
-    )
-    windowed_stats = final_statistics(
-        lambda: WindowedSampler(
-            query, SAMPLE_SIZE, window=window, rng=random.Random(1), mode="count"
-        ),
-        stream,
-    )
+    turnstile_stats = run_turnstile(query, stream).statistics()
+    windowed_stats = run_windowed(query, stream, window).statistics()
 
     n = len(stream)
     modes: List[Dict] = [

@@ -59,10 +59,10 @@ Every sampler supports three interchangeable ways of consuming a stream:
   survivors and re-anchors the skip state — so the reservoir stays exactly
   uniform over the *surviving* join results at every boundary.  A delete
   arriving before its insert plants a tombstone that annihilates the later
-  insert.  ``WindowedSampler(query, k, window)`` builds sliding-window
-  sampling on top: rows older than ``window`` (a count of stream items, or
-  a timestamp horizon with ``mode="timestamp"``) are retracted automatically
-  at chunk boundaries.  Both conform to the same backend seam, so they
+  insert.  Its subclass ``WindowedSampler(query, k, window)`` adds
+  sliding-window sampling: rows older than ``window`` (a count of stream
+  items, or a timestamp horizon with ``mode="timestamp"``) are retracted
+  automatically at chunk boundaries.  Both conform to the same backend seam, so they
   compose with every mode below — sharded (retractions are hash-routed to
   the owning shard; broadcast relations broadcast their deletes),
   checkpoint/restore and serving.  Use them for feeds with

@@ -207,7 +207,6 @@ class SJoin(PerTupleBatchMixin):
         foreign_key: bool = False,
     ) -> None:
         self.original_query = query
-        self._foreign_key = foreign_key
         self.k = k
         self._rng = rng if rng is not None else random.Random()
         self._combiner: Optional[ForeignKeyCombiner] = None
@@ -235,12 +234,13 @@ class SJoin(PerTupleBatchMixin):
     # ------------------------------------------------------------------ #
     def insert(self, relation: str, row: Sequence) -> None:
         """Process one stream tuple (original relation names)."""
-        self.tuples_processed += 1
         if self._combiner is not None:
             for item in self._combiner.process(StreamTuple(relation, tuple(row))):
                 self._insert_rewritten(item.relation, item.row)
-            return
-        self._insert_rewritten(relation, tuple(row))
+        else:
+            self._insert_rewritten(relation, tuple(row))
+        # Counted only once absorbed: a rejected tuple leaves no trace.
+        self.tuples_processed += 1
 
     def _insert_rewritten(self, relation: str, row: tuple) -> None:
         if not self.database.insert(relation, row):
@@ -251,12 +251,6 @@ class SJoin(PerTupleBatchMixin):
         tree = self.trees[relation]
         self.reservoir.process_deferred_many(
             [tree.delta_batch_size(row)], tree.delta_batch, [row]
-        )
-
-    def spawn(self, rng: Optional[random.Random] = None) -> "SJoin":
-        """A fresh, empty replica of this sampler driven by ``rng``."""
-        return SJoin(
-            self.original_query, self.k, rng=rng, foreign_key=self._foreign_key
         )
 
     def process(self, stream) -> "SJoin":

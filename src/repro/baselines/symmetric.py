@@ -48,18 +48,15 @@ class SymmetricHashJoinSampler(PerTupleBatchMixin):
 
     def insert(self, relation: str, row: Sequence) -> None:
         """Process one stream tuple."""
-        self.tuples_processed += 1
         row = tuple(row)
-        if not self.database.insert(relation, row):
+        if self.database.insert(relation, row):
+            for result in iter_delta_results(self.query, self.database, relation, row):
+                self.total_join_size += 1
+                self.reservoir.process(result)
+        else:
             self.duplicates_ignored += 1
-            return
-        for result in iter_delta_results(self.query, self.database, relation, row):
-            self.total_join_size += 1
-            self.reservoir.process(result)
-
-    def spawn(self, rng: Optional[random.Random] = None) -> "SymmetricHashJoinSampler":
-        """A fresh, empty replica of this sampler driven by ``rng``."""
-        return SymmetricHashJoinSampler(self.query, self.k, rng=rng)
+        # Counted only once absorbed: a rejected tuple leaves no trace.
+        self.tuples_processed += 1
 
     def process(self, stream: Iterable[StreamTuple]) -> "SymmetricHashJoinSampler":
         """Process a whole stream of :class:`StreamTuple`."""

@@ -1,13 +1,14 @@
 """The :class:`SamplerBackend` protocol: what the ingestion seam asks of a sampler.
 
 Every sampler in this repository — :class:`~repro.core.reservoir_join
-.ReservoirJoin`, :class:`~repro.cyclic.cyclic_join.CyclicReservoirJoin` and
-the two baselines (SJoin and the symmetric hash join) — maintains its
-reservoir through the same small interface: per-tuple ``insert``, a chunk
-method ``insert_batch``, the ``sample`` property, ``statistics()``.  This module is the one place that
-knows the interface, so the ingestors (and anything else that drives
-samplers) share a single probe, a single per-tuple adapter, and a single
-seed-derivation rule.
+.ReservoirJoin` and its turnstile and sliding-window subclasses,
+:class:`~repro.cyclic.cyclic_join.CyclicReservoirJoin`, the predicate
+stream sampler and the two baselines (SJoin and the symmetric hash join) —
+maintains its reservoir through the same small interface: per-tuple
+``insert``, a chunk method ``insert_batch``, the ``sample`` property,
+``statistics()``.  This module is the one place that knows the interface,
+so the ingestors (and anything else that drives samplers) share a single
+probe, a single per-tuple adapter, and a single seed-derivation rule.
 
 Four layers of service:
 
@@ -80,10 +81,6 @@ class SamplerBackend(Protocol):
     ``reservoir``
         The :class:`~repro.core.batch_reservoir.BatchedPredicateReservoir`
         behind ``sample``, whose running ``w`` the sharded merge reads.
-    ``spawn(rng)``
-        Replica cloning: a fresh, empty, identically configured sampler
-        driven by ``rng`` — what custom shard factories and the serving
-        layer's frozen predicate views build replicas from.
     ``snapshot_state()`` / ``restore_state(state)`` / ``from_snapshot(state)``
         Durability: a versioned, self-describing snapshot of the backend's
         complete resumable state (stored relation rows, reservoir contents,

@@ -94,11 +94,6 @@ class BatchedPredicateReservoir(Generic[T]):
         seen, ``inf`` until the reservoir first fills."""
         return self._w
 
-    @property
-    def is_full(self) -> bool:
-        """Whether the reservoir holds ``k`` items."""
-        return len(self._sample) >= self.k
-
     def __len__(self) -> int:
         return len(self._sample)
 

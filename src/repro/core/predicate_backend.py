@@ -20,8 +20,7 @@ sample and the same RNG state under the same seed.
 The adapter deliberately exposes **no** ``query`` and **no** ``index``:
 there is no join to hash-partition or count, so the sharded modes
 cannot host it (the workload gauntlet records those cells as structural
-skips).  Batched and checkpoint modes both apply, and ``spawn``
-builds the replicas of the serving layer's predicate views.
+skips).  Batched and checkpoint modes both apply.
 """
 
 from __future__ import annotations
@@ -141,19 +140,6 @@ class PredicateStreamSampler:
         if evaluations is not None:
             stats["predicate_evaluations"] = evaluations
         return stats
-
-    # ------------------------------------------------------------------ #
-    # Replica cloning (the spawn capability; custom shard factories use it)
-    # ------------------------------------------------------------------ #
-    def spawn(self, rng: Optional[random.Random] = None) -> "PredicateStreamSampler":
-        """A fresh, empty, identically configured replica driven by ``rng``.
-
-        The predicate object is shared (it is configuration, not sampler
-        state) — a stateful predicate's counters, e.g.
-        ``EditDistancePredicate.evaluations``, then aggregate across
-        replicas.
-        """
-        return PredicateStreamSampler(self.k, self.predicate, rng=rng)
 
     # ------------------------------------------------------------------ #
     # Durability (the snapshot capability)

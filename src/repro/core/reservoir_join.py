@@ -67,7 +67,8 @@ class ReservoirJoin:
         self.original_query = query
         self.k = k
         self._rng = rng if rng is not None else random.Random()
-        # Remembered so spawn() can clone an identically configured replica.
+        # Written into every snapshot, so from_snapshot() rebuilds an
+        # identically configured sampler.
         self._config = {
             "grouping": grouping,
             "foreign_key": foreign_key,
@@ -99,13 +100,14 @@ class ReservoirJoin:
         ``relation`` refers to the *original* query's relation names even
         when the foreign-key optimisation rewrote the query.
         """
-        self.tuples_processed += 1
         if self._combiner is not None:
             rewritten = self._combiner.process(StreamTuple(relation, tuple(row)))
             for item in rewritten:
                 self._insert_rewritten(item.relation, item.row)
-            return
-        self._insert_rewritten(relation, tuple(row))
+        else:
+            self._insert_rewritten(relation, tuple(row))
+        # Counted only once absorbed: a rejected tuple leaves no trace.
+        self.tuples_processed += 1
 
     def _insert_rewritten(self, relation: str, row: tuple) -> None:
         if not self.index.insert(relation, row):
@@ -169,16 +171,6 @@ class ReservoirJoin:
         for item in stream:
             self.insert(item.relation, item.row)
         return self
-
-    def spawn(self, rng: Optional[random.Random] = None) -> "ReservoirJoin":
-        """A fresh, empty, identically configured replica driven by ``rng``.
-
-        The replica-cloning capability of the
-        :class:`~repro.core.backend.SamplerBackend` protocol: a custom
-        shard factory can build its replicas through this, handing each its
-        own RNG so replica randomness is independent and reproducible.
-        """
-        return ReservoirJoin(self.original_query, self.k, rng=rng, **self._config)
 
     # ------------------------------------------------------------------ #
     # Durability (the SamplerBackend snapshot capability)

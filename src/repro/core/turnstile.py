@@ -113,12 +113,16 @@ class TurnstileReservoirJoin(ReservoirJoin):
 
     Differences from the insert-only sampler:
 
-    * ``maintain_root`` is forced on — eviction refills walk the padded
-      full-join array (see the module docstring);
-    * the foreign-key combiner is rejected — it rewrites tuples into merged
-      relations, and retracting a merged row is not well defined;
+    * it takes no ``maintain_root`` flag: the full-join structure is always
+      maintained, because eviction refills walk the padded full-join array
+      (see the module docstring);
+    * it takes no ``foreign_key`` flag: the combiner is always off, because
+      it merges tuples across relations and a merged row cannot be
+      retracted;
     * deletes of absent rows become pending tombstones that annihilate the
       matching later insert (see "Tombstone lifecycle" above).
+
+    :class:`WindowedSampler` is this sampler with retraction by age on top.
     """
 
     def __init__(
@@ -127,26 +131,11 @@ class TurnstileReservoirJoin(ReservoirJoin):
         k: int,
         rng: Optional[random.Random] = None,
         grouping: bool = False,
-        foreign_key: bool = False,
-        maintain_root: bool = True,
     ) -> None:
-        if foreign_key:
-            raise ValueError(
-                "the foreign-key combiner is insert-only (it merges tuples "
-                "across relations); TurnstileReservoirJoin requires "
-                "foreign_key=False"
-            )
-        if not maintain_root:
-            raise ValueError(
-                "TurnstileReservoirJoin requires maintain_root=True: "
-                "eviction refills sample the surviving full join"
-            )
         super().__init__(
             query, k, rng=rng, grouping=grouping, foreign_key=False, maintain_root=True
         )
-        # spawn()/from_snapshot() rebuild through this; foreign_key and
-        # maintain_root are forced by the constructor, so only grouping is a
-        # free parameter.
+        # Written into every snapshot; the two other flags are fixed above.
         self._config = {"grouping": grouping}
         self._pending: Dict[Tuple[str, tuple], int] = {}
         self.deletes_applied = 0
@@ -361,12 +350,8 @@ class TurnstileReservoirJoin(ReservoirJoin):
         return t
 
     # ------------------------------------------------------------------ #
-    # Replication and durability
+    # Durability
     # ------------------------------------------------------------------ #
-    def spawn(self, rng: Optional[random.Random] = None) -> "TurnstileReservoirJoin":
-        """A fresh, empty, identically configured turnstile replica."""
-        return type(self)(self.original_query, self.k, rng=rng, **self._config)
-
     def snapshot_state(self) -> Dict[str, object]:
         state = super().snapshot_state()
         state["pending_tombstones"] = [
@@ -439,10 +424,10 @@ class TurnstileReservoirJoin(ReservoirJoin):
         return stats
 
 
-class WindowedSampler:
+class WindowedSampler(TurnstileReservoirJoin):
     """Sliding-window uniform sampling over joins.
 
-    Wraps a :class:`TurnstileReservoirJoin` and retracts rows by age: after
+    A :class:`TurnstileReservoirJoin` that also retracts rows by age: after
     every chunk boundary the reservoir is a uniform sample of the join of
     the rows still inside the window.  Two window notions:
 
@@ -467,10 +452,13 @@ class WindowedSampler:
     the admission log is a lazily invalidated min-heap ordered by stamp:
     entries are popped while the heap top is at or behind the horizon, and
     entries superseded by a newer admission of the same row are skipped.
-    The resulting retractions go through the inner sampler's delete path, so
-    the eviction/uniformity argument above covers window expiry too.
-    Explicit :class:`~repro.relational.stream.StreamDelete` items compose
-    with the window (a turnstile stream can also be windowed).
+    The resulting retractions go through the turnstile delete path, so the
+    eviction/uniformity argument above covers window expiry too.  Explicit
+    :class:`~repro.relational.stream.StreamDelete` items compose with the
+    window (a turnstile stream can also be windowed).  Every entry point
+    the base class offers — ``insert``, ``insert_batch``, ``delete``,
+    ``delete_batch``, ``ingest_batch`` and ``process`` — reaches the window
+    through :meth:`ingest_batch` or :meth:`delete_batch`.
     """
 
     def __init__(
@@ -486,10 +474,9 @@ class WindowedSampler:
             raise ValueError("window must be positive")
         if mode not in ("count", "timestamp"):
             raise ValueError(f"unknown window mode {mode!r}")
+        super().__init__(query, k, rng=rng, grouping=grouping)
         self.window = window
         self.mode = mode
-        self._inner = TurnstileReservoirJoin(query, k, rng=rng, grouping=grouping)
-        self._config = {"mode": mode, "grouping": grouping}
         #: newest admission stamp per live-or-refreshed (relation, row).
         self._stamps: Dict[Tuple[str, tuple], int] = {}
         #: admission log: a min-heap of ``(stamp, seq, relation, row)``
@@ -500,43 +487,6 @@ class WindowedSampler:
         self._clock = 0
         self._watermark = 0
         self.expirations = 0
-
-    # -- identity the ingestion seam reads ----------------------------- #
-    @property
-    def original_query(self) -> JoinQuery:
-        return self._inner.original_query
-
-    @property
-    def query(self) -> JoinQuery:
-        return self._inner.query
-
-    @property
-    def k(self) -> int:
-        return self._inner.k
-
-    @property
-    def index(self):
-        return self._inner.index
-
-    @property
-    def reservoir(self):
-        return self._inner.reservoir
-
-    @property
-    def sample(self) -> List[dict]:
-        return self._inner.sample
-
-    @property
-    def sample_size(self) -> int:
-        return self._inner.sample_size
-
-    @property
-    def tuples_processed(self) -> int:
-        return self._inner.tuples_processed
-
-    @property
-    def duplicates_ignored(self) -> int:
-        return self._inner.duplicates_ignored
 
     # ------------------------------------------------------------------ #
     # Streaming interface
@@ -593,16 +543,14 @@ class WindowedSampler:
             del self._stamps[key]
             # Annihilated or explicitly deleted rows are no longer live;
             # retracting them again would plant a spurious tombstone.
-            if row in self._inner.index.database[relation]:
+            if row in self.index.database[relation]:
                 expired.append(key)
         if expired:
-            self._inner.delete_batch(expired)
+            # The turnstile delete path itself: this class's override would
+            # expire again.
+            TurnstileReservoirJoin.delete_batch(self, expired)
             self.expirations += len(expired)
         return len(expired)
-
-    def insert(self, relation: str, row: Sequence) -> None:
-        """Absorb one insert; the window advances and expires immediately."""
-        self.ingest_batch([(relation, tuple(row))])
 
     def _forget(self, item) -> None:
         """Drop the stamp of an explicitly deleted row: a later re-insert is
@@ -613,13 +561,23 @@ class WindowedSampler:
             relation, row = item
             self._stamps.pop((relation, tuple(row)), None)
 
-    def delete(self, relation: str, row: Sequence) -> bool:
-        """Explicit retraction, composed with the window."""
-        return self.delete_batch([(relation, row)]) == 1
+    def insert_batch(self, items: Iterable) -> int:
+        """Absorb an insert-only chunk through :meth:`ingest_batch`, so its
+        rows are stamped and expire; a
+        :class:`~repro.relational.stream.StreamDelete` raises ``TypeError``
+        before any state changes."""
+        items = list(items)
+        if any(isinstance(item, StreamDelete) for item in items):
+            raise TypeError(
+                "insert_batch received a StreamDelete; use ingest_batch for "
+                "mixed turnstile chunks"
+            )
+        return self.ingest_batch(items)
 
     def delete_batch(self, items: Iterable) -> int:
+        """Explicit retractions, composed with the window."""
         items = list(items)
-        removed = self._inner.delete_batch(items)
+        removed = super().delete_batch(items)
         for item in items:
             self._forget(item)
         self._expire()
@@ -628,15 +586,15 @@ class WindowedSampler:
     def ingest_batch(self, items: Sequence) -> int:
         """Absorb one mixed chunk, then expire rows that left the window.
 
-        The inner sampler validates the chunk before the window stamps it,
+        The turnstile fold validates the chunk before the window stamps it,
         so a rejected chunk leaves the window untouched too.  Every insert
         item advances the window's clock; only the rows live after the
         chunk are stamped.  A delete drops the row's stamp, so an insert
         after it in the chunk stamps the row afresh.
         """
         items = list(items)
-        absorbed = self._inner.ingest_batch(items)
-        database = self._inner.index.database
+        absorbed = super().ingest_batch(items)
+        database = self.index.database
         for item in items:
             if isinstance(item, StreamDelete):
                 self._forget(item)
@@ -645,23 +603,12 @@ class WindowedSampler:
         self._expire()
         return absorbed
 
-    def process(self, stream: Iterable) -> "WindowedSampler":
-        """Process a whole stream item by item; returns ``self``."""
-        for item in stream:
-            self.ingest_batch([item])
-        return self
-
     # ------------------------------------------------------------------ #
-    # Replication and durability
+    # Durability
     # ------------------------------------------------------------------ #
-    def spawn(self, rng: Optional[random.Random] = None) -> "WindowedSampler":
-        """A fresh, empty, identically configured windowed replica."""
-        return type(self)(
-            self.original_query, self.k, self.window, rng=rng, **self._config
-        )
-
     def snapshot_state(self) -> Dict[str, object]:
-        """Complete resumable state: inner sampler plus the window clock.
+        """Complete resumable state: the turnstile snapshot (``inner``) plus
+        the window clock.
 
         Restoring and continuing is bit-identical to never having paused —
         the admission log, stamps, clock and watermark all ride along.
@@ -684,7 +631,7 @@ class WindowedSampler:
             ],
             "log_seq": self._log_seq,
             "expirations": self.expirations,
-            "inner": self._inner.snapshot_state(),
+            "inner": super().snapshot_state(),
         }
 
     def restore_state(self, state: Dict[str, object]) -> None:
@@ -696,7 +643,7 @@ class WindowedSampler:
                 f"({state['window']}, {state['mode']!r}) does not match this "
                 f"sampler ({self.window}, {self.mode!r})"
             )
-        self._inner.restore_state(state["inner"])
+        super().restore_state(state["inner"])
         self._clock = state["clock"]
         self._watermark = state["watermark"]
         self._stamps = {
@@ -728,10 +675,9 @@ class WindowedSampler:
     # Invariants
     # ------------------------------------------------------------------ #
     def check_invariants(self) -> None:
-        """The inner sampler's ``O(N)``
-        :meth:`TurnstileReservoirJoin.check_invariants`, and every stamped
-        row lies inside the window."""
-        self._inner.check_invariants()
+        """The ``O(N)`` :meth:`TurnstileReservoirJoin.check_invariants`, and
+        every stamped row lies inside the window."""
+        super().check_invariants()
         horizon = self._horizon()
         for (relation, row), stamp in self._stamps.items():
             if stamp <= horizon:
@@ -748,7 +694,7 @@ class WindowedSampler:
         snapshot from before explicit deletes dropped their rows' stamps
         may carry a stamp of a deleted row until the window slides past it.
         """
-        database = self._inner.index.database
+        database = self.index.database
         return sum(
             1
             for relation, row in self._stamps
@@ -756,7 +702,7 @@ class WindowedSampler:
         )
 
     def statistics(self) -> Dict[str, int]:
-        stats = self._inner.statistics()
+        stats = super().statistics()
         stats.update(
             window=self.window,
             rows_in_window=self.rows_in_window,

@@ -122,7 +122,7 @@ class CyclicReservoirJoin:
         self.query = query
         self.k = k
         self._rng = rng if rng is not None else random.Random()
-        self._grouping = grouping  # remembered so spawn() clones the config
+        self._grouping = grouping  # written into every snapshot's config
         self.ghd = ghd_for(query, ghd)
         self.bag_query = self.ghd.bag_query()
         self.index = DynamicJoinIndex(
@@ -291,18 +291,6 @@ class CyclicReservoirJoin:
         for item in stream:
             self.insert(item.relation, item.row)
         return self
-
-    def spawn(self, rng: Optional[random.Random] = None) -> "CyclicReservoirJoin":
-        """A fresh, empty replica (same query, GHD and flags) driven by ``rng``.
-
-        The replica-cloning capability of the
-        :class:`~repro.core.backend.SamplerBackend` protocol; the replica
-        reuses this sampler's (deterministically chosen or hand-crafted)
-        GHD, so replicas enumerate bags identically.
-        """
-        return CyclicReservoirJoin(
-            self.query, self.k, rng=rng, ghd=self.ghd, grouping=self._grouping
-        )
 
     # ------------------------------------------------------------------ #
     # Durability (the SamplerBackend snapshot capability)

@@ -137,10 +137,6 @@ class BucketFamily:
         """``{exponent: number of entities}`` for the non-empty buckets."""
         return {exponent: len(bucket) for exponent, bucket in self._buckets.items()}
 
-    def total_entities(self) -> int:
-        """Number of entities across all buckets."""
-        return sum(len(bucket) for bucket in self._buckets.values())
-
     def weight_sum(self) -> int:
         """Recompute Σ 2^i·|Φ_i| from scratch (must equal ``cnt``; test hook)."""
         return sum(len(bucket) << exponent for exponent, bucket in self._buckets.items())

@@ -124,10 +124,6 @@ class ForeignKeyCombiner:
         """Whether any foreign-key combination actually happened."""
         return len(self.groups) < len(self.original_query.relations)
 
-    def group_name_of(self, relation: str) -> str:
-        """Name of the combined relation an original relation belongs to."""
-        return self._group_of[relation].name
-
     # ------------------------------------------------------------------ #
     # Stream rewriting
     # ------------------------------------------------------------------ #

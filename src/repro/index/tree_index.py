@@ -445,10 +445,6 @@ class TreeIndex:
     # ------------------------------------------------------------------ #
     # Introspection and validation (used by the test suite)
     # ------------------------------------------------------------------ #
-    def family(self, node: str, key: Tuple) -> Optional[BucketFamily]:
-        """The bucket family of ``(node, key)`` if it exists."""
-        return self._families[node].get(key)
-
     def true_degree(self, node: str, key: Tuple) -> int:
         """Ground-truth degree of ``key`` in the subtree of ``node`` (recomputed).
 

@@ -14,7 +14,6 @@ from .stream import (
     checkpoints,
     concatenate,
     interleave,
-    prefix,
     renumber,
     shuffled,
     stream_from_rows,
@@ -24,7 +23,6 @@ from .jointree import JoinTree, RootedJoinTree, TreeNode
 from .join import (
     count_results,
     delta_results,
-    delta_size,
     iter_delta_results,
     iter_join_results,
     join_results,
@@ -44,7 +42,6 @@ __all__ = [
     "checkpoints",
     "concatenate",
     "interleave",
-    "prefix",
     "renumber",
     "shuffled",
     "stream_from_rows",
@@ -57,7 +54,6 @@ __all__ = [
     "TreeNode",
     "count_results",
     "delta_results",
-    "delta_size",
     "iter_delta_results",
     "iter_join_results",
     "join_results",

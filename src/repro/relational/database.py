@@ -44,11 +44,6 @@ class Database:
         """Delete ``row`` from ``relation``; returns whether it was present."""
         return self.relations[relation].delete(row)
 
-    def insert_mapping(self, relation: str, values: Mapping[str, object]) -> bool:
-        """Insert a row given as an ``{attribute: value}`` mapping."""
-        schema = self.relations[relation].schema
-        return self.insert(relation, schema.row_from_mapping(values))
-
     def bulk_load(self, relation: str, rows: Iterable[Sequence]) -> int:
         """Insert many rows; returns the number of new rows."""
         inserted = 0

@@ -189,13 +189,6 @@ def iter_delta_results(
     yield from _extend(query, database, order[1:], 0, assignment)
 
 
-def delta_size(
-    query: JoinQuery, database: Database, relation: str, row: Sequence
-) -> int:
-    """``|ΔQ(R, t)|`` computed by enumeration."""
-    return sum(1 for _ in iter_delta_results(query, database, relation, row))
-
-
 def results_as_tuples(
     query: JoinQuery, results: Iterable[Dict[str, object]]
 ) -> List[Tuple]:

@@ -34,14 +34,6 @@ class JoinTree:
         """The rooted version of this tree with ``root`` as the root."""
         return RootedJoinTree(self, root)
 
-    def all_rootings(self) -> Dict[str, "RootedJoinTree"]:
-        """One rooted tree per relation, keyed by the root's name."""
-        return {name: self.rooted_at(name) for name in self.query.relation_names}
-
-    def neighbours(self, node: str) -> List[str]:
-        """Tree neighbours of ``node``."""
-        return list(self.adjacency[node])
-
 
 @dataclass
 class TreeNode:

@@ -67,10 +67,6 @@ class JoinQuery:
         """All relations whose schema contains ``attr``."""
         return [r for r in self.relations if attr in r.attr_set]
 
-    def shared_attrs(self, a: str, b: str) -> Tuple[str, ...]:
-        """Attributes shared by relations ``a`` and ``b`` (canonical order)."""
-        return canonical_attrs(self._by_name[a].attr_set & self._by_name[b].attr_set)
-
     def output_attrs(self) -> Tuple[str, ...]:
         """All output attributes of the join, in canonical order."""
         return canonical_attrs(self.attributes)
@@ -111,11 +107,6 @@ class JoinQuery:
         if keys:
             constraints = [KeyConstraint(rel, tuple(attrs)) for rel, attrs in keys.items()]
         return cls(name, relations, constraints)
-
-    def result_to_row(self, result: Mapping[str, object], relation: str) -> Tuple:
-        """Project a join result (attr -> value mapping) onto one relation's row."""
-        schema = self._by_name[relation]
-        return schema.row_from_mapping(result)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         rels = ", ".join(str(r) for r in self.relations)

@@ -71,10 +71,6 @@ class RelationIndex:
         """Rows whose projection equals ``key`` (empty list when none)."""
         return self._groups.get(key, [])
 
-    def group_count(self, key: Tuple) -> int:
-        """Number of rows matching ``key``."""
-        return len(self._groups.get(key, ()))
-
     def keys(self) -> Iterator[Tuple]:
         """Iterate over the distinct keys present in the index."""
         return iter(self._groups)
@@ -223,10 +219,6 @@ class Relation:
     def project(self, row: Sequence, attrs: Iterable[str]) -> Tuple:
         """Project a row of this relation onto ``attrs`` (canonical order)."""
         return self.schema.project(row, attrs)
-
-    def as_mappings(self) -> List[dict]:
-        """All rows as ``{attribute: value}`` dicts (mainly for tests/examples)."""
-        return [self.schema.row_to_mapping(row) for row in self.rows]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Relation({self.schema.name}, {len(self.rows)} rows)"

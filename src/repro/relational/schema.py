@@ -153,15 +153,6 @@ class RelationSchema:
             )
         return dict(zip(self.attrs, row))
 
-    def rename(self, name: str, mapping: Mapping[str, str]) -> "RelationSchema":
-        """Return a renamed copy of this schema.
-
-        ``mapping`` maps old attribute names to new ones; attributes not in
-        the mapping keep their names.
-        """
-        new_attrs = tuple(mapping.get(a, a) for a in self.attrs)
-        return RelationSchema(name, new_attrs)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{self.name}({', '.join(self.attrs)})"
 

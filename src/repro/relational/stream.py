@@ -305,14 +305,6 @@ def concatenate(streams: Sequence[Sequence[StreamTuple]]) -> List[StreamTuple]:
     return renumber(merged)
 
 
-def prefix(stream: Sequence[StreamTuple], fraction: float) -> List[StreamTuple]:
-    """The first ``fraction`` (0..1) of a stream."""
-    if not 0.0 <= fraction <= 1.0:
-        raise ValueError("fraction must be within [0, 1]")
-    cutoff = int(round(len(stream) * fraction))
-    return list(stream[:cutoff])
-
-
 def turnstile_stream(
     inserts: Sequence[StreamTuple],
     rng: random.Random,

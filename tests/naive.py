@@ -46,10 +46,10 @@ class NaiveRecomputeSampler(PerTupleBatchMixin):
 
     def insert(self, relation: str, row: Sequence) -> None:
         """Process one stream tuple and rebuild the sample from scratch."""
+        inserted = self.database.insert(relation, row)
         self.tuples_processed += 1
-        if not self.database.insert(relation, row):
-            return
-        self._recompute()
+        if inserted:
+            self._recompute()
 
     def _insert_pairs(self, pairs) -> int:
         """One recompute per chunk: bulk-insert, then rebuild the sample once."""
@@ -60,10 +60,6 @@ class NaiveRecomputeSampler(PerTupleBatchMixin):
         if inserted:
             self._recompute()
         return inserted
-
-    def spawn(self, rng: Optional[random.Random] = None) -> "NaiveRecomputeSampler":
-        """A fresh, empty replica of this sampler driven by ``rng``."""
-        return NaiveRecomputeSampler(self.query, self.k, rng=rng)
 
     def _recompute(self) -> None:
         results = join_results(self.query, self.database)

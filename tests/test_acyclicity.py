@@ -125,7 +125,3 @@ class TestRootedJoinTree:
     def test_unknown_root_rejected(self, line3_query):
         with pytest.raises(ValueError):
             JoinTree(line3_query).rooted_at("missing")
-
-    def test_all_rootings(self, star3_query):
-        rootings = JoinTree(star3_query).all_rootings()
-        assert set(rootings) == set(star3_query.relation_names)

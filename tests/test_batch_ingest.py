@@ -237,37 +237,9 @@ class TestBackendProtocol:
             NaiveRecomputeSampler(line3_query, 3),
         ):
             assert isinstance(sampler, SamplerBackend), type(sampler).__name__
-            for name in ("insert", "insert_batch", "statistics", "spawn"):
+            for name in ("insert", "insert_batch", "statistics"):
                 assert callable(getattr(sampler, name, None)), name
             assert hasattr(sampler, "sample")
-
-    @pytest.mark.parametrize(
-        "prototype_factory",
-        [
-            lambda q: ReservoirJoin(q, 6, rng=random.Random(0), grouping=True),
-            lambda q: CyclicReservoirJoin(q, 6, rng=random.Random(0)),
-            lambda q: SJoin(q, 6, rng=random.Random(0)),
-            lambda q: SymmetricHashJoinSampler(q, 6, rng=random.Random(0)),
-            lambda q: NaiveRecomputeSampler(q, 6, rng=random.Random(0)),
-        ],
-        ids=["acyclic", "cyclic", "sjoin", "symmetric", "naive"],
-    )
-    def test_spawn_builds_seeded_clones(self, line3_query, prototype_factory):
-        """spawn(rng) builds an empty, identically configured replica.
-
-        Parametrised over every sampler type, so each spawn() implementation
-        is exercised: two spawns under one seed ingest bit-identically, and
-        the prototype stays untouched.
-        """
-        stream = line3_stream(line3_query, 120, seed=23, domain=5)
-        prototype = prototype_factory(line3_query)
-        first = prototype.spawn(random.Random(31))
-        second = prototype.spawn(random.Random(31))
-        assert first is not prototype
-        for replica in (first, second):
-            BatchIngestor(replica, chunk_size=16).ingest(stream)
-        assert first.sample and first.sample == second.sample
-        assert prototype.tuples_processed == 0
 
     def test_single_backend_bit_identical_to_standalone(self, line3_query):
         """One sampler fed chunk by chunk through chunk_apply ends

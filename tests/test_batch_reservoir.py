@@ -117,12 +117,6 @@ class TestStatistics:
         assert sampler.items_total == 4
         assert sampler.real_stops >= 2
 
-    def test_is_full_flag(self):
-        sampler = BatchedPredicateReservoir(2, rng=random.Random(0))
-        assert not sampler.is_full
-        sampler.process_batch(ListBatch([1, 2, 3]))
-        assert sampler.is_full
-
 
 class TestProcessDeferredMany:
     @staticmethod

@@ -48,7 +48,7 @@ class TestBucketFamily:
         family.reweight(("b",), 0, 2)
         assert family.cnt == 6
         assert family.approx == 8
-        assert family.total_entities() == 2
+        assert sum(family.bucket_sizes().values()) == 2
         assert family.weight_sum() == family.cnt
 
     def test_move_reweights(self):
@@ -63,7 +63,7 @@ class TestBucketFamily:
         family.reweight(("a",), 0, 4)
         family.reweight(("a",), 4, 0)
         assert family.cnt == 0
-        assert family.total_entities() == 0
+        assert family.bucket_sizes() == {}
         assert family.approx == 0
 
     def test_move_noop_when_same_weight(self):

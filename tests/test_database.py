@@ -21,10 +21,6 @@ class TestDatabase:
         assert database.insert("R2", (2, 3)) is True
         assert database.size == 2
 
-    def test_insert_mapping(self, database):
-        database.insert_mapping("R1", {"y": 2, "x": 1})
-        assert (1, 2) in database["R1"]
-
     def test_bulk_load_counts_new_rows(self, database):
         inserted = database.bulk_load("R1", [(1, 2), (1, 2), (3, 4)])
         assert inserted == 2

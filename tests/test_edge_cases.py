@@ -6,14 +6,19 @@ import pytest
 
 from repro import (
     BatchedPredicateReservoir,
+    CyclicReservoirJoin,
     DynamicJoinIndex,
     JoinQuery,
     ReservoirJoin,
+    TurnstileReservoirJoin,
+    WindowedSampler,
 )
+from repro.baselines import SJoin, SymmetricHashJoinSampler
 from repro.core.skippable import ListBatch
 from repro.relational import StreamTuple
 
 from tests.conftest import make_edges, make_graph_stream
+from tests.naive import NaiveRecomputeSampler
 from tests.oracles import ground_truth, result_key
 
 
@@ -80,6 +85,42 @@ class TestInputValidation:
         sampler = ReservoirJoin(line3_query, k=5, rng=random.Random(0))
         with pytest.raises(ValueError):
             sampler.insert("R1", (1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda q: ReservoirJoin(q, 4, rng=random.Random(0)),
+            lambda q: ReservoirJoin(q, 4, rng=random.Random(0), foreign_key=True),
+            lambda q: SJoin(q, 4, rng=random.Random(0)),
+            lambda q: SJoin(q, 4, rng=random.Random(0), foreign_key=True),
+            lambda q: SymmetricHashJoinSampler(q, 4, rng=random.Random(0)),
+            lambda q: ReservoirJoin(q, 4, rng=random.Random(0), grouping=True),
+            lambda q: TurnstileReservoirJoin(q, 4, rng=random.Random(0)),
+            lambda q: WindowedSampler(q, 4, window=8, rng=random.Random(0)),
+            lambda q: CyclicReservoirJoin(q, 4, rng=random.Random(0)),
+            lambda q: NaiveRecomputeSampler(q, 4, rng=random.Random(0)),
+        ],
+        ids=[
+            "rsjoin", "rsjoin-fk", "sjoin", "sjoin-fk", "symmetric",
+            "rsjoin-grouping", "turnstile", "windowed", "cyclic", "naive",
+        ],
+    )
+    def test_rejected_per_tuple_insert_is_not_counted(self, make):
+        """A per-tuple ``insert`` that raises leaves ``tuples_processed``
+        where it was, as a rejected ``insert_batch`` does."""
+        query = JoinQuery.from_spec(
+            "keyed", {"R": ["a", "b"], "S": ["b", "c"]}, keys={"S": ["b"]}
+        )
+        sampler = make(query)
+        fresh = sampler.statistics()
+        with pytest.raises(KeyError):
+            sampler.insert("T", (1, 2))
+        with pytest.raises(ValueError):
+            sampler.insert("R", (1, 2, 3))
+        assert sampler.statistics() == fresh
+        sampler.insert("R", (1, 2))
+        sampler.insert("R", (1, 2))
+        assert sampler.statistics()["tuples_processed"] == 2
 
     def test_predicate_reservoir_rejects_bad_k(self):
         with pytest.raises(ValueError):

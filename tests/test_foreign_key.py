@@ -50,10 +50,6 @@ class TestRewriting:
         names = sorted(group.name for group in combiner.groups)
         assert names == ["A+B", "C"]
 
-    def test_group_name_of(self, fk_query):
-        combiner = ForeignKeyCombiner(fk_query)
-        assert combiner.group_name_of("fact") == combiner.group_name_of("dim1")
-
     def test_example_4_6_collapses_fully(self):
         """Example 4.6: every join in the chain is a foreign-key join.
 

@@ -124,18 +124,6 @@ def test_snapshot_without_a_pending_skip_restores():
     assert restored.snapshot_state() == sampler.snapshot_state()
 
 
-def test_spawn_builds_independent_replicas_sharing_the_predicate():
-    stream, _, fresh = make_case()
-    predicate = fresh()
-    prototype = PredicateStreamSampler(8, predicate, rng=random.Random(1))
-    replica = prototype.spawn(random.Random(2))
-    assert replica.k == prototype.k
-    assert replica.predicate is predicate
-    assert replica.sample == []
-    replica.insert_batch(stream[:50])
-    assert prototype.tuples_processed == 0
-
-
 def test_checkpoint_roundtrip_resumes_bit_identically(tmp_path):
     stream, _, fresh = make_case()
     cut = 128  # a multiple of the chunk size: a chunk boundary

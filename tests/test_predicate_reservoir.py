@@ -38,7 +38,7 @@ class TestBasics:
         sampler = BatchedPredicateReservoir(50, predicate=even, rng=random.Random(0))
         sampler.process_batch(ListBatch(range(20)))
         assert sorted(sampler.sample) == [0, 2, 4, 6, 8, 10, 12, 14, 16, 18]
-        assert not sampler.is_full
+        assert len(sampler) < sampler.k
 
     def test_no_real_items(self):
         sampler = BatchedPredicateReservoir(5, predicate=lambda item: False, rng=random.Random(0))

@@ -37,18 +37,9 @@ class TestStructure:
         holders = [r.name for r in line3_query.relations_with_attr("x2")]
         assert holders == ["R1", "R2"]
 
-    def test_shared_attrs(self, line3_query):
-        assert line3_query.shared_attrs("R1", "R2") == ("x2",)
-        assert line3_query.shared_attrs("R1", "R3") == ()
-
     def test_output_attrs_canonical(self, star3_query):
         assert star3_query.output_attrs() == ("x0", "x1", "x2", "x3")
 
     def test_acyclicity_flags(self, line3_query, triangle_query):
         assert line3_query.is_acyclic() is True
         assert triangle_query.is_acyclic() is False
-
-    def test_result_to_row(self, two_table_query):
-        result = {"x": 1, "y": 2, "z": 3}
-        assert two_table_query.result_to_row(result, "R1") == (1, 2)
-        assert two_table_query.result_to_row(result, "R2") == (2, 3)

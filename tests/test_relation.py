@@ -35,10 +35,6 @@ class TestRelationBasics:
         rel = Relation(RelationSchema("R", ("x",)), rows=[(1,), (2,), (1,)])
         assert len(rel) == 2
 
-    def test_as_mappings(self, relation):
-        relation.insert((1, 2, 3))
-        assert relation.as_mappings() == [{"x": 1, "y": 2, "z": 3}]
-
     def test_insert_callback_only_for_new_rows(self, relation):
         seen = []
         relation.add_insert_callback(seen.append)
@@ -64,8 +60,6 @@ class TestRelationIndex:
         relation.insert((1, 2, 3))
         relation.insert((9, 2, 3))
         assert index.lookup((2, 3)) == [(1, 2, 3), (9, 2, 3)]
-        assert index.group_count((2, 3)) == 2
-        assert index.group_count((0, 0)) == 0
 
     def test_semijoin(self, relation):
         relation.insert((1, 2, 3))

@@ -65,12 +65,6 @@ class TestRelationSchema:
         with pytest.raises(ValueError):
             schema.row_to_mapping((1, 2, 3))
 
-    def test_rename(self):
-        schema = RelationSchema("R", ("x", "y"))
-        renamed = schema.rename("S", {"x": "a"})
-        assert renamed.name == "S"
-        assert renamed.attrs == ("a", "y")
-
     def test_is_hashable_and_frozen(self):
         schema = RelationSchema("R", ("x", "y"))
         assert hash(schema) == hash(RelationSchema("R", ("x", "y")))

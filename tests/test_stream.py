@@ -9,7 +9,6 @@ from repro.relational.stream import (
     checkpoints,
     concatenate,
     interleave,
-    prefix,
     renumber,
     shuffled,
     stream_from_rows,
@@ -69,14 +68,7 @@ class TestInterleave:
         assert interleave([[], []], random.Random(0)) == []
 
 
-class TestPrefixAndCheckpoints:
-    def test_prefix(self):
-        stream = stream_from_rows("R", [(i,) for i in range(10)])
-        assert len(prefix(stream, 0.3)) == 3
-        assert prefix(stream, 0.0) == []
-        with pytest.raises(ValueError):
-            prefix(stream, 1.5)
-
+class TestCheckpoints:
     def test_checkpoints_cover_whole_stream(self):
         stream = stream_from_rows("R", [(i,) for i in range(37)])
         points = checkpoints(stream, parts=10)

@@ -14,9 +14,11 @@ checkpoint boundary), and hash-routed retractions under sharding.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 import subprocess
+from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
 import pytest
@@ -35,6 +37,7 @@ from repro import (
     turnstile_stream,
 )
 from repro.core.backend import restore_backend, snapshot_backend
+from repro.ingest.checkpoint import CODEC
 from repro.relational.database import Database
 from repro.relational.join import count_results, join_results
 from repro.relational.relation import Relation
@@ -342,12 +345,23 @@ def test_delete_batch_accepts_deletes_and_pairs():
         sampler.delete_batch([StreamTuple("R", (5, 6))])
 
 
-def test_constructor_rejects_insert_only_optimisations():
-    keyed = JoinQuery.from_spec("two", {"R": ["a", "b"], "S": ["b", "c"]})
-    with pytest.raises(ValueError):
+def test_turnstile_keeps_foreign_key_rows_retractable():
+    """The constructor fixes ``foreign_key=False`` and ``maintain_root=True``:
+    a key-constrained query keeps its relations unmerged, so a delete of
+    the keyed row retracts the join result it made."""
+    keyed = JoinQuery.from_spec(
+        "keyed", {"R": ["a", "b"], "S": ["b", "c"]}, keys={"S": ["b"]}
+    )
+    with pytest.raises(TypeError):
         TurnstileReservoirJoin(keyed, k=4, foreign_key=True)
-    with pytest.raises(ValueError):
-        TurnstileReservoirJoin(keyed, k=4, maintain_root=False)
+    sampler = TurnstileReservoirJoin(keyed, k=4, rng=random.Random(0))
+    assert sampler.index.maintain_root
+    sampler.insert("R", (1, 2))
+    sampler.insert("S", (2, 3))
+    assert sampler.sample == [{"a": 1, "b": 2, "c": 3}]
+    assert sampler.delete("S", (2, 3))
+    assert sampler.sample == []
+    sampler.check_invariants()
 
 
 # ---------------------------------------------------------------------- #
@@ -752,6 +766,103 @@ def test_windowed_sampler_validates_configuration():
     other = WindowedSampler(TWO, k=4, window=6)
     with pytest.raises(ValueError):
         other.restore_state(sampler.snapshot_state())
+
+
+def test_windowed_sampler_is_a_turnstile_sampler():
+    sampler = WindowedSampler(TWO, k=6, window=30, rng=random.Random(5))
+    assert isinstance(sampler, TurnstileReservoirJoin)
+    BatchIngestor(sampler, chunk_size=8).ingest(two_table_turnstile(5, n=160))
+    stats = sampler.statistics()
+    assert stats["expirations"] > 0 and stats["evictions"] > 0
+    for name in (
+        "evictions", "refills", "deletes_applied", "tombstones_pending",
+        "propagations", "items_examined",
+    ):
+        assert getattr(sampler, name) == stats[name], name
+    sampler.check_invariants()
+
+
+@pytest.mark.parametrize("how", ["insert", "insert_batch"])
+def test_windowed_insert_paths_stamp_and_expire(how):
+    sampler = WindowedSampler(TWO, k=10, window=2, rng=random.Random(0))
+    rows = [("R", (1, 1)), ("S", (1, 9)), ("S", (1, 8))]
+    for relation, row in rows:
+        if how == "insert":
+            sampler.insert(relation, row)
+        else:
+            assert sampler.insert_batch([StreamTuple(relation, row)]) == 1
+    # Clock 3, horizon 1: R(1, 1) left the window, the two S rows did not.
+    assert sampler._stamps == {("S", (1, 9)): 2, ("S", (1, 8)): 3}
+    assert (1, 1) not in sampler.index.database["R"]
+    assert sampler.expirations == 1
+    assert sampler.tuples_processed == 3
+
+
+def test_windowed_insert_batch_rejects_a_delete_untouched():
+    sampler = WindowedSampler(TWO, k=4, window=5, rng=random.Random(0))
+    sampler.insert_batch([("R", (1, 1)), ("S", (1, 2))])
+    before = sampler.snapshot_state()
+    with pytest.raises(TypeError):
+        sampler.insert_batch([StreamTuple("R", (2, 2)), StreamDelete("R", (1, 1))])
+    assert sampler.snapshot_state() == before
+
+
+def windowed_fixture_stream() -> List:
+    """The stream ``tests/data/windowed.checkpoint`` was cut from: a
+    turnstile stream whose insert event times are jittered out of order."""
+    jitter = random.Random(94)
+    return [
+        StreamTuple(item.relation, item.row, max(0, item.timestamp - jitter.randrange(6)))
+        if isinstance(item, StreamTuple) else item
+        for item in two_table_turnstile(91, n=300)
+    ]
+
+
+def _digest(value) -> str:
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_windowed_checkpoint_file_restores_and_resumes():
+    """A timestamp-window ``BatchIngestor`` checkpoint, saved after the
+    first 192 items of :func:`windowed_fixture_stream` in chunks of 16 (live
+    stamps, stale log entries and pending tombstones included), restores and
+    ingests the rest of the stream exactly as the version that wrote it did:
+    the digests were recorded there by the same restore and ingest."""
+    path = Path(__file__).parent / "data" / "windowed.checkpoint"
+    state = CODEC.load(path)["state"]["backend"]
+    assert state["class"] == "repro.core.turnstile:WindowedSampler"
+    windowed = state["state"]
+    assert windowed["kind"] == "windowed" and windowed["mode"] == "timestamp"
+    assert len(windowed["log"]) > len(windowed["stamps"]) > 0
+    assert windowed["inner"]["pending_tombstones"]
+    resumed = BatchIngestor.restore(path)
+    assert isinstance(resumed.sampler, WindowedSampler)
+    resumed.ingest(windowed_fixture_stream()[192:])
+    sampler = resumed.sampler
+    assert _digest(sampler.sample) == (
+        "eaae89a1c7074ed732c670c1517d3fc04b36a5c1e3111cb27cc7f4652c616a89"
+    )
+    assert _digest(sampler._rng.getstate()) == (
+        "8fdec1327efbdfc5ca35dcf304735baed1ace6ad82d99867a0c9f9f4b1bcf031"
+    )
+    assert sampler.statistics() == {
+        "tuples_processed": 300,
+        "duplicates_ignored": 20,
+        "stored_tuples": 18,
+        "simulated_stream_length": 412,
+        "items_examined": 223,
+        "sample_size": 7,
+        "propagations": 303,
+        "deletes_applied": 214,
+        "tombstones_pending": 46,
+        "annihilations": 37,
+        "evictions": 145,
+        "refills": 115,
+        "window": 40,
+        "rows_in_window": 18,
+        "expirations": 191,
+    }
+    sampler.check_invariants()
 
 
 # ---------------------------------------------------------------------- #

@@ -264,17 +264,20 @@ def test_bit_identical_to_oracle_chunked(query, grouping, chunk_size):
     assert new.evictions > 0
 
 
+class WindowedOracle(WindowedSampler, FullScanOracle):
+    """The window over the full-scan eviction check."""
+
+
 @pytest.mark.parametrize("mode", ["count", "timestamp"])
 def test_bit_identical_to_oracle_windowed(mode):
     stream = mixed_stream(CHAIN3, 29, n=240)
     new = WindowedSampler(CHAIN3, k=9, window=40, rng=random.Random(29), mode=mode)
-    old = WindowedSampler(CHAIN3, k=9, window=40, rng=random.Random(29), mode=mode)
-    old._inner = FullScanOracle(CHAIN3, k=9, rng=random.Random(29))
+    old = WindowedOracle(CHAIN3, k=9, window=40, rng=random.Random(29), mode=mode)
     for start in range(0, len(stream), 10):
         new.ingest_batch(stream[start:start + 10])
         old.ingest_batch(stream[start:start + 10])
         assert new.sample == old.sample
-    assert _counters(new._inner) == _counters(old._inner)
+    assert _counters(new) == _counters(old)
     assert new.expirations == old.expirations > 0
 
 
