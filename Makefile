@@ -70,7 +70,8 @@ bench:
 
 # Profile-first workflow for the ingestion hot path: GC-paused wall times
 # plus cProfile hotspot tables for the batched and sharded ingestion modes,
-# for per-row index inserts and deletes (µs/row, no sampler) and for the
+# for a checkpoint save of the batched final state (ms and file bytes), for
+# per-row index inserts and deletes (µs/row, no sampler) and for the
 # turnstile path (in the benchmark's turnstile-2way shape).
 profile:
 	python tools/profile_hotpath.py

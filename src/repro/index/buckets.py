@@ -10,10 +10,13 @@ also maintains
 * ``approx`` — ``c̃nt[T, e, t] = 2^⌈log2 cnt⌉``.
 
 Buckets support O(1) insertion, O(1) removal (swap-with-last) and O(1)
-positional access, and the family can map a position ``z ∈ [0, cnt)`` to the
-entity whose weight range contains ``z`` by walking its non-empty buckets in
-exponent order (there are at most ``O(log N)`` of them; see
-:meth:`BucketFamily.locate` for the cost).
+positional access.  A family keeps its non-empty buckets in ascending
+exponent order, so it maps a position ``z ∈ [0, cnt)`` to the entity whose
+weight range contains ``z`` by walking them in the order it holds them
+(there are at most ``O(log N)``; see :meth:`BucketFamily.locate`).
+
+A family pickles as ``(cnt, [(exponent, entities), ...])``: ``approx`` and
+each bucket's entity → position map are derived state, rebuilt on load.
 """
 
 from __future__ import annotations
@@ -34,10 +37,6 @@ class Bucket:
         self._items: List[Tuple] = []
         self._positions: Dict[Tuple, int] = {}
 
-    def at(self, position: int) -> Tuple:
-        """The entity currently stored at ``position``."""
-        return self._items[position]
-
     def __contains__(self, entity: Tuple) -> bool:
         return entity in self._positions
 
@@ -49,7 +48,11 @@ class Bucket:
 
 
 class BucketFamily:
-    """All buckets of one (node, key tuple) pair, plus its ``cnt``/``c̃nt``."""
+    """All buckets of one (node, key tuple) pair, plus its ``cnt``/``c̃nt``.
+
+    ``_buckets`` maps each non-empty bucket's exponent to it, in ascending
+    exponent order.
+    """
 
     __slots__ = ("cnt", "approx", "_buckets")
 
@@ -70,6 +73,10 @@ class BucketFamily:
         weights must be powers of two (or zero) and ``old_weight`` must be
         the entity's current weight, which the index guarantees because
         every factor of a weight is an approximate (power-of-two) counter.
+
+        Emptying a bucket deletes it, which keeps the exponent order; a
+        bucket created below the top exponent re-sorts the family's
+        ``O(log N)`` buckets.
         """
         buckets = self._buckets
         if old_weight:
@@ -88,12 +95,12 @@ class BucketFamily:
             exponent = new_weight.bit_length() - 1
             bucket = buckets.get(exponent)
             if bucket is None:
-                bucket = Bucket()
-                buckets[exponent] = bucket
-            positions = bucket._positions
-            items = bucket._items
-            positions[entity] = len(items)
-            items.append(entity)
+                below_top = buckets and exponent < next(reversed(buckets))
+                bucket = buckets[exponent] = Bucket()
+                if below_top:
+                    self._buckets = dict(sorted(buckets.items()))
+            bucket._positions[entity] = len(bucket._items)
+            bucket._items.append(entity)
         count = self.cnt + new_weight - old_weight
         self.cnt = count
         self.approx = (1 << (count - 1).bit_length()) if count else 0
@@ -109,26 +116,44 @@ class BucketFamily:
         consecutive positions.  Returns ``None`` when ``position >= cnt``
         (a dummy position introduced by the ``c̃nt`` padding one level up).
 
-        Cost: the ``b = O(log N)`` non-empty bucket exponents are sorted on
-        every call, ``O(b log b)``, and the walk visits at most ``b`` buckets;
-        a family with one bucket skips the sort.
+        Cost: the buckets are held in exponent order, so the walk visits at
+        most the ``b = O(log N)`` non-empty buckets and sorts nothing.
         """
         if position < 0:
             raise ValueError("positions must be non-negative")
         if position >= self.cnt:
             return None
-        remaining = position
-        buckets = self._buckets
-        for exponent in buckets if len(buckets) == 1 else sorted(buckets):
-            bucket = buckets[exponent]
-            span = len(bucket) << exponent
-            if remaining < span:
-                entity_index = remaining >> exponent
-                offset = remaining - (entity_index << exponent)
-                return bucket.at(entity_index), offset
-            remaining -= span
+        for exponent, bucket in self._buckets.items():
+            items = bucket._items
+            span = len(items) << exponent
+            if position < span:
+                entity_index = position >> exponent
+                return items[entity_index], position - (entity_index << exponent)
+            position -= span
         # Unreachable if cnt is consistent with the bucket contents.
         raise AssertionError("bucket family count is inconsistent with its buckets")
+
+    # ------------------------------------------------------------------ #
+    # Pickling
+    # ------------------------------------------------------------------ #
+    def __getstate__(self) -> Tuple[int, List[Tuple[int, List[Tuple]]]]:
+        return self.cnt, [(exponent, bucket._items) for exponent, bucket in self._buckets.items()]
+
+    def __setstate__(self, state) -> None:
+        count, buckets = state
+        if count is None:
+            # The slot-state form older checkpoints hold: (None, {slot: value}),
+            # with whole Bucket objects in an unordered dict.
+            count, buckets = buckets["cnt"], buckets["_buckets"]
+            self._buckets = dict(sorted(buckets.items()))
+        else:
+            self._buckets = {}
+            for exponent, items in buckets:
+                bucket = self._buckets[exponent] = Bucket()
+                bucket._items = items
+                bucket._positions = dict(zip(items, range(len(items))))
+        self.cnt = count
+        self.approx = (1 << (count - 1).bit_length()) if count else 0
 
     # ------------------------------------------------------------------ #
     # Introspection

@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Tuple
 
 from ..relational.jointree import RootedJoinTree
-from ..relational.query import JoinQuery
 from ..relational.relation import Relation
 from ..relational.schema import RelationSchema, canonical_attrs, tuple_getter
 from .counters import next_pow2

@@ -9,8 +9,9 @@ This module implements, for a single rooted join tree ``T``:
 * ``BatchGenerate``          (Algorithm 8) — :meth:`TreeIndex.delta_batch`,
   returned as a lazy, positionally addressable batch that is never
   materialised;
-* ``Retrieve``               (Algorithm 9 / 11) — the ``retrieve`` callbacks
-  behind the batch and behind full-query sampling.
+* ``Retrieve``               (Algorithm 9 / 11) — :meth:`TreeIndex._retrieve`,
+  one iterative pre-order walk of the compiled plan behind the batch and
+  behind full-query sampling.
 
 For every non-root node ``e`` (and, optionally, the root) and every key tuple
 ``t ∈ π_key(e) R_e`` the index keeps a :class:`~repro.index.buckets.BucketFamily`
@@ -25,6 +26,7 @@ source of the ``O(log N)`` amortised update bound.
 from __future__ import annotations
 
 import random
+from functools import partial
 from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -359,54 +361,63 @@ class TreeIndex:
         plan = self._plan[self.root]
         if size is None:
             size = _product(plan.children, row)
-        return FunctionBatch(size, lambda position: self._retrieve_full(plan, row, position))
+        return FunctionBatch(size, partial(self._retrieve, plan, None, row))
 
     # ------------------------------------------------------------------ #
     # Retrieve (Algorithms 9 / 11)
     # ------------------------------------------------------------------ #
-    def _retrieve_full(self, plan: _NodePlan, row: Tuple, position: int) -> Optional[dict]:
-        """Retrieve within the batch generated for a full tuple of a node."""
-        result = dict(zip(plan.attrs, row))
-        children = plan.row_children
-        if not children:
-            return result if position == 0 else None
-        found = []
-        for get_family, key_of, child in children:
-            family = get_family(key_of(row))
-            if family is None or not family.approx:
-                return None
-            found.append((child, family))
-        # Mixed radix, the last child varying fastest.
-        coordinates = []
-        remaining = position
-        for _, family in reversed(found):
-            remaining, coordinate = divmod(remaining, family.approx)
-            coordinates.append(coordinate)
-        for (child, family), coordinate in zip(found, reversed(coordinates)):
-            piece = self._retrieve_key(child, family, coordinate)
-            if piece is None:
-                return None
-            result.update(piece)
-        return result
-
-    def _retrieve_key(
-        self, plan: _NodePlan, family: BucketFamily, position: int
+    def _retrieve(
+        self,
+        plan: _NodePlan,
+        family: Optional[BucketFamily],
+        row: Optional[Tuple],
+        position: int,
     ) -> Optional[dict]:
-        """Retrieve within the batch generated for a key tuple of a node."""
-        located = family.locate(position)
-        if located is None:
-            return None
-        entity, offset = located
-        view = plan.view
-        if view is None:
-            return self._retrieve_full(plan, entity, offset)
-        span = _product(plan.children, entity)
-        if span <= 0:
-            return None
-        member_index, member_offset = divmod(offset, span)
-        if member_index >= view.feq(entity):
-            return None
-        return self._retrieve_full(plan, plan.members(entity)[member_index], member_offset)
+        """Retrieve: the join result at ``position`` of a node's batch.
+
+        The batch is that of a full tuple ``row`` of the node when
+        ``family`` is ``None``, else that of the key tuple whose family is
+        ``family`` (``row`` is then unused).  One loop walks the subtree in
+        pre-order with an explicit stack of ``(child plan, family,
+        position)`` frames and fills one result dict, so a key keeps the
+        place of its first appearance.  A key frame locates its entity in
+        the family (for a group, then the member row its offset falls on);
+        a full tuple splits its position over its children's ``c̃nt`` in
+        mixed radix, the last child varying fastest.  The first dummy
+        position on the way returns ``None``.
+        """
+        result: dict = {}
+        stack: list = []
+        while True:
+            if family is not None:
+                located = family.locate(position)
+                if located is None:
+                    return None
+                row, position = located
+                view = plan.view
+                if view is not None:
+                    span = _product(plan.children, row)
+                    if span <= 0:
+                        return None
+                    member_index, position = divmod(position, span)
+                    if member_index >= view.feq(row):
+                        return None
+                    row = plan.members(row)[member_index]
+            result.update(zip(plan.attrs, row))
+            children = plan.row_children
+            if children:
+                # Pushed last child first, so the first one is walked next.
+                for get_family, key_of, child in reversed(children):
+                    family = get_family(key_of(row))
+                    if family is None or not family.approx:
+                        return None
+                    position, coordinate = divmod(position, family.approx)
+                    stack.append((child, family, coordinate))
+            elif position:
+                return None
+            if not stack:
+                return result
+            plan, family, position = stack.pop()
 
     # ------------------------------------------------------------------ #
     # Full-query sampling (operation (2) of Theorem 4.2)
@@ -425,7 +436,7 @@ class TreeIndex:
         family = self._families[self.root].get(())
         if family is None:
             return None
-        return self._retrieve_key(self._plan[self.root], family, position)
+        return self._retrieve(self._plan[self.root], family, None, position)
 
     def sample(self, rng: random.Random, max_attempts: int = 100_000) -> Optional[dict]:
         """Draw one uniform sample from the current full join result.

@@ -15,7 +15,7 @@ benchmarks.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 from ..core.skippable import FunctionBatch
 from ..relational.database import Database

@@ -2,11 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Sequence
 
 from .query import JoinQuery
 from .relation import Relation
-from .schema import RelationSchema
 
 
 class Database:

@@ -8,7 +8,7 @@ subset of ``V``.  Two relations join on every attribute name they share.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from .schema import KeyConstraint, RelationSchema, canonical_attrs
 

@@ -11,7 +11,7 @@ Figure 11 demonstrates and is preserved by this estimate.
 from __future__ import annotations
 
 import sys
-from typing import Any, Iterable, Set
+from typing import Any, Set
 
 
 def deep_sizeof(obj: Any, _seen: Set[int] = None) -> int:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 import bisect
 import random
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..relational.query import JoinQuery
 from ..relational.stream import StreamTuple, interleave, stream_from_rows
-from ..relational.schema import RelationSchema
 
 Edge = Tuple[int, int]
 

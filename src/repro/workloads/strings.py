@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import random
 import string
-from typing import Callable, List, Sequence, Tuple
+from typing import List, Tuple
 
 
 def levenshtein_within(first: str, second: str, limit: int) -> bool:

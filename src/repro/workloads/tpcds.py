@@ -23,7 +23,7 @@ from __future__ import annotations
 import bisect
 import random
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ..relational.query import JoinQuery
 from ..relational.stream import StreamTuple, concatenate, stream_from_rows

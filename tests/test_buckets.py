@@ -1,5 +1,8 @@
 """Tests for the degree buckets and bucket families."""
 
+import pickle
+import pickletools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +20,7 @@ class TestBucket:
         family.reweight(("b",), 0, 2)
         bucket = family._buckets[1]
         assert len(bucket) == 2
-        assert bucket.at(0) == ("a",)
-        assert bucket.at(1) == ("b",)
+        assert list(bucket) == [("a",), ("b",)]
         assert ("a",) in bucket and ("c",) not in bucket
 
     def test_remove_swaps_with_last(self):
@@ -29,8 +31,8 @@ class TestBucket:
         bucket = family._buckets[0]
         assert len(bucket) == 2
         assert list(bucket) == [("c",), ("b",)]
-        # Position access still works for every remaining entity.
-        assert [bucket.at(0), bucket.at(1)] == [("c",), ("b",)]
+        # locate still reaches every remaining entity at its new position.
+        assert [family.locate(0), family.locate(1)] == [(("c",), 0), (("b",), 0)]
 
     def test_remove_missing_raises(self):
         family = BucketFamily()
@@ -129,3 +131,61 @@ class TestBucketFamily:
             counted[entity] = counted.get(entity, 0) + 1
         for entity, weight in current.items():
             assert counted.get(entity, 0) == weight
+        # The buckets stay in exponent order, and a pickle round trip keeps
+        # every position where it was.
+        assert list(family._buckets) == sorted(family._buckets)
+        layout = expected_layout(family)
+        assert [family.locate(z) for z in range(family.cnt)] == layout
+        restored = pickle.loads(pickle.dumps(family))
+        assert [restored.locate(z) for z in range(restored.cnt)] == layout
+
+
+def expected_layout(family):
+    """``(entity, offset)`` for every position, built from ``bucket_sizes``:
+    buckets by ascending exponent, entities in bucket order."""
+    layout = []
+    for exponent, size in sorted(family.bucket_sizes().items()):
+        bucket = family._buckets[exponent]
+        assert len(bucket) == size
+        for entity in bucket:
+            layout.extend((entity, offset) for offset in range(1 << exponent))
+    return layout
+
+
+class TestLayout:
+    """Buckets stay in exponent order; the pickled form holds no position map."""
+
+    def mixed_family(self):
+        family = BucketFamily()
+        for name, weight in (("a", 1), ("b", 4), ("c", 1), ("d", 2), ("e", 4)):
+            family.reweight((name,), 0, weight)
+        return family
+
+    def test_recreated_low_bucket_keeps_exponent_order(self):
+        family = self.mixed_family()
+        family.reweight(("a",), 1, 0)
+        family.reweight(("c",), 1, 0)
+        assert list(family._buckets) == [1, 2]
+        # Bucket 0 comes back while bucket 2 exists, after it in the dict.
+        family.reweight(("f",), 0, 1)
+        family.reweight(("d",), 2, 0)
+        family.reweight(("g",), 0, 2)
+        assert list(family._buckets) == sorted(family._buckets) == [0, 1, 2]
+        assert [family.locate(z) for z in range(family.cnt)] == expected_layout(family)
+
+    def test_pickle_holds_no_position_map(self):
+        family = self.mixed_family()
+        family.reweight(("b",), 4, 0)
+        data = pickle.dumps(family, protocol=pickle.HIGHEST_PROTOCOL)
+        opcodes = {opcode.name for opcode, _, _ in pickletools.genops(data)}
+        assert not opcodes & {"EMPTY_DICT", "DICT", "SETITEM", "SETITEMS"}
+        restored = pickle.loads(data)
+        assert (restored.cnt, restored.approx) == (family.cnt, family.approx)
+        assert list(restored._buckets) == list(family._buckets)
+        assert [restored.locate(z) for z in range(restored.cnt)] == [
+            family.locate(z) for z in range(family.cnt)
+        ]
+        for exponent, bucket in list(family._buckets.items()):
+            for entity in list(bucket):
+                restored.reweight(entity, 1 << exponent, 0)
+        assert (restored.cnt, restored.approx, restored.bucket_sizes()) == (0, 0, {})

@@ -9,6 +9,10 @@ modules it names and, for ``from package import name``, that package's
 followed, or every ``__init__`` would pull in all of its subpackage.  A
 module reached only from ``tests/`` or ``benchmarks/`` is test or bench
 scaffolding and lives there instead.
+
+Every module-level import of a library module is used, too: no linter is
+installed, so an ``ast`` scan holds the rule.  An import kept for its side
+effects or for a lookup by name carries ``# noqa: F401``.
 """
 
 from __future__ import annotations
@@ -81,3 +85,57 @@ def test_the_closure_does_not_follow_parent_packages():
     # ``repro.core.backend`` is imported, but ``repro.core``'s own
     # ``__init__`` never is by name, so it must not count.
     assert "repro.core" not in closure
+
+
+def names_used(tree: ast.Module) -> Set[str]:
+    """Every name the module reads, including those inside string
+    annotations and ``__all__`` entries."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                expression = ast.parse(node.value, mode="eval")
+            except (SyntaxError, ValueError):
+                continue
+            used.update(name.id for name in ast.walk(expression) if isinstance(name, ast.Name))
+    return used
+
+
+def unused_imports(path: Path) -> Iterator[str]:
+    """``name (line)`` for each module-level import ``path`` never uses."""
+    lines = path.read_text().splitlines()
+    tree = parse(path)
+    used = names_used(tree)
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if getattr(node, "module", None) == "__future__":
+            continue
+        span = lines[node.lineno - 1:node.end_lineno]
+        if any("# noqa: F401" in line for line in span):
+            continue
+        for alias in node.names:
+            name = alias.asname or alias.name.partition(".")[0]
+            if name not in used:
+                yield f"{name} (line {node.lineno})"
+
+
+def test_library_modules_use_every_import():
+    unused = {
+        name: found
+        for name, path in sorted(MODULES.items())
+        if (found := list(unused_imports(path)))
+    }
+    assert not unused, f"unused module-level imports (mark a deliberate one # noqa: F401): {unused}"
+
+
+def test_the_import_scan_honours_noqa(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text(
+        "from typing import Dict, List\n"
+        "import os  # noqa: F401\n"
+        "import sys\n"
+        "value: 'List[int]' = []\n"
+        "print(sys.argv)\n"
+    )
+    assert list(unused_imports(module)) == ["Dict (line 1)"]

@@ -16,6 +16,12 @@ chain-3 stream of the repository benchmark's ``insert-chain3`` shape
   time, then ``delete`` of each in stream order (the one-row runs of
   ``TreeIndex._update``), reported as µs/row for each half;
 
+the checkpoint I/O the served loop pays at every save:
+
+* **checkpoint** — ``BatchIngestor.save`` of the batched shape's final
+  state (the pickled index and reservoir, written through the checkpoint
+  codec), reported with the file's bytes;
+
 and the turnstile path in the benchmark's ``turnstile-2way`` shape:
 
 * **turnstile** — one ``BatchIngestor`` over a ``TurnstileReservoirJoin``
@@ -25,8 +31,8 @@ and the turnstile path in the benchmark's ``turnstile-2way`` shape:
   delete runs and refills of ``core/turnstile.py``).  ``--n`` and
   ``--chunk-size`` do not apply to it.
 
-For each shape it reports a wall-clock figure (GC paused, best of
-``--repeats``; the per-row shape also its µs/row, each half best of
+For each shape it reports a wall-clock figure in milliseconds (GC paused,
+best of ``--repeats``; the per-row shape also its µs/row, each half best of
 ``--repeats``) and the top ``cProfile`` rows by cumulative time, restricted
 to this repository's own frames so library noise never buries the hot loop.
 
@@ -46,6 +52,7 @@ import os
 import pstats
 import random
 import sys
+import tempfile
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -113,9 +120,9 @@ def run_turnstile(query, stream, chunk_size: int) -> None:
     BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
 
 
-def run_batched(query, stream, chunk_size: int) -> None:
+def run_batched(query, stream, chunk_size: int) -> BatchIngestor:
     sampler = ReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
-    BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
+    return BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
 
 
 def run_sharded(query, stream, chunk_size: int, shards: int) -> None:
@@ -156,7 +163,7 @@ def profile_shape(label: str, run, top: int, repeats: int) -> None:
     # Restrict to this repository's frames: library/builtin noise (regex,
     # importlib, ...) would otherwise bury the actual hot loops.
     stats.print_stats(r"repro[/\\]", top)
-    print(f"== {label}: wall {wall:.3f}s (best of {repeats}, GC paused) ==")
+    print(f"== {label}: wall {1e3 * wall:.2f} ms (best of {repeats}, GC paused) ==")
     for line in buffer.getvalue().splitlines():
         line = line.rstrip()
         if line:
@@ -196,6 +203,16 @@ def main() -> None:
         lambda: run_sharded(query, stream, args.chunk_size, args.shards),
         args.top, args.repeats,
     )
+    ingestor = run_batched(query, stream, args.chunk_size)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "profile.ckpt")
+        ingestor.save(path)
+        profile_shape(
+            f"checkpoint (BatchIngestor.save of the batched final state, "
+            f"{os.path.getsize(path):,} bytes)",
+            lambda: ingestor.save(path),
+            args.top, args.repeats,
+        )
     rows = list(dict.fromkeys((item.relation, item.row) for item in stream))
     insert_us, delete_us = per_row_us(query, rows, args.repeats)
     profile_shape(
