@@ -69,10 +69,12 @@ bench:
 	python benchmarks/bench_turnstile.py
 
 # Profile-first workflow for the ingestion hot path: GC-paused wall times
-# plus cProfile hotspot tables for the batched and sharded ingestion modes,
-# for a checkpoint save of the batched final state (ms and file bytes), for
-# per-row index inserts and deletes (µs/row, no sampler) and for the
-# turnstile path (in the benchmark's turnstile-2way shape).
+# plus cProfile hotspot tables for the batched and sharded ingestion modes
+# (on the benchmark's insert-chain3 stream), for a checkpoint save of the
+# batched final state (ms and file bytes), for the benchmark's serve-chain3
+# loop (read µs p50, save ms), for per-row index inserts and deletes (µs/row,
+# no sampler) and for the turnstile path (in the benchmark's turnstile-2way
+# shape).
 profile:
 	python tools/profile_hotpath.py
 

@@ -15,8 +15,11 @@ exponent order, so it maps a position ``z ∈ [0, cnt)`` to the entity whose
 weight range contains ``z`` by walking them in the order it holds them
 (there are at most ``O(log N)``; see :meth:`BucketFamily.locate`).
 
-A family pickles as ``(cnt, [(exponent, entities), ...])``: ``approx`` and
-each bucket's entity → position map are derived state, rebuilt on load.
+A family's state is ``(cnt, [(exponent, entities), ...])``: ``approx`` and
+each bucket's entity → position map are derived state, rebuilt on load.  A
+family pickles as that state, and a pickled
+:class:`~repro.index.tree_index.TreeIndex` holds its families as the bare
+tuples and rebuilds them through :meth:`BucketFamily.__setstate__`.
 """
 
 from __future__ import annotations

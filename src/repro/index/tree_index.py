@@ -193,12 +193,27 @@ class TreeIndex:
         self._plan = plans
 
     def __getstate__(self) -> dict:
+        """The pickled state: no plans, and every family as its plain
+        ``(cnt, runs)`` tuple, which pickles without a Python call per
+        family."""
         state = self.__dict__.copy()
         del state["_plan"]
+        state["_families"] = {
+            node: {key: family.__getstate__() for key, family in families.items()}
+            for node, families in self._families.items()
+        }
         return state
 
     def __setstate__(self, state: dict) -> None:
+        """Rebuild every family from its pickled state; checkpoints written
+        before families pickled as tuples hold ``BucketFamily`` objects,
+        which are kept as they are."""
         self.__dict__.update(state)
+        for families in self._families.values():
+            for key, family in families.items():
+                if not isinstance(family, BucketFamily):
+                    families[key] = BucketFamily.__new__(BucketFamily)
+                    families[key].__setstate__(family)
         self._prepare(build=False)
 
     # ------------------------------------------------------------------ #

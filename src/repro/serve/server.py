@@ -28,9 +28,10 @@ it.  A cut therefore costs O(k) per reservoir, never a pass over the
 database, and holds O(k) memory.  The record is captured under
 the same lock the writer holds while applying a chunk, so it always equals
 the state at *exactly* one chunk boundary — no half-applied chunk is
-observable.  Every other read of that epoch shares the cached record
-lock-free, and the results it returns are shared between those readers:
-treat them as read-only.
+observable.  Every other read within its staleness budget gets the cached
+record without taking the writer's lock, so a reader is never held up by a
+chunk being applied; the results it returns are shared between those
+readers: treat them as read-only.
 
 Why the served sample is exactly uniform
 ----------------------------------------
@@ -38,11 +39,15 @@ The record's reservoir *is* the target's reservoir at the boundary of epoch
 ``E``, copied value for value.  By the per-sampler chunk-boundary guarantee
 it is a uniform sample without replacement of the join results of the
 first ``E`` chunks, and a uniform subset of it (``sample(k)`` below the
-reservoir size) is uniform too.  For a sharded target the record's shard
-states are the exact inputs of :func:`~repro.ingest.shard
-.merge_shard_samples`, the same function the live
+reservoir size) is uniform too.  The subset is a partial Fisher–Yates
+shuffle drawn from the cut's own RNG: reads of one cut take their draws
+from it in turn, so each read's subset is uniform given every earlier
+read's, and two co-seeded servers serve the same sequence of subsets.
+For a sharded target the record's shard states are the exact inputs of
+:func:`~repro.ingest.shard.merge_shard_samples`, the same function the live
 :meth:`~repro.ingest.shard.ShardedIngestor.merged_sample` calls, so a read
-realises the exact bottom-``k`` key merge over the boundary reservoirs.
+realises the exact bottom-``k`` key merge over the boundary reservoirs,
+drawing from the same RNG as a subset read.
 Readers therefore get exact uniformity over the prefix at their snapshot
 epoch — never an approximation, never a mixture of two prefixes.
 
@@ -88,6 +93,31 @@ def _copied(results: Iterable[dict]) -> Tuple[dict, ...]:
     return tuple(dict(result) for result in results)
 
 
+def _subset(population: Sequence, k: int, rng: random.Random) -> List:
+    """A uniform ``k``-subset of ``population`` in random order, for
+    ``0 <= k <= len(population)``.
+
+    A partial Fisher–Yates shuffle over a copy: CPython's
+    ``random.Random.sample`` in its list-pool branch, with ``_randbelow``'s
+    ``getrandbits`` rejection loop written out, so it consumes the same
+    draws and returns the same list wherever ``Random.sample`` takes that
+    branch.
+    """
+    getrandbits = rng.getrandbits
+    pool = list(population)
+    n = len(pool)
+    result = [None] * k
+    for i in range(k):
+        left = n - i
+        bits = left.bit_length()
+        position = getrandbits(bits)
+        while position >= left:
+            position = getrandbits(bits)
+        result[i] = pool[position]
+        pool[position] = pool[left - 1]
+    return result
+
+
 class EpochSnapshot:
     """An immutable record of the served state at one chunk-boundary epoch.
 
@@ -95,8 +125,8 @@ class EpochSnapshot:
     ``shard_states`` plus the default merge size ``k`` (a sharded target),
     and each subscribed view's reservoir.  All read methods are safe to
     call from any number of threads concurrently: the only mutable state is
-    a private seed RNG, guarded by its own lock, from which each read that
-    needs randomness derives an independent ``random.Random``.
+    the cut's own RNG, seeded at capture and guarded by its own lock, from
+    which reads without an explicit ``rng`` draw in turn.
     """
 
     def __init__(
@@ -115,12 +145,8 @@ class EpochSnapshot:
         self.shard_states = shard_states
         self.k = k
         self._views = views
-        self._seed_rng = random.Random(seed)
+        self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
-
-    def _reader_rng(self) -> random.Random:
-        with self._rng_lock:
-            return random.Random(derive_seed(self._seed_rng))
 
     def sample(
         self, k: Optional[int] = None, rng: Optional[random.Random] = None
@@ -134,23 +160,24 @@ class EpochSnapshot:
         (bit-identical to a standalone sampler stopped at this prefix), and
         a uniform ``k``-subset of it otherwise — a uniform subset of a
         uniform sample is itself uniform.  Pass ``rng`` for a deterministic
-        draw; by default each call derives an independent RNG from the
-        snapshot's capture seed.  The returned dicts are shared with other
+        draw; by default reads draw in turn from the cut's own RNG, seeded
+        at capture, so each read's subset is uniform given all earlier
+        reads of the cut.  The returned dicts are shared with other
         readers of this cut: treat them as read-only.
         """
         if k is not None and k <= 0:
             raise ValueError("sample size must be positive")
         if self.shard_states is not None:
-            return merge_shard_samples(
-                self.shard_states,
-                self.k if k is None else k,
-                rng if rng is not None else self._reader_rng(),
-            )
-        if k is None or k >= len(self.reservoir):
+            draw, population = merge_shard_samples, self.shard_states
+            k = self.k if k is None else k
+        elif k is None or k >= len(self.reservoir):
             return list(self.reservoir)
-        return (rng if rng is not None else self._reader_rng()).sample(
-            self.reservoir, k
-        )
+        else:
+            draw, population = _subset, self.reservoir
+        if rng is not None:
+            return draw(population, k, rng)
+        with self._rng_lock:
+            return draw(population, k, self._rng)
 
     def view_sample(self, name: str) -> List[dict]:
         """The recorded reservoir of one subscribed predicate view."""
@@ -305,20 +332,24 @@ class SampleServer:
         Returns the cached cut when it is at most ``max_staleness`` epochs
         behind the current one (0 = must be current); otherwise captures a
         fresh cut at the current boundary.  Capture copies the reservoirs
-        (O(k) each, sharded or not), paid once per epoch by the first reader needing it — every other
-        read of that epoch is a cache hit on an immutable record.
+        (O(k) each, sharded or not) under the writer's lock, paid once per
+        epoch by the first reader needing it.  A cache hit takes no writer
+        lock, so it never waits for a chunk being applied; a miss takes the
+        lock and checks the cache again before it cuts.
         """
         if max_staleness < 0:
             raise ValueError("max_staleness must be non-negative")
-        with self._lock:
-            latest = self._latest
-            if latest is not None and self._epoch - latest.epoch <= max_staleness:
-                self._snapshot_cache_hits += 1
-                return latest
-            snap = self._capture()
-            self._latest = snap
-            self._snapshots_taken += 1
-            return snap
+        latest = self._latest
+        if latest is None or self._epoch - latest.epoch > max_staleness:
+            with self._lock:
+                latest = self._latest
+                if latest is None or self._epoch - latest.epoch > max_staleness:
+                    latest = self._latest = self._capture()
+                    self._snapshots_taken += 1
+                    return latest
+        with self._read_lock:
+            self._snapshot_cache_hits += 1
+        return latest
 
     def sample(
         self,
@@ -345,14 +376,14 @@ class SampleServer:
     def statistics(self) -> Dict[str, object]:
         """Serving counters plus the live ingestor's own statistics."""
         with self._read_lock:
-            reads = self._reads_served
+            reads, hits = self._reads_served, self._snapshot_cache_hits
         with self._lock:
             stats: Dict[str, object] = {
                 "epoch": self._epoch,
                 "tuples_ingested": self.ingestor.tuples_ingested,
                 "reads_served": reads,
                 "snapshots_taken": self._snapshots_taken,
-                "snapshot_cache_hits": self._snapshot_cache_hits,
+                "snapshot_cache_hits": hits,
                 "subscribers": sorted(self._views),
                 "writer": self.ingestor.statistics(),
             }

@@ -45,6 +45,9 @@ from repro.ingest.checkpoint import CODEC, FORMAT_VERSION, MAGIC, CheckpointCode
 #: of that release (retired since); ``async`` the same sharded target behind
 #: the retired async ingestor (``chunk_size=16``), a checkpoint kind no
 #: ``restore`` accepts any more, whose nested target record still restores.
+#: ``batch-families`` is the ``batch`` cut written by a later release, whose
+#: index pickled every bucket family as a ``BucketFamily`` object in its
+#: ``(cnt, runs)`` form, before the index pickled families as bare tuples.
 LEGACY_CHECKPOINTS = Path(__file__).parent / "data"
 
 
@@ -210,6 +213,19 @@ class TestRestoreGuards:
         piped = restore_backend(CODEC.load(path)["state"]["target"])
         piped.ingest(stream[32:])
         assert piped.shard_samples() == sharded.shard_samples()
+
+    def test_batch_checkpoint_with_family_objects_restores(self):
+        stream = chain3_stream(60, seed=20)
+        uninterrupted = BatchIngestor(
+            ReservoirJoin(chain3(), 6, rng=random.Random(21)), chunk_size=16
+        ).ingest(stream)
+        path = LEGACY_CHECKPOINTS / "batch-families.checkpoint"
+        index = CODEC.load(path)["state"]["backend"]["state"]["index"]
+        assert b"BucketFamily" in index
+        resumed = BatchIngestor.restore(path)
+        resumed.ingest(stream[32:])
+        assert resumed.sampler.sample == uninterrupted.sampler.sample
+        assert resumed.statistics() == uninterrupted.statistics()
 
     @pytest.mark.parametrize("ingestor_cls", [BatchIngestor, ShardedIngestor])
     def test_retired_async_kind_is_rejected(self, ingestor_cls):

@@ -9,8 +9,11 @@ bit-for-bit property sweep is section (g) of the statistical harness.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -30,7 +33,7 @@ from repro.ingest.checkpoint import PeriodicCheckpointer
 from repro.relational.stream import chunk_stream
 from repro.stats.memory import deep_sizeof
 
-from tests.oracles import result_key
+from tests.oracles import chi_square_uniformity, result_key
 
 K = 8
 CHUNK = 16
@@ -210,6 +213,136 @@ class TestSampleServer:
         assert server.epoch == 1
         sample = server.snapshot().sample()
         assert sample and all(row["item"] % 2 == 0 for row in sample)
+
+    def test_cache_hit_takes_no_writer_lock(self, line3_query, stream):
+        server = SampleServer(
+            BatchIngestor(
+                ReservoirJoin(line3_query, K, rng=random.Random(3)), chunk_size=CHUNK
+            ),
+            rng=random.Random(4),
+        )
+        pieces = list(chunk_stream(stream, CHUNK))
+        for piece in pieces[:-1]:
+            server.ingest_batch(piece)
+        cached = server.snapshot()
+        server.ingest_batch(pieces[-1])         # the cached cut is one epoch old
+        served = {}
+
+        def read(name, staleness):
+            served[name] = server.sample(3, max_staleness=staleness)
+
+        hit = threading.Thread(target=read, args=("hit", 1))
+        miss = threading.Thread(target=read, args=("miss", 0))
+        with server._lock:                      # as a writer mid-chunk holds it
+            hit.start()
+            hit.join(timeout=1)
+            assert not hit.is_alive()
+            miss.start()
+            miss.join(timeout=0.2)
+            assert miss.is_alive()              # a miss waits for the writer
+        miss.join(timeout=5)
+        assert not miss.is_alive()
+        full = cached.sample()
+        assert len(served["hit"]) == 3 and all(row in full for row in served["hit"])
+        assert len(served["miss"]) == 3
+        stats = server.statistics()
+        assert stats["snapshot_cache_hits"] == 1
+        assert stats["snapshots_taken"] == 2
+        assert server.snapshot(max_staleness=1).epoch == len(pieces)
+
+
+# ---------------------------------------------------------------------- #
+# Served subset draws: the stdlib's partial Fisher–Yates, from the cut's RNG
+# ---------------------------------------------------------------------- #
+def pool_branch_cases():
+    """``(n, k)`` pairs on which ``random.Random.sample`` shuffles a list
+    pool: ``n <= 21``, or ``n <= 21 + 4 ** ceil(log4(3k))`` for ``k > 5``."""
+    cases = [(n, k) for n in range(1, 22) for k in range(1, n + 1)]
+    for k in (6, 7, 20, 50, 100):
+        limit = 21 + 4 ** math.ceil(math.log(3 * k, 4))
+        cases += [(limit, k), (limit, 1), (k + 1, k), (limit, limit - 1), (limit, limit)]
+    cases.append((1000, 100))               # serve-chain3's read of its cut
+    return cases
+
+
+class TestServedDraws:
+    def test_subset_equals_stdlib_sample_and_its_draws(self):
+        for n, k in pool_branch_cases():
+            population = [("result", position) for position in range(n)]
+            for seed in range(3):
+                ours, stdlib = random.Random(seed), random.Random(seed)
+                assert server_module._subset(population, k, ours) == stdlib.sample(
+                    population, k
+                ), (n, k, seed)
+                assert ours.getstate() == stdlib.getstate(), (n, k, seed)
+
+    def six_result_cut(self, line3_query, stream, seed=13):
+        server = SampleServer(
+            BatchIngestor(
+                ReservoirJoin(line3_query, 6, rng=random.Random(seed)), chunk_size=CHUNK
+            ),
+            rng=random.Random(seed + 1),
+        ).ingest(stream)
+        snap = server.snapshot()
+        assert len(snap.sample()) == 6
+        return server, snap
+
+    def test_reads_of_one_cut_are_uniform_and_independent(self, line3_query, stream):
+        _, snap = self.six_result_cut(line3_query, stream)
+        subsets = [
+            frozenset(result_key(row) for row in snap.sample(3)) for _ in range(20_000)
+        ]
+        assert all(len(subset) == 3 for subset in subsets)
+        singles = Counter(subsets)
+        assert len(singles) == math.comb(6, 3)
+        _, p_value = chi_square_uniformity(singles, 20, len(subsets), 1)
+        assert p_value > 0.001, p_value
+        # Consecutive reads, as disjoint (first, second) pairs: every one of
+        # the 400 ordered pairs of subsets is equally likely.
+        pairs = Counter(zip(subsets[0::2], subsets[1::2]))
+        _, p_value = chi_square_uniformity(pairs, 20 * 20, len(subsets) // 2, 1)
+        assert p_value > 0.001, p_value
+
+    def test_concurrent_reads_lose_no_draw_and_no_count(self, line3_query, stream):
+        # More reader threads than cores, switching as often as the
+        # interpreter allows: reads of one cut take the cut's RNG in turn,
+        # so together they draw exactly what one thread's reads would.
+        server, _ = self.six_result_cut(line3_query, stream)
+        _, twin = self.six_result_cut(line3_query, stream)
+        lanes = [[] for _ in range(8)]
+
+        def read(lane):
+            for _ in range(200):
+                lane.append(tuple(map(result_key, server.sample(3))))
+
+        readers = [threading.Thread(target=read, args=(lane,)) for lane in lanes]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in readers:
+                thread.start()
+            for thread in readers:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in readers)
+        served = Counter(read for lane in lanes for read in lane)
+        alone = Counter(tuple(map(result_key, twin.sample(3))) for _ in range(8 * 200))
+        assert served == alone
+        stats = server.statistics()
+        assert stats["reads_served"] == stats["snapshot_cache_hits"] == 8 * 200
+        assert stats["snapshots_taken"] == 1
+
+    def test_co_seeded_servers_serve_the_same_reads(self, line3_query, stream):
+        reads = []
+        for _ in range(2):
+            server, snap = self.six_result_cut(line3_query, stream)
+            reads.append(
+                [snap.sample(3) for _ in range(20)]
+                + [server.sample(2, max_staleness=1) for _ in range(20)]
+            )
+        assert reads[0] == reads[1]
+        assert len({tuple(map(result_key, read)) for read in reads[0]}) > 1
 
 
 # ---------------------------------------------------------------------- #

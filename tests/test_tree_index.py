@@ -2,6 +2,7 @@
 
 import hashlib
 import pickle
+import pickletools
 import random
 from collections import Counter
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 from repro.core.backend import restore_backend
 from repro.core.reservoir_join import ReservoirJoin
 from repro.core.turnstile import TurnstileReservoirJoin
+from repro.index.buckets import BucketFamily
 from repro.index.dynamic_index import DynamicJoinIndex
 from repro.index.tree_index import TreeIndex
 from repro.ingest.batch import BatchIngestor
@@ -450,14 +452,44 @@ class TestDerivedPlan:
             for position in range(index.total_weight()):
                 assert restored.retrieve_global(position) == index.retrieve_global(position)
 
+    def test_families_pickle_as_plain_tuples(self):
+        query = JoinQuery.from_spec("wide", _WIDE)
+        index = DynamicJoinIndex(query, grouping=True, maintain_root=True)
+        for relation, row in _random_rows(query, 300, 5, seed=7):
+            index.insert(relation, row)
+        payload = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
+        strings = {
+            str(argument)
+            for opcode, argument, _ in pickletools.genops(payload)
+            if opcode.name in ("GLOBAL", "SHORT_BINUNICODE", "BINUNICODE")
+        }
+        assert "BucketFamily" not in " ".join(strings)
+        assert "TreeIndex" in strings
+        restored = pickle.loads(payload)
+        for tree, twin in zip(index.trees.values(), restored.trees.values()):
+            for families, twins in zip(tree._families.values(), twin._families.values()):
+                assert families.keys() == twins.keys()
+                for key, family in families.items():
+                    assert isinstance(twins[key], BucketFamily)
+                    assert twins[key].__getstate__() == family.__getstate__()
+        assert restored.sample_many(50, random.Random(1)) == index.sample_many(
+            50, random.Random(1)
+        )
+
     @pytest.mark.parametrize(
-        "name", ["async.checkpoint", "batch.checkpoint", "sharded-pool.checkpoint"]
+        "name",
+        [
+            "async.checkpoint",
+            "batch.checkpoint",
+            "batch-families.checkpoint",
+            "sharded-pool.checkpoint",
+        ],
     )
     def test_legacy_checkpoints_restore_and_validate(self, name):
         path = Path(__file__).parent / "data" / name
         # Each checkpoint holds the first 32 tuples of this stream.
         tail = chain3_stream(232, seed=20)[32:]
-        if name == "batch.checkpoint":
+        if name.startswith("batch"):
             samplers = [BatchIngestor.restore(path).ingest(tail).sampler]
         elif name == "async.checkpoint":
             # A retired kind: its nested sharded target restores on its own.

@@ -3,9 +3,10 @@
 
 Every perf PR against the ingestion seam starts from the same measurement
 (``make profile``), so optimisations chase profiles, not hunches.  The
-harness drives the two representative insert-only ingestion shapes over a
-chain-3 stream of the repository benchmark's ``insert-chain3`` shape
-(``bench/run.py``: 20k tuples, domain 400, chunks of 100, k = 1000):
+harness drives the two representative insert-only ingestion shapes over the
+repository benchmark's ``insert-chain3`` stream (``bench/run.py``'s
+``chain_stream`` at its default seed 1: 20k tuples, domain 400, chunks of
+100, k = 1000):
 
 * **batched** — one ``BatchIngestor`` over a ``ReservoirJoin`` (the inner
   loops of ``index/tree_index.py`` and ``core/batch_reservoir.py``);
@@ -22,14 +23,24 @@ the checkpoint I/O the served loop pays at every save:
   state (the pickled index and reservoir, written through the checkpoint
   codec), reported with the file's bytes;
 
+the served loop of the benchmark's ``serve-chain3`` workload:
+
+* **serve** — its ``SampleServer`` stack, built and fed as ``bench/run.py``
+  does at seed 1: 200 chunks of 10, five ``k = 100`` reads at staleness 15
+  after every chunk, a save every 100 chunks.  Reported as the p50 of the
+  reads and the mean of the saves, each operation's time its minimum over
+  ``--repeats`` loops;
+
 and the turnstile path in the benchmark's ``turnstile-2way`` shape:
 
 * **turnstile** — one ``BatchIngestor`` over a ``TurnstileReservoirJoin``
   on ``R(a, b) ⋈ S(b, c)`` (``b`` from 64 values): 2,000 distinct inserts,
   30% of them later retracted and a tenth of those retractions arriving
   before their insert, in chunks of 13 with k = 100 (the per-key fold,
-  delete runs and refills of ``core/turnstile.py``).  ``--n`` and
-  ``--chunk-size`` do not apply to it.
+  delete runs and refills of ``core/turnstile.py``).
+
+``--n`` and ``--chunk-size`` apply to neither the serve nor the turnstile
+shape.
 
 For each shape it reports a wall-clock figure in milliseconds (GC paused,
 best of ``--repeats``; the per-row shape also its µs/row, each half best of
@@ -53,11 +64,13 @@ import pstats
 import random
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 sys.path.insert(0, str(REPO_ROOT / "benchmarks"))
+sys.path.insert(0, str(REPO_ROOT / "bench"))
 
 from repro.core.reservoir_join import ReservoirJoin  # noqa: E402
 from repro.core.turnstile import TurnstileReservoirJoin  # noqa: E402
@@ -67,26 +80,21 @@ from repro.ingest.shard import ShardedIngestor  # noqa: E402
 from repro.relational.query import JoinQuery  # noqa: E402
 from repro.relational.stream import StreamDelete, StreamTuple  # noqa: E402
 
-from harness import timed  # noqa: E402
+from harness import percentile, timed  # noqa: E402
+from run import WORKLOADS, chain_stream, stack_seed  # noqa: E402
 
 SEED = 2024
+#: ``bench/run.py``'s default ``--seed``.
+BENCH_SEED = 1
 DOMAIN = 400
 SAMPLE_SIZE = 1_000
+SERVE = WORKLOADS["serve-chain3"]
 
 
 def chain3_query() -> JoinQuery:
     return JoinQuery.from_spec(
         "chain-3", {"R1": ["x1", "x2"], "R2": ["x2", "x3"], "R3": ["x3", "x4"]}
     )
-
-
-def make_stream(n: int, seed: int = SEED):
-    rng = random.Random(seed)
-    relations = ["R1", "R2", "R3"]
-    return [
-        StreamTuple(relations[i % 3], (rng.randrange(DOMAIN), rng.randrange(DOMAIN)))
-        for i in range(n)
-    ]
 
 
 def two_way_query() -> JoinQuery:
@@ -130,6 +138,37 @@ def run_sharded(query, stream, chunk_size: int, shards: int) -> None:
         query, SAMPLE_SIZE, num_shards=shards, chunk_size=chunk_size,
         rng=random.Random(2),
     ).ingest(stream)
+
+
+def run_serve(inputs: dict) -> dict:
+    """One served loop of the ``serve-chain3`` shape; returns the seconds of
+    each read and each save, in loop order."""
+    server = SERVE.build(inputs, random.Random(stack_seed(BENCH_SEED)))
+    times = {"read": [], "save": []}
+    chunks = inputs["chunks"]
+    clock = time.perf_counter
+    for epoch, chunk in enumerate(chunks, 1):
+        server.ingest_batch(chunk)
+        for _ in range(SERVE.reads_per_boundary):
+            start = clock()
+            server.sample(SERVE.read_k, max_staleness=SERVE.staleness)
+            times["read"].append(clock() - start)
+        if epoch % SERVE.save_every == 0 or epoch == len(chunks):
+            start = clock()
+            server.ingestor.save(inputs["checkpoint"])
+            times["save"].append(clock() - start)
+    return times
+
+
+def serve_floors(inputs: dict, repeats: int) -> dict:
+    """Each read's and each save's minimum over ``repeats`` GC-paused loops."""
+    loops = []
+    for _ in range(repeats):
+        timed(lambda: loops.append(run_serve(inputs)))
+    return {
+        operation: [min(times) for times in zip(*(loop[operation] for loop in loops))]
+        for operation in ("read", "save")
+    }
 
 
 def run_per_row(query, rows) -> DynamicJoinIndex:
@@ -187,7 +226,7 @@ def main() -> None:
     args = parser.parse_args()
 
     query = chain3_query()
-    stream = make_stream(args.n)
+    stream = chain_stream(BENCH_SEED, args.n, DOMAIN)
     print(
         f"ingestion hot-path profile — chain-3, N={args.n}, "
         f"chunk_size={args.chunk_size}, k={SAMPLE_SIZE}"
@@ -211,6 +250,18 @@ def main() -> None:
             f"checkpoint (BatchIngestor.save of the batched final state, "
             f"{os.path.getsize(path):,} bytes)",
             lambda: ingestor.save(path),
+            args.top, args.repeats,
+        )
+    with tempfile.TemporaryDirectory() as directory:
+        inputs = SERVE.generate(BENCH_SEED, 1.0, directory)
+        floors = serve_floors(inputs, args.repeats)
+        reads, saves = floors["read"], floors["save"]
+        profile_shape(
+            f"serve (serve-chain3 loop: {len(inputs['chunks'])} chunks of "
+            f"{SERVE.chunk_size}, {len(reads)} reads of k={SERVE.read_k}, "
+            f"{len(saves)} saves; read {1e6 * percentile(reads, 0.5):.1f} µs p50, "
+            f"save {1e3 * sum(saves) / len(saves):.2f} ms, best of {args.repeats})",
+            lambda: run_serve(inputs),
             args.top, args.repeats,
         )
     rows = list(dict.fromkeys((item.relation, item.row) for item in stream))
