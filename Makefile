@@ -62,15 +62,14 @@ bench-gates:
 # Ingestion-seam acceptance benchmarks (each emits BENCH_*.json in CWD).
 bench:
 	python benchmarks/bench_batch_ingest.py
-	python benchmarks/bench_shard_ingest.py
 	python benchmarks/bench_async.py
 	python benchmarks/bench_gauntlet.py
 	python benchmarks/bench_serving.py
 	python benchmarks/bench_turnstile.py
 
 # Profile-first workflow for the ingestion hot path: GC-paused wall times
-# plus cProfile hotspot tables for the batched and sharded ingestion modes
-# (on the benchmark's insert-chain3 stream), for a checkpoint save of the
+# plus cProfile hotspot tables for the batched ingestion mode (on the
+# benchmark's insert-chain3 stream), for a checkpoint save of the
 # batched final state (ms and file bytes), for the benchmark's serve-chain3
 # loop (read µs p50, save ms), for per-row index inserts and deletes (µs/row,
 # no sampler) and for the turnstile path (in the benchmark's turnstile-2way
@@ -78,7 +77,7 @@ bench:
 profile:
 	python tools/profile_hotpath.py
 
-# Tiny-N smoke of the six seam benchmarks (REPRO_BENCH_SCALE=0.02, one
+# Tiny-N smoke of the five seam benchmarks (REPRO_BENCH_SCALE=0.02, one
 # repeat): asserts each still *executes and emits valid JSON* — imports,
 # streams, internal bit-identity/exact-count assertions, report schema — and
 # that the serving bench's reader threads read inside the writer's window.

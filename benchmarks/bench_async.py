@@ -1,13 +1,13 @@
 """Microbenchmark: a prefetched blocking chunk source against a plain one.
 
-A 4-shard :class:`repro.ShardedIngestor` on a Zipf-skewed chain-3 stream is
-fed from a :class:`repro.relational.stream.ThrottledChunkSource` whose chunk
+A :class:`repro.BatchIngestor` over a ``ReservoirJoin`` on a Zipf-skewed
+chain-3 stream is fed from a :class:`repro.relational.stream.ThrottledChunkSource` whose chunk
 delivery blocks (a stand-in for network transport), once synchronously
 (``ingest_batch`` per delivered chunk) and once through
 :func:`repro.prefetched` (one thread reads the source ahead into a bounded
 queue; ``ingest_batch`` stays on the caller's thread).  Reported: both
 end-to-end wall clocks and the fraction of the transport wait prefetching
-hid.  Both runs must leave bit-identical shard reservoirs.
+hid.  Both runs must leave bit-identical reservoirs.
 
 Emits ``BENCH_async.json`` in the current working directory.
 
@@ -23,7 +23,8 @@ import time
 from bisect import bisect_left
 from typing import Dict, List
 
-from repro.ingest.shard import ShardedIngestor
+from repro.core.reservoir_join import ReservoirJoin
+from repro.ingest.batch import BatchIngestor
 from repro.relational.query import JoinQuery
 from repro.relational.stream import StreamTuple, ThrottledChunkSource, prefetched
 
@@ -32,7 +33,6 @@ from repro.relational.stream import StreamTuple, ThrottledChunkSource, prefetche
 #: valid JSON.
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
 SAMPLE_SIZE = 1_000
-NUM_SHARDS = 4
 ZIPF_SKEW = 2.0
 X2_DOMAIN = 1_024      # Zipf-skewed join attribute (the hot one)
 X3_DOMAIN = 262_144    # uniform join attribute
@@ -102,13 +102,10 @@ def make_skewed_stream(n: int, seed: int = SEED) -> List[StreamTuple]:
     return stream
 
 
-def make_sharded(query: JoinQuery) -> ShardedIngestor:
-    return ShardedIngestor(
-        query,
-        k=SAMPLE_SIZE,
-        num_shards=NUM_SHARDS,
+def make_ingestor(query: JoinQuery) -> BatchIngestor:
+    return BatchIngestor(
+        ReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1)),
         chunk_size=ASYNC_CHUNK_SIZE,
-        rng=random.Random(1),
     )
 
 
@@ -121,10 +118,10 @@ def throttled(stream: List[StreamTuple]) -> ThrottledChunkSource:
 def bench_async(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
     """Sync vs prefetched ingestion over a blocking chunk source."""
     # Only the latest ingestor of each mode is kept, for the identity check.
-    latest: Dict[str, ShardedIngestor] = {}
+    latest: Dict[str, BatchIngestor] = {}
 
     def timed_run(mode: str, wrap) -> float:
-        ingestor = latest[mode] = make_sharded(query)
+        ingestor = latest[mode] = make_ingestor(query)
         source = throttled(stream)
         start = time.perf_counter()
         for chunk in wrap(source):
@@ -134,8 +131,8 @@ def bench_async(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
     sync_seconds = min(timed_run("sync", iter) for _ in range(RUNS))
     async_seconds = min(timed_run("async", prefetched) for _ in range(RUNS))
     # Outside the timed regions: prefetching is transport only.
-    assert latest["async"].shard_samples() == latest["sync"].shard_samples(), (
-        "prefetched ingestion must leave the synchronous shard reservoirs"
+    assert latest["async"].sampler.sample == latest["sync"].sampler.sample, (
+        "prefetched ingestion must leave the synchronous reservoir"
     )
     n_chunks = -(-len(stream) // ASYNC_CHUNK_SIZE)
     transport_seconds = n_chunks * ASYNC_LATENCY_SECONDS
@@ -162,7 +159,6 @@ def bench() -> Dict:
         "query": "chain-3",
         "n_tuples": ASYNC_TUPLES,
         "sample_size": SAMPLE_SIZE,
-        "num_shards": NUM_SHARDS,
         "zipf_skew": ZIPF_SKEW,
         "runs": RUNS,
         "methodology": (
@@ -184,7 +180,7 @@ def main() -> None:
     a = report["async_transport"]
     print(
         f"async transport benchmark — chain-3, N={report['n_tuples']}, "
-        f"k={report['sample_size']}, shards={report['num_shards']}, "
+        f"k={report['sample_size']}, "
         f"{a['chunks']} chunks x {a['latency_seconds_per_chunk'] * 1000:.0f} ms"
     )
     print(

@@ -7,6 +7,11 @@ Emits ``BENCH_batch_ingest.json`` (in the current working directory) with the
 measured times and speedups; the headline criterion is ≥2× throughput for
 the batched mode at its best chunk size.
 
+Its ``cyclic`` block times the cyclic bulk path on the same query:
+``CyclicReservoirJoin.insert_batch`` (grouped bag-index updates and
+whole-batch skips) against the per-tuple cyclic path on one N=20k stream.
+Criterion: ≥ 2×.
+
 Run with:  python benchmarks/bench_batch_ingest.py
 """
 
@@ -18,6 +23,7 @@ import random
 from typing import Dict, List
 
 from repro.core.reservoir_join import ReservoirJoin
+from repro.cyclic.cyclic_join import CyclicReservoirJoin
 from repro.ingest.batch import BatchIngestor
 from repro.relational.query import JoinQuery
 from repro.relational.stream import StreamTuple
@@ -31,6 +37,7 @@ from harness import timed
 #: gated on (see the bench-box convention in ``docs/ARCHITECTURE.md``).
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
 N_TUPLES = max(600, int(50_000 * SCALE))
+N_TUPLES_CYCLIC = max(400, int(20_000 * SCALE))
 SAMPLE_SIZE = 1_000
 DOMAIN = 4_000
 CHUNK_SIZES = [max(64, int(1_024 * SCALE)), max(128, int(8_192 * SCALE))]
@@ -41,6 +48,7 @@ CHUNK_SIZES = [max(64, int(1_024 * SCALE)), max(128, int(8_192 * SCALE))]
 REPEATS = int(os.environ.get("REPRO_BENCH_REPEATS", "5"))
 SEED = 2024
 TARGET_SPEEDUP = 2.0
+TARGET_SPEEDUP_CYCLIC = 2.0
 
 
 def chain3_query() -> JoinQuery:
@@ -58,21 +66,47 @@ def make_stream(n: int = N_TUPLES, seed: int = SEED) -> List[StreamTuple]:
     ]
 
 
-def run_per_tuple(query: JoinQuery, stream: List[StreamTuple]) -> float:
+def run_per_tuple(
+    query: JoinQuery, stream: List[StreamTuple], sampler_cls=ReservoirJoin
+) -> float:
     def run():
-        sampler = ReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
+        sampler = sampler_cls(query, SAMPLE_SIZE, rng=random.Random(1))
         for item in stream:
             sampler.insert(item.relation, item.row)
 
     return timed(run)
 
 
-def run_batched(query: JoinQuery, stream: List[StreamTuple], chunk_size: int) -> float:
+def run_batched(
+    query: JoinQuery, stream: List[StreamTuple], chunk_size: int, sampler_cls=ReservoirJoin
+) -> float:
     def run():
-        sampler = ReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
+        sampler = sampler_cls(query, SAMPLE_SIZE, rng=random.Random(1))
         BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
 
     return timed(run)
+
+
+def bench_cyclic(query: JoinQuery) -> Dict:
+    stream = make_stream(N_TUPLES_CYCLIC, seed=SEED + 1)
+    chunk_size = CHUNK_SIZES[-1]
+    per_tuple = min(
+        run_per_tuple(query, stream, CyclicReservoirJoin) for _ in range(REPEATS)
+    )
+    bulk = min(
+        run_batched(query, stream, chunk_size, CyclicReservoirJoin)
+        for _ in range(REPEATS)
+    )
+    speedup = per_tuple / bulk
+    return {
+        "n_tuples": N_TUPLES_CYCLIC,
+        "chunk_size": chunk_size,
+        "per_tuple_seconds": round(per_tuple, 4),
+        "bulk_seconds": round(bulk, 4),
+        "speedup": round(speedup, 2),
+        "target_speedup": TARGET_SPEEDUP_CYCLIC,
+        "meets_target": speedup >= TARGET_SPEEDUP_CYCLIC,
+    }
 
 
 def bench_rows(n: int = N_TUPLES) -> Dict:
@@ -116,6 +150,7 @@ def bench_rows(n: int = N_TUPLES) -> Dict:
         "best_speedup": round(best_speedup, 2),
         "target_speedup": TARGET_SPEEDUP,
         "meets_target": best_speedup >= TARGET_SPEEDUP,
+        "cyclic": bench_cyclic(query),
     }
 
 
@@ -153,6 +188,13 @@ def main() -> None:
     print(f"best speedup: {report['best_speedup']:.2f}x "
           f"(target ≥ {report['target_speedup']}x, "
           f"{'met' if report['meets_target'] else 'NOT met'})")
+    cyclic = report["cyclic"]
+    print(
+        f"cyclic bulk path (N={cyclic['n_tuples']}): per-tuple "
+        f"{cyclic['per_tuple_seconds']:.3f}s vs bulk {cyclic['bulk_seconds']:.3f}s "
+        f"-> {cyclic['speedup']:.2f}x (target ≥ {cyclic['target_speedup']}x, "
+        f"{'met' if cyclic['meets_target'] else 'NOT met'})"
+    )
     print("wrote BENCH_batch_ingest.json")
 
 

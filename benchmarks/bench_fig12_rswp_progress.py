@@ -14,14 +14,13 @@ after the fill phase".
 from __future__ import annotations
 
 import random
-import time
 
 from repro.core.batch_reservoir import BatchedPredicateReservoir
 from repro.core.reservoir import ReservoirSampler
 from repro.core.skippable import ListBatch
 from repro.workloads.strings import EditDistancePredicate, string_stream
 
-from harness import format_series
+from harness import format_series, timed
 from _common import SEED
 
 N_ITEMS = 4000
@@ -30,34 +29,35 @@ SAMPLE_SIZE = 50
 PARTS = 10
 
 
-def _run_rs(items, predicate, k):
-    """Classic reservoir: evaluate the predicate on every item."""
-    sampler = ReservoirSampler(k, random.Random(SEED))
+def _cumulative_seconds(items, feed):
+    """Cumulative seconds after each of the ``PARTS`` equal parts of
+    ``items``, each part handed to ``feed`` and timed with ``timed``."""
     checkpoints = []
     elapsed = 0.0
     chunk = max(1, len(items) // PARTS)
     for start in range(0, len(items), chunk):
-        begin = time.perf_counter()
-        for item in items[start:start + chunk]:
-            if predicate(item):
-                sampler.process(item)
-        elapsed += time.perf_counter() - begin
+        part = items[start:start + chunk]
+        elapsed += timed(lambda: feed(part))
         checkpoints.append(elapsed)
     return checkpoints[:PARTS]
+
+
+def _run_rs(items, predicate, k):
+    """Classic reservoir: evaluate the predicate on every item."""
+    sampler = ReservoirSampler(k, random.Random(SEED))
+
+    def feed(part):
+        for item in part:
+            if predicate(item):
+                sampler.process(item)
+
+    return _cumulative_seconds(items, feed)
 
 
 def _run_rswp(items, predicate, k):
     """Predicate-aware reservoir: skipping avoids most predicate evaluations."""
     sampler = BatchedPredicateReservoir(k, predicate=predicate, rng=random.Random(SEED))
-    checkpoints = []
-    elapsed = 0.0
-    chunk = max(1, len(items) // PARTS)
-    for start in range(0, len(items), chunk):
-        begin = time.perf_counter()
-        sampler.process_batch(ListBatch(items[start:start + chunk]))
-        elapsed += time.perf_counter() - begin
-        checkpoints.append(elapsed)
-    return checkpoints[:PARTS]
+    return _cumulative_seconds(items, lambda part: sampler.process_batch(ListBatch(part)))
 
 
 def figure12_series(n_items: int = N_ITEMS):

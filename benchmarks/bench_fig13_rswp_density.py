@@ -12,14 +12,13 @@ Reproduction: the same sweep at reduced string length / stream size.
 from __future__ import annotations
 
 import random
-import time
 
 from repro.core.batch_reservoir import BatchedPredicateReservoir
 from repro.core.reservoir import ReservoirSampler
 from repro.core.skippable import ListBatch
 from repro.workloads.strings import EditDistancePredicate, string_stream
 
-from harness import format_series
+from harness import format_series, timed
 from _common import SEED
 
 N_ITEMS = 2500
@@ -29,18 +28,18 @@ DENSITIES = tuple(round(0.1 * step, 1) for step in range(0, 11))
 
 def _time_rs(items, predicate, k) -> float:
     sampler = ReservoirSampler(k, random.Random(SEED))
-    begin = time.perf_counter()
-    for item in items:
-        if predicate(item):
-            sampler.process(item)
-    return time.perf_counter() - begin
+
+    def run():
+        for item in items:
+            if predicate(item):
+                sampler.process(item)
+
+    return timed(run)
 
 
 def _time_rswp(items, predicate, k) -> float:
     sampler = BatchedPredicateReservoir(k, predicate=predicate, rng=random.Random(SEED))
-    begin = time.perf_counter()
-    sampler.process_batch(ListBatch(items))
-    return time.perf_counter() - begin
+    return timed(lambda: sampler.process_batch(ListBatch(items)))
 
 
 def figure13_series(n_items: int = N_ITEMS, densities=DENSITIES):

@@ -7,9 +7,8 @@ windowed sampler) the per-boundary expiry scan.  This benchmark measures
 that tax honestly on a two-relation join: the same insert workload is
 ingested once append-only (``ReservoirJoin``, the reference throughput),
 once with 30% of the inserts later retracted
-(``TurnstileReservoirJoin``), once through a count-based sliding window
-(``WindowedSampler``), and once hash-sharded with the retractions routed
-to their owning shards.  The cost of one retraction, ``per_delete_us`` (the
+(``TurnstileReservoirJoin``), and once through a count-based sliding window
+(``WindowedSampler``).  The cost of one retraction, ``per_delete_us`` (the
 turnstile wall minus the insert-only wall, over the deletes applied), is
 reported at the base stream size and at ten times it: a flat figure means a
 delete's cost does not grow with the stream.
@@ -33,7 +32,6 @@ from typing import Dict, List
 from repro.core.reservoir_join import ReservoirJoin
 from repro.core.turnstile import TurnstileReservoirJoin, WindowedSampler
 from repro.ingest.batch import BatchIngestor
-from repro.ingest.shard import ShardedIngestor
 from repro.relational.query import JoinQuery
 from repro.relational.stream import (
     StreamDelete,
@@ -52,7 +50,6 @@ N_INSERTS = max(600, int(30_000 * SCALE))
 SAMPLE_SIZE = 500
 DOMAIN = max(40, int(2_000 * SCALE))
 CHUNK_SIZE = max(64, int(1_024 * SCALE))
-NUM_SHARDS = 4
 DELETE_FRACTION = 0.3
 TOMBSTONE_FRACTION = 0.1
 #: Repeats per mode; the *minimum* is reported (least-noise estimator).
@@ -177,21 +174,10 @@ def main() -> None:
 
     window = max(2 * CHUNK_SIZE, len(stream) // 4)
 
-    def run_sharded():
-        ingestor = ShardedIngestor(
-            query, SAMPLE_SIZE, num_shards=NUM_SHARDS, chunk_size=CHUNK_SIZE,
-            factory=lambda shard, rng: TurnstileReservoirJoin(
-                query, SAMPLE_SIZE, rng=rng
-            ),
-            rng=random.Random(2),
-        )
-        ingestor.ingest_batch(stream)
-
     per_delete_rows = [per_delete(query, n) for n in PER_DELETE_SIZES]
     insert_only = per_delete_rows[0]["insert_only_seconds"]
     turnstile = per_delete_rows[0]["turnstile_seconds"]
     windowed = min(timed(lambda: run_windowed(query, stream, window)) for _ in range(REPEATS))
-    sharded = min(timed(run_sharded) for _ in range(REPEATS))
 
     turnstile_stats = run_turnstile(query, stream).statistics()
     windowed_stats = run_windowed(query, stream, window).statistics()
@@ -226,14 +212,6 @@ def main() -> None:
             "tuples_per_second": round(n / windowed),
             "expirations": windowed_stats["expirations"],
             "rows_in_window": windowed_stats["rows_in_window"],
-        },
-        {
-            "mode": "turnstile_sharded",
-            "chunk_size": CHUNK_SIZE,
-            "num_shards": NUM_SHARDS,
-            "n_items": n,
-            "seconds": round(sharded, 4),
-            "tuples_per_second": round(n / sharded),
         },
     ]
     report = {

@@ -17,20 +17,14 @@ tuple-at-a-time processing.  The synopsis is then used to estimate a
 group-by aggregate, compared with the exact answer computed by the
 symmetric-hash-join oracle.
 
-The second half partitions the same pipeline: a
-:class:`repro.ShardedIngestor` hash-partitions the feed across independent
-synopsis replicas (one per shard) and recombines them with
-``merged_sample`` — an *exactly* uniform sample of the global join, good
-for the same analytics.
-
-The third section feeds the *same* click stream to two consumers in one
+The second section feeds the *same* click stream to two consumers in one
 pass: a freshness-tuned dashboard reservoir and a cyclic-pattern analytics
 sampler.  No special ingestor is needed — each chunk of one
 ``chunk_stream`` pass is handed to every sampler through
 :func:`repro.core.backend.chunk_apply`, so each reservoir is bit-identical
 to what a standalone run under its own seed would have produced.
 
-The fourth section lets the feed *take things back*: a fraction of the
+The third section lets the feed *take things back*: a fraction of the
 fact tuples is later retracted — late corrections, erasure requests —
 and the synopsis is maintained through a
 :class:`repro.TurnstileReservoirJoin` instead, staying exactly uniform
@@ -59,7 +53,6 @@ from repro import (
     CyclicReservoirJoin,
     JoinQuery,
     ReservoirJoin,
-    ShardedIngestor,
     StreamTuple,
     SymmetricHashJoinSampler,
 )
@@ -124,29 +117,6 @@ def main() -> None:
 
     worst = max(abs(exact[c] - estimated[c]) for c in exact)
     print(f"\nlargest absolute estimation error across categories: {worst:.1%}")
-
-    # ------------------------------------------------------------------ #
-    # Sharded: the same synopsis, partitioned across replicas
-    # ------------------------------------------------------------------ #
-    sharded = ShardedIngestor(
-        query, k=500, num_shards=4, chunk_size=CHUNK_SIZE, rng=random.Random(3)
-    )
-    sharded.ingest(stream)
-    shard_stats = sharded.statistics()
-    merged = sharded.merged_sample()
-    sharded_shares = category_shares(merged)
-    worst_sharded = max(abs(exact[c] - sharded_shares[c]) for c in exact)
-    print(f"\nsharded synopsis ({shard_stats['num_shards']} shards, partitioned "
-          f"on {shard_stats['partition_attr']!r}):")
-    print(f"  per-shard stream tuples:          {shard_stats['shard_tuples']}")
-    shard_counts = [
-        count_results(sampler.query, sampler.index.database)
-        for sampler in sharded.samplers
-    ]
-    print(f"  per-shard join results (exact):   {shard_counts}")
-    print(f"  broadcast deliveries:             {shard_stats['broadcast_deliveries']}")
-    print(f"  merged sample size:               {len(merged)}")
-    print(f"  largest sharded estimation error: {worst_sharded:.1%}")
 
     # ------------------------------------------------------------------ #
     # One stream pass, several consumers

@@ -30,21 +30,6 @@ Every sampler supports three interchangeable ways of consuming a stream:
   holds at every *chunk boundary*; between boundaries the sample lags by
   less than one chunk.  Use it for heavy streams where throughput is the
   goal — it is several times faster end to end.
-* **Sharded** — ``ShardedIngestor(query, k, num_shards).ingest(stream)``.
-  Chunks are hash-partitioned on a partition attribute across independent
-  per-shard sampler replicas (relations lacking the attribute are broadcast),
-  and the shards run one after another in process.  Because every join
-  result binds the partition attribute to one value, the shard-local result
-  sets partition the global result set; ``merged_sample(k)`` recombines the
-  shard reservoirs into a sample that is *exactly* uniform over the global
-  join at every chunk boundary, by keeping the ``k`` smallest of keys
-  regenerated from each shard's reservoir and running ``w``, with no
-  result count.  It is
-  not a speed mode: on one machine it does strictly more work than plain
-  batched ingestion (broadcast relations are ingested once per shard).  Use
-  it for its merge, which makes independently maintained shard reservoirs
-  one uniform sample.
-
 * **Several samplers, one pass** — no ingestor needed: for each chunk of
   one ``chunk_stream(stream, chunk_size)`` pass, call
   ``chunk_apply(backend)[0](chunk)`` (:mod:`repro.core.backend`) on every
@@ -63,9 +48,7 @@ Every sampler supports three interchangeable ways of consuming a stream:
   sliding-window sampling: rows older than ``window`` (a count of stream
   items, or a timestamp horizon with ``mode="timestamp"``) are retracted
   automatically at chunk boundaries.  Both conform to the same backend seam, so they
-  compose with every mode below — sharded (retractions are hash-routed to
-  the owning shard; broadcast relations broadcast their deletes),
-  checkpoint/restore and serving.  Use them for feeds with
+  compose with batched ingestion, checkpoint/restore and serving.  Use them for feeds with
   corrections/expirations; the insert-only samplers stay strictly faster on
   append-only streams.
 
@@ -83,8 +66,8 @@ boundaries — with per-subscriber predicate views and a bounded-staleness
 policy (``snapshot(max_staleness)``); reads are safe from any number of
 threads.
 
-Long-running streams are durable: ``BatchIngestor`` and ``ShardedIngestor``
-expose ``save(path)`` / ``restore(path)`` — a versioned, checksummed
+Long-running streams are durable: ``BatchIngestor`` exposes
+``save(path)`` / ``restore(path)`` — a versioned, checksummed
 checkpoint (reservoirs, stored relation state, exact RNG state) from which a
 fresh process resumes *bit-identically* to an uninterrupted run (see :mod:`repro.ingest.checkpoint`).
 
@@ -93,8 +76,8 @@ All modes draw from exactly the same join-result distribution;
 
 See ``README.md`` for the decision table, ``docs/ARCHITECTURE.md`` for the
 uniformity arguments, ``examples/quickstart.py`` for a five-minute tour and
-``examples/streaming_warehouse.py`` for the batched/sharded/multi-sampler
-APIs in context.
+``examples/streaming_warehouse.py`` for the batched/multi-sampler APIs in
+context.
 """
 
 from .relational.query import JoinQuery
@@ -121,7 +104,6 @@ from .ingest.checkpoint import (
     CheckpointVersionError,
     PeriodicCheckpointer,
 )
-from .ingest.shard import ShardedIngestor
 from .serve import EpochSnapshot, SampleServer
 from .index.dynamic_index import DynamicJoinIndex
 from .index.two_table import TwoTableIndex
@@ -150,7 +132,6 @@ __all__ = [
     "WindowedSampler",
     "SamplerBackend",
     "BatchIngestor",
-    "ShardedIngestor",
     "CheckpointCodec",
     "CheckpointError",
     "CheckpointCorruptError",

@@ -16,10 +16,10 @@ Four layers of service:
   must satisfy to ride the ingestion seam.  Conformance is duck-typed
   (``typing.Protocol``); samplers do not import this module to conform.
 * **Capability probing** (:func:`chunk_apply`) — the chunk method a given
-  backend offers: an ingestor-style ``ingest_batch``, else ``insert_batch``.
-* **Seed derivation** (:func:`derive_seed`) — the one rule sharding uses
-  to split a master RNG into independent per-replica RNGs, so replica
-  randomness is reproducible and never shared.
+  backend offers: a segmenting ``ingest_batch``, else ``insert_batch``.
+* **Seed derivation** (:func:`derive_seed`) — the one rule for splitting a
+  master RNG into independent child RNGs, so their randomness is
+  reproducible and never shared.
 * **Durability** (:func:`snapshot_backend`, :func:`restore_backend`) — the
   one rule every checkpointing ingestor uses to capture and rebuild a
   backend: the backend's own ``snapshot_state``/``from_snapshot``
@@ -69,7 +69,7 @@ class SamplerBackend(Protocol):
 
     The chunk method the seam drives
     --------------------------------
-    ``insert_batch(items)`` (or an ingestor-style ``ingest_batch``)
+    ``insert_batch(items)`` (or a segmenting ``ingest_batch``)
         Absorb a chunk of ``StreamTuple``/``(relation, row)`` items; must
         validate the whole chunk before any mutation and keep the
         reservoir uniform at the chunk boundary.  :func:`chunk_apply`
@@ -80,7 +80,7 @@ class SamplerBackend(Protocol):
     ---------------------------------------------
     ``reservoir``
         The :class:`~repro.core.batch_reservoir.BatchedPredicateReservoir`
-        behind ``sample``, whose running ``w`` the sharded merge reads.
+        behind ``sample``.
     ``snapshot_state()`` / ``restore_state(state)`` / ``from_snapshot(state)``
         Durability: a versioned, self-describing snapshot of the backend's
         complete resumable state (stored relation rows, reservoir contents,
@@ -103,14 +103,11 @@ class SamplerBackend(Protocol):
 def chunk_apply(backend) -> Tuple[Callable[[Sequence], object], str]:
     """How to hand ``backend`` a chunk: ``(apply, mode)``.
 
-    Probe order — the single dispatch rule shared by
-    :class:`~repro.ingest.batch.BatchIngestor` and the shard replicas of
-    :class:`~repro.ingest.shard.ShardedIngestor`:
+    Probe order — the single dispatch rule of
+    :class:`~repro.ingest.batch.BatchIngestor`:
 
-    1. ``ingest_batch`` (``mode='ingest_batch'``) — the backend segments or
-       routes its own chunks (a turnstile sampler splitting out its
-       retractions, or an ingestor such as a
-       :class:`~repro.ingest.shard.ShardedIngestor`);
+    1. ``ingest_batch`` (``mode='ingest_batch'``) — the backend segments its
+       own chunks (a turnstile sampler splitting out its retractions);
     2. ``insert_batch`` (``mode='insert_batch'``) — the sampler's chunk
        path, which validates the whole chunk before any mutation.
 
@@ -207,10 +204,9 @@ def restore_backend(record: Dict[str, object]):
 def derive_seed(rng: random.Random) -> int:
     """Draw one replica seed from a master RNG (:data:`SEED_BITS` bits).
 
-    Every multi-replica feature derives its per-replica randomness through
-    this single rule, so a run is reproducible from one master seed and two
-    replicas never share an RNG — the independence the uniformity argument
-    of sharding relies on.
+    Every component that owns child randomness (a server's epoch cuts and
+    predicate views) derives it through this single rule, so a run is
+    reproducible from one master seed and two children never share an RNG.
     """
     return rng.getrandbits(SEED_BITS)
 

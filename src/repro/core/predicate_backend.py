@@ -18,9 +18,7 @@ every chunking of a stream (one item per chunk included) gives the same
 sample and the same RNG state under the same seed.
 
 The adapter deliberately exposes **no** ``query`` and **no** ``index``:
-there is no join to hash-partition or count, so the sharded modes
-cannot host it (the workload gauntlet records those cells as structural
-skips).  Batched and checkpoint modes both apply.
+there is no join to count.  Batched and checkpoint modes both apply.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ class TurnstileReservoirJoin(ReservoirJoin):
     inserts — per tuple (:meth:`delete`, a one-item :meth:`delete_batch`),
     per run (:meth:`delete_batch`) or mixed into chunks (:meth:`ingest_batch`,
     which the ingestion seam's :func:`~repro.core.backend.chunk_apply`
-    probes first, so this sampler composes under the batched, sharded,
+    probes first, so this sampler composes under the batched,
     checkpointing and serving modes like any other backend).  Inserts come
     per tuple (:meth:`insert`, a one-item ``insert_batch``) or in bulk.
     Every entry point is a chunk through the same per-key fold, which nets
@@ -433,9 +433,7 @@ class WindowedSampler(TurnstileReservoirJoin):
 
     ``mode="count"``
         The window covers the last ``window`` stream *items* this sampler
-        absorbed (its local clock).  Under sharding each replica keeps its
-        own clock, so count windows are per-replica — use timestamp windows
-        when shards must agree on the horizon.
+        absorbed (its local clock).
     ``mode="timestamp"``
         The window covers rows whose *newest* admission timestamp exceeds
         ``watermark - window``, where the watermark is the monotone maximum

@@ -10,17 +10,10 @@ that cost in two layers:
    probing (:func:`~repro.core.backend.chunk_apply`) picks each backend's
    chunk method once — ``ingest_batch``, else ``insert_batch`` — so no
    ingestor carries its own ``getattr`` boilerplate.
-2. **The ingestors**, each one chunk loop that applies a chunk, counts it
-   once and then runs its chunk-boundary hooks:
-
-   * :class:`BatchIngestor` — one sampler, no routing; the uniformity
-     guarantee holds at every chunk boundary (``chunk_size=1`` degenerates
-     to exact per-tuple semantics).
-   * :class:`ShardedIngestor` — one sampler per shard behind a
-     hash-partitioning router (relations lacking the partition attribute
-     are broadcast), with the exactly-uniform ``merged_sample`` recombining
-     the shard reservoirs by regenerated keys, never by counts (see
-     :mod:`repro.ingest.shard`).
+2. **The ingestor**, :class:`BatchIngestor`: one chunk loop that applies
+   a chunk to one sampler, counts it once and then runs its chunk-boundary
+   hooks.  The uniformity guarantee holds at every chunk boundary
+   (``chunk_size=1`` degenerates to exact per-tuple semantics).
 
 Feeding one stream pass to several samplers needs no ingestor of its own:
 call ``chunk_apply(backend)[0](chunk)`` for each backend on every chunk of
@@ -34,7 +27,7 @@ thread while the caller's thread calls ``ingest_batch`` per chunk, so every
 chunk stays an exact chunk boundary.
 
 Anything that can hand chunks of
-:class:`~repro.relational.stream.StreamTuple` to one of these participates
+:class:`~repro.relational.stream.StreamTuple` to the ingestor participates
 in the fast path; every mode preserves the same guarantee — the reservoir
 is an exactly uniform sample without replacement of the join results of the
 stream prefix at every chunk boundary.
@@ -45,13 +38,11 @@ inserts when the hosted sampler is deletion-capable
 (:class:`~repro.core.turnstile.TurnstileReservoirJoin`,
 :class:`~repro.core.turnstile.WindowedSampler`).  ``chunk_apply`` probes
 ``ingest_batch`` first, so the turnstile samplers net mixed chunks per
-row themselves; the sharded router hash-routes each retraction to the shard
-owning the row (broadcast relations broadcast their deletes).  The
-boundary guarantee becomes: exactly uniform over the *surviving* join
+row themselves.  The boundary guarantee becomes: exactly uniform over the *surviving* join
 results of the prefix.
 
-Chunk boundaries are also the durability points: the ingestors checkpoint
-(``save(path)``) and restore (``Ingestor.restore``) through the versioned
+Chunk boundaries are also the durability points: the ingestor checkpoints
+(``save(path)``) and restores (``BatchIngestor.restore``) through the versioned
 file format of :mod:`repro.ingest.checkpoint`, with bit-identical
 resumption — the restored run consumes exactly the random
 stream an uninterrupted run would have.
@@ -66,18 +57,14 @@ from .checkpoint import (
     CheckpointVersionError,
     PeriodicCheckpointer,
 )
-from .shard import ShardedIngestor, partition_attribute, stable_shard_hash
 
 __all__ = [
     "DEFAULT_CHUNK_SIZE",
     "BatchIngestor",
-    "ShardedIngestor",
     "CheckpointCodec",
     "CheckpointError",
     "CheckpointCorruptError",
     "CheckpointVersionError",
     "CheckpointMismatchError",
     "PeriodicCheckpointer",
-    "partition_attribute",
-    "stable_shard_hash",
 ]

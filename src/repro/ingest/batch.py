@@ -68,7 +68,7 @@ class BatchIngestor:
         self.batches_ingested += 1
         self.tuples_ingested += tuples
         for hook in self._hooks:
-            hook(items, [items])
+            hook(items)
         return tuples
 
     def ingest(self, stream: Iterable[StreamTuple]) -> "BatchIngestor":
@@ -78,13 +78,13 @@ class BatchIngestor:
         return self
 
     def add_boundary_hook(self, hook):
-        """Register ``hook(items, parts)`` to run at every chunk boundary.
+        """Register ``hook(items)`` to run at every chunk boundary.
 
         Chunk boundaries are exactly where the reservoir's uniformity
         guarantee holds, so this is the attachment point for epoch cuts
         (:class:`~repro.serve.SampleServer`) and timer checkpointing
         (:class:`~repro.ingest.checkpoint.PeriodicCheckpointer`).  Hooks
-        run in registration order, ``parts`` is ``[items]``, and a hook that
+        run in registration order, ``items`` is the chunk, and a hook that
         raises aborts the ``ingest_batch`` call (the chunk itself is already
         absorbed).  Returns ``hook`` so it can be registered inline.
         """

@@ -22,8 +22,7 @@ future behaviour depends on:
   re-amortise differently and consume different randomness downstream),
 * the reservoir state (contents, running ``w``, the pending skip that may
   span chunk boundaries),
-* the exact RNG state (``random.Random.getstate()``), at every level that
-  owns randomness (sampler replicas, the sharded master RNG).
+* the exact RNG state (``random.Random.getstate()``) of the sampler.
 
 File format (version 1)
 -----------------------
@@ -40,16 +39,13 @@ The digest turns silent truncation and bit rot into
 :class:`CheckpointCorruptError` instead of an unpickling crash (or, worse, a
 quietly wrong reservoir); the version field turns a format change into
 :class:`CheckpointVersionError` instead of a guessing game.  The payload
-always carries the saving ingestor's *kind* (``"batch"`` or
-``"sharded"``), and each ``restore`` entry point refuses a wrong kind — or a
-mismatched topology, e.g. a different shard count — with
-:class:`CheckpointMismatchError` rather than silently rehashing state.  A
-nested backend record naming a class this code base no longer has (a
-retired ingestion mode) is refused the same way, by
+always carries the saving ingestor's *kind* (``"batch"``), and
+``BatchIngestor.restore`` refuses any other kind with
+:class:`CheckpointMismatchError`.  A nested backend record naming a class
+this code base no longer has is refused the same way, by
 :func:`~repro.core.backend.restore_backend`.  Files of the retired
-``"async"`` kind are refused by both entry points; the target record they
-nest still restores through
-``restore_backend(CODEC.load(path)["state"]["target"])``.
+``"async"`` and ``"sharded"`` kinds are refused so; only the sampler
+records they nest, which name ``ReservoirJoin``, still restore.
 
 Checkpoints are trusted inputs: the payload is a pickle, so only load files
 you (or your infrastructure) wrote — the same trust model as every pickle-
@@ -92,8 +88,7 @@ class CheckpointVersionError(CheckpointError):
 
 class CheckpointMismatchError(CheckpointError):
     """The checkpoint is valid but does not fit the requested restore —
-    wrong ingestor kind, different shard count, different topology, or a
-    nested backend whose class no longer exists."""
+    wrong ingestor kind, or a nested backend whose class no longer exists."""
 
 
 class CheckpointCodec:
@@ -218,7 +213,7 @@ class PeriodicCheckpointer:
     ----------
     ingestor:
         Any ingestor exposing ``add_boundary_hook`` and ``save(path)``
-        (batch / sharded); every chunk it ingests is a boundary, whether
+        (a ``BatchIngestor``); every chunk it ingests is a boundary, whether
         its chunks come straight from the source or through
         :func:`~repro.relational.stream.prefetched`.
     path:
@@ -271,7 +266,7 @@ class PeriodicCheckpointer:
         self._installed = True
         return self
 
-    def _on_boundary(self, items, parts) -> None:
+    def _on_boundary(self, items) -> None:
         self.boundaries_seen += 1
         now = self._clock()
         if now - self._last_checkpoint_at >= self.interval_seconds:

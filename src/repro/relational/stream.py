@@ -128,8 +128,7 @@ def validate_pairs(pairs: Iterable[Tuple[str, Tuple]], query) -> None:
 def chunk_stream(stream: Iterable, size: int) -> Iterator[List]:
     """Yield consecutive chunks of at most ``size`` items from ``stream``.
 
-    The canonical chunker behind every ingestion mode — batched and
-    sharded both cut streams with it.  Chunk boundaries are where the
+    The canonical chunker behind every ingestion mode.  Chunk boundaries are where the
     per-prefix uniformity guarantee holds, so anything that transports
     streams in chunks of this shape can feed any ingestor.
     """

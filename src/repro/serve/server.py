@@ -2,26 +2,20 @@
 
 The paper's whole point is that reservoir maintenance makes ``sample(k)``
 answerable *at any moment during the stream*.  This module is that moment's
-front door: one writer drives a live ingestor (a
-:class:`~repro.ingest.batch.BatchIngestor` or a
-:class:`~repro.ingest.shard.ShardedIngestor`) chunk by chunk, and many
-concurrent readers draw
-samples that are never torn and always exactly uniform.
+front door: one writer drives a live
+:class:`~repro.ingest.batch.BatchIngestor` chunk by chunk, and many
+concurrent readers draw samples that are never torn and always exactly
+uniform.
 
 Snapshot epochs
 ---------------
 Uniformity holds at chunk boundaries — and only there.  The server counts
-boundaries as *epochs* via the ingestors' ``add_boundary_hook`` seam
+boundaries as *epochs* via the ingestor's ``add_boundary_hook`` seam
 (epoch ``E`` = the state after chunk ``E``; epoch 0 = the empty prefix).
 Reads never touch the live state.  Instead the first read of an epoch
 captures an :class:`EpochSnapshot`: an immutable record of only what a read
-needs, never the index or the relations.
-
-* A :class:`~repro.ingest.batch.BatchIngestor` records its sampler's
-  reservoir.
-* A :class:`~repro.ingest.shard.ShardedIngestor` records each shard's
-  reservoir, running ``w`` and capacity, plus its default merge size.
-* Every subscribed predicate view records its reservoir.
+needs — the sampler's reservoir and every subscribed predicate view's
+reservoir, never the index or the relations.
 
 Result dicts are copied into the record, so later ingestion cannot reach
 it.  A cut therefore costs O(k) per reservoir, never a pass over the
@@ -43,11 +37,6 @@ reservoir size) is uniform too.  The subset is a partial Fisher–Yates
 shuffle drawn from the cut's own RNG: reads of one cut take their draws
 from it in turn, so each read's subset is uniform given every earlier
 read's, and two co-seeded servers serve the same sequence of subsets.
-For a sharded target the record's shard states are the exact inputs of
-:func:`~repro.ingest.shard.merge_shard_samples`, the same function the live
-:meth:`~repro.ingest.shard.ShardedIngestor.merged_sample` calls, so a read
-realises the exact bottom-``k`` key merge over the boundary reservoirs,
-drawing from the same RNG as a subset read.
 Readers therefore get exact uniformity over the prefix at their snapshot
 epoch — never an approximation, never a mixture of two prefixes.
 
@@ -79,7 +68,6 @@ from ..core.backend import derive_seed
 # Bound but never called: bench/run.py's trace probes look these names up here.
 from ..core.backend import restore_backend, snapshot_backend  # noqa: F401
 from ..core.predicate_backend import PredicateStreamSampler
-from ..ingest.shard import ShardState, merge_shard_samples
 from ..relational.stream import (
     StreamTuple,
     as_relation_rows,
@@ -121,10 +109,9 @@ def _subset(population: Sequence, k: int, rng: random.Random) -> List:
 class EpochSnapshot:
     """An immutable record of the served state at one chunk-boundary epoch.
 
-    Holds only what reads need: ``reservoir`` (a batch target) or
-    ``shard_states`` plus the default merge size ``k`` (a sharded target),
-    and each subscribed view's reservoir.  All read methods are safe to
-    call from any number of threads concurrently: the only mutable state is
+    Holds only what reads need: the sampler's ``reservoir`` and each
+    subscribed view's reservoir.  All read methods are safe to call from
+    any number of threads concurrently: the only mutable state is
     the cut's own RNG, seeded at capture and guarded by its own lock, from
     which reads without an explicit ``rng`` draw in turn.
     """
@@ -134,16 +121,12 @@ class EpochSnapshot:
         epoch: int,
         tuples_ingested: int,
         seed: int,
-        reservoir: Optional[Tuple[dict, ...]],
-        shard_states: Optional[Tuple[ShardState, ...]],
-        k: Optional[int],
+        reservoir: Tuple[dict, ...],
         views: Dict[str, Tuple[dict, ...]],
     ) -> None:
         self.epoch = epoch
         self.tuples_ingested = tuples_ingested
         self.reservoir = reservoir
-        self.shard_states = shard_states
-        self.k = k
         self._views = views
         self._rng = random.Random(seed)
         self._rng_lock = threading.Lock()
@@ -153,12 +136,9 @@ class EpochSnapshot:
     ) -> List[dict]:
         """A uniform sample of the join results of this epoch's prefix.
 
-        Sharded records draw a fresh merged sample (the ``k`` smallest
-        regenerated keys over the recorded shard reservoirs, ``k``
-        defaulting to the ingestor's).  Batch records return the reservoir itself
-        when ``k`` is ``None`` or at least the reservoir size
-        (bit-identical to a standalone sampler stopped at this prefix), and
-        a uniform ``k``-subset of it otherwise — a uniform subset of a
+        Returns the reservoir itself when ``k`` is ``None`` or at least
+        the reservoir size (bit-identical to a standalone sampler stopped
+        at this prefix), and a uniform ``k``-subset of it otherwise — a uniform subset of a
         uniform sample is itself uniform.  Pass ``rng`` for a deterministic
         draw; by default reads draw in turn from the cut's own RNG, seeded
         at capture, so each read's subset is uniform given all earlier
@@ -167,17 +147,12 @@ class EpochSnapshot:
         """
         if k is not None and k <= 0:
             raise ValueError("sample size must be positive")
-        if self.shard_states is not None:
-            draw, population = merge_shard_samples, self.shard_states
-            k = self.k if k is None else k
-        elif k is None or k >= len(self.reservoir):
+        if k is None or k >= len(self.reservoir):
             return list(self.reservoir)
-        else:
-            draw, population = _subset, self.reservoir
         if rng is not None:
-            return draw(population, k, rng)
+            return _subset(self.reservoir, k, rng)
         with self._rng_lock:
-            return draw(population, k, self._rng)
+            return _subset(self.reservoir, k, self._rng)
 
     def view_sample(self, name: str) -> List[dict]:
         """The recorded reservoir of one subscribed predicate view."""
@@ -190,11 +165,7 @@ class EpochSnapshot:
         return list(view)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        kind = "sharded" if self.shard_states is not None else "reservoir"
-        return (
-            f"EpochSnapshot(epoch={self.epoch}, {kind}, "
-            f"views={sorted(self._views)})"
-        )
+        return f"EpochSnapshot(epoch={self.epoch}, views={sorted(self._views)})"
 
 
 class SampleServer:
@@ -204,8 +175,7 @@ class SampleServer:
     ----------
     ingestor:
         The live ingestor to serve: anything exposing ``add_boundary_hook``
-        (a :class:`~repro.ingest.batch.BatchIngestor` or a
-        :class:`~repro.ingest.shard.ShardedIngestor`), whose boundary hook
+        (a :class:`~repro.ingest.batch.BatchIngestor`), whose boundary hook
         counts the epochs.  Anything else raises ``TypeError``; serve a
         bare sampler by wrapping it in a ``BatchIngestor``.
     rng:
@@ -239,7 +209,7 @@ class SampleServer:
     # ------------------------------------------------------------------ #
     # Writer side
     # ------------------------------------------------------------------ #
-    def _on_boundary(self, items, parts) -> None:
+    def _on_boundary(self, items) -> None:
         self._epoch += 1
 
     def ingest_batch(self, items: Sequence) -> int:
@@ -307,22 +277,11 @@ class SampleServer:
 
     def _capture(self) -> EpochSnapshot:
         target = self.ingestor
-        reservoir = shard_states = k = None
-        if hasattr(target, "shard_states"):
-            shard_states = tuple(
-                ShardState(_copied(state.sample), state.w, state.capacity)
-                for state in target.shard_states()
-            )
-            k = target.k
-        else:
-            reservoir = _copied(target.sampler.sample)
         return EpochSnapshot(
             self._epoch,
             target.tuples_ingested,
             derive_seed(self._rng),
-            reservoir=reservoir,
-            shard_states=shard_states,
-            k=k,
+            reservoir=_copied(target.sampler.sample),
             views={name: _copied(view.sample) for name, view in self._views.items()},
         )
 
@@ -332,7 +291,7 @@ class SampleServer:
         Returns the cached cut when it is at most ``max_staleness`` epochs
         behind the current one (0 = must be current); otherwise captures a
         fresh cut at the current boundary.  Capture copies the reservoirs
-        (O(k) each, sharded or not) under the writer's lock, paid once per
+        (O(k) each) under the writer's lock, paid once per
         epoch by the first reader needing it.  A cache hit takes no writer
         lock, so it never waits for a chunk being applied; a miss takes the
         lock and checks the cache again before it cuts.

@@ -12,8 +12,7 @@ ground-truth universe or against a reference run:
 
 ``exact-set+chi-square``
     The mode promises the right *distribution*, not the same bits: the
-    per-tuple baseline, batched chunking and serial sharding
-    (hypergeometric merge).  Two assertions: an over-sized
+    per-tuple baseline and batched chunking.  Two assertions: an over-sized
     reservoir (``k > |universe|``) must reproduce the ground-truth result
     set exactly, and across independently seeded trials the per-result
     inclusion counts must pass a chi-square uniformity test
@@ -35,12 +34,11 @@ pre-insert tombstones, via :func:`~tests.gauntlet.scenarios
 .turnstile_variant`) through the deletion-capable sampler, asserting the
 ``exact-set+chi-square`` tier against the *surviving* (post-deletion)
 result universe.  The dedicated turnstile scenario additionally flows
-through the ordinary columns — per-tuple, batched, sharded (retractions
-hash-routed to the owning shard), checkpoint-resume (including a windowed
-sub-check), serving — because deletion-capable samplers implement the same
+through the ordinary columns — per-tuple, batched, checkpoint-resume
+(including a windowed sub-check), serving — because deletion-capable samplers implement the same
 backend seam.
 
-Cells a mode cannot structurally host — no join query to hash-partition,
+Cells a mode cannot structurally host — no join index to retract from,
 retractions against a cyclic plan — are reported as ``skip`` with the
 reason, never silently dropped.
 
@@ -62,7 +60,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.core.turnstile import WindowedSampler
 from repro.ingest.batch import BatchIngestor
-from repro.ingest.shard import ShardedIngestor
 from repro.relational.stream import StreamDelete, chunk_stream
 from repro.serve import SampleServer
 
@@ -79,7 +76,6 @@ from tests.oracles import (
 MODES = (
     "pertuple",
     "batched",
-    "sharded",
     "checkpoint",
     "served",
     "turnstile",
@@ -93,7 +89,6 @@ SCALE_ENV = "REPRO_GAUNTLET_SCALE"
 
 K = 20                  # reservoir size for bit-identity cells
 CHUNK_SIZE = 32         # chunking shared by every chunked mode
-NUM_SHARDS = 3
 P_THRESHOLD = 0.002     # reject uniformity at or below this p-value
 SEED = 2024
 
@@ -129,7 +124,6 @@ class GauntletConfig:
         return {
             "k": K,
             "chunk_size": CHUNK_SIZE,
-            "num_shards": NUM_SHARDS,
             "trials": self.trials,
             "p_threshold": P_THRESHOLD,
             "seed": SEED,
@@ -272,24 +266,6 @@ class ModeMatrix:
         )
         return list(sampler.sample)
 
-    def _make_sharded(self, scenario: Scenario, k: int, seed: int) -> ShardedIngestor:
-        kwargs = dict(
-            num_shards=NUM_SHARDS,
-            chunk_size=CHUNK_SIZE,
-            rng=random.Random(seed),
-        )
-        if scenario.kind in ("cyclic", "turnstile"):
-            # The default shard factory builds acyclic ReservoirJoins; cyclic
-            # and turnstile scenarios shard through the scenario's own
-            # (GHD-based resp. deletion-capable) sampler factory.
-            kwargs["factory"] = lambda shard, rng: scenario.make_sampler(k, rng)
-        return ShardedIngestor(scenario.query, k, **kwargs)
-
-    def _run_sharded(self, scenario: Scenario, k: int, seed: int) -> List[dict]:
-        ingestor = self._make_sharded(scenario, k, seed)
-        ingestor.ingest(scenario.stream)
-        return ingestor.merged_sample(k, rng=random.Random(seed + 101))
-
     # ------------------------------------------------------------------ #
     # Cell checks
     # ------------------------------------------------------------------ #
@@ -345,13 +321,6 @@ class ModeMatrix:
 
     def _cell_batched(self, scenario: Scenario) -> CellResult:
         return self._statistical_cell(scenario, "batched", self._run_batched)
-
-    def _cell_sharded(self, scenario: Scenario) -> CellResult:
-        cell = self._statistical_cell(scenario, "sharded", self._run_sharded)
-        ingestor = self._make_sharded(scenario, K, SEED)
-        cell.serial_seconds = round(timed(lambda: ingestor.ingest(scenario.stream)), 4)
-        cell.detail["load_imbalance"] = ingestor.statistics().get("load_imbalance")
-        return cell
 
     def _prefix_universe(self, scenario: Scenario, consumed: int) -> List[dict]:
         """Ground truth of the first ``consumed`` stream tuples — what a
@@ -485,19 +454,19 @@ class ModeMatrix:
     def _cell_checkpoint(self, scenario: Scenario, tmp_dir: str) -> CellResult:
         """Save mid-stream, restore, finish: bit-identical to uninterrupted.
 
-        Sub-checks cover every durable ingestor the scenario supports, so
-        across the matrix the checkpoint column exercises all three: batch,
-        sharded and windowed.
+        Sub-checks cover every durable sampler the scenario supports, so
+        across the matrix the checkpoint column exercises both: the
+        scenario's own sampler and a windowed one.
         """
         cut = self._checkpoint_boundary(scenario)
         head, tail = scenario.stream[:cut], scenario.stream[cut:]
         covered: List[str] = []
 
-        def roundtrip(ingestor_cls, build, path, finished):
+        def roundtrip(build, path, finished):
             ingestor = build()
             ingestor.ingest(head)
             ingestor.save(path)
-            resumed = ingestor_cls.restore(path)
+            resumed = BatchIngestor.restore(path)
             resumed.ingest(tail)
             finished(resumed)
 
@@ -514,29 +483,10 @@ class ModeMatrix:
                     raise CellFailure("batch checkpoint-resume diverged")
 
             roundtrip(
-                BatchIngestor,
                 lambda: BatchIngestor(
                     scenario.make_sampler(K, random.Random(SEED)),
                     chunk_size=CHUNK_SIZE,
                 ),
-                path,
-                finished,
-            )
-
-        def sharded_check() -> None:
-            reference = self._make_sharded(scenario, K, SEED)
-            reference.ingest(scenario.stream)
-            path = os.path.join(tmp_dir, f"{scenario.name}-sharded.ckpt")
-
-            def finished(resumed: ShardedIngestor) -> None:
-                if [list(s.sample) for s in resumed.samplers] != [
-                    list(s.sample) for s in reference.samplers
-                ]:
-                    raise CellFailure("sharded checkpoint-resume diverged")
-
-            roundtrip(
-                ShardedIngestor,
-                lambda: self._make_sharded(scenario, K, SEED),
                 path,
                 finished,
             )
@@ -571,11 +521,9 @@ class ModeMatrix:
                         "windowed checkpoint-resume statistics diverged"
                     )
 
-            roundtrip(BatchIngestor, build, path, finished)
+            roundtrip(build, path, finished)
 
         check("batch", batch_check)
-        if scenario.query is not None and scenario.kind in ("acyclic", "turnstile"):
-            check("sharded", sharded_check)
         if scenario.kind == "turnstile":
             check("windowed", windowed_check)
         return CellResult(
@@ -587,8 +535,6 @@ class ModeMatrix:
     # Dispatch
     # ------------------------------------------------------------------ #
     def _skip_reason(self, scenario: Scenario, mode: str) -> Optional[str]:
-        if mode == "sharded" and scenario.query is None:
-            return "no join query to hash-partition (predicate stream)"
         if mode == "turnstile":
             if scenario.query is None:
                 return "no join index to retract from (predicate stream)"
@@ -621,7 +567,6 @@ class ModeMatrix:
         dispatch = {
             "pertuple": self._cell_pertuple,
             "batched": self._cell_batched,
-            "sharded": self._cell_sharded,
             "served": self._cell_served,
             "turnstile": self._cell_turnstile,
         }

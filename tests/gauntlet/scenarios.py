@@ -24,9 +24,8 @@ scenario                  kind       source
 ========================  =========  ==========================================
 
 ``kind`` determines which modes structurally apply (see
-:data:`~tests.gauntlet.matrix.MODES`): cyclic queries shard only through a
-custom per-shard factory, the predicate scenario has no join query to
-hash-partition at all, and turnstile scenarios carry
+:data:`~tests.gauntlet.matrix.MODES`): the predicate scenario has no join
+index to retract from, and turnstile scenarios carry
 :class:`~repro.relational.stream.StreamDelete` retractions that only the
 deletion-capable samplers of :mod:`repro.core.turnstile` can host — their
 ground-truth universe is the join over the *surviving* rows.

@@ -1,14 +1,8 @@
 """Property-based correctness harness for the ingestion subsystem (``slow``).
 
 Randomized schemas and streams (fixed seeds, so failures reproduce) assert
-the two properties the sharded/bulk refactor must preserve:
-
-(a) **Sharded ≡ unsharded batched, distribution-wise.**  For random acyclic
-    queries and streams, ``ShardedIngestor.merged_sample`` must draw from
-    exactly the result set the unsharded batched sampler draws from (checked
-    set-exactly with an over-sized reservoir, where any uniform sampler must
-    return the whole set) and must be uniform over it (checked with the
-    chi-square helpers, the same way the unsharded path is checked).
+that batched ingestion stays uniform on random acyclic cases, that exact
+join counts agree with enumeration, and the lettered properties below:
 
 (b) **Cyclic bag deltas ≡ the generic delta oracle.**  ``CyclicReservoirJoin``
     has one entry path (``insert`` is a one-item ``insert_batch``), so the
@@ -20,15 +14,15 @@ the two properties the sharded/bulk refactor must preserve:
     keeps the distributional half: bulk chunks are uniform on random cyclic
     cases.
 
-(c), (d) Unassigned, so the sections below keep the letters docs and CI
-    cite.
+(a), (c), (d) Unassigned, so the sections below keep the letters docs and
+    CI cite.
 
-(e) **Checkpoint/restore resumes bit-identically.**  For every durable
-    ingestor — batched acyclic, cyclic and pickle-fallback baseline, and
-    sharded — ingesting a prefix, saving a checkpoint, restoring it
+(e) **Checkpoint/restore resumes bit-identically.**  For every kind of
+    batched backend — acyclic, cyclic and pickle-fallback baseline —
+    ingesting a prefix, saving a checkpoint, restoring it
     (through the on-disk codec) and ingesting the suffix must end in exactly the state
     of an uninterrupted run under the same seed: same reservoirs in order,
-    same statistics, same merged samples.  Durability is a transport
+    same statistics.  Durability is a transport
     concern, never a distribution change — the restored RNG continues the
     exact random stream the uninterrupted run consumes.
 
@@ -43,8 +37,7 @@ the two properties the sharded/bulk refactor must preserve:
     A ``SampleServer``'s copy-on-read cut at epoch ``E`` must hold, bit
     for bit, the reservoir of a standalone co-seeded run that ingested the
     first ``E`` chunks and then stopped — at *every* epoch of random
-    acyclic cases, for the batched host directly and for the sharded host
-    through ``merged_sample`` under equal explicit merge RNGs.  Serving is
+    acyclic cases.  Serving is
     a read-path concern, never a distribution change: the snapshot capture
     must neither consume the writer's randomness nor perturb its state.
 
@@ -64,7 +57,6 @@ from repro import (
     JoinQuery,
     ReservoirJoin,
     SampleServer,
-    ShardedIngestor,
     StreamTuple,
 )
 from repro import SJoin
@@ -120,70 +112,30 @@ def random_cyclic_case(rng: random.Random) -> Tuple[JoinQuery, List[StreamTuple]
 
 
 # ---------------------------------------------------------------------- #
-# (a) Sharded merged sample ≡ unsharded batched
+# Batched ingestion on random acyclic cases
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("case_seed", [3, 19, 71, 113])
-def test_sharded_draws_exactly_the_unsharded_result_set(case_seed):
-    """Over-sized reservoirs: merged sample == batched sample == ground truth."""
-    rng = random.Random(case_seed)
-    query, stream = random_acyclic_case(rng)
-    truth = ground_truth_keys(query, stream)
-    if len(truth) < 2:
-        pytest.skip("degenerate random instance (join too small)")
-    k_all = len(truth) + 5
-    num_shards = rng.choice([2, 3, 5])
-
-    batched = ReservoirJoin(query, k_all, rng=random.Random(1))
-    BatchIngestor(batched, chunk_size=13).ingest(stream)
-    batched_set = {result_key(r) for r in batched.sample}
-    assert batched_set == truth
-
-    sharded = ShardedIngestor(
-        query, k=k_all, num_shards=num_shards, chunk_size=13, rng=random.Random(2)
-    )
-    sharded.ingest(stream)
-    assert {result_key(r) for r in sharded.merged_sample()} == batched_set
-    # The shard-local joins must tile the true result set.
-    assert sum(
-        count_results(sampler.query, sampler.index.database)
-        for sampler in sharded.samplers
-    ) == len(truth)
-
-
 @pytest.mark.parametrize("case_seed", [7, 29])
-def test_sharded_small_reservoir_uniform_like_unsharded(case_seed):
-    """Small reservoirs: sharded and unsharded both pass the same chi-square."""
+def test_batched_small_reservoir_uniform_on_random_cases(case_seed):
+    """Small reservoirs fed in chunks pass the chi-square."""
     rng = random.Random(case_seed)
     query, stream = random_acyclic_case(rng)
     universe = ground_truth(query, stream)
     if len(universe) < 8:
         pytest.skip("degenerate random instance (join too small)")
     k = max(3, len(universe) // 8)
-    num_shards = rng.choice([2, 4])
-
-    def run_sharded(seed):
-        ingestor = ShardedIngestor(
-            query, k=k, num_shards=num_shards, chunk_size=11, rng=random.Random(seed)
-        )
-        ingestor.ingest(stream)
-        sample = ingestor.merged_sample()
-        assert len(sample) == min(k, len(universe))
-        return sample
 
     def run_batched(seed):
         sampler = ReservoirJoin(query, k, rng=random.Random(seed))
         BatchIngestor(sampler, chunk_size=11).ingest(stream)
         return sampler.sample
 
-    p_sharded = uniformity_p_value(run_sharded, universe, TRIALS, k)
     p_batched = uniformity_p_value(run_batched, universe, TRIALS, k)
-    assert p_sharded > P_THRESHOLD, f"sharded rejected: p={p_sharded:.5f}"
-    assert p_batched > P_THRESHOLD, f"unsharded rejected: p={p_batched:.5f}"
+    assert p_batched > P_THRESHOLD, f"batched rejected: p={p_batched:.5f}"
 
 
 @pytest.mark.parametrize("case_seed", [5, 37, 59])
 def test_count_results_matches_enumeration_on_random_cases(case_seed):
-    """The exact-count DP that weights the merge agrees with enumeration."""
+    """The exact-count DP agrees with enumeration."""
     rng = random.Random(case_seed)
     query, stream = random_acyclic_case(rng)
     database = Database(query)
@@ -232,42 +184,6 @@ def test_checkpointed_batch_ingest_bit_identical(case_seed, kind, tmp_path):
     assert resumed.sampler.sample == uninterrupted.sampler.sample
     assert resumed.sampler.statistics() == uninterrupted.sampler.statistics()
     assert resumed.statistics() == uninterrupted.statistics()
-
-
-@pytest.mark.parametrize("case_seed", [14, 39, 73])
-def test_checkpointed_sharded_ingest_bit_identical(case_seed, tmp_path):
-    """Per-shard reservoirs, exact counts and the merged draw all continue
-    exactly through a save/restore (the master RNG state included)."""
-    rng = random.Random(case_seed)
-    query, stream = random_acyclic_case(rng)
-    chunk_size = rng.choice([8, 17])
-    num_shards = rng.choice([2, 3])
-    chunks = list(chunk_stream(stream, chunk_size))
-    cut = rng.randrange(1, len(chunks))
-
-    def build():
-        return ShardedIngestor(
-            query, k=6, num_shards=num_shards, chunk_size=chunk_size,
-            rng=random.Random(case_seed + 1),
-        )
-
-    uninterrupted = build()
-    _drive(uninterrupted, chunks)
-
-    interrupted = build()
-    _drive(interrupted, chunks[:cut])
-    path = tmp_path / "ckpt"
-    interrupted.save(path)
-    resumed = ShardedIngestor.restore(path)
-    _drive(resumed, chunks[cut:])
-
-    for restored, reference in zip(resumed.samplers, uninterrupted.samplers):
-        assert restored.sample == reference.sample
-        assert restored.statistics() == reference.statistics()
-    assert resumed.shard_states() == uninterrupted.shard_states()
-    assert resumed.shard_loads() == uninterrupted.shard_loads()
-    # The master RNG resumed exactly: the next merged draw is identical.
-    assert resumed.merged_sample() == uninterrupted.merged_sample()
 
 
 # ---------------------------------------------------------------------- #
@@ -407,39 +323,3 @@ def test_served_batched_sample_bit_identical_at_every_epoch(case_seed):
     for snap, expected in served:
         assert snap.sample() == expected
     assert server.ingestor.sampler.statistics() == standalone.sampler.statistics()
-
-
-@pytest.mark.parametrize("case_seed", [12, 41, 77])
-def test_served_sharded_merged_sample_bit_identical_at_every_epoch(case_seed):
-    """The served cut of a sharded host realises the exact key merge:
-    under an equal explicit merge RNG it draws the same merged
-    sample as the live standalone ingestor at every chunk boundary."""
-    rng = random.Random(case_seed)
-    query, stream = random_acyclic_case(rng)
-    chunk_size = rng.choice([8, 17])
-    num_shards = rng.choice([2, 3])
-    chunks = list(chunk_stream(stream, chunk_size))
-
-    server = SampleServer(
-        ShardedIngestor(
-            query, 7, num_shards=num_shards, chunk_size=chunk_size,
-            rng=random.Random(case_seed + 1),
-        ),
-        rng=random.Random(case_seed + 2),
-    )
-    standalone = ShardedIngestor(
-        query, 7, num_shards=num_shards, chunk_size=chunk_size,
-        rng=random.Random(case_seed + 1),
-    )
-    for epoch, chunk in enumerate(chunks, start=1):
-        server.ingest_batch(chunk)
-        standalone.ingest_batch(chunk)
-        snap = server.snapshot()
-        assert snap.epoch == epoch
-        merge_rng = case_seed + 1000 + epoch
-        assert snap.sample(
-            7, rng=random.Random(merge_rng)
-        ) == standalone.merged_sample(7, rng=random.Random(merge_rng))
-    assert [
-        list(state.sample) for state in snap.shard_states
-    ] == standalone.shard_samples()

@@ -6,8 +6,8 @@ sample without replacement of the join results over the rows that *survive*
 occupy the reservoir.  Each test replays the same retraction-bearing stream
 under many independent seeds and chi-square-tests the per-result inclusion
 counts against the uniform expectation, for the per-tuple path, the chunked
-(per-key netted) path, the sharded merge, and the sliding-window sampler over
-its window universe, alone and sharded.  Netted chunks get their own stream,
+(per-key netted) path, and the sliding-window sampler over its window
+universe in count and timestamp mode.  Netted chunks get their own stream,
 built so the fold nets inserts and deletes away inside a chunk, plain and
 under a count window.  Three more pin the re-anchor: the
 ``w`` it leaves is the ``k``-th smallest of ``|Q'|`` uniform keys
@@ -27,7 +27,6 @@ from scipy import stats
 from repro import (
     BatchIngestor,
     JoinQuery,
-    ShardedIngestor,
     StreamDelete,
     StreamTuple,
     TurnstileReservoirJoin,
@@ -90,59 +89,25 @@ def test_chunked_uniform_over_survivors(chunk_size):
     assert p > P_THRESHOLD, f"uniformity rejected: p={p:.5f}"
 
 
-def test_sharded_merge_uniform_over_survivors():
-    def run_one(seed):
-        ingestor = ShardedIngestor(
-            QUERY, K, num_shards=3, chunk_size=24,
-            factory=lambda shard, rng: TurnstileReservoirJoin(QUERY, K, rng=rng),
-            rng=random.Random(seed),
-        )
-        ingestor.ingest_batch(STREAM)
-        return ingestor.merged_sample(rng=random.Random(seed + 101))
-
-    p = uniformity_p_value(run_one, UNIVERSE, TRIALS, K)
-    assert p > P_THRESHOLD, f"uniformity rejected: p={p:.5f}"
-
-
-@pytest.mark.parametrize("mode, num_shards", [("count", None), ("timestamp", 3)])
-def test_windowed_uniform_over_window_universe(mode, num_shards):
-    """A window alone, and timestamp windows merged across shards.
-
-    Each shard's horizon follows the newest timestamp it was routed, so the
-    sharded universe is the union of the shard-local window joins.
-    """
+@pytest.mark.parametrize("mode", ["count", "timestamp"])
+def test_windowed_uniform_over_window_universe(mode):
+    """A window's reservoir is uniform over the join of the rows still
+    inside the window at the last chunk boundary."""
     window = 64
     chunk_size = 16
 
     def run(k, seed):
-        def windowed(rng):
-            return WindowedSampler(QUERY, k, window=window, rng=rng, mode=mode)
+        sampler = WindowedSampler(
+            QUERY, k, window=window, rng=random.Random(seed), mode=mode
+        )
+        BatchIngestor(sampler, chunk_size=chunk_size).ingest(STREAM)
+        return sampler
 
-        if num_shards is None:
-            ingestor = BatchIngestor(windowed(random.Random(seed)), chunk_size=chunk_size)
-        else:
-            ingestor = ShardedIngestor(
-                QUERY, k, num_shards=num_shards, chunk_size=chunk_size,
-                factory=lambda shard, rng: windowed(rng),
-                rng=random.Random(seed),
-            )
-        ingestor.ingest(STREAM)
-        return ingestor
-
-    probe = run(10_000, 0)
-    samplers = [probe.sampler] if num_shards is None else probe.samplers
-    universe = [
-        result
-        for sampler in samplers
-        for result in join_results(QUERY, sampler.index.database)
-    ]
+    universe = join_results(QUERY, run(10_000, 0).index.database)
     assert len(universe) > 2 * K
 
     def run_one(seed):
-        ingestor = run(K, seed)
-        if num_shards is None:
-            return ingestor.sampler.sample
-        return ingestor.merged_sample(rng=random.Random(seed + 101))
+        return run(K, seed).sample
 
     p = uniformity_p_value(run_one, universe, TRIALS, K)
     assert p > P_THRESHOLD, f"uniformity rejected: p={p:.5f}"

@@ -25,7 +25,6 @@ from repro import (
     CyclicReservoirJoin,
     ReservoirJoin,
     ReservoirSampler,
-    ShardedIngestor,
 )
 from repro.core.skippable import ListBatch
 
@@ -212,58 +211,6 @@ def test_reservoir_join_batched_uniform_at_chunk_boundaries(
 
     p_value = uniformity_p_value(run_one, universe, TRIALS, k)
     assert p_value > P_THRESHOLD, f"batched uniformity rejected: p={p_value:.5f}"
-
-
-@pytest.mark.parametrize(
-    "fraction, num_shards, capacity, k",
-    [
-        (0.5, 2, 7, 7),
-        (1.0, 2, 7, 7),
-        (0.5, 4, 7, 7),
-        (1.0, 4, 7, 7),
-        (1.0, 3, 20, 20),  # shard results 41 / 6 / 12: one full, two filling
-        (1.0, 4, 10, 4),  # merge k below capacity; one shard empty
-    ],
-)
-def test_sharded_merged_sample_uniform_at_prefixes(
-    line3_query, fraction, num_shards, capacity, k
-):
-    """``ShardedIngestor.merged_sample`` is uniform over the global join.
-
-    The acceptance property of the sharded subsystem: at several stream
-    prefixes (cut at chunk boundaries, where the guarantee is made), the
-    regenerated-key merge of the shard-local reservoirs must be
-    indistinguishable from a uniform sample of the full result set —
-    chain-3 has a broadcast relation, so this exercises both the
-    partitioned and the replicated routing.  The cases cover shards that
-    are all filling (the merge returns the whole join), all full, and
-    mixed, and a merge smaller than the shard capacity.
-    """
-    edges = make_edges(7, 14, seed=109)
-    stream = make_graph_stream(line3_query, edges, seed=110)
-    chunk_size = 5
-    cut = max(chunk_size, int(len(stream) * fraction) // chunk_size * chunk_size)
-    prefix = stream[:cut]
-    universe = ground_truth(line3_query, prefix)
-    if len(universe) < 4:
-        pytest.skip("join too small at this prefix")
-
-    def run_one(seed):
-        ingestor = ShardedIngestor(
-            line3_query,
-            k=k,
-            num_shards=num_shards,
-            chunk_size=chunk_size,
-            factory=lambda shard, rng: ReservoirJoin(line3_query, capacity, rng=rng),
-            rng=random.Random(seed),
-        )
-        ingestor.ingest(prefix)
-        sample = ingestor.merged_sample()
-        assert len(sample) == min(k, len(universe))
-        return sample
-
-    p_value = uniformity_p_value(run_one, universe, TRIALS, k)
-    assert p_value > P_THRESHOLD, f"sharded uniformity rejected: p={p_value:.5f}"
 
 
 @pytest.mark.parametrize("chunk_size", [4, 16])

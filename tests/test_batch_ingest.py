@@ -22,9 +22,9 @@ from repro import (
     SJoin,
     StreamTuple,
     SymmetricHashJoinSampler,
+    TurnstileReservoirJoin,
 )
 from repro.core.backend import PerTupleBatchMixin, SamplerBackend, chunk_apply
-from repro.ingest.shard import ShardedIngestor
 from repro.relational.stream import chunk_stream
 
 from tests.conftest import make_edges, make_graph_stream
@@ -178,12 +178,13 @@ class TestBatchIngestor:
         assert sampler.seen == [("R1", (1, 2)), ("R2", (2, 3))]
         assert sampler.insert_batch([("R3", [3, 4])]) == 1
 
-    def test_destructive_single_backend_counters_stay_honest(self, line3_query):
+    def test_destructive_single_backend_counters_stay_honest(self):
         """Counters describe what was delivered, not what the backend left.
 
-        The backend receives the ingestor's own list (a sharded backend its
-        routed part); if it consumes that list destructively, the chunk and
-        part sizes must still be counted from before dispatch.
+        The backend receives the ingestor's own list through whichever
+        chunk method the probe picked; if it consumes that list
+        destructively, the chunk size must still be counted from before
+        dispatch.
         """
 
         class Destructive:
@@ -192,24 +193,24 @@ class TestBatchIngestor:
 
             sample = []
 
-        ingestor = BatchIngestor(Destructive(), chunk_size=16)
-        pushed = ingestor.ingest_batch(
-            [StreamTuple("R1", (1, 2)), StreamTuple("R2", (2, 3))]
-        )
-        assert pushed == 2
-        assert ingestor.tuples_ingested == 2
-        assert ingestor.batches_ingested == 1
+        class DestructiveSegmenter:
+            def ingest_batch(self, items):
+                items.clear()
 
-        sharded = ShardedIngestor(
-            line3_query, k=4, num_shards=2, factory=lambda shard, rng: Destructive()
-        )
-        chunk = [("R1", (1, 2)), ("R2", (2, 3)), ("R3", (3, 4))]
-        assert sharded.ingest_batch(chunk) == 3
-        broadcast = sum(
-            relation in sharded.broadcast_relations for relation, _ in chunk
-        )
-        assert broadcast and sharded.broadcast_deliveries == broadcast
-        assert sum(sharded.shard_loads()) == len(chunk) + broadcast
+            sample = []
+
+        for backend, mode in (
+            (Destructive(), "insert_batch"),
+            (DestructiveSegmenter(), "ingest_batch"),
+        ):
+            assert chunk_apply(backend)[1] == mode
+            ingestor = BatchIngestor(backend, chunk_size=16)
+            pushed = ingestor.ingest_batch(
+                [StreamTuple("R1", (1, 2)), StreamTuple("R2", (2, 3))]
+            )
+            assert pushed == 2
+            assert ingestor.tuples_ingested == 2
+            assert ingestor.batches_ingested == 1
 
     def test_per_tuple_fallback_validates_before_mutating(self, line3_query):
         """The per-tuple adapter validates the whole chunk against the query."""
@@ -272,8 +273,8 @@ class TestBackendProtocol:
             "baseline": lambda rng: SymmetricHashJoinSampler(
                 line3_query, k_all, rng=rng
             ),
-            "sharded": lambda rng: ShardedIngestor(
-                line3_query, k=k_all, num_shards=2, chunk_size=32, rng=rng
+            "turnstile": lambda rng: TurnstileReservoirJoin(
+                line3_query, k_all, rng=rng
             ),
         }
         backends = {
@@ -281,21 +282,15 @@ class TestBackendProtocol:
             for seed, (name, build) in enumerate(builders.items())
         }
         modes = {name: chunk_apply(b)[1] for name, b in backends.items()}
-        assert modes["sharded"] == "ingest_batch"
+        assert modes["turnstile"] == "ingest_batch"
         assert modes["acyclic"] == "insert_batch"
         applies = [chunk_apply(backend)[0] for backend in backends.values()]
         for chunk in chunk_stream(stream, 32):
             for apply in applies:
                 apply(chunk)
 
-        merged = backends["sharded"].merged_sample()
-        assert {result_key(r) for r in merged} == truth
         for seed, (name, build) in enumerate(builders.items()):
             alone = build(random.Random(seed))
-            if name == "sharded":
-                alone.ingest(stream)
-                assert alone.shard_samples() == backends[name].shard_samples()
-                continue
             assert {result_key(r) for r in backends[name].sample} == truth, name
             BatchIngestor(alone, chunk_size=32).ingest(stream)
             assert backends[name].sample == alone.sample, name

@@ -4,7 +4,7 @@ The statistical half of the story — bit-identical resumption for every
 backend kind — lives in property-harness section (e) of
 ``tests/statistical/test_properties.py``.  This module covers the
 deterministic seam: the file format (truncation, corruption, version and
-kind mismatches), the shard-layout guard, legacy checkpoints, and native
+kind mismatches), legacy checkpoints, and native
 versus pickled backend snapshots.
 """
 
@@ -27,7 +27,6 @@ from repro import (
     CyclicReservoirJoin,
     JoinQuery,
     ReservoirJoin,
-    ShardedIngestor,
     StreamTuple,
 )
 from repro.core.backend import restore_backend, snapshot_backend
@@ -40,21 +39,16 @@ from repro.ingest.checkpoint import CODEC, FORMAT_VERSION, MAGIC, CheckpointCode
 #: lane, per-lane busy time), which restores now ignore.  Each holds the
 #: first 32 tuples of ``chain3_stream(60, seed=20)`` cut into chunks of 16:
 #: ``batch`` over ``ReservoirJoin(chain3(), 6, rng=Random(21))``;
-#: ``sharded-pool`` a ``ShardedIngestor(chain3(), k=4, num_shards=2,
-#: chunk_size=16, rng=Random(19))`` fed and saved through the worker pool
-#: of that release (retired since); ``async`` the same sharded target behind
-#: the retired async ingestor (``chunk_size=16``), a checkpoint kind no
-#: ``restore`` accepts any more, whose nested target record still restores.
+#: ``sharded-pool`` a two-shard ``ShardedIngestor`` (``chunk_size=16``) fed
+#: and saved through the worker pool of that release; ``async`` the same
+#: sharded target behind the async ingestor.  Both ingestors are retired:
+#: no ``restore`` accepts either kind, and the nested sharded target record
+#: names a class this version no longer has.  Their per-shard records name
+#: ``ReservoirJoin`` and still restore (``tests/test_tree_index.py``).
 #: ``batch-families`` is the ``batch`` cut written by a later release, whose
 #: index pickled every bucket family as a ``BucketFamily`` object in its
 #: ``(cnt, runs)`` form, before the index pickled families as bare tuples.
 LEGACY_CHECKPOINTS = Path(__file__).parent / "data"
-
-
-def legacy_sharded() -> ShardedIngestor:
-    return ShardedIngestor(
-        chain3(), k=4, num_shards=2, chunk_size=16, rng=random.Random(19)
-    )
 
 
 def chain3() -> JoinQuery:
@@ -127,7 +121,7 @@ class TestCodec:
         path = tmp_path / "x.ckpt"
         CODEC.dump(path, "batch", {})
         with pytest.raises(CheckpointMismatchError, match="'batch'"):
-            CODEC.load(path, expected_kind="sharded")
+            CODEC.load(path, expected_kind="other")
 
     def test_all_errors_are_checkpoint_errors(self):
         for cls in (CheckpointCorruptError, CheckpointVersionError, CheckpointMismatchError):
@@ -145,57 +139,19 @@ class TestCodec:
 # Ingestor-level restore guards
 # --------------------------------------------------------------------- #
 class TestRestoreGuards:
-    def test_batch_restore_refuses_sharded_checkpoint(self, tmp_path):
-        path = tmp_path / "s.ckpt"
-        ingestor = ShardedIngestor(chain3(), k=4, num_shards=2, rng=random.Random(1))
-        ingestor.ingest(chain3_stream(60))
-        ingestor.save(path)
-        with pytest.raises(CheckpointMismatchError):
-            BatchIngestor.restore(path)
+    def test_batch_restore_refuses_sharded_checkpoint(self):
+        with pytest.raises(CheckpointMismatchError, match="sharded"):
+            BatchIngestor.restore(LEGACY_CHECKPOINTS / "sharded-pool.checkpoint")
 
-    def test_sharded_restore_refuses_different_shard_count(self, tmp_path):
-        path = tmp_path / "s.ckpt"
-        ingestor = ShardedIngestor(chain3(), k=4, num_shards=3, rng=random.Random(2))
-        ingestor.ingest(chain3_stream(60))
-        ingestor.save(path)
-        with pytest.raises(CheckpointMismatchError, match="3 shards"):
-            ShardedIngestor.restore(path, num_shards=5)
-        # The recorded layout restores fine, both implicitly and explicitly.
-        assert ShardedIngestor.restore(path).num_shards == 3
-        assert ShardedIngestor.restore(path, num_shards=3).num_shards == 3
+    def test_async_target_record_names_a_retired_class(self):
+        # The async checkpoint nests its sharded target as a native record;
+        # the class it names is gone, so the record is a mismatch naming it.
+        target = CODEC.load(LEGACY_CHECKPOINTS / "async.checkpoint")["state"]["target"]
+        assert target["codec"] == "native"
+        with pytest.raises(CheckpointMismatchError, match="ShardedIngestor"):
+            restore_backend(target)
 
-    def test_sharded_snapshot_with_a_retired_key_restores(self):
-        # Older sharded checkpoints carry keys from_snapshot no longer
-        # reads: a retired top-level flag, the retired worker pool's
-        # measured wall, and the engine record of the sharded ingestor and
-        # of every shard; of the latter only the per-shard tuple counts are
-        # read, which newer checkpoints keep in their counters.
-        ingestor = ShardedIngestor(chain3(), k=4, num_shards=2, rng=random.Random(19))
-        ingestor.ingest(chain3_stream(40))
-        state = ingestor.snapshot_state()
-        state["retired_flag"] = True
-        restored = ShardedIngestor.from_snapshot(state)
-        assert restored.shard_samples() == ingestor.shard_samples()
-
-        stream = chain3_stream(60, seed=20)
-        uninterrupted = legacy_sharded().ingest(stream)
-        current = legacy_sharded().snapshot_state()
-        retired = {"engine", "shard_engines", "parallel_wall_seconds"}
-        path = LEGACY_CHECKPOINTS / "sharded-pool.checkpoint"
-        # The async checkpoint nests the same sharded target, natively.
-        nested = CODEC.load(LEGACY_CHECKPOINTS / "async.checkpoint")["state"]["target"]
-        assert nested["codec"] == "native"
-        for record, resumed in (
-            (CODEC.load(path)["state"], ShardedIngestor.restore(path)),
-            (nested["state"], ShardedIngestor.from_snapshot(nested["state"])),
-        ):
-            assert set(record) - set(current) == retired
-            assert set(current["counters"]) - set(record["counters"]) == {"shard_tuples"}
-            resumed.ingest(stream[32:])
-            assert resumed.shard_samples() == uninterrupted.shard_samples()
-            assert resumed.statistics() == uninterrupted.statistics()
-
-    def test_batch_and_async_checkpoints_with_retired_timing_keys_restore(self):
+    def test_batch_checkpoint_with_retired_timing_keys_restores(self):
         stream = chain3_stream(60, seed=20)
         uninterrupted = BatchIngestor(
             ReservoirJoin(chain3(), 6, rng=random.Random(21)), chunk_size=16
@@ -207,12 +163,6 @@ class TestRestoreGuards:
         resumed.ingest(stream[32:])
         assert resumed.sampler.sample == uninterrupted.sampler.sample
         assert resumed.statistics() == uninterrupted.statistics()
-
-        sharded = legacy_sharded().ingest(stream)
-        path = LEGACY_CHECKPOINTS / "async.checkpoint"
-        piped = restore_backend(CODEC.load(path)["state"]["target"])
-        piped.ingest(stream[32:])
-        assert piped.shard_samples() == sharded.shard_samples()
 
     def test_batch_checkpoint_with_family_objects_restores(self):
         stream = chain3_stream(60, seed=20)
@@ -227,12 +177,12 @@ class TestRestoreGuards:
         assert resumed.sampler.sample == uninterrupted.sampler.sample
         assert resumed.statistics() == uninterrupted.statistics()
 
-    @pytest.mark.parametrize("ingestor_cls", [BatchIngestor, ShardedIngestor])
+    @pytest.mark.parametrize("ingestor_cls", [BatchIngestor])
     def test_retired_async_kind_is_rejected(self, ingestor_cls):
         with pytest.raises(CheckpointMismatchError, match="async"):
             ingestor_cls.restore(LEGACY_CHECKPOINTS / "async.checkpoint")
 
-    @pytest.mark.parametrize("ingestor_cls", [BatchIngestor, ShardedIngestor])
+    @pytest.mark.parametrize("ingestor_cls", [BatchIngestor])
     def test_retired_rebalancing_kind_is_rejected(self, tmp_path, ingestor_cls):
         # Both retired ingestion modes' kinds: rebalancing and fan-out.
         for kind in ("rebalancing", "fanout"):

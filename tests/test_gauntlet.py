@@ -130,7 +130,7 @@ def test_config_as_dict_round_trips_every_field():
     cfg = GauntletConfig(trials=7, scale=0.5)
     assert {f.name for f in dataclasses.fields(GauntletConfig)} == {"trials", "scale"}
     assert cfg.as_dict() == {
-        "k": K, "chunk_size": CHUNK_SIZE, "num_shards": 3, "trials": 7,
+        "k": K, "chunk_size": CHUNK_SIZE, "trials": 7,
         "p_threshold": 0.002, "seed": 2024, "scale": 0.5,
     }
 
@@ -170,11 +170,13 @@ def test_fast_matrix_passes_with_exact_set_tiers(fast_report):
 
 
 def test_structural_skips_carry_reasons(fast_report):
-    cell = fast_report.cell("strings-predicate", "sharded")
+    cell = fast_report.cell("strings-predicate", "turnstile")
     assert cell.status == "skip"
     assert "predicate" in cell.reason
-    # Cyclic scenarios shard through the custom factory.
-    assert fast_report.cell("graph-triangle", "sharded").status == "pass"
+    cell = fast_report.cell("graph-triangle", "turnstile")
+    assert cell.status == "skip"
+    assert "acyclic" in cell.reason
+    assert fast_report.cell("graph-triangle", "batched").status == "pass"
 
 
 def test_checkpoint_column_covers_every_durable_mode(fast_report):
@@ -184,7 +186,7 @@ def test_checkpoint_column_covers_every_durable_mode(fast_report):
         assert cell.status == "pass"
         assert cell.detail["cut_at_tuple"] % fast_report.config["chunk_size"] == 0
         covered.update(cell.detail["covered"])
-    assert covered == {"batch", "sharded", "windowed"}
+    assert covered == {"batch", "windowed"}
 
 
 def test_served_column_probes_interior_epochs_everywhere(fast_report):

@@ -32,7 +32,7 @@ def test_every_cell_passes(report):
 
 def test_matrix_meets_the_coverage_floor(report):
     assert len(report.scenarios) >= 4
-    assert len(report.modes) >= 6
+    assert len(report.modes) >= 5
     assert len(report.scenarios) == len(SCENARIO_BUILDERS)
     assert list(report.modes) == list(MODES)
 

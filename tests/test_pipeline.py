@@ -19,8 +19,8 @@ import pytest
 from repro import (
     BatchIngestor,
     ReservoirJoin,
-    ShardedIngestor,
     StreamTuple,
+    TurnstileReservoirJoin,
     prefetched,
 )
 from repro.relational.stream import (
@@ -77,23 +77,24 @@ class TestDeterminism:
         assert all(got is sent for got, sent in zip(delivered, chunks))
         assert list(prefetched([])) == []
 
-    def test_sharded_target_bit_identical_to_serial(self, line3_query):
+    def test_ingestor_target_bit_identical_to_serial(self, line3_query):
         stream = line3_stream(800, seed=1)
-        serial = ShardedIngestor(
-            line3_query, k=30, num_shards=3, chunk_size=64, rng=random.Random(7)
+        serial = BatchIngestor(
+            ReservoirJoin(line3_query, 30, rng=random.Random(7)), chunk_size=64
         )
         serial.ingest(stream)
-        target = ShardedIngestor(
-            line3_query, k=30, num_shards=3, chunk_size=64, rng=random.Random(7)
+        target = BatchIngestor(
+            ReservoirJoin(line3_query, 30, rng=random.Random(7)), chunk_size=64
         )
         for chunk in prefetched(chunk_stream(stream, 64)):
             target.ingest_batch(chunk)
-        for piped_sampler, serial_sampler in zip(target.samplers, serial.samplers):
-            assert piped_sampler.sample == serial_sampler.sample
-        assert target.shard_states() == serial.shard_states()
-        assert target.tuples_ingested == serial.tuples_ingested
-        assert target.batches_ingested == serial.batches_ingested
-        assert target.broadcast_deliveries == serial.broadcast_deliveries
+        assert target.sampler.sample == serial.sampler.sample
+        rng_state = [
+            ingestor.snapshot_state()["backend"]["state"]["rng"]
+            for ingestor in (target, serial)
+        ]
+        assert rng_state[0] == rng_state[1]
+        assert target.statistics() == serial.statistics()
 
     def test_plain_sampler_bit_identical_to_batched(self, line3_query):
         stream = line3_stream(400, seed=2)
@@ -106,7 +107,7 @@ class TestDeterminism:
 
     def test_one_worker_thread_for_every_target(self, line3_query):
         targets = [
-            ShardedIngestor(line3_query, k=5, num_shards=3, rng=random.Random(1)),
+            BatchIngestor(TurnstileReservoirJoin(line3_query, 5, rng=random.Random(1))),
             BatchIngestor(ReservoirJoin(line3_query, 5, rng=random.Random(2))),
         ]
         stream = line3_stream(200, seed=3)
@@ -127,8 +128,8 @@ class TestDeterminism:
 # ---------------------------------------------------------------------- #
 class TestBackpressure:
     def test_queue_depth_never_exceeds_buffer(self, line3_query):
-        target = ShardedIngestor(
-            line3_query, k=10, num_shards=2, chunk_size=32, rng=random.Random(9)
+        target = BatchIngestor(
+            ReservoirJoin(line3_query, 10, rng=random.Random(9)), chunk_size=32
         )
         pulled = [0]
 
@@ -167,17 +168,17 @@ class TestBackpressure:
 # Errors and early exit
 # ---------------------------------------------------------------------- #
 class TestErrors:
-    def test_bad_chunk_poisons_and_leaves_every_shard_untouched(self, line3_query):
-        target = ShardedIngestor(
-            line3_query, k=5, num_shards=2, rng=random.Random(13)
-        )
+    def test_bad_chunk_poisons_and_leaves_the_sampler_untouched(self, line3_query):
+        target = BatchIngestor(ReservoirJoin(line3_query, 5, rng=random.Random(13)))
         with pytest.raises(KeyError):
-            for chunk in prefetched([[("R1", (1, 2))], [("NOPE", (1, 2))], [("R1", (3, 4))]]):
+            for chunk in prefetched(
+                [[("R1", (1, 2))], [("R2", (2, 3)), ("NOPE", (1, 2))], [("R1", (3, 4))]]
+            ):
                 target.ingest_batch(chunk)
-        # The router validates the whole chunk before any shard mutates,
-        # and the error ends the loop: the third chunk is never ingested.
+        # The sampler validates the whole chunk before it mutates, and the
+        # error ends the loop: the third chunk is never ingested.
         assert target.tuples_ingested == 1
-        assert sum(target.shard_loads()) == 1
+        assert target.sampler.index.size == 1
         assert not prefetch_threads()
 
     def test_source_error_surfaces_after_the_earlier_chunks(self):
@@ -218,7 +219,7 @@ class TestErrors:
             assert source.pulled == pulled
 
     def test_empty_chunk_is_noop(self, line3_query):
-        target = ShardedIngestor(line3_query, k=5, num_shards=2)
+        target = BatchIngestor(ReservoirJoin(line3_query, 5))
         for chunk in prefetched([[]]):
             assert chunk == []
             assert target.ingest_batch(chunk) == 0
@@ -243,8 +244,8 @@ class TestChunkSources:
         source = ThrottledChunkSource(
             stream, 64, latency_seconds=0.001, sleep=waits.append
         )
-        target = ShardedIngestor(
-            line3_query, k=10, num_shards=2, chunk_size=64, rng=random.Random(16)
+        target = BatchIngestor(
+            ReservoirJoin(line3_query, 10, rng=random.Random(16)), chunk_size=64
         )
         for chunk in prefetched(source):
             target.ingest_batch(chunk)

@@ -1,7 +1,7 @@
 """The sample-serving layer: epochs, snapshot isolation, views, read counts.
 
 Fast tier-1 tests for ``repro.serve`` plus the chunk-boundary hook seam it
-rides on (``add_boundary_hook`` across every ingestor) and the
+rides on (``BatchIngestor.add_boundary_hook``) and the
 ``PeriodicCheckpointer`` built on the same seam.  The thread-hammering
 counterpart lives in tests/test_serving_stress.py (slow tier); the
 bit-for-bit property sweep is section (g) of the statistical harness.
@@ -22,7 +22,6 @@ from repro import (
     PredicateStreamSampler,
     ReservoirJoin,
     SampleServer,
-    ShardedIngestor,
     StreamDelete,
     StreamTuple,
     TurnstileReservoirJoin,
@@ -66,23 +65,14 @@ class TestBoundaryHooks:
     def test_batch_ingestor_fires_once_per_chunk(self, line3_query, stream):
         ingestor = BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
         seen = []
-        ingestor.add_boundary_hook(lambda items, parts: seen.append(len(items)))
+        ingestor.add_boundary_hook(lambda items: seen.append(len(items)))
         ingestor.ingest(stream)
         assert seen == [len(c) for c in chunk_stream(stream, CHUNK)]
-
-    def test_sharded_ingestor_fires_once_per_chunk(self, line3_query, stream):
-        ingestor = ShardedIngestor(
-            line3_query, K, num_shards=2, chunk_size=CHUNK, rng=random.Random(11)
-        )
-        boundaries = []
-        ingestor.add_boundary_hook(lambda items, parts: boundaries.append(len(items)))
-        ingestor.ingest(stream)
-        assert boundaries == [len(c) for c in chunk_stream(stream, CHUNK)]
 
     def test_prefetched_chunks_fire_once_per_chunk(self, line3_query, stream):
         ingestor = BatchIngestor(ReservoirJoin(line3_query, K), chunk_size=CHUNK)
         seen = []
-        ingestor.add_boundary_hook(lambda items, parts: seen.append(len(items)))
+        ingestor.add_boundary_hook(lambda items: seen.append(len(items)))
         for piece in prefetched(chunk_stream(stream, CHUNK)):
             ingestor.ingest_batch(piece)
         assert seen == [len(c) for c in chunk_stream(stream, CHUNK)]
@@ -185,24 +175,6 @@ class TestSampleServer:
             snap.sample(0)
         with pytest.raises(ValueError):
             server.snapshot(max_staleness=-1)
-
-    def test_serves_sharded_ingestor_with_exact_merge(self, line3_query, stream):
-        server = SampleServer(
-            ShardedIngestor(
-                line3_query, K, num_shards=2, chunk_size=CHUNK,
-                rng=random.Random(9),
-            )
-        )
-        standalone = ShardedIngestor(
-            line3_query, K, num_shards=2, chunk_size=CHUNK, rng=random.Random(9)
-        )
-        for piece in chunk_stream(stream, CHUNK):
-            server.ingest_batch(piece)
-            standalone.ingest_batch(piece)
-        snap = server.snapshot()
-        assert snap.sample(
-            K, rng=random.Random(77)
-        ) == standalone.merged_sample(K, rng=random.Random(77))
 
     def test_bare_sampler_is_served_through_a_batch_ingestor(self):
         sampler = PredicateStreamSampler(K, is_even, rng=random.Random(1))
@@ -348,18 +320,14 @@ class TestServedDraws:
 # ---------------------------------------------------------------------- #
 # The epoch record: a cut copies reservoirs, never the ingestor
 # ---------------------------------------------------------------------- #
-TARGETS = ["batch", "sharded"]
+TARGETS = ["batch", "turnstile"]
 
 
 def build_target(kind, query):
-    """A served target of the given kind, seeded for reproducible reads."""
-    if kind == "batch":
-        return BatchIngestor(
-            ReservoirJoin(query, K, rng=random.Random(5)), chunk_size=CHUNK
-        )
-    return ShardedIngestor(
-        query, K, num_shards=2, chunk_size=CHUNK, rng=random.Random(5)
-    )
+    """A served ingestor over an insert-only or a turnstile sampler,
+    seeded for reproducible reads."""
+    sampler_cls = ReservoirJoin if kind == "batch" else TurnstileReservoirJoin
+    return BatchIngestor(sampler_cls(query, K, rng=random.Random(5)), chunk_size=CHUNK)
 
 
 @pytest.fixture
@@ -415,7 +383,7 @@ class TestEpochRecord:
         # several results once, and the sharing differs between the runs.
         assert large <= 1.05 * small, sizes
 
-    @pytest.mark.parametrize("kind", ["batch", "sharded"])
+    @pytest.mark.parametrize("kind", TARGETS)
     @pytest.mark.parametrize("epochs", [0, 1])
     def test_non_positive_k_is_rejected_at_every_epoch(
         self, line3_query, stream, kind, epochs

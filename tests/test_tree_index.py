@@ -17,7 +17,6 @@ from repro.index.dynamic_index import DynamicJoinIndex
 from repro.index.tree_index import TreeIndex
 from repro.ingest.batch import BatchIngestor
 from repro.ingest.checkpoint import CODEC
-from repro.ingest.shard import ShardedIngestor
 from repro.relational import Database, JoinQuery, delta_results
 from repro.relational.jointree import JoinTree
 from repro.relational.stream import StreamDelete, StreamTuple
@@ -491,12 +490,15 @@ class TestDerivedPlan:
         tail = chain3_stream(232, seed=20)[32:]
         if name.startswith("batch"):
             samplers = [BatchIngestor.restore(path).ingest(tail).sampler]
-        elif name == "async.checkpoint":
-            # A retired kind: its nested sharded target restores on its own.
-            target = restore_backend(CODEC.load(path)["state"]["target"])
-            samplers = target.ingest(tail).samplers
         else:
-            samplers = ShardedIngestor.restore(path).ingest(tail).samplers
+            # Retired kinds whose sharded target is gone: each per-shard
+            # record names ReservoirJoin and restores on its own, with the
+            # index in the old BucketFamily slot-state form.
+            state = CODEC.load(path)["state"]
+            if name == "async.checkpoint":
+                state = state["target"]["state"]
+            samplers = [restore_backend(record) for record in state["shards"]]
+            assert all(isinstance(sampler, ReservoirJoin) for sampler in samplers)
         for sampler in samplers:
             assert sampler.index.size > 0
             sampler.index.validate()

@@ -8,8 +8,8 @@ of a chunk (in-chunk insert→delete, delete→reinsert of a held row, early
 tombstones annihilated in their own chunk), exact-set
 agreement with the ``surviving_rows`` reference replay in per-tuple and
 chunked ingestion, sliding windows in both count and timestamp modes,
-checkpoint/restore bit-identity (including an expiry landing exactly on the
-checkpoint boundary), and hash-routed retractions under sharding.
+and checkpoint/restore bit-identity (including an expiry landing exactly on
+the checkpoint boundary).
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from repro import (
     DynamicJoinIndex,
     JoinQuery,
     ReservoirJoin,
-    ShardedIngestor,
     StreamDelete,
     StreamTuple,
     TurnstileReservoirJoin,
@@ -863,79 +862,6 @@ def test_windowed_checkpoint_file_restores_and_resumes():
         "expirations": 191,
     }
     sampler.check_invariants()
-
-
-# ---------------------------------------------------------------------- #
-# Sharded turnstile
-# ---------------------------------------------------------------------- #
-def make_sharded(seed: int, **kwargs) -> ShardedIngestor:
-    return ShardedIngestor(
-        TWO, 8, num_shards=3, chunk_size=24,
-        factory=lambda shard, rng: TurnstileReservoirJoin(TWO, 8, rng=rng),
-        rng=random.Random(seed),
-        **kwargs,
-    )
-
-
-def test_sharded_routes_retractions_to_owning_shard():
-    stream = two_table_turnstile(71)
-    ingestor = make_sharded(71)
-    ingestor.ingest_batch(stream)
-    live = surviving_rows(stream)
-    for relation in TWO.relation_names:
-        shard_rows = [set(s.index.database[relation].rows) for s in ingestor.samplers]
-        if relation in dict.fromkeys(
-            name for name in TWO.relation_names
-            if name not in ingestor.broadcast_relations
-        ):
-            # Partitioned: the shard-local sets partition the global survivors.
-            union: Set[Tuple] = set()
-            for rows in shard_rows:
-                assert union.isdisjoint(rows)
-                union |= rows
-            assert union == live.get(relation, set())
-        else:
-            # Broadcast: every replica holds the full surviving set.
-            for rowsys in shard_rows:
-                assert rowsys == live.get(relation, set())
-
-
-def test_sharded_merged_sample_covers_survivors():
-    stream = two_table_turnstile(72)
-    truth = {result_key(r) for r in surviving_ground_truth(TWO, stream)}
-    ingestor = ShardedIngestor(
-        TWO, len(truth) + 8, num_shards=3, chunk_size=24,
-        factory=lambda shard, rng: TurnstileReservoirJoin(
-            TWO, len(truth) + 8, rng=rng
-        ),
-        rng=random.Random(72),
-    )
-    ingestor.ingest_batch(stream)
-    merged = ingestor.merged_sample(rng=random.Random(7))
-    assert {result_key(r) for r in merged} == truth
-
-
-def test_sharded_turnstile_checkpoint_bit_identity():
-    stream = two_table_turnstile(73)
-    mid = (len(stream) // 48) * 24  # a chunk boundary
-    baseline = make_sharded(73)
-    baseline.ingest_batch(stream[:mid])
-    baseline.ingest_batch(stream[mid:])
-    first = make_sharded(73)
-    first.ingest_batch(stream[:mid])
-    resumed = ShardedIngestor.from_snapshot(first.snapshot_state())
-    resumed.ingest_batch(stream[mid:])
-    for a, b in zip(resumed.samplers, baseline.samplers):
-        assert a.sample == b.sample
-        assert a.statistics() == b.statistics()
-
-
-def test_partition_rejects_bad_turnstile_items():
-    ingestor = make_sharded(74)
-    with pytest.raises(KeyError):
-        ingestor.partition([StreamDelete("T", (1, 2))])
-    with pytest.raises(ValueError):
-        ingestor.partition([StreamDelete("R", (1, 2, 3))])
 
 
 # ---------------------------------------------------------------------- #

@@ -31,7 +31,6 @@ import pytest
 from repro import (
     BatchIngestor,
     JoinQuery,
-    ShardedIngestor,
     StreamDelete,
     StreamTuple,
     TurnstileReservoirJoin,
@@ -281,27 +280,6 @@ def test_bit_identical_to_oracle_windowed(mode):
     assert new.expirations == old.expirations > 0
 
 
-def test_bit_identical_to_oracle_sharded():
-    stream = mixed_stream(TWO, 31, n=300)
-
-    def build(sampler_cls):
-        return ShardedIngestor(
-            TWO, 6, num_shards=3, chunk_size=16,
-            factory=lambda shard, rng: sampler_cls(TWO, 6, rng=rng),
-            rng=random.Random(31),
-        )
-
-    new, old = build(TurnstileReservoirJoin), build(FullScanOracle)
-    new.ingest_batch(stream)
-    old.ingest_batch(stream)
-    for mine, theirs in zip(new.samplers, old.samplers):
-        assert mine.sample == theirs.sample
-        assert _counters(mine) == _counters(theirs)
-    assert new.merged_sample(6, rng=random.Random(0)) == old.merged_sample(
-        6, rng=random.Random(0)
-    )
-
-
 # ---------------------------------------------------------------------- #
 # No ingest path counts the join
 # ---------------------------------------------------------------------- #
@@ -316,7 +294,7 @@ def _forbid_count_results(monkeypatch) -> None:
             monkeypatch.setattr(module, "count_results", forbidden)
 
 
-@pytest.mark.parametrize("kind", ["plain", "windowed", "sharded"])
+@pytest.mark.parametrize("kind", ["plain", "windowed", "ingestor"])
 def test_ingest_runs_no_count_pass(monkeypatch, kind):
     stream = mixed_stream(CHAIN3, 37, n=400)
     if kind == "plain":
@@ -324,26 +302,24 @@ def test_ingest_runs_no_count_pass(monkeypatch, kind):
     elif kind == "windowed":
         target = WindowedSampler(CHAIN3, k=9, window=50, rng=random.Random(37))
     else:
-        target = ShardedIngestor(
-            CHAIN3, 9, num_shards=2, chunk_size=8,
-            factory=lambda shard, rng: TurnstileReservoirJoin(CHAIN3, 9, rng=rng),
-            rng=random.Random(37),
+        target = BatchIngestor(
+            TurnstileReservoirJoin(CHAIN3, k=9, rng=random.Random(37)), chunk_size=8
         )
     deletes = [item for item in stream if isinstance(item, StreamDelete)][:20]
     _forbid_count_results(monkeypatch)
     for start in range(0, len(stream), 4):
         target.ingest_batch(stream[start:start + 4])
-    if kind == "sharded":
+    if kind == "ingestor":
         target.ingest_batch(deletes)
+        sampler = target.sampler
     else:
         target.delete_batch(deletes)
+        sampler = target
     monkeypatch.undo()
-    samplers = target.samplers if kind == "sharded" else [target]
-    assert sum(sampler.statistics()["evictions"] for sampler in samplers) > 10
+    assert sampler.statistics()["evictions"] > 10
     if kind == "windowed":
         assert target.expirations > 0
-    for sampler in samplers:
-        sampler.check_invariants()
+    sampler.check_invariants()
 
 
 def test_insert_only_stream_never_recounts(monkeypatch):

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Smoke-run the six ingestion/serving-seam benchmarks at tiny scale.
+"""Smoke-run the five ingestion/serving-seam benchmarks at tiny scale.
 
 CI cannot gate on benchmark *ratios* — on a shared 1-CPU runner the
 measured speedups are noise (the bench-box convention: gate on execution,
@@ -35,11 +35,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 BENCHMARKS = {
     "benchmarks/bench_batch_ingest.py": (
         "BENCH_batch_ingest.json",
-        ("benchmark", "n_tuples", "modes", "best_speedup"),
-    ),
-    "benchmarks/bench_shard_ingest.py": (
-        "BENCH_shard_ingest.json",
-        ("benchmark", "n_tuples", "modes", "cyclic"),
+        ("benchmark", "n_tuples", "modes", "best_speedup", "cyclic"),
     ),
     "benchmarks/bench_async.py": (
         "BENCH_async.json",
@@ -78,9 +74,6 @@ BENCHMARKS = {
 #: rows carry the *measured* figures (no placeholders allowed).  Ratios are
 #: never thresholded here — they stay informational.
 MODE_FIELDS = {
-    "BENCH_shard_ingest.json": {
-        "sharded_serial_total": ("seconds", "shard_loads"),
-    },
     "BENCH_serving.json": {
         "writer_baseline": ("writer_wall_seconds", "tuples_per_second"),
         "served_threads": (
@@ -105,7 +98,6 @@ MODE_FIELDS = {
             "refills",
         ),
         "windowed_batched": ("seconds", "tuples_per_second", "expirations", "window"),
-        "turnstile_sharded": ("seconds", "tuples_per_second", "num_shards"),
     },
 }
 
@@ -113,6 +105,9 @@ MODE_FIELDS = {
 #: report -> {top-level section -> fields that must be present and
 #: non-null}: the measured figures of reports without mode rows.
 SECTION_FIELDS = {
+    "BENCH_batch_ingest.json": {
+        "cyclic": ("per_tuple_seconds", "bulk_seconds", "speedup"),
+    },
     "BENCH_async.json": {
         "async_transport": (
             "sync_seconds",

@@ -3,15 +3,13 @@
 
 Every perf PR against the ingestion seam starts from the same measurement
 (``make profile``), so optimisations chase profiles, not hunches.  The
-harness drives the two representative insert-only ingestion shapes over the
+harness drives the representative insert-only ingestion shapes over the
 repository benchmark's ``insert-chain3`` stream (``bench/run.py``'s
 ``chain_stream`` at its default seed 1: 20k tuples, domain 400, chunks of
 100, k = 1000):
 
 * **batched** — one ``BatchIngestor`` over a ``ReservoirJoin`` (the inner
   loops of ``index/tree_index.py`` and ``core/batch_reservoir.py``);
-* **sharded** — a serial 4-shard ``ShardedIngestor`` (adds the hash-routing
-  loop of ``ingest/shard.py`` on top);
 * **per-row** — ``DynamicJoinIndex(maintain_root=True)`` alone, with no
   sampler: ``insert`` of every distinct row of the same stream one row at a
   time, then ``delete`` of each in stream order (the one-row runs of
@@ -47,8 +45,7 @@ best of ``--repeats``; the per-row shape also its µs/row, each half best of
 ``--repeats``) and the top ``cProfile`` rows by cumulative time, restricted
 to this repository's own frames so library noise never buries the hot loop.
 
-Knobs: ``--n`` stream length, ``--chunk-size``, ``--shards``, ``--top``,
-``--repeats``; ``REPRO_PROFILE_N`` overrides ``--n`` for Makefile use
+Knobs: ``--n`` stream length, ``--chunk-size``, ``--top``, ``--repeats``; ``REPRO_PROFILE_N`` overrides ``--n`` for Makefile use
 (``make profile``).
 
 Usage:  PYTHONPATH=src python tools/profile_hotpath.py [--n 20000]
@@ -76,7 +73,6 @@ from repro.core.reservoir_join import ReservoirJoin  # noqa: E402
 from repro.core.turnstile import TurnstileReservoirJoin  # noqa: E402
 from repro.index.dynamic_index import DynamicJoinIndex  # noqa: E402
 from repro.ingest.batch import BatchIngestor  # noqa: E402
-from repro.ingest.shard import ShardedIngestor  # noqa: E402
 from repro.relational.query import JoinQuery  # noqa: E402
 from repro.relational.stream import StreamDelete, StreamTuple  # noqa: E402
 
@@ -131,13 +127,6 @@ def run_turnstile(query, stream, chunk_size: int) -> None:
 def run_batched(query, stream, chunk_size: int) -> BatchIngestor:
     sampler = ReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
     return BatchIngestor(sampler, chunk_size=chunk_size).ingest(stream)
-
-
-def run_sharded(query, stream, chunk_size: int, shards: int) -> None:
-    ShardedIngestor(
-        query, SAMPLE_SIZE, num_shards=shards, chunk_size=chunk_size,
-        rng=random.Random(2),
-    ).ingest(stream)
 
 
 def run_serve(inputs: dict) -> dict:
@@ -218,7 +207,6 @@ def main() -> None:
         help="stream length (default 20000, or REPRO_PROFILE_N)",
     )
     parser.add_argument("--chunk-size", type=int, default=100)
-    parser.add_argument("--shards", type=int, default=4)
     parser.add_argument("--top", type=int, default=18,
                         help="profile rows to print per shape")
     parser.add_argument("--repeats", type=int, default=3,
@@ -235,11 +223,6 @@ def main() -> None:
     profile_shape(
         "batched",
         lambda: run_batched(query, stream, args.chunk_size),
-        args.top, args.repeats,
-    )
-    profile_shape(
-        f"sharded (serial, {args.shards} shards)",
-        lambda: run_sharded(query, stream, args.chunk_size, args.shards),
         args.top, args.repeats,
     )
     ingestor = run_batched(query, stream, args.chunk_size)
