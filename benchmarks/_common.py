@@ -12,13 +12,12 @@ its data and scale substitutions).  Two entry points per module:
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from repro.core.reservoir_join import ReservoirJoin
 from repro.baselines.sjoin import SJoin
 from repro.cyclic.cyclic_join import CyclicReservoirJoin
 from repro.relational.query import JoinQuery
-from repro.relational.stream import StreamTuple
 from repro.workloads import graph, ldbc, tpcds
 
 # Scale knobs (kept deliberately small: the comparison SJoin baseline is

@@ -19,7 +19,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import time
 from bisect import bisect_left
 from typing import Dict, List
 
@@ -27,6 +26,8 @@ from repro.core.reservoir_join import ReservoirJoin
 from repro.ingest.batch import BatchIngestor
 from repro.relational.query import JoinQuery
 from repro.relational.stream import StreamTuple, ThrottledChunkSource, prefetched
+
+from harness import timed
 
 #: CI smoke knob (see ``bench_batch_ingest.py``): shrink the stream and the
 #: chunk size proportionally so ``make bench-smoke`` can assert execution +
@@ -123,10 +124,12 @@ def bench_async(query: JoinQuery, stream: List[StreamTuple]) -> Dict:
     def timed_run(mode: str, wrap) -> float:
         ingestor = latest[mode] = make_ingestor(query)
         source = throttled(stream)
-        start = time.perf_counter()
-        for chunk in wrap(source):
-            ingestor.ingest_batch(chunk)
-        return time.perf_counter() - start
+
+        def run() -> None:
+            for chunk in wrap(source):
+                ingestor.ingest_batch(chunk)
+
+        return timed(run)
 
     sync_seconds = min(timed_run("sync", iter) for _ in range(RUNS))
     async_seconds = min(timed_run("async", prefetched) for _ in range(RUNS))
@@ -167,7 +170,7 @@ def bench() -> Dict:
             "that wait with ingest_batch; the async wall times the same loop "
             "over prefetched(source), which reads the source ahead on one "
             "thread. Both are the minimum of "
-            f"{RUNS} runs."
+            f"{RUNS} runs, each timed with the garbage collector paused."
         ),
         "async_transport": bench_async(query, stream),
     }

@@ -12,8 +12,6 @@ tail far below SJoin's) is the reproduced shape.
 
 from __future__ import annotations
 
-import random
-
 from repro.index.dynamic_index import DynamicJoinIndex
 from repro.baselines.sjoin import ExactTreeIndex
 from repro.relational.stream import as_relation_rows

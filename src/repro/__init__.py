@@ -36,22 +36,6 @@ Every sampler supports three interchangeable ways of consuming a stream:
   backend.  Each backend sees exactly the chunks a standalone run would, so
   under its own seed its reservoir is bit-identical to that run.
 
-* **Turnstile** — ``TurnstileReservoirJoin(query, k)``: the stream may
-  *retract* tuples (``sampler.delete(relation, row)``, or
-  ``StreamDelete`` items mixed into any batch).  A deletion removes the row
-  from the dynamic index (``c̃nt`` decrement propagation), evicts join
-  results that died with it from the reservoir, refills uniformly from the
-  survivors and re-anchors the skip state — so the reservoir stays exactly
-  uniform over the *surviving* join results at every boundary.  A delete
-  arriving before its insert plants a tombstone that annihilates the later
-  insert.  Its subclass ``WindowedSampler(query, k, window)`` adds
-  sliding-window sampling: rows older than ``window`` (a count of stream
-  items, or a timestamp horizon with ``mode="timestamp"``) are retracted
-  automatically at chunk boundaries.  Both conform to the same backend seam, so they
-  compose with batched ingestion, checkpoint/restore and serving.  Use them for feeds with
-  corrections/expirations; the insert-only samplers stay strictly faster on
-  append-only streams.
-
 Any of these modes can read a blocking source ahead:
 ``for chunk in prefetched(source): ingestor.ingest_batch(chunk)``
 (:func:`~repro.relational.stream.prefetched`) iterates the source on one
@@ -59,7 +43,25 @@ daemon thread into a bounded queue, so the wait for the next chunk (network,
 pagination) overlaps the ingestion of the current one.  Ingestion stays on
 the caller's thread, so every chunk is still an exact chunk boundary.
 
-Any of these modes can be *served*: ``SampleServer`` (:mod:`repro.serve`)
+Retractions and windows
+-----------------------
+``TurnstileReservoirJoin(query, k)`` is the sampler for streams that
+*retract* tuples (``sampler.delete(relation, row)``, or ``StreamDelete``
+items mixed into any batch).  A deletion removes the row from the dynamic
+index (``c̃nt`` decrement propagation), evicts join results that died with
+it from the reservoir, refills uniformly from the survivors and re-anchors
+the skip state — so the reservoir stays exactly uniform over the
+*surviving* join results at every boundary.  A delete arriving before its
+insert plants a tombstone that annihilates the later insert.  Its subclass
+``WindowedSampler(query, k, window)`` adds sliding-window sampling: rows
+older than ``window`` (a count of stream items, or a timestamp horizon with
+``mode="timestamp"``) are retracted automatically at chunk boundaries.  Both
+conform to the same backend seam, so they take all three ways of consuming
+a stream and compose with checkpoint/restore and serving.  Use them for
+feeds with corrections/expirations; the insert-only samplers stay strictly
+faster on append-only streams.
+
+Every sampler, in any of the three modes, can be *served*: ``SampleServer`` (:mod:`repro.serve`)
 wraps a live ingestor and multiplexes concurrent readers against the single
 writer through snapshot-isolated, exactly-uniform epoch cuts taken at chunk
 boundaries — with per-subscriber predicate views and a bounded-staleness

@@ -384,11 +384,13 @@ class TurnstileReservoirJoin(ReservoirJoin):
     def check_invariants(self) -> None:
         """Raise ``RuntimeError`` unless the reservoir holds ``min(k, |Q'|)``
         live results, ``w`` is ``inf`` exactly when it holds fewer than ``k``,
-        and no pending tombstone names a live row.
+        no pending tombstone names a live row, and every bucket family of the
+        index passes :meth:`~repro.index.dynamic_index.DynamicJoinIndex.check_invariants`.
 
         ``O(N)`` and on demand only: ``|Q'|`` comes from the
         :func:`~repro.relational.join.count_results` oracle.
         """
+        self.index.check_invariants()
         database = self.index.database
         held = self.reservoir.sample
         population = count_results(self.query, database)

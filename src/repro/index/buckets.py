@@ -1,10 +1,10 @@
 """Degree buckets Φ_{i,e}(t) and per-key bucket families (Section 4.3).
 
-For every (rooted tree, node ``e``, key tuple ``t``) the index organises the
-*entities* below that key — full tuples of ``R_e ⋉ t``, or group tuples when
-the grouping optimisation is active — into buckets by their power-of-two
-weight: bucket ``i`` holds the entities whose weight is ``2^i``.  The family
-also maintains
+For every (directed join-tree edge into node ``e``, key tuple ``t``) the
+index organises the *entities* below that key — full tuples of ``R_e ⋉ t``,
+or group tuples when the grouping optimisation is active — into buckets by
+their power-of-two weight: bucket ``i`` holds the entities whose weight is
+``2^i``.  The family also maintains
 
 * ``cnt`` — the exact sum of entity weights, i.e. the paper's ``cnt[T, e, t]``;
 * ``approx`` — ``c̃nt[T, e, t] = 2^⌈log2 cnt⌉``.
@@ -18,8 +18,8 @@ weight range contains ``z`` by walking them in the order it holds them
 A family's state is ``(cnt, [(exponent, entities), ...])``: ``approx`` and
 each bucket's entity → position map are derived state, rebuilt on load.  A
 family pickles as that state, and a pickled
-:class:`~repro.index.tree_index.TreeIndex` holds its families as the bare
-tuples and rebuilds them through :meth:`BucketFamily.__setstate__`.
+:class:`~repro.index.dynamic_index.DynamicJoinIndex` holds its families as
+the bare tuples and rebuilds them through :meth:`BucketFamily.__setstate__`.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import random
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import pytest
 

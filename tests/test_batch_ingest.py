@@ -406,18 +406,17 @@ class TestBatchedEquivalence:
     def assert_same_index_state(self, a: ReservoirJoin, b: ReservoirJoin) -> None:
         """Final counters/buckets must be identical across ingestion modes."""
         assert a.index.size == b.index.size
-        for name, tree_a in a.index.trees.items():
-            tree_b = b.index.trees[name]
-            for node, families_a in tree_a._families.items():
-                families_b = tree_b._families[node]
-                for key in set(families_a) | set(families_b):
-                    cnt_a = families_a[key].cnt if key in families_a else 0
-                    cnt_b = families_b[key].cnt if key in families_b else 0
-                    assert cnt_a == cnt_b, (name, node, key, cnt_a, cnt_b)
-                    approx_a = families_a[key].approx if key in families_a else 0
-                    approx_b = families_b[key].approx if key in families_b else 0
-                    assert approx_a == approx_b
-            tree_b.validate()
+        assert a.index.families.keys() == b.index.families.keys()
+        for edge, families_a in a.index.families.items():
+            families_b = b.index.families[edge]
+            for key in set(families_a) | set(families_b):
+                cnt_a = families_a[key].cnt if key in families_a else 0
+                cnt_b = families_b[key].cnt if key in families_b else 0
+                assert cnt_a == cnt_b, (edge, key, cnt_a, cnt_b)
+                approx_a = families_a[key].approx if key in families_a else 0
+                approx_b = families_b[key].approx if key in families_b else 0
+                assert approx_a == approx_b
+        b.index.validate()
 
     @pytest.mark.parametrize("grouping", [False, True])
     @pytest.mark.parametrize("maintain_root", [False, True])
@@ -446,8 +445,7 @@ class TestBatchedEquivalence:
         batched = ReservoirJoin(star3_query, 25, rng=random.Random(2), grouping=True)
         batched.insert_batch(stream)
         assert pertuple.index.size == batched.index.size
-        for tree in batched.index.trees.values():
-            tree.validate()
+        batched.index.validate()
         truth = ground_truth_keys(star3_query, stream)
         assert {result_key(r) for r in batched.sample} <= truth
 

@@ -7,7 +7,7 @@ import pytest
 from repro.cyclic.cyclic_join import CyclicReservoirJoin
 from repro.cyclic.ghd import GHD
 from repro.relational import Database, JoinQuery, StreamTuple, delta_results
-from repro.workloads.graph import dumbbell_query, line_query, triangle_query
+from repro.workloads.graph import dumbbell_query, triangle_query
 
 from tests.conftest import make_edges, make_graph_stream
 from tests.oracles import ground_truth, result_key, uniformity_p_value

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational import Database, JoinQuery
+from repro.relational import Database
 
 
 @pytest.fixture

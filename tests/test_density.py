@@ -1,7 +1,5 @@
 """Property-based tests of the dense-stream lemmas (Lemmas 3.6-3.8)."""
 
-import random
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -135,12 +135,18 @@ class TestFullQuerySampling:
         index = self.replay(query, stream)
         index.validate()
 
-    def test_propagations_aggregate(self, line3_query):
+    @pytest.mark.parametrize("length,expected,per_rooting", [(3, 63, 63), (4, 139, 178)])
+    def test_propagations_count_each_directed_edge_once(self, length, expected, per_rooting):
+        # ``per_rooting`` is what one counter per rooted tree summed to when
+        # every rooting kept its own families.  On line-3 no two rootings
+        # pushed a change into the same edge; on line-4 the rootings at R1
+        # and R2 both pushed R4's changes into R2 -> R3.
+        query = line_query(length)
         edges = make_edges(5, 15, seed=69)
-        stream = make_graph_stream(line3_query, edges, seed=70)
-        index = self.replay(line3_query, stream)
-        assert index.propagations == sum(t.propagations for t in index.trees.values())
-        assert index.propagations > 0
+        stream = make_graph_stream(query, edges, seed=70)
+        index = self.replay(query, stream)
+        assert index.propagations == expected
+        assert expected == per_rooting if length == 3 else expected < per_rooting
 
 
 class TestRoundTrip:
@@ -170,5 +176,4 @@ class TestRoundTrip:
             index.validate()
         assert index.size == 0
         assert index.total_weight() == 0
-        for tree in index.trees.values():
-            assert all(not families for families in tree._families.values())
+        assert index.families and all(not families for families in index.families.values())

@@ -15,7 +15,6 @@ from repro import (
 )
 from repro.baselines import SJoin, SymmetricHashJoinSampler
 from repro.core.skippable import ListBatch
-from repro.relational import StreamTuple
 
 from tests.conftest import make_edges, make_graph_stream
 from tests.naive import NaiveRecomputeSampler

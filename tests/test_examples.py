@@ -1,7 +1,6 @@
 """The example scripts must run end to end (deliverable sanity check)."""
 
 import runpy
-import sys
 
 import pytest
 

@@ -1,7 +1,5 @@
 """Tests for fractional edge covers, AGM bounds and bag widths (Section 5)."""
 
-import math
-
 import pytest
 
 from repro.cyclic.fractional import (
@@ -12,7 +10,6 @@ from repro.cyclic.fractional import (
     induced_subquery,
     max_join_size_exponent,
 )
-from repro.relational import JoinQuery
 from repro.workloads.graph import dumbbell_query, line_query, star_query, triangle_query
 
 

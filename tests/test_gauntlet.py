@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import random
 
 import pytest
 

@@ -4,7 +4,7 @@ import pytest
 
 from repro.cyclic.ghd import GHD, ghd_for, ghd_from_primal_graph, trivial_ghd
 from repro.relational import JoinQuery
-from repro.workloads.graph import dumbbell_query, line_query, star_query, triangle_query
+from repro.workloads.graph import dumbbell_query, line_query, triangle_query
 
 
 class TestValidation:

@@ -3,8 +3,6 @@
 import itertools
 import random
 
-import pytest
-
 from repro.relational import Database, JoinQuery, delta_results, join_results, join_size
 from repro.relational.join import results_as_tuples
 from tests.conftest import make_edges, make_graph_stream

@@ -10,9 +10,10 @@ followed, or every ``__init__`` would pull in all of its subpackage.  A
 module reached only from ``tests/`` or ``benchmarks/`` is test or bench
 scaffolding and lives there instead.
 
-Every module-level import of a library module is used, too: no linter is
-installed, so an ``ast`` scan holds the rule.  An import kept for its side
-effects or for a lookup by name carries ``# noqa: F401``.
+Every module-level import is used, too, in the library and in the tests,
+benchmark scripts, tools and examples beside it: no linter is installed, so
+an ``ast`` scan holds the rule.  An import kept for its side effects or for
+a lookup by name carries ``# noqa: F401``.
 """
 
 from __future__ import annotations
@@ -124,6 +125,20 @@ def test_library_modules_use_every_import():
     unused = {
         name: found
         for name, path in sorted(MODULES.items())
+        if (found := list(unused_imports(path)))
+    }
+    assert not unused, f"unused module-level imports (mark a deliberate one # noqa: F401): {unused}"
+
+
+#: The directories beside ``src/`` whose modules the import scan covers.
+SCANNED = ("tests", "benchmarks", "tools", "examples")
+
+
+def test_tests_benchmarks_tools_and_examples_use_every_import():
+    unused = {
+        str(path.relative_to(REPO_ROOT)): found
+        for top in SCANNED
+        for path in sorted((REPO_ROOT / top).rglob("*.py"))
         if (found := list(unused_imports(path)))
     }
     assert not unused, f"unused module-level imports (mark a deliberate one # noqa: F401): {unused}"

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.relational import JoinQuery
-from repro.relational.schema import KeyConstraint, RelationSchema
+from repro.relational.schema import RelationSchema
 
 
 class TestConstruction:

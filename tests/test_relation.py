@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.relational.relation import Relation, RelationIndex
+from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 
 

@@ -2,15 +2,13 @@
 
 import random
 
-import pytest
-
 from repro.core.reservoir_join import ReservoirJoin
-from repro.relational import Database, JoinQuery, StreamTuple, join_results
+from repro.relational import Database, StreamTuple, join_results
 from repro.workloads import tpcds
-from repro.workloads.graph import line_query, star_query
+from repro.workloads.graph import star_query
 
 from tests.conftest import make_edges, make_graph_stream
-from tests.oracles import ground_truth, inclusion_counts, result_key, uniformity_p_value
+from tests.oracles import ground_truth, result_key, uniformity_p_value
 
 
 def replay(query, stream, k, seed, **kwargs):

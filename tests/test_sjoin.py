@@ -5,7 +5,7 @@ import random
 import pytest
 
 from repro.baselines.sjoin import ExactTreeIndex, SJoin
-from repro.relational import Database, JoinQuery, delta_results, join_size
+from repro.relational import Database, delta_results, join_size
 from repro.relational.jointree import JoinTree
 from repro.workloads import tpcds
 from repro.workloads.graph import line_query, triangle_query

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.workloads.strings import (
-    EditDistancePredicate,
     levenshtein,
     levenshtein_within,
     perturb,

@@ -1,6 +1,8 @@
-"""Tests for the per-rooted-tree dynamic index (Algorithms 7/8/9)."""
+"""Tests for the rooted views of the dynamic index and its edge-keyed
+families (Algorithms 7/8/9)."""
 
 import hashlib
+import io
 import pickle
 import pickletools
 import random
@@ -13,14 +15,14 @@ from repro.core.backend import restore_backend
 from repro.core.reservoir_join import ReservoirJoin
 from repro.core.turnstile import TurnstileReservoirJoin
 from repro.index.buckets import BucketFamily
+from repro.index.counters import next_pow2
 from repro.index.dynamic_index import DynamicJoinIndex
-from repro.index.tree_index import TreeIndex
 from repro.ingest.batch import BatchIngestor
 from repro.ingest.checkpoint import CODEC
-from repro.relational import Database, JoinQuery, delta_results
-from repro.relational.jointree import JoinTree
-from repro.relational.stream import StreamDelete, StreamTuple
+from repro.relational import JoinQuery, delta_results
+from repro.relational.stream import StreamDelete, StreamTuple, turnstile_stream
 from repro.workloads.graph import line_query, star_query
+from repro.workloads.ldbc import q10_query
 
 from tests.conftest import make_edges, make_graph_stream, materialize_batch
 from tests.density import batch_density_bound
@@ -28,40 +30,40 @@ from tests.oracles import result_key
 from tests.test_checkpoint import chain3_stream
 
 
-def build_indexes(query, grouping=False):
-    """One TreeIndex per rooting over a single shared database."""
-    database = Database(query)
-    tree = JoinTree(query)
-    indexes = {
-        name: TreeIndex(tree.rooted_at(name), database, grouping=grouping)
-        for name in query.relation_names
-    }
-    return database, indexes
+def build_index(query, grouping=False):
+    """A dynamic index whose every rooted view keeps its root family, as
+    each per-rooting index once did, so each view can also sample the full
+    join.  The plans maintain exactly the families the index holds, so the
+    root families are added before the index is compiled again, while it is
+    still empty."""
+    index = DynamicJoinIndex(query, grouping=grouping, maintain_root=False)
+    for name in query.relation_names:
+        index.families[None, name] = {}
+    index._compile()
+    return index
 
 
 def drive(query, stream, grouping=False, check_batches=True):
-    """Replay a stream through all rooted trees, checking delta batches.
+    """Replay a stream through the index, checking delta batches.
 
     For every inserted tuple the real items of the batch generated by the
-    tree rooted at the tuple's relation must equal the ground-truth delta
+    view rooted at the tuple's relation must equal the ground-truth delta
     query results.
     """
-    database, indexes = build_indexes(query, grouping)
+    index = build_index(query, grouping)
     for item in stream:
-        if not database.insert(item.relation, item.row):
+        if not index.insert(item.relation, item.row):
             continue
-        for index in indexes.values():
-            index.insert_row(item.relation, item.row)
         if not check_batches:
             continue
-        batch = indexes[item.relation].delta_batch(item.row)
+        batch = index.trees[item.relation].delta_batch(item.row)
         got = Counter(result_key(res) for res in materialize_batch(batch))
         expected = Counter(
             result_key(res)
-            for res in delta_results(query, database, item.relation, item.row)
+            for res in delta_results(query, index.database, item.relation, item.row)
         )
         assert got == expected, f"batch mismatch after inserting {item}"
-    return database, indexes
+    return index
 
 
 class TestDeltaBatchCorrectness:
@@ -112,28 +114,22 @@ class TestInvariants:
     def test_validate_after_replay(self, line3_query):
         edges = make_edges(5, 15, seed=21)
         stream = make_graph_stream(line3_query, edges, seed=22)
-        _, indexes = drive(line3_query, stream, check_batches=False)
-        for index in indexes.values():
-            index.validate()
+        drive(line3_query, stream, check_batches=False).validate()
 
     def test_validate_with_grouping(self):
         query = star_query(4)
         edges = make_edges(4, 12, seed=23)
         stream = make_graph_stream(query, edges, seed=24)
-        _, indexes = drive(query, stream, grouping=True, check_batches=False)
-        for index in indexes.values():
-            index.validate()
+        drive(query, stream, grouping=True, check_batches=False).validate()
 
     def test_batch_density_meets_bound(self, line3_query):
         edges = make_edges(5, 15, seed=31)
         stream = make_graph_stream(line3_query, edges, seed=32)
-        database, indexes = build_indexes(line3_query)
+        dynamic = build_index(line3_query)
         for item in stream:
-            if not database.insert(item.relation, item.row):
+            if not dynamic.insert(item.relation, item.row):
                 continue
-            for index in indexes.values():
-                index.insert_row(item.relation, item.row)
-            index = indexes[item.relation]
+            index = dynamic.trees[item.relation]
             size = index.delta_batch_size(item.row)
             if size == 0:
                 continue
@@ -142,18 +138,10 @@ class TestInvariants:
             bound = batch_density_bound(subtree, full_tuple=True)
             assert real >= bound * size - 1e-9
 
-    def test_requires_empty_database(self, line3_query):
-        database = Database(line3_query)
-        database.insert("R1", (1, 2))
-        tree = JoinTree(line3_query).rooted_at("R1")
-        with pytest.raises(ValueError):
-            TreeIndex(tree, database)
-
     def test_propagation_counter_grows(self, line3_query):
         edges = make_edges(5, 15, seed=41)
         stream = make_graph_stream(line3_query, edges, seed=42)
-        _, indexes = drive(line3_query, stream, check_batches=False)
-        assert sum(index.propagations for index in indexes.values()) > 0
+        assert drive(line3_query, stream, check_batches=False).propagations > 0
 
 
 class TestFullQuerySampling:
@@ -162,9 +150,9 @@ class TestFullQuerySampling:
 
         edges = make_edges(5, 16, seed=51)
         stream = make_graph_stream(line3_query, edges, seed=52)
-        database, indexes = drive(line3_query, stream, check_batches=False)
-        truth = join_size(line3_query, database)
-        for index in indexes.values():
+        dynamic = drive(line3_query, stream, check_batches=False)
+        truth = join_size(line3_query, dynamic.database)
+        for index in dynamic.trees.values():
             total = index.total_weight()
             assert total >= truth
             # |J| = O(|Q(R)|): the constant for line-3 is at most 2^(2*3-1).
@@ -175,42 +163,39 @@ class TestFullQuerySampling:
 
         edges = make_edges(5, 16, seed=53)
         stream = make_graph_stream(line3_query, edges, seed=54)
-        database, indexes = drive(line3_query, stream, check_batches=False)
-        real = {result_key(res) for res in join_results(line3_query, database)}
+        dynamic = drive(line3_query, stream, check_batches=False)
+        real = {result_key(res) for res in join_results(line3_query, dynamic.database)}
         rng = random.Random(0)
-        index = indexes["R1"]
+        index = dynamic.trees["R1"]
         for _ in range(50):
             sample = index.sample(rng)
             assert result_key(sample) in real
 
     def test_sample_none_when_empty(self, line3_query):
-        _, indexes = build_indexes(line3_query)
-        assert indexes["R1"].sample(random.Random(0)) is None
+        assert build_index(line3_query).trees["R1"].sample(random.Random(0)) is None
 
     def test_root_family_disabled(self, line3_query):
-        database = Database(line3_query)
-        tree = JoinTree(line3_query).rooted_at("R1")
-        index = TreeIndex(tree, database, maintain_root=False)
-        database.insert("R1", (1, 2))
-        index.insert_row("R1", (1, 2))
+        dynamic = DynamicJoinIndex(line3_query, maintain_root=False)
+        dynamic.insert("R1", (1, 2))
+        for index in dynamic.trees.values():
+            with pytest.raises(RuntimeError):
+                index.total_weight()
         with pytest.raises(RuntimeError):
-            index.total_weight()
+            dynamic.total_weight()
 
     def test_sampling_uniform_over_results(self, two_table_query):
         """Full-join sampling hits every result with roughly equal frequency."""
         from repro.relational import join_results
 
-        database, indexes = build_indexes(two_table_query)
+        dynamic = build_index(two_table_query)
         rows = {"R1": [(i, i % 3) for i in range(6)], "R2": [(j % 3, j) for j in range(6)]}
         for relation, relation_rows in rows.items():
             for row in relation_rows:
-                database.insert(relation, row)
-                for index in indexes.values():
-                    index.insert_row(relation, row)
-        results = join_results(two_table_query, database)
+                dynamic.insert(relation, row)
+        results = join_results(two_table_query, dynamic.database)
         universe = {result_key(res) for res in results}
         rng = random.Random(7)
-        counts = Counter(result_key(indexes["R1"].sample(rng)) for _ in range(4000))
+        counts = Counter(result_key(dynamic.trees["R1"].sample(rng)) for _ in range(4000))
         assert set(counts) <= universe
         expected = 4000 / len(universe)
         for key in universe:
@@ -232,20 +217,18 @@ class TestBulkInsert:
     """``insert_rows`` ends in the state per-row ``insert_row`` reaches."""
 
     def replay(self, query, by_relation, chunk):
-        database = Database(query)
-        index = TreeIndex(JoinTree(query).rooted_at(query.relation_names[0]), database)
+        dynamic = DynamicJoinIndex(query)
         for relation, rows in by_relation.items():
             for start in range(0, len(rows), chunk):
-                for row in rows[start:start + chunk]:
-                    database.insert(relation, row)
                 if chunk == 1:
-                    index.insert_row(relation, rows[start])
+                    dynamic.insert(relation, rows[start])
                 else:
-                    index.insert_rows(relation, rows[start:start + chunk])
+                    dynamic.insert_rows(relation, rows[start:start + chunk])
         state = {
-            node: {key: family_state(family) for key, family in families.items()}
-            for node, families in index._families.items()
+            edge: {key: family_state(family) for key, family in families.items()}
+            for edge, families in dynamic.families.items()
         }
+        index = dynamic.trees[query.relation_names[0]]
         sizes = index.delta_batch_sizes(by_relation[index.root])
         assert sizes == [index.delta_batch_size(row) for row in by_relation[index.root]]
         return state, sizes
@@ -380,28 +363,24 @@ def test_samples_pinned_to_parent(case):
 def _retrieve_digest(query, grouping):
     """Every position of every root row's delta batch, and of the full join.
 
-    One ``TreeIndex`` per rooting over a database that has seen inserts and
-    deletes, so families hold several buckets, some emptied and re-created.
+    Every rooted view of an index that has seen inserts and deletes, so
+    families hold several buckets, some emptied and re-created.
     """
-    database, indexes = build_indexes(query, grouping)
+    dynamic = build_index(query, grouping)
     rng = random.Random(12)
     names = query.relation_names
     live = []
     for i in range(240):
         name = names[i % len(names)]
         row = tuple(rng.randrange(8) for _ in range(query.relation(name).arity))
-        if database.insert(name, row):
+        if dynamic.insert(name, row):
             live.append((name, row))
-            for index in indexes.values():
-                index.insert_row(name, row)
         if live and rng.random() < 0.2:
             name, row = live.pop(rng.randrange(len(live)))
-            database.delete(name, row)
-            for index in indexes.values():
-                index.delete_row(name, row)
+            dynamic.delete(name, row)
     found = []
-    for index in indexes.values():
-        for row in list(database[index.root].rows):
+    for index in dynamic.trees.values():
+        for row in list(dynamic.database[index.root].rows):
             batch = index.delta_batch(row)
             found.append([batch.skip(0) for _ in range(len(batch))])
         found.append([index.retrieve_global(z) for z in range(index.total_weight())])
@@ -437,19 +416,21 @@ def test_retrieve_pinned_to_parent(name, grouping):
 
 
 class TestDerivedPlan:
-    """The compiled per-node plan is derived state, rebuilt on unpickling."""
+    """The compiled plans and views are derived state, rebuilt on unpickling."""
 
     def test_plan_is_not_pickled(self, line3_query):
-        _, indexes = drive(
+        dynamic = drive(
             line3_query, make_graph_stream(line3_query, make_edges(5, 14, seed=1), seed=2),
             check_batches=False,
         )
-        for index in indexes.values():
-            assert "_plan" not in index.__getstate__()
-            restored = pickle.loads(pickle.dumps(index))
-            assert set(vars(restored)) == set(vars(index))
+        state = dynamic.__getstate__()
+        assert "trees" not in state and "_runs" not in state
+        restored = pickle.loads(pickle.dumps(dynamic))
+        assert set(vars(restored)) == set(vars(dynamic))
+        for name, index in dynamic.trees.items():
+            twin = restored.trees[name]
             for position in range(index.total_weight()):
-                assert restored.retrieve_global(position) == index.retrieve_global(position)
+                assert twin.retrieve_global(position) == index.retrieve_global(position)
 
     def test_families_pickle_as_plain_tuples(self):
         query = JoinQuery.from_spec("wide", _WIDE)
@@ -463,14 +444,15 @@ class TestDerivedPlan:
             if opcode.name in ("GLOBAL", "SHORT_BINUNICODE", "BINUNICODE")
         }
         assert "BucketFamily" not in " ".join(strings)
-        assert "TreeIndex" in strings
+        assert "TreeIndex" not in strings
         restored = pickle.loads(payload)
-        for tree, twin in zip(index.trees.values(), restored.trees.values()):
-            for families, twins in zip(tree._families.values(), twin._families.values()):
-                assert families.keys() == twins.keys()
-                for key, family in families.items():
-                    assert isinstance(twins[key], BucketFamily)
-                    assert twins[key].__getstate__() == family.__getstate__()
+        assert restored.families.keys() == index.families.keys()
+        for edge, families in index.families.items():
+            twins = restored.families[edge]
+            assert families.keys() == twins.keys()
+            for key, family in families.items():
+                assert isinstance(twins[key], BucketFamily)
+                assert twins[key].__getstate__() == family.__getstate__()
         assert restored.sample_many(50, random.Random(1)) == index.sample_many(
             50, random.Random(1)
         )
@@ -502,3 +484,170 @@ class TestDerivedPlan:
         for sampler in samplers:
             assert sampler.index.size > 0
             sampler.index.validate()
+
+    def test_grouped_per_rooting_checkpoint_resumes_bit_for_bit(self):
+        """A grouped turnstile checkpoint written while every rooting kept its
+        own families and its own copy of ``Rb``'s group view (saved after the
+        first 256 items of :func:`_grouped_turnstile_stream` in chunks of 16)
+        restores with one family dict per edge and one view per relation, and
+        ingests the rest exactly as the version that wrote it did: the
+        digests were recorded there by ingesting the whole stream unbroken."""
+        path = Path(__file__).parent / "data" / "grouped-rootings.checkpoint"
+        assert b"TreeIndex" in CODEC.load(path)["state"]["backend"]["state"]["index"]
+        resumed = BatchIngestor.restore(path)
+        index = resumed.sampler.index
+        assert index.families.keys() == _directed_edges(index) | {(None, "Ra")}
+        assert [name for name, view in index._group_views.items() if view] == ["Rb"]
+        assert len(index.database["Rb"]._on_insert) == len(index.database["Rb"]._on_delete) == 1
+        resumed.ingest(_grouped_turnstile_stream()[256:])
+        sampler = resumed.sampler
+        assert _digest_of(sampler.sample) == (
+            "a04f1ddbaf89edd416c0e16482745de9f8f64c88b5cc74367bbd74d198156dac"
+        )
+        assert _digest_of(sampler._rng.getstate()) == (
+            "68457ab97b5189a6df76a27d685b04da03a69403f8c7aee84ed871f650426462"
+        )
+        assert sampler.statistics() == {
+            "tuples_processed": 400,
+            "duplicates_ignored": 127,
+            "stored_tuples": 54,
+            "simulated_stream_length": 2314,
+            "items_examined": 318,
+            "sample_size": 15,
+            "propagations": 695,
+            "deletes_applied": 146,
+            "tombstones_pending": 0,
+            "annihilations": 39,
+            "evictions": 141,
+            "refills": 124,
+        }
+        sampler.check_invariants()
+        index.validate()
+
+
+def _grouped_turnstile_stream():
+    """The stream ``tests/data/grouped-rootings.checkpoint`` was cut from:
+    ``wide`` inserts (``Rb`` groups on ``(w, y)``) with retractions."""
+    rng = random.Random(41)
+    query = JoinQuery.from_spec("wide", _WIDE)
+    domains = {"x": 6, "y": 5, "z": 3, "w": 5, "u": 6}
+    inserts = []
+    for ts in range(1, 401):
+        name = query.relation_names[rng.randrange(3)]
+        row = tuple(rng.randrange(domains[attr]) for attr in _WIDE[name])
+        inserts.append(StreamTuple(name, row, ts))
+    return turnstile_stream(inserts, random.Random(42), delete_fraction=0.45, tombstone_fraction=0.1)
+
+
+def _digest_of(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+# ---------------------------------------------------------------------- #
+# One family dict per directed edge, shared by every rooting
+# ---------------------------------------------------------------------- #
+def _directed_edges(index):
+    return {
+        (parent, child)
+        for child, neighbours in index._join_tree.adjacency.items()
+        for parent in neighbours
+    }
+
+
+def _plans_by_node(view):
+    """``{node: plan}`` along one rooted view; a plan's children are its
+    node's children in the rooted tree's order."""
+    plans = {view.root: view._root_plan}
+    for node in view.tree.topological_order():
+        for child, (_, _, plan) in zip(view.tree.children_of(node), plans[node].children):
+            plans[child] = plan
+    return plans
+
+
+class _RawIndex:
+    """Stands in for DynamicJoinIndex to read its pickled state as is."""
+
+    def __setstate__(self, state):
+        self.state = state
+
+
+class _RawUnpickler(pickle.Unpickler):
+    def find_class(self, module, name):
+        if name == "DynamicJoinIndex":
+            return _RawIndex
+        return super().find_class(module, name)
+
+
+class TestEdgeStore:
+    @pytest.mark.parametrize("name", ["line-4", "star-3", "Q10"])
+    @pytest.mark.parametrize("grouping", [False, True])
+    def test_every_rooting_reads_the_one_family_dict_of_an_edge(self, name, grouping):
+        query = {"line-4": lambda: line_query(4), "star-3": lambda: star_query(3), "Q10": q10_query}[name]()
+        index = DynamicJoinIndex(query, grouping=grouping, maintain_root=True)
+        edges = _directed_edges(index)
+        assert len(edges) == 2 * (len(query.relation_names) - 1)
+        assert set(index.families) == edges | {(None, index.sampling_root)}
+        read: dict = {}
+        for root, tree in index.trees.items():
+            assert not hasattr(tree, "_families")
+            for node, plan in _plans_by_node(tree).items():
+                edge = (tree.tree.parent_of(node), node)
+                read.setdefault(edge, set()).add(id(plan.families))
+                assert plan.families is index.families.get(edge)
+                if edge[0] is not None:
+                    # One group view per relation, whichever rooting reads it.
+                    assert plan.view is index._group_views[node]
+        assert all(len(ids) == 1 for ids in read.values())
+        assert set(read) == edges | {(None, name) for name in query.relation_names}
+
+    @pytest.mark.parametrize("grouping", [False, True])
+    def test_every_family_counts_its_buckets_after_inserts_and_deletes(self, grouping):
+        query = JoinQuery.from_spec("wide", _WIDE)
+        index = DynamicJoinIndex(query, grouping=grouping, maintain_root=True)
+        rng = random.Random(17)
+        live = []
+        for relation, row in _random_rows(query, 600, 6, seed=18):
+            if index.insert(relation, row):
+                live.append((relation, row))
+            if live and rng.random() < 0.3:
+                assert index.delete(*live.pop(rng.randrange(len(live))))
+        assert index.tuples_deleted > 0 and index.size > 0
+        checked = 0
+        for families in index.families.values():
+            for family in families.values():
+                assert family.weight_sum() == family.cnt > 0
+                assert family.approx == next_pow2(family.cnt)
+                checked += 1
+        assert checked > 0
+        index.check_invariants()
+
+    def test_check_invariants_sees_a_broken_count(self, line3_query):
+        index = DynamicJoinIndex(line3_query)
+        index.insert_rows("R1", [(1, 2), (3, 2)])
+        index.insert_rows("R2", [(2, 5)])
+        family = next(iter(index.families["R2", "R1"].values()))
+        family.cnt += 1
+        with pytest.raises(RuntimeError, match="cnt mismatch"):
+            index.check_invariants()
+
+    def test_a_pickled_chain3_index_holds_each_edge_once(self):
+        query = JoinQuery.from_spec("chain-3", _CHAIN3)
+        sampler = ReservoirJoin(query, 30, rng=random.Random(1))
+        rows = _random_rows(query, 900, 12, seed=2)
+        for start in range(0, len(rows), 40):
+            sampler.insert_batch(rows[start:start + 40])
+        index = sampler.index
+        payload = pickle.dumps(index, protocol=pickle.HIGHEST_PROTOCOL)
+        raw = _RawUnpickler(io.BytesIO(payload)).load().state
+        # The families sit in one place, once per directed edge, and nothing
+        # else the index pickles holds a family or a rooted view.
+        assert set(raw) == {
+            "query", "grouping", "maintain_root", "database", "_join_tree",
+            "sampling_root", "families", "_group_views", "tuples_inserted",
+            "duplicates_ignored", "tuples_deleted", "deletes_ignored", "propagations",
+        }
+        assert set(raw["families"]) == _directed_edges(index)
+        for edge, families in raw["families"].items():
+            assert families == {
+                key: family.__getstate__() for key, family in index.families[edge].items()
+            }

@@ -9,11 +9,12 @@ repository benchmark's ``insert-chain3`` stream (``bench/run.py``'s
 100, k = 1000):
 
 * **batched** — one ``BatchIngestor`` over a ``ReservoirJoin`` (the inner
-  loops of ``index/tree_index.py`` and ``core/batch_reservoir.py``);
+  loops of ``index/dynamic_index.py``, ``index/tree_index.py`` and
+  ``core/batch_reservoir.py``);
 * **per-row** — ``DynamicJoinIndex(maintain_root=True)`` alone, with no
   sampler: ``insert`` of every distinct row of the same stream one row at a
   time, then ``delete`` of each in stream order (the one-row runs of
-  ``TreeIndex._update``), reported as µs/row for each half;
+  ``DynamicJoinIndex._update``), reported as µs/row for each half;
 
 the checkpoint I/O the served loop pays at every save:
 
