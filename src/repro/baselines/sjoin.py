@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import random
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.backend import PerTupleBatchMixin
@@ -146,11 +147,9 @@ class ExactTreeIndex:
     def delta_batch_size(self, row: Tuple) -> int:
         return self._row_weight(self.root, tuple(row))
 
-    def delta_batch(self, row: Tuple, size: Optional[int] = None) -> FunctionBatch:
+    def delta_batch(self, row: Tuple) -> FunctionBatch:
         row = tuple(row)
-        if size is None:
-            size = self.delta_batch_size(row)
-        return FunctionBatch(size, lambda position: self._retrieve_full(self.root, row, position))
+        return FunctionBatch(self.delta_batch_size(row), partial(self._retrieve_full, self.root, row))
 
     def _retrieve_full(self, node: str, row: Tuple, position: int) -> Optional[dict]:
         schema = self.query.relation(node)
@@ -250,7 +249,7 @@ class SJoin(PerTupleBatchMixin):
             tree.insert_row(relation, row)
         tree = self.trees[relation]
         self.reservoir.process_deferred_many(
-            [tree.delta_batch_size(row)], tree.delta_batch, [row]
+            [tree.delta_batch_size(row)], partial(tree._retrieve_full, tree.root), [row]
         )
 
     def process(self, stream) -> "SJoin":

@@ -16,13 +16,15 @@ real this collapses to Li's ``O(k log(N/k))``; when no item is real it
 degrades gracefully to ``O(N)``.
 
 The join sampler feeds the reservoir one *batch* per arriving tuple: the
-batch is the (never materialised) delta array ``ΔJ ⊇ ΔQ(R, t)``.  The batched
-sampler behaves exactly as Algorithm 1 over the concatenation of all
-batches; the only extra machinery is carrying a pending skip count across
-batch boundaries (a skip may run off the end of the current batch).  So this
-one loop is every skip-based reservoir of the paper: Algorithm 1 is a run
-over one batch, and Li's Algorithm L is Algorithm 1 with an always-true
-predicate.  Cutting a stream into batches anywhere changes no draw.
+batch is the (never materialised) delta array ``ΔJ ⊇ ΔQ(R, t)``, given as its
+size and the index's Retrieve.  The batched sampler behaves exactly as
+Algorithm 1 over the concatenation of all batches; the only extra machinery
+is carrying a pending skip count across batch boundaries (a skip may run off
+the end of the current batch).  So this one loop,
+:meth:`BatchedPredicateReservoir.process_deferred_many`, is every skip-based
+reservoir of the paper: Algorithm 1 is a run over one batch, and Li's
+Algorithm L is Algorithm 1 with an always-true predicate.  Cutting a stream
+into batches anywhere changes no draw.
 """
 
 from __future__ import annotations
@@ -40,8 +42,9 @@ T = TypeVar("T")
 class BatchedPredicateReservoir(Generic[T]):
     """Algorithms 1, 4 and 5: reservoir sampling with a predicate over batches.
 
-    The sampler is fed item-disjoint batches one at a time through
-    :meth:`process_batch` and maintains ``k`` uniform samples without
+    The sampler is fed item-disjoint batches, many at a time through
+    :meth:`process_deferred_many` or one batch object through
+    :meth:`process_batch`, and maintains ``k`` uniform samples without
     replacement over the real items of all batches processed so far.  A
     plain item stream is one :class:`~repro.core.skippable.ListBatch`, or
     any cut of it into consecutive ones.
@@ -100,53 +103,72 @@ class BatchedPredicateReservoir(Generic[T]):
     def process_deferred_many(
         self,
         sizes: "List[int]",
-        make_batch: Callable[..., FunctionBatch[T]],
+        retrieve: Callable[[object, int], Optional[T]],
         args: "List",
     ) -> None:
-        """Fold many batches at once, building each only when needed.
+        """Algorithm 5 (``BatchUpdate``) over many batches: the one skip loop.
 
-        Semantically identical to ``process_batch(make_batch(args[i],
-        sizes[i]))`` for every ``i`` in order, but when the reservoir is
-        already full and the pending skip count covers a whole batch, the
-        sampler would not stop at any of its positions, so only the counters
-        are updated and the batch is never built.  Once the simulated result
-        stream is long, almost every delta batch is skipped wholesale; the
-        skip bookkeeping stays in locals between batches, so that case is
-        plain integer arithmetic.  The builder receives the size, so it
-        need not recompute it.
+        Batch ``i`` has ``sizes[i]`` positions, and its item at ``position``
+        is ``retrieve(args[i], position)``, called only at the positions the
+        sampler stops at.  Folding ``sizes`` in one call is folding them one
+        at a time: every draw comes in the same order.  A batch the pending
+        skip covers is never touched, so once the simulated result stream
+        is long, almost every delta batch costs a comparison and two
+        additions.  ``w``, the pending skip and the counters stay in locals
+        for the whole call.
         """
-        if any(size < 0 for size in sizes):
-            # Validate before touching any bookkeeping: a bad size mid-loop
-            # must not leave the locally accumulated skip state unflushed.
+        if sizes and min(sizes) < 0:
             raise ValueError("batch size must be non-negative")
         k = self.k
         sample = self._sample
+        predicate = self.predicate
+        rng = self._rng
+        exponent = 1.0 / k
+        w = self._w
         pending = self._pending_skip
         total = self.items_total
-        skipped = 0
-        w_ready = not math.isinf(self._w)
+        examined = self.items_examined
+        real = self.real_stops
         for size, arg in zip(sizes, args):
-            if size == 0:
-                skipped += 1
-                continue
-            if w_ready and pending >= size and len(sample) >= k:
-                skipped += 1
-                total += size
+            total += size
+            # Until the reservoir first fills, w is inf and the pending skip
+            # 0, so only an empty batch is skipped here.
+            if pending >= size:
                 pending -= size
                 continue
-            # Slow path: flush the locals, materialise and fold this batch,
-            # then re-load the (possibly changed) skip state.
-            self._pending_skip = pending
-            self.items_total = total
-            self.batches_processed += skipped
-            skipped = 0
-            self.process_batch(make_batch(arg, size))
-            pending = self._pending_skip
-            total = self.items_total
-            w_ready = not math.isinf(self._w)
+            position = 0
+            if math.isinf(w):
+                # Fill phase: every item is examined until the reservoir is
+                # full, which initialises w and the skip.
+                while len(sample) < k and position < size:
+                    item = retrieve(arg, position)
+                    position += 1
+                    examined += 1
+                    if predicate(item):
+                        real += 1
+                        sample.append(item)
+                if len(sample) < k:
+                    continue
+                w = _uniform(rng) ** exponent
+                pending = geometric_skip(w, rng)
+            # Skip phase: stop at every position the geometric skips land
+            # on, and carry the overshoot past the batch's end to the next.
+            position += pending
+            while position < size:
+                item = retrieve(arg, position)
+                examined += 1
+                if predicate(item):
+                    real += 1
+                    sample[rng.randrange(k)] = item
+                    w *= _uniform(rng) ** exponent
+                position += geometric_skip(w, rng) + 1
+            pending = position - size
+        self._w = w
         self._pending_skip = pending
         self.items_total = total
-        self.batches_processed += skipped
+        self.items_examined = examined
+        self.real_stops = real
+        self.batches_processed += len(sizes)
 
     def rebase_population(self, sample: "List[T]", w: float) -> None:
         """Install a reservoir re-anchored after an out-of-band population change.
@@ -225,32 +247,5 @@ class BatchedPredicateReservoir(Generic[T]):
         self.batches_processed = state["batches_processed"]
 
     def process_batch(self, batch: FunctionBatch[T]) -> None:
-        """Algorithm 5 (``BatchUpdate``): fold one batch into the reservoir."""
-        self.batches_processed += 1
-        self.items_total += len(batch)
-        # Fill phase: while the reservoir is not yet full, every item must be
-        # examined (nothing can be skipped safely).
-        while len(self._sample) < self.k and batch.remain() > 0:
-            item = batch.skip(0)
-            self.items_examined += 1
-            if self.predicate(item):
-                self.real_stops += 1
-                self._sample.append(item)
-        if len(self._sample) < self.k:
-            return
-        if math.isinf(self._w):
-            # First time the reservoir is full: initialise w and the skip.
-            self._w = _uniform(self._rng) ** (1.0 / self.k)
-            self._pending_skip = geometric_skip(self._w, self._rng)
-        # Skip phase within this batch.
-        while batch.remain() > self._pending_skip:
-            item = batch.skip(self._pending_skip)
-            self.items_examined += 1
-            if self.predicate(item):
-                self.real_stops += 1
-                self._sample[self._rng.randrange(self.k)] = item
-                self._w *= _uniform(self._rng) ** (1.0 / self.k)
-            self._pending_skip = geometric_skip(self._w, self._rng)
-        # The remaining items of the batch are all skipped; carry the
-        # outstanding skip count over to the next batch.
-        self._pending_skip -= batch.remain()
+        """Fold one fresh batch: :meth:`process_deferred_many` over it alone."""
+        self.process_deferred_many([len(batch)], lambda get, position: get(position), [batch._retrieve])

@@ -113,8 +113,10 @@ class ReservoirJoin:
         if not self.index.insert(relation, row):
             self.duplicates_ignored += 1
             return
-        batch = self.index.delta_batch(relation, row)
-        self.reservoir.process_batch(batch)
+        tree = self.index.trees[relation]
+        self.reservoir.process_deferred_many(
+            [tree.delta_batch_size(row)], tree.delta_retrieve(), [row]
+        )
 
     def insert_batch(self, items: Iterable) -> int:
         """Process a chunk of stream tuples through the batched fast path.
@@ -162,7 +164,7 @@ class ReservoirJoin:
             inserted += len(new_rows)
             tree = self.index.trees[relation]
             reservoir.process_deferred_many(
-                tree.delta_batch_sizes(new_rows), tree.delta_batch, new_rows
+                tree.delta_batch_sizes(new_rows), tree.delta_retrieve(), new_rows
             )
         return inserted
 

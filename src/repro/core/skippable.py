@@ -1,18 +1,18 @@
-"""The batch protocol the skip-based reservoir reads its input through.
+"""The batch protocol: a size and constant-time access by position.
 
-The reservoir of Section 3 accesses its input through constant-time
-positional primitives (Sections 3.2/3.3):
+A :class:`FunctionBatch` offers the positional primitives of Sections 3.2/3.3:
 
 * ``skip(i)`` — skip the next ``i`` items and return the ``(i+1)``-th item
   (``skip(0)`` is the paper's ``next()``);
 * ``remain()`` — the number of items left in the batch.
 
-The caller never skips past the end of a batch (the reservoir carries the
-outstanding skip over to the next batch instead), so doing so raises.
-
-The join index of Section 4 produces batches whose items are join results
-addressed by position; dummy positions yield ``None`` items, which is exactly
-what the predicate filters out.
+Skipping past the end of a batch raises.  The join index of Section 4 holds
+delta batches of join results addressed by position; dummy positions yield
+``None`` items, which is exactly what the predicate filters out.  On ingest
+no batch object is built: the join samplers hand the index's Retrieve
+straight to the reservoir's ``process_deferred_many``.  These classes are
+what ``process_batch`` reads: a chunk of a plain item stream, a test's
+batch, or a delta batch built to inspect it.
 """
 
 from __future__ import annotations

@@ -282,7 +282,7 @@ class CyclicReservoirJoin:
                 continue
             tree = trees[bag_name]
             reservoir.process_deferred_many(
-                tree.delta_batch_sizes(new_bag_rows), tree.delta_batch, new_bag_rows
+                tree.delta_batch_sizes(new_bag_rows), tree.delta_retrieve(), new_bag_rows
             )
         return inserted
 

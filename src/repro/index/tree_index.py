@@ -9,9 +9,9 @@ rooting ``T``:
 * :class:`_NodePlan` — the compiled record of one directed edge ``p → c``
   (or ``None → r`` for a root), shared by every rooting in which ``c`` sits
   below ``p``;
-* ``BatchGenerate``          (Algorithm 8) — :meth:`TreeIndex.delta_batch`,
-  returned as a lazy, positionally addressable batch that is never
-  materialised;
+* ``BatchGenerate``          (Algorithm 8) — :meth:`TreeIndex.delta_batch_sizes`
+  and :meth:`TreeIndex.delta_retrieve`, the delta batch of a root row as a
+  size and positional access, never materialised;
 * ``Retrieve``               (Algorithm 9 / 11) — :meth:`TreeIndex._retrieve`,
   one iterative pre-order walk of the compiled plans behind the batch and
   behind full-query sampling.
@@ -33,7 +33,7 @@ from __future__ import annotations
 import random
 from functools import cached_property, partial
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from ..core.skippable import FunctionBatch
 from ..relational.database import Database
@@ -148,18 +148,19 @@ class TreeIndex:
         children = self._root_plan.children
         return [_product(children, row) for row in rows]
 
-    def delta_batch(self, row: Tuple, size: Optional[int] = None) -> FunctionBatch:
+    def delta_retrieve(self) -> Callable[[Tuple, int], Optional[dict]]:
+        """Retrieve into the delta batch of a root row: ``(row, position) -> result``."""
+        return partial(self._retrieve, self._root_plan, None)
+
+    def delta_batch(self, row: Tuple) -> FunctionBatch:
         """The (lazy) batch ``ΔJ ⊇ ΔQ(R, t)`` for a newly inserted root row.
 
         Items are join results as ``{attribute: value}`` dicts; dummy
-        positions yield ``None``.  ``size``, when the caller already holds
-        :meth:`delta_batch_size` of the row, is not recomputed.
+        positions yield ``None``.
         """
         row = tuple(row)
         plan = self._root_plan
-        if size is None:
-            size = _product(plan.children, row)
-        return FunctionBatch(size, partial(self._retrieve, plan, None, row))
+        return FunctionBatch(_product(plan.children, row), partial(self._retrieve, plan, None, row))
 
     # ------------------------------------------------------------------ #
     # Retrieve (Algorithms 9 / 11)
@@ -260,16 +261,18 @@ class TreeIndex:
         This is the exact number of join results of the sub-join below
         ``node`` whose projection onto ``key(node)`` equals ``key``; used by
         tests to verify ``cnt`` is an upper bound within the Lemma 4.4 factor.
+        It scans rows: a hash index built here would tax every later insert.
         """
-        relation = self.database[node]
+        schema = self.query.relation(node)
         key_attrs = self.tree.key_of(node)
-        rows = relation.semijoin(key_attrs, key) if key_attrs else relation.rows
+        children = [(child, self.tree.key_of(child)) for child in self.tree.children_of(node)]
         total = 0
-        for row in rows:
+        for row in self.database[node].rows:
+            if schema.project(row, key_attrs) != key:
+                continue
             product = 1
-            for child in self.tree.children_of(node):
-                child_key = self.query.relation(node).project(row, self.tree.key_of(child))
-                product *= self.true_degree(child, child_key)
+            for child, child_attrs in children:
+                product *= self.true_degree(child, schema.project(row, child_attrs))
                 if product == 0:
                     break
             total += product

@@ -138,7 +138,7 @@ def test_batched_reservoir_deferred_path_uniform():
         sampler = BatchedPredicateReservoir(k, rng=random.Random(seed))
         sampler.process_deferred_many(
             [len(batch) for batch in batches],
-            lambda items, _size: ListBatch(items),
+            lambda items, position: items[position],
             batches,
         )
         return sampler.sample

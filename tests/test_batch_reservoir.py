@@ -119,25 +119,63 @@ class TestStatistics:
 
 
 class TestProcessDeferredMany:
-    @staticmethod
-    def make_batch(offset, size):
-        return ListBatch(range(offset, offset + size))
+    """The fold over many batches against ``process_batch`` one batch at a
+    time: sample, ``w``, pending skip and all four counters agree."""
 
-    @pytest.mark.parametrize("count", [5, 200])
-    def test_matches_per_batch_deferred(self, count):
-        """Deferring the builds changes nothing: the same state as folding
-        every batch, built, with ``process_batch``."""
-        rng = random.Random(9)
-        sizes = [rng.choice([0, 1, 2, 5, 40]) for _ in range(count)]
-        offsets = [sum(sizes[:i]) for i in range(count)]
-        many = BatchedPredicateReservoir(7, rng=random.Random(11))
-        many.process_deferred_many(sizes, self.make_batch, offsets)
-        single = BatchedPredicateReservoir(7, rng=random.Random(11))
+    @staticmethod
+    def fold_both(k, seed, sizes):
+        """Fold ``sizes`` (batch ``i`` holds the consecutive integers from
+        its offset) both ways; return the fold and the positions it
+        retrieved, as ``(batch index, position)`` pairs."""
+        offsets = [sum(sizes[:i]) for i in range(len(sizes))]
+        calls = []
+
+        def retrieve(index, position):
+            calls.append((index, position))
+            return offsets[index] + position
+
+        many = BatchedPredicateReservoir(k, rng=random.Random(seed))
+        many.process_deferred_many(sizes, retrieve, list(range(len(sizes))))
+        single = BatchedPredicateReservoir(k, rng=random.Random(seed))
         for offset, size in zip(offsets, sizes):
-            single.process_batch(self.make_batch(offset, size))
+            single.process_batch(ListBatch(range(offset, offset + size)))
         assert many.sample == single.sample
         assert many.snapshot_state() == single.snapshot_state()
         assert many._rng.getstate() == single._rng.getstate()
+        assert many.items_examined == len(calls)
+        return many, calls
+
+    @pytest.mark.parametrize("count", [5, 200])
+    def test_matches_per_batch_deferred(self, count):
+        rng = random.Random(9)
+        self.fold_both(7, 11, [rng.choice([0, 1, 2, 5, 40]) for _ in range(count)])
+
+    @pytest.mark.parametrize("phase", ["fill", "skip"])
+    def test_empty_batch(self, phase):
+        sizes = [0, 3, 0, 0, 2, 0] if phase == "fill" else [10, 0, 200, 0, 0, 200, 0]
+        many, _ = self.fold_both(6, 2, sizes)
+        assert many.batches_processed == len(sizes)
+        assert math.isinf(many.w) == (phase == "fill")
+
+    def test_batch_spanning_fill_to_skip(self):
+        # k = 5: the second batch fills the last two slots at its positions
+        # 0 and 1, initialises w there, then skips through the rest.
+        many, calls = self.fold_both(5, 4, [3, 400, 50])
+        in_second = [position for index, position in calls if index == 1]
+        assert in_second[:2] == [0, 1]
+        assert len(in_second) > 2
+        assert not math.isinf(many.w)
+
+    def test_stop_on_last_position(self):
+        # With the reservoir full, a batch one longer than the pending skip
+        # has its only stop on its last position; the skip drawn there runs
+        # on into the next batch.
+        reservoir = BatchedPredicateReservoir(3, rng=random.Random(6))
+        reservoir.process_batch(ListBatch(range(3)))
+        pending = reservoir._pending_skip
+        many, calls = self.fold_both(3, 6, [3, pending + 1, 60, 60])
+        assert (1, pending) in calls
+        assert [position for index, position in calls if index == 1] == [pending]
 
     @pytest.mark.parametrize("count", [3, 32])
     def test_astronomic_sizes_skip_wholesale(self, count):
@@ -145,8 +183,8 @@ class TestProcessDeferredMany:
         while math.isinf(reservoir._w):  # fill the sample so skips apply
             reservoir.process_batch(ListBatch([1, 2]))
 
-        def must_not_build(arg, size):  # pragma: no cover - the point is it never runs
-            raise AssertionError("wholesale-skipped batches must never be built")
+        def must_not_retrieve(arg, position):  # pragma: no cover - the point is it never runs
+            raise AssertionError("a batch skipped whole must never be retrieved from")
 
         # Delta sizes are products of approximate counters, so they can
         # exceed any machine word; Python ints carry them through the same
@@ -155,7 +193,7 @@ class TestProcessDeferredMany:
         total_before = reservoir.items_total
         batches_before = reservoir.batches_processed
         reservoir._pending_skip = sum(sizes) + 5
-        reservoir.process_deferred_many(sizes, must_not_build, sizes)
+        reservoir.process_deferred_many(sizes, must_not_retrieve, sizes)
         assert reservoir.items_total == total_before + sum(sizes)
         assert reservoir.batches_processed == batches_before + len(sizes)
         assert reservoir._pending_skip == 5
@@ -165,8 +203,6 @@ class TestProcessDeferredMany:
         reservoir = BatchedPredicateReservoir(2, rng=random.Random(3))
         sizes = [1] * count + [-1]
         with pytest.raises(ValueError):
-            reservoir.process_deferred_many(
-                sizes, lambda _arg, size: ListBatch(range(size)), sizes
-            )
+            reservoir.process_deferred_many(sizes, lambda _arg, position: position, sizes)
         assert reservoir.items_total == 0
         assert reservoir.batches_processed == 0

@@ -135,6 +135,22 @@ class TestFullQuerySampling:
         index = self.replay(query, stream)
         index.validate()
 
+    @pytest.mark.parametrize("maintain_root", [False, True])
+    def test_validate_leaves_relation_indexes_as_they_were(self, maintain_root):
+        # The recount scans rows: a hash index it built would stay on the
+        # relation, and every later insert would pay to maintain it.
+        query = line_query(3)
+        index = DynamicJoinIndex(query, maintain_root=maintain_root)
+        for item in make_graph_stream(query, make_edges(5, 15, seed=71), seed=72):
+            index.insert(item.relation, item.row)
+
+        def index_keys():
+            return {name: sorted(index.database[name]._indexes) for name in query.relation_names}
+
+        before = index_keys()
+        index.validate()
+        assert index_keys() == before
+
     @pytest.mark.parametrize("length,expected,per_rooting", [(3, 63, 63), (4, 139, 178)])
     def test_propagations_count_each_directed_edge_once(self, length, expected, per_rooting):
         # ``per_rooting`` is what one counter per rooted tree summed to when

@@ -2,13 +2,17 @@
 
 import random
 
+import pytest
+
 from repro.core.reservoir_join import ReservoirJoin
-from repro.relational import Database, StreamTuple, join_results
+from repro.core.skippable import FunctionBatch
+from repro.relational import Database, JoinQuery, StreamTuple, join_results
 from repro.workloads import tpcds
 from repro.workloads.graph import star_query
 
 from tests.conftest import make_edges, make_graph_stream
 from tests.oracles import ground_truth, result_key, uniformity_p_value
+from tests.test_checkpoint import chain3_stream
 
 
 def replay(query, stream, k, seed, **kwargs):
@@ -158,3 +162,52 @@ class TestOptimisations:
     def test_foreign_key_flag_without_keys_is_noop(self, line3_query):
         sampler = ReservoirJoin(line3_query, 5, rng=random.Random(0), foreign_key=True)
         assert sampler.query is line3_query
+
+
+class TestCountedWork:
+    """The reservoir's counted work on a seeded chain-3 stream, recorded
+    before the fold read delta batches through the view's Retrieve.
+
+    Counts are exact under a seed, so they gate where a wall-clock time
+    cannot: any change to which positions the skip loop stops at, or to how
+    many batches it is fed, moves them.  Neither ingest path builds a
+    :class:`FunctionBatch`; the fold reads delta batches through the view's
+    Retrieve.
+    """
+
+    CHAIN3 = {"R1": ["x1", "x2"], "R2": ["x2", "x3"], "R3": ["x3", "x4"]}
+    # (items_total, items_examined, real_stops, batches_processed)
+    PINNED = {
+        "batched": (519456, 747, 473, 2254),
+        "per-tuple": (520556, 740, 464, 2254),
+    }
+
+    def run(self, mode):
+        sampler = ReservoirJoin(JoinQuery.from_spec("chain-3", self.CHAIN3), 50, rng=random.Random(3))
+        stream = chain3_stream(3000, seed=7, domain=40)
+        if mode == "batched":
+            for start in range(0, len(stream), 100):
+                sampler.insert_batch(stream[start:start + 100])
+        else:
+            sampler.process(stream)
+        return sampler.reservoir
+
+    @pytest.mark.parametrize("mode", sorted(PINNED))
+    def test_counters_pinned_and_no_batch_built(self, mode, monkeypatch):
+        built = []
+        init = FunctionBatch.__init__
+
+        def counting_init(batch, *args, **kwargs):
+            built.append(batch)
+            init(batch, *args, **kwargs)
+
+        monkeypatch.setattr(FunctionBatch, "__init__", counting_init)
+        reservoir = self.run(mode)
+        counters = (
+            reservoir.items_total,
+            reservoir.items_examined,
+            reservoir.real_stops,
+            reservoir.batches_processed,
+        )
+        assert counters == self.PINNED[mode]
+        assert built == []

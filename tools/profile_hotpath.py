@@ -11,6 +11,11 @@ repository benchmark's ``insert-chain3`` stream (``bench/run.py``'s
 * **batched** — one ``BatchIngestor`` over a ``ReservoirJoin`` (the inner
   loops of ``index/dynamic_index.py``, ``index/tree_index.py`` and
   ``core/batch_reservoir.py``);
+* **per-tuple** — ``ReservoirJoin.insert`` of every tuple of the same
+  stream, beside a one-item ``insert_batch`` per tuple, each reported as
+  µs/tuple, best of ``--repeats``; the profile is of ``insert``.  Both
+  reach the reservoir through the same fold, so the gap between the two is
+  the one-item chunk's fixed cost;
 * **per-row** — ``DynamicJoinIndex(maintain_root=True)`` alone, with no
   sampler: ``insert`` of every distinct row of the same stream one row at a
   time, then ``delete`` of each in stream order (the one-row runs of
@@ -38,12 +43,12 @@ and the turnstile path in the benchmark's ``turnstile-2way`` shape:
   before their insert, in chunks of 13 with k = 100 (the per-key fold,
   delete runs and refills of ``core/turnstile.py``).
 
-``--n`` and ``--chunk-size`` apply to neither the serve nor the turnstile
-shape.
+``--n`` applies to neither the serve nor the turnstile shape, and
+``--chunk-size`` only to the batched and checkpoint shapes.
 
 For each shape it reports a wall-clock figure in milliseconds (GC paused,
-best of ``--repeats``; the per-row shape also its µs/row, each half best of
-``--repeats``) and the top ``cProfile`` rows by cumulative time, restricted
+best of ``--repeats``; the per-tuple shape also its µs/tuple and the per-row
+shape its µs/row, each best of ``--repeats``) and the top ``cProfile`` rows by cumulative time, restricted
 to this repository's own frames so library noise never buries the hot loop.
 
 Knobs: ``--n`` stream length, ``--chunk-size``, ``--top``, ``--repeats``; ``REPRO_PROFILE_N`` overrides ``--n`` for Makefile use
@@ -161,6 +166,24 @@ def serve_floors(inputs: dict, repeats: int) -> dict:
     }
 
 
+def run_per_tuple(query, stream, one_item_chunks: bool = False) -> ReservoirJoin:
+    sampler = ReservoirJoin(query, SAMPLE_SIZE, rng=random.Random(1))
+    for item in stream:
+        if one_item_chunks:
+            sampler.insert_batch([item])
+        else:
+            sampler.insert(item.relation, item.row)
+    return sampler
+
+
+def per_tuple_us(query, stream, repeats: int):
+    """Best-of-``repeats`` µs/tuple of ``insert``, then of one-item ``insert_batch``."""
+    return tuple(
+        1e6 * min(timed(lambda: run_per_tuple(query, stream, chunks)) for _ in range(repeats)) / len(stream)
+        for chunks in (False, True)
+    )
+
+
 def run_per_row(query, rows) -> DynamicJoinIndex:
     index = DynamicJoinIndex(query, maintain_root=True)
     for relation, row in rows:
@@ -248,6 +271,13 @@ def main() -> None:
             lambda: run_serve(inputs),
             args.top, args.repeats,
         )
+    insert_us, chunk_us = per_tuple_us(query, stream, args.repeats)
+    profile_shape(
+        f"per-tuple (ReservoirJoin.insert {insert_us:.2f} µs/tuple, one-item "
+        f"insert_batch {chunk_us:.2f} µs/tuple, best of {args.repeats})",
+        lambda: run_per_tuple(query, stream),
+        args.top, args.repeats,
+    )
     rows = list(dict.fromkeys((item.relation, item.row) for item in stream))
     insert_us, delete_us = per_row_us(query, rows, args.repeats)
     profile_shape(
