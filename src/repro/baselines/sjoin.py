@@ -25,7 +25,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.backend import PerTupleBatchMixin
 from ..core.batch_reservoir import BatchedPredicateReservoir
-from ..core.skippable import FunctionBatch
 from ..index.foreign_key import ForeignKeyCombiner
 from ..relational.database import Database
 from ..relational.jointree import JoinTree, RootedJoinTree
@@ -146,10 +145,6 @@ class ExactTreeIndex:
     # ------------------------------------------------------------------ #
     def delta_batch_size(self, row: Tuple) -> int:
         return self._row_weight(self.root, tuple(row))
-
-    def delta_batch(self, row: Tuple) -> FunctionBatch:
-        row = tuple(row)
-        return FunctionBatch(self.delta_batch_size(row), partial(self._retrieve_full, self.root, row))
 
     def _retrieve_full(self, node: str, row: Tuple, position: int) -> Optional[dict]:
         schema = self.query.relation(node)

@@ -155,41 +155,14 @@ class PredicateStreamSampler:
 
     @classmethod
     def from_snapshot(cls, state: Dict[str, object]) -> "PredicateStreamSampler":
-        """Rebuild an adapter that resumes bit-identically.
-
-        Older snapshots carry no pending skip (that version redrew it at
-        every chunk) and name the examined count ``stops``; their pending
-        skip is drawn from ``w`` here, as
-        :meth:`~BatchedPredicateReservoir.rebase_population` does, which is
-        the draw that version made at the start of its next chunk.  They may
-        also record the relation and attribute names; a recorded name other
-        than :attr:`RELATION` / :attr:`ATTRIBUTE` raises ``ValueError``.
-        """
-        for key, constant in (("relation", cls.RELATION), ("attribute", cls.ATTRIBUTE)):
-            if state.get(key, constant) != constant:
-                raise ValueError(
-                    f"snapshot records {key} {state[key]!r}; this adapter "
-                    f"only uses {constant!r}"
-                )
+        """Rebuild an adapter that resumes bit-identically."""
         sampler = cls(
             state["k"],
             pickle.loads(state["predicate"]),
             rng=random.Random(),  # throwaway; exact state restored below
         )
-        reservoir = sampler.reservoir
-        legacy = "pending_skip" not in state
-        if legacy:
-            state = dict(
-                state,
-                pending_skip=0,
-                items_total=state["tuples_processed"],
-                items_examined=state["stops"],
-                batches_processed=state["chunks_processed"],
-            )
-        reservoir.restore_state(state)
+        sampler.reservoir.restore_state(state)
         sampler._rng.setstate(state["rng"])
-        if legacy:
-            reservoir.rebase_population(state["sample"], state["w"])
         sampler.tuples_processed = state["tuples_processed"]
         sampler.chunks_processed = state["chunks_processed"]
         return sampler

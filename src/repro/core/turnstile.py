@@ -370,13 +370,13 @@ class TurnstileReservoirJoin(ReservoirJoin):
         super().restore_state(state)
         self._pending = {
             (relation, tuple(row)): count
-            for relation, row, count in state.get("pending_tombstones", [])
+            for relation, row, count in state["pending_tombstones"]
         }
-        counters = state.get("turnstile_counters", {})
-        self.deletes_applied = counters.get("deletes_applied", 0)
-        self.annihilations = counters.get("annihilations", 0)
-        self.evictions = counters.get("evictions", 0)
-        self.refills = counters.get("refills", 0)
+        counters = state["turnstile_counters"]
+        self.deletes_applied = counters["deletes_applied"]
+        self.annihilations = counters["annihilations"]
+        self.evictions = counters["evictions"]
+        self.refills = counters["refills"]
 
     # ------------------------------------------------------------------ #
     # Invariants
@@ -666,7 +666,7 @@ class WindowedSampler(TurnstileReservoirJoin):
             inner["k"],
             state["window"],
             mode=state["mode"],
-            grouping=inner["config"].get("grouping", False),
+            grouping=inner["config"]["grouping"],
         )
         sampler.restore_state(state)
         return sampler

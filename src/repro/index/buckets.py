@@ -144,17 +144,11 @@ class BucketFamily:
 
     def __setstate__(self, state) -> None:
         count, buckets = state
-        if count is None:
-            # The slot-state form older checkpoints hold: (None, {slot: value}),
-            # with whole Bucket objects in an unordered dict.
-            count, buckets = buckets["cnt"], buckets["_buckets"]
-            self._buckets = dict(sorted(buckets.items()))
-        else:
-            self._buckets = {}
-            for exponent, items in buckets:
-                bucket = self._buckets[exponent] = Bucket()
-                bucket._items = items
-                bucket._positions = dict(zip(items, range(len(items))))
+        self._buckets = {}
+        for exponent, items in buckets:
+            bucket = self._buckets[exponent] = Bucket()
+            bucket._items = items
+            bucket._positions = dict(zip(items, range(len(items))))
         self.cnt = count
         self.approx = (1 << (count - 1).bit_length()) if count else 0
 

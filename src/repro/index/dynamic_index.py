@@ -9,7 +9,8 @@ relation (each rooted at that relation) over a shared
 2. ``sample`` / ``total_weight`` — uniform sampling from the *full* current
    join in ``O(log N)`` expected time (the dynamic sampling-over-joins
    problem);
-3. ``delta_batch`` — positional access to the Ω(1)-dense array
+3. ``delta_batch_size`` and the rooted views' ``delta_retrieve`` — the
+   size of, and positional access to, the Ω(1)-dense array
    ``ΔJ ⊇ ΔQ(R, t)`` of the delta query of a newly inserted tuple, which is
    what the reservoir-sampling-over-joins algorithm consumes.
 
@@ -28,7 +29,6 @@ from __future__ import annotations
 import random
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..core.skippable import FunctionBatch
 from ..relational.database import Database
 from ..relational.jointree import JoinTree
 from ..relational.query import JoinQuery
@@ -201,21 +201,12 @@ class DynamicJoinIndex:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        """Rebuild every family from its pickled state, then the plans.
-
-        Checkpoints written while every rooting kept its own families hold a
-        ``trees`` dict instead of ``families``; they are converted first.
-        Families pickled before they pickled as tuples are ``BucketFamily``
-        objects, which are kept as they are.
-        """
-        if "trees" in state:
-            state = _from_rootings(state)
+        """Rebuild every family from its pickled state, then the plans."""
         self.__dict__.update(state)
         for families in self.families.values():
-            for key, family in families.items():
-                if not isinstance(family, BucketFamily):
-                    families[key] = BucketFamily.__new__(BucketFamily)
-                    families[key].__setstate__(family)
+            for key, family_state in families.items():
+                family = families[key] = BucketFamily.__new__(BucketFamily)
+                family.__setstate__(family_state)
         self._compile()
 
     # ------------------------------------------------------------------ #
@@ -386,10 +377,6 @@ class DynamicJoinIndex:
     # ------------------------------------------------------------------ #
     # Delta batches (operation (3) of Theorem 4.2)
     # ------------------------------------------------------------------ #
-    def delta_batch(self, relation: str, row: Sequence) -> FunctionBatch:
-        """The batch ``ΔJ ⊇ ΔQ(R, t)`` for a row just inserted into ``relation``."""
-        return self.trees[relation].delta_batch(tuple(row))
-
     def delta_batch_size(self, relation: str, row: Sequence) -> int:
         """``|ΔJ|`` for a row just inserted into ``relation``."""
         return self.trees[relation].delta_batch_size(tuple(row))
@@ -422,7 +409,7 @@ class DynamicJoinIndex:
         return samples
 
     # ------------------------------------------------------------------ #
-    # Statistics and validation
+    # Statistics and invariants
     # ------------------------------------------------------------------ #
     @property
     def size(self) -> int:
@@ -433,7 +420,8 @@ class DynamicJoinIndex:
         """Raise ``RuntimeError`` unless every family's ``cnt`` is the sum
         of its bucket weights and its ``c̃nt`` is ``next_pow2(cnt)``.
 
-        The cheap half of :meth:`validate`: no ground truth is recounted.
+        No ground truth is recounted; the tests' oracle
+        (``tests/oracles.py``) adds the Lemma 4.4 bounds against one.
         """
         for edge, families in self.families.items():
             for key, family in families.items():
@@ -444,69 +432,9 @@ class DynamicJoinIndex:
                 if family.approx != next_pow2(family.cnt):
                     raise RuntimeError(f"c̃nt at {edge}/{key} is not next_pow2(cnt)")
 
-    def validate(self) -> None:
-        """Check every family against ground truth (slow; tests only).
-
-        On top of :meth:`check_invariants`: ``cnt`` is at least the true
-        degree of its key on the child's side of the edge, and ``c̃nt`` is
-        at most ``2^{|T_e|}`` times it (Lemma 4.4).  Raises
-        ``AssertionError`` on a violation of the bounds.
-        """
-        self.check_invariants()
-        for (parent, child), families in self.families.items():
-            # The rooting at the parent has the child's whole side below it.
-            tree = self.trees[child if parent is None else parent]
-            subtree = tree.tree.subtree_size(child)
-            for key, family in families.items():
-                truth = tree.true_degree(child, key)
-                assert family.cnt >= truth, (
-                    f"cnt at {parent}->{child}/{key} underestimates the true degree: "
-                    f"{family.cnt} < {truth}"
-                )
-                # Lemma 4.4 gives c̃nt <= 2^{|T_e|} * truth; the grouping
-                # optimisation adds one more factor of two through f̃eq.
-                assert truth == 0 or family.approx <= (2 ** (subtree + 1)) * truth, (
-                    f"c̃nt at {parent}->{child}/{key} exceeds the Lemma 4.4 bound"
-                )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DynamicJoinIndex({self.query.name!r}, N={self.size}, "
             f"grouping={self.grouping})"
         )
 
-
-def _from_rootings(state: dict) -> dict:
-    """Convert the state of an index that kept one set of families per
-    rooting into the edge-keyed form.
-
-    Each edge's families come from any rooting that holds the edge below
-    its root (all copies are identical), a root family from the rooting
-    that maintained it, and the ``propagations`` counters are summed.  A
-    relation grouped in several rootings had one ``GroupView`` per rooting;
-    the first is kept, and the relation indexes of the others (identical,
-    and built over the same history) move onto it before they are detached.
-    """
-    state = dict(state)
-    rootings = state.pop("trees")
-    families: Dict[Edge, dict] = {}
-    views: Dict[str, Optional[GroupView]] = {name: None for name in state["query"].relation_names}
-    propagations = 0
-    for rooting in rootings.values():
-        legacy = rooting.__dict__
-        tree = legacy["tree"]
-        propagations += legacy["propagations"]
-        for node, node_families in legacy["_families"].items():
-            parent = tree.parent_of(node)
-            if parent is not None or legacy["maintain_root"]:
-                families.setdefault((parent, node), node_families)
-        for node, view in legacy["_group_views"].items():
-            if view is None:
-                continue
-            kept = views[node]
-            if kept is None:
-                views[node] = view
-            else:
-                kept.adopt(view)
-    state.update(families=families, _group_views=views, propagations=propagations)
-    return state

@@ -75,14 +75,6 @@ class GroupView:
             del self._feq[group]
             self.relation.delete(group)
 
-    def adopt(self, twin: "GroupView") -> None:
-        """Take over the relation indexes of ``twin``, a view of the same
-        base on the same attributes built at the same time (so its indexes
-        hold the same lists in the same order), and detach ``twin`` from the
-        base relation.  Indexes this view already has are kept."""
-        self.relation.adopt_indexes(twin.relation)
-        self.base.remove_callbacks(twin._absorb, twin._release)
-
     # ------------------------------------------------------------------ #
     # Queries
     # ------------------------------------------------------------------ #

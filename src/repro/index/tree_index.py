@@ -31,13 +31,12 @@ tree, which is why one copy serves every rooting.
 from __future__ import annotations
 
 import random
-from functools import cached_property, partial
+from functools import partial
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..core.skippable import FunctionBatch
 from ..relational.database import Database
-from ..relational.jointree import JoinTree, RootedJoinTree
+from ..relational.jointree import JoinTree
 from ..relational.query import JoinQuery
 from .buckets import BucketFamily
 
@@ -125,12 +124,6 @@ class TreeIndex:
         self._root_plan = plan
         self.maintain_root = plan.families is not None
 
-    @cached_property
-    def tree(self) -> RootedJoinTree:
-        """The rooted join tree this view walks, built on first use (only
-        the ground-truth checks need it)."""
-        return self._join_tree.rooted_at(self.root)
-
     # ------------------------------------------------------------------ #
     # BatchGenerate (Algorithm 8)
     # ------------------------------------------------------------------ #
@@ -151,16 +144,6 @@ class TreeIndex:
     def delta_retrieve(self) -> Callable[[Tuple, int], Optional[dict]]:
         """Retrieve into the delta batch of a root row: ``(row, position) -> result``."""
         return partial(self._retrieve, self._root_plan, None)
-
-    def delta_batch(self, row: Tuple) -> FunctionBatch:
-        """The (lazy) batch ``ΔJ ⊇ ΔQ(R, t)`` for a newly inserted root row.
-
-        Items are join results as ``{attribute: value}`` dicts; dummy
-        positions yield ``None``.
-        """
-        row = tuple(row)
-        plan = self._root_plan
-        return FunctionBatch(_product(plan.children, row), partial(self._retrieve, plan, None, row))
 
     # ------------------------------------------------------------------ #
     # Retrieve (Algorithms 9 / 11)
@@ -251,29 +234,3 @@ class TreeIndex:
             if result is not None:
                 return result
         raise RuntimeError("rejection sampling failed; the index density is broken")
-
-    # ------------------------------------------------------------------ #
-    # Ground truth (used by DynamicJoinIndex.validate)
-    # ------------------------------------------------------------------ #
-    def true_degree(self, node: str, key: Tuple) -> int:
-        """Ground-truth degree of ``key`` in the subtree of ``node`` (recomputed).
-
-        This is the exact number of join results of the sub-join below
-        ``node`` whose projection onto ``key(node)`` equals ``key``; used by
-        tests to verify ``cnt`` is an upper bound within the Lemma 4.4 factor.
-        It scans rows: a hash index built here would tax every later insert.
-        """
-        schema = self.query.relation(node)
-        key_attrs = self.tree.key_of(node)
-        children = [(child, self.tree.key_of(child)) for child in self.tree.children_of(node)]
-        total = 0
-        for row in self.database[node].rows:
-            if schema.project(row, key_attrs) != key:
-                continue
-            product = 1
-            for child, child_attrs in children:
-                product *= self.true_degree(child, schema.project(row, child_attrs))
-                if product == 0:
-                    break
-            total += product
-        return total

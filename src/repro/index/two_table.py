@@ -7,9 +7,9 @@ no dummies at all) and every position is retrieved in O(1).
 
 The class mirrors the public surface of
 :class:`~repro.index.dynamic_index.DynamicJoinIndex` (``insert``,
-``delta_batch``, ``total_weight``, ``sample``) so it can be used as a
-drop-in fast path and compared against the generic index in the ablation
-benchmarks.
+``delta_batch_size``, ``total_weight``, ``sample``) and hands out each delta
+batch as a :class:`~repro.core.skippable.FunctionBatch`, so the ablation
+benchmarks can compare it against the generic index.
 """
 
 from __future__ import annotations

@@ -112,11 +112,7 @@ class BatchIngestor:
 
     @classmethod
     def from_snapshot(cls, state: dict) -> "BatchIngestor":
-        """Rebuild an ingestor from a :meth:`snapshot_state` snapshot.
-
-        Keys older snapshots carry and this version no longer reads (the
-        lane layout, timing accumulators) are ignored.
-        """
+        """Rebuild an ingestor from a :meth:`snapshot_state` snapshot."""
         counters = state["engine"]
         ingestor = cls(
             restore_backend(state["backend"]), chunk_size=counters["chunk_size"]

@@ -24,7 +24,7 @@ future behaviour depends on:
   span chunk boundaries),
 * the exact RNG state (``random.Random.getstate()``) of the sampler.
 
-File format (version 1)
+File format (version 2)
 -----------------------
 ::
 
@@ -38,14 +38,16 @@ File format (version 1)
 The digest turns silent truncation and bit rot into
 :class:`CheckpointCorruptError` instead of an unpickling crash (or, worse, a
 quietly wrong reservoir); the version field turns a format change into
-:class:`CheckpointVersionError` instead of a guessing game.  The payload
+:class:`CheckpointVersionError` instead of a guessing game.  A version-1
+file may hold a layout older code wrote (bucket families per rooting or in
+slot form, a predicate reservoir without its pending skip); nothing converts
+those, so version 1 is refused like any other unknown version.  The payload
 always carries the saving ingestor's *kind* (``"batch"``), and
 ``BatchIngestor.restore`` refuses any other kind with
 :class:`CheckpointMismatchError`.  A nested backend record naming a class
 this code base no longer has is refused the same way, by
 :func:`~repro.core.backend.restore_backend`.  Files of the retired
-``"async"`` and ``"sharded"`` kinds are refused so; only the sampler
-records they nest, which name ``ReservoirJoin``, still restore.
+``"async"`` and ``"sharded"`` kinds are refused so.
 
 Checkpoints are trusted inputs: the payload is a pickle, so only load files
 you (or your infrastructure) wrote — the same trust model as every pickle-
@@ -66,7 +68,7 @@ MAGIC = b"RPROCKPT"
 
 #: Current checkpoint format version.  Bump on any incompatible change to
 #: the payload layout; readers refuse versions they do not know.
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 #: Header layout after the magic: format version, payload length.
 _HEADER = struct.Struct(">IQ")

@@ -204,13 +204,6 @@ class Relation:
             self._indexes[key] = index
         return index
 
-    def adopt_indexes(self, twin: "Relation") -> None:
-        """Maintain every index of ``twin``, a relation that has held the
-        same rows in the same order, on attributes this relation has no
-        index on yet."""
-        for attrs, index in twin._indexes.items():
-            self._indexes.setdefault(attrs, index)
-
     def add_insert_callback(self, callback: Callable[[Row], None]) -> None:
         """Register a callback invoked for every *new* row inserted."""
         self._on_insert.append(callback)
@@ -218,13 +211,6 @@ class Relation:
     def add_delete_callback(self, callback: Callable[[Row], None]) -> None:
         """Register a callback invoked for every present row deleted."""
         self._on_delete.append(callback)
-
-    def remove_callbacks(
-        self, on_insert: Callable[[Row], None], on_delete: Callable[[Row], None]
-    ) -> None:
-        """Unregister an insert callback and a delete callback."""
-        self._on_insert.remove(on_insert)
-        self._on_delete.remove(on_delete)
 
     def semijoin(self, attrs: Iterable[str], key: Tuple) -> List[Row]:
         """``R ⋉ key`` where ``key`` is a canonical value tuple over ``attrs``."""

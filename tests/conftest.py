@@ -113,13 +113,9 @@ def random_stream(query: JoinQuery, rng: random.Random, n: int, domain: int) -> 
 
 
 def materialize_batch(batch) -> List[object]:
-    """Scan every position of a batch, returning the real items in order."""
-    items = []
-    while batch.remain() > 0:
-        item = batch.skip(0)
-        if item is not None:
-            items.append(item)
-    return items
+    """Read every position of a batch, returning the real items in order."""
+    items = (batch._retrieve(position) for position in range(len(batch)))
+    return [item for item in items if item is not None]
 
 
 __all__ = [

@@ -1,5 +1,7 @@
-"""The test oracles: exhaustive ground truth, the chi-square uniformity test
-and the instance-optimal stop bound of the skip-based reservoir.
+"""The test oracles: exhaustive ground truth, the dynamic index's families
+checked against recounted degrees, its delta batches read position by
+position, the chi-square uniformity test and the instance-optimal stop bound
+of the skip-based reservoir.
 
 The ground truth of a join is the full result set, computed by loading the
 stream into a :class:`~repro.relational.database.Database` and enumerating
@@ -22,7 +24,8 @@ standard goodness-of-fit check.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Callable, List, Mapping, Sequence, Tuple
+from functools import partial
+from typing import Callable, List, Mapping, Optional, Sequence, Tuple
 
 from scipy import stats as scipy_stats
 
@@ -60,6 +63,71 @@ def surviving_ground_truth(query: JoinQuery, stream: Sequence) -> List[dict]:
         for row in rows:
             database.insert(relation, row)
     return join_results(query, database)
+
+
+def validate_index(index) -> None:
+    """Check every family of a ``DynamicJoinIndex`` against ground truth.
+
+    On top of ``index.check_invariants()``: ``cnt`` is at least the true
+    degree of its key on the child's side of the edge, and ``c̃nt`` is at
+    most ``2^{|T_e|}`` times it (Lemma 4.4).  Raises ``AssertionError`` on a
+    violation of the bounds.  Slow: every degree is recounted from the rows.
+    """
+    index.check_invariants()
+    rooted = {}
+    for (parent, child), families in index.families.items():
+        # The rooting at the parent has the child's whole side below it.
+        root = child if parent is None else parent
+        if root not in rooted:
+            rooted[root] = index._join_tree.rooted_at(root)
+        tree = rooted[root]
+        subtree = tree.subtree_size(child)
+        for key, family in families.items():
+            truth = true_degree(index.database, tree, child, key)
+            assert family.cnt >= truth, (
+                f"cnt at {parent}->{child}/{key} underestimates the true degree: "
+                f"{family.cnt} < {truth}"
+            )
+            # Lemma 4.4 gives c̃nt <= 2^{|T_e|} * truth; the grouping
+            # optimisation adds one more factor of two through f̃eq.
+            assert truth == 0 or family.approx <= (2 ** (subtree + 1)) * truth, (
+                f"c̃nt at {parent}->{child}/{key} exceeds the Lemma 4.4 bound"
+            )
+
+
+def true_degree(database: Database, tree, node: str, key: Tuple) -> int:
+    """The exact number of results of the sub-join below ``node`` in the
+    rooted join ``tree`` whose projection onto ``key(node)`` equals ``key``.
+
+    It scans rows: a hash index built here would tax every later insert.
+    """
+    schema = database[node].schema
+    key_attrs = tree.key_of(node)
+    children = [(child, tree.key_of(child)) for child in tree.children_of(node)]
+    total = 0
+    for row in database[node].rows:
+        if schema.project(row, key_attrs) != key:
+            continue
+        product = 1
+        for child, child_attrs in children:
+            product *= true_degree(database, tree, child, schema.project(row, child_attrs))
+            if product == 0:
+                break
+        total += product
+    return total
+
+
+def delta_batch_items(view, row: Sequence) -> List[Optional[dict]]:
+    """Every position of the delta batch of ``row``, just inserted into the
+    root relation of ``view`` (a rooted ``TreeIndex`` view, or SJoin's
+    ``ExactTreeIndex``), read through the index's own size and Retrieve;
+    a dummy position reads ``None``."""
+    row = tuple(row)
+    if hasattr(view, "delta_retrieve"):
+        retrieve = view.delta_retrieve()
+    else:
+        retrieve = partial(view._retrieve_full, view.root)
+    return [retrieve(row, position) for position in range(view.delta_batch_size(row))]
 
 
 def inclusion_counts(samples_per_trial: Sequence[Sequence[Mapping[str, object]]]) -> Counter:

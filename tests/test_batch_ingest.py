@@ -29,7 +29,7 @@ from repro.relational.stream import chunk_stream
 
 from tests.conftest import make_edges, make_graph_stream
 from tests.naive import NaiveRecomputeSampler
-from tests.oracles import ground_truth_keys, result_key
+from tests.oracles import ground_truth_keys, result_key, validate_index
 
 
 def line3_stream(query, n, seed, domain=12):
@@ -416,7 +416,7 @@ class TestBatchedEquivalence:
                 approx_a = families_a[key].approx if key in families_a else 0
                 approx_b = families_b[key].approx if key in families_b else 0
                 assert approx_a == approx_b
-        b.index.validate()
+        validate_index(b.index)
 
     @pytest.mark.parametrize("grouping", [False, True])
     @pytest.mark.parametrize("maintain_root", [False, True])
@@ -445,7 +445,7 @@ class TestBatchedEquivalence:
         batched = ReservoirJoin(star3_query, 25, rng=random.Random(2), grouping=True)
         batched.insert_batch(stream)
         assert pertuple.index.size == batched.index.size
-        batched.index.validate()
+        validate_index(batched.index)
         truth = ground_truth_keys(star3_query, stream)
         assert {result_key(r) for r in batched.sample} <= truth
 

@@ -4,8 +4,8 @@ The statistical half of the story — bit-identical resumption for every
 backend kind — lives in property-harness section (e) of
 ``tests/statistical/test_properties.py``.  This module covers the
 deterministic seam: the file format (truncation, corruption, version and
-kind mismatches), legacy checkpoints, and native
-versus pickled backend snapshots.
+kind mismatches, the refused version-1 file), the committed batch fixture,
+and native versus pickled backend snapshots.
 """
 
 from __future__ import annotations
@@ -33,22 +33,21 @@ from repro.core.backend import restore_backend, snapshot_backend
 from repro.baselines.sjoin import SJoin
 from repro.ingest.checkpoint import CODEC, FORMAT_VERSION, MAGIC, CheckpointCodec
 
+from tests.oracles import validate_index
 
-#: Checkpoints written by an earlier release whose engine snapshots still
-#: carried three modelled-timing keys (routing cost, per-chunk slowest
-#: lane, per-lane busy time), which restores now ignore.  Each holds the
-#: first 32 tuples of ``chain3_stream(60, seed=20)`` cut into chunks of 16:
-#: ``batch`` over ``ReservoirJoin(chain3(), 6, rng=Random(21))``;
-#: ``sharded-pool`` a two-shard ``ShardedIngestor`` (``chunk_size=16``) fed
-#: and saved through the worker pool of that release; ``async`` the same
-#: sharded target behind the async ingestor.  Both ingestors are retired:
-#: no ``restore`` accepts either kind, and the nested sharded target record
-#: names a class this version no longer has.  Their per-shard records name
-#: ``ReservoirJoin`` and still restore (``tests/test_tree_index.py``).
-#: ``batch-families`` is the ``batch`` cut written by a later release, whose
-#: index pickled every bucket family as a ``BucketFamily`` object in its
-#: ``(cnt, runs)`` form, before the index pickled families as bare tuples.
-LEGACY_CHECKPOINTS = Path(__file__).parent / "data"
+
+#: The committed checkpoint fixtures.  Each is a ``BatchIngestor``
+#: (``chunk_size=16``) saved at a chunk boundary; ``tests/data/regenerate.py``
+#: writes them and ``tests/test_fixtures.py`` checks them against it:
+#: ``batch`` holds the first 32 tuples of ``chain3_stream(60, seed=20)`` in
+#: ``ReservoirJoin(chain3(), 6, rng=Random(21))``; ``windowed`` the first 192
+#: items of ``windowed_fixture_stream()`` in ``WindowedSampler(TWO, k=12,
+#: window=40, mode="timestamp", rng=Random(93))`` (``tests/test_turnstile.py``);
+#: ``grouped-turnstile`` the first 256 items of ``grouped_turnstile_stream()``
+#: in ``TurnstileReservoirJoin(wide, 15, grouping=True, rng=Random(43))``
+#: (``tests/test_tree_index.py``).  ``version-1.checkpoint`` has no recipe: a
+#: predicate-reservoir file of the retired version 1, which is refused.
+FIXTURES = Path(__file__).parent / "data"
 
 
 def chain3() -> JoinQuery:
@@ -139,53 +138,32 @@ class TestCodec:
 # Ingestor-level restore guards
 # --------------------------------------------------------------------- #
 class TestRestoreGuards:
-    def test_batch_restore_refuses_sharded_checkpoint(self):
-        with pytest.raises(CheckpointMismatchError, match="sharded"):
-            BatchIngestor.restore(LEGACY_CHECKPOINTS / "sharded-pool.checkpoint")
+    def test_version_1_file_is_refused(self):
+        # A file of the retired version 1 (a predicate reservoir saved before
+        # it carried its pending skip across chunks) is refused before
+        # anything is unpickled, by the codec and by the ingestor alike.
+        path = FIXTURES / "version-1.checkpoint"
+        assert path.read_bytes()[len(MAGIC):len(MAGIC) + 4] == (1).to_bytes(4, "big")
+        for load in (CODEC.load, BatchIngestor.restore):
+            with pytest.raises(CheckpointVersionError, match="version 1 is not supported"):
+                load(path)
 
-    def test_async_target_record_names_a_retired_class(self):
-        # The async checkpoint nests its sharded target as a native record;
-        # the class it names is gone, so the record is a mismatch naming it.
-        target = CODEC.load(LEGACY_CHECKPOINTS / "async.checkpoint")["state"]["target"]
-        assert target["codec"] == "native"
-        with pytest.raises(CheckpointMismatchError, match="ShardedIngestor"):
-            restore_backend(target)
-
-    def test_batch_checkpoint_with_retired_timing_keys_restores(self):
+    def test_batch_checkpoint_restores_and_resumes(self):
         stream = chain3_stream(60, seed=20)
         uninterrupted = BatchIngestor(
             ReservoirJoin(chain3(), 6, rng=random.Random(21)), chunk_size=16
         ).ingest(stream)
-        legacy = CODEC.load(LEGACY_CHECKPOINTS / "batch.checkpoint")["state"]
-        current = uninterrupted.snapshot_state()["engine"]
-        assert len(set(legacy["engine"]) - set(current)) == 4
-        resumed = BatchIngestor.restore(LEGACY_CHECKPOINTS / "batch.checkpoint")
+        resumed = BatchIngestor.restore(FIXTURES / "batch.checkpoint")
         resumed.ingest(stream[32:])
         assert resumed.sampler.sample == uninterrupted.sampler.sample
         assert resumed.statistics() == uninterrupted.statistics()
-
-    def test_batch_checkpoint_with_family_objects_restores(self):
-        stream = chain3_stream(60, seed=20)
-        uninterrupted = BatchIngestor(
-            ReservoirJoin(chain3(), 6, rng=random.Random(21)), chunk_size=16
-        ).ingest(stream)
-        path = LEGACY_CHECKPOINTS / "batch-families.checkpoint"
-        index = CODEC.load(path)["state"]["backend"]["state"]["index"]
-        assert b"BucketFamily" in index
-        resumed = BatchIngestor.restore(path)
-        resumed.ingest(stream[32:])
-        assert resumed.sampler.sample == uninterrupted.sampler.sample
-        assert resumed.statistics() == uninterrupted.statistics()
-
-    @pytest.mark.parametrize("ingestor_cls", [BatchIngestor])
-    def test_retired_async_kind_is_rejected(self, ingestor_cls):
-        with pytest.raises(CheckpointMismatchError, match="async"):
-            ingestor_cls.restore(LEGACY_CHECKPOINTS / "async.checkpoint")
+        validate_index(resumed.sampler.index)
 
     @pytest.mark.parametrize("ingestor_cls", [BatchIngestor])
     def test_retired_rebalancing_kind_is_rejected(self, tmp_path, ingestor_cls):
-        # Both retired ingestion modes' kinds: rebalancing and fan-out.
-        for kind in ("rebalancing", "fanout"):
+        # Every retired ingestion mode's kind: rebalancing, fan-out, async
+        # and sharded.
+        for kind in ("rebalancing", "fanout", "async", "sharded"):
             path = tmp_path / f"{kind}.ckpt"
             CODEC.dump(path, kind, {})
             with pytest.raises(CheckpointMismatchError, match=kind):

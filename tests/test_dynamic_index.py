@@ -9,8 +9,8 @@ from repro.index.dynamic_index import DynamicJoinIndex
 from repro.relational import JoinQuery, join_results, join_size
 from repro.workloads.graph import line_query, triangle_query
 
-from tests.conftest import make_edges, make_graph_stream, materialize_batch
-from tests.oracles import result_key
+from tests.conftest import make_edges, make_graph_stream
+from tests.oracles import delta_batch_items, result_key, validate_index
 
 
 class TestConstruction:
@@ -53,7 +53,8 @@ class TestDeltaBatches:
             shadow.insert(item.relation, item.row)
             got = Counter(
                 result_key(res)
-                for res in materialize_batch(index.delta_batch(item.relation, item.row))
+                for res in delta_batch_items(index.trees[item.relation], item.row)
+                if res is not None
             )
             expected = Counter(
                 result_key(res)
@@ -133,7 +134,7 @@ class TestFullQuerySampling:
         edges = make_edges(4, 12, seed=67)
         stream = make_graph_stream(query, edges, seed=68)
         index = self.replay(query, stream)
-        index.validate()
+        validate_index(index)
 
     @pytest.mark.parametrize("maintain_root", [False, True])
     def test_validate_leaves_relation_indexes_as_they_were(self, maintain_root):
@@ -148,7 +149,7 @@ class TestFullQuerySampling:
             return {name: sorted(index.database[name]._indexes) for name in query.relation_names}
 
         before = index_keys()
-        index.validate()
+        validate_index(index)
         assert index_keys() == before
 
     @pytest.mark.parametrize("length,expected,per_rooting", [(3, 63, 63), (4, 139, 178)])
@@ -184,12 +185,12 @@ class TestRoundTrip:
         for relation, row in rows:
             if index.insert(relation, row):
                 inserted.append((relation, row))
-            index.validate()
+            validate_index(index)
         assert index.total_weight() > 0
         rng.shuffle(inserted)
         for relation, row in inserted:
             assert index.delete(relation, row)
-            index.validate()
+            validate_index(index)
         assert index.size == 0
         assert index.total_weight() == 0
         assert index.families and all(not families for families in index.families.values())

@@ -18,7 +18,7 @@ from repro.core.skippable import ListBatch
 
 from tests.conftest import make_edges, make_graph_stream
 from tests.naive import NaiveRecomputeSampler
-from tests.oracles import ground_truth, result_key
+from tests.oracles import ground_truth, result_key, validate_index
 
 
 class TestDegenerateQueries:
@@ -150,7 +150,7 @@ class TestInterleavedReadsAndWrites:
             sample = index.sample(rng)
             if sample is not None:
                 assert set(sample) == set(line3_query.output_attrs())
-        index.validate()
+        validate_index(index)
 
 
 class TestBatchReservoirRobustness:

@@ -79,24 +79,3 @@ class TestGroupView:
         relation.insert((1, 1, 2))
         relation.insert((3, 1, 2))
         assert view.relation.semijoin(["w"], (2,)) == [(2, 1), (2, 3)]
-
-    def test_adopt_keeps_the_twin_index_order_and_detaches_the_twin(self):
-        relation, view = self.make_view()
-        twin = GroupView(relation, ["y", "w"])
-        twin.relation.index_on(["y"])  # maintained from the start
-        # Groups (w, y) enter as g1=(0,0), g2=(1,0), h1=(2,1), g3=(3,0),
-        # h2=(4,1); g1 then leaves.  Both lists are swap-with-last, so the
-        # maintained y=0 list reads [g3, g2] while one built now from the
-        # group relation's rows [h2, g2, h1, g3] would read [g2, g3].
-        for w, y in [(0, 0), (1, 0), (2, 1), (3, 0), (4, 1)]:
-            relation.insert((y, 9, w))
-        relation.delete((0, 9, 0))
-        maintained = twin.relation.index_on(["y"]).lookup((0,))
-        assert maintained == [(3, 0), (1, 0)]
-        assert view.relation.rows == [(4, 1), (1, 0), (2, 1), (3, 0)]
-        view.adopt(twin)
-        assert view.relation.index_on(["y"]).lookup((0,)) == [(3, 0), (1, 0)]
-        relation.insert((0, 8, 5))
-        assert view.relation.index_on(["y"]).lookup((0,)) == [(3, 0), (1, 0), (5, 0)]
-        assert twin.feq((5, 0)) == 0  # the twin no longer follows the base
-        assert len(relation._on_insert) == len(relation._on_delete) == 1

@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import hashlib
 import random
-from pathlib import Path
 
 import pytest
 
 from repro import BatchIngestor, PredicateStreamSampler, prefetched
 from repro.core.skippable import is_real
-from repro.ingest.checkpoint import CODEC
 from repro.relational.stream import chunk_stream
 from repro.workloads.strings import EditDistancePredicate, string_stream
 
@@ -85,45 +82,6 @@ def test_every_chunking_gives_the_same_bits():
     assert all(run == runs[-1] for run in runs)
 
 
-def _digest(value) -> str:
-    return hashlib.sha256(repr(value).encode()).hexdigest()
-
-
-def test_snapshot_without_a_pending_skip_restores():
-    """A checkpoint whose snapshot predates the carried-over pending skip
-    (it records ``stops`` and no ``pending_skip``; taken after the first 96
-    tuples of ``make_case()`` in chunks of 32) restores, and its next chunk
-    draws exactly what the version that wrote it drew: the digests were
-    recorded by restoring the same file there and ingesting the same chunk.
-    """
-    path = Path(__file__).parent / "data" / "predicate.checkpoint"
-    state = CODEC.load(path)["state"]["backend"]["state"]
-    assert "pending_skip" not in state and state["stops"] == 65
-    stream, _, _ = make_case()
-    resumed = BatchIngestor.restore(path)
-    assert resumed.sampler.statistics()["stops"] == 65
-    resumed.ingest_batch(stream[96:128])
-    sampler = resumed.sampler
-    assert _digest(sampler.sample) == (
-        "31bd4b91e772cfb51113550b16fd782b97a4c7c38d7d34fd0f7349fa64a0655a"
-    )
-    assert _digest(sampler._rng.getstate()) == (
-        "cd843c9cc89e6203179f82a811b48da32ebefaee07c5d3b61cff79c9ab62316e"
-    )
-    assert sampler.statistics() == {
-        "k": 12,
-        "sample_size": 12,
-        "tuples_processed": 128,
-        "chunks_processed": 4,
-        "stops": 73,
-        "real_stops": 25,
-        "predicate_evaluations": 73,
-    }
-    # From here on it is an ordinary sampler: its own snapshot round-trips.
-    restored = PredicateStreamSampler.from_snapshot(sampler.snapshot_state())
-    assert restored.snapshot_state() == sampler.snapshot_state()
-
-
 def test_checkpoint_roundtrip_resumes_bit_identically(tmp_path):
     stream, _, fresh = make_case()
     cut = 128  # a multiple of the chunk size: a chunk boundary
@@ -167,18 +125,12 @@ def test_insert_is_a_one_item_chunk():
     assert per_item.statistics()["chunks_processed"] == len(stream)
 
 
-def test_snapshot_restores_with_or_without_the_retired_names():
+def test_snapshot_records_no_relation_or_attribute_names():
     stream, _, fresh = make_case()
     sampler = PredicateStreamSampler(12, fresh(), rng=random.Random(5))
     sampler.insert_batch(stream[:64])
     state = sampler.snapshot_state()
     assert "relation" not in state and "attribute" not in state
-    older = dict(state, relation="S", attribute="item")
-    for snapshot in (state, older):
-        restored = PredicateStreamSampler.from_snapshot(snapshot)
-        restored.insert_batch(stream[64:])
-        assert restored.sample[0].keys() == {"item"}
-    with pytest.raises(ValueError, match="relation"):
-        PredicateStreamSampler.from_snapshot(dict(state, relation="T"))
-    with pytest.raises(ValueError, match="attribute"):
-        PredicateStreamSampler.from_snapshot(dict(state, attribute="value"))
+    restored = PredicateStreamSampler.from_snapshot(state)
+    restored.insert_batch(stream[64:])
+    assert restored.sample[0].keys() == {"item"}

@@ -20,8 +20,7 @@ from repro.index.dynamic_index import DynamicJoinIndex
 from repro.relational import Database, JoinQuery, delta_results, join_results
 from repro.relational.stream import StreamTuple
 
-from tests.conftest import materialize_batch
-from tests.oracles import result_key
+from tests.oracles import delta_batch_items, result_key, validate_index
 
 
 # A small pool of structurally different acyclic queries.
@@ -90,14 +89,15 @@ class TestDeltaBatchesMatchGroundTruth:
             shadow.insert(item.relation, item.row)
             got = Counter(
                 result_key(res)
-                for res in materialize_batch(index.delta_batch(item.relation, item.row))
+                for res in delta_batch_items(index.trees[item.relation], item.row)
+                if res is not None
             )
             expected = Counter(
                 result_key(res)
                 for res in delta_results(query, shadow, item.relation, item.row)
             )
             assert got == expected
-        index.validate()
+        validate_index(index)
         truth = join_results(query, shadow)
         assert index.total_weight() >= len(truth)
 

@@ -16,69 +16,54 @@ class TestIsReal:
 
 
 class TestListBatch:
-    def test_remain_and_len(self):
-        batch = ListBatch([1, 2, 3])
-        assert len(batch) == 3
-        assert batch.remain() == 3
-        batch.skip(0)
-        assert batch.remain() == 2
-        batch.skip(1)
-        assert batch.remain() == 0
-
-    def test_next_and_skip(self):
-        batch = ListBatch([10, 11, 12, 13, 14])
-        assert batch.skip(0) == 10      # next()
-        assert batch.skip(2) == 13
-        assert batch.remain() == 1
-        assert batch.skip(0) == 14
-        assert batch.remain() == 0
-
-    def test_skip_past_end_raises(self):
-        batch = ListBatch([1, 2])
-        with pytest.raises(IndexError):
-            batch.skip(2)
-        # A failed skip consumes nothing.
-        assert batch.remain() == 2
-        assert batch.skip(1) == 2
-        with pytest.raises(IndexError):
-            batch.skip(0)
-
-    def test_negative_skip_rejected(self):
-        with pytest.raises(ValueError):
-            ListBatch([1]).skip(-1)
+    def test_len(self):
+        assert len(ListBatch([1, 2, 3])) == 3
+        assert len(ListBatch([])) == 0
 
     def test_none_items_are_returned_not_treated_as_end(self):
-        batch = ListBatch([None, 1])
-        assert batch.skip(0) is None
-        assert batch.skip(0) == 1
-        with pytest.raises(IndexError):
-            batch.skip(0)
+        # A dummy is an item the predicate rejects, not the end of the
+        # batch: the fill phase reads on past each one.
+        reservoir = BatchedPredicateReservoir(3, rng=random.Random(1))
+        reservoir.process_batch(ListBatch([None, 1, None, None, 2]))
+        assert reservoir.items_examined == 5
+        assert reservoir.sample == [1, 2]
 
 
 class TestFunctionBatch:
-    def test_lazy_retrieval(self):
+    def test_construction_retrieves_nothing(self):
         calls = []
-
-        def retrieve(position):
-            calls.append(position)
-            return position * 10 if position % 2 == 0 else None
-
-        batch = FunctionBatch(6, retrieve)
+        batch = FunctionBatch(6, calls.append)
         assert len(batch) == 6
-        assert batch.skip(0) == 0       # position 0
-        assert batch.skip(1) == 20      # skips position 1, returns position 2
-        assert batch.skip(0) is None    # position 3 is a dummy
-        assert calls == [0, 2, 3]
+        assert calls == []
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             FunctionBatch(-1, lambda position: position)
 
     def test_zero_size_batch(self):
-        batch = FunctionBatch(0, lambda position: position)
-        assert batch.remain() == 0
-        with pytest.raises(IndexError):
-            batch.skip(0)
+        def retrieve(position):
+            raise AssertionError("an empty batch has no position to read")
+
+        reservoir = BatchedPredicateReservoir(5, rng=random.Random(1))
+        reservoir.process_batch(FunctionBatch(0, retrieve))
+        assert reservoir.items_examined == 0
+        assert reservoir.sample == []
+
+    def test_reads_each_position_inside_the_batch_once_in_order(self):
+        # Skips past a batch's end carry over to the next batch; no read
+        # lands outside a batch or repeats a position.
+        reservoir = BatchedPredicateReservoir(4, rng=random.Random(7))
+        for size in [0, 1, 3, 10, 50, 200, 1000, 2, 5000]:
+            calls = []
+
+            def retrieve(position, size=size, calls=calls):
+                assert 0 <= position < size
+                calls.append(position)
+                return position
+
+            reservoir.process_batch(FunctionBatch(size, retrieve))
+            assert calls == sorted(set(calls))
+        assert reservoir.items_total == 6266
 
     def test_items_examined(self):
         # The reservoir counts exactly the positions it retrieves.

@@ -11,23 +11,22 @@ from pathlib import Path
 
 import pytest
 
-from repro.core.backend import restore_backend
 from repro.core.reservoir_join import ReservoirJoin
 from repro.core.turnstile import TurnstileReservoirJoin
 from repro.index.buckets import BucketFamily
 from repro.index.counters import next_pow2
 from repro.index.dynamic_index import DynamicJoinIndex
 from repro.ingest.batch import BatchIngestor
-from repro.ingest.checkpoint import CODEC
 from repro.relational import JoinQuery, delta_results
 from repro.relational.stream import StreamDelete, StreamTuple, turnstile_stream
 from repro.workloads.graph import line_query, star_query
 from repro.workloads.ldbc import q10_query
 
-from tests.conftest import make_edges, make_graph_stream, materialize_batch
+from tests.conftest import make_edges, make_graph_stream
 from tests.density import batch_density_bound
-from tests.oracles import result_key
+from tests.oracles import delta_batch_items, result_key, validate_index
 from tests.test_checkpoint import chain3_stream
+from tests.test_turnstile import windowed_fixture_stream
 
 
 def build_index(query, grouping=False):
@@ -56,8 +55,8 @@ def drive(query, stream, grouping=False, check_batches=True):
             continue
         if not check_batches:
             continue
-        batch = index.trees[item.relation].delta_batch(item.row)
-        got = Counter(result_key(res) for res in materialize_batch(batch))
+        batch = delta_batch_items(index.trees[item.relation], item.row)
+        got = Counter(result_key(res) for res in batch if res is not None)
         expected = Counter(
             result_key(res)
             for res in delta_results(query, index.database, item.relation, item.row)
@@ -114,13 +113,13 @@ class TestInvariants:
     def test_validate_after_replay(self, line3_query):
         edges = make_edges(5, 15, seed=21)
         stream = make_graph_stream(line3_query, edges, seed=22)
-        drive(line3_query, stream, check_batches=False).validate()
+        validate_index(drive(line3_query, stream, check_batches=False))
 
     def test_validate_with_grouping(self):
         query = star_query(4)
         edges = make_edges(4, 12, seed=23)
         stream = make_graph_stream(query, edges, seed=24)
-        drive(query, stream, grouping=True, check_batches=False).validate()
+        validate_index(drive(query, stream, grouping=True, check_batches=False))
 
     def test_batch_density_meets_bound(self, line3_query):
         edges = make_edges(5, 15, seed=31)
@@ -133,9 +132,9 @@ class TestInvariants:
             size = index.delta_batch_size(item.row)
             if size == 0:
                 continue
-            real = len(materialize_batch(index.delta_batch(item.row)))
-            subtree = index.tree.subtree_size(index.root)
-            bound = batch_density_bound(subtree, full_tuple=True)
+            real = sum(res is not None for res in delta_batch_items(index, item.row))
+            # The root's subtree is the whole tree.
+            bound = batch_density_bound(len(line3_query.relation_names), full_tuple=True)
             assert real >= bound * size - 1e-9
 
     def test_propagation_counter_grows(self, line3_query):
@@ -381,8 +380,7 @@ def _retrieve_digest(query, grouping):
     found = []
     for index in dynamic.trees.values():
         for row in list(dynamic.database[index.root].rows):
-            batch = index.delta_batch(row)
-            found.append([batch.skip(0) for _ in range(len(batch))])
+            found.append(delta_batch_items(index, row))
         found.append([index.retrieve_global(z) for z in range(index.total_weight())])
     payload = repr([[None if r is None else list(r.items()) for r in run] for run in found])
     return hashlib.sha256(payload.encode()).hexdigest()
@@ -458,48 +456,30 @@ class TestDerivedPlan:
         )
 
     @pytest.mark.parametrize(
-        "name",
-        [
-            "async.checkpoint",
-            "batch.checkpoint",
-            "batch-families.checkpoint",
-            "sharded-pool.checkpoint",
-        ],
+        "name", ["batch.checkpoint", "windowed.checkpoint", "grouped-turnstile.checkpoint"]
     )
-    def test_legacy_checkpoints_restore_and_validate(self, name):
-        path = Path(__file__).parent / "data" / name
-        # Each checkpoint holds the first 32 tuples of this stream.
-        tail = chain3_stream(232, seed=20)[32:]
-        if name.startswith("batch"):
-            samplers = [BatchIngestor.restore(path).ingest(tail).sampler]
-        else:
-            # Retired kinds whose sharded target is gone: each per-shard
-            # record names ReservoirJoin and restores on its own, with the
-            # index in the old BucketFamily slot-state form.
-            state = CODEC.load(path)["state"]
-            if name == "async.checkpoint":
-                state = state["target"]["state"]
-            samplers = [restore_backend(record) for record in state["shards"]]
-            assert all(isinstance(sampler, ReservoirJoin) for sampler in samplers)
-        for sampler in samplers:
-            assert sampler.index.size > 0
-            sampler.index.validate()
+    def test_fixture_checkpoints_restore_and_validate(self, name):
+        # Each fixture's stream past the cut it was saved at.
+        tails = {
+            "batch.checkpoint": lambda: chain3_stream(232, seed=20)[32:],
+            "windowed.checkpoint": lambda: windowed_fixture_stream()[192:],
+            "grouped-turnstile.checkpoint": lambda: grouped_turnstile_stream()[256:],
+        }
+        resumed = BatchIngestor.restore(Path(__file__).parent / "data" / name)
+        validate_index(resumed.sampler.index)
+        resumed.ingest(tails[name]())
+        assert resumed.sampler.index.size > 0
+        validate_index(resumed.sampler.index)
 
-    def test_grouped_per_rooting_checkpoint_resumes_bit_for_bit(self):
-        """A grouped turnstile checkpoint written while every rooting kept its
-        own families and its own copy of ``Rb``'s group view (saved after the
-        first 256 items of :func:`_grouped_turnstile_stream` in chunks of 16)
-        restores with one family dict per edge and one view per relation, and
-        ingests the rest exactly as the version that wrote it did: the
-        digests were recorded there by ingesting the whole stream unbroken."""
-        path = Path(__file__).parent / "data" / "grouped-rootings.checkpoint"
-        assert b"TreeIndex" in CODEC.load(path)["state"]["backend"]["state"]["index"]
+    def test_grouped_turnstile_checkpoint_resumes_bit_for_bit(self):
+        """A grouped turnstile checkpoint (saved after the first 256 items of
+        :func:`grouped_turnstile_stream` in chunks of 16; recipe in
+        ``tests/data/regenerate.py``) ingests the rest exactly as an
+        unbroken run did: the digests were recorded by ingesting the whole
+        stream unbroken."""
+        path = Path(__file__).parent / "data" / "grouped-turnstile.checkpoint"
         resumed = BatchIngestor.restore(path)
-        index = resumed.sampler.index
-        assert index.families.keys() == _directed_edges(index) | {(None, "Ra")}
-        assert [name for name, view in index._group_views.items() if view] == ["Rb"]
-        assert len(index.database["Rb"]._on_insert) == len(index.database["Rb"]._on_delete) == 1
-        resumed.ingest(_grouped_turnstile_stream()[256:])
+        resumed.ingest(grouped_turnstile_stream()[256:])
         sampler = resumed.sampler
         assert _digest_of(sampler.sample) == (
             "a04f1ddbaf89edd416c0e16482745de9f8f64c88b5cc74367bbd74d198156dac"
@@ -522,11 +502,11 @@ class TestDerivedPlan:
             "refills": 124,
         }
         sampler.check_invariants()
-        index.validate()
+        validate_index(sampler.index)
 
 
-def _grouped_turnstile_stream():
-    """The stream ``tests/data/grouped-rootings.checkpoint`` was cut from:
+def grouped_turnstile_stream():
+    """The stream ``tests/data/grouped-turnstile.checkpoint`` was cut from:
     ``wide`` inserts (``Rb`` groups on ``(w, y)``) with retractions."""
     rng = random.Random(41)
     query = JoinQuery.from_spec("wide", _WIDE)
@@ -558,8 +538,9 @@ def _plans_by_node(view):
     """``{node: plan}`` along one rooted view; a plan's children are its
     node's children in the rooted tree's order."""
     plans = {view.root: view._root_plan}
-    for node in view.tree.topological_order():
-        for child, (_, _, plan) in zip(view.tree.children_of(node), plans[node].children):
+    tree = view._join_tree.rooted_at(view.root)
+    for node in tree.topological_order():
+        for child, (_, _, plan) in zip(tree.children_of(node), plans[node].children):
             plans[child] = plan
     return plans
 
@@ -590,8 +571,9 @@ class TestEdgeStore:
         read: dict = {}
         for root, tree in index.trees.items():
             assert not hasattr(tree, "_families")
+            rooted = index._join_tree.rooted_at(root)
             for node, plan in _plans_by_node(tree).items():
-                edge = (tree.tree.parent_of(node), node)
+                edge = (rooted.parent_of(node), node)
                 read.setdefault(edge, set()).add(id(plan.families))
                 assert plan.families is index.families.get(edge)
                 if edge[0] is not None:

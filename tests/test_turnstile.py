@@ -43,7 +43,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import RelationSchema
 from repro.relational.stream import as_relation_rows, validated_items
 
-from tests.oracles import result_key, surviving_ground_truth
+from tests.oracles import result_key, surviving_ground_truth, validate_index
 
 
 TWO = JoinQuery.from_spec("two", {"R": ["a", "b"], "S": ["b", "c"]})
@@ -96,13 +96,13 @@ def test_index_insert_delete_symmetry():
     inserted = [
         (relation, row) for relation, row in rows if index.insert(relation, row)
     ]
-    index.validate()
+    validate_index(index)
     rng.shuffle(inserted)
     for step, (relation, row) in enumerate(inserted):
         assert index.delete(relation, row) is True
         if step % 11 == 0:
-            index.validate()
-    index.validate()
+            validate_index(index)
+    validate_index(index)
     assert index.size == 0
     assert index.total_weight() == 0
     assert index.tuples_deleted == len(inserted)
@@ -122,11 +122,11 @@ def test_grouped_index_delete_symmetry():
         )
         if index.insert(relation, row):
             inserted.append((relation, row))
-    index.validate()
+    validate_index(index)
     rng.shuffle(inserted)
     for relation, row in inserted:
         assert index.delete(relation, row) is True
-    index.validate()
+    validate_index(index)
     assert index.size == 0
     assert index.total_weight() == 0
 
@@ -824,9 +824,9 @@ def _digest(value) -> str:
 def test_windowed_checkpoint_file_restores_and_resumes():
     """A timestamp-window ``BatchIngestor`` checkpoint, saved after the
     first 192 items of :func:`windowed_fixture_stream` in chunks of 16 (live
-    stamps, stale log entries and pending tombstones included), restores and
-    ingests the rest of the stream exactly as the version that wrote it did:
-    the digests were recorded there by the same restore and ingest."""
+    stamps, stale log entries and pending tombstones included; recipe in
+    ``tests/data/regenerate.py``), restores and ingests the rest of the
+    stream to the digests recorded when the fixture was first written."""
     path = Path(__file__).parent / "data" / "windowed.checkpoint"
     state = CODEC.load(path)["state"]["backend"]
     assert state["class"] == "repro.core.turnstile:WindowedSampler"
