@@ -22,8 +22,7 @@ Four layers of service:
   reproducible and never shared.
 * **Durability** (:func:`snapshot_backend`, :func:`restore_backend`) — the
   one rule every checkpointing ingestor uses to capture and rebuild a
-  backend: the backend's own ``snapshot_state``/``from_snapshot``
-  capability when present, a generic whole-object pickle otherwise (see
+  backend: a whole-object pickle under the backend's class path (see
   :mod:`repro.ingest.checkpoint` for the file format on top).
 
 :class:`PerTupleBatchMixin` is the one per-tuple→chunk adapter: the
@@ -81,15 +80,10 @@ class SamplerBackend(Protocol):
     ``reservoir``
         The :class:`~repro.core.batch_reservoir.BatchedPredicateReservoir`
         behind ``sample``.
-    ``snapshot_state()`` / ``restore_state(state)`` / ``from_snapshot(state)``
-        Durability: a versioned, self-describing snapshot of the backend's
-        complete resumable state (stored relation rows, reservoir contents,
-        the exact RNG state via ``random.Random.getstate()``), restorable
-        into a fresh identically configured instance — or, via the
-        ``from_snapshot`` classmethod, into an instance built *from* the
-        snapshot.  Backends without the capability still checkpoint through
-        the generic pickle fallback of :func:`snapshot_backend` (every
-        sampler in this repository is picklable end to end).
+
+    Durability asks for no method: a backend checkpoints by pickling whole
+    (:func:`snapshot_backend`), so it must pickle end to end, the exact
+    RNG state included.  Every sampler in this repository does.
     """
 
     def insert(self, relation: str, row: Sequence) -> None: ...
@@ -160,45 +154,25 @@ def _load_class(path: str):
 def snapshot_backend(backend) -> Dict[str, object]:
     """One backend's complete resumable state as a self-describing record.
 
-    The durability half of the capability probe: backends exposing the
-    ``snapshot_state`` capability are captured through it (``codec:
-    'native'`` — a structured, versionable state dict); everything else
-    falls back to pickling the whole object (``codec: 'pickle'`` — every
-    sampler in this repository pickles end to end, including cached
-    projection getters).  The record carries the backend's class path so
-    :func:`restore_backend` needs nothing but the record.
+    The whole object is pickled: every sampler in this repository pickles
+    end to end (cached projection getters included), and its object graph
+    is exactly what a bit-identical resumption needs.  The record also
+    carries the backend's class path, so :func:`restore_backend` can refuse
+    a retired class by name before unpickling anything.
     """
-    snapshot = getattr(backend, "snapshot_state", None)
-    if callable(snapshot):
-        return {"codec": "native", "class": _class_path(backend), "state": snapshot()}
-    return {"codec": "pickle", "class": _class_path(backend), "state": pickle.dumps(backend)}
+    return {"class": _class_path(backend), "state": pickle.dumps(backend)}
 
 
 def restore_backend(record: Dict[str, object]):
     """Rebuild a backend from a :func:`snapshot_backend` record.
 
-    Either codec first resolves the recorded class, so a record naming a
-    class this version no longer has fails as
-    :class:`~repro.ingest.checkpoint.CheckpointMismatchError`.
-    ``codec='pickle'`` records then simply unpickle.  ``codec='native'``
-    records hand the state to the class's ``from_snapshot`` classmethod
-    (the constructor-shaped half of the snapshot capability); a
-    native-capable class without ``from_snapshot`` is a protocol violation
-    and raises ``TypeError``.
+    The recorded class is resolved first, so a record naming a class this
+    version no longer has fails as
+    :class:`~repro.ingest.checkpoint.CheckpointMismatchError`; the state
+    then simply unpickles.
     """
-    codec = record["codec"]
-    if codec not in ("pickle", "native"):
-        raise ValueError(f"unknown backend snapshot codec {codec!r}")
-    cls = _load_class(record["class"])
-    if codec == "pickle":
-        return pickle.loads(record["state"])
-    from_snapshot = getattr(cls, "from_snapshot", None)
-    if not callable(from_snapshot):
-        raise TypeError(
-            f"{record['class']} produced a native snapshot but does not "
-            "expose the from_snapshot restoration classmethod"
-        )
-    return from_snapshot(record["state"])
+    _load_class(record["class"])
+    return pickle.loads(record["state"])
 
 
 def derive_seed(rng: random.Random) -> int:

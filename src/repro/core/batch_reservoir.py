@@ -205,15 +205,14 @@ class BatchedPredicateReservoir(Generic[T]):
         self._pending_skip = 0 if math.isinf(w) else geometric_skip(w, self._rng)
 
     def snapshot_state(self) -> dict:
-        """The sampler's complete resumable state (plain data, no objects).
+        """The sampler's complete resumable state as plain data.
 
         Everything Algorithm 4/5 carries between batches: the reservoir
         contents, the running ``w``, the pending skip count that may span
         batch boundaries, and the observability counters.  The driving RNG
         is deliberately *not* included — it is owned by whoever constructed
-        the reservoir (the join sampler), which snapshots it exactly once
-        via ``random.Random.getstate()`` so shared-RNG configurations do not
-        capture the same state twice.
+        the reservoir (the join sampler).  Checkpoints pickle the owning
+        sampler whole; this record exists to compare two reservoirs.
         """
         return {
             "k": self.k,
@@ -225,26 +224,6 @@ class BatchedPredicateReservoir(Generic[T]):
             "real_stops": self.real_stops,
             "batches_processed": self.batches_processed,
         }
-
-    def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot_state` snapshot (exact resumption).
-
-        The reservoir must have been constructed with the same ``k`` the
-        snapshot was taken under (a different capacity is a configuration
-        mismatch, not a resumable state) — ``ValueError`` otherwise.
-        """
-        if state["k"] != self.k:
-            raise ValueError(
-                f"reservoir snapshot was taken with k={state['k']}, but this "
-                f"reservoir has k={self.k}"
-            )
-        self._sample = list(state["sample"])
-        self._w = state["w"]
-        self._pending_skip = state["pending_skip"]
-        self.items_total = state["items_total"]
-        self.items_examined = state["items_examined"]
-        self.real_stops = state["real_stops"]
-        self.batches_processed = state["batches_processed"]
 
     def process_batch(self, batch: FunctionBatch[T]) -> None:
         """Fold one fresh batch: :meth:`process_deferred_many` over it alone."""

@@ -23,7 +23,6 @@ there is no join to count.  Batched and checkpoint modes both apply.
 
 from __future__ import annotations
 
-import pickle
 import random
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -41,7 +40,7 @@ class PredicateStreamSampler:
         Reservoir size (uniform sample of the *real* items seen so far).
     predicate:
         ``θ``; evaluated on the single value of each row.  Must be picklable
-        for the checkpoint capability (module-level functions and plain
+        for the sampler to checkpoint (module-level functions and plain
         callable classes such as
         :class:`~repro.workloads.strings.EditDistancePredicate` are; lambdas
         are not).
@@ -138,34 +137,6 @@ class PredicateStreamSampler:
         if evaluations is not None:
             stats["predicate_evaluations"] = evaluations
         return stats
-
-    # ------------------------------------------------------------------ #
-    # Durability (the snapshot capability)
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> Dict[str, object]:
-        """Complete resumable state: the reservoir's own snapshot, the exact
-        RNG state, the (pickled) predicate and the chunk counters."""
-        return {
-            **self.reservoir.snapshot_state(),
-            "predicate": pickle.dumps(self.predicate),
-            "rng": self._rng.getstate(),
-            "tuples_processed": self.tuples_processed,
-            "chunks_processed": self.chunks_processed,
-        }
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object]) -> "PredicateStreamSampler":
-        """Rebuild an adapter that resumes bit-identically."""
-        sampler = cls(
-            state["k"],
-            pickle.loads(state["predicate"]),
-            rng=random.Random(),  # throwaway; exact state restored below
-        )
-        sampler.reservoir.restore_state(state)
-        sampler._rng.setstate(state["rng"])
-        sampler.tuples_processed = state["tuples_processed"]
-        sampler.chunks_processed = state["chunks_processed"]
-        return sampler
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -21,7 +21,6 @@ exposed as constructor flags (``RSJoin_opt`` in the paper's experiments is
 
 from __future__ import annotations
 
-import pickle
 import random
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -67,13 +66,6 @@ class ReservoirJoin:
         self.original_query = query
         self.k = k
         self._rng = rng if rng is not None else random.Random()
-        # Written into every snapshot, so from_snapshot() rebuilds an
-        # identically configured sampler.
-        self._config = {
-            "grouping": grouping,
-            "foreign_key": foreign_key,
-            "maintain_root": maintain_root,
-        }
         self._combiner: Optional[ForeignKeyCombiner] = None
         working_query = query
         if foreign_key:
@@ -173,84 +165,6 @@ class ReservoirJoin:
         for item in stream:
             self.insert(item.relation, item.row)
         return self
-
-    # ------------------------------------------------------------------ #
-    # Durability (the SamplerBackend snapshot capability)
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> Dict[str, object]:
-        """The sampler's complete resumable state as a structured dict.
-
-        Captures the three things a bit-identical resumption needs:
-
-        * the *stored relation state* — the dynamic index (stored rows plus
-          the maintained count structures, whose amortised ``c̃nt``
-          over-approximations are history-dependent and therefore cannot be
-          rebuilt by replaying rows) and, when the foreign-key optimisation
-          is active, the combiner's pending per-group state.  Both are
-          serialised inertly at snapshot time, so later ingestion into this
-          sampler never mutates an already-taken snapshot;
-        * the *reservoir state* (contents, running ``w``, pending skip,
-          counters) via :meth:`BatchedPredicateReservoir.snapshot_state`;
-        * the exact *RNG state* via ``random.Random.getstate()`` (the
-          sampler and its reservoir share one RNG; it is captured once).
-
-        The original query and constructor flags ride along so
-        :meth:`from_snapshot` can rebuild an identically configured sampler
-        with no other inputs.
-        """
-        return {
-            "query": self.original_query,
-            "k": self.k,
-            "config": dict(self._config),
-            "index": pickle.dumps((self.index, self._combiner)),
-            "reservoir": self.reservoir.snapshot_state(),
-            "rng": self._rng.getstate(),
-            "counters": {
-                "tuples_processed": self.tuples_processed,
-                "duplicates_ignored": self.duplicates_ignored,
-            },
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        """Load a :meth:`snapshot_state` snapshot into this (empty) sampler.
-
-        The sampler must be freshly constructed with the snapshot's query
-        and configuration — restoring over absorbed state would silently
-        discard it, so a non-empty sampler raises ``RuntimeError``; a
-        configuration mismatch (different ``k``) raises ``ValueError``.
-        Afterwards the sampler continues the stream exactly where the
-        snapshot left off, bit for bit.
-        """
-        if self.tuples_processed or self.index.size:
-            raise RuntimeError(
-                "restore_state requires a freshly constructed sampler; this "
-                f"one has already absorbed {self.tuples_processed} tuples"
-            )
-        if state["k"] != self.k:
-            raise ValueError(
-                f"snapshot was taken with k={state['k']}, but this sampler "
-                f"has k={self.k}"
-            )
-        index, combiner = pickle.loads(state["index"])
-        if set(index.query.relation_names) != set(self.query.relation_names):
-            raise ValueError(
-                "snapshot relation set does not match this sampler's query "
-                f"({sorted(index.query.relation_names)} vs "
-                f"{sorted(self.query.relation_names)})"
-            )
-        self.index = index
-        self._combiner = combiner
-        self.reservoir.restore_state(state["reservoir"])
-        self._rng.setstate(state["rng"])
-        self.tuples_processed = state["counters"]["tuples_processed"]
-        self.duplicates_ignored = state["counters"]["duplicates_ignored"]
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object]) -> "ReservoirJoin":
-        """Rebuild a sampler from a :meth:`snapshot_state` snapshot."""
-        sampler = cls(state["query"], state["k"], **state["config"])
-        sampler.restore_state(state)
-        return sampler
 
     # ------------------------------------------------------------------ #
     # Results and statistics

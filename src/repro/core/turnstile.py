@@ -43,7 +43,8 @@ Tombstone lifecycle
 Streams are set-semantics, but retractions may arrive *before* their insert
 (out-of-order feeds).  Every entry point — :meth:`TurnstileReservoirJoin
 .insert`, ``insert_batch``, ``delete``, ``delete_batch`` and
-``ingest_batch`` — ends in one method, ``_apply``, which folds the chunk per
+``ingest_batch`` — is one call of ``_ingest``, which normalises and checks
+the chunk and ends in one method, ``_apply``, which folds the chunk per
 ``(relation, row)`` key before anything touches the index.  Each key starts
 from whether its row was live at the chunk start and how many tombstones it
 has pending, and takes its operations in stream order:
@@ -97,6 +98,14 @@ from .reservoir import _uniform
 from .reservoir_join import ReservoirJoin
 
 
+def _key(item) -> Tuple[str, tuple]:
+    """The ``(relation, row)`` key of a stream item or a plain pair."""
+    if isinstance(item, (StreamTuple, StreamDelete)):
+        return item.relation, item.row
+    relation, row = item
+    return relation, tuple(row)
+
+
 class TurnstileReservoirJoin(ReservoirJoin):
     """:class:`~repro.core.reservoir_join.ReservoirJoin` over turnstile streams.
 
@@ -135,8 +144,6 @@ class TurnstileReservoirJoin(ReservoirJoin):
         super().__init__(
             query, k, rng=rng, grouping=grouping, foreign_key=False, maintain_root=True
         )
-        # Written into every snapshot; the two other flags are fixed above.
-        self._config = {"grouping": grouping}
         self._pending: Dict[Tuple[str, tuple], int] = {}
         self.deletes_applied = 0
         self.annihilations = 0
@@ -160,29 +167,24 @@ class TurnstileReservoirJoin(ReservoirJoin):
         """
         return self.delete_batch([(relation, row)]) == 1
 
+    def insert_batch(self, items: Iterable) -> int:
+        """Absorb an insert-only chunk; returns the rows it made live.
+
+        A :class:`~repro.relational.stream.StreamDelete` raises
+        ``TypeError`` before any state changes.
+        """
+        return self._ingest(items, StreamDelete)[0]
+
     def delete_batch(self, items: Iterable) -> int:
         """Process a run of retractions; returns how many removed live rows.
 
         ``items`` are :class:`~repro.relational.stream.StreamDelete`
-        instances or plain ``(relation, row)`` pairs.  Dead join results are
-        evicted and the reservoir refilled from the surviving population
-        once, at the end of the run.  Every item is validated first, so a
-        failed call leaves the sampler untouched.
+        instances or plain ``(relation, row)`` pairs; a
+        :class:`~repro.relational.stream.StreamTuple` raises ``TypeError``.
+        Dead join results are evicted and the reservoir refilled from the
+        surviving population once, at the end of the run.
         """
-        pairs: List[Tuple[str, tuple]] = []
-        for item in items:
-            if isinstance(item, StreamDelete):
-                pairs.append((item.relation, item.row))
-            elif isinstance(item, StreamTuple):
-                raise TypeError(
-                    "delete_batch received an insert item; use ingest_batch "
-                    "for mixed turnstile chunks"
-                )
-            else:
-                relation, row = item
-                pairs.append((relation, tuple(row)))
-        validate_pairs(pairs, self.original_query)
-        return self._apply([(True, key) for key in pairs])[1]
+        return self._ingest(items, StreamTuple)[1]
 
     def ingest_batch(self, items: Sequence) -> int:
         """Absorb one mixed insert/delete chunk; returns the rows it made live.
@@ -191,10 +193,7 @@ class TurnstileReservoirJoin(ReservoirJoin):
         lifecycle" in the module docstring) and reaches the index as one net
         insert run followed by one net delete run, so uniformity over the
         surviving join holds at the chunk boundary — the contract
-        ``insert_batch`` honours for insert-only chunks.  Every item is
-        validated before any state changes (``KeyError`` for a relation
-        outside the query, ``ValueError`` for a wrong arity), so a failed
-        call leaves the sampler untouched.
+        ``insert_batch`` honours for insert-only chunks.
 
         The return value and ``deletes_applied`` are net per chunk: a row
         inserted and then retracted inside the chunk counts in neither, nor
@@ -202,16 +201,7 @@ class TurnstileReservoirJoin(ReservoirJoin):
         and ``duplicates_ignored`` count the inserts the fold consumed
         against a pending tombstone or found already live.
         """
-        tagged: List[Tuple[bool, Tuple[str, tuple]]] = []
-        for item in items:
-            if isinstance(item, (StreamTuple, StreamDelete)):
-                pair = (item.relation, item.row)
-            else:
-                relation, row = item
-                pair = (relation, tuple(row))
-            tagged.append((isinstance(item, StreamDelete), pair))
-        validate_pairs([pair for _, pair in tagged], self.original_query)
-        return self._apply(tagged)[0]
+        return self._ingest(items, None)[0]
 
     def process(self, stream: Iterable) -> "TurnstileReservoirJoin":
         """Process a whole (possibly turnstile) stream item by item; returns
@@ -220,9 +210,29 @@ class TurnstileReservoirJoin(ReservoirJoin):
             self.ingest_batch([item])
         return self
 
-    def _insert_pairs(self, pairs: List[Tuple[str, tuple]]) -> int:
-        """Validated insert pairs through the fold (``insert_batch``)."""
-        return self._apply([(False, key) for key in pairs])[0]
+    def _ingest(self, items: Iterable, refused: Optional[type]) -> Tuple[int, int]:
+        """The one chunk entry: normalise, check and apply ``items``; returns
+        ``(rows inserted, rows deleted)``.
+
+        ``refused`` is the item type the calling entry point does not take
+        (``TypeError``), or ``None`` for a mixed chunk.  In a delete run
+        (``refused`` is ``StreamTuple``) every item is a delete, plain
+        ``(relation, row)`` pairs included; elsewhere a pair is an insert.
+        Every item is checked before any state changes (``KeyError`` for a
+        relation outside the query, ``ValueError`` for a wrong arity), so a
+        failed call leaves the sampler untouched.
+        """
+        deleting = refused is StreamTuple
+        tagged: List[Tuple[bool, Tuple[str, tuple]]] = []
+        for item in items:
+            if refused is not None and isinstance(item, refused):
+                raise TypeError(
+                    f"{'delete' if deleting else 'insert'}_batch received a "
+                    f"{refused.__name__}; use ingest_batch for mixed turnstile chunks"
+                )
+            tagged.append((deleting or isinstance(item, StreamDelete), _key(item)))
+        validate_pairs([key for _, key in tagged], self.original_query)
+        return self._apply(tagged)
 
     def _apply(self, tagged: List[Tuple[bool, Tuple[str, tuple]]]) -> Tuple[int, int]:
         """Fold validated ``(is_delete, key)`` operations per key and apply
@@ -350,35 +360,6 @@ class TurnstileReservoirJoin(ReservoirJoin):
         return t
 
     # ------------------------------------------------------------------ #
-    # Durability
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> Dict[str, object]:
-        state = super().snapshot_state()
-        state["pending_tombstones"] = [
-            [relation, list(row), count]
-            for (relation, row), count in sorted(self._pending.items())
-        ]
-        state["turnstile_counters"] = {
-            "deletes_applied": self.deletes_applied,
-            "annihilations": self.annihilations,
-            "evictions": self.evictions,
-            "refills": self.refills,
-        }
-        return state
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        super().restore_state(state)
-        self._pending = {
-            (relation, tuple(row)): count
-            for relation, row, count in state["pending_tombstones"]
-        }
-        counters = state["turnstile_counters"]
-        self.deletes_applied = counters["deletes_applied"]
-        self.annihilations = counters["annihilations"]
-        self.evictions = counters["evictions"]
-        self.refills = counters["refills"]
-
-    # ------------------------------------------------------------------ #
     # Invariants
     # ------------------------------------------------------------------ #
     def check_invariants(self) -> None:
@@ -458,7 +439,7 @@ class WindowedSampler(TurnstileReservoirJoin):
     window (a turnstile stream can also be windowed).  Every entry point
     the base class offers — ``insert``, ``insert_batch``, ``delete``,
     ``delete_batch``, ``ingest_batch`` and ``process`` — reaches the window
-    through :meth:`ingest_batch` or :meth:`delete_batch`.
+    through the one chunk entry ``_ingest``, which this class overrides.
     """
 
     def __init__(
@@ -477,7 +458,8 @@ class WindowedSampler(TurnstileReservoirJoin):
         super().__init__(query, k, rng=rng, grouping=grouping)
         self.window = window
         self.mode = mode
-        #: newest admission stamp per live-or-refreshed (relation, row).
+        #: newest admission stamp per live (relation, row); every stamped
+        #: row is live (see :meth:`check_invariants`).
         self._stamps: Dict[Tuple[str, tuple], int] = {}
         #: admission log: a min-heap of ``(stamp, seq, relation, row)``
         #: (``seq`` breaks stamp ties without comparing rows).  Entries whose
@@ -500,18 +482,7 @@ class WindowedSampler(TurnstileReservoirJoin):
             self._watermark = timestamp
         return timestamp
 
-    def _admit(self, item, database) -> None:
-        if isinstance(item, StreamTuple):
-            key = (item.relation, item.row)
-        else:
-            relation, row = item
-            key = (relation, tuple(row))
-        stamp = self._stamp_of(item)
-        # The clock and the watermark advance per item, but only a row the
-        # chunk's fold left live is stamped: a row it netted away or
-        # annihilated has nothing for the window to retract.
-        if key[1] not in database[key[0]]:
-            return
+    def _admit(self, key: Tuple[str, tuple], stamp: int) -> None:
         # An out-of-order admission never ages a live row: its effective
         # stamp is the newest timestamp it was ever admitted at.  The log
         # entry is still pushed; the pop-side staleness check skips it.
@@ -530,7 +501,8 @@ class WindowedSampler(TurnstileReservoirJoin):
         The log is a min-heap on stamp, so out-of-order admissions (a
         timestamp below the current watermark) are still drained as soon
         as they fall at or behind the horizon — including items that were
-        already behind it on arrival.
+        already behind it on arrival.  Every stamped row is live, so each
+        expired key is a live row for the turnstile delete path.
         """
         horizon = self._horizon()
         expired: List[Tuple[str, tuple]] = []
@@ -541,165 +513,60 @@ class WindowedSampler(TurnstileReservoirJoin):
             if self._stamps.get(key) != stamp:
                 continue  # refreshed by a newer admission; entry is stale
             del self._stamps[key]
-            # Annihilated or explicitly deleted rows are no longer live;
-            # retracting them again would plant a spurious tombstone.
-            if row in self.index.database[relation]:
-                expired.append(key)
+            expired.append(key)
         if expired:
-            # The turnstile delete path itself: this class's override would
-            # expire again.
-            TurnstileReservoirJoin.delete_batch(self, expired)
+            self._apply([(True, key) for key in expired])
             self.expirations += len(expired)
         return len(expired)
 
-    def _forget(self, item) -> None:
-        """Drop the stamp of an explicitly deleted row: a later re-insert is
-        a new incarnation and must not inherit the deleted one's age."""
-        if isinstance(item, StreamDelete):
-            self._stamps.pop((item.relation, item.row), None)
-        else:
-            relation, row = item
-            self._stamps.pop((relation, tuple(row)), None)
+    def _ingest(self, items: Iterable, refused: Optional[type]) -> Tuple[int, int]:
+        """The turnstile chunk entry, then the window: stamp the rows the
+        chunk left live and expire rows that left the window.
 
-    def insert_batch(self, items: Iterable) -> int:
-        """Absorb an insert-only chunk through :meth:`ingest_batch`, so its
-        rows are stamped and expire; a
-        :class:`~repro.relational.stream.StreamDelete` raises ``TypeError``
-        before any state changes."""
-        items = list(items)
-        if any(isinstance(item, StreamDelete) for item in items):
-            raise TypeError(
-                "insert_batch received a StreamDelete; use ingest_batch for "
-                "mixed turnstile chunks"
-            )
-        return self.ingest_batch(items)
-
-    def delete_batch(self, items: Iterable) -> int:
-        """Explicit retractions, composed with the window."""
-        items = list(items)
-        removed = super().delete_batch(items)
-        for item in items:
-            self._forget(item)
-        self._expire()
-        return removed
-
-    def ingest_batch(self, items: Sequence) -> int:
-        """Absorb one mixed chunk, then expire rows that left the window.
-
-        The turnstile fold validates the chunk before the window stamps it,
-        so a rejected chunk leaves the window untouched too.  Every insert
-        item advances the window's clock; only the rows live after the
-        chunk are stamped.  A delete drops the row's stamp, so an insert
-        after it in the chunk stamps the row afresh.
+        The turnstile fold checks the chunk before the window stamps it, so
+        a refused chunk leaves the window untouched too.  Every insert item
+        advances the window's clock; only the rows live after the chunk are
+        stamped, so a row the fold netted away or annihilated has nothing
+        for the window to retract.  A delete drops the row's stamp: a later
+        insert of it is a new incarnation and must not inherit the deleted
+        one's age.
         """
         items = list(items)
-        absorbed = super().ingest_batch(items)
+        counts = super()._ingest(items, refused)
         database = self.index.database
         for item in items:
-            if isinstance(item, StreamDelete):
-                self._forget(item)
-            else:
-                self._admit(item, database)
+            key = _key(item)
+            if refused is StreamTuple or isinstance(item, StreamDelete):
+                self._stamps.pop(key, None)
+                continue
+            stamp = self._stamp_of(item)
+            if key[1] in database[key[0]]:
+                self._admit(key, stamp)
         self._expire()
-        return absorbed
-
-    # ------------------------------------------------------------------ #
-    # Durability
-    # ------------------------------------------------------------------ #
-    def snapshot_state(self) -> Dict[str, object]:
-        """Complete resumable state: the turnstile snapshot (``inner``) plus
-        the window clock.
-
-        Restoring and continuing is bit-identical to never having paused —
-        the admission log, stamps, clock and watermark all ride along.
-        """
-        return {
-            "kind": "windowed",
-            "window": self.window,
-            "mode": self.mode,
-            "clock": self._clock,
-            "watermark": self._watermark,
-            "stamps": [
-                [relation, list(row), stamp]
-                for (relation, row), stamp in sorted(self._stamps.items())
-            ],
-            # The heap array is serialized verbatim (it is a valid heap in
-            # this order), so a restore continues bit-identically.
-            "log": [
-                [stamp, seq, relation, list(row)]
-                for stamp, seq, relation, row in self._log
-            ],
-            "log_seq": self._log_seq,
-            "expirations": self.expirations,
-            "inner": super().snapshot_state(),
-        }
-
-    def restore_state(self, state: Dict[str, object]) -> None:
-        if state.get("kind") != "windowed":
-            raise ValueError("not a WindowedSampler snapshot")
-        if state["window"] != self.window or state["mode"] != self.mode:
-            raise ValueError(
-                "snapshot window configuration "
-                f"({state['window']}, {state['mode']!r}) does not match this "
-                f"sampler ({self.window}, {self.mode!r})"
-            )
-        super().restore_state(state["inner"])
-        self._clock = state["clock"]
-        self._watermark = state["watermark"]
-        self._stamps = {
-            (relation, tuple(row)): stamp
-            for relation, row, stamp in state["stamps"]
-        }
-        self._log = [
-            (stamp, seq, relation, tuple(row))
-            for stamp, seq, relation, row in state["log"]
-        ]
-        self._log_seq = state["log_seq"]
-        self.expirations = state["expirations"]
-
-    @classmethod
-    def from_snapshot(cls, state: Dict[str, object]) -> "WindowedSampler":
-        """Rebuild a windowed sampler from a :meth:`snapshot_state` snapshot."""
-        inner = state["inner"]
-        sampler = cls(
-            inner["query"],
-            inner["k"],
-            state["window"],
-            mode=state["mode"],
-            grouping=inner["config"]["grouping"],
-        )
-        sampler.restore_state(state)
-        return sampler
+        return counts
 
     # ------------------------------------------------------------------ #
     # Invariants
     # ------------------------------------------------------------------ #
     def check_invariants(self) -> None:
         """The ``O(N)`` :meth:`TurnstileReservoirJoin.check_invariants`, and
-        every stamped row lies inside the window."""
+        every stamped row is live and lies inside the window."""
         super().check_invariants()
+        database = self.index.database
         horizon = self._horizon()
         for (relation, row), stamp in self._stamps.items():
             if stamp <= horizon:
                 raise RuntimeError(f"{relation}{row} is stamped {stamp}, behind the horizon {horizon}")
+            if row not in database[relation]:
+                raise RuntimeError(f"{relation}{row} is stamped {stamp} but not live")
 
     # ------------------------------------------------------------------ #
     # Statistics
     # ------------------------------------------------------------------ #
     @property
     def rows_in_window(self) -> int:
-        """Live rows currently inside the window.
-
-        Counted against the stored database, not the raw stamp table — a
-        snapshot from before explicit deletes dropped their rows' stamps
-        may carry a stamp of a deleted row until the window slides past it.
-        """
-        database = self.index.database
-        return sum(
-            1
-            for relation, row in self._stamps
-            if row in database[relation]
-        )
+        """Live rows currently inside the window: every stamped row is one."""
+        return len(self._stamps)
 
     def statistics(self) -> Dict[str, int]:
         stats = super().statistics()

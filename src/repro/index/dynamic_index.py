@@ -9,7 +9,7 @@ relation (each rooted at that relation) over a shared
 2. ``sample`` / ``total_weight`` — uniform sampling from the *full* current
    join in ``O(log N)`` expected time (the dynamic sampling-over-joins
    problem);
-3. ``delta_batch_size`` and the rooted views' ``delta_retrieve`` — the
+3. the rooted views' ``delta_batch_sizes`` and ``delta_retrieve`` — the
    size of, and positional access to, the Ω(1)-dense array
    ``ΔJ ⊇ ΔQ(R, t)`` of the delta query of a newly inserted tuple, which is
    what the reservoir-sampling-over-joins algorithm consumes.
@@ -185,7 +185,7 @@ class DynamicJoinIndex:
             plan.targets = tuple(targets)
         self._runs = runs
         self.trees: Dict[str, TreeIndex] = {
-            name: TreeIndex(join_tree, name, database, plans[None, name]) for name in names
+            name: TreeIndex(name, plans[None, name]) for name in names
         }
 
     def __getstate__(self) -> dict:
@@ -373,13 +373,6 @@ class DynamicJoinIndex:
             frontier = next_frontier
         if propagations:
             self.propagations += propagations
-
-    # ------------------------------------------------------------------ #
-    # Delta batches (operation (3) of Theorem 4.2)
-    # ------------------------------------------------------------------ #
-    def delta_batch_size(self, relation: str, row: Sequence) -> int:
-        """``|ΔJ|`` for a row just inserted into ``relation``."""
-        return self.trees[relation].delta_batch_size(tuple(row))
 
     # ------------------------------------------------------------------ #
     # Full-query sampling (operation (2) of Theorem 4.2)

@@ -35,9 +35,6 @@ from functools import partial
 from operator import itemgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..relational.database import Database
-from ..relational.jointree import JoinTree
-from ..relational.query import JoinQuery
 from .buckets import BucketFamily
 
 
@@ -103,12 +100,8 @@ class TreeIndex:
 
     Parameters
     ----------
-    join_tree:
-        The (unrooted) join tree of the query.
     root:
         The relation this view is rooted at.
-    database:
-        The shared database instance.
     plan:
         The compiled plan of the edge ``None → root``.  When it has
         families the view can also draw uniform samples from the *full*
@@ -116,10 +109,7 @@ class TreeIndex:
         (2) of Theorem 4.2) in addition to delta batches.
     """
 
-    def __init__(self, join_tree: JoinTree, root: str, database: Database, plan: _NodePlan) -> None:
-        self._join_tree = join_tree
-        self.query: JoinQuery = join_tree.query
-        self.database = database
+    def __init__(self, root: str, plan: _NodePlan) -> None:
         self.root = root
         self._root_plan = plan
         self.maintain_root = plan.families is not None

@@ -95,9 +95,9 @@ class BatchIngestor:
     # Durability
     # ------------------------------------------------------------------ #
     def snapshot_state(self) -> dict:
-        """The ingestor's complete resumable state: the sampler (captured
-        via the :func:`~repro.core.backend.snapshot_backend` capability
-        probe) plus the chunk counters, taken at the chunk boundary the
+        """The ingestor's complete resumable state: the sampler (pickled
+        whole by :func:`~repro.core.backend.snapshot_backend`) plus the
+        chunk counters, taken at the chunk boundary the
         caller stands on: ingestion runs on the caller's thread, so
         between two ``ingest_batch`` calls no chunk is in flight."""
         # "engine" is the checkpoint format's name for the counter record.

@@ -4,17 +4,15 @@ The paper's samplers are defined over unbounded insert-only streams, but a
 process hosting one is not unbounded: it gets rescheduled, upgraded, killed.
 This module is the seam's durability layer — everything an ingestor needs to
 resume a stream *bit for bit* goes through one versioned, checksummed file
-format, and everything backend-specific goes through the
-:func:`~repro.core.backend.snapshot_backend` capability probe (native
-``snapshot_state`` when the sampler offers it, whole-object pickle
-otherwise).
+format, and the sampler itself goes in whole, pickled by
+:func:`~repro.core.backend.snapshot_backend`.
 
 The headline invariant — asserted per backend kind by property-harness
 section (e) in ``tests/statistical/test_properties.py`` — is **bit-identical
 resumption**: ingest a prefix, ``save(path)``, restore in a fresh process,
 ingest the suffix, and the final reservoir equals an uninterrupted run under
-the same seed.  It holds because a checkpoint captures the three things
-future behaviour depends on:
+the same seed.  It holds because the pickled sampler carries the three
+things future behaviour depends on:
 
 * the stored relation state, *including* the maintained index structures
   (their amortised ``c̃nt`` over-approximations are history-dependent, so
@@ -24,7 +22,7 @@ future behaviour depends on:
   span chunk boundaries),
 * the exact RNG state (``random.Random.getstate()``) of the sampler.
 
-File format (version 2)
+File format (version 3)
 -----------------------
 ::
 
@@ -33,15 +31,20 @@ File format (version 2)
     8       4     format version (big-endian)
     12      8     payload length in bytes (big-endian)
     20      32    SHA-256 digest of the payload
-    52      ...   payload: pickled state dict
+    52      ...   payload: pickled ``{"kind", "state"}`` document
+
+The state of a ``"batch"`` document holds the ingestor's chunk counters
+and a ``{"class", "state"}`` backend record: the sampler's class path and
+the sampler pickled whole.  The version moved to 3 when that became the
+only record: a version-2 record names a ``codec`` and may hold a sampler's
+own structured snapshot instead, which no code reads any more.
 
 The digest turns silent truncation and bit rot into
 :class:`CheckpointCorruptError` instead of an unpickling crash (or, worse, a
 quietly wrong reservoir); the version field turns a format change into
-:class:`CheckpointVersionError` instead of a guessing game.  A version-1
-file may hold a layout older code wrote (bucket families per rooting or in
-slot form, a predicate reservoir without its pending skip); nothing converts
-those, so version 1 is refused like any other unknown version.  The payload
+:class:`CheckpointVersionError` instead of a guessing game.  Nothing
+converts an older layout, so versions 1 and 2 are refused like any other
+unknown version, before anything is unpickled.  The payload
 always carries the saving ingestor's *kind* (``"batch"``), and
 ``BatchIngestor.restore`` refuses any other kind with
 :class:`CheckpointMismatchError`.  A nested backend record naming a class
@@ -68,7 +71,7 @@ MAGIC = b"RPROCKPT"
 
 #: Current checkpoint format version.  Bump on any incompatible change to
 #: the payload layout; readers refuse versions they do not know.
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 #: Header layout after the magic: format version, payload length.
 _HEADER = struct.Struct(">IQ")
@@ -97,12 +100,9 @@ class CheckpointCodec:
     """Versioned serialisation of ingestor state to and from checkpoint files.
 
     One codec instance (the module-level :data:`CODEC`) is shared by every
-    ingestor's ``save``/``restore``; constructing one with a different
-    ``version`` exists for tests that exercise version-mismatch handling.
+    ingestor's ``save``/``restore``.  It writes and reads
+    :data:`FORMAT_VERSION` only.
     """
-
-    def __init__(self, version: int = FORMAT_VERSION) -> None:
-        self.version = version
 
     # ------------------------------------------------------------------ #
     # Writing
@@ -120,7 +120,7 @@ class CheckpointCodec:
         blob = b"".join(
             (
                 MAGIC,
-                _HEADER.pack(self.version, len(payload)),
+                _HEADER.pack(FORMAT_VERSION, len(payload)),
                 hashlib.sha256(payload).digest(),
                 payload,
             )
@@ -166,10 +166,10 @@ class CheckpointCodec:
         if data[: len(MAGIC)] != MAGIC:
             raise CheckpointCorruptError(f"{path}: not a checkpoint file (bad magic)")
         version, payload_len = _HEADER.unpack_from(data, len(MAGIC))
-        if version != self.version:
+        if version != FORMAT_VERSION:
             raise CheckpointVersionError(
                 f"{path}: checkpoint format version {version} is not "
-                f"supported (this reader understands version {self.version})"
+                f"supported (this reader understands version {FORMAT_VERSION})"
             )
         digest_start = len(MAGIC) + _HEADER.size
         digest = data[digest_start:header_size]

@@ -117,6 +117,12 @@ def true_degree(database: Database, tree, node: str, key: Tuple) -> int:
     return total
 
 
+def delta_batch_size(index, relation: str, row: Sequence) -> int:
+    """``|ΔJ|`` of ``row``, just inserted into ``relation`` of a
+    ``DynamicJoinIndex``: what the view rooted at ``relation`` reports."""
+    return index.trees[relation].delta_batch_size(tuple(row))
+
+
 def delta_batch_items(view, row: Sequence) -> List[Optional[dict]]:
     """Every position of the delta batch of ``row``, just inserted into the
     root relation of ``view`` (a rooted ``TreeIndex`` view, or SJoin's

@@ -18,7 +18,7 @@ join counts agree with enumeration, and the lettered properties below:
     CI cite.
 
 (e) **Checkpoint/restore resumes bit-identically.**  For every kind of
-    batched backend — acyclic, cyclic and pickle-fallback baseline —
+    batched backend — acyclic, cyclic and baseline —
     ingesting a prefix, saving a checkpoint, restoring it
     (through the on-disk codec) and ingesting the suffix must end in exactly the state
     of an uninterrupted run under the same seed: same reservoirs in order,
@@ -155,8 +155,8 @@ def _drive(ingestor, chunks: List[List[StreamTuple]]) -> None:
 @pytest.mark.parametrize("case_seed", [6, 27, 61])
 @pytest.mark.parametrize("kind", ["acyclic", "cyclic", "baseline"])
 def test_checkpointed_batch_ingest_bit_identical(case_seed, kind, tmp_path):
-    """Prefix + save + restore + suffix == uninterrupted, for native-snapshot
-    samplers and a pickle-fallback baseline alike."""
+    """Prefix + save + restore + suffix == uninterrupted, for the paper's
+    samplers and a baseline alike."""
     rng = random.Random(case_seed)
     if kind == "acyclic":
         query, stream = random_acyclic_case(rng)

@@ -10,7 +10,7 @@ from repro.relational import JoinQuery, join_results, join_size
 from repro.workloads.graph import line_query, triangle_query
 
 from tests.conftest import make_edges, make_graph_stream
-from tests.oracles import delta_batch_items, result_key, validate_index
+from tests.oracles import delta_batch_items, delta_batch_size, result_key, validate_index
 
 
 class TestConstruction:
@@ -65,7 +65,7 @@ class TestDeltaBatches:
     def test_batch_size_zero_when_no_partner(self, two_table_query):
         index = DynamicJoinIndex(two_table_query)
         index.insert("R1", (1, 2))
-        assert index.delta_batch_size("R1", (1, 2)) == 0
+        assert delta_batch_size(index, "R1", (1, 2)) == 0
 
     def test_bulk_batch_sizes_match_per_row(self, line3_query):
         index = DynamicJoinIndex(line3_query)
@@ -79,7 +79,7 @@ class TestDeltaBatches:
         for name in line3_query.relation_names:
             inserted = [tuple(r) for r in rows_by_relation[name]]
             assert index.trees[name].delta_batch_sizes(inserted) == [
-                index.delta_batch_size(name, row) for row in inserted
+                delta_batch_size(index, name, row) for row in inserted
             ]
 
 

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from repro import BatchIngestor, PredicateStreamSampler, prefetched
+from repro.core.backend import restore_backend, snapshot_backend
 from repro.core.skippable import is_real
 from repro.relational.stream import chunk_stream
 from repro.workloads.strings import EditDistancePredicate, string_stream
@@ -126,11 +127,25 @@ def test_insert_is_a_one_item_chunk():
 
 
 def test_snapshot_records_no_relation_or_attribute_names():
+    # The sampler is schema-free: its pickled backend record names no
+    # relation or attribute, and a restored sampler still keys rows "item".
     stream, _, fresh = make_case()
     sampler = PredicateStreamSampler(12, fresh(), rng=random.Random(5))
     sampler.insert_batch(stream[:64])
-    state = sampler.snapshot_state()
-    assert "relation" not in state and "attribute" not in state
-    restored = PredicateStreamSampler.from_snapshot(state)
+    record = snapshot_backend(sampler)
+    assert b"relation" not in record["state"] and b"attribute" not in record["state"]
+    restored = restore_backend(record)
     restored.insert_batch(stream[64:])
     assert restored.sample[0].keys() == {"item"}
+
+
+def test_backend_record_round_trip_resumes_bit_identically():
+    stream, _, fresh = make_case()
+    uninterrupted = PredicateStreamSampler(12, fresh(), rng=random.Random(5))
+    uninterrupted.insert_batch(stream[:64])
+    restored = restore_backend(snapshot_backend(uninterrupted))
+    for sampler in (restored, uninterrupted):
+        sampler.insert_batch(stream[64:])
+    assert restored.sample == uninterrupted.sample
+    assert restored.sample[0].keys() == {"item"}
+    assert restored._rng.getstate() == uninterrupted._rng.getstate()

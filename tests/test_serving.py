@@ -54,7 +54,7 @@ def stream(line3_query):
 
 
 def is_even(item):
-    """Module-level predicate: picklable by the snapshot capability."""
+    """Module-level predicate: picklable, so its sampler checkpoints."""
     return item % 2 == 0
 
 

@@ -534,11 +534,11 @@ def _directed_edges(index):
     }
 
 
-def _plans_by_node(view):
-    """``{node: plan}`` along one rooted view; a plan's children are its
-    node's children in the rooted tree's order."""
+def _plans_by_node(view, tree):
+    """``{node: plan}`` along one rooted view, whose rooted join tree is
+    ``tree``; a plan's children are its node's children in the tree's
+    order."""
     plans = {view.root: view._root_plan}
-    tree = view._join_tree.rooted_at(view.root)
     for node in tree.topological_order():
         for child, (_, _, plan) in zip(tree.children_of(node), plans[node].children):
             plans[child] = plan
@@ -572,7 +572,7 @@ class TestEdgeStore:
         for root, tree in index.trees.items():
             assert not hasattr(tree, "_families")
             rooted = index._join_tree.rooted_at(root)
-            for node, plan in _plans_by_node(tree).items():
+            for node, plan in _plans_by_node(tree, rooted).items():
                 edge = (rooted.parent_of(node), node)
                 read.setdefault(edge, set()).add(id(plan.families))
                 assert plan.families is index.families.get(edge)

@@ -227,6 +227,16 @@ def test_invariants_catch_a_stamp_behind_the_horizon():
         sampler.check_invariants()
 
 
+def test_invariants_catch_a_stamp_of_a_dead_row():
+    sampler = WindowedSampler(TWO, k=5, window=4, rng=random.Random(3))
+    for value in range(8):
+        sampler.ingest_batch([StreamTuple("R", (value, 1)), StreamTuple("S", (1, value))])
+    assert ("R", (0, 1)) not in sampler._stamps  # expired long ago
+    sampler._stamps[("R", (0, 1))] = sampler._horizon() + 1
+    with pytest.raises(RuntimeError, match="not live"):
+        sampler.check_invariants()
+
+
 # ---------------------------------------------------------------------- #
 # Bit-identity with the full-recount oracle
 # ---------------------------------------------------------------------- #
