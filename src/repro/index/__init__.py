@@ -1,7 +1,7 @@
 """Dynamic sampling index for acyclic joins (Section 4)."""
 
 from .counters import next_pow2
-from .buckets import Bucket, BucketFamily
+from .buckets import BucketFamily
 from .grouping import GroupView, grouping_attrs
 from .tree_index import TreeIndex
 from .dynamic_index import DynamicJoinIndex
@@ -10,7 +10,6 @@ from .foreign_key import ForeignKeyCombiner
 
 __all__ = [
     "next_pow2",
-    "Bucket",
     "BucketFamily",
     "GroupView",
     "grouping_attrs",

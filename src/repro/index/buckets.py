@@ -9,60 +9,42 @@ their power-of-two weight: bucket ``i`` holds the entities whose weight is
 * ``cnt`` — the exact sum of entity weights, i.e. the paper's ``cnt[T, e, t]``;
 * ``approx`` — ``c̃nt[T, e, t] = 2^⌈log2 cnt⌉``.
 
-Buckets support O(1) insertion, O(1) removal (swap-with-last) and O(1)
-positional access.  A family keeps its non-empty buckets in ascending
-exponent order, so it maps a position ``z ∈ [0, cnt)`` to the entity whose
-weight range contains ``z`` by walking them in the order it holds them
-(there are at most ``O(log N)``; see :meth:`BucketFamily.locate`).
+A bucket is a bare list of entities, and one entity → index map per family
+records where each entity sits in its bucket, so buckets support O(1)
+insertion, O(1) removal (swap-with-last) and O(1) positional access.  A
+family keeps its non-empty buckets in ascending exponent order, so it maps a
+position ``z ∈ [0, cnt)`` to the entity whose weight range contains ``z`` by
+walking them in the order it holds them (there are at most ``O(log N)``; see
+:meth:`BucketFamily.locate`).
 
 A family's state is ``(cnt, [(exponent, entities), ...])``: ``approx`` and
-each bucket's entity → position map are derived state, rebuilt on load.  A
-family pickles as that state, and a pickled
+the position map are derived state, rebuilt on load.  A family pickles as
+that state, and a pickled
 :class:`~repro.index.dynamic_index.DynamicJoinIndex` holds its families as
 the bare tuples and rebuilds them through :meth:`BucketFamily.__setstate__`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
-
-
-class Bucket:
-    """An indexable set of entities with O(1) position access.
-
-    :meth:`BucketFamily.reweight` inserts and removes (swap-with-last) in
-    O(1).
-    """
-
-    __slots__ = ("_items", "_positions")
-
-    def __init__(self) -> None:
-        self._items: List[Tuple] = []
-        self._positions: Dict[Tuple, int] = {}
-
-    def __contains__(self, entity: Tuple) -> bool:
-        return entity in self._positions
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __iter__(self) -> Iterator[Tuple]:
-        return iter(self._items)
+from typing import Dict, List, Optional, Tuple
 
 
 class BucketFamily:
     """All buckets of one (node, key tuple) pair, plus its ``cnt``/``c̃nt``.
 
-    ``_buckets`` maps each non-empty bucket's exponent to it, in ascending
-    exponent order.
+    ``_buckets`` maps each non-empty bucket's exponent to the bare list of
+    its entities, in ascending exponent order.  ``_positions`` maps every
+    entity of the family to its index in its bucket's list; it is one map
+    for all the buckets, since an entity sits in exactly one of them.
     """
 
-    __slots__ = ("cnt", "approx", "_buckets")
+    __slots__ = ("cnt", "approx", "_buckets", "_positions")
 
     def __init__(self) -> None:
         self.cnt = 0
         self.approx = 0
-        self._buckets: Dict[int, Bucket] = {}
+        self._buckets: Dict[int, List[Tuple]] = {}
+        self._positions: Dict[Tuple, int] = {}
 
     # ------------------------------------------------------------------ #
     # Mutation
@@ -77,17 +59,21 @@ class BucketFamily:
         the entity's current weight, which the index guarantees because
         every factor of a weight is an approximate (power-of-two) counter.
 
+        A move between two non-zero weights overwrites the entity's
+        position in place and pops it only on removal: in CPython a popped
+        key that is inserted again takes a fresh entry slot, so popping on
+        every move would grow the map until it resized.
+
         Emptying a bucket deletes it, which keeps the exponent order; a
         bucket created below the top exponent re-sorts the family's
         ``O(log N)`` buckets.
         """
         buckets = self._buckets
+        positions = self._positions
         if old_weight:
             exponent = old_weight.bit_length() - 1
-            bucket = buckets[exponent]
-            positions = bucket._positions
-            items = bucket._items
-            position = positions.pop(entity)
+            items = buckets[exponent]
+            position = positions[entity] if new_weight else positions.pop(entity)
             last = items.pop()
             if position < len(items):
                 items[position] = last
@@ -96,14 +82,14 @@ class BucketFamily:
                 del buckets[exponent]
         if new_weight:
             exponent = new_weight.bit_length() - 1
-            bucket = buckets.get(exponent)
-            if bucket is None:
+            items = buckets.get(exponent)
+            if items is None:
                 below_top = buckets and exponent < next(reversed(buckets))
-                bucket = buckets[exponent] = Bucket()
+                items = buckets[exponent] = []
                 if below_top:
                     self._buckets = dict(sorted(buckets.items()))
-            bucket._positions[entity] = len(bucket._items)
-            bucket._items.append(entity)
+            positions[entity] = len(items)
+            items.append(entity)
         count = self.cnt + new_weight - old_weight
         self.cnt = count
         self.approx = (1 << (count - 1).bit_length()) if count else 0
@@ -126,8 +112,7 @@ class BucketFamily:
             raise ValueError("positions must be non-negative")
         if position >= self.cnt:
             return None
-        for exponent, bucket in self._buckets.items():
-            items = bucket._items
+        for exponent, items in self._buckets.items():
             span = len(items) << exponent
             if position < span:
                 entity_index = position >> exponent
@@ -140,15 +125,14 @@ class BucketFamily:
     # Pickling
     # ------------------------------------------------------------------ #
     def __getstate__(self) -> Tuple[int, List[Tuple[int, List[Tuple]]]]:
-        return self.cnt, [(exponent, bucket._items) for exponent, bucket in self._buckets.items()]
+        return self.cnt, list(self._buckets.items())
 
     def __setstate__(self, state) -> None:
         count, buckets = state
-        self._buckets = {}
-        for exponent, items in buckets:
-            bucket = self._buckets[exponent] = Bucket()
-            bucket._items = items
-            bucket._positions = dict(zip(items, range(len(items))))
+        self._buckets = dict(buckets)
+        positions = self._positions = {}
+        for items in self._buckets.values():
+            positions.update(zip(items, range(len(items))))
         self.cnt = count
         self.approx = (1 << (count - 1).bit_length()) if count else 0
 
@@ -157,11 +141,11 @@ class BucketFamily:
     # ------------------------------------------------------------------ #
     def bucket_sizes(self) -> Dict[int, int]:
         """``{exponent: number of entities}`` for the non-empty buckets."""
-        return {exponent: len(bucket) for exponent, bucket in self._buckets.items()}
+        return {exponent: len(items) for exponent, items in self._buckets.items()}
 
     def weight_sum(self) -> int:
         """Recompute Σ 2^i·|Φ_i| from scratch (must equal ``cnt``; test hook)."""
-        return sum(len(bucket) << exponent for exponent, bucket in self._buckets.items())
+        return sum(len(items) << exponent for exponent, items in self._buckets.items())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"BucketFamily(cnt={self.cnt}, approx={self.approx}, buckets={self.bucket_sizes()})"

@@ -411,7 +411,9 @@ class DynamicJoinIndex:
 
     def check_invariants(self) -> None:
         """Raise ``RuntimeError`` unless every family's ``cnt`` is the sum
-        of its bucket weights and its ``c̃nt`` is ``next_pow2(cnt)``.
+        of its bucket weights, its ``c̃nt`` is ``next_pow2(cnt)``, and its
+        position map holds exactly its entities, each at its index in its
+        bucket.
 
         No ground truth is recounted; the tests' oracle
         (``tests/oracles.py``) adds the Lemma 4.4 bounds against one.
@@ -424,6 +426,16 @@ class DynamicJoinIndex:
                     )
                 if family.approx != next_pow2(family.cnt):
                     raise RuntimeError(f"c̃nt at {edge}/{key} is not next_pow2(cnt)")
+                positions = family._positions
+                if len(positions) != sum(family.bucket_sizes().values()):
+                    raise RuntimeError(f"position map at {edge}/{key} does not match its entity count")
+                for items in family._buckets.values():
+                    for index, entity in enumerate(items):
+                        if positions.get(entity) != index:
+                            raise RuntimeError(
+                                f"{entity!r} at {edge}/{key} sits at {index}, not at "
+                                f"its recorded position {positions.get(entity)}"
+                            )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -2,6 +2,7 @@
 
 import pickle
 import pickletools
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -44,6 +45,23 @@ class TestBucket:
 
 
 class TestBucketFamily:
+    def test_moves_keep_the_position_map_compact(self):
+        """A move overwrites the entity's position in place.  In CPython a
+        popped key that is inserted again takes a fresh entry slot, so
+        popping on every move would grow the map past a freshly built one."""
+        family = BucketFamily()
+        entities = [(name,) for name in range(16)]
+        for entity in entities:
+            family.reweight(entity, 0, 2)
+        weight = 2
+        for _ in range(625):
+            for entity in entities:
+                family.reweight(entity, weight, 10 - weight)
+            weight = 10 - weight
+            assert sys.getsizeof(family._positions) <= sys.getsizeof(dict(family._positions.items()))
+        assert family.bucket_sizes() == {3: 16}
+        assert sorted(family._positions) == entities
+
     def test_move_inserts_and_counts(self):
         family = BucketFamily()
         family.reweight(("a",), 0, 4)

@@ -612,6 +612,27 @@ class TestEdgeStore:
         with pytest.raises(RuntimeError, match="cnt mismatch"):
             index.check_invariants()
 
+    def test_check_invariants_sees_a_wrong_position(self, line3_query):
+        index = DynamicJoinIndex(line3_query)
+        index.insert_rows("R1", [(1, 2), (3, 2)])
+        index.insert_rows("R2", [(2, 5)])
+        family = next(iter(index.families["R2", "R1"].values()))
+        (items,) = family._buckets.values()
+        assert len(items) == 2
+        index.check_invariants()
+        family._positions[items[0]] = 1
+        with pytest.raises(RuntimeError, match="recorded position"):
+            index.check_invariants()
+
+    def test_check_invariants_sees_a_stale_position(self, line3_query):
+        index = DynamicJoinIndex(line3_query)
+        index.insert_rows("R1", [(1, 2)])
+        index.insert_rows("R2", [(2, 5)])
+        family = next(iter(index.families["R2", "R1"].values()))
+        family._positions[(9, 2)] = 0
+        with pytest.raises(RuntimeError, match="entity count"):
+            index.check_invariants()
+
     def test_a_pickled_chain3_index_holds_each_edge_once(self):
         query = JoinQuery.from_spec("chain-3", _CHAIN3)
         sampler = ReservoirJoin(query, 30, rng=random.Random(1))

@@ -21,6 +21,17 @@ repository benchmark's ``insert-chain3`` stream (``bench/run.py``'s
   time, then ``delete`` of each in stream order (the one-row runs of
   ``DynamicJoinIndex._update``), reported as µs/row for each half;
 
+the memory the batched shape's final state holds:
+
+* **state** — ``deep_sizeof`` of its ``BatchIngestor`` (the measure behind
+  the benchmark's ``state_mb``), split into the relations' rows, their
+  row → position maps, their relation indexes, the index's bucket
+  families, the reservoir and the rest.  The parts share one ``seen`` set
+  and are walked in that order, so an object reachable from several parts
+  (a row tuple is held by its relation, its indexes, the families and
+  perhaps the reservoir) counts in the first, and the parts sum to the
+  whole;
+
 the checkpoint I/O the served loop pays at every save:
 
 * **checkpoint** — ``BatchIngestor.save`` of the batched shape's final
@@ -81,6 +92,7 @@ from repro.index.dynamic_index import DynamicJoinIndex  # noqa: E402
 from repro.ingest.batch import BatchIngestor  # noqa: E402
 from repro.relational.query import JoinQuery  # noqa: E402
 from repro.relational.stream import StreamDelete, StreamTuple  # noqa: E402
+from repro.stats.memory import deep_sizeof, megabytes, sampler_memory_bytes  # noqa: E402
 
 from harness import percentile, timed  # noqa: E402
 from run import WORKLOADS, chain_stream, stack_seed  # noqa: E402
@@ -204,6 +216,34 @@ def per_row_us(query, rows, repeats: int):
     return 1e6 * min(inserts) / len(rows), 1e6 * min(deletes) / len(rows)
 
 
+def state_parts(ingestor: BatchIngestor) -> list:
+    """``(part, bytes)`` of the ingestor's object graph, walked part by part
+    with one shared ``seen`` set, so the bytes sum to its ``deep_sizeof``."""
+    sampler = ingestor.sampler
+    relations = list(sampler.index.database)
+    parts = [
+        ("rows", [relation.rows for relation in relations]),
+        ("row-position maps", [relation._row_positions for relation in relations]),
+        ("relation indexes", [relation._indexes for relation in relations]),
+        ("families", [sampler.index.families]),
+        ("reservoir", [sampler.reservoir]),
+        ("rest", [ingestor]),
+    ]
+    seen: set = set()
+    sizes = [(part, sum(deep_sizeof(obj, seen) for obj in objects)) for part, objects in parts]
+    assert sum(size for _, size in sizes) == sampler_memory_bytes(ingestor)
+    return sizes
+
+
+def print_state(ingestor: BatchIngestor) -> None:
+    parts = state_parts(ingestor)
+    total = sum(size for _, size in parts)
+    print(f"== state (the batched final state, deep getsizeof): {megabytes(total):.3f} MiB ==")
+    for part, size in parts:
+        print(f"{part:>18} {megabytes(size):8.3f} MiB {100 * size / total:5.1f}%")
+    print()
+
+
 def profile_shape(label: str, run, top: int, repeats: int) -> None:
     wall = min(timed(run) for _ in range(repeats))
     profiler = cProfile.Profile()
@@ -250,6 +290,7 @@ def main() -> None:
         args.top, args.repeats,
     )
     ingestor = run_batched(query, stream, args.chunk_size)
+    print_state(ingestor)
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "profile.ckpt")
         ingestor.save(path)
