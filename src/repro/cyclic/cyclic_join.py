@@ -131,10 +131,9 @@ class CyclicReservoirJoin:
         self._chosen_bag: Dict[str, str] = {
             name: self.ghd.covering_bag(name) for name in query.relation_names
         }
-        self._bag_subqueries: Dict[str, JoinQuery] = {}
         self._bag_databases: Dict[str, Database] = {}
-        self._member_name: Dict[Tuple[str, str], str] = {}
-        self._member_attrs: Dict[Tuple[str, str], Tuple[str, ...]] = {}
+        # (bag, base relation) -> the base relation's projection onto the bag.
+        member_of: Dict[Tuple[str, str], RelationSchema] = {}
         for bag_name, bag_attrs in self.ghd.bags.items():
             bag_attr_set = set(bag_attrs)
             members: List[RelationSchema] = []
@@ -144,14 +143,12 @@ class CyclicReservoirJoin:
                     continue
                 member = RelationSchema(f"{bag_name}:{schema.name}", shared)
                 members.append(member)
-                self._member_name[(bag_name, schema.name)] = member.name
-                self._member_attrs[(bag_name, schema.name)] = shared
+                member_of[(bag_name, schema.name)] = member
             subquery = JoinQuery(f"{query.name}:{bag_name}", members)
-            self._bag_subqueries[bag_name] = subquery
             self._bag_databases[bag_name] = Database(subquery)
         self._delta_plans: Dict[str, List[_BagDeltaPlan]] = {
             name: [
-                self._build_delta_plan(bag_name, name)
+                self._build_delta_plan(bag_name, member_of[(bag_name, name)], name)
                 for bag_name in self.ghd.bags_touching(name)
             ]
             for name in query.relation_names
@@ -160,15 +157,18 @@ class CyclicReservoirJoin:
         self.duplicates_ignored = 0
         self.bag_tuples_inserted = 0
 
-    def _build_delta_plan(self, bag_name: str, relation: str) -> _BagDeltaPlan:
-        """Resolve the batch-invariant parts of one bag's delta query."""
-        member = self._member_name[(bag_name, relation)]
-        member_attrs = self._member_attrs[(bag_name, relation)]
-        subquery = self._bag_subqueries[bag_name]
+    def _build_delta_plan(
+        self, bag_name: str, member: RelationSchema, relation: str
+    ) -> _BagDeltaPlan:
+        """Resolve the batch-invariant parts of one bag's delta query.
+
+        ``member`` is ``relation``'s projection onto the bag's attributes.
+        """
         database = self._bag_databases[bag_name]
+        subquery = database.query
         schema = self.query.relation(relation)
-        order = _relation_order(subquery, first=member)
-        bound = set(subquery.relation(member).attrs)
+        order = _relation_order(subquery, first=member.name)
+        bound = set(member.attrs)
         steps: List[Tuple[object, Tuple[str, ...], Tuple[Tuple[str, int], ...]]] = []
         for name in order[1:]:
             member_schema = subquery.relation(name)
@@ -182,9 +182,9 @@ class CyclicReservoirJoin:
             bound.update(member_schema.attrs)
         return _BagDeltaPlan(
             bag_name=bag_name,
-            member_relation=database[member],
-            member_attrs=member_attrs,
-            project=tuple_getter(schema.positions_of(member_attrs)),
+            member_relation=database[member.name],
+            member_attrs=member.attrs,
+            project=tuple_getter(schema.positions_of(member.attrs)),
             steps=steps,
             bag_attrs=self.bag_query.relation(bag_name).attrs,
         )

@@ -390,17 +390,6 @@ class DynamicJoinIndex:
         rng = rng if rng is not None else random.Random()
         return self.trees[self.sampling_root].sample(rng)
 
-    def sample_many(self, count: int, rng: Optional[random.Random] = None) -> list:
-        """``count`` independent uniform samples (with replacement)."""
-        rng = rng if rng is not None else random.Random()
-        samples = []
-        for _ in range(count):
-            result = self.sample(rng)
-            if result is None:
-                break
-            samples.append(result)
-        return samples
-
     # ------------------------------------------------------------------ #
     # Statistics and invariants
     # ------------------------------------------------------------------ #

@@ -22,7 +22,7 @@ things future behaviour depends on:
   span chunk boundaries),
 * the exact RNG state (``random.Random.getstate()``) of the sampler.
 
-File format (version 3)
+File format (version 4)
 -----------------------
 ::
 
@@ -37,13 +37,17 @@ The state of a ``"batch"`` document holds the ingestor's chunk counters
 and a ``{"class", "state"}`` backend record: the sampler's class path and
 the sampler pickled whole.  The version moved to 3 when that became the
 only record: a version-2 record names a ``codec`` and may hold a sampler's
-own structured snapshot instead, which no code reads any more.
+own structured snapshot instead, which no code reads any more.  It moved
+to 4 when a relation came to keep its rows in one insertion-ordered dict
+instead of a row list beside a row → position map, so a version-3
+relation no longer unpickles into a working one; the cyclic sampler's
+pickle lost its construction-time bag metadata in the same step.
 
 The digest turns silent truncation and bit rot into
 :class:`CheckpointCorruptError` instead of an unpickling crash (or, worse, a
 quietly wrong reservoir); the version field turns a format change into
 :class:`CheckpointVersionError` instead of a guessing game.  Nothing
-converts an older layout, so versions 1 and 2 are refused like any other
+converts an older layout, so versions 1 to 3 are refused like any other
 unknown version, before anything is unpickled.  The payload
 always carries the saving ingestor's *kind* (``"batch"``), and
 ``BatchIngestor.restore`` refuses any other kind with
@@ -71,7 +75,7 @@ MAGIC = b"RPROCKPT"
 
 #: Current checkpoint format version.  Bump on any incompatible change to
 #: the payload layout; readers refuse versions they do not know.
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 #: Header layout after the magic: format version, payload length.
 _HEADER = struct.Struct(">IQ")

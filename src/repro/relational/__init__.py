@@ -27,7 +27,6 @@ from .join import (
     iter_join_results,
     join_results,
     join_size,
-    results_as_tuples,
 )
 
 __all__ = [
@@ -58,5 +57,4 @@ __all__ = [
     "iter_join_results",
     "join_results",
     "join_size",
-    "results_as_tuples",
 ]

@@ -43,18 +43,6 @@ class Database:
         """Delete ``row`` from ``relation``; returns whether it was present."""
         return self.relations[relation].delete(row)
 
-    def bulk_load(self, relation: str, rows: Iterable[Sequence]) -> int:
-        """Insert many rows; returns the number of new rows."""
-        inserted = 0
-        for row in rows:
-            if self.insert(relation, row):
-                inserted += 1
-        return inserted
-
-    def counts(self) -> Dict[str, int]:
-        """Per-relation tuple counts."""
-        return {name: len(rel) for name, rel in self.relations.items()}
-
     @classmethod
     def from_dict(
         cls, query: JoinQuery, data: Mapping[str, Iterable[Sequence]]
@@ -62,7 +50,7 @@ class Database:
         """Build a database with ``data[relation] = iterable of rows``."""
         database = cls(query)
         for relation, rows in data.items():
-            database.bulk_load(relation, rows)
+            database.relations[relation].insert_many(rows)
         return database
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

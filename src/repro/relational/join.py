@@ -17,7 +17,7 @@ enough for the scaled-down instances the reproduction runs on.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .database import Database
 from .jointree import JoinTree
@@ -187,14 +187,3 @@ def iter_delta_results(
     assignment: Dict[str, object] = dict(zip(schema.attrs, row))
     order = _relation_order(query, first=relation)
     yield from _extend(query, database, order[1:], 0, assignment)
-
-
-def results_as_tuples(
-    query: JoinQuery, results: Iterable[Dict[str, object]]
-) -> List[Tuple]:
-    """Canonical, hashable form of join results (values in canonical attr order).
-
-    Useful for comparing result sets and counting frequencies in tests.
-    """
-    attrs = query.output_attrs()
-    return [tuple(result[a] for a in attrs) for result in results]

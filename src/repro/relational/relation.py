@@ -86,16 +86,16 @@ class Relation:
     ignored (the paper assumes duplicates have been removed from the stream;
     we enforce it here so callers do not have to).
 
-    Turnstile streams additionally need :meth:`delete`: rows are stored with
-    a position map so a delete is O(1) amortised (swap-with-last removal from
-    :attr:`rows`), which matters because a sliding window eventually deletes
-    *every* row it ever admitted.
+    :attr:`rows` is one insertion-ordered dict (row → ``None``): it answers
+    membership, iterates in insertion order, and gives turnstile streams an
+    O(1) :meth:`delete`, which matters because a sliding window eventually
+    deletes *every* row it ever admitted.  A delete leaves the other rows in
+    order, and a re-inserted row goes to the end.
     """
 
     def __init__(self, schema: RelationSchema, rows: Optional[Iterable[Sequence]] = None) -> None:
         self.schema = schema
-        self.rows: List[Row] = []
-        self._row_positions: Dict[Row, int] = {}
+        self.rows: Dict[Row, None] = {}
         self._indexes: Dict[Tuple[str, ...], RelationIndex] = {}
         self._on_insert: List[Callable[[Row], None]] = []
         self._on_delete: List[Callable[[Row], None]] = []
@@ -112,7 +112,7 @@ class Relation:
         return len(self.rows)
 
     def __contains__(self, row: Sequence) -> bool:
-        return tuple(row) in self._row_positions
+        return tuple(row) in self.rows
 
     def __iter__(self) -> Iterator[Row]:
         return iter(self.rows)
@@ -129,10 +129,9 @@ class Relation:
                 f"row arity {len(row)} does not match relation "
                 f"{self.schema.name!r} arity {self.schema.arity}"
             )
-        if row in self._row_positions:
+        if row in self.rows:
             return False
-        self._row_positions[row] = len(self.rows)
-        self.rows.append(row)
+        self.rows[row] = None
         for index in self._indexes.values():
             index.add(row)
         for callback in self._on_insert:
@@ -148,13 +147,9 @@ class Relation:
         ``repro.core.turnstile``).
         """
         row = tuple(row)
-        pos = self._row_positions.pop(row, None)
-        if pos is None:
+        if row not in self.rows:
             return False
-        last = self.rows.pop()
-        if pos < len(self.rows):
-            self.rows[pos] = last
-            self._row_positions[last] = pos
+        del self.rows[row]
         for index in self._indexes.values():
             index.remove(row)
         for callback in self._on_delete:
@@ -178,14 +173,12 @@ class Relation:
                     f"row arity {len(row)} does not match relation "
                     f"{self.schema.name!r} arity {arity}"
                 )
-        positions = self._row_positions
         stored = self.rows
         new_rows: List[Row] = []
         for row in rows:
-            if row in positions:
+            if row in stored:
                 continue
-            positions[row] = len(stored)
-            stored.append(row)
+            stored[row] = None
             new_rows.append(row)
         if new_rows:
             for index in self._indexes.values():

@@ -210,9 +210,10 @@ class TestBagDeltaEnumeration:
             for _ in range(90)
         ]
         sampler = CyclicReservoirJoin(query, 7, rng=random.Random(case_seed + 1))
-        shadows = {
-            bag: Database(subquery) for bag, subquery in sampler._bag_subqueries.items()
+        subqueries = {
+            bag: database.query for bag, database in sampler._bag_databases.items()
         }
+        shadows = {bag: Database(subquery) for bag, subquery in subqueries.items()}
         seen = set()
         compared = 0
         for item in stream:
@@ -221,16 +222,17 @@ class TestBagDeltaEnumeration:
             seen.add((item.relation, item.row))
             for plan in sampler._delta_plans[item.relation]:
                 bag = plan.bag_name
-                member = sampler._member_name[(bag, item.relation)]
-                attrs = sampler._member_attrs[(bag, item.relation)]
-                projection = query.relation(item.relation).project(item.row, attrs)
+                member = plan.member_relation.name
+                projection = query.relation(item.relation).project(
+                    item.row, plan.member_attrs
+                )
                 expected = []
                 if shadows[bag].insert(member, projection):
                     bag_schema = sampler.bag_query.relation(bag)
                     expected = [
                         bag_schema.row_from_mapping(result)
                         for result in delta_results(
-                            sampler._bag_subqueries[bag], shadows[bag], member, projection
+                            subqueries[bag], shadows[bag], member, projection
                         )
                     ]
                 assert plan.deltas(item.row) == expected

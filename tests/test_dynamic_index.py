@@ -9,7 +9,7 @@ import pytest
 from repro.core.reservoir_join import ReservoirJoin
 from repro.index.buckets import BucketFamily
 from repro.index.dynamic_index import DynamicJoinIndex
-from repro.relational import JoinQuery, join_results, join_size
+from repro.relational import JoinQuery, join_size
 from repro.workloads.graph import line_query, star_query, triangle_query
 
 from tests.conftest import make_edges, make_graph_stream, random_stream
@@ -104,20 +104,6 @@ class TestFullQuerySampling:
             shadow.insert(item.relation, item.row)
         truth = join_size(line3_query, shadow)
         assert index.total_weight() >= truth
-
-    def test_sample_many_returns_real_results(self, line3_query):
-        from repro.relational import Database
-
-        edges = make_edges(5, 15, seed=65)
-        stream = make_graph_stream(line3_query, edges, seed=66)
-        index = self.replay(line3_query, stream)
-        shadow = Database(line3_query)
-        for item in stream:
-            shadow.insert(item.relation, item.row)
-        universe = {result_key(res) for res in join_results(line3_query, shadow)}
-        samples = index.sample_many(100, random.Random(1))
-        assert len(samples) == 100
-        assert all(result_key(sample) in universe for sample in samples)
 
     def test_retrieve_positions_cover_all_results(self, two_table_query):
         index = DynamicJoinIndex(two_table_query, maintain_root=True)

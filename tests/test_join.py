@@ -4,7 +4,6 @@ import itertools
 import random
 
 from repro.relational import Database, JoinQuery, delta_results, join_results, join_size
-from repro.relational.join import results_as_tuples
 from tests.conftest import make_edges, make_graph_stream
 
 
@@ -50,11 +49,6 @@ class TestFullJoin:
         # R1(x1,x2), R2(x2,x3), R3(x1,x3): only (1,2,3) forms a triangle.
         results = join_results(triangle_query, database)
         assert {(r["x1"], r["x2"], r["x3"]) for r in results} == {(1, 2, 3)}
-
-    def test_results_as_tuples_canonical(self, two_table_query):
-        database = Database.from_dict(two_table_query, {"R1": [(1, 2)], "R2": [(2, 3)]})
-        results = join_results(two_table_query, database)
-        assert results_as_tuples(two_table_query, results) == [(1, 2, 3)]
 
 
 class TestDeltaJoin:

@@ -29,7 +29,7 @@ class TestRelationBasics:
     def test_rows_preserve_insertion_order(self, relation):
         relation.insert((3, 3, 3))
         relation.insert((1, 1, 1))
-        assert relation.rows == [(3, 3, 3), (1, 1, 1)]
+        assert list(relation.rows) == [(3, 3, 3), (1, 1, 1)]
 
     def test_constructor_bulk_rows(self):
         rel = Relation(RelationSchema("R", ("x",)), rows=[(1,), (2,), (1,)])
@@ -42,6 +42,19 @@ class TestRelationBasics:
         relation.insert((1, 2, 3))
         relation.insert((4, 5, 6))
         assert seen == [(1, 2, 3), (4, 5, 6)]
+
+    def test_insert_many_returns_only_new_rows_in_order(self, relation):
+        seen = []
+        relation.add_insert_callback(seen.append)
+        relation.insert((1, 1, 1))
+        relation.insert((2, 2, 2))
+        relation.delete((1, 1, 1))
+        new = relation.insert_many([(3, 3, 3), (2, 2, 2), (1, 1, 1), (3, 3, 3)])
+        # Stored and repeated rows are skipped; a deleted row counts as new
+        # and goes back in behind the rows already stored.
+        assert new == [(3, 3, 3), (1, 1, 1)]
+        assert list(relation.rows) == [(2, 2, 2), (3, 3, 3), (1, 1, 1)]
+        assert seen == [(1, 1, 1), (2, 2, 2), (3, 3, 3), (1, 1, 1)]
 
 
 class TestRelationIndex:

@@ -66,18 +66,36 @@ def two_table_turnstile(seed: int, n: int = 220, delete_fraction: float = 0.3):
 # ---------------------------------------------------------------------- #
 # Relational delete layer
 # ---------------------------------------------------------------------- #
-def test_relation_delete_is_swap_remove():
+def test_relation_delete_keeps_insertion_order():
     relation = Relation(RelationSchema("R", ("a", "b")))
     rows = [(i, i + 1) for i in range(6)]
     relation.insert_many(rows)
     assert relation.delete((2, 3)) is True
     assert relation.delete((2, 3)) is False  # already gone
-    assert set(relation.rows) == set(rows) - {(2, 3)}
-    assert len(relation.rows) == 5
-    # Positions stay consistent after the swap: every row re-deletable.
-    for row in sorted(set(rows) - {(2, 3)}):
+    assert (2, 3) not in relation
+    assert list(relation.rows) == [row for row in rows if row != (2, 3)]
+    # A re-inserted row goes to the end, behind every surviving row.
+    assert relation.insert((2, 3)) is True
+    assert list(relation.rows) == [row for row in rows if row != (2, 3)] + [(2, 3)]
+    for row in rows:
         assert relation.delete(row) is True
-    assert relation.rows == []
+    assert list(relation.rows) == []
+    assert len(relation) == 0
+
+
+def test_index_built_after_deletes_holds_the_live_rows():
+    relation = Relation(RelationSchema("R", ("a", "b")))
+    rows = [(i % 3, i) for i in range(12)]
+    relation.insert_many(rows)
+    for row in rows[::4]:
+        relation.delete(row)
+    relation.insert((1, 4))  # deleted above; goes back in at the end
+    live = [row for row in rows if row not in rows[::4]] + [(1, 4)]
+    assert list(relation.rows) == live
+    index = relation.index_on(["a"])
+    assert sorted(index.keys()) == [(0,), (1,), (2,)]
+    for key in index.keys():
+        assert index.lookup(key) == [row for row in live if (row[0],) == key]
 
 
 def test_database_delete_unknown_relation_raises():
@@ -538,7 +556,7 @@ def test_windowed_timestamp_mode_uses_watermark():
     # Watermark jumps to 20: horizon 10 expires both earlier rows.
     sampler.ingest_batch([StreamTuple("R", (2, 2), timestamp=20)])
     assert set(sampler.index.database["R"].rows) == {(2, 2)}
-    assert sampler.index.database["S"].rows == []
+    assert list(sampler.index.database["S"].rows) == []
     assert sampler.sample == []
     assert sampler.statistics()["expirations"] == 2
 

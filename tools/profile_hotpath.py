@@ -24,9 +24,9 @@ repository benchmark's ``insert-chain3`` stream (``bench/run.py``'s
 the memory the batched shape's final state holds:
 
 * **state** — ``deep_sizeof`` of its ``BatchIngestor`` (the measure behind
-  the benchmark's ``state_mb``), split into the relations' rows, their
-  row → position maps, their relation indexes, the index's bucket
-  families, the reservoir and the rest.  The parts share one ``seen`` set
+  the benchmark's ``state_mb``), split into the relations' row dicts,
+  their relation indexes, the index's bucket families, the reservoir and
+  the rest.  The parts share one ``seen`` set
   and are walked in that order, so an object reachable from several parts
   (a row tuple is held by its relation, its indexes, the families and
   perhaps the reservoir) counts in the first, and the parts sum to the
@@ -223,7 +223,6 @@ def state_parts(ingestor: BatchIngestor) -> list:
     relations = list(sampler.index.database)
     parts = [
         ("rows", [relation.rows for relation in relations]),
-        ("row-position maps", [relation._row_positions for relation in relations]),
         ("relation indexes", [relation._indexes for relation in relations]),
         ("families", [sampler.index.families]),
         ("reservoir", [sampler.reservoir]),
